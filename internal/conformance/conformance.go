@@ -14,8 +14,9 @@
 //     detected with zero false negatives, honest runs with zero false
 //     positives;
 //  5. pipelined-batch equivalence: a serving micro-batch riding one shared
-//     verified-weight residency through the layer-stage pipeline is
-//     bit-identical, request by request, to serial non-resident runs;
+//     verified-weight residency, its requests free-running on the worker
+//     pool, is bit-identical, request by request, to serial non-resident
+//     runs;
 //  6. gateway attack replay: the command-channel MITM mounted through a
 //     2-replica gateway fleet is detected with zero false negatives and
 //     zero false positives, including against a session live-migrated

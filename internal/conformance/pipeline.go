@@ -22,13 +22,13 @@ import (
 const pipelineBatch = 3
 
 // CheckPipelinedBatch replays a micro-batch through the serving tier's
-// layer-stage pipeline — every request attached to one shared verified-
-// weight residency, chained by StageGates so request j runs layer k while
-// request j-1 runs layer k+1 — and demands each request be bit-identical
-// to its own serial, non-resident baseline: same decrypted output, same
-// OutputMAC, same per-layer register snapshots, same DRAM block count.
-// This is the serial/parallel oracle extended across requests: stage
-// interleaving and residency must both be unobservable.
+// scheduler — every request attached to one shared verified-weight
+// residency, each its own pool task running free of the others, so any
+// layer of one request may overlap any layer of another — and demands each
+// request be bit-identical to its own serial, non-resident baseline: same
+// decrypted output, same OutputMAC, same per-layer register snapshots, same
+// DRAM block count. This is the serial/parallel oracle extended across
+// requests: interleaving and residency must both be unobservable.
 func CheckPipelinedBatch(cfg Config) error {
 	net := cfg.Net.Network()
 	if err := net.Validate(); err != nil {
@@ -47,21 +47,13 @@ func CheckPipelinedBatch(cfg Config) error {
 		inputs[i].Randomize(cfg.Seed*31 + int64(i))
 	}
 
-	run := func(in *nn.Tensor, res *secure.WeightResidency, gate *serve.StageGate) (runSnapshot, error) {
+	run := func(in *nn.Tensor, res *secure.WeightResidency) (runSnapshot, error) {
 		x := secure.NewExecutor()
 		x.NPU, x.DRAM = rcfg.NPU, rcfg.DRAM
 		x.Residency = res
 		var snap runSnapshot
-		stages := len(net.Layers)
-		x.OnLayerMACs = func(phase int, regs protect.RegisterState) {
+		x.OnLayerMACs = func(_ int, regs protect.RegisterState) {
 			snap.regs = append(snap.regs, regs)
-			gate.Done(phase + 1)
-			if phase < stages {
-				_ = gate.Wait(ctx, phase+2)
-			}
-		}
-		if err := gate.Wait(ctx, 1); err != nil {
-			return snap, err
 		}
 		r, err := x.Run(ctx, net, in, ws)
 		if err != nil {
@@ -76,7 +68,7 @@ func CheckPipelinedBatch(cfg Config) error {
 	// Serial, non-resident baselines.
 	base := make([]runSnapshot, pipelineBatch)
 	for i, in := range inputs {
-		snap, err := run(in, nil, nil)
+		snap, err := run(in, nil)
 		if err != nil {
 			return fmt.Errorf("serial baseline %d: %w", i, err)
 		}
@@ -92,7 +84,7 @@ func CheckPipelinedBatch(cfg Config) error {
 		return fmt.Errorf("fresh residency failed its own epoch check: %w", err)
 	}
 
-	// The pipelined replay: one scheduler micro-batch, every item resident.
+	// The batched replay: one scheduler micro-batch, every item resident.
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		Workers: pipelineBatch, MaxQueue: 2 * pipelineBatch,
 		MaxBatch: pipelineBatch, Linger: 20 * time.Millisecond,
@@ -106,8 +98,8 @@ func CheckPipelinedBatch(cfg Config) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := sched.Submit(ctx, "pipeline-oracle", func(ctx context.Context, b serve.BatchInfo) (any, error) {
-				snap, err := run(inputs[i], res, b.Stage)
+			_, _, err := sched.Submit(ctx, "pipeline-oracle", func(context.Context, serve.BatchInfo) (any, error) {
+				snap, err := run(inputs[i], res)
 				snaps[i] = snap
 				return nil, err
 			})
@@ -118,10 +110,10 @@ func CheckPipelinedBatch(cfg Config) error {
 
 	for i := range snaps {
 		if errs[i] != nil {
-			return fmt.Errorf("pipelined item %d: %w", i, errs[i])
+			return fmt.Errorf("batch item %d: %w", i, errs[i])
 		}
 		if err := snaps[i].diff(base[i], pipelineBatch, 1); err != nil {
-			return fmt.Errorf("pipelined item %d vs serial baseline: %w", i, err)
+			return fmt.Errorf("batch item %d vs serial baseline: %w", i, err)
 		}
 	}
 	return nil

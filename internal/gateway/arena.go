@@ -1,108 +1,28 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
 
 	"seculator/internal/serve"
 )
 
-// arena.go — reusable proxy buffers and pre-serialized error bodies for
-// the gateway hot path (DESIGN.md §15). Forwarding a request used to
-// allocate a marshal buffer, an io.ReadAll growth chain, and a response
-// encoder per hop; the proxy now stages request bodies and upstream reads
-// in pooled buffers and renders the no-replica error classes from bytes
-// serialized once at init.
+// arena.go — what the gateway hot path adds to the shared request arenas
+// of internal/serve (DESIGN.md §15): an exact-size upstream read and the
+// no-replica error classes rendered from bytes serialized once at init.
 
-// maxPooledProxyBuf bounds the capacity a proxy buffer may keep when
-// returned to its pool, so one oversized response doesn't pin its
-// high-water mark forever.
-const maxPooledProxyBuf = 1 << 20
-
-var proxyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getProxyBuf() *bytes.Buffer {
-	b := proxyBufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-func putProxyBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledProxyBuf {
-		proxyBufPool.Put(b)
-	}
-}
-
-// readInto drains src (already limited by the caller) into pooled scratch
-// and returns an exact-size copy the caller owns: one right-sized
-// allocation instead of io.ReadAll's doubling growth chain, and no release
-// protocol to thread through the relay paths.
-func readInto(src io.Reader) ([]byte, error) {
-	buf := getProxyBuf()
-	defer putProxyBuf(buf)
-	if _, err := buf.ReadFrom(src); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), buf.Bytes()...), nil
-}
-
-// jsonScratch is one pooled response/body encoder: a buffer with a
-// json.Encoder permanently bound to it.
-type jsonScratch struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonPool = sync.Pool{New: func() any {
-	s := &jsonScratch{}
-	s.enc = json.NewEncoder(&s.buf)
-	return s
-}}
-
-func encodeJSON(v any) (*jsonScratch, error) {
-	s := jsonPool.Get().(*jsonScratch)
-	s.buf.Reset()
-	if err := s.enc.Encode(v); err != nil {
-		putJSON(s)
-		return nil, err
-	}
-	return s, nil
-}
-
-func putJSON(s *jsonScratch) {
-	if s.buf.Cap() <= maxPooledProxyBuf {
-		jsonPool.Put(s)
-	}
-}
-
-// writeJSONPooled renders v through a pooled encoder straight to the
-// response, with Content-Length set from the staged bytes.
-func writeJSONPooled(w http.ResponseWriter, status int, v any) {
-	s, err := encodeJSON(v)
+// readInto drains at most limit bytes of src into pooled scratch and
+// returns an exact-size copy the caller owns: one right-sized allocation
+// instead of io.ReadAll's doubling growth chain, and no release protocol
+// to thread through the relay paths.
+func readInto(src io.Reader, limit int64) ([]byte, error) {
+	buf, err := serve.ReadBody(src, limit)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(s.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(s.buf.Bytes())
-	putJSON(s)
-}
-
-// decodeJSONBody is the pooled-scratch counterpart of a one-shot
-// json.NewDecoder(LimitReader(...)).Decode.
-func decodeJSONBody(body io.Reader, limit int64, v any) error {
-	buf := getProxyBuf()
-	defer putProxyBuf(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(body, limit)); err != nil {
-		return err
-	}
-	return json.Unmarshal(buf.Bytes(), v)
+	defer serve.PutBody(buf)
+	return append([]byte(nil), buf.Bytes()...), nil
 }
 
 // Pre-serialized bodies for the gateway's fixed upstream-error classes:
@@ -124,9 +44,5 @@ func mustErrorBody(msg string) []byte {
 
 // upstreamErrorStatic writes a pre-serialized 502 body.
 func (g *Gateway) upstreamErrorStatic(w http.ResponseWriter, pre []byte) {
-	g.metrics.Request(http.StatusBadGateway)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(pre)))
-	w.WriteHeader(http.StatusBadGateway)
-	_, _ = w.Write(pre)
+	g.relay(w, forwardResult{status: http.StatusBadGateway, body: pre})
 }

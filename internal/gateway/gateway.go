@@ -143,12 +143,12 @@ func New(opts Options) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		opts:    opts,
-		http:    opts.HTTPClient,
-		metrics: NewMetrics(),
-		vault:   newVault(),
-		stop:    make(chan struct{}),
+		opts:  opts,
+		http:  opts.HTTPClient,
+		vault: newVault(),
+		stop:  make(chan struct{}),
 	}
+	g.metrics = newMetrics(g)
 	g.routing.Store(g.buildRouting(cfg, nil))
 
 	g.mux = http.NewServeMux()
@@ -325,22 +325,16 @@ type forwardResult struct {
 // FSM; an ejection triggers failover of its vaulted sessions.
 func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string, src *http.Request, in any) (forwardResult, error) {
 	var body io.Reader
-	var bodyScratch *jsonScratch
 	if in != nil {
-		s, err := encodeJSON(in)
+		s, err := serve.EncodeJSON(in)
 		if err != nil {
 			return forwardResult{}, err
 		}
-		bodyScratch = s
-		body = bytes.NewReader(s.buf.Bytes())
+		// The pooled body bytes must outlive the round trip (http.Do may
+		// re-read them via GetBody); they recycle once the exchange is over.
+		defer serve.PutJSON(s)
+		body = bytes.NewReader(s.Bytes())
 	}
-	// The pooled body bytes must outlive the round trip (http.Do may re-read
-	// them via GetBody); they recycle once the exchange is over.
-	defer func() {
-		if bodyScratch != nil {
-			putJSON(bodyScratch)
-		}
-	}()
 	ctx, cancel := context.WithTimeout(ctx, g.opts.ForwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, rep.url+path, body)
@@ -371,7 +365,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 		return forwardResult{}, err
 	}
 	defer resp.Body.Close()
-	data, err := readInto(io.LimitReader(resp.Body, 64<<20))
+	data, err := readInto(resp.Body, 64<<20)
 	if err != nil {
 		g.metrics.Forward(rep.name, 0, false)
 		if rep.hp.ObserveFailure(time.Now()) {
@@ -394,7 +388,7 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 
 func (g *Gateway) writeError(w http.ResponseWriter, status int, body serve.ErrorBody) {
 	g.metrics.Request(status)
-	writeJSONPooled(w, status, &body)
+	serve.WriteJSON(w, status, &body)
 }
 
 func (g *Gateway) upstreamError(w http.ResponseWriter, why string) {
@@ -428,7 +422,7 @@ func (g *Gateway) replicaAlive(rep *replica) bool {
 
 func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req serve.InferRequest
-	if err := decodeJSONBody(r.Body, 8<<20, &req); err != nil {
+	if err := serve.DecodeJSON(r.Body, 8<<20, &req); err != nil {
 		g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + err.Error(), Class: serve.ClassBadRequest})
 		return
 	}
@@ -458,7 +452,7 @@ func (g *Gateway) statelessInfer(w http.ResponseWriter, r *http.Request, rt *rou
 	for i := 0; i < attempts; i++ {
 		rep := candidates[i]
 		if i > 0 {
-			g.metrics.Retry()
+			g.metrics.retries.Inc()
 		}
 		fr, err := g.forward(r.Context(), rep, http.MethodPost, "/v1/infer", r, req)
 		if err != nil {
@@ -507,7 +501,7 @@ func (g *Gateway) sessionInfer(w http.ResponseWriter, r *http.Request, rt *routi
 			g.upstreamError(w, fmt.Sprintf("session home %s unreachable: %v", rep.name, err))
 			return
 		}
-		g.metrics.Retry()
+		g.metrics.retries.Inc()
 		rep = alt
 		fr, err = g.forward(r.Context(), rep, http.MethodPost, "/v1/infer", r, req)
 		if err != nil {
@@ -541,7 +535,7 @@ func (g *Gateway) sessionFailover(rt *routing, id string, failed *replica, now t
 		return nil
 	}
 	g.vault.put(id, alt.name, env)
-	g.metrics.Migration(MigrateFailover)
+	g.metrics.migrations.Inc(MigrateFailover)
 	return alt
 }
 
@@ -576,7 +570,7 @@ func (g *Gateway) relayInfer(w http.ResponseWriter, fr forwardResult, replicaNam
 	}
 	resp.Replica = replicaName
 	g.metrics.Request(fr.status)
-	writeJSONPooled(w, fr.status, &resp)
+	serve.WriteJSON(w, fr.status, &resp)
 }
 
 // handleSessionCreate places a new session. The replica mints the id, so
@@ -622,7 +616,7 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < attempts; i++ {
 		src = accepting[i]
 		if i > 0 {
-			g.metrics.Retry()
+			g.metrics.retries.Inc()
 		}
 		fr, err = g.forward(r.Context(), src, http.MethodPost, "/v1/sessions", r, &req)
 		if err != nil {
@@ -712,7 +706,7 @@ func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // owner; the owner's MAC verification remains the integrity gate.
 func (g *Gateway) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var req serve.RestoreRequest
-	if err := decodeJSONBody(r.Body, 1<<20, &req); err != nil {
+	if err := serve.DecodeJSON(r.Body, 1<<20, &req); err != nil {
 		g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + err.Error(), Class: serve.ClassBadRequest})
 		return
 	}
@@ -793,23 +787,12 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if avail == 0 {
 		resp.Status = "degraded"
 	}
-	writeJSONPooled(w, http.StatusOK, &resp)
+	serve.WriteJSON(w, http.StatusOK, &resp)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	rt := g.routing.Load()
-	now := time.Now()
-	views := make([]ReplicaView, 0, len(rt.names))
-	for _, n := range rt.names {
-		rep := rt.replicas[n]
-		state, draining, ejects := rep.hp.Snapshot(now)
-		views = append(views, ReplicaView{
-			Name: n, State: state, Draining: draining,
-			Inflight: rep.inflight.Load(), Ejections: ejects,
-		})
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = io.WriteString(w, g.metrics.Render(rt.gen, g.vault.size(), views))
+	_, _ = io.WriteString(w, g.metrics.reg.Render())
 }
 
 // ReloadResponse is the POST /admin/reload body.
@@ -840,7 +823,7 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.metrics.Request(http.StatusOK)
-	writeJSONPooled(w, http.StatusOK, &ReloadResponse{Generation: g.Gen(), Migrated: moved})
+	serve.WriteJSON(w, http.StatusOK, &ReloadResponse{Generation: g.Gen(), Migrated: moved})
 }
 
 // ---- active health probing ----

@@ -1,17 +1,18 @@
 package gateway
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"seculator/internal/metrics"
+	"seculator/internal/serve/loadgen"
 )
 
-// metrics.go — the gateway's counter set, rendered Prometheus-style on
-// GET /metrics in the same idiom as internal/serve. Per-replica
-// attribution is the point: the flat serve counters tell you the fleet is
-// slow, these tell you which replica.
+// metrics.go — the gateway's counter set, on the same registry and in the
+// same idiom as internal/serve. Per-replica attribution is the point: the
+// flat serve counters tell you the fleet is slow, these tell you which
+// replica.
 
 // latencyWindow keeps the most recent forward latencies of one replica so
 // the scrape can report tail quantiles without a histogram dependency.
@@ -19,8 +20,8 @@ const latencyWindow = 1024
 
 // replicaStats is one replica's forward-path accounting.
 type replicaStats struct {
-	requests   uint64
-	errors     uint64
+	requests   int64
+	errors     int64
 	latencySum time.Duration
 	window     []time.Duration // ring buffer of recent latencies
 	windowPos  int
@@ -31,13 +32,15 @@ type replicaStats struct {
 // "rebalance" (ring change), "drain" (replica pre-draining), "failover"
 // (replica death, vault restore).
 type Metrics struct {
-	mu sync.Mutex
+	reg metrics.Registry
 
-	requests          map[int]uint64 // gateway HTTP status -> count
-	replicas          map[string]*replicaStats
-	retries           uint64
-	migrations        map[string]uint64 // reason -> count
-	migrationFailures uint64
+	requests          metrics.CounterVec // code: gateway HTTP status
+	retries           metrics.Counter    // forwards retried on an alternate replica
+	migrations        metrics.CounterVec // reason
+	migrationFailures metrics.Counter    // session stays put; the rebalancer retries
+
+	mu       sync.Mutex
+	replicas map[string]*replicaStats
 }
 
 // Migration reasons as rendered on /metrics.
@@ -48,21 +51,25 @@ const (
 	MigrateFailover  = "failover"
 )
 
-// NewMetrics returns an empty counter set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		requests:   make(map[int]uint64),
-		replicas:   make(map[string]*replicaStats),
-		migrations: make(map[string]uint64),
-	}
+// newMetrics registers the families of g in scrape order.
+func newMetrics(g *Gateway) *Metrics {
+	m := &Metrics{replicas: make(map[string]*replicaStats)}
+	r := &m.reg
+	r.CounterVec("seculator_gateway_requests_total", &m.requests, "code")
+	r.Collect(func(w *metrics.Writer) {
+		w.Int("seculator_gateway_ring_generation", int64(g.Gen()))
+		w.Int("seculator_gateway_vault_sessions", int64(g.vault.size()))
+	})
+	r.Counter("seculator_gateway_retries_total", &m.retries)
+	r.CounterVec("seculator_gateway_migrations_total", &m.migrations, "reason")
+	r.Counter("seculator_gateway_migration_failures_total", &m.migrationFailures)
+	r.Collect(m.scrapeForwards)
+	r.Collect(g.scrapeHealth)
+	return m
 }
 
 // Request records one gateway response's final status.
-func (m *Metrics) Request(status int) {
-	m.mu.Lock()
-	m.requests[status]++
-	m.mu.Unlock()
-}
+func (m *Metrics) Request(status int) { m.requests.Inc(metrics.Code(status)) }
 
 // Forward records one forwarded request's outcome against its replica.
 // Transport errors count as errors with no latency sample (the duration
@@ -89,78 +96,11 @@ func (m *Metrics) Forward(replica string, d time.Duration, ok bool) {
 	rs.windowPos = (rs.windowPos + 1) % latencyWindow
 }
 
-// Retry records one forward retried on an alternate replica.
-func (m *Metrics) Retry() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
-
-// Migration records one session migration by reason.
-func (m *Metrics) Migration(reason string) {
-	m.mu.Lock()
-	m.migrations[reason]++
-	m.mu.Unlock()
-}
-
-// MigrationFailure records one migration attempt that failed (the session
-// stays where it was; the rebalancer retries on its next pass).
-func (m *Metrics) MigrationFailure() {
-	m.mu.Lock()
-	m.migrationFailures++
-	m.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the window (copied and sorted).
-// Caller holds m.mu.
-func (rs *replicaStats) quantile(q float64) time.Duration {
-	if len(rs.window) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), rs.window...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// ReplicaView is the scrape-time health view of one replica, sampled by
-// the gateway (the metrics type stays free of prober dependencies).
-type ReplicaView struct {
-	Name      string
-	State     HealthState
-	Draining  bool
-	Inflight  int64
-	Ejections uint64
-}
-
-// Render writes the scrape text. Ring generation, vault size, and the
-// replica health views are passed in so the metrics type stays a plain
-// counter bag.
-func (m *Metrics) Render(ringGen uint64, vaultSessions int, views []ReplicaView) string {
+// scrapeForwards writes each replica's forward accounting, replicas in
+// name order; the quantiles are nearest-rank over the latency window.
+func (m *Metrics) scrapeForwards(w *metrics.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var b strings.Builder
-	codes := make([]int, 0, len(m.requests))
-	for c := range m.requests {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	for _, c := range codes {
-		fmt.Fprintf(&b, "seculator_gateway_requests_total{code=%q} %d\n", fmt.Sprint(c), m.requests[c])
-	}
-	fmt.Fprintf(&b, "seculator_gateway_ring_generation %d\n", ringGen)
-	fmt.Fprintf(&b, "seculator_gateway_vault_sessions %d\n", vaultSessions)
-	fmt.Fprintf(&b, "seculator_gateway_retries_total %d\n", m.retries)
-	reasons := make([]string, 0, len(m.migrations))
-	for r := range m.migrations {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(&b, "seculator_gateway_migrations_total{reason=%q} %d\n", r, m.migrations[r])
-	}
-	fmt.Fprintf(&b, "seculator_gateway_migration_failures_total %d\n", m.migrationFailures)
-
 	names := make([]string, 0, len(m.replicas))
 	for n := range m.replicas {
 		names = append(names, n)
@@ -168,21 +108,31 @@ func (m *Metrics) Render(ringGen uint64, vaultSessions int, views []ReplicaView)
 	sort.Strings(names)
 	for _, n := range names {
 		rs := m.replicas[n]
-		fmt.Fprintf(&b, "seculator_gateway_replica_requests_total{replica=%q} %d\n", n, rs.requests)
-		fmt.Fprintf(&b, "seculator_gateway_replica_errors_total{replica=%q} %d\n", n, rs.errors)
-		fmt.Fprintf(&b, "seculator_gateway_replica_latency_ms_total{replica=%q} %.3f\n", n, float64(rs.latencySum)/float64(time.Millisecond))
-		fmt.Fprintf(&b, "seculator_gateway_replica_latency_p50_ms{replica=%q} %.3f\n", n, float64(rs.quantile(0.50))/float64(time.Millisecond))
-		fmt.Fprintf(&b, "seculator_gateway_replica_latency_p99_ms{replica=%q} %.3f\n", n, float64(rs.quantile(0.99))/float64(time.Millisecond))
+		sorted := append([]time.Duration(nil), rs.window...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		w.Int("seculator_gateway_replica_requests_total", rs.requests, "replica", n)
+		w.Int("seculator_gateway_replica_errors_total", rs.errors, "replica", n)
+		w.Millis("seculator_gateway_replica_latency_ms_total", rs.latencySum, "replica", n)
+		w.Millis("seculator_gateway_replica_latency_p50_ms", loadgen.Percentile(sorted, 0.50), "replica", n)
+		w.Millis("seculator_gateway_replica_latency_p99_ms", loadgen.Percentile(sorted, 0.99), "replica", n)
 	}
-	for _, v := range views {
-		fmt.Fprintf(&b, "seculator_gateway_replica_state{replica=%q} %d\n", v.Name, int(v.State))
-		draining := 0
-		if v.Draining {
-			draining = 1
+}
+
+// scrapeHealth writes the scrape-time health view of every replica on the
+// ring.
+func (g *Gateway) scrapeHealth(w *metrics.Writer) {
+	rt := g.routing.Load()
+	now := time.Now()
+	for _, n := range rt.names {
+		rep := rt.replicas[n]
+		state, draining, ejects := rep.hp.Snapshot(now)
+		var drain int64
+		if draining {
+			drain = 1
 		}
-		fmt.Fprintf(&b, "seculator_gateway_replica_draining{replica=%q} %d\n", v.Name, draining)
-		fmt.Fprintf(&b, "seculator_gateway_replica_inflight{replica=%q} %d\n", v.Name, v.Inflight)
-		fmt.Fprintf(&b, "seculator_gateway_replica_ejections_total{replica=%q} %d\n", v.Name, v.Ejections)
+		w.Int("seculator_gateway_replica_state", int64(state), "replica", n)
+		w.Int("seculator_gateway_replica_draining", drain, "replica", n)
+		w.Int("seculator_gateway_replica_inflight", rep.inflight.Load(), "replica", n)
+		w.Int("seculator_gateway_replica_ejections_total", int64(ejects), "replica", n)
 	}
-	return b.String()
 }

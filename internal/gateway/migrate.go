@@ -141,19 +141,19 @@ func (g *Gateway) migrateLive(src, target *replica, id, reason string) *serve.Sn
 	defer cancel()
 	snap, err := src.admin.AdminSnapshot(ctx, id)
 	if err != nil {
-		g.metrics.MigrationFailure()
+		g.metrics.migrationFailures.Inc()
 		return nil
 	}
 	env := snap.Snapshot
 	if !g.restoreAt(target, &env) {
-		g.metrics.MigrationFailure()
+		g.metrics.migrationFailures.Inc()
 		return nil
 	}
 	// Source eviction closes the hand-off; a failure here (source died
 	// mid-migration) is harmless — the target copy is authoritative in the
 	// vault, and the orphan idle-expires.
 	_ = src.admin.AdminEvict(ctx, id)
-	g.metrics.Migration(reason)
+	g.metrics.migrations.Inc(reason)
 	return &env
 }
 
@@ -196,14 +196,14 @@ func (g *Gateway) failoverAll(deadName string) {
 			continue // no survivor; a later probe round retries
 		}
 		if !g.restoreAt(alt, env) {
-			g.metrics.MigrationFailure()
+			g.metrics.migrationFailures.Inc()
 			continue
 		}
 		// Re-check the home under the entry's own state: a concurrent
 		// per-request failover may have already moved it.
 		if ent.home() == deadName {
 			ent.set(alt.name, env)
-			g.metrics.Migration(MigrateFailover)
+			g.metrics.migrations.Inc(MigrateFailover)
 		}
 	}
 }
@@ -263,10 +263,10 @@ func (g *Gateway) rebalanceLocked() int {
 		}
 		if g.restoreAt(desired, env) {
 			ent.set(desired.name, env)
-			g.metrics.Migration(MigrateRebalance)
+			g.metrics.migrations.Inc(MigrateRebalance)
 			moved++
 		} else {
-			g.metrics.MigrationFailure()
+			g.metrics.migrationFailures.Inc()
 		}
 	}
 	return moved

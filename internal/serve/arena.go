@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
+	"strconv"
 	"sync"
 )
 
-// arena.go — request-scoped buffer arenas for the HTTP surface. Every
+// arena.go — request-scoped buffer arenas for the HTTP surface, shared with
+// the gateway tier (which proxies the same wire types). Every
 // request used to allocate its own JSON decode scratch, response encoder,
 // and encode buffer; the steady-state serving path instead draws them from
 // process-wide pools and returns them when the response is written, so the
@@ -26,63 +29,83 @@ const maxPooledBuf = 1 << 20
 // where a per-request json.NewDecoder would allocate its own.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBody reads at most limit bytes of body into pooled scratch. The
-// returned buffer's bytes are valid until putBody.
-func readBody(body io.Reader, limit int64) (*bytes.Buffer, error) {
+// ReadBody reads at most limit bytes of body into pooled scratch. The
+// returned buffer's bytes are valid until PutBody.
+func ReadBody(body io.Reader, limit int64) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if _, err := buf.ReadFrom(io.LimitReader(body, limit)); err != nil {
-		putBody(buf)
+		PutBody(buf)
 		return nil, err
 	}
 	return buf, nil
 }
 
-func putBody(buf *bytes.Buffer) {
+// PutBody returns ReadBody scratch to its pool.
+func PutBody(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBuf {
 		bodyPool.Put(buf)
 	}
 }
 
-// jsonScratch is one pooled response encoder: a buffer with a json.Encoder
-// permanently bound to it, so encoding a response allocates neither.
-type jsonScratch struct {
+// JSONScratch is one pooled encoder: a buffer with a json.Encoder
+// permanently bound to it, so encoding a body allocates neither.
+type JSONScratch struct {
 	buf bytes.Buffer
 	enc *json.Encoder
 }
 
+// Bytes returns the encoded body, valid until PutJSON.
+func (s *JSONScratch) Bytes() []byte { return s.buf.Bytes() }
+
 var jsonPool = sync.Pool{New: func() any {
-	s := &jsonScratch{}
+	s := &JSONScratch{}
 	s.enc = json.NewEncoder(&s.buf)
 	return s
 }}
 
-// encodeJSON renders v through a pooled encoder and returns the scratch;
-// the caller writes scratch.buf.Bytes() and calls putJSON.
-func encodeJSON(v any) (*jsonScratch, error) {
-	s := jsonPool.Get().(*jsonScratch)
+// EncodeJSON renders v through a pooled encoder and returns the scratch;
+// the caller writes scratch.Bytes() and calls PutJSON.
+func EncodeJSON(v any) (*JSONScratch, error) {
+	s := jsonPool.Get().(*JSONScratch)
 	s.buf.Reset()
 	if err := s.enc.Encode(v); err != nil {
-		putJSON(s)
+		PutJSON(s)
 		return nil, err
 	}
 	return s, nil
 }
 
-func putJSON(s *jsonScratch) {
+// PutJSON returns EncodeJSON scratch to its pool.
+func PutJSON(s *JSONScratch) {
 	if s.buf.Cap() <= maxPooledBuf {
 		jsonPool.Put(s)
 	}
 }
 
-// decodeJSON is the pooled-scratch counterpart of a one-shot
+// WriteJSON renders v through a pooled encoder straight to the response,
+// with Content-Length set from the staged bytes.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	s, err := EncodeJSON(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(s.buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(s.buf.Bytes())
+	PutJSON(s)
+}
+
+// DecodeJSON is the pooled-scratch counterpart of a one-shot
 // json.NewDecoder(...).Decode: read the limited body, unmarshal, release.
-func decodeJSON(body io.Reader, limit int64, v any) error {
-	buf, err := readBody(body, limit)
+func DecodeJSON(body io.Reader, limit int64, v any) error {
+	buf, err := ReadBody(body, limit)
 	if err != nil {
 		return err
 	}
 	err = json.Unmarshal(buf.Bytes(), v)
-	putBody(buf)
+	PutBody(buf)
 	return err
 }

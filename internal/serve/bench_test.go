@@ -76,8 +76,8 @@ func BenchmarkServeInferResident(b *testing.B) {
 }
 
 // BenchmarkServeInferParallel drives concurrent clients at one pinned
-// model so the micro-batcher, the layer-stage pipeline, and the residency
-// cache all engage — the serving throughput figure.
+// model so the micro-batcher and the residency cache both engage — the
+// serving throughput figure.
 func BenchmarkServeInferParallel(b *testing.B) {
 	c := newBenchServer(b, serve.Options{
 		Scheduler: serve.SchedulerConfig{MaxBatch: 8, Linger: time.Millisecond, MaxQueue: 4096},

@@ -1,6 +1,6 @@
 // Package loadgen drives the serving layer at a target request rate and
 // reports the latency distribution — the serving-performance counterpart
-// of the microbenchmark trajectory in BENCH_baseline.json.
+// of the per-layer probes of the repository benchmark (benchmark/README.md).
 //
 // The generator is open-loop: arrivals fire on a fixed schedule regardless
 // of completions (the "millions of users" shape — users do not wait for

@@ -1,46 +1,9 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-
+	"seculator/internal/metrics"
 	"seculator/internal/runner"
 )
-
-// Metrics is the server's counter set, rendered Prometheus-style on
-// GET /metrics. Everything is monotonic except the gauges (queue depth,
-// active sessions) sampled at scrape time; the simulation-cache lines come
-// from runner.CacheStats, which ResetSimCacheStats can window.
-type Metrics struct {
-	mu sync.Mutex
-
-	requests   map[int]uint64 // HTTP status -> count (infer endpoint)
-	batches    uint64
-	batchItems uint64
-	maxBatch   int
-
-	inferOK    uint64
-	latencySum time.Duration // successful inferences, admission to response
-	queueSum   time.Duration
-
-	tenantAdmitted map[string]uint64            // tenant -> admitted infers
-	tenantShed     map[string]map[string]uint64 // tenant -> shed reason -> count
-	tenantBreaches map[string]uint64            // tenant -> breach-class errors
-
-	snapshotExports uint64
-	restoreOK       uint64
-	restoreRejected uint64
-
-	residencyHits        uint64
-	residencyMisses      uint64
-	residencyReverifies  uint64
-	residencyVerifyFails uint64
-	residencyEvictions   uint64
-	residentBytes        int64 // gauge: pinned ciphertext + pad bank footprint
-}
 
 // Shed reasons of the tenant admission path, as rendered on /metrics.
 const (
@@ -49,220 +12,90 @@ const (
 	ShedQuarantine = "quarantine" // breaker refused (throttled/open/half-open)
 )
 
-// NewMetrics returns an empty counter set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		requests:       make(map[int]uint64),
-		tenantAdmitted: make(map[string]uint64),
-		tenantShed:     make(map[string]map[string]uint64),
-		tenantBreaches: make(map[string]uint64),
-	}
+// Metrics is the server's counter set: every family of GET /metrics on one
+// registry, in scrape order. Everything is monotone except the gauges; the
+// scheduler and breaker lines are sampled from their owners at scrape
+// time, the session counters live on the SessionManager, and the
+// simulation-cache lines come from runner.CacheStats, which
+// runner.ResetCacheStats can window.
+type Metrics struct {
+	reg metrics.Registry
+
+	requests            metrics.CounterVec // code: final status of each infer request
+	inferOK             metrics.Counter    // successful inferences,
+	latency, queue      metrics.Counter    // their admission-to-response and queued time
+	batches, batchItems metrics.Counter    // dispatched micro-batches and their live sizes
+	maxBatch            metrics.Gauge
+
+	snapshotExports, restoreOK, restoreRejected metrics.Counter
+
+	tenantAdmitted metrics.CounterVec // tenant: requests past every tenant gate
+	tenantShed     metrics.CounterVec // tenant, reason: requests refused at one
+	tenantBreaches metrics.CounterVec // tenant: breach-class inference errors
+
+	// Residency: hits attach to a resident in-epoch entry, misses build one
+	// (first touch, or rebuild after a failed epoch check), reverifies are
+	// epoch re-checks and verifyFails those that found the pinned state
+	// corrupted, evictions are by capacity or corruption, residentBytes is
+	// the pinned ciphertext + pad bank footprint.
+	residencyHits, residencyMisses, residencyReverifies metrics.Counter
+	residencyVerifyFails, residencyEvictions            metrics.Counter
+	residentBytes                                       metrics.Gauge
+}
+
+// newMetrics registers the families of s in scrape order.
+func newMetrics(s *Server) *Metrics {
+	m := &Metrics{}
+	r := &m.reg
+	r.CounterVec("seculator_serve_requests_total", &m.requests, "code")
+	r.Counter("seculator_serve_infer_ok_total", &m.inferOK)
+	r.MillisCounter("seculator_serve_infer_latency_ms_total", &m.latency)
+	r.MillisCounter("seculator_serve_infer_queue_ms_total", &m.queue)
+	r.Counter("seculator_serve_batches_total", &m.batches)
+	r.Counter("seculator_serve_batch_items_total", &m.batchItems)
+	r.Counter("seculator_serve_batch_max_size", &m.maxBatch.Counter)
+	r.Collect(func(w *metrics.Writer) {
+		w.Int("seculator_serve_queue_depth", int64(s.fair.Depth()))
+		w.Int("seculator_serve_sessions_active", int64(s.sessions.Active()))
+	})
+	r.Counter("seculator_serve_sessions_created_total", &s.sessions.created)
+	r.Counter("seculator_serve_sessions_restored_total", &s.sessions.restored)
+	r.CounterVec("seculator_serve_sessions_evicted_total", &s.sessions.evicted, "reason")
+	r.Counter("seculator_serve_snapshot_exports_total", &m.snapshotExports)
+	r.Counter("seculator_serve_snapshot_restored_total", &m.restoreOK)
+	r.Counter("seculator_serve_snapshot_rejected_total", &m.restoreRejected)
+	r.CounterVec("seculator_serve_tenant_admitted_total", &m.tenantAdmitted, "tenant")
+	r.CounterVec("seculator_serve_tenant_shed_total", &m.tenantShed, "tenant", "reason")
+	r.CounterVec("seculator_serve_tenant_breaches_total", &m.tenantBreaches, "tenant")
+	r.Collect(func(w *metrics.Writer) {
+		for _, t := range s.tenants.All() { // registration order
+			if br := t.Breaker(); br != nil {
+				w.Int("seculator_serve_tenant_breaker_state", int64(br.State()), "tenant", t.Name())
+				w.Int("seculator_serve_tenant_breaker_opens_total", int64(br.Opens()), "tenant", t.Name())
+			}
+		}
+	})
+	r.Counter("seculator_serve_residency_hits_total", &m.residencyHits)
+	r.Counter("seculator_serve_residency_misses_total", &m.residencyMisses)
+	r.Counter("seculator_serve_residency_reverifies_total", &m.residencyReverifies)
+	r.Counter("seculator_serve_residency_verify_failures_total", &m.residencyVerifyFails)
+	r.Counter("seculator_serve_residency_evictions_total", &m.residencyEvictions)
+	r.Counter("seculator_serve_residency_resident_bytes", &m.residentBytes.Counter)
+	r.Collect(func(w *metrics.Writer) {
+		cs := runner.CacheStats()
+		w.Int("seculator_serve_sim_cache_hits", int64(cs.Hits))
+		w.Int("seculator_serve_sim_cache_misses", int64(cs.Misses))
+		w.Int("seculator_serve_sim_cache_entries", int64(cs.Entries))
+	})
+	return m
 }
 
 // Request records one inference request's final status.
-func (m *Metrics) Request(status int) {
-	m.mu.Lock()
-	m.requests[status]++
-	m.mu.Unlock()
-}
+func (m *Metrics) Request(status int) { m.requests.Inc(metrics.Code(status)) }
 
 // Batch records a dispatched micro-batch of the given live size.
 func (m *Metrics) Batch(size int) {
-	m.mu.Lock()
-	m.batches++
-	m.batchItems += uint64(size)
-	if size > m.maxBatch {
-		m.maxBatch = size
-	}
-	m.mu.Unlock()
-}
-
-// Inference records one successful inference's latency split.
-func (m *Metrics) Inference(total, queued time.Duration) {
-	m.mu.Lock()
-	m.inferOK++
-	m.latencySum += total
-	m.queueSum += queued
-	m.mu.Unlock()
-}
-
-// TenantAdmitted records one request admitted past every tenant gate.
-func (m *Metrics) TenantAdmitted(tenant string) {
-	m.mu.Lock()
-	m.tenantAdmitted[tenant]++
-	m.mu.Unlock()
-}
-
-// TenantShed records one request refused at a tenant gate.
-func (m *Metrics) TenantShed(tenant, reason string) {
-	m.mu.Lock()
-	byReason := m.tenantShed[tenant]
-	if byReason == nil {
-		byReason = make(map[string]uint64)
-		m.tenantShed[tenant] = byReason
-	}
-	byReason[reason]++
-	m.mu.Unlock()
-}
-
-// TenantBreach records one breach-class inference error attributed to a
-// tenant.
-func (m *Metrics) TenantBreach(tenant string) {
-	m.mu.Lock()
-	m.tenantBreaches[tenant]++
-	m.mu.Unlock()
-}
-
-// SnapshotExport records one sealed session export.
-func (m *Metrics) SnapshotExport() {
-	m.mu.Lock()
-	m.snapshotExports++
-	m.mu.Unlock()
-}
-
-// SnapshotRestore records one import attempt's outcome.
-func (m *Metrics) SnapshotRestore(ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.restoreOK++
-	} else {
-		m.restoreRejected++
-	}
-	m.mu.Unlock()
-}
-
-// ResidencyHit records one inference attached to an already-resident,
-// in-epoch weight cache entry.
-func (m *Metrics) ResidencyHit() {
-	m.mu.Lock()
-	m.residencyHits++
-	m.mu.Unlock()
-}
-
-// ResidencyMiss records one first-touch residency build (including a
-// rebuild after a failed epoch check).
-func (m *Metrics) ResidencyMiss() {
-	m.mu.Lock()
-	m.residencyMisses++
-	m.mu.Unlock()
-}
-
-// ResidencyReverify records one epoch re-verification of a resident entry
-// (expiry or tenant invalidation); ok is false when the check detected
-// corruption of the pinned state.
-func (m *Metrics) ResidencyReverify(ok bool) {
-	m.mu.Lock()
-	m.residencyReverifies++
-	if !ok {
-		m.residencyVerifyFails++
-	}
-	m.mu.Unlock()
-}
-
-// ResidencyEviction records one entry evicted from the residency cache
-// (capacity or corruption).
-func (m *Metrics) ResidencyEviction() {
-	m.mu.Lock()
-	m.residencyEvictions++
-	m.mu.Unlock()
-}
-
-// ResidencyBytes adjusts the resident-footprint gauge by delta.
-func (m *Metrics) ResidencyBytes(delta int64) {
-	m.mu.Lock()
-	m.residentBytes += delta
-	m.mu.Unlock()
-}
-
-// TenantStatus is the scrape-time breaker view of one tenant, sampled by
-// the server (the metrics type stays free of tenant dependencies).
-type TenantStatus struct {
-	Name  string
-	State BreakerState
-	Opens uint64
-}
-
-// Render writes the scrape text. The gauges are passed in by the server so
-// the metrics type stays free of scheduler/session dependencies.
-func (m *Metrics) Render(queueDepth, sessionsActive int, sessionsCreated, sessionsRestored uint64, evicted map[string]uint64, tenants []TenantStatus) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	codes := make([]int, 0, len(m.requests))
-	for c := range m.requests {
-		codes = append(codes, c)
-	}
-	sort.Ints(codes)
-	for _, c := range codes {
-		fmt.Fprintf(&b, "seculator_serve_requests_total{code=%q} %d\n", fmt.Sprint(c), m.requests[c])
-	}
-	fmt.Fprintf(&b, "seculator_serve_infer_ok_total %d\n", m.inferOK)
-	fmt.Fprintf(&b, "seculator_serve_infer_latency_ms_total %.3f\n", float64(m.latencySum)/float64(time.Millisecond))
-	fmt.Fprintf(&b, "seculator_serve_infer_queue_ms_total %.3f\n", float64(m.queueSum)/float64(time.Millisecond))
-	fmt.Fprintf(&b, "seculator_serve_batches_total %d\n", m.batches)
-	fmt.Fprintf(&b, "seculator_serve_batch_items_total %d\n", m.batchItems)
-	fmt.Fprintf(&b, "seculator_serve_batch_max_size %d\n", m.maxBatch)
-	fmt.Fprintf(&b, "seculator_serve_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(&b, "seculator_serve_sessions_active %d\n", sessionsActive)
-	fmt.Fprintf(&b, "seculator_serve_sessions_created_total %d\n", sessionsCreated)
-	fmt.Fprintf(&b, "seculator_serve_sessions_restored_total %d\n", sessionsRestored)
-	reasons := make([]string, 0, len(evicted))
-	for r := range evicted {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		fmt.Fprintf(&b, "seculator_serve_sessions_evicted_total{reason=%q} %d\n", r, evicted[r])
-	}
-	fmt.Fprintf(&b, "seculator_serve_snapshot_exports_total %d\n", m.snapshotExports)
-	fmt.Fprintf(&b, "seculator_serve_snapshot_restored_total %d\n", m.restoreOK)
-	fmt.Fprintf(&b, "seculator_serve_snapshot_rejected_total %d\n", m.restoreRejected)
-
-	tnames := make([]string, 0, len(m.tenantAdmitted))
-	for t := range m.tenantAdmitted {
-		tnames = append(tnames, t)
-	}
-	sort.Strings(tnames)
-	for _, t := range tnames {
-		fmt.Fprintf(&b, "seculator_serve_tenant_admitted_total{tenant=%q} %d\n", t, m.tenantAdmitted[t])
-	}
-	tnames = tnames[:0]
-	for t := range m.tenantShed {
-		tnames = append(tnames, t)
-	}
-	sort.Strings(tnames)
-	for _, t := range tnames {
-		byReason := m.tenantShed[t]
-		rs := make([]string, 0, len(byReason))
-		for r := range byReason {
-			rs = append(rs, r)
-		}
-		sort.Strings(rs)
-		for _, r := range rs {
-			fmt.Fprintf(&b, "seculator_serve_tenant_shed_total{tenant=%q,reason=%q} %d\n", t, r, byReason[r])
-		}
-	}
-	tnames = tnames[:0]
-	for t := range m.tenantBreaches {
-		tnames = append(tnames, t)
-	}
-	sort.Strings(tnames)
-	for _, t := range tnames {
-		fmt.Fprintf(&b, "seculator_serve_tenant_breaches_total{tenant=%q} %d\n", t, m.tenantBreaches[t])
-	}
-	for _, ts := range tenants {
-		fmt.Fprintf(&b, "seculator_serve_tenant_breaker_state{tenant=%q} %d\n", ts.Name, int(ts.State))
-		fmt.Fprintf(&b, "seculator_serve_tenant_breaker_opens_total{tenant=%q} %d\n", ts.Name, ts.Opens)
-	}
-	fmt.Fprintf(&b, "seculator_serve_residency_hits_total %d\n", m.residencyHits)
-	fmt.Fprintf(&b, "seculator_serve_residency_misses_total %d\n", m.residencyMisses)
-	fmt.Fprintf(&b, "seculator_serve_residency_reverifies_total %d\n", m.residencyReverifies)
-	fmt.Fprintf(&b, "seculator_serve_residency_verify_failures_total %d\n", m.residencyVerifyFails)
-	fmt.Fprintf(&b, "seculator_serve_residency_evictions_total %d\n", m.residencyEvictions)
-	fmt.Fprintf(&b, "seculator_serve_residency_resident_bytes %d\n", m.residentBytes)
-	cs := runner.CacheStats()
-	fmt.Fprintf(&b, "seculator_serve_sim_cache_hits %d\n", cs.Hits)
-	fmt.Fprintf(&b, "seculator_serve_sim_cache_misses %d\n", cs.Misses)
-	fmt.Fprintf(&b, "seculator_serve_sim_cache_entries %d\n", cs.Entries)
-	return b.String()
+	m.batches.Inc()
+	m.batchItems.Add(int64(size))
+	m.maxBatch.Max(int64(size))
 }

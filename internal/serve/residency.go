@@ -133,32 +133,33 @@ func (m *residencyManager) attach(tenant, network string, seed int64,
 	if e.res != nil {
 		stale := m.now().Sub(e.verifiedAt) >= m.cfg.Epoch || e.verifiedAt.Before(floor)
 		if !stale {
-			m.metrics.ResidencyHit()
+			m.metrics.residencyHits.Inc()
 			return e.res, true, nil
 		}
 		verr := e.res.Verify()
-		m.metrics.ResidencyReverify(verr == nil)
+		m.metrics.residencyReverifies.Inc()
 		if verr == nil {
 			e.verifiedAt = m.now()
-			m.metrics.ResidencyHit()
+			m.metrics.residencyHits.Inc()
 			return e.res, true, nil
 		}
 		// The pinned state failed its epoch check: drop it and fall
 		// through to a from-scratch rebuild. The tampered bytes are never
 		// served — Verify rejected them before any request attached.
+		m.metrics.residencyVerifyFails.Inc()
 		m.drop(key, e)
-		m.metrics.ResidencyEviction()
+		m.metrics.residencyEvictions.Inc()
 	}
 	built, err := build()
 	if err != nil {
 		return nil, false, err
 	}
 	e.res, e.verifiedAt = built, m.now()
-	m.metrics.ResidencyMiss()
+	m.metrics.residencyMisses.Inc()
 	m.mu.Lock()
 	if m.entries[key] == e { // not evicted while building
 		e.bytes = built.Bytes()
-		m.metrics.ResidencyBytes(e.bytes)
+		m.metrics.residentBytes.Add(e.bytes)
 	}
 	m.mu.Unlock()
 	return built, false, nil
@@ -169,7 +170,7 @@ func (m *residencyManager) drop(key resKey, e *resEntry) {
 	e.res = nil
 	m.mu.Lock()
 	if m.entries[key] == e && e.bytes != 0 {
-		m.metrics.ResidencyBytes(-e.bytes)
+		m.metrics.residentBytes.Add(-e.bytes)
 		e.bytes = 0
 	}
 	m.mu.Unlock()
@@ -194,9 +195,9 @@ func (m *residencyManager) evictLocked(keep resKey) {
 		}
 		delete(m.entries, victimKey)
 		if victim.bytes != 0 {
-			m.metrics.ResidencyBytes(-victim.bytes)
+			m.metrics.residentBytes.Add(-victim.bytes)
 			victim.bytes = 0
 		}
-		m.metrics.ResidencyEviction()
+		m.metrics.residencyEvictions.Inc()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"seculator/internal/metrics"
 	"seculator/internal/nn"
 	"seculator/internal/runner"
 	"seculator/internal/secure"
@@ -20,7 +21,7 @@ type resHarness struct {
 }
 
 func newResHarness(cfg ResidencyConfig) *resHarness {
-	h := &resHarness{m: newResidencyManager(cfg, NewMetrics()), clock: time.Unix(1_000_000, 0)}
+	h := &resHarness{m: newResidencyManager(cfg, &Metrics{}), clock: time.Unix(1_000_000, 0)}
 	h.m.now = func() time.Time { return h.clock }
 	return h
 }
@@ -37,10 +38,9 @@ func (h *resHarness) build(seed int64) func() (*secure.WeightResidency, error) {
 
 func (h *resHarness) counters() (hits, misses, reverifies, fails, evictions uint64, bytes int64) {
 	m := h.m.metrics
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.residencyHits, m.residencyMisses, m.residencyReverifies,
-		m.residencyVerifyFails, m.residencyEvictions, m.residentBytes
+	n := func(c *metrics.Counter) uint64 { return uint64(c.Value()) }
+	return n(&m.residencyHits), n(&m.residencyMisses), n(&m.residencyReverifies),
+		n(&m.residencyVerifyFails), n(&m.residencyEvictions), m.residentBytes.Value()
 }
 
 func TestResidencyEpochExpiryForcesReverify(t *testing.T) {

@@ -12,20 +12,22 @@ import (
 	"seculator/internal/serve/client"
 )
 
-// Server-level residency and pipelining tests: the pipelined scheduler and
-// the resident weight cache must be invisible to clients except in speed —
-// same checksums as the serial, non-resident configuration — and a breach
-// must drop the offending tenant's pinned trust epoch.
+// Server-level residency and batching tests: micro-batching and the
+// resident weight cache must be invisible to clients except in speed —
+// same checksums as the unbatched configuration and the local reference —
+// and a breach must drop the offending tenant's pinned trust epoch.
 
 // TestPipelinedBatchMatchesSerial fires a concurrent burst at two servers
-// — layer-pipelined (default) and SerialBatches — and cross-checks every
+// — one forming micro-batches of up to 8 free-running requests, one with
+// MaxBatch 1 (every request dispatched alone) — and cross-checks every
 // response against the local reference. Identical checksums on both sides
-// mean the stage interleaving changed nothing observable.
+// mean riding a batch, and the interleaving inside it, changed nothing
+// observable.
 func TestPipelinedBatchMatchesSerial(t *testing.T) {
 	sched := serve.SchedulerConfig{MaxBatch: 8, Linger: 5 * time.Millisecond, MaxQueue: 256}
 	_, piped := newTestServer(t, serve.Options{Scheduler: sched})
 	_, serial := newTestServer(t, serve.Options{
-		Scheduler: serve.SchedulerConfig{MaxBatch: 8, Linger: 5 * time.Millisecond, MaxQueue: 256, SerialBatches: true},
+		Scheduler: serve.SchedulerConfig{MaxBatch: 1, MaxQueue: 256},
 	})
 	ctx := ctxT(t)
 
@@ -41,7 +43,7 @@ func TestPipelinedBatchMatchesSerial(t *testing.T) {
 		golden[i] = serve.OutputSum(ref)
 	}
 
-	for name, c := range map[string]*client.Client{"pipelined": piped, "serial": serial} {
+	for name, c := range map[string]*client.Client{"batched": piped, "serial": serial} {
 		sums := make([]uint64, burst)
 		errs := make([]error, burst)
 		var wg sync.WaitGroup

@@ -30,12 +30,6 @@ type SchedulerConfig struct {
 	// Linger is how long a forming batch waits for companions before it
 	// dispatches anyway. Zero dispatches every request alone.
 	Linger time.Duration
-	// SerialBatches restores the pre-pipeline behavior: a batch's requests
-	// run back to back on one pool worker instead of being layer-stage
-	// pipelined across workers (see pipeline.go). The pipelined and serial
-	// paths are bit-identical per request; this knob exists for A/B
-	// benchmarking and as an escape hatch.
-	SerialBatches bool
 }
 
 func (c *SchedulerConfig) setDefaults() {
@@ -53,12 +47,7 @@ func (c *SchedulerConfig) setDefaults() {
 // BatchInfo tells an executing request about the micro-batch it rode in.
 type BatchInfo struct {
 	Size   int           // requests in the batch
-	Queued time.Duration // admission to execution start
-	// Stage is the request's layer-pipeline gate, nil when the batch runs
-	// serially (SerialBatches, or a pool-closed fallback). Tasks that
-	// understand stages wait/publish on it; tasks that ignore it are still
-	// correct — the scheduler finishes the gate when the task returns.
-	Stage *StageGate
+	Queued time.Duration // admission to dispatch
 }
 
 // Task is one unit of request work: it runs on a pool worker with the
@@ -78,7 +67,7 @@ type item struct {
 }
 
 // batch is a forming micro-batch: requests sharing a compatibility key
-// that will execute together on one pool worker.
+// that dispatch together, each as its own pool task.
 type batch struct {
 	key   string
 	items []*item
@@ -107,10 +96,11 @@ func (s *Scheduler) releaseBatch(b *batch) {
 
 // Scheduler micro-batches compatible requests onto a persistent worker
 // pool. Requests submitted under the same key within the linger window (or
-// until MaxBatch) form one batch; each batch is one pool task, so the pool
-// size bounds execution concurrency while the queue bound caps admitted
-// work. Within a batch, requests execute sequentially — the batch is the
-// scheduling unit, the pool provides the parallelism across batches.
+// until MaxBatch) form one batch; a dispatched batch submits each of its
+// requests as its own pool task, so the pool size bounds execution
+// concurrency while the queue bound caps admitted work. The batch is the
+// unit of admission and of what BatchInfo reports, not of execution: its
+// requests share no state and nothing orders them against each other.
 type Scheduler struct {
 	cfg  SchedulerConfig
 	pool *parallel.Pool
@@ -213,70 +203,11 @@ func (s *Scheduler) flush(b *batch) {
 	}
 }
 
-// dispatch hands a detached batch to the pool: pipelined by default (one
-// pool task per item, chained by StageGates), or as one sequential task
-// under SerialBatches. If the pool is already closed (shutdown race), the
-// batch fails over to direct execution so no admitted request is ever
-// dropped.
+// dispatch hands a detached batch to the pool, one task per request in
+// admission order. Expired requests are skipped and delivered their context
+// error. If the pool is already closed (shutdown race), the request runs
+// inline so no admitted request is ever dropped.
 func (s *Scheduler) dispatch(b *batch) {
-	if s.cfg.SerialBatches {
-		if err := s.pool.Submit(func() { s.execute(b) }); err != nil {
-			s.execute(b)
-		}
-		return
-	}
-	s.executePipelined(b)
-}
-
-// executePipelined submits each batch item as its own pool task, chained
-// to its predecessor by a StageGate. Submission order is batch order, and
-// the pool starts tasks in FIFO order, so every gate's predecessor is
-// already running (or done) when the waiter starts — see pipeline.go for
-// the deadlock-freedom argument. The per-item bookkeeping (context-expiry
-// skip, depth decrement, done signal) matches execute exactly.
-func (s *Scheduler) executePipelined(b *batch) {
-	start := time.Now()
-	size := 0
-	for _, it := range b.items {
-		if it.ctx.Err() == nil {
-			size++
-		}
-	}
-	if s.onBatch != nil && size > 0 {
-		s.onBatch(size)
-	}
-	var prev *stageProgress
-	for _, it := range b.items {
-		it := it
-		gate := &StageGate{prev: prev, self: newStageProgress()}
-		prev = gate.self
-		info := BatchInfo{Size: size, Queued: start.Sub(it.enqueued), Stage: gate}
-		run := func() {
-			defer gate.Finish()
-			if err := it.ctx.Err(); err != nil {
-				it.err = err
-			} else {
-				it.info = info
-				it.res, it.err = it.task(it.ctx, info)
-			}
-			close(it.done)
-			s.mu.Lock()
-			s.depth--
-			s.mu.Unlock()
-		}
-		if s.pool.Submit(run) != nil {
-			// Pool closed mid-drain: run inline. Predecessors already ran to
-			// completion on this goroutine, so every gate is open.
-			run()
-		}
-	}
-	s.releaseBatch(b)
-}
-
-// execute runs a batch: each live item in admission order, each under its
-// own request context. Expired items are skipped and delivered their
-// context error.
-func (s *Scheduler) execute(b *batch) {
 	start := time.Now()
 	size := 0
 	for _, it := range b.items {
@@ -289,16 +220,24 @@ func (s *Scheduler) execute(b *batch) {
 	}
 	for _, it := range b.items {
 		info := BatchInfo{Size: size, Queued: start.Sub(it.enqueued)}
-		if err := it.ctx.Err(); err != nil {
-			it.err = err
-		} else {
-			it.info = info
-			it.res, it.err = it.task(it.ctx, info)
+		run := func() {
+			if err := it.ctx.Err(); err != nil {
+				it.err = err
+			} else {
+				it.info = info
+				it.res, it.err = it.task(it.ctx, info)
+			}
+			// The slot frees before the submitter wakes: the fair queue
+			// refills its release window (== MaxQueue) the moment Submit
+			// returns, and must not find this request still counted.
+			s.mu.Lock()
+			s.depth--
+			s.mu.Unlock()
+			close(it.done)
 		}
-		close(it.done)
-		s.mu.Lock()
-		s.depth--
-		s.mu.Unlock()
+		if s.pool.Submit(run) != nil {
+			run()
+		}
 	}
 	s.releaseBatch(b)
 }

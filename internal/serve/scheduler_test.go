@@ -84,6 +84,43 @@ func TestSchedulerLingerFlush(t *testing.T) {
 	}
 }
 
+// A batch never serialises its items: item 0 blocks until item 1 of the
+// same batch has run, which only completes if the two overlap.
+func TestSchedulerBatchItemsOverlap(t *testing.T) {
+	s := NewScheduler(SchedulerConfig{Workers: 2, MaxQueue: 8, MaxBatch: 2, Linger: 2 * time.Second})
+	defer s.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ran1 := make(chan struct{})
+	errs := make(chan error, 2)
+	submit := func(task Task) {
+		_, info, err := s.Submit(ctx, "k", task)
+		if err == nil && info.Size != 2 {
+			err = errors.New("the two requests did not share a batch")
+		}
+		errs <- err
+	}
+	go submit(func(ctx context.Context, _ BatchInfo) (any, error) {
+		select {
+		case <-ran1:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	waitFor(t, "item 0 admitted", func() bool { return s.Depth() == 1 })
+	go submit(func(context.Context, BatchInfo) (any, error) {
+		close(ran1)
+		return nil, nil
+	})
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("batch of two with item 0 waiting on item 1: %v", err)
+		}
+	}
+}
+
 // Requests under different keys never share a batch.
 func TestSchedulerKeysDoNotMix(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 2, MaxQueue: 64, MaxBatch: 8, Linger: 10 * time.Millisecond})

@@ -177,12 +177,12 @@ func New(opts Options) (*Server, error) {
 		cfg:         cfg,
 		tenants:     NewTenantRegistry(opts.Tenants, opts.Quarantine, nil),
 		sessions:    NewSessionManager(opts.SessionIdle),
-		metrics:     NewMetrics(),
 		snapshotKey: opts.SnapshotKey,
 		networks:    make(map[string]workload.Network),
 		closed:      make(chan struct{}),
 		janitor:     make(chan struct{}),
 	}
+	s.metrics = newMetrics(s)
 	if len(s.snapshotKey) == 0 {
 		s.snapshotKey = newSnapshotKey()
 	}
@@ -324,107 +324,94 @@ func (s *Server) runJanitor() {
 
 // ---- handlers ----
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	s, err := encodeJSON(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(s.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(s.buf.Bytes())
-	putJSON(s)
-}
-
 func (s *Server) writeError(w http.ResponseWriter, status int, body ErrorBody) {
 	if body.RetryAfterMs > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt((body.RetryAfterMs+999)/1000, 10))
 	}
 	s.metrics.Request(status)
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenants.Resolve(r)
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
 	var req SessionCreateRequest
 	if r.ContentLength != 0 {
-		if err := decodeJSON(r.Body, 1<<16, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
+		if err := DecodeJSON(r.Body, 1<<16, &req); err != nil {
+			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
 			return
 		}
 	}
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
 		return
 	}
 	resp, err := s.sessions.Create(t.Name(), time.Duration(req.IdleTimeoutMs)*time.Millisecond)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error(), Class: ClassInternal})
+		WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error(), Class: ClassInternal})
 		return
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	WriteJSON(w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenants.Resolve(r)
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
 	if s.sessions.Evict(r.PathValue("id"), t.Name(), EvictClose) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusNotFound, ErrorBody{Error: ErrSessionUnknown.Error(), Class: ClassUnknownSession})
+	WriteJSON(w, http.StatusNotFound, ErrorBody{Error: ErrSessionUnknown.Error(), Class: ClassUnknownSession})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenants.Resolve(r)
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
 	id := r.PathValue("id")
 	env, err := s.SnapshotSession(id, t.Name())
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotResponse{SessionID: id, Snapshot: env})
+	WriteJSON(w, http.StatusOK, SnapshotResponse{SessionID: id, Snapshot: env})
 }
 
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	t, err := s.tenants.Resolve(r)
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
 		return
 	}
 	var req RestoreRequest
-	if err := decodeJSON(r.Body, 1<<20, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
+	if err := DecodeJSON(r.Body, 1<<20, &req); err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
 		return
 	}
 	resp, err := s.RestoreSession(req.Snapshot, t.Name())
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	WriteJSON(w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleDesigns(w http.ResponseWriter, _ *http.Request) {
@@ -445,7 +432,7 @@ func (s *Server) handleDesigns(w http.ResponseWriter, _ *http.Request) {
 			Name: n.Name, Layers: len(n.Layers), Params: n.Params(), MACs: n.MACs(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -453,7 +440,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
 		resp.Status = "draining"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ---- admin surface (gateway migration hooks) ----
@@ -470,7 +457,7 @@ func (s *Server) adminOK(r *http.Request) bool {
 
 func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	if !s.adminOK(r) {
-		writeJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
+		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
 		return
 	}
 	s.BeginDrain()
@@ -482,17 +469,17 @@ func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 // replicas.
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !s.adminOK(r) {
-		writeJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
+		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
 		return
 	}
 	id := r.PathValue("id")
 	env, err := s.SnapshotSession(id, "")
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, SnapshotResponse{SessionID: id, Snapshot: env})
+	WriteJSON(w, http.StatusOK, SnapshotResponse{SessionID: id, Snapshot: env})
 }
 
 // handleAdminRestore imports a sealed envelope without a tenant-ownership
@@ -500,51 +487,44 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 // must own the snapshot" rule is waived for the trusted front).
 func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
 	if !s.adminOK(r) {
-		writeJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
+		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
 		return
 	}
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
 		return
 	}
 	var req RestoreRequest
-	if err := decodeJSON(r.Body, 1<<20, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
+	if err := DecodeJSON(r.Body, 1<<20, &req); err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
 		return
 	}
 	resp, err := s.RestoreSession(req.Snapshot, "")
 	if err != nil {
 		status, body := statusFor(err)
-		writeJSON(w, status, body)
+		WriteJSON(w, status, body)
 		return
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	WriteJSON(w, http.StatusCreated, resp)
 }
 
 // handleAdminEvict removes a session regardless of owner — the source side
 // of a completed migration.
 func (s *Server) handleAdminEvict(w http.ResponseWriter, r *http.Request) {
 	if !s.adminOK(r) {
-		writeJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
+		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
 		return
 	}
 	if s.sessions.Evict(r.PathValue("id"), "", EvictMigrate) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusNotFound, ErrorBody{Error: ErrSessionUnknown.Error(), Class: ClassUnknownSession})
+	WriteJSON(w, http.StatusNotFound, ErrorBody{Error: ErrSessionUnknown.Error(), Class: ClassUnknownSession})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	created, restored, evicted := s.sessions.Counters()
-	var statuses []TenantStatus
-	for _, t := range s.tenants.All() {
-		if br := t.Breaker(); br != nil {
-			statuses = append(statuses, TenantStatus{Name: t.Name(), State: br.State(), Opens: br.Opens()})
-		}
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = io.WriteString(w, s.metrics.Render(s.fair.Depth(), s.sessions.Active(), created, restored, evicted, statuses))
+	_, _ = io.WriteString(w, s.metrics.reg.Render())
 }
 
 // inferOutcome is what an executed inference task returns through the
@@ -572,7 +552,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InferRequest
-	if err := decodeJSON(r.Body, 8<<20, &req); err != nil {
+	if err := DecodeJSON(r.Body, 8<<20, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
 		return
 	}
@@ -584,19 +564,42 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	// Tenant gates, in trust order: quarantine first (a quarantined tenant
 	// gets no rate tokens back), then the rate bucket.
+	br := tenant.Breaker()
 	probe := false
-	if br := tenant.Breaker(); br != nil {
+	if br != nil {
 		var qerr error
 		probe, qerr = br.Allow(tenant.Name(), s.tenants.Now())
 		if qerr != nil {
-			s.metrics.TenantShed(tenant.Name(), ShedQuarantine)
+			s.metrics.tenantShed.Inc(tenant.Name(), ShedQuarantine)
 			status, body := statusFor(qerr)
 			s.writeError(w, status, body)
 			return
 		}
 	}
+	// From here on every exit on which the request never executed — rate
+	// limit, validation, unknown session, admission shed — frees an unused
+	// half-open probe slot at this one point; an executed request feeds its
+	// result back to the quarantine breaker through outcome instead.
+	executed := false
+	defer func() {
+		if probe && !executed {
+			br.Release(probe)
+		}
+	}()
+	outcome := func(breach bool) {
+		executed = true
+		if br != nil {
+			br.Record(breach, probe, s.tenants.Now())
+		}
+		if breach {
+			s.metrics.tenantBreaches.Inc(tenant.Name())
+			// A breached tenant never rides a stale trust decision: its
+			// pinned residency epochs re-verify before the next attach.
+			s.residency.InvalidateTenant(tenant.Name())
+		}
+	}
 	if ok, wait := tenant.TakeToken(s.tenants.Now()); !ok {
-		s.metrics.TenantShed(tenant.Name(), ShedRate)
+		s.metrics.tenantShed.Inc(tenant.Name(), ShedRate)
 		status, body := statusFor(ErrRateLimited)
 		if ms := wait.Milliseconds(); ms > 0 {
 			body.RetryAfterMs = ms
@@ -605,42 +608,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// release frees an unused half-open probe slot on paths where the
-	// request never executes; outcome feeds an executed request's result
-	// back to the quarantine breaker.
-	release := func() {
-		if br := tenant.Breaker(); br != nil {
-			br.Release(probe)
-		}
-	}
-	outcome := func(breach bool) {
-		if br := tenant.Breaker(); br != nil {
-			br.Record(breach, probe, s.tenants.Now())
-		}
-		if breach {
-			s.metrics.TenantBreach(tenant.Name())
-			// A breached tenant never rides a stale trust decision: its
-			// pinned residency epochs re-verify before the next attach.
-			s.residency.InvalidateTenant(tenant.Name())
-		}
-	}
-
 	net, err := s.resolveNetwork(req.Network)
 	if err != nil {
-		release()
 		s.writeError(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Class: ClassBadRequest})
 		return
 	}
 	first := net.Layers[0]
 	if len(req.Input) > 0 {
 		if len(req.Input) > s.opts.MaxInputLen {
-			release()
 			s.writeError(w, http.StatusBadRequest, ErrorBody{
 				Error: fmt.Sprintf("serve: input too large (%d > %d)", len(req.Input), s.opts.MaxInputLen), Class: ClassBadRequest})
 			return
 		}
 		if want := first.C * first.H * first.W; len(req.Input) != want {
-			release()
 			s.writeError(w, http.StatusBadRequest, ErrorBody{
 				Error: fmt.Sprintf("serve: input length %d, network %s wants %d", len(req.Input), net.Name, want), Class: ClassBadRequest})
 			return
@@ -651,7 +631,6 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if req.Session != "" {
 		g, err := s.sessions.Acquire(req.Session, tenant.Name())
 		if err != nil {
-			release()
 			status, body := statusFor(err)
 			s.writeError(w, status, body)
 			return
@@ -671,15 +650,14 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	key := "net=" + net.Name
 	res, info, err := s.fair.Submit(ctx, tenant, key, func(ctx context.Context, b BatchInfo) (any, error) {
-		return s.runInference(ctx, net, &req, grant, tenant.Name(), b.Stage)
+		return s.runInference(ctx, net, &req, grant, tenant.Name())
 	})
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQueueFull) || errors.Is(err, ErrShuttingDown) {
 			// Shed at admission: the request never executed.
-			s.metrics.TenantShed(tenant.Name(), ShedQueue)
-			release()
+			s.metrics.tenantShed.Inc(tenant.Name(), ShedQueue)
 		} else {
-			s.metrics.TenantAdmitted(tenant.Name())
+			s.metrics.tenantAdmitted.Inc(tenant.Name())
 			outcome(breachError(err))
 		}
 		status, body := statusFor(err)
@@ -689,7 +667,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, body)
 		return
 	}
-	s.metrics.TenantAdmitted(tenant.Name())
+	s.metrics.tenantAdmitted.Inc(tenant.Name())
 	outcome(false)
 
 	oc := res.(*inferOutcome)
@@ -727,9 +705,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if req.ReturnOutput {
 		resp.Output = oc.out.Data
 	}
-	s.metrics.Inference(time.Since(admitted), info.Queued)
+	s.metrics.inferOK.Inc()
+	s.metrics.latency.Add(int64(time.Since(admitted)))
+	s.metrics.queue.Add(int64(info.Queued))
 	s.metrics.Request(http.StatusOK)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // interceptFor resolves the command-channel attack instrumentation for a
@@ -759,12 +739,7 @@ func (s *Server) hookFor(tenant string) secure.Hook {
 // with the memoized timing simulation alongside. Session runs continue the
 // session's command-channel sequence window (grant.BaseSeq) and capture the
 // final MAC registers for the session's durable state.
-//
-// When the batch is pipelined, gate is the request's layer-stage handle:
-// the request enters layer k only once its batch predecessor has left it
-// (pipeline.go). The gate's Done/Wait calls ride the executor's
-// OnLayerMACs layer boundary, so per-request execution is untouched.
-func (s *Server) runInference(ctx context.Context, net workload.Network, req *InferRequest, grant *SessionGrant, tenant string, gate *StageGate) (*inferOutcome, error) {
+func (s *Server) runInference(ctx context.Context, net workload.Network, req *InferRequest, grant *SessionGrant, tenant string) (*inferOutcome, error) {
 	start := time.Now()
 	oc := &inferOutcome{}
 
@@ -795,24 +770,9 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 		copy(in.Data, req.Input)
 	}
 
-	// Layer-stage gate protocol: entering layer k needs the predecessor to
-	// have completed k+1 stages (provisioning counts as part of layer 0).
-	// OnLayerMACs(p) fires when layer p closes (p == len(layers) for the
-	// readout epoch): publish p+1 stages done, then wait to enter p+1. A
-	// context expiry inside the wait just returns — the executor aborts at
-	// its own next context check — and the scheduler finishes the gate on
-	// every task exit, so successors are never stranded.
-	stages := len(net.Layers)
-	onMACs := func(phase int, regs protect.RegisterState) {
+	onMACs := func(_ int, regs protect.RegisterState) {
 		oc.regs = regs
 		oc.haveRegs = true
-		gate.Done(phase + 1)
-		if phase < stages {
-			_ = gate.Wait(ctx, phase+2)
-		}
-	}
-	if err := gate.Wait(ctx, 1); err != nil {
-		return nil, err
 	}
 
 	if grant != nil {

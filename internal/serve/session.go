@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"seculator/internal/metrics"
 	"seculator/internal/protect"
 )
 
@@ -67,22 +68,22 @@ type SessionGrant struct {
 // serving-layer analogue of Figure 6's "security breach → reboot": the
 // session key is dead, the client must negotiate a new one.
 type SessionManager struct {
-	mu       sync.Mutex
-	m        map[string]*session
-	idle     time.Duration
-	now      func() time.Time // injectable for tests
-	created  uint64
-	restored uint64
-	evicted  map[string]uint64 // reason -> count
+	mu   sync.Mutex
+	m    map[string]*session
+	idle time.Duration
+	now  func() time.Time // injectable for tests
+
+	// Lifetime totals; the server registers them on its /metrics registry.
+	created, restored metrics.Counter
+	evicted           metrics.CounterVec // reason
 }
 
 // NewSessionManager creates a store with the given default idle timeout.
 func NewSessionManager(idle time.Duration) *SessionManager {
 	return &SessionManager{
-		m:       make(map[string]*session),
-		idle:    idle,
-		now:     time.Now,
-		evicted: make(map[string]uint64),
+		m:    make(map[string]*session),
+		idle: idle,
+		now:  time.Now,
 	}
 }
 
@@ -105,7 +106,7 @@ func (sm *SessionManager) Create(tenant string, idle time.Duration) (SessionCrea
 	sm.mu.Lock()
 	s.expires = sm.now().Add(s.idle)
 	sm.m[s.id] = s
-	sm.created++
+	sm.created.Inc()
 	sm.mu.Unlock()
 	return SessionCreateResponse{
 		SessionID:     s.id,
@@ -126,7 +127,7 @@ func (sm *SessionManager) Acquire(id, tenant string) (SessionGrant, error) {
 	}
 	if sm.now().After(s.expires) {
 		delete(sm.m, id)
-		sm.evicted[EvictIdle]++
+		sm.evicted.Inc(EvictIdle)
 		return SessionGrant{}, ErrSessionUnknown
 	}
 	s.expires = sm.now().Add(s.idle)
@@ -168,7 +169,7 @@ func (sm *SessionManager) Evict(id, tenant, reason string) bool {
 		return false
 	}
 	delete(sm.m, id)
-	sm.evicted[reason]++
+	sm.evicted.Inc(reason)
 	return true
 }
 
@@ -183,7 +184,7 @@ func (sm *SessionManager) Sweep() int {
 	for id, s := range sm.m {
 		if now.After(s.expires) {
 			delete(sm.m, id)
-			sm.evicted[EvictIdle]++
+			sm.evicted.Inc(EvictIdle)
 			n++
 		}
 	}
@@ -197,18 +198,6 @@ func (sm *SessionManager) Active() int {
 	return len(sm.m)
 }
 
-// Counters returns (created, restored, evicted-by-reason) totals for
-// /metrics.
-func (sm *SessionManager) Counters() (uint64, uint64, map[string]uint64) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	ev := make(map[string]uint64, len(sm.evicted))
-	for k, v := range sm.evicted {
-		ev[k] = v
-	}
-	return sm.created, sm.restored, ev
-}
-
 // export serializes a session's full durable state. Tenant-scoped like
 // Acquire: a foreign session exports as unknown.
 func (sm *SessionManager) export(id, tenant string) (snapshotPayload, error) {
@@ -220,7 +209,7 @@ func (sm *SessionManager) export(id, tenant string) (snapshotPayload, error) {
 	}
 	if sm.now().After(s.expires) {
 		delete(sm.m, id)
-		sm.evicted[EvictIdle]++
+		sm.evicted.Inc(EvictIdle)
 		return snapshotPayload{}, ErrSessionUnknown
 	}
 	p := snapshotPayload{
@@ -291,7 +280,7 @@ func (sm *SessionManager) importPayload(p snapshotPayload) (SessionCreateRespons
 	}
 	s.expires = sm.now().Add(s.idle)
 	sm.m[s.id] = s
-	sm.restored++
+	sm.restored.Inc()
 	return SessionCreateResponse{
 		SessionID:     s.id,
 		IdleTimeoutMs: s.idle.Milliseconds(),

@@ -164,7 +164,7 @@ func (s *Server) SnapshotSession(id, tenant string) (SnapshotEnvelope, error) {
 	}
 	env, err := sealSnapshot(s.snapshotKey, p)
 	if err == nil {
-		s.metrics.SnapshotExport()
+		s.metrics.snapshotExports.Inc()
 	}
 	return env, err
 }
@@ -176,18 +176,22 @@ func (s *Server) SnapshotSession(id, tenant string) (SnapshotEnvelope, error) {
 func (s *Server) RestoreSession(env SnapshotEnvelope, tenant string) (SessionCreateResponse, error) {
 	p, err := openSnapshot(s.snapshotKey, env)
 	if err != nil {
-		s.metrics.SnapshotRestore(false)
+		s.metrics.restoreRejected.Inc()
 		return SessionCreateResponse{}, err
 	}
 	if tenant != "" && p.Tenant != tenant {
-		s.metrics.SnapshotRestore(false)
+		s.metrics.restoreRejected.Inc()
 		return SessionCreateResponse{}, &resilience.SnapshotIntegrityError{
 			Reason: "tenant", Err: fmt.Errorf("snapshot owner mismatch"),
 		}
 	}
 	resp, err := s.sessions.importPayload(p)
-	s.metrics.SnapshotRestore(err == nil)
-	return resp, err
+	if err != nil {
+		s.metrics.restoreRejected.Inc()
+		return resp, err
+	}
+	s.metrics.restoreOK.Inc()
+	return resp, nil
 }
 
 // SnapshotAll exports every live session — the drain-time persistence path

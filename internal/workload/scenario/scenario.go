@@ -1,8 +1,8 @@
 // Package scenario runs the named workload mixes (workload.Mixes) against
 // an in-process serving stack and reports percentile trajectories per
-// arrival-curve phase — the serving-layer counterpart of the
-// microbenchmark sweeps in BENCH_baseline.json. A mix declares the traffic
-// shape; this package builds the matching environment (tenant registry,
+// arrival-curve phase — the serving-layer counterpart of the per-layer
+// probes of the repository benchmark (benchmark/README.md). A mix declares
+// the traffic shape; this package builds the matching environment (tenant registry,
 // residency policy, attack interceptors, single server or gateway fleet),
 // splits the offered curve across per-tenant streams, drives them with the
 // seeded open-loop load generator, and folds client-side reports together
