@@ -16,6 +16,7 @@ import (
 	"seculator/internal/npu"
 	"seculator/internal/protect"
 	"seculator/internal/runner"
+	"seculator/internal/secure"
 	"seculator/internal/sim"
 	"seculator/internal/tensor"
 	"seculator/internal/vngen"
@@ -410,8 +411,8 @@ func BenchmarkSecureInference(b *testing.B) {
 		},
 	}
 	// deep carries enough blocks per tile that every stage of the parallel
-	// pipeline engages: sharded reads/writes, keystream precompute, and
-	// overlapped weight loading across its eight layers.
+	// pipeline engages: sharded reads/writes and overlapped weight loading
+	// across its seven layers.
 	deep := Network{
 		Name: "bench-deep",
 		Layers: []Layer{
@@ -440,10 +441,11 @@ func BenchmarkSecureInference(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opts := InferenceOptions{Parallel: bm.workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := SecureInferenceContext(context.Background(), bm.net, in, ws, opts)
+				x := secure.NewExecutor()
+				x.Parallel = bm.workers
+				res, err := x.Run(context.Background(), bm.net, in, ws)
 				if err != nil {
 					b.Fatal(err)
 				}

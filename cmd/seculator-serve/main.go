@@ -8,7 +8,6 @@
 //	seculator-serve                          # serve on :8080
 //	seculator-serve -addr 127.0.0.1:9090
 //	seculator-serve -batch 16 -linger 5ms -queue 512 -workers 8
-//	seculator-serve -infer-parallel 8           # shard each request's crypto
 //	seculator-serve -loadgen -rps 200 -duration 5s -network Mini
 //	seculator-serve -loadgen -target http://host:8080 -rps 100
 //	seculator-serve -loadgen -gateway http://gw:8080 -rps 100   # per-replica attribution
@@ -65,7 +64,6 @@ func main() {
 		batch   = flag.Int("batch", 8, "max requests per micro-batch")
 		linger  = flag.Duration("linger", 2*time.Millisecond, "batch formation window")
 		workers = flag.Int("workers", 0, "batch executor pool size (0 = GOMAXPROCS)")
-		inferP  = flag.Int("infer-parallel", 0, "intra-inference crypto workers per request (0 = process default, 1 = serial)")
 		idle    = flag.Duration("session-idle", 5*time.Minute, "session idle expiry")
 		timeout = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 
@@ -106,7 +104,6 @@ func main() {
 		},
 		SessionIdle:    *idle,
 		DefaultTimeout: *timeout,
-		InferWorkers:   *inferP,
 		Residency:      serve.ResidencyConfig{Disabled: *noRes},
 	}
 	if *tenants != "" {

@@ -3,7 +3,6 @@ package seculator
 import (
 	"seculator/internal/parallel"
 	"seculator/internal/runner"
-	"seculator/internal/secure"
 )
 
 // SetParallelism sets the worker count every fan-out in the experiment
@@ -15,20 +14,6 @@ func SetParallelism(n int) { parallel.SetWorkers(n) }
 
 // Parallelism returns the current worker count.
 func Parallelism() int { return parallel.Workers() }
-
-// SetInferParallelism sets the process-default worker count for the
-// *intra-inference* crypto pipeline: per-tile AES-CTR keystreams and
-// SHA-256 block MACs are sharded across workers and folded back with the
-// commutative XOR-MAC, so the output tensor and every MAC register are
-// bit-identical to the serial run at any worker count. n <= 1 restores
-// serial execution. Per-call overrides (InferenceOptions.Parallel,
-// SessionOptions.Parallel) take precedence; the SECULATOR_INFER_PARALLEL
-// environment variable seeds the initial default.
-func SetInferParallelism(n int) { secure.SetDefaultParallel(n) }
-
-// InferParallelism returns the current process-default intra-inference
-// worker count (1 = serial).
-func InferParallelism() int { return secure.DefaultParallel() }
 
 // CacheStats is a snapshot of the memoizing simulation cache's counters.
 type CacheStats = parallel.MemoStats

@@ -59,12 +59,6 @@ type InferenceOptions struct {
 	// Retry overrides the layer-level recovery policy; the zero value uses
 	// DefaultRetryPolicy().
 	Retry RetryPolicy
-	// Parallel is the intra-inference crypto worker count: 0 uses the
-	// process default (SetInferParallelism / SECULATOR_INFER_PARALLEL),
-	// 1 forces serial execution, >1 shards block MACs and keystreams
-	// across that many workers. Output and MAC digests are bit-identical
-	// at any setting.
-	Parallel int
 }
 
 // SecureInferenceContext is SecureInference with cancellation and full
@@ -74,7 +68,6 @@ func SecureInferenceContext(ctx context.Context, net Network, in *Tensor, weight
 	x := secure.NewExecutor()
 	x.AfterPhase = opts.Hook
 	x.Injector = opts.Injector
-	x.Parallel = opts.Parallel
 	if opts.Retry != (RetryPolicy{}) {
 		x.Retry = opts.Retry
 	}

@@ -98,7 +98,7 @@ func CheckPipelinedBatch(cfg Config) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := sched.Submit(ctx, "pipeline-oracle", func(context.Context, serve.BatchInfo) (any, error) {
+			_, _, err := sched.Submit(ctx, nil, "pipeline-oracle", func(context.Context, serve.BatchInfo) (any, error) {
 				snap, err := run(inputs[i], res)
 				snaps[i] = snap
 				return nil, err

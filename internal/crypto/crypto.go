@@ -94,32 +94,6 @@ func (e *CTREngine) pad(dst []byte, c Counter) {
 	}
 }
 
-// Keystream writes the 64-byte one-time pad for counter c into dst. Pads
-// are data-independent — counter mode never sees the plaintext — so they
-// can be generated any time the counter is known; the secure executor's
-// keystream-precompute stage exploits exactly that, because the VN FSM
-// makes every counter of a layer deterministic in advance. Combine a pad
-// with data via XORPad.
-func (e *CTREngine) Keystream(dst []byte, c Counter) {
-	if len(dst) != tensor.BlockBytes {
-		panic(fmt.Sprintf("crypto: keystream dst must be %d bytes, got %d",
-			tensor.BlockBytes, len(dst)))
-	}
-	e.pad(dst, c)
-}
-
-// XORPad combines a 64-byte block with a precomputed pad: dst = src ⊕ pad.
-// It is the consume half of Keystream; dst may alias src.
-func XORPad(dst, src, pad []byte) {
-	if len(dst) != tensor.BlockBytes || len(src) != tensor.BlockBytes || len(pad) != tensor.BlockBytes {
-		panic(fmt.Sprintf("crypto: XORPad needs %d-byte slices, got dst=%d src=%d pad=%d",
-			tensor.BlockBytes, len(dst), len(src), len(pad)))
-	}
-	for i := range dst {
-		dst[i] = src[i] ^ pad[i]
-	}
-}
-
 // EncryptBlock encrypts one 64-byte block: dst = src XOR pad(counter).
 // dst and src must both be 64 bytes; they may alias.
 func (e *CTREngine) EncryptBlock(dst, src []byte, c Counter) {

@@ -322,8 +322,12 @@ type forwardResult struct {
 // headers. A non-nil error is a transport failure (connection refused,
 // reset, timeout) — the HTTP-level outcome, whatever the status, comes
 // back as a forwardResult. Transport failures feed the replica's health
-// FSM; an ejection triggers failover of its vaulted sessions.
-func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string, src *http.Request, in any) (forwardResult, error) {
+// FSM; an ejection triggers failover of its vaulted sessions. A failure
+// caused by the caller's own context (the client hung up) says nothing
+// about the replica: it is returned as ctx's error and observed nowhere —
+// callers check ctx.Err() before retrying or failing over. The gateway's
+// own ForwardTimeout expiring still counts against the replica.
+func (g *Gateway) forward(caller context.Context, rep *replica, method, path string, src *http.Request, in any) (forwardResult, error) {
 	var body io.Reader
 	if in != nil {
 		s, err := serve.EncodeJSON(in)
@@ -335,7 +339,7 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 		defer serve.PutJSON(s)
 		body = bytes.NewReader(s.Bytes())
 	}
-	ctx, cancel := context.WithTimeout(ctx, g.opts.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(caller, g.opts.ForwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, rep.url+path, body)
 	if err != nil {
@@ -357,16 +361,15 @@ func (g *Gateway) forward(ctx context.Context, rep *replica, method, path string
 	start := time.Now()
 	resp, err := g.http.Do(req)
 	rep.inflight.Add(-1)
-	if err != nil {
-		g.metrics.Forward(rep.name, 0, false)
-		if rep.hp.ObserveFailure(time.Now()) {
-			go g.failoverAll(rep.name)
-		}
-		return forwardResult{}, err
+	var data []byte
+	if err == nil {
+		defer resp.Body.Close()
+		data, err = readInto(resp.Body, 64<<20)
 	}
-	defer resp.Body.Close()
-	data, err := readInto(resp.Body, 64<<20)
 	if err != nil {
+		if cerr := caller.Err(); cerr != nil {
+			return forwardResult{}, cerr
+		}
 		g.metrics.Forward(rep.name, 0, false)
 		if rep.hp.ObserveFailure(time.Now()) {
 			go g.failoverAll(rep.name)
@@ -457,6 +460,9 @@ func (g *Gateway) statelessInfer(w http.ResponseWriter, r *http.Request, rt *rou
 		fr, err := g.forward(r.Context(), rep, http.MethodPost, "/v1/infer", r, req)
 		if err != nil {
 			lastErr = err
+			if r.Context().Err() != nil {
+				break // the client is gone; the next candidate would fail the same way
+			}
 			continue
 		}
 		if fr.status >= 500 && i+1 < attempts {
@@ -496,7 +502,10 @@ func (g *Gateway) sessionInfer(w http.ResponseWriter, r *http.Request, rt *routi
 	req.ReturnSnapshot = true          // the vault's write-through hook
 	fr, err := g.forward(r.Context(), rep, http.MethodPost, "/v1/infer", r, req)
 	if err != nil {
-		alt := g.sessionFailover(rt, id, rep, now)
+		var alt *replica
+		if r.Context().Err() == nil { // a client hanging up is no reason to move its session
+			alt = g.sessionFailover(rt, id, rep, now)
+		}
 		if alt == nil {
 			g.upstreamError(w, fmt.Sprintf("session home %s unreachable: %v", rep.name, err))
 			return

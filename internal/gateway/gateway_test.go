@@ -2,6 +2,9 @@ package gateway_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,4 +245,49 @@ func TestGatewayHealthDegraded(t *testing.T) {
 			serve.InferRequest{Network: "Mini", Seed: 1})
 		return err != nil
 	})
+}
+
+// Clients hanging up must not eject healthy replicas. A forward that fails
+// because the inbound request's own context is cancelled says nothing
+// about the replica: no failure observation, no per-replica error, no
+// retry on the next candidate, no failover — and the next live client is
+// served. (The prober is parked at a 1 h interval so only the forward path
+// can move the health FSM.)
+func TestGatewayClientCancelDoesNotEjectReplicas(t *testing.T) {
+	c, err := gateway.StartLocal(gateway.LocalOptions{
+		Replicas: 2,
+		Gateway:  gateway.Options{Health: gateway.HealthConfig{ProbeInterval: time.Hour}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 3; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/infer",
+			strings.NewReader(`{"network":"Mini","seed":1}`)).WithContext(gone)
+		c.Gateway.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}
+
+	gc := client.New(c.GatewayURL, nil)
+	ctx := ctxT(t)
+	scrape, err := gc.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"seculator_gateway_replica_ejections_total",
+		"seculator_gateway_replica_errors_total",
+		"seculator_gateway_retries_total",
+	} {
+		// A replica no forward was ever accounted to has no errors line.
+		if v, _ := metricLookup(t, scrape, name); v != 0 {
+			t.Errorf("%s = %v after three hung-up clients, want 0", name, v)
+		}
+	}
+	if _, err := gc.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 1}); err != nil {
+		t.Fatalf("live request after three hung-up clients: %v", err)
+	}
 }

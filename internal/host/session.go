@@ -64,12 +64,6 @@ type SessionOptions struct {
 	// to mount replay/splice attacks against a session's encrypted memory.
 	Hook secure.Hook
 
-	// Parallel is the intra-inference crypto worker count of the
-	// functional execution: 0 uses the process default, 1 forces serial,
-	// >1 shards block MACs and keystreams (bit-identical output either
-	// way). Ignored for timing-only sessions.
-	Parallel int
-
 	// BaseSeq seeds the command channel's sequence window: the controller
 	// issues BaseSeq+1 first and the endpoint rejects anything at or below
 	// BaseSeq. A stateful session passes its last persisted sequence here so
@@ -171,7 +165,6 @@ func RunSession(ctx context.Context, net workload.Network, cfg runner.Config, se
 		x.Injector = opts.Injector
 		x.AfterPhase = opts.Hook
 		x.OnLayerMACs = opts.OnLayerMACs
-		x.Parallel = opts.Parallel
 		x.Residency = opts.Residency
 		if opts.Retry != (resilience.Policy{}) {
 			x.Retry = opts.Retry

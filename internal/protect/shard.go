@@ -39,10 +39,6 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 	return &SeculatorShard{parent: m, engine: m.engine.Clone()}
 }
 
-// PadEngine returns a private clone of the memory's CTR engine — the
-// keystream-precompute stage generates pads ahead of use with it.
-func (m *SeculatorMemory) PadEngine() *crypto.CTREngine { return m.engine.Clone() }
-
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
 // memory: MAC partials and traffic counts reset, the plaintext/ciphertext
 // staging is zeroed so no block of the previous run survives in pooled
@@ -112,24 +108,6 @@ func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int
 		s.partial.OnRepeatRead(d)
 	}
 	return pt
-}
-
-// ReadInputPad is ReadInput consuming a precomputed keystream pad instead
-// of running AES: dst = ciphertext ⊕ pad. The pad must have been generated
-// for exactly this block's counter; the MAC fold is unchanged, so the
-// result is bit-identical to the engine path.
-func (s *SeculatorShard) ReadInputPad(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool, pad []byte) []byte {
-	m := s.parent
-	m.dram.ReadBlockQuiet(addr, s.ct[:])
-	s.reads++
-	crypto.XORPad(s.pt[:], s.ct[:], pad)
-	d := mac.BlockMAC(m.ref(prevLayer, fmapID, vn, blockIdx), s.pt[:])
-	if first {
-		s.partial.OnFirstRead(d)
-	} else {
-		s.partial.OnRepeatRead(d)
-	}
-	return s.pt[:]
 }
 
 // ReadPartial is the shard counterpart of SeculatorMemory.ReadPartial.

@@ -116,8 +116,9 @@ type Executor struct {
 	// per-tile AES-CTR + SHA-256 work (and the MAC-free arithmetic) is
 	// split across. The XOR-MAC's commutative fold makes the sharded run
 	// bit-identical to the serial one — outputs and all four registers.
-	// 0 means the process default (DefaultParallel, settable via
-	// SetDefaultParallel or SECULATOR_INFER_PARALLEL); 1 runs serial.
+	// 0 means the process default — serial, unless the environment
+	// variable SECULATOR_INFER_PARALLEL named a count at start-up; 1 runs
+	// serial.
 	Parallel int
 
 	// Residency, when non-nil, attaches the run to a pinned

@@ -56,12 +56,6 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 	} else {
 		sm.BeginLayer(st.act.ownerID)
 	}
-	if rt.stageWorth(producer.blocks()) {
-		// Precompute the producer region's keystream ahead of the reads
-		// that consume it; the VN FSM makes every counter known up front.
-		rt.ks.start(rt.pool, rt.ksEngine, producer)
-		defer rt.ks.cancel()
-	}
 	// The layer context and its working set live in the runtime's reusable
 	// slabs: the input/output tensors, first-touch bitmaps and decoded
 	// weights are zeroed views over run-pooled backing arrays, so the layer
@@ -275,20 +269,14 @@ func (r *layerRun) readFlatRange(f0, f1 int) {
 // readProducerBlock performs one decrypted block read from the producer
 // region through a shard, folding it into the shard's partial MAC_FR on
 // first touch and MAC_IR on repeats, and assembling the plaintext into the
-// layer's input tensor. When the keystream stage has the block's pad ready
-// it is consumed instead of running AES — bit-identical either way.
+// layer's input tensor.
 func (r *layerRun) readProducerBlock(sh *protect.SeculatorShard, ch, row, j int) {
 	p := r.producer
 	flat := (ch*p.rows+row)*p.bpr + j
 	first := !r.inTouched[flat]
 	r.inTouched[flat] = true
 	blockIdx := uint32(row*p.bpr + j)
-	var pt []byte
-	if pad := r.rt.ks.pad(flat); pad != nil {
-		pt = sh.ReadInputPad(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first, pad)
-	} else {
-		pt = sh.ReadInput(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first)
-	}
+	pt := sh.ReadInput(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first)
 	if first {
 		off := (ch*p.rows+row)*p.cols + j*intsPerBlock
 		end := min(len(r.in.Data), (ch*p.rows+row)*p.cols+p.cols)
@@ -480,8 +468,7 @@ func (r *layerRun) unreadExternal() mac.Digest {
 // readout is the host consuming the final outputs: a fresh layer epoch that
 // first-reads every output block and closes the last layer's verification.
 // restart re-runs the epoch after a failed verification, keeping the last
-// layer's pending bank. Like a layer's reads, the readout shards its rows
-// and draws on a precomputed keystream for the final region.
+// layer's pending bank. Like a layer's reads, the readout shards its rows.
 func (x *Executor) readout(rt *inferRuntime, states []layerState,
 	final actLayout, restart bool) (*nn.Tensor, error) {
 
@@ -492,10 +479,6 @@ func (x *Executor) readout(rt *inferRuntime, states []layerState,
 	} else {
 		sm.BeginLayer(uint32(len(states) + 1))
 	}
-	if rt.stageWorth(final.blocks()) {
-		rt.ks.start(rt.pool, rt.ksEngine, final)
-		defer rt.ks.cancel()
-	}
 	out := nn.NewTensor(final.chans, final.rows, final.cols)
 	n := final.chans * final.rows
 	rt.forkBlocks(n, final.bpr, func(_ int, sh *protect.SeculatorShard, lo, hi int) {
@@ -504,15 +487,8 @@ func (x *Executor) readout(rt *inferRuntime, states []layerState,
 			row := it % final.rows
 			dst := rowOf(out, ch, row)
 			for j := 0; j < final.bpr; j++ {
-				flat := (ch*final.rows+row)*final.bpr + j
-				var pt []byte
-				if pad := rt.ks.pad(flat); pad != nil {
-					pt = sh.ReadInputPad(final.addr(ch, row, j), final.ownerID, uint32(ch),
-						final.vn, uint32(row*final.bpr+j), true, pad)
-				} else {
-					pt = sh.ReadInput(final.addr(ch, row, j), final.ownerID, uint32(ch),
-						final.vn, uint32(row*final.bpr+j), true)
-				}
+				pt := sh.ReadInput(final.addr(ch, row, j), final.ownerID, uint32(ch),
+					final.vn, uint32(row*final.bpr+j), true)
 				decodeBlock(dst, j*intsPerBlock, pt)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"seculator/internal/crypto"
 	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
@@ -28,60 +27,33 @@ const (
 	// (multiply-accumulates) worth forking a compute range for.
 	minComputeOps = 1 << 13
 
-	// ksChunk is how many pads one keystream task generates before
-	// re-submitting itself to the pool, so pad generation interleaves
-	// fairly with forked shard work instead of hogging a worker.
-	ksChunk = 256
-
-	// ksMaxBlocks bounds the precomputed keystream slab (64 B per block).
-	ksMaxBlocks = 1 << 13
-
-	// minStageBytes auto-tunes the serial-vs-parallel cutover by layer byte
-	// size: a background pipeline stage (keystream precompute, weight
-	// preload) only engages for regions at least this large. Below it the
-	// pool handshake plus the per-layer cancel/join latency cost more than
-	// the crypto the stage hides, so small layers run the serial path even
-	// at high worker counts — the forked-shard paths have their own
-	// per-call cutover in shardCount.
+	// minStageBytes is the cutover of the one background stage, the weight
+	// preload: it only engages for weight regions at least this large.
+	// Below it the pool handshake plus the join latency cost more than the
+	// crypto the stage hides, so small layers load inline even at high
+	// worker counts — the forked-shard paths have their own per-call
+	// cutover in shardCount.
 	minStageBytes = 32 << 10
 )
 
-// defaultParallel is the process-wide default worker count for Executor
-// runs that leave Parallel at 0. It starts at 1 (serial) and can be raised
-// by SetDefaultParallel or the SECULATOR_INFER_PARALLEL environment
-// variable — the latter lets CI force every existing test through the
-// sharded path without code changes.
-var defaultParallel atomic.Int64
+// defaultParallel is the worker count of Executor runs that leave Parallel
+// at 0: 1 (serial) unless SECULATOR_INFER_PARALLEL names a larger count.
+// It is read once at start-up — the variable is how an operator raises the
+// count and how CI forces every existing test through the sharded path
+// without code changes.
+var defaultParallel = 1
 
 func init() {
-	if v, err := strconv.Atoi(os.Getenv("SECULATOR_INFER_PARALLEL")); err == nil && v > 0 {
-		defaultParallel.Store(int64(v))
+	if v, err := strconv.Atoi(os.Getenv("SECULATOR_INFER_PARALLEL")); err == nil && v > 1 {
+		defaultParallel = v
 	}
-	runPooling.Store(true)
-}
-
-// SetDefaultParallel sets the process default intra-inference worker count
-// (values below 1 mean serial).
-func SetDefaultParallel(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultParallel.Store(int64(n))
-}
-
-// DefaultParallel returns the process default intra-inference worker count.
-func DefaultParallel() int {
-	if v := defaultParallel.Load(); v > 1 {
-		return int(v)
-	}
-	return 1
 }
 
 // cryptoPool is the persistent worker pool shared by every parallel
 // inference in the process — workers outlive any single Run, like the
 // serving scheduler's pool. Sized generously relative to GOMAXPROCS: tasks
-// are short and CPU-bound, and the pool also absorbs the keystream and
-// weight-preload stages, which must make progress while forks are waiting.
+// are short and CPU-bound, and the pool also absorbs the weight-preload
+// stage, which must make progress while forks are waiting.
 var (
 	cryptoPoolOnce sync.Once
 	cryptoPool     *parallel.Pool
@@ -119,9 +91,9 @@ func (li *lockedInjector) OnWrite(lineAddr uint64, data []byte) {
 }
 
 // inferRuntime is the per-Run parallel execution state: the worker shards,
-// their scratch, the keystream precompute stage and the weight-preload
-// pipeline. workers == 1 routes everything inline through shard 0, which
-// preserves the exact serial order of every DRAM access and MAC fold.
+// their scratch and the weight-preload pipeline. workers == 1 routes
+// everything inline through shard 0, which preserves the exact serial
+// order of every DRAM access and MAC fold.
 type inferRuntime struct {
 	workers int
 	pool    *parallel.Pool // nil when workers == 1
@@ -139,9 +111,6 @@ type inferRuntime struct {
 	// wDigest collects per-shard XOR folds of first-touch weight MACs
 	// during one forked weight-tile read.
 	wDigest []mac.Digest
-
-	ks       keystream
-	ksEngine *crypto.CTREngine
 
 	preload preloadState
 
@@ -181,7 +150,7 @@ type inferRuntime struct {
 func (x *Executor) workerCount() int {
 	w := x.Parallel
 	if w == 0 {
-		w = DefaultParallel()
+		w = defaultParallel
 	}
 	if w < 1 {
 		w = 1
@@ -201,7 +170,6 @@ func (x *Executor) newRuntime(w int, sm *protect.SeculatorMemory, dram *mem.DRAM
 	rt.wInts = make([][]int32, w)
 	if w > 1 {
 		rt.pool = sharedPool()
-		rt.ksEngine = sm.PadEngine()
 	}
 	return rt
 }
@@ -305,95 +273,6 @@ func (rt *inferRuntime) forkCompute(k0, k1, y0, y1, cost int, fn func(k0, k1, y0
 	})
 }
 
-// keystream is the bounded pad-precompute stage. AES-CTR pads are
-// data-independent and every counter of a layer is deterministic before the
-// layer runs — the producer's identity and final version number come from
-// the VN FSM ⟨η, κ, ρ⟩ — so pads for the producer region are generated on
-// the pool ahead of the reads that consume them. Generation runs in flat
-// block order behind an atomic watermark; consumers past the watermark
-// simply fall back to their shard engine, which produces the identical pad.
-type keystream struct {
-	pads   []byte // slab: one 64-byte pad per covered block, reused across layers
-	limit  int    // blocks covered: min(region blocks, ksMaxBlocks)
-	layout actLayout
-	ready  atomic.Int64 // pads [0, ready) are generated (release/acquire)
-	stop   atomic.Bool
-	wg     sync.WaitGroup
-	engine *crypto.CTREngine
-	pool   *parallel.Pool
-	active bool
-}
-
-// start cancels any previous generation and begins precomputing pads for
-// the producer region p. Must run on the orchestrating goroutine.
-func (ks *keystream) start(pool *parallel.Pool, engine *crypto.CTREngine, p actLayout) {
-	ks.cancel()
-	n := min(p.blocks(), ksMaxBlocks)
-	if n <= 0 || pool == nil || engine == nil {
-		return
-	}
-	need := n * tensor.BlockBytes
-	if cap(ks.pads) < need {
-		ks.pads = make([]byte, need)
-	}
-	// The slab keeps its full length (limit bounds what is consumed), so a
-	// pool-release scrub can wipe every pad it ever held.
-	ks.pads = ks.pads[:cap(ks.pads)]
-	ks.limit = n
-	ks.layout = p
-	ks.ready.Store(0)
-	ks.stop.Store(false)
-	ks.engine = engine
-	ks.pool = pool
-	ks.wg.Add(1)
-	if pool.Submit(func() { ks.step(0) }) != nil {
-		ks.wg.Done()
-		return
-	}
-	ks.active = true
-}
-
-// step generates one chunk of pads and re-submits itself for the next.
-func (ks *keystream) step(from int) {
-	to := min(from+ksChunk, ks.limit)
-	p := ks.layout
-	for b := from; b < to && !ks.stop.Load(); b++ {
-		ch := b / (p.rows * p.bpr)
-		blockIdx := b % (p.rows * p.bpr)
-		ks.engine.Keystream(ks.pads[b*tensor.BlockBytes:(b+1)*tensor.BlockBytes], crypto.Counter{
-			Fmap: uint32(ch), Layer: p.ownerID, VN: uint32(p.vn), Block: uint32(blockIdx),
-		})
-		ks.ready.Store(int64(b + 1))
-	}
-	if to < ks.limit && !ks.stop.Load() {
-		if ks.pool.Submit(func() { ks.step(to) }) == nil {
-			return
-		}
-	}
-	ks.wg.Done()
-}
-
-// pad returns the precomputed pad for the producer block at flat index
-// `flat`, or nil if it is outside the slab or not generated yet. Safe from
-// shard goroutines while generation is running: the atomic watermark
-// publishes each pad before it becomes visible.
-func (ks *keystream) pad(flat int) []byte {
-	if !ks.active || flat >= ks.limit || int64(flat) >= ks.ready.Load() {
-		return nil
-	}
-	return ks.pads[flat*tensor.BlockBytes : (flat+1)*tensor.BlockBytes]
-}
-
-// cancel stops generation and waits for the in-flight chunk to finish.
-func (ks *keystream) cancel() {
-	if !ks.active {
-		return
-	}
-	ks.stop.Store(true)
-	ks.wg.Wait()
-	ks.active = false
-}
-
 // preloadState tracks the layer-overlap pipeline: while layer k executes,
 // a dedicated loader shard host-writes layer k+1's weights and accumulates
 // their golden XOR-MAC on the pool.
@@ -454,10 +333,9 @@ func (rt *inferRuntime) waitPreload() (golden mac.Digest, ok bool) {
 	return rt.preload.golden, true
 }
 
-// drain quiesces every background stage — called on any exit from Run so
-// no pool task touches the run's DRAM after Run returns.
+// drain quiesces the preload stage — called on any exit from Run so no pool
+// task touches the run's DRAM after Run returns.
 func (rt *inferRuntime) drain() {
-	rt.ks.cancel()
 	if rt.preload.pending {
 		<-rt.preload.done
 		rt.preload.pending = false
@@ -567,15 +445,15 @@ func (rt *inferRuntime) preloadScratch(sliceInts, sliceBlocks int) ([]int32, []b
 
 // runState bundles everything one Executor.Run builds before executing:
 // the DRAM image, the secure memory (AES key schedule, MAC checker), and
-// the runtime (shards, staging slabs, background stages). Steady-state
+// the runtime (shards, staging slabs, the preload stage). Steady-state
 // serving traffic recreates exactly this state on every request, keyed by
 // nothing but (worker count, DRAM config, crypto identity) — so completed
 // runs park their state in a sync.Pool and later runs with the same key
 // reuse it instead of re-allocating ~10^4 objects.
 //
 // Scrub discipline (DESIGN.md §15): a state enters the pool only after
-// every plaintext byte of the run — activations, weights, keystream pads,
-// DRAM ciphertext — has been zeroed. The AES key schedule is retained, but
+// every plaintext byte of the run — activations, weights, DRAM ciphertext
+// — has been zeroed. The AES key schedule is retained, but
 // only because the pool key pins the exact (secret, random) identity: a
 // run under any other identity builds fresh state.
 type runState struct {
@@ -594,19 +472,11 @@ var (
 	// remaining identity (DRAM config, secret, random) is checked on Get.
 	runPools sync.Map
 
-	// runPooling gates cross-request run-state reuse; tests flip it off to
-	// produce fresh-state baselines for dirty-reset detection.
-	runPooling atomic.Bool
+	// runPoolingOff disables cross-request run-state reuse; only the
+	// in-package conformance test sets it, to produce fresh-state baselines
+	// for dirty-reset detection.
+	runPoolingOff atomic.Bool
 )
-
-// SetRunPooling enables or disables cross-request reuse of executor run
-// state (on by default). The conformance harness turns it off to build
-// fresh-runtime baselines and compares them bit for bit against pooled
-// runs.
-func SetRunPooling(on bool) { runPooling.Store(on) }
-
-// RunPooling reports whether run-state pooling is enabled.
-func RunPooling() bool { return runPooling.Load() }
 
 func runPoolFor(workers int) *sync.Pool {
 	if p, ok := runPools.Load(workers); ok {
@@ -623,7 +493,7 @@ func runPoolFor(workers int) *sync.Pool {
 // state this path optimizes.
 func (x *Executor) acquireRun() (*runState, error) {
 	w := x.workerCount()
-	poolable := runPooling.Load() && x.AfterPhase == nil && x.Injector == nil
+	poolable := !runPoolingOff.Load() && x.AfterPhase == nil && x.Injector == nil
 	if poolable {
 		if v := runPoolFor(w).Get(); v != nil {
 			rs := v.(*runState)
@@ -646,11 +516,11 @@ func (x *Executor) acquireRun() (*runState, error) {
 	}, nil
 }
 
-// release quiesces the run's background stages and, when the state is
+// release quiesces the run's preload stage and, when the state is
 // pool-eligible, scrubs and parks it for the next compatible run.
 func (rs *runState) release() {
 	rs.rt.drain()
-	if !rs.poolable || !runPooling.Load() {
+	if !rs.poolable || runPoolingOff.Load() {
 		return
 	}
 	if !rs.sm.Recycle(rs.dram, rs.secret, rs.random) {
@@ -662,9 +532,8 @@ func (rs *runState) release() {
 }
 
 // scrub wipes every byte of run-derived data from the runtime's pooled
-// scratch: shard staging, row buffers, keystream pads (they ARE the CTR
-// pads — key material), decoded activations and weights, and the preload
-// stage. Bitmaps and digests clear too, so a dirty reset cannot leak one
+// scratch: shard staging, row buffers, decoded activations and weights,
+// and the preload stage. Bitmaps and digests clear too, so a dirty reset cannot leak one
 // run's protocol state into the next.
 func (rt *inferRuntime) scrub() {
 	for _, sh := range rt.shards {
@@ -679,10 +548,6 @@ func (rt *inferRuntime) scrub() {
 		clear(rt.rowCT[i])
 	}
 	clear(rt.wDigest)
-	clear(rt.ks.pads)
-	rt.ks.limit = 0
-	rt.ks.ready.Store(0)
-	rt.ks.layout = actLayout{}
 	clear(rt.inData)
 	clear(rt.outData[0])
 	clear(rt.outData[1])

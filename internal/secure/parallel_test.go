@@ -168,30 +168,3 @@ func TestParallelSingleBitFlipRecovered(t *testing.T) {
 		t.Fatal("recovered parallel output differs from the reference")
 	}
 }
-
-// TestDefaultParallelKnob: the process default resolves Executor.Parallel=0
-// runs, floors at serial, and is what SECULATOR_INFER_PARALLEL seeds.
-func TestDefaultParallelKnob(t *testing.T) {
-	saved := secure.DefaultParallel()
-	defer secure.SetDefaultParallel(saved)
-
-	secure.SetDefaultParallel(6)
-	if got := secure.DefaultParallel(); got != 6 {
-		t.Fatalf("DefaultParallel = %d, want 6", got)
-	}
-	secure.SetDefaultParallel(0)
-	if got := secure.DefaultParallel(); got != 1 {
-		t.Fatalf("DefaultParallel after 0 = %d, want 1 (serial)", got)
-	}
-
-	secure.SetDefaultParallel(8)
-	net := twoConvNet()
-	in, ws, golden := modelAndGolden(t, net, 13)
-	res, err := secure.NewExecutor().Run(context.Background(), net, in, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Output.Equal(golden) {
-		t.Fatal("default-parallel run diverged from reference")
-	}
-}

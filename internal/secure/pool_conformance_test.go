@@ -75,7 +75,8 @@ func TestPooledRuntimeConformance(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			// Fresh-state baselines: pooling off, a new executor per run.
-			SetRunPooling(false)
+			runPoolingOff.Store(true)
+			defer runPoolingOff.Store(false)
 			baselines := make([]*nn.Tensor, len(seq))
 			baseRegs := make([]protect.RegisterState, len(seq))
 			for i, c := range seq {
@@ -86,8 +87,7 @@ func TestPooledRuntimeConformance(t *testing.T) {
 
 			// Pooled: one executor, consecutive runs, state recycled
 			// between them.
-			SetRunPooling(true)
-			defer SetRunPooling(true)
+			runPoolingOff.Store(false)
 			x := NewExecutor()
 			x.Parallel = workers
 			for i, c := range seq {
@@ -109,8 +109,6 @@ func TestPooledRuntimeConformance(t *testing.T) {
 // identity must never serve a run under another. The second executor uses
 // a different secret; its run must still match its own fresh reference.
 func TestPooledRuntimeIdentityMismatch(t *testing.T) {
-	SetRunPooling(true)
-	defer SetRunPooling(true)
 	c := conformanceSequence()[0]
 	in, ws := nn.RandomModel(c.net, c.seed)
 
@@ -138,8 +136,6 @@ func TestPooledRuntimeIdentityMismatch(t *testing.T) {
 // (acquire/scrub/release and the preload hand-off); functionally every
 // result must match its golden reference.
 func TestRunPoolHammer(t *testing.T) {
-	SetRunPooling(true)
-	defer SetRunPooling(true)
 
 	seq := conformanceSequence()
 	goldens := make([]*nn.Tensor, len(seq))

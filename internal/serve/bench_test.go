@@ -3,7 +3,6 @@ package serve_test
 import (
 	"context"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,26 +72,6 @@ func BenchmarkServeInferResident(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkServeInferParallel drives concurrent clients at one pinned
-// model so the micro-batcher and the residency cache both engage — the
-// serving throughput figure.
-func BenchmarkServeInferParallel(b *testing.B) {
-	c := newBenchServer(b, serve.Options{
-		Scheduler: serve.SchedulerConfig{MaxBatch: 8, Linger: time.Millisecond, MaxQueue: 4096},
-	})
-	ctx := context.Background()
-	var iter atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			req := serve.InferRequest{Network: "Mini", Seed: 1, Input: benchInput(int(iter.Add(1)))}
-			if _, err := c.Infer(ctx, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkServeSessionInfer adds the authenticated command channel to the

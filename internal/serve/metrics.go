@@ -55,7 +55,7 @@ func newMetrics(s *Server) *Metrics {
 	r.Counter("seculator_serve_batch_items_total", &m.batchItems)
 	r.Counter("seculator_serve_batch_max_size", &m.maxBatch.Counter)
 	r.Collect(func(w *metrics.Writer) {
-		w.Int("seculator_serve_queue_depth", int64(s.fair.Depth()))
+		w.Int("seculator_serve_queue_depth", int64(s.sched.Depth()))
 		w.Int("seculator_serve_sessions_active", int64(s.sessions.Active()))
 	})
 	r.Counter("seculator_serve_sessions_created_total", &s.sessions.created)

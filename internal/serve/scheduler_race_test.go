@@ -47,7 +47,7 @@ func TestSchedulerLingerPoolRace(t *testing.T) {
 				// dispatch path) while stragglers ride the linger timer.
 				key := fmt.Sprintf("net=k%d", rng.Intn(2))
 				want := g*perG + i
-				res, info, err := s.Submit(ctx, key, func(ctx context.Context, b BatchInfo) (any, error) {
+				res, info, err := s.Submit(ctx, nil, key, func(ctx context.Context, b BatchInfo) (any, error) {
 					if d := rng.Intn(3); d > 0 {
 						// Occasional stalls keep batches in flight while their
 						// headers' previous incarnations are being flushed.
@@ -110,7 +110,7 @@ func TestSchedulerLingerPoolRaceWithExpiry(t *testing.T) {
 					// queued, some while their batch is dispatching.
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(i%3)*25*time.Microsecond)
 				}
-				_, _, err := s.Submit(ctx, "net=hot", func(ctx context.Context, b BatchInfo) (any, error) {
+				_, _, err := s.Submit(ctx, nil, "net=hot", func(ctx context.Context, b BatchInfo) (any, error) {
 					return nil, nil
 				})
 				if cancel != nil {

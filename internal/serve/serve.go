@@ -16,17 +16,18 @@
 //	GET  /metrics                       Prometheus-style counters
 //
 // Requests authenticate to a tenant (tenant.go: API-key registry, token
-// buckets) and flow through weighted fair-share admission (fair.go: deficit
-// round-robin over per-tenant bounded sub-queues) into the micro-batching
-// scheduler (scheduler.go): requests for the same network admitted within a
-// linger window execute as one batch on a persistent worker pool, admission
-// control bounds every queue with 429/503 backpressure, and per-request
-// deadlines come from context. An inference that latches a security breach
-// (replay, splice, channel tampering) maps to 409 with the typed class and
-// layer index, evicts its session — the serving-layer "security breach →
-// reboot" of Figure 6 — and feeds the tenant's quarantine circuit breaker
-// (breaker.go), which escalates repeat offenders from throttled probation
-// to a full 451 quarantine with timed half-open probes.
+// buckets) and flow through the one scheduler (scheduler.go): weighted
+// fair-share admission — deficit round-robin over per-tenant bounded
+// sub-queues — grants requests into micro-batches, so requests for the same
+// network granted within a linger window dispatch as one batch on a
+// persistent worker pool, one depth bound sheds with 429/503 backpressure,
+// and per-request deadlines come from context. An inference that latches a
+// security breach (replay, splice, channel tampering) maps to 409 with the
+// typed class and layer index, evicts its session — the serving-layer
+// "security breach → reboot" of Figure 6 — and feeds the tenant's
+// quarantine circuit breaker (breaker.go), which escalates repeat offenders
+// from throttled probation to a full 451 quarantine with timed half-open
+// probes.
 package serve
 
 import (
@@ -76,15 +77,6 @@ type Options struct {
 	// pinned state. The zero value enables it with defaults; set Disabled
 	// to restore per-request provisioning.
 	Residency ResidencyConfig
-
-	// InferWorkers is the intra-inference crypto worker count applied to
-	// every inference this server runs: 0 uses the process default
-	// (secure.SetDefaultParallel / SECULATOR_INFER_PARALLEL), 1 forces
-	// serial, >1 shards each request's block MACs and keystreams across
-	// that many workers. Outputs are bit-identical at any setting; the
-	// knob trades per-request latency against cross-request throughput
-	// on the shared worker pool.
-	InferWorkers int
 
 	// Intercept and Hook are attack instrumentation applied to every
 	// session-bound inference: the command-channel man in the middle and
@@ -137,12 +129,12 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Server is the serving daemon: tenant registry + fair-share admission +
+// Server is the serving daemon: tenant registry + fair-share batching
 // scheduler + session store.
 type Server struct {
 	opts        Options
 	cfg         runner.Config
-	fair        *FairQueue
+	sched       *Scheduler
 	tenants     *TenantRegistry
 	sessions    *SessionManager
 	metrics     *Metrics
@@ -189,8 +181,8 @@ func New(opts Options) (*Server, error) {
 	if !opts.Residency.Disabled {
 		s.residency = newResidencyManager(opts.Residency, s.metrics)
 	}
-	s.fair = NewFairQueue(opts.Scheduler)
-	s.fair.Scheduler().onBatch = s.metrics.Batch
+	s.sched = NewScheduler(opts.Scheduler)
+	s.sched.onBatch = s.metrics.Batch
 
 	s.register(MiniNet())
 	for _, n := range workload.All() {
@@ -288,7 +280,7 @@ func (s *Server) Close(ctx context.Context) error {
 		s.draining.Store(true)
 		close(s.janitor)
 		go func() {
-			s.fair.Close()
+			s.sched.Close()
 			s.janitorWG.Wait()
 			close(s.closed)
 		}()
@@ -436,7 +428,7 @@ func (s *Server) handleDesigns(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	resp := HealthResponse{Status: "ok", Sessions: s.sessions.Active(), Queue: s.fair.Depth()}
+	resp := HealthResponse{Status: "ok", Sessions: s.sessions.Active(), Queue: s.sched.Depth()}
 	if s.Draining() {
 		resp.Status = "draining"
 	}
@@ -576,18 +568,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// From here on every exit on which the request never executed — rate
-	// limit, validation, unknown session, admission shed — frees an unused
-	// half-open probe slot at this one point; an executed request feeds its
-	// result back to the quarantine breaker through outcome instead.
-	executed := false
+	// From here on every exit on which no inference completed — rate limit,
+	// validation, unknown session, admission shed, deadline, cancel — frees
+	// an unused half-open probe slot at this one point; a completed or
+	// breached request feeds its result back to the quarantine breaker
+	// through outcome instead.
+	recorded := false
 	defer func() {
-		if probe && !executed {
+		if probe && !recorded {
 			br.Release(probe)
 		}
 	}()
 	outcome := func(breach bool) {
-		executed = true
+		recorded = true
 		if br != nil {
 			br.Record(breach, probe, s.tenants.Now())
 		}
@@ -649,7 +642,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	key := "net=" + net.Name
-	res, info, err := s.fair.Submit(ctx, tenant, key, func(ctx context.Context, b BatchInfo) (any, error) {
+	res, info, err := s.sched.Submit(ctx, tenant, key, func(ctx context.Context, b BatchInfo) (any, error) {
 		return s.runInference(ctx, net, &req, grant, tenant.Name())
 	})
 	if err != nil {
@@ -658,7 +651,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			s.metrics.tenantShed.Inc(tenant.Name(), ShedQueue)
 		} else {
 			s.metrics.tenantAdmitted.Inc(tenant.Name())
-			outcome(breachError(err))
+			// Only a breach is an observation about the tenant. A deadline
+			// (the client picks it), a cancel or any other failure never
+			// completed an inference: it must not count as a clean probe,
+			// so it frees the probe slot at the deferred release instead.
+			if breachError(err) {
+				outcome(true)
+			}
 		}
 		status, body := statusFor(err)
 		if req.Session != "" && breachError(err) {
@@ -780,7 +779,6 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 			Input: in, Weights: ws,
 			Intercept:   s.interceptFor(tenant),
 			Hook:        s.hookFor(tenant),
-			Parallel:    s.opts.InferWorkers,
 			BaseSeq:     grant.BaseSeq,
 			Residency:   resident,
 			OnLayerMACs: onMACs,
@@ -797,7 +795,6 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 		x := secure.NewExecutor()
 		x.NPU, x.DRAM = s.cfg.NPU, s.cfg.DRAM
 		x.AfterPhase = s.hookFor(tenant)
-		x.Parallel = s.opts.InferWorkers
 		x.Residency = resident
 		x.OnLayerMACs = onMACs
 		fr, err := x.Run(ctx, net, in, ws)

@@ -161,7 +161,7 @@ func TestFairShareWeights(t *testing.T) {
 		t.Fatalf("registry order: %s, %s", a.Name(), b.Name())
 	}
 
-	fq := serve.NewFairQueue(serve.SchedulerConfig{Workers: 2, MaxQueue: 256, MaxBatch: 1})
+	fq := serve.NewScheduler(serve.SchedulerConfig{Workers: 2, MaxQueue: 256, MaxBatch: 1})
 	defer fq.Close()
 
 	// Hold the release window with blockers so both tenant queues fill
