@@ -1,13 +1,13 @@
 // Command seculator-serve is the secure inference serving daemon: it
 // exposes the Seculator host/NPU stack over HTTP with session management,
-// micro-batching and admission control, and drains gracefully on
+// fair-share scheduling and admission control, and drains gracefully on
 // SIGTERM/SIGINT.
 //
 // Usage:
 //
 //	seculator-serve                          # serve on :8080
 //	seculator-serve -addr 127.0.0.1:9090
-//	seculator-serve -batch 16 -linger 5ms -queue 512 -workers 8
+//	seculator-serve -queue 512 -workers 8
 //	seculator-serve -loadgen -rps 200 -duration 5s -network Mini
 //	seculator-serve -loadgen -target http://host:8080 -rps 100
 //	seculator-serve -loadgen -gateway http://gw:8080 -rps 100   # per-replica attribution
@@ -61,9 +61,7 @@ func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address")
 		queue   = flag.Int("queue", 256, "admission queue depth (429 beyond it)")
-		batch   = flag.Int("batch", 8, "max requests per micro-batch")
-		linger  = flag.Duration("linger", 2*time.Millisecond, "batch formation window")
-		workers = flag.Int("workers", 0, "batch executor pool size (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "requests executing at once (0 = GOMAXPROCS)")
 		idle    = flag.Duration("session-idle", 5*time.Minute, "session idle expiry")
 		timeout = flag.Duration("timeout", 30*time.Second, "default per-request deadline")
 
@@ -99,8 +97,6 @@ func main() {
 		Scheduler: serve.SchedulerConfig{
 			Workers:  *workers,
 			MaxQueue: *queue,
-			MaxBatch: *batch,
-			Linger:   *linger,
 		},
 		SessionIdle:    *idle,
 		DefaultTimeout: *timeout,
@@ -422,7 +418,7 @@ func runSmoke(opts serve.Options) error {
 	if err := drain(); err != nil {
 		return fmt.Errorf("smoke: drain: %w", err)
 	}
-	fmt.Printf("SMOKE OK: %s over HTTP, %d commands, checksum %#x, batch %d, drained cleanly\n",
-		resp.Network, resp.Commands, resp.OutputSum, resp.BatchSize)
+	fmt.Printf("SMOKE OK: %s over HTTP, %d commands, checksum %#x, drained cleanly\n",
+		resp.Network, resp.Commands, resp.OutputSum)
 	return nil
 }

@@ -1,7 +1,7 @@
 // Serving demonstrates the secure inference service end to end, all in one
 // process: it brings up the HTTP server on a loopback port, opens a secure
 // session (the Figure-6 key negotiation, here delivered as an API key),
-// runs inferences through the micro-batching scheduler, verifies the
+// runs an inference through the fair-share scheduler, verifies the
 // returned checksum against the local reference computation, shows how a
 // command-channel breach maps to a typed HTTP error that evicts the
 // session, and finally drains the server gracefully.
@@ -33,7 +33,6 @@ func main() {
 		captured *host.Packet
 	)
 	srv, err := serve.New(serve.Options{
-		Scheduler: serve.SchedulerConfig{MaxBatch: 8, Linger: 2 * time.Millisecond},
 		Intercept: func(layer int, p *host.Packet) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -91,28 +90,6 @@ func main() {
 	}
 	fmt.Printf("session %s: %s in %d cycles, %d authenticated commands, checksum %#x (%s)\n",
 		sess.SessionID, resp.Network, resp.Cycles, resp.Commands, resp.OutputSum, status)
-
-	// A burst of concurrent requests rides shared micro-batches.
-	var wg sync.WaitGroup
-	batched := 0
-	var bmu sync.Mutex
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r, err := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: seed})
-			if err != nil {
-				return
-			}
-			bmu.Lock()
-			if r.BatchSize > batched {
-				batched = r.BatchSize
-			}
-			bmu.Unlock()
-		}(int64(i + 100))
-	}
-	wg.Wait()
-	fmt.Printf("burst of 8: largest micro-batch %d\n", batched)
 
 	// Breach: the next session request crosses a compromised channel. The
 	// server maps the typed ChannelError to 409 and evicts the session.

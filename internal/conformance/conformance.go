@@ -13,10 +13,10 @@
 //  4. attack detection: randomized tamper/replay/swap/splice mutations are
 //     detected with zero false negatives, honest runs with zero false
 //     positives;
-//  5. pipelined-batch equivalence: a serving micro-batch riding one shared
-//     verified-weight residency, its requests free-running on the worker
-//     pool, is bit-identical, request by request, to serial non-resident
-//     runs;
+//  5. concurrent resident requests vs serial baseline: requests running
+//     at once on the serving scheduler's workers, all riding one shared
+//     verified-weight residency, are bit-identical, request by request, to
+//     serial non-resident runs;
 //  6. gateway attack replay: the command-channel MITM mounted through a
 //     2-replica gateway fleet is detected with zero false negatives and
 //     zero false positives, including against a session live-migrated

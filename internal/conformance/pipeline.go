@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"seculator/internal/nn"
 	"seculator/internal/protect"
@@ -14,21 +13,21 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Oracle 5: pipelined-batch equivalence.
+// Oracle 5: concurrent resident requests vs serial baseline.
 // ---------------------------------------------------------------------------
 
-// pipelineBatch is how many requests the pipelined-batch oracle rides
-// through one micro-batch.
+// pipelineBatch is how many requests the oracle runs at once.
 const pipelineBatch = 3
 
-// CheckPipelinedBatch replays a micro-batch through the serving tier's
-// scheduler — every request attached to one shared verified-weight
-// residency, each its own pool task running free of the others, so any
-// layer of one request may overlap any layer of another — and demands each
-// request be bit-identical to its own serial, non-resident baseline: same
-// decrypted output, same OutputMAC, same per-layer register snapshots, same
-// DRAM block count. This is the serial/parallel oracle extended across
-// requests: interleaving and residency must both be unobservable.
+// CheckPipelinedBatch runs pipelineBatch requests at once through the
+// serving tier's scheduler — every request attached to one shared
+// verified-weight residency, each on its own worker running free of the
+// others, so any layer of one request may overlap any layer of another —
+// and demands each request be bit-identical to its own serial, non-resident
+// baseline: same decrypted output, same OutputMAC, same per-layer register
+// snapshots, same DRAM block count. This is the serial/parallel oracle
+// extended across requests: interleaving and residency must both be
+// unobservable.
 func CheckPipelinedBatch(cfg Config) error {
 	net := cfg.Net.Network()
 	if err := net.Validate(); err != nil {
@@ -84,21 +83,23 @@ func CheckPipelinedBatch(cfg Config) error {
 		return fmt.Errorf("fresh residency failed its own epoch check: %w", err)
 	}
 
-	// The batched replay: one scheduler micro-batch, every item resident.
-	sched := serve.NewScheduler(serve.SchedulerConfig{
-		Workers: pipelineBatch, MaxQueue: 2 * pipelineBatch,
-		MaxBatch: pipelineBatch, Linger: 20 * time.Millisecond,
-	})
+	// The concurrent replay: one worker per request, every request
+	// resident. No run starts before all of them hold a worker, so they
+	// overlap however small the network.
+	sched := serve.NewScheduler(serve.SchedulerConfig{Workers: pipelineBatch, MaxQueue: 2 * pipelineBatch})
 	defer sched.Close()
 
 	snaps := make([]runSnapshot, pipelineBatch)
 	errs := make([]error, pipelineBatch)
-	var wg sync.WaitGroup
+	var wg, started sync.WaitGroup
+	started.Add(pipelineBatch)
 	for i := range inputs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := sched.Submit(ctx, nil, "pipeline-oracle", func(context.Context, serve.BatchInfo) (any, error) {
+			_, _, err := sched.Submit(ctx, nil, func(context.Context) (any, error) {
+				started.Done()
+				started.Wait()
 				snap, err := run(inputs[i], res)
 				snaps[i] = snap
 				return nil, err
@@ -110,10 +111,10 @@ func CheckPipelinedBatch(cfg Config) error {
 
 	for i := range snaps {
 		if errs[i] != nil {
-			return fmt.Errorf("batch item %d: %w", i, errs[i])
+			return fmt.Errorf("concurrent request %d: %w", i, errs[i])
 		}
 		if err := snaps[i].diff(base[i], pipelineBatch, 1); err != nil {
-			return fmt.Errorf("batch item %d vs serial baseline: %w", i, err)
+			return fmt.Errorf("concurrent request %d vs serial baseline: %w", i, err)
 		}
 	}
 	return nil

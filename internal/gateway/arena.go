@@ -42,7 +42,8 @@ func mustErrorBody(msg string) []byte {
 	return b
 }
 
-// upstreamErrorStatic writes a pre-serialized 502 body.
+// upstreamErrorStatic writes a pre-serialized 502 body with the
+// Retry-After header its retry_after_ms of 1000 stands for.
 func (g *Gateway) upstreamErrorStatic(w http.ResponseWriter, pre []byte) {
-	g.relay(w, forwardResult{status: http.StatusBadGateway, body: pre})
+	g.relay(w, forwardResult{status: http.StatusBadGateway, body: pre, retryAfter: "1"})
 }

@@ -311,11 +311,12 @@ func tenantKeyOf(r *http.Request) string {
 
 // ---- forwarding ----
 
-// forwardResult is one proxied exchange: the replica's status and raw
-// body, relayed (or patched) downstream.
+// forwardResult is one proxied exchange: the replica's status, raw body
+// and Retry-After header, relayed (or patched) downstream.
 type forwardResult struct {
-	status int
-	body   []byte
+	status     int
+	body       []byte
+	retryAfter string // the Retry-After header value; "" when absent
 }
 
 // forward proxies one request to a replica, copying the tenant auth
@@ -378,20 +379,25 @@ func (g *Gateway) forward(caller context.Context, rep *replica, method, path str
 	}
 	g.metrics.Forward(rep.name, time.Since(start), true)
 	rep.hp.ObserveSuccess(time.Now())
-	return forwardResult{status: resp.StatusCode, body: data}, nil
+	return forwardResult{status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After")}, nil
 }
 
-// relay writes a forwarded response downstream verbatim.
+// relay writes a forwarded response downstream verbatim, its Retry-After
+// header included: a client that reads headers, not our error body, must
+// see a shedding replica's backoff hint through the gateway too.
 func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 	g.metrics.Request(fr.status)
 	w.Header().Set("Content-Type", "application/json")
+	if fr.retryAfter != "" {
+		w.Header().Set("Retry-After", fr.retryAfter)
+	}
 	w.WriteHeader(fr.status)
 	_, _ = w.Write(fr.body)
 }
 
 func (g *Gateway) writeError(w http.ResponseWriter, status int, body serve.ErrorBody) {
 	g.metrics.Request(status)
-	serve.WriteJSON(w, status, &body)
+	serve.WriteError(w, status, body)
 }
 
 func (g *Gateway) upstreamError(w http.ResponseWriter, why string) {

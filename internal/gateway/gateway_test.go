@@ -291,3 +291,75 @@ func TestGatewayClientCancelDoesNotEjectReplicas(t *testing.T) {
 		t.Fatalf("live request after three hung-up clients: %v", err)
 	}
 }
+
+// postInfer sends one raw POST /v1/infer and returns the status and the
+// Retry-After header, which the typed client does not surface.
+func postInfer(t *testing.T, base, apiKey string) (status int, retryAfter string) {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctxT(t), http.MethodPost, base+"/v1/infer",
+		strings.NewReader(`{"network":"Mini","seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-API-Key", apiKey)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("Retry-After")
+}
+
+// Retry-After survives the gateway: a rate-limited replica's 429 carries
+// the same header through the gateway as it does directly, and the
+// gateway's own 502s — dynamic and pre-serialized — carry one too.
+func TestGatewayRelaysRetryAfter(t *testing.T) {
+	c, err := gateway.StartLocal(gateway.LocalOptions{
+		Replicas: 1,
+		Gateway:  gateway.Options{Health: fastHealth()},
+		ServeOptions: func(int) serve.Options {
+			return serve.Options{Tenants: []serve.TenantConfig{{Key: "k", RateRPS: 0.001, Burst: 1}}}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+
+	if status, _ := postInfer(t, c.GatewayURL, "k"); status != http.StatusOK {
+		t.Fatalf("first request through the gateway: %d", status)
+	}
+	status, via := postInfer(t, c.GatewayURL, "k")
+	if status != http.StatusTooManyRequests {
+		t.Fatalf("second request through the gateway: %d, want 429", status)
+	}
+	status, direct := postInfer(t, c.Replicas[0].URL, "k")
+	if status != http.StatusTooManyRequests || direct == "" {
+		t.Fatalf("direct request to the replica: %d with Retry-After %q", status, direct)
+	}
+	if via != direct {
+		t.Fatalf("Retry-After through the gateway %q, from the replica directly %q", via, direct)
+	}
+
+	// The replica dies: while it is still in rotation the forward fails (a
+	// 502 rendered per request); once it is ejected no replica is left (the
+	// pre-serialized 502).
+	c.Kill(c.Replicas[0].Name)
+	bad := func() {
+		t.Helper()
+		if status, retry := postInfer(t, c.GatewayURL, "k"); status != http.StatusBadGateway || retry != "1" {
+			t.Fatalf("request with the only replica dead: %d with Retry-After %q, want 502 with \"1\"", status, retry)
+		}
+	}
+	waitFor(t, 10*time.Second, "the dead replica's ejection", func() bool {
+		bad()
+		scrape, err := client.New(c.GatewayURL, nil).Metrics(ctxT(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := metricLookup(t, scrape, "seculator_gateway_replica_ejections_total")
+		return v > 0
+	})
+	bad()
+}

@@ -22,7 +22,7 @@ import (
 // forward failures without waiting out probe intervals.
 //
 // Draining is deliberately not a state of this FSM: a draining replica is
-// *healthy* (it finishes in-flight micro-batches and still serves
+// *healthy* (it finishes in-flight requests and still serves
 // session inference while its sessions migrate away); it just refuses new
 // placements. It is tracked as an overlay flag read from the replica's
 // own /healthz status.

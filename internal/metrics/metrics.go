@@ -61,15 +61,6 @@ func (r *Registry) MillisCounter(name string, c *Counter) {
 // registers the same way.
 type Gauge struct{ Counter }
 
-// Max raises the gauge to v if v is larger (a high-water mark).
-func (g *Gauge) Max(v int64) {
-	for cur := g.v.Load(); v > cur; cur = g.v.Load() {
-		if g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // maxLabels is the widest label set a CounterVec carries; a fixed-size
 // key is what lets Inc look a label set up without allocating.
 const maxLabels = 2

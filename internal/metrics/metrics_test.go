@@ -37,8 +37,7 @@ func TestRenderOrderAndFormats(t *testing.T) {
 	shed.Inc("a", "rate")
 	shed.Inc("a", "queue")
 	shed.Inc("a", "rate")
-	high.Max(4)
-	high.Max(2)
+	high.Add(4)
 	high.Add(-1)
 
 	const want = `z_first_total 3
@@ -91,14 +90,14 @@ func TestIncrementsDoNotAllocate(t *testing.T) {
 // Concurrent increments and scrapes neither race nor lose counts.
 func TestConcurrentIncrementsAndScrapes(t *testing.T) {
 	var (
-		r   Registry
-		c   Counter
-		v   CounterVec
-		max Gauge
+		r Registry
+		c Counter
+		v CounterVec
+		g Gauge
 	)
 	r.Counter("c", &c)
 	r.CounterVec("v", &v, "k")
-	r.Counter("max", &max.Counter)
+	r.Counter("g", &g.Counter)
 
 	const workers, each = 8, 500
 	var wg sync.WaitGroup
@@ -109,7 +108,8 @@ func TestConcurrentIncrementsAndScrapes(t *testing.T) {
 			for i := 0; i < each; i++ {
 				c.Inc()
 				v.Inc(Code(200 + w%2))
-				max.Max(int64(w*each + i))
+				g.Add(2)
+				g.Add(-1)
 				if i%100 == 0 {
 					_ = r.Render()
 				}
@@ -117,7 +117,7 @@ func TestConcurrentIncrementsAndScrapes(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	want := "c 4000\nv{k=\"200\"} 2000\nv{k=\"201\"} 2000\nmax 3999\n"
+	want := "c 4000\nv{k=\"200\"} 2000\nv{k=\"201\"} 2000\ng 4000\n"
 	if got := r.Render(); got != want {
 		t.Fatalf("scrape %q, want %q", got, want)
 	}

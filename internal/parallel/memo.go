@@ -37,11 +37,22 @@ type memoEntry[V any] struct {
 //
 // Cached values are shared across callers: treat anything returned
 // through a Memo as immutable.
+//
+// The table holds at most memoCap entries. The working set of every
+// caller is far smaller; the bound only guards against unbounded growth
+// when keys derive from caller-chosen input (the serving tier's
+// "Name/div" network names). On overflow the table is cleared rather than
+// LRU-evicted, as sched's mapping memo does; a compute in flight at that
+// moment still completes through its entry's sync.Once and is returned to
+// everyone already waiting on it.
 type Memo[K comparable, V any] struct {
 	mu           sync.RWMutex
 	entries      map[K]*memoEntry[V]
 	hits, misses uint64
 }
+
+// memoCap is the most entries a Memo holds before it clears itself.
+const memoCap = 4096
 
 // NewMemo returns an empty cache.
 func NewMemo[K comparable, V any]() *Memo[K, V] {
@@ -58,6 +69,9 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 	if !ok {
 		m.mu.Lock()
 		if e, ok = m.entries[key]; !ok {
+			if len(m.entries) >= memoCap {
+				m.entries = make(map[K]*memoEntry[V])
+			}
 			e = &memoEntry[V]{}
 			m.entries[key] = e
 			m.misses++

@@ -259,3 +259,47 @@ func TestMemoDistinctKeys(t *testing.T) {
 		t.Fatalf("stats = %+v, want 10 entries / 10 misses", s)
 	}
 }
+
+// TestMemoBounded: the table never holds more than memoCap entries, a
+// compute in flight when the table clears still delivers its value, and a
+// key computed after the clear hits when repeated.
+func TestMemoBounded(t *testing.T) {
+	m := NewMemo[int, int]()
+	started, finish := make(chan struct{}), make(chan struct{})
+	inflight := make(chan int, 1)
+	go func() {
+		v, _ := m.Do(-1, func() (int, error) {
+			close(started)
+			<-finish
+			return 7, nil
+		})
+		inflight <- v
+	}()
+	<-started
+
+	for i := 0; i < memoCap+10; i++ {
+		if _, err := m.Do(i, func() (int, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.Stats().Entries; n > memoCap {
+			t.Fatalf("%d entries after %d distinct keys, bound is %d", n, i+2, memoCap)
+		}
+	}
+	close(finish)
+	if v := <-inflight; v != 7 {
+		t.Fatalf("compute in flight across the clear returned %d, want 7", v)
+	}
+
+	last := memoCap + 9
+	before := m.Stats()
+	v, err := m.Do(last, func() (int, error) {
+		t.Error("recomputed a key cached after the clear")
+		return 0, nil
+	})
+	if err != nil || v != last {
+		t.Fatalf("repeat of key %d = (%d, %v)", last, v, err)
+	}
+	if after := m.Stats(); after.Hits != before.Hits+1 {
+		t.Fatalf("repeat of a cached key: %+v -> %+v, want one more hit", before, after)
+	}
+}

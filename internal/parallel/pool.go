@@ -11,15 +11,12 @@ var ErrPoolClosed = errors.New("parallel: pool closed")
 
 // Pool is the persistent counterpart to Map/ForEach: a fixed set of worker
 // goroutines consuming an unbounded FIFO of tasks. Map is built for one-shot
-// experiment fan-outs that start and finish together; a long-lived server
-// needs workers that outlive any single request, so the serving scheduler
-// submits each micro-batch here instead of spawning goroutines per request.
+// experiment fan-outs that start and finish together; the executor's
+// fork/join and preload need workers that outlive any single run.
 //
 // The queue is deliberately unbounded: admission control (bounding how much
 // work may be outstanding) belongs to the caller, which can reject work
-// before it is submitted — the serving layer does exactly that with its
-// queue-depth limit. An in-pool bound would make Submit block, and a
-// blocking Submit under the scheduler's lock is a deadlock.
+// before it is submitted. An in-pool bound would make Submit block.
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -142,5 +143,36 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 		if got[i].Design != d {
 			t.Fatalf("result %d is design %v, want %v — ordering lost", i, got[i].Design, d)
 		}
+	}
+}
+
+// TestRunCachedBounded: network names are caller-chosen on the serving
+// path ("Name/div"), so the cache must not keep one entry per distinct name
+// for ever (parallel's tests pin the bound itself) — and a point simulated
+// after an overflow still hits when repeated.
+func TestRunCachedBounded(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	cfg := DefaultConfig()
+	ctx := context.Background()
+	net := workload.Network{
+		Layers: []workload.Layer{{Name: "c1", Type: workload.Conv, C: 1, H: 3, W: 3, K: 1, R: 3, S: 3, Stride: 1}},
+	}
+	const names = 6000
+	for i := 0; i < names; i++ {
+		net.Name = fmt.Sprintf("bounded/%d", i)
+		if _, err := RunCached(ctx, net, protect.Seculator, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := CacheStats()
+	if before.Entries >= names {
+		t.Fatalf("%d entries after %d distinct names: the cache is unbounded", before.Entries, names)
+	}
+	if _, err := RunCached(ctx, net, protect.Seculator, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if after := CacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("repeating the last point: %+v -> %+v, want one more hit", before, after)
 	}
 }

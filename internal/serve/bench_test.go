@@ -42,8 +42,7 @@ func benchInput(i int) []int32 {
 }
 
 // BenchmarkServeInfer is the serving-layer round-trip: HTTP + scheduler +
-// secure functional inference, one request at a time (no batching
-// headroom). Seeds vary per iteration — a distinct model per request, so
+// secure functional inference, one request at a time. Seeds vary per iteration — a distinct model per request, so
 // every request pays a residency build: the cold path.
 func BenchmarkServeInfer(b *testing.B) {
 	c := newBenchServer(b, serve.Options{})

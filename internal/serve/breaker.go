@@ -118,14 +118,13 @@ type Breaker struct {
 	probing  bool        // a half-open probe is in flight
 	probeOK  int         // consecutive clean probes
 
-	throttleTokens float64
-	throttleLast   time.Time
+	throttle tokenBucket // the probation bucket while throttled
 }
 
 // NewBreaker builds a breaker with defaults applied.
 func NewBreaker(cfg QuarantineConfig) *Breaker {
 	cfg.setDefaults()
-	return &Breaker{cfg: cfg, throttleTokens: float64(cfg.ThrottleBurst)}
+	return &Breaker{cfg: cfg, throttle: tokenBucket{rate: cfg.ThrottleRPS, burst: float64(cfg.ThrottleBurst)}}
 }
 
 // prune drops breaches older than the window. Caller holds b.mu.
@@ -162,13 +161,13 @@ func (b *Breaker) Allow(tenant string, now time.Time) (probe bool, err error) {
 	case BreakerClosed:
 		return false, nil
 	case BreakerThrottled:
-		if b.takeThrottleToken(now) {
+		ok, wait := b.throttle.take(now)
+		if ok {
 			return false, nil
 		}
-		need := (1 - b.throttleTokens) / b.cfg.ThrottleRPS
 		return false, &resilience.QuarantineError{
 			Tenant: tenant, State: b.state.String(), Breaches: len(b.breaches),
-			RetryAfter: time.Duration(need * float64(time.Second)),
+			RetryAfter: wait,
 		}
 	case BreakerOpen:
 		return false, &resilience.QuarantineError{
@@ -185,24 +184,6 @@ func (b *Breaker) Allow(tenant string, now time.Time) (probe bool, err error) {
 			RetryAfter: b.cfg.OpenFor / 4,
 		}
 	}
-}
-
-// takeThrottleToken is the probation bucket. Caller holds b.mu.
-func (b *Breaker) takeThrottleToken(now time.Time) bool {
-	if b.throttleLast.IsZero() {
-		b.throttleTokens = float64(b.cfg.ThrottleBurst)
-	} else if dt := now.Sub(b.throttleLast).Seconds(); dt > 0 {
-		b.throttleTokens += dt * b.cfg.ThrottleRPS
-		if max := float64(b.cfg.ThrottleBurst); b.throttleTokens > max {
-			b.throttleTokens = max
-		}
-	}
-	b.throttleLast = now
-	if b.throttleTokens >= 1 {
-		b.throttleTokens--
-		return true
-	}
-	return false
 }
 
 // Record feeds a completed request's outcome back: breach says it latched
@@ -227,8 +208,7 @@ func (b *Breaker) Record(breach, probe bool, now time.Time) (opened bool) {
 			return true
 		case b.state == BreakerClosed && len(b.breaches) >= b.cfg.ThrottleAfter:
 			b.state = BreakerThrottled
-			b.throttleTokens = float64(b.cfg.ThrottleBurst)
-			b.throttleLast = now
+			b.throttle.last = time.Time{} // probation starts with a full bucket
 		}
 		return false
 	}

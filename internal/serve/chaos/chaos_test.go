@@ -39,7 +39,7 @@ func TestChaosCampaign(t *testing.T) {
 				Adversarial: true, // AttackRPS defaults to 2x the rate limit
 			},
 		},
-		Scheduler:   serve.SchedulerConfig{Workers: 4, MaxQueue: 256, MaxBatch: 4},
+		Scheduler:   serve.SchedulerConfig{Workers: 4, MaxQueue: 256},
 		Quarantine:  serve.QuarantineConfig{ThrottleAfter: 1, OpenAfter: 3, Window: time.Minute, OpenFor: 50 * time.Millisecond, MaxOpenFor: 300 * time.Millisecond, ThrottleRPS: 1000, ThrottleBurst: 1000, ProbeSuccesses: 2},
 		SnapshotKey: []byte("chaos-campaign-snapshot-key-----"),
 		PhaseFor:    time.Second,
@@ -81,7 +81,7 @@ func TestChaosQuietCampaign(t *testing.T) {
 			{Tenant: serve.TenantConfig{Key: "k-a", Name: "a", Weight: 1, RateRPS: 200, Burst: 50, MaxPending: 64}, RPS: 20, Sessions: true},
 			{Tenant: serve.TenantConfig{Key: "k-b", Name: "b", Weight: 1, RateRPS: 200, Burst: 50, MaxPending: 64}, RPS: 20},
 		},
-		Scheduler: serve.SchedulerConfig{Workers: 2, MaxQueue: 128, MaxBatch: 4},
+		Scheduler: serve.SchedulerConfig{Workers: 2, MaxQueue: 128},
 		PhaseFor:  400 * time.Millisecond,
 	})
 	if err != nil {

@@ -109,9 +109,8 @@ type Report struct {
 	AchievedRPS    float64 // completed OK per second of run time
 	P50, P95, P99  time.Duration
 	Max            time.Duration
-	MeanBatch      float64 // mean server-reported batch size over OK requests
-	ResidencyHits  int     // OK requests that rode the server's pinned weights
-	SessionsOpened int     // sessions created (initial + churn rotations)
+	ResidencyHits  int // OK requests that rode the server's pinned weights
+	SessionsOpened int // sessions created (initial + churn rotations)
 
 	// Samples holds the sorted OK latencies when Options.KeepSamples was
 	// set; nil otherwise.
@@ -162,7 +161,6 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "  latency: p50 %v  p95 %v  p99 %v  max %v\n",
 		r.P50.Round(10*time.Microsecond), r.P95.Round(10*time.Microsecond),
 		r.P99.Round(10*time.Microsecond), r.Max.Round(10*time.Microsecond))
-	fmt.Fprintf(&b, "  batching: mean batch size %.2f\n", r.MeanBatch)
 	if r.Sent > 0 {
 		fmt.Fprintf(&b, "  gc: %.0f allocs / %.0f KiB per 1k requests, %d cycles (%.2f per 1k), pause total %v\n",
 			perThousand(r.GC.Mallocs, r.Sent), perThousand(r.GC.AllocBytes, r.Sent)/1024,
@@ -257,7 +255,6 @@ func Run(ctx context.Context, target Inferer, opts Options) (Report, error) {
 		mu        sync.Mutex
 		lats      []time.Duration
 		byReplica = make(map[string][]time.Duration)
-		batchSum  int
 		rep       Report
 		wg        sync.WaitGroup
 		slots     = make(chan struct{}, opts.Concurrency)
@@ -387,7 +384,6 @@ arrivals:
 			if resp.Replica != "" {
 				byReplica[resp.Replica] = append(byReplica[resp.Replica], lat)
 			}
-			batchSum += resp.BatchSize
 			if resp.ResidencyHit {
 				rep.ResidencyHits++
 			}
@@ -414,7 +410,6 @@ arrivals:
 		rep.P95 = Percentile(lats, 0.95)
 		rep.P99 = Percentile(lats, 0.99)
 		rep.Max = lats[len(lats)-1]
-		rep.MeanBatch = float64(batchSum) / float64(rep.OK)
 		if opts.KeepSamples {
 			rep.Samples = lats
 		}

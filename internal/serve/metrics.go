@@ -21,11 +21,9 @@ const (
 type Metrics struct {
 	reg metrics.Registry
 
-	requests            metrics.CounterVec // code: final status of each infer request
-	inferOK             metrics.Counter    // successful inferences,
-	latency, queue      metrics.Counter    // their admission-to-response and queued time
-	batches, batchItems metrics.Counter    // dispatched micro-batches and their live sizes
-	maxBatch            metrics.Gauge
+	requests       metrics.CounterVec // code: final status of each infer request
+	inferOK        metrics.Counter    // successful inferences,
+	latency, queue metrics.Counter    // their admission-to-response and queued time
 
 	snapshotExports, restoreOK, restoreRejected metrics.Counter
 
@@ -51,9 +49,6 @@ func newMetrics(s *Server) *Metrics {
 	r.Counter("seculator_serve_infer_ok_total", &m.inferOK)
 	r.MillisCounter("seculator_serve_infer_latency_ms_total", &m.latency)
 	r.MillisCounter("seculator_serve_infer_queue_ms_total", &m.queue)
-	r.Counter("seculator_serve_batches_total", &m.batches)
-	r.Counter("seculator_serve_batch_items_total", &m.batchItems)
-	r.Counter("seculator_serve_batch_max_size", &m.maxBatch.Counter)
 	r.Collect(func(w *metrics.Writer) {
 		w.Int("seculator_serve_queue_depth", int64(s.sched.Depth()))
 		w.Int("seculator_serve_sessions_active", int64(s.sessions.Active()))
@@ -92,10 +87,3 @@ func newMetrics(s *Server) *Metrics {
 
 // Request records one inference request's final status.
 func (m *Metrics) Request(status int) { m.requests.Inc(metrics.Code(status)) }
-
-// Batch records a dispatched micro-batch of the given live size.
-func (m *Metrics) Batch(size int) {
-	m.batches.Inc()
-	m.batchItems.Add(int64(size))
-	m.maxBatch.Max(int64(size))
-}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestMetricsGoldenScrape drives a fixed script of events through a real
-// server's counter set — statuses, latency sums, batches, sessions created,
+// server's counter set — statuses, latency sums, sessions created,
 // exported, restored, rejected and evicted, two tenants registered out of
 // name order with sheds, breaches and one open breaker, residency traffic,
 // the simulation cache — and compares GET /metrics byte for byte with
@@ -36,7 +36,6 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	// The script's verbs, bound to this commit's counters.
 	m := s.metrics
 	request := m.Request
-	batch := m.Batch
 	inference := func(total, queued time.Duration) {
 		m.inferOK.Inc()
 		m.latency.Add(int64(total))
@@ -63,9 +62,6 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	inference(1500*time.Microsecond, 250*time.Microsecond)
 	inference(2250*time.Microsecond, 0)
 	inference(400*time.Nanosecond, 100*time.Nanosecond)
-	batch(1)
-	batch(3)
-	batch(2)
 
 	var ids []string
 	for _, tenant := range []string{"amy", "amy", "zed", "amy"} {

@@ -45,7 +45,7 @@ func metricLookup(t *testing.T, scrape, name string) (float64, bool) {
 
 // TestMetricsConcurrentScrapeConsistency hammers /v1/infer and /metrics
 // concurrently (the interesting schedule under -race: renders interleaving
-// with counter updates mid-batch), asserts every monotone counter only ever
+// with counter updates mid-request), asserts every monotone counter only ever
 // moves forward across each scraper's observations, and finally checks the
 // quiesced counters line up exactly with the work performed.
 func TestMetricsConcurrentScrapeConsistency(t *testing.T) {
@@ -60,8 +60,7 @@ func TestMetricsConcurrentScrapeConsistency(t *testing.T) {
 		"seculator_serve_requests_total",
 		"seculator_serve_infer_ok_total",
 		"seculator_serve_infer_latency_ms_total",
-		"seculator_serve_batches_total",
-		"seculator_serve_batch_items_total",
+		"seculator_serve_infer_queue_ms_total",
 		"seculator_serve_tenant_admitted_total",
 		"seculator_serve_tenant_shed_total",
 		"seculator_serve_tenant_breaches_total",
@@ -142,23 +141,8 @@ func TestMetricsConcurrentScrapeConsistency(t *testing.T) {
 	if ok := metricValue(t, scrape, "seculator_serve_infer_ok_total"); ok != total {
 		t.Errorf("infer_ok_total = %v, want %v", ok, total)
 	}
-	if items := metricValue(t, scrape, "seculator_serve_batch_items_total"); items != total {
-		t.Errorf("batch_items_total = %v, want %v", items, total)
-	}
 	if ok200 := metricValue(t, scrape, `seculator_serve_requests_total{code="200"}`); ok200 != total {
 		t.Errorf(`requests_total{code="200"} = %v, want %v`, ok200, total)
-	}
-	batches := metricValue(t, scrape, "seculator_serve_batches_total")
-	if batches < 1 || batches > total {
-		t.Errorf("batches_total = %v, want within [1, %v]", batches, total)
-	}
-	maxBatch := metricValue(t, scrape, "seculator_serve_batch_max_size")
-	if maxBatch < 1 || maxBatch > total {
-		t.Errorf("batch_max_size = %v out of range", maxBatch)
-	}
-	// items = Σ batch sizes ⇒ the average size cannot exceed the max seen.
-	if avg := total / batches; avg > maxBatch {
-		t.Errorf("average batch size %v exceeds batch_max_size %v", avg, maxBatch)
 	}
 	if lat := metricValue(t, scrape, "seculator_serve_infer_latency_ms_total"); lat < 0 {
 		t.Errorf("negative latency sum %v", lat)

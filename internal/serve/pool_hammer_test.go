@@ -14,7 +14,7 @@ import (
 // secure package's conformance oracle proves sequential reuse is clean;
 // this hammer drives one server with concurrent HTTP requests across
 // different networks and seeds, so pooled runtimes are acquired, scrubbed,
-// and re-acquired under real contention (scheduler batching, residency
+// and re-acquired under real contention (scheduler workers, residency
 // cache, JSON arenas all live). Run it under -race: the pooled slabs, the
 // preload hand-off, and the serve-layer buffer pools are all in play.
 // Functionally, every response checksum must match the per-(network, seed)

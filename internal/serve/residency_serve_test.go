@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"seculator"
 	"seculator/internal/host"
@@ -12,26 +11,29 @@ import (
 	"seculator/internal/serve/client"
 )
 
-// Server-level residency and batching tests: micro-batching and the
-// resident weight cache must be invisible to clients except in speed —
-// same checksums as the unbatched configuration and the local reference —
-// and a breach must drop the offending tenant's pinned trust epoch.
+// Server-level residency and concurrency tests: running requests at once
+// and the resident weight cache must be invisible to clients except in
+// speed — same checksums as the one-worker configuration and the local
+// reference — and a breach must drop the offending tenant's pinned trust
+// epoch.
 
-// TestPipelinedBatchMatchesSerial fires a concurrent burst at two servers
-// — one forming micro-batches of up to 8 free-running requests, one with
-// MaxBatch 1 (every request dispatched alone) — and cross-checks every
-// response against the local reference. Identical checksums on both sides
-// mean riding a batch, and the interleaving inside it, changed nothing
-// observable.
+// TestPipelinedBatchMatchesSerial is the serve-level twin of conformance
+// oracle 5 (concurrent resident requests vs serial baseline): it fires a
+// concurrent burst at two servers — one with a worker per request of the
+// burst, one with a single worker (every request runs alone) — and
+// cross-checks every response against the local reference. Identical
+// checksums on both sides mean running alongside other requests, and the
+// interleaving among them, changed nothing observable.
 func TestPipelinedBatchMatchesSerial(t *testing.T) {
-	sched := serve.SchedulerConfig{MaxBatch: 8, Linger: 5 * time.Millisecond, MaxQueue: 256}
-	_, piped := newTestServer(t, serve.Options{Scheduler: sched})
+	const burst = 8
+	_, piped := newTestServer(t, serve.Options{
+		Scheduler: serve.SchedulerConfig{Workers: burst, MaxQueue: 256},
+	})
 	_, serial := newTestServer(t, serve.Options{
-		Scheduler: serve.SchedulerConfig{MaxBatch: 1, MaxQueue: 256},
+		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 256},
 	})
 	ctx := ctxT(t)
 
-	const burst = 8
 	net := serve.MiniNet()
 	golden := make([]uint64, burst)
 	for i := range golden {
@@ -43,7 +45,7 @@ func TestPipelinedBatchMatchesSerial(t *testing.T) {
 		golden[i] = serve.OutputSum(ref)
 	}
 
-	for name, c := range map[string]*client.Client{"batched": piped, "serial": serial} {
+	for name, c := range map[string]*client.Client{"concurrent": piped, "serial": serial} {
 		sums := make([]uint64, burst)
 		errs := make([]error, burst)
 		var wg sync.WaitGroup

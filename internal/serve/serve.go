@@ -17,17 +17,15 @@
 //
 // Requests authenticate to a tenant (tenant.go: API-key registry, token
 // buckets) and flow through the one scheduler (scheduler.go): weighted
-// fair-share admission — deficit round-robin over per-tenant bounded
-// sub-queues — grants requests into micro-batches, so requests for the same
-// network granted within a linger window dispatch as one batch on a
-// persistent worker pool, one depth bound sheds with 429/503 backpressure,
-// and per-request deadlines come from context. An inference that latches a
-// security breach (replay, splice, channel tampering) maps to 409 with the
-// typed class and layer index, evicts its session — the serving-layer
-// "security breach → reboot" of Figure 6 — and feeds the tenant's
-// quarantine circuit breaker (breaker.go), which escalates repeat offenders
-// from throttled probation to a full 451 quarantine with timed half-open
-// probes.
+// fair-share admission — free workers dequeue by deficit round-robin over
+// per-tenant bounded sub-queues — one depth bound sheds with 429/503
+// backpressure, and per-request deadlines come from context. An inference
+// that latches a security breach (replay, splice, channel tampering) maps
+// to 409 with the typed class and layer index, evicts its session — the
+// serving-layer "security breach → reboot" of Figure 6 — and feeds the
+// tenant's quarantine circuit breaker (breaker.go), which escalates repeat
+// offenders from throttled probation to a full 451 quarantine with timed
+// half-open probes.
 package serve
 
 import (
@@ -59,7 +57,7 @@ import (
 type Options struct {
 	// Config is the simulated system; zero means runner.DefaultConfig().
 	Config runner.Config
-	// Scheduler bounds the micro-batching scheduler.
+	// Scheduler bounds the request scheduler.
 	Scheduler SchedulerConfig
 	// SessionIdle is the default session idle expiry (default 5m).
 	SessionIdle time.Duration
@@ -129,8 +127,8 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Server is the serving daemon: tenant registry + fair-share batching
-// scheduler + session store.
+// Server is the serving daemon: tenant registry + fair-share scheduler +
+// session store.
 type Server struct {
 	opts        Options
 	cfg         runner.Config
@@ -182,7 +180,6 @@ func New(opts Options) (*Server, error) {
 		s.residency = newResidencyManager(opts.Residency, s.metrics)
 	}
 	s.sched = NewScheduler(opts.Scheduler)
-	s.sched.onBatch = s.metrics.Batch
 
 	s.register(MiniNet())
 	for _, n := range workload.All() {
@@ -259,7 +256,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // BeginDrain puts the server into graceful pre-drain: new sessions and
 // snapshot imports are refused with 503, but inference — stateless and on
-// existing sessions — keeps flowing and admitted micro-batches finish.
+// existing sessions — keeps flowing and admitted requests finish.
 // /healthz reports "draining" so a fronting gateway can migrate this
 // replica's sessions away and stop routing to it before the hard stop,
 // instead of discovering the death through ejection. Idempotent; Close()
@@ -317,10 +314,17 @@ func (s *Server) runJanitor() {
 // ---- handlers ----
 
 func (s *Server) writeError(w http.ResponseWriter, status int, body ErrorBody) {
+	s.metrics.Request(status)
+	WriteError(w, status, body)
+}
+
+// WriteError writes an error body, with a Retry-After header (whole
+// seconds, rounded up) when the body carries a retry hint. The gateway
+// tier writes its own errors through it too.
+func WriteError(w http.ResponseWriter, status int, body ErrorBody) {
 	if body.RetryAfterMs > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt((body.RetryAfterMs+999)/1000, 10))
 	}
-	s.metrics.Request(status)
 	WriteJSON(w, status, body)
 }
 
@@ -641,8 +645,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	key := "net=" + net.Name
-	res, info, err := s.sched.Submit(ctx, tenant, key, func(ctx context.Context, b BatchInfo) (any, error) {
+	res, queued, err := s.sched.Submit(ctx, tenant, func(ctx context.Context) (any, error) {
 		return s.runInference(ctx, net, &req, grant, tenant.Name())
 	})
 	if err != nil {
@@ -688,8 +691,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		OutputSum:    OutputSum(oc.out),
 		Cycles:       oc.cycles,
 		Commands:     oc.commands,
-		BatchSize:    info.Size,
-		QueueMs:      float64(info.Queued) / float64(time.Millisecond),
+		QueueMs:      float64(queued) / float64(time.Millisecond),
 		RunMs:        oc.runMs,
 		ResidencyHit: oc.residencyHit,
 		Recovery: RecoveryInfo{
@@ -706,7 +708,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.inferOK.Inc()
 	s.metrics.latency.Add(int64(time.Since(admitted)))
-	s.metrics.queue.Add(int64(info.Queued))
+	s.metrics.queue.Add(int64(queued))
 	s.metrics.Request(http.StatusOK)
 	WriteJSON(w, http.StatusOK, resp)
 }
@@ -732,8 +734,8 @@ func (s *Server) hookFor(tenant string) secure.Hook {
 	return s.opts.Hook
 }
 
-// runInference executes one request on a pool worker: build (or attach to)
-// the deterministic model, then either the full secure session (command
+// runInference executes one request on a scheduler worker: build (or attach
+// to) the deterministic model, then either the full secure session (command
 // channel + functional execution) or the sessionless secure inference
 // with the memoized timing simulation alongside. Session runs continue the
 // session's command-channel sequence window (grant.BaseSeq) and capture the
@@ -804,8 +806,7 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 		}
 		oc.out = fr.Output
 		// Timing rides the memoized simulation cache: the first request
-		// for a network pays the simulation, the batch (and every later
-		// request) shares it.
+		// for a network pays the simulation, every later one shares it.
 		tr, err := runner.RunCached(ctx, net, protect.Seculator, s.cfg)
 		if err != nil {
 			return nil, err

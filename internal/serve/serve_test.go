@@ -60,7 +60,7 @@ func TestInferRoundTrip(t *testing.T) {
 	if resp.OutputSum != serve.OutputSum(golden) {
 		t.Fatalf("served checksum %#x, reference %#x", resp.OutputSum, serve.OutputSum(golden))
 	}
-	if resp.Cycles == 0 || resp.Layers != len(net.Layers) || resp.BatchSize < 1 {
+	if resp.Cycles == 0 || resp.Layers != len(net.Layers) {
 		t.Fatalf("response metadata: %+v", resp)
 	}
 	if resp.Commands != 0 {
@@ -156,41 +156,6 @@ func TestInferBadRequests(t *testing.T) {
 	}
 }
 
-// Micro-batching over HTTP: concurrent requests for the same network share
-// a batch.
-func TestInferBatchesOverHTTP(t *testing.T) {
-	_, c := newTestServer(t, serve.Options{
-		Scheduler: serve.SchedulerConfig{Workers: 2, MaxBatch: 4, Linger: 50 * time.Millisecond, MaxQueue: 64},
-	})
-	ctx := ctxT(t)
-	const n = 4
-	var wg sync.WaitGroup
-	sizes := make([]int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: int64(i)})
-			if err != nil {
-				t.Errorf("infer %d: %v", i, err)
-				return
-			}
-			sizes[i] = resp.BatchSize
-		}()
-	}
-	wg.Wait()
-	max := 0
-	for _, s := range sizes {
-		if s > max {
-			max = s
-		}
-	}
-	if max < 2 {
-		t.Fatalf("no micro-batch formed: batch sizes %v", sizes)
-	}
-}
-
 // Sessions expire after their idle timeout and the janitor sweeps them.
 func TestSessionIdleExpiry(t *testing.T) {
 	_, c := newTestServer(t, serve.Options{SessionIdle: 30 * time.Millisecond})
@@ -244,7 +209,7 @@ func TestMetricsAndCacheWindowing(t *testing.T) {
 	for _, want := range []string{
 		`seculator_serve_requests_total{code="200"} 2`,
 		"seculator_serve_infer_ok_total 2",
-		"seculator_serve_batches_total",
+		"seculator_serve_infer_queue_ms_total",
 		"seculator_serve_sim_cache_hits",
 		"seculator_serve_sim_cache_misses",
 		"seculator_serve_sim_cache_entries",
@@ -282,7 +247,7 @@ func TestQueueFull429(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	_, c := newTestServer(t, serve.Options{
-		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 1, MaxBatch: 1, Linger: 0},
+		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 1},
 		Hook: func(phase int, _ *mem.DRAM) {
 			<-release
 		},
@@ -318,7 +283,7 @@ func TestDeadline503(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	_, c := newTestServer(t, serve.Options{
-		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 8, MaxBatch: 1, Linger: 0},
+		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 8},
 		Hook: func(phase int, _ *mem.DRAM) {
 			<-release
 		},
@@ -353,7 +318,7 @@ func TestDrainOverHTTP(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	s, err := serve.New(serve.Options{
-		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 8, MaxBatch: 1, Linger: 0},
+		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 8},
 		Hook: func(phase int, _ *mem.DRAM) {
 			<-release
 		},

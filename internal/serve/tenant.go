@@ -58,14 +58,41 @@ func (c *TenantConfig) setDefaults() {
 	}
 }
 
+// tokenBucket is the one refill-clamp-take routine, behind both the tenant
+// rate limit and the breaker's probation throttle. The zero last marks a
+// full bucket, so a bucket starts full. It is not synchronized: each owner
+// guards its bucket with its own mutex.
+type tokenBucket struct {
+	rate   float64 // tokens per second
+	burst  float64 // capacity
+	tokens float64
+	last   time.Time
+}
+
+// take consumes one token at time now; when the bucket is empty it reports
+// the wait until the next token instead.
+func (b *tokenBucket) take(now time.Time) (ok bool, wait time.Duration) {
+	if b.last.IsZero() {
+		b.tokens = b.burst
+	} else if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens = min(b.burst, b.tokens+dt*b.rate)
+	}
+	b.last = now
+	if b.tokens >= 1 {
+		b.tokens--
+		return true, 0
+	}
+	need := (1 - b.tokens) / b.rate
+	return false, time.Duration(need * float64(time.Second))
+}
+
 // Tenant is one admitted identity: its config, its token bucket, and its
 // breach-quarantine circuit breaker.
 type Tenant struct {
 	cfg TenantConfig
 
-	mu         sync.Mutex
-	tokens     float64
-	lastRefill time.Time
+	mu     sync.Mutex
+	bucket tokenBucket
 
 	breaker *Breaker // nil for the anonymous tenant (quarantine off)
 }
@@ -92,21 +119,7 @@ func (t *Tenant) TakeToken(now time.Time) (ok bool, retryAfter time.Duration) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.lastRefill.IsZero() {
-		t.tokens = float64(t.cfg.Burst)
-	} else if dt := now.Sub(t.lastRefill).Seconds(); dt > 0 {
-		t.tokens += dt * t.cfg.RateRPS
-		if max := float64(t.cfg.Burst); t.tokens > max {
-			t.tokens = max
-		}
-	}
-	t.lastRefill = now
-	if t.tokens >= 1 {
-		t.tokens--
-		return true, 0
-	}
-	need := (1 - t.tokens) / t.cfg.RateRPS
-	return false, time.Duration(need * float64(time.Second))
+	return t.bucket.take(now)
 }
 
 // TenantRegistry resolves API keys to tenants. An empty registry serves
@@ -135,7 +148,11 @@ func NewTenantRegistry(configs []TenantConfig, quar QuarantineConfig, now func()
 		if _, dup := r.byKey[cfg.Key]; dup {
 			continue
 		}
-		t := &Tenant{cfg: cfg, breaker: NewBreaker(quar)}
+		t := &Tenant{
+			cfg:     cfg,
+			bucket:  tokenBucket{rate: cfg.RateRPS, burst: float64(cfg.Burst)},
+			breaker: NewBreaker(quar),
+		}
 		r.byKey[cfg.Key] = t
 		r.names = append(r.names, cfg.Name)
 	}

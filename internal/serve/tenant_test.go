@@ -112,11 +112,13 @@ func TestTenantSessionIsolation(t *testing.T) {
 // queue still has room.
 func TestTenantQueueBound(t *testing.T) {
 	release := make(chan struct{})
-	var once sync.Once
+	running := make(chan struct{})
+	var once, started sync.Once
 	_, c := newTestServer(t, serve.Options{
-		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 64, MaxBatch: 1},
+		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 64},
 		Tenants:   []serve.TenantConfig{{Key: "k-a", Name: "a", MaxPending: 1}},
 		Hook: func(phase int, _ *mem.DRAM) {
+			started.Do(func() { close(running) })
 			<-release
 		},
 	})
@@ -125,14 +127,16 @@ func TestTenantQueueBound(t *testing.T) {
 	c.SetAPIKey("k-a")
 
 	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			_, err := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: int64(i)})
-			done <- err
-		}(i)
+	infer := func(seed int64) {
+		_, err := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: seed})
+		done <- err
 	}
-	// One request executing (blocked in the hook), one waiting in the
-	// tenant's sub-queue.
+	// One request executing (blocked in the hook) — it has left the
+	// sub-queue, whose bound of one the second would otherwise hit — then
+	// one waiting in the tenant's sub-queue.
+	go infer(0)
+	<-running
+	go infer(1)
 	waitForHealth(t, c, func(h serve.HealthResponse) bool { return h.Queue == 2 })
 
 	_, err := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 9})
@@ -148,8 +152,8 @@ func TestTenantQueueBound(t *testing.T) {
 }
 
 // Weighted fair share under contention: with both sub-queues saturated and
-// the release window scarce, a weight-3 tenant drains ~3 requests for every
-// one of a weight-1 tenant.
+// two workers pulling, a weight-3 tenant drains ~3 requests for every one of
+// a weight-1 tenant.
 func TestFairShareWeights(t *testing.T) {
 	reg := serve.NewTenantRegistry([]serve.TenantConfig{
 		{Key: "k-a", Name: "a", Weight: 3},
@@ -161,11 +165,11 @@ func TestFairShareWeights(t *testing.T) {
 		t.Fatalf("registry order: %s, %s", a.Name(), b.Name())
 	}
 
-	fq := serve.NewScheduler(serve.SchedulerConfig{Workers: 2, MaxQueue: 256, MaxBatch: 1})
+	fq := serve.NewScheduler(serve.SchedulerConfig{Workers: 2, MaxQueue: 256})
 	defer fq.Close()
 
-	// Hold the release window with blockers so both tenant queues fill
-	// before any contested grant happens.
+	// Hold both workers with blockers so both tenant queues fill before any
+	// contested dequeue happens.
 	blockers := make(chan struct{})
 	started := make(chan struct{}, 2)
 	var blocked sync.WaitGroup
@@ -173,7 +177,7 @@ func TestFairShareWeights(t *testing.T) {
 		blocked.Add(1)
 		go func() {
 			defer blocked.Done()
-			_, _, err := fq.Submit(context.Background(), a, "block", func(context.Context, serve.BatchInfo) (any, error) {
+			_, _, err := fq.Submit(context.Background(), a, func(context.Context) (any, error) {
 				started <- struct{}{}
 				<-blockers
 				return nil, nil
@@ -183,7 +187,7 @@ func TestFairShareWeights(t *testing.T) {
 			}
 		}()
 	}
-	// Both blockers must own the release window before any work enqueues.
+	// Both blockers must own a worker before any work enqueues.
 	for i := 0; i < 2; i++ {
 		<-started
 	}
@@ -194,7 +198,7 @@ func TestFairShareWeights(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func(ten *serve.Tenant) {
 		defer wg.Done()
-		_, _, err := fq.Submit(context.Background(), ten, "work", func(context.Context, serve.BatchInfo) (any, error) {
+		_, _, err := fq.Submit(context.Background(), ten, func(context.Context) (any, error) {
 			mu.Lock()
 			order = append(order, ten.Name())
 			mu.Unlock()
@@ -210,15 +214,15 @@ func TestFairShareWeights(t *testing.T) {
 		go submit(a)
 		go submit(b)
 	}
-	// Both queues full behind the blockers, then contest the window.
+	// Both queues full behind the blockers, then contest the workers.
 	waitFor(t, func() bool { return fq.Depth() == 2*perTenant+2 })
 	close(blockers)
 	blocked.Wait()
 	wg.Wait()
 
 	// In the first half of the drain, the weight-3 tenant must have clearly
-	// outpaced the weight-1 tenant (ideal split 30:10; allow slack for
-	// worker-level reordering around grant boundaries).
+	// outpaced the weight-1 tenant (ideal split 30:10; allow slack for two
+	// workers recording out of dequeue order).
 	half := order[:perTenant]
 	countA := 0
 	for _, name := range half {

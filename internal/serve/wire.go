@@ -75,8 +75,9 @@ type InferResponse struct {
 	Cycles   uint64 `json:"cycles"`
 	Commands int    `json:"commands"`
 
-	// BatchSize is how many requests rode in this request's micro-batch.
-	BatchSize int     `json:"batch_size"`
+	// BatchSize is never set — nothing batches. It is kept only so the
+	// frozen benchmark/ compiles.
+	BatchSize int     `json:"batch_size,omitempty"`
 	QueueMs   float64 `json:"queue_ms"` // admission to execution start
 	RunMs     float64 `json:"run_ms"`   // execution wall time
 

@@ -1,6 +1,6 @@
 // mix.go — the named serving-workload registry. The paper's evaluation
 // sweeps a fixed benchmark grid; the serving tier's knobs (scheduler
-// linger/MaxBatch, residency, quarantine, gateway spread) win or lose
+// workers and queue bound, residency, quarantine, gateway spread) win or lose
 // depending entirely on traffic *shape*. A Mix pins one shape down
 // declaratively — model distribution, session behaviour, tenancy, arrival
 // curve, attack fraction, residency policy — so the scenario runner can
@@ -34,8 +34,8 @@ const (
 	// phases — the warming-traffic shape that exposes cold caches.
 	ArrivalRamp ArrivalKind = "ramp"
 	// ArrivalBurst alternates RPS and PeakRPS square-wave style for Steps
-	// periods — the bursty shape that exposes shed behaviour and batch
-	// formation under pressure.
+	// periods — the bursty shape that exposes shed behaviour and queueing
+	// under pressure.
 	ArrivalBurst ArrivalKind = "burst"
 )
 
@@ -258,7 +258,7 @@ func Mixes() []Mix {
 		{
 			Name:        "W1",
 			Title:       "small-model-burst",
-			Description: "stateless Mini traffic in Poisson square-wave bursts: shed behaviour and batch formation under pressure",
+			Description: "stateless Mini traffic in Poisson square-wave bursts: shed behaviour and queueing under pressure",
 			Models:      []ModelShare{{Network: "Mini", Weight: 1}},
 			Tenants:     2,
 			Arrival:     ArrivalCurve{Kind: ArrivalBurst, RPS: 40, PeakRPS: 240, Steps: 2, Poisson: true},
@@ -303,7 +303,7 @@ func Mixes() []Mix {
 		{
 			Name:        "W5",
 			Title:       "mixed-designs",
-			Description: "three model shapes with a fresh model seed per request on a ramp: batch-key fragmentation and the residency-hostile worst case",
+			Description: "three model shapes with a fresh model seed per request on a ramp: the residency-hostile worst case",
 			Models: []ModelShare{
 				{Network: "Mini", Weight: 2},
 				{Network: "ResNet18/16", Weight: 1},
