@@ -457,6 +457,42 @@ func BenchmarkSecureInference(b *testing.B) {
 	}
 }
 
+// BenchmarkLibDeep is the benchmark's lib-deep operation as a Go benchmark:
+// the root SecureInferenceContext on MobileNet/8 over pooled run state, one
+// goroutine, output checked against the reference model. It exists so the
+// hot path has a one-command profile —
+//
+//	go test -run '^$' -bench LibDeep -benchtime 300x -cpuprofile cpu.prof .
+//
+// — and so CI's bench smoke prints its B/op (the pooled path's memory
+// budget, DESIGN.md §15) on every push.
+func BenchmarkLibDeep(b *testing.B) {
+	net, err := workload.ResolveShape("MobileNet/8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, ws := RandomModel(net, 1)
+	golden, err := ReferenceInference(net, in, ws)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		res, err := SecureInferenceContext(context.Background(), net, in, ws, InferenceOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Output.Equal(golden) {
+			b.Fatal("diverged")
+		}
+	}
+	run() // builds the pooled run state; every timed iteration reuses it
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkTransformerEvaluation runs the BERT-base encoder across the
 // three headline designs — Table 4's workload class.
 func BenchmarkTransformerEvaluation(b *testing.B) {

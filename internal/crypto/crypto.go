@@ -128,11 +128,6 @@ func (e *CTREngine) EncryptBlocks(dst, src []byte, c Counter, n int) {
 	}
 }
 
-// DecryptBlocks reverses EncryptBlocks; CTR decryption is encryption.
-func (e *CTREngine) DecryptBlocks(dst, src []byte, c Counter, n int) {
-	e.EncryptBlocks(dst, src, c, n)
-}
-
 // XTSEngine is the AES-XTS-style engine TNPU uses: the tweak is the block's
 // address, independent of any version number, so freshness must come from
 // elsewhere (TNPU's tensor table).

@@ -46,14 +46,3 @@ func (h *RowHasher) FoldRow(ref BlockRef, data []byte) (Digest, int) {
 	}
 	return acc, n
 }
-
-// OnWriteRow folds a whole row of written blocks into the bank's W
-// register in one call: the row's XOR-MAC lands in the accumulator and the
-// fold count advances by the block count, exactly as n individual OnWrite
-// calls would leave it. h is the caller's scratch (see RowHasher).
-func (p *PartialBank) OnWriteRow(ref BlockRef, data []byte, h *RowHasher) Digest {
-	d, n := h.FoldRow(ref, data)
-	p.W.value = p.W.value.Xor(d)
-	p.W.folds += uint64(n)
-	return d
-}

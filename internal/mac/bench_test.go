@@ -69,12 +69,11 @@ func BenchmarkFoldRow(b *testing.B) {
 func TestFoldRowAllocFree(t *testing.T) {
 	data := make([]byte, 32*tensor.BlockBytes)
 	var h RowHasher
-	var p PartialBank
 	allocs := testing.AllocsPerRun(100, func() {
-		_ = p.OnWriteRow(BlockRef{Layer: 5, Index: 2}, data, &h)
+		_, _ = h.FoldRow(BlockRef{Layer: 5, Index: 2}, data)
 	})
 	if allocs > 0 {
-		t.Errorf("FoldRow via OnWriteRow: %.0f allocs/op, want 0", allocs)
+		t.Errorf("FoldRow: %.0f allocs/op, want 0", allocs)
 	}
 }
 

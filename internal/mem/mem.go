@@ -21,7 +21,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"seculator/internal/sim"
 	"seculator/internal/tensor"
@@ -75,6 +75,8 @@ func (t TrafficStats) ByKind(k sim.Traffic) uint64 {
 // Overhead returns all non-data blocks.
 func (t TrafficStats) Overhead() uint64 { return t.Total() - t.ByKind(sim.DataTraffic) }
 
+const blockBytes = uint64(tensor.BlockBytes)
+
 // Injector intercepts block transfers on the DRAM pins — the attachment
 // point for fault-injection campaigns (package fault). OnRead runs after the
 // stored payload is copied into the destination buffer and may mutate it in
@@ -87,20 +89,24 @@ type Injector interface {
 	OnWrite(lineAddr uint64, data []byte)
 }
 
-// DRAM is the memory model plus functional backing store.
+// DRAM is the memory model plus functional backing store. Lines [0,
+// len(written)) — the reservation — lie back to back in slab; a line outside
+// it is an entry of sparse, which the secure executor never creates (it
+// reserves its whole address space) but the attack harnesses and the
+// comparison memories of package protect do.
 type DRAM struct {
 	cfg      Config
 	traffic  TrafficStats
-	store    map[uint64][]byte // line address -> 64-byte payload
 	injector Injector
+	slab     []byte            // len(written) lines; unwritten ones hold zeros
+	sparse   map[uint64][]byte // nil until a line outside the reservation is written
 
-	// written marks which reserved lines have actually been stored to.
-	// Reserve pre-allocates line buffers so sharded execution never
-	// mutates the store map, but reservation must stay invisible to the
-	// attacker/test surface (Peek, Snapshot, Tamper, Swap, Restore,
-	// Lines): a reserved line "exists" only once written. nil without
-	// Reserve. Concurrent writes touch distinct elements (shards operate
-	// on distinct addresses by contract), so no synchronization is needed.
+	// written marks which reserved lines have been stored to. Reservation
+	// must stay invisible to the attacker/test surface (Peek, Snapshot,
+	// Tamper, Swap, Restore, ForEachLine, Lines): a reserved line "exists"
+	// only once written. Concurrent writers set distinct elements (shards
+	// own distinct addresses by contract), hence one bool per line and
+	// neither a packed bitmap nor a shared count.
 	written []bool
 }
 
@@ -109,7 +115,7 @@ func New(cfg Config) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &DRAM{cfg: cfg, store: make(map[uint64][]byte)}, nil
+	return &DRAM{cfg: cfg}, nil
 }
 
 // Config returns the model parameters.
@@ -161,100 +167,103 @@ func (d *DRAM) ReadBlock(lineAddr uint64, dst []byte, purpose sim.Traffic) {
 	d.Record(sim.Read, purpose, 1)
 }
 
-// Reserve pre-allocates backing lines [0, n), carved out of one contiguous
-// slab, leaving already-written lines untouched. The secure executor calls
-// it before sharding work across goroutines: with every line it will ever
-// touch pre-allocated, the store map is never mutated during parallel
-// execution — reads and writes only copy through existing, disjoint
-// per-line buffers, which is what makes concurrent WriteBlockQuiet /
-// ReadBlockQuiet calls at distinct addresses safe. The attacker/test view
-// is unaffected: a reserved line stays "nonexistent" until written.
+// Reserve extends the reservation to lines [0, n): a no-op when it already
+// reaches n, otherwise one new slab that takes over the old one's contents
+// and every sparse line below n, written status included. The secure
+// executor calls it before sharding work across goroutines: inside the
+// reservation a read or write is a copy at a fixed offset that mutates no
+// shared structure, so concurrent WriteBlockQuiet / ReadBlockQuiet calls at
+// distinct addresses are safe. The attacker/test view is unaffected: a
+// reserved line stays "nonexistent" until written, Reset lines included.
 func (d *DRAM) Reserve(n uint64) {
-	if n == 0 {
+	if n <= uint64(len(d.written)) {
 		return
 	}
-	old := uint64(len(d.written))
-	if old < n {
-		grown := make([]bool, n)
-		copy(grown, d.written)
-		d.written = grown
-	}
-	// Lines stored before the bitmap covered them were genuinely written
-	// (pre-reservation WriteBlockQuiet traffic) and keep that status. Lines
-	// the bitmap already tracked keep whatever it says — in particular a
-	// pooled, Reset DRAM has its zeroed lines stay nonexistent for the
-	// attacker surface rather than being resurrected by re-reservation.
-	for a := range d.store {
-		if a >= old && a < n {
-			d.written[a] = true
+	slab, written := make([]byte, n*blockBytes), make([]bool, n)
+	copy(slab, d.slab)
+	copy(written, d.written)
+	for a, buf := range d.sparse {
+		if a < n {
+			copy(slab[a*blockBytes:], buf)
+			written[a] = true
+			delete(d.sparse, a)
 		}
 	}
-	slab := make([]byte, n*uint64(tensor.BlockBytes))
-	for a := uint64(0); a < n; a++ {
-		if _, ok := d.store[a]; !ok {
-			lo := a * uint64(tensor.BlockBytes)
-			hi := lo + uint64(tensor.BlockBytes)
-			d.store[a] = slab[lo:hi:hi]
-		}
-	}
+	d.slab, d.written = slab, written
 }
 
-// Reset returns the DRAM to its post-New state while keeping the backing
-// slab, the store map, and the written bitmap allocated — the reuse
-// primitive behind the secure executor's pooled run state. Every stored
-// payload is zeroed (a pooled DRAM must not leak one run's ciphertext into
-// the next run's address space), every line reverts to "nonexistent" for
-// the attacker/test surface, the traffic counters clear, and any installed
-// injector is removed. Lines beyond the written bitmap's reach cannot be
-// hidden by it, so they are dropped outright.
+// Reset returns the DRAM to its post-New state while keeping the slab and
+// the written bitmap allocated — the reuse primitive behind the secure
+// executor's pooled run state. The whole slab is zeroed (a pooled DRAM must
+// not leak one run's ciphertext into the next run's address space), every
+// line reverts to "nonexistent" for the attacker/test surface, lines outside
+// the reservation are dropped, and traffic counters and injector clear.
 func (d *DRAM) Reset() {
 	d.traffic = TrafficStats{}
 	d.injector = nil
-	for a, buf := range d.store {
-		if a >= uint64(len(d.written)) {
-			delete(d.store, a)
-			continue
-		}
-		clear(buf)
-	}
+	clear(d.slab)
 	clear(d.written)
+	d.sparse = nil
 }
 
-// markWritten records that a reserved line now holds real data.
-func (d *DRAM) markWritten(lineAddr uint64) {
-	if d.written != nil && lineAddr < uint64(len(d.written)) {
-		d.written[lineAddr] = true
+// backing returns the bytes behind a line, written or not: its slab range
+// inside the reservation, its sparse entry (nil if there is none) outside.
+func (d *DRAM) backing(lineAddr uint64) []byte {
+	if lineAddr < uint64(len(d.written)) {
+		return d.slab[lineAddr*blockBytes : (lineAddr+1)*blockBytes : (lineAddr+1)*blockBytes]
 	}
+	return d.sparse[lineAddr]
 }
 
-// lineExists reports whether a line holds written data (reserved-only
-// lines do not count).
-func (d *DRAM) lineExists(lineAddr uint64) bool {
-	if d.written != nil && lineAddr < uint64(len(d.written)) && !d.written[lineAddr] {
-		return false
+// line returns the stored bytes of a written line, or nil when the line
+// does not exist (never written, or reserved only).
+func (d *DRAM) line(lineAddr uint64) []byte {
+	if lineAddr < uint64(len(d.written)) && !d.written[lineAddr] {
+		return nil
 	}
-	_, ok := d.store[lineAddr]
-	return ok
+	return d.backing(lineAddr)
 }
 
 // WriteBlockQuiet is WriteBlock without traffic accounting: shard workers
 // use it and count transfers locally, merging them into the shared counters
-// via Record on the main goroutine (the counters themselves are not
-// goroutine-safe). The injector still observes the transfer; serializing
-// injector access across shards is the caller's job.
+// via Record on the main goroutine (neither the counters nor a write outside
+// the reservation is goroutine-safe). The injector still observes the
+// transfer; serializing injector access across shards is the caller's job.
 func (d *DRAM) WriteBlockQuiet(lineAddr uint64, payload []byte) {
 	if len(payload) != tensor.BlockBytes {
 		panic(fmt.Sprintf("mem: payload must be %d bytes, got %d", tensor.BlockBytes, len(payload)))
 	}
-	buf, ok := d.store[lineAddr]
-	if !ok {
+	buf := d.backing(lineAddr)
+	if lineAddr < uint64(len(d.written)) {
+		d.written[lineAddr] = true
+	} else if buf == nil {
+		if d.sparse == nil {
+			d.sparse = make(map[uint64][]byte)
+		}
 		buf = make([]byte, tensor.BlockBytes)
-		d.store[lineAddr] = buf
+		d.sparse[lineAddr] = buf
 	}
 	copy(buf, payload)
-	d.markWritten(lineAddr)
 	if d.injector != nil {
 		d.injector.OnWrite(lineAddr, buf)
+	}
+}
+
+// WriteRangeQuiet stores len(payload)/BlockBytes consecutive lines starting
+// at lineAddr, like that many WriteBlockQuiet calls in address order. Inside
+// the reservation and with no injector installed it is one copy.
+func (d *DRAM) WriteRangeQuiet(lineAddr uint64, payload []byte) {
+	n := uint64(len(payload) / tensor.BlockBytes)
+	if end := lineAddr + n; d.injector == nil && end >= lineAddr && end <= uint64(len(d.written)) {
+		copy(d.slab[lineAddr*blockBytes:], payload[:n*blockBytes])
+		w := d.written[lineAddr:end]
+		for i := range w {
+			w[i] = true
+		}
+		return
+	}
+	for i := uint64(0); i < n; i++ {
+		d.WriteBlockQuiet(lineAddr+i, payload[i*blockBytes:(i+1)*blockBytes])
 	}
 }
 
@@ -264,12 +273,10 @@ func (d *DRAM) ReadBlockQuiet(lineAddr uint64, dst []byte) {
 	if len(dst) != tensor.BlockBytes {
 		panic(fmt.Sprintf("mem: dst must be %d bytes, got %d", tensor.BlockBytes, len(dst)))
 	}
-	if buf, ok := d.store[lineAddr]; ok {
+	if buf := d.backing(lineAddr); buf != nil {
 		copy(dst, buf)
 	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 	if d.injector != nil {
 		d.injector.OnRead(lineAddr, dst)
@@ -278,19 +285,15 @@ func (d *DRAM) ReadBlockQuiet(lineAddr uint64, dst []byte) {
 
 // Peek returns the stored payload without traffic accounting (attacker /
 // test access). The returned slice aliases the store; mutating it mutates
-// DRAM, which is exactly what a physical attacker does.
-func (d *DRAM) Peek(lineAddr uint64) []byte {
-	if !d.lineExists(lineAddr) {
-		return nil
-	}
-	return d.store[lineAddr]
-}
+// DRAM, which is exactly what a physical attacker does. The alias does not
+// survive a Reserve that grows the reservation: the line moves.
+func (d *DRAM) Peek(lineAddr uint64) []byte { return d.line(lineAddr) }
 
 // Tamper XORs mask into the byte at off within the stored line (attacker
 // primitive). It reports whether the line existed.
 func (d *DRAM) Tamper(lineAddr uint64, off int, mask byte) bool {
-	buf, ok := d.store[lineAddr]
-	if !ok || !d.lineExists(lineAddr) || off < 0 || off >= len(buf) {
+	buf := d.line(lineAddr)
+	if off < 0 || off >= len(buf) {
 		return false
 	}
 	buf[off] ^= mask
@@ -299,9 +302,8 @@ func (d *DRAM) Tamper(lineAddr uint64, off int, mask byte) bool {
 
 // Swap exchanges the payloads of two lines (splicing attack primitive).
 func (d *DRAM) Swap(a, b uint64) bool {
-	pa, oka := d.store[a]
-	pb, okb := d.store[b]
-	if !oka || !okb || !d.lineExists(a) || !d.lineExists(b) {
+	pa, pb := d.line(a), d.line(b)
+	if pa == nil || pb == nil {
 		return false
 	}
 	for i := range pa {
@@ -313,19 +315,17 @@ func (d *DRAM) Swap(a, b uint64) bool {
 // Snapshot copies the current payload of a line (replay attack primitive:
 // capture now, restore later with Restore).
 func (d *DRAM) Snapshot(lineAddr uint64) ([]byte, bool) {
-	buf, ok := d.store[lineAddr]
-	if !ok || !d.lineExists(lineAddr) {
+	buf := d.line(lineAddr)
+	if buf == nil {
 		return nil, false
 	}
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
-	return cp, true
+	return slices.Clone(buf), true
 }
 
 // Restore overwrites a line with a previously captured payload.
 func (d *DRAM) Restore(lineAddr uint64, payload []byte) bool {
-	buf, ok := d.store[lineAddr]
-	if !ok || !d.lineExists(lineAddr) || len(payload) != len(buf) {
+	buf := d.line(lineAddr)
+	if buf == nil || len(payload) != len(buf) {
 		return false
 	}
 	copy(buf, payload)
@@ -339,28 +339,28 @@ func (d *DRAM) Restore(lineAddr uint64, payload []byte) bool {
 // order makes whole-memory digests comparable across runs — the conformance
 // harness uses it to assert ciphertext bit-identity across worker counts.
 func (d *DRAM) ForEachLine(fn func(lineAddr uint64, data []byte)) {
-	addrs := make([]uint64, 0, len(d.store))
-	for a := range d.store {
-		if d.lineExists(a) {
-			addrs = append(addrs, a)
+	for a, w := range d.written {
+		if w {
+			fn(uint64(a), d.backing(uint64(a)))
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := make([]uint64, 0, len(d.sparse)) // all above the reservation
+	for a := range d.sparse {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
 	for _, a := range addrs {
-		fn(a, d.store[a])
+		fn(a, d.sparse[a])
 	}
 }
 
 // Lines returns the number of distinct lines ever written (reserved but
-// never-written lines do not count, so the figure matches a lazily
-// allocated run exactly).
+// never-written lines do not count). It counts the bitmap when asked, so
+// shards that have joined need no shared counter for it to be right.
 func (d *DRAM) Lines() int {
-	if d.written == nil {
-		return len(d.store)
-	}
-	n := 0
-	for a := range d.store {
-		if d.lineExists(a) {
+	n := len(d.sparse)
+	for _, w := range d.written {
+		if w {
 			n++
 		}
 	}

@@ -273,7 +273,7 @@ func TestRowBufferAccessRange(t *testing.T) {
 	}
 }
 
-// Reserve pre-allocates line buffers for sharded execution, but must be
+// Reserve sets slab space aside for sharded execution, but must be
 // invisible to the attacker/test surface: a reserved line "exists" only
 // once something is written to it.
 func TestReserveInvisibleUntilWritten(t *testing.T) {

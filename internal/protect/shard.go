@@ -13,7 +13,9 @@ import (
 // private mac.PartialBank, private ciphertext/plaintext staging buffers,
 // and local traffic counters — so any number of shards may encrypt, MAC and
 // fold concurrently without touching shared mutable state, as long as they
-// operate on distinct, pre-reserved DRAM lines (mem.DRAM.Reserve).
+// operate on distinct lines inside the DRAM's reservation (mem.DRAM.Reserve:
+// there a line is a fixed 64-byte range of one slab, so a quiet read or
+// write shares nothing with its neighbours).
 //
 // Ownership rules (DESIGN.md §10): a shard is single-goroutine; plaintext
 // slices returned by its Read* methods alias the shard's scratch and are
@@ -144,9 +146,9 @@ func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx u
 	m := s.parent
 	n := len(plaintext) / tensor.BlockBytes
 	s.engine.EncryptBlocks(ctScratch, plaintext, m.counter(m.layer, fmapID, vn, blockIdx), n)
+	m.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
 	for b := 0; b < n; b++ {
 		o := b * tensor.BlockBytes
-		m.dram.WriteBlockQuiet(addr+uint64(b), ctScratch[o:o+tensor.BlockBytes])
 		s.partial.OnWrite(mac.BlockMAC(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes]))
 	}
 	s.writes += n
@@ -168,10 +170,7 @@ func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn
 	m := s.parent
 	n := len(plaintext) / tensor.BlockBytes
 	s.engine.EncryptBlocks(ctScratch, plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx), n)
-	for b := 0; b < n; b++ {
-		o := b * tensor.BlockBytes
-		m.dram.WriteBlockQuiet(addr+uint64(b), ctScratch[o:o+tensor.BlockBytes])
-	}
+	m.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
 	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext[:n*tensor.BlockBytes])
 	s.writes += n
 	return g

@@ -277,11 +277,13 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	if x.OnPlan != nil {
 		x.OnPlan(planInfo(states, inputLayout))
 	}
-	// Pre-allocate every line the run will touch, carved from one slab
-	// (mem.DRAM.Reserve): sharded execution needs the store map read-only,
-	// and the serial path sheds its dominant cost — one heap allocation per
-	// first-written DRAM line. Reservation is attacker-invisible, so the
-	// two paths stay bit- and observation-identical.
+	// Reserve the run's whole address space (mem.DRAM.Reserve): inside the
+	// reservation a line is a fixed range of one slab, which is what lets
+	// shards write distinct lines concurrently and spares the serial path a
+	// lookup and a first-write allocation per line. A pooled DRAM that has
+	// run a network this large already reserves nothing. Reservation is
+	// attacker-invisible, so the two paths stay bit- and
+	// observation-identical.
 	dram.Reserve(total)
 	goldenInput := x.loadInput(rt, input, inputLayout)
 

@@ -3,6 +3,7 @@ package secure
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -200,5 +201,39 @@ func TestPooledStateNotResurrectedByReserve(t *testing.T) {
 	d.Reserve(8)
 	if got := d.Lines(); got != 0 {
 		t.Fatalf("Reserve after Reset resurrected %d written lines", got)
+	}
+}
+
+// TestPooledRunByteBudget holds the steady state to its memory budget: once
+// a pooled run state has been through the deep benchmark model, another
+// serial run allocates bookkeeping only (< 64 KiB), never a DRAM image — the
+// 512 KiB slab a re-Reserve used to cost every run is 8x over this bound.
+func TestPooledRunByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled run states at random under the race detector")
+	}
+	net, err := workload.ResolveShape("MobileNet/8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, ws := nn.RandomModel(net, 1)
+	x := NewExecutor()
+	x.Parallel = 1 // forked shards cost a few KiB of goroutines per layer on top
+	run := func() {
+		if _, err := x.Run(context.Background(), net, in, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // builds the run state and grows its slabs
+	run()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 64<<10 {
+		t.Fatalf("steady-state pooled run allocates %d B/op, budget is 64 KiB", perOp)
 	}
 }

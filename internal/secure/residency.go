@@ -241,23 +241,16 @@ func (res *WeightResidency) matches(net workload.Network, npuCfg npu.Config,
 	return true
 }
 
-// install memcpys the resident ciphertext into a run's DRAM image at the
-// pinned addresses and accounts the same write traffic the host load would
-// have recorded, so the run's DRAM line count and traffic counters match
-// the non-resident run block for block.
+// install copies the resident ciphertext into a run's DRAM image — one
+// range write per layer at its pinned base address — and accounts the same
+// write traffic the host load would have recorded, so the run's DRAM line
+// count and traffic counters match the non-resident run block for block.
 func (res *WeightResidency) install(dram *mem.DRAM) {
 	total := 0
 	for i := range res.layers {
 		rl := &res.layers[i]
-		n := rl.blocks()
-		if n == 0 {
-			continue
-		}
-		for b := 0; b < n; b++ {
-			o := b * tensor.BlockBytes
-			dram.WriteBlockQuiet(rl.wl.base+uint64(b), rl.ct[o:o+tensor.BlockBytes])
-		}
-		total += n
+		dram.WriteRangeQuiet(rl.wl.base, rl.ct)
+		total += rl.blocks()
 	}
 	dram.Record(sim.Write, sim.DataTraffic, total)
 }
