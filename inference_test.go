@@ -1,11 +1,15 @@
 package seculator
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"seculator/internal/mac"
+	"seculator/internal/secure"
+	"seculator/internal/workload"
 )
 
 func demoNet() Network {
@@ -251,5 +255,53 @@ func TestPlanDefenceSurface(t *testing.T) {
 	}
 	if p.Leakage < 0.3 || p.Overhead <= 0 {
 		t.Fatalf("bad plan: %+v", p)
+	}
+}
+
+// TestOutputMACPinned pins the stored format end to end: the final XOR-MAC
+// of a protected run depends on every counter, every pad, every block MAC
+// and every decoded weight, so a kernel that changed any of them — even
+// consistently, which round-trip and serial/parallel tests cannot see —
+// moves it. Both digests were captured at commit 6bb79bf, before the inner
+// kernels were rewritten. Each arm runs twice: the second run takes pooled,
+// scrubbed run state.
+func TestOutputMACPinned(t *testing.T) {
+	for _, tc := range []struct {
+		shape     string
+		blocks    int
+		outputMAC string
+	}{
+		{"MobileNet/8", 7997, "94b5bd3f7b1fbbf5c96e74dc4769581a0f686c81af064355cca58331e269ea01"},
+		{"Mini", 734, "2077231ddd33ca24a1a5d61dbcaa47c424a57fb5e5c4ea8f05b959a310931b51"},
+	} {
+		net, err := workload.ResolveShape(tc.shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, ws := RandomModel(net, 1)
+		arms := map[string]func() (InferenceResult, error){
+			"SecureInferenceContext": func() (InferenceResult, error) {
+				return SecureInferenceContext(context.Background(), net, in, ws, InferenceOptions{})
+			},
+		}
+		for _, workers := range []int{1, 8} {
+			x := secure.NewExecutor()
+			x.Parallel = workers
+			arms[fmt.Sprintf("Executor.Parallel=%d", workers)] = func() (InferenceResult, error) {
+				return x.Run(context.Background(), net, in, ws)
+			}
+		}
+		for name, run := range arms {
+			for pass := 0; pass < 2; pass++ {
+				res, err := run()
+				if err != nil {
+					t.Fatalf("%s, %s: %v", tc.shape, name, err)
+				}
+				if got := fmt.Sprintf("%x", res.OutputMAC[:]); res.Blocks != tc.blocks || got != tc.outputMAC {
+					t.Errorf("%s, %s, pass %d: Blocks %d OutputMAC %s, want %d %s",
+						tc.shape, name, pass, res.Blocks, got, tc.blocks, tc.outputMAC)
+				}
+			}
+		}
 	}
 }

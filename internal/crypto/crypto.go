@@ -102,8 +102,10 @@ func (e *CTREngine) EncryptBlock(dst, src []byte, c Counter) {
 			tensor.BlockBytes, len(dst), len(src)))
 	}
 	e.pad(e.padBuf[:], c)
-	for i := range e.padBuf {
-		dst[i] = src[i] ^ e.padBuf[i]
+	// Eight 64-bit words, not 64 bytes (XOR has no byte order).
+	le := binary.LittleEndian
+	for i := 0; i < tensor.BlockBytes; i += 8 {
+		le.PutUint64(dst[i:], le.Uint64(src[i:])^le.Uint64(e.padBuf[i:]))
 	}
 }
 

@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/aes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -248,4 +250,79 @@ func TestCTRWrongVNGarblesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCTRPadDefinitionPinned pins the stored format, which a round trip
+// cannot see: the pad of a block is four crypto/aes encryptions under the
+// key secret‖random of the counters Fmap‖Layer‖VN‖(Block≪2|lane), every
+// field big-endian and written out here byte by byte; the ciphertext is
+// plaintext ⊕ pad; and EncryptBlocks(n) is n EncryptBlock calls on
+// consecutive Block values. Clone, in-place and a Block index whose shift
+// overflows 32 bits are covered by the random draw.
+func TestCTRPadDefinitionPinned(t *testing.T) {
+	be32 := func(dst []byte, v uint32) {
+		dst[0], dst[1], dst[2], dst[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 100; trial++ {
+		secret, random := rng.Uint64(), rng.Uint64()
+		var key [16]byte
+		for i := 0; i < 8; i++ {
+			key[i] = byte(secret >> (56 - 8*i))
+			key[8+i] = byte(random >> (56 - 8*i))
+		}
+		ref, err := aes.NewCipher(key[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewCTR(secret, random)
+		if trial%2 == 1 {
+			e = e.Clone()
+		}
+		c := Counter{Fmap: rng.Uint32(), Layer: rng.Uint32(), VN: rng.Uint32(), Block: rng.Uint32()}
+		const n = 3
+		src := make([]byte, n*tensor.BlockBytes)
+		rng.Read(src)
+
+		want := make([]byte, len(src))
+		for b := 0; b < n; b++ {
+			for lane := 0; lane < 4; lane++ {
+				var ctr, pad [16]byte
+				be32(ctr[0:], c.Fmap)
+				be32(ctr[4:], c.Layer)
+				be32(ctr[8:], c.VN)
+				be32(ctr[12:], (c.Block+uint32(b))<<2|uint32(lane))
+				ref.Encrypt(pad[:], ctr[:])
+				o := b*tensor.BlockBytes + lane*16
+				for i := range pad {
+					want[o+i] = src[o+i] ^ pad[i]
+				}
+			}
+		}
+
+		got := make([]byte, len(src))
+		e.EncryptBlocks(got, src, c, n)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncryptBlocks(%v, %d) differs from the hand-built pads", c, n)
+		}
+		for b := 0; b < n; b++ {
+			o := b * tensor.BlockBytes
+			blk := append([]byte(nil), src[o:o+tensor.BlockBytes]...)
+			cb := c
+			cb.Block += uint32(b)
+			e.EncryptBlock(blk, blk, cb) // in place
+			if !bytes.Equal(blk, want[o:o+tensor.BlockBytes]) {
+				t.Fatalf("EncryptBlock(%v) differs from the hand-built pad", cb)
+			}
+		}
+	}
+}
+
+func TestCTRBatchBadSizePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a batch longer than its buffers should panic")
+		}
+	}()
+	NewCTR(1, 2).EncryptBlocks(make([]byte, tensor.BlockBytes), make([]byte, tensor.BlockBytes), Counter{}, 2)
 }

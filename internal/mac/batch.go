@@ -3,6 +3,7 @@ package mac
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 )
 
 // batch.go — batched XOR-MAC folding over rows of consecutive blocks.
@@ -15,12 +16,41 @@ import (
 // index field per block, hashing many blocks per call with zero heap
 // allocations (the message buffer is caller-owned scratch inside the
 // hasher value, so one hasher amortizes across an entire model load).
+//
+// The hasher also keeps one SHA-256 state for its lifetime: sha256.Sum256
+// builds and resets a fresh digest on every call, which is a tenth of a
+// block MAC's cost. The shards of the secure layer loop therefore take
+// their single-block MACs from the same hasher (Block).
 
-// RowHasher is caller-owned scratch for batched row-MAC folding. The zero
-// value is ready to use. Not safe for concurrent use — give each worker
-// its own (it is 88 bytes; embed it or stack-allocate it).
+// RowHasher is caller-owned scratch for block MACs: the 88-byte message
+// buffer, a resident SHA-256 state and the sum it writes. The zero value is
+// ready to use; the first MAC allocates the state and no later one
+// allocates. Not safe for concurrent use — give each worker its own.
 type RowHasher struct {
+	h   hash.Hash
 	buf [hdrSize + maxInlineData]byte
+	// sum receives h.Sum: a stack array would escape through the hash.Hash
+	// interface and allocate per block.
+	sum Digest
+}
+
+// Block returns BlockMAC(ref, data) for one block of at most 64 bytes.
+func (h *RowHasher) Block(ref BlockRef, data []byte) Digest {
+	putHeader(h.buf[:hdrSize], ref)
+	h.hashBlock(data)
+	return h.sum
+}
+
+// hashBlock hashes the header in buf followed by data (at most 64 bytes,
+// else the slice expression panics) into sum.
+func (h *RowHasher) hashBlock(data []byte) {
+	if h.h == nil {
+		h.h = sha256.New()
+	}
+	copy(h.buf[hdrSize:hdrSize+len(data)], data)
+	h.h.Reset()
+	h.h.Write(h.buf[:hdrSize+len(data)])
+	h.h.Sum(h.sum[:0])
 }
 
 // FoldRow returns the XOR of BlockMAC(ref with Index+i, block i) over all
@@ -31,18 +61,28 @@ type RowHasher struct {
 // golden digest.
 func (h *RowHasher) FoldRow(ref BlockRef, data []byte) (Digest, int) {
 	n := len(data) / maxInlineData
-	if n == 0 {
-		return Digest{}, 0
-	}
 	putHeader(h.buf[:hdrSize], ref)
 	var acc Digest
 	for b := 0; b < n; b++ {
 		binary.BigEndian.PutUint32(h.buf[20:24], ref.Index+uint32(b))
-		copy(h.buf[hdrSize:], data[b*maxInlineData:(b+1)*maxInlineData])
-		d := Digest(sha256.Sum256(h.buf[:]))
-		for i := range acc {
-			acc[i] ^= d[i]
-		}
+		h.hashBlock(data[b*maxInlineData : (b+1)*maxInlineData])
+		xorWords(&acc, &h.sum)
 	}
 	return acc, n
+}
+
+// Scrub wipes what a pooled hasher would otherwise carry into the next run
+// and keeps the SHA-256 state, so reuse allocates nothing. After an 88-byte
+// Write the state buffers the message's last 24 bytes — plaintext — and its
+// Reset zeroes the counters, not that buffer; a 64-byte Write would be
+// compressed straight from the caller's slice without touching it. So the
+// buffer is overwritten with 63 zero bytes and left that way: every MAC
+// begins with its own Reset.
+func (h *RowHasher) Scrub() {
+	clear(h.buf[:])
+	h.sum = Digest{}
+	if h.h != nil {
+		h.h.Reset()
+		h.h.Write(h.buf[:sha256.BlockSize-1])
+	}
 }

@@ -45,11 +45,18 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 
 // Xor returns d ⊕ o.
 func (d Digest) Xor(o Digest) Digest {
-	var out Digest
-	for i := range d {
-		out[i] = d[i] ^ o[i]
-	}
-	return out
+	xorWords(&d, &o)
+	return d
+}
+
+// xorWords sets d ^= o as four 64-bit words (XOR has no byte order; the
+// little-endian view compiles to plain loads and stores).
+func xorWords(d, o *Digest) {
+	le := binary.LittleEndian
+	le.PutUint64(d[0:], le.Uint64(d[0:])^le.Uint64(o[0:]))
+	le.PutUint64(d[8:], le.Uint64(d[8:])^le.Uint64(o[8:]))
+	le.PutUint64(d[16:], le.Uint64(d[16:])^le.Uint64(o[16:]))
+	le.PutUint64(d[24:], le.Uint64(d[24:])^le.Uint64(o[24:]))
 }
 
 // String renders the first 8 bytes, enough to identify a digest in logs.
@@ -111,7 +118,7 @@ type Register struct {
 
 // Fold XORs m into the register.
 func (r *Register) Fold(m Digest) {
-	r.value = r.value.Xor(m)
+	xorWords(&r.value, &m)
 	r.folds++
 }
 
@@ -130,7 +137,7 @@ func (r *Register) Reset() { *r = Register{} }
 // a single register folding every MAC serially would hold; the fold counts
 // add for the same reason.
 func (r *Register) Merge(o Register) {
-	r.value = r.value.Xor(o.value)
+	xorWords(&r.value, &o.value)
 	r.folds += o.folds
 }
 

@@ -136,36 +136,81 @@ func PadOrigin(l workload.Layer) (padY, padX int) {
 // channels [c0, c1) to out for output channels [k0, k1) and output rows
 // [y0, y1), over all output columns. Depthwise layers reduce each output
 // channel against its own input channel regardless of [c0, c1).
+//
+// The kernel's row and column ranges are clipped against the zero padding
+// once per output row and column, and the reduction then runs over
+// sub-slices of in.Data and w.Data. The outer order is k, y, x because the
+// late layers of the networks run here have 2×2 and 1×1 planes: with x
+// innermost the loop runs once or twice and hoisting its bounds is the cost.
+// int32 sums wrap mod 2³², so the result does not depend on the order.
 func AccumulateConv(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
 	k0, k1, c0, c1, y0, y1 int) {
 	padY, padX := PadOrigin(l)
+	k1, y1 = min(k1, l.K), min(y1, out.H)
 	depthwise := l.Type == workload.Depthwise
-	for k := k0; k < k1 && k < l.K; k++ {
-		for y := y0; y < y1 && y < out.H; y++ {
-			for x := 0; x < out.W; x++ {
+	if depthwise {
+		if c0 > 0 {
+			return // single reduction step: only c-group 0 contributes
+		}
+		c0, c1 = 0, 1
+	} else if c1 = min(c1, l.C); c0 >= c1 {
+		return
+	}
+	plane, filter := in.H*in.W, w.R*w.S
+	pointwise := l.R == 1 && l.S == 1 && !depthwise
+	for k := k0; k < k1; k++ {
+		// First input plane and filter of the reduction: depthwise pairs
+		// input channel k with the output channel's only filter.
+		inK, wK := in.Data[c0*plane:], w.Data[(k*w.C+c0)*filter:]
+		if depthwise {
+			inK = in.Data[k*plane:]
+		}
+		for y := y0; y < y1; y++ {
+			iy := y*l.Stride - padY
+			rlo, rhi := max(0, -iy), min(l.R, in.H-iy)
+			if rlo >= rhi {
+				continue // kernel rows all in the padding
+			}
+			orow := out.Data[(k*out.H+y)*out.W:][:out.W]
+			for x := range orow {
+				ix := x*l.Stride - padX
+				slo, shi := max(0, -ix), min(l.S, in.W-ix)
+				if slo >= shi {
+					continue // kernel columns all in the padding
+				}
 				var sum int32
-				if depthwise {
-					if c0 > 0 {
-						continue // single reduction step: only c-group 0 contributes
-					}
-					for r := 0; r < l.R; r++ {
-						for s := 0; s < l.S; s++ {
-							sum += in.AtPadded(k, y*l.Stride+r-padY, x*l.Stride+s-padX) * w.At(k, 0, r, s)
-						}
-					}
+				if pointwise {
+					sum = dotPlanes(inK[iy*in.W+ix:], wK[:c1-c0], plane)
 				} else {
-					for c := c0; c < c1 && c < l.C; c++ {
-						for r := 0; r < l.R; r++ {
-							for s := 0; s < l.S; s++ {
-								sum += in.AtPadded(c, y*l.Stride+r-padY, x*l.Stride+s-padX) * w.At(k, c, r, s)
+					for c := 0; c < c1-c0; c++ {
+						for r := rlo; r < rhi; r++ {
+							wrow := wK[c*filter+r*w.S+slo:][:shi-slo]
+							for i, v := range inK[c*plane+(iy+r)*in.W+ix+slo:][:shi-slo] {
+								sum += v * wrow[i]
 							}
 						}
 					}
 				}
-				out.Set(k, y, x, out.At(k, y, x)+sum)
+				orow[x] += sum
 			}
 		}
 	}
+}
+
+// dotPlanes returns Σ in[i·plane]·w[i]: the reduction of a one-tap kernel,
+// which walks the channels at a plane stride. It is kept out of line
+// because inlined into AccumulateConv's loop nest its accumulator and index
+// spill to the stack, which doubles the time of a 128-channel reduction.
+//
+//go:noinline
+func dotPlanes(in, w []int32, plane int) int32 {
+	var sum int32
+	p := 0
+	for _, wv := range w {
+		sum += in[p] * wv
+		p += plane
+	}
+	return sum
 }
 
 // AccumulatePool writes the max-pool result for channels [k0, k1) and

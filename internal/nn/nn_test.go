@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -249,5 +250,183 @@ func TestForwardNetworkAndRandomModel(t *testing.T) {
 	}
 	if _, err := ForwardNetwork(net, in, ws[:1]); err == nil {
 		t.Fatal("weight count mismatch accepted")
+	}
+}
+
+// accumulateConvRef is the element-wise convolution AccumulateConv replaced,
+// kept as its oracle: every operand goes through AtPadded / At, one bounds
+// branch and one three-term index per element.
+func accumulateConvRef(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
+	k0, k1, c0, c1, y0, y1 int) {
+	padY, padX := PadOrigin(l)
+	depthwise := l.Type == workload.Depthwise
+	for k := k0; k < k1 && k < l.K; k++ {
+		for y := y0; y < y1 && y < out.H; y++ {
+			for x := 0; x < out.W; x++ {
+				var sum int32
+				if depthwise {
+					if c0 > 0 {
+						continue // single reduction step: only c-group 0 contributes
+					}
+					for r := 0; r < l.R; r++ {
+						for s := 0; s < l.S; s++ {
+							sum += in.AtPadded(k, y*l.Stride+r-padY, x*l.Stride+s-padX) * w.At(k, 0, r, s)
+						}
+					}
+				} else {
+					for c := c0; c < c1 && c < l.C; c++ {
+						for r := 0; r < l.R; r++ {
+							for s := 0; s < l.S; s++ {
+								sum += in.AtPadded(c, y*l.Stride+r-padY, x*l.Stride+s-padX) * w.At(k, c, r, s)
+							}
+						}
+					}
+				}
+				out.Set(k, y, x, out.At(k, y, x)+sum)
+			}
+		}
+	}
+}
+
+// fillFullRange fills data with values over the whole int32 range, so the
+// products and sums of a reduction wrap mod 2³².
+func fillFullRange(rng *rand.Rand, data []int32) {
+	for i := range data {
+		data[i] = int32(rng.Uint32())
+	}
+}
+
+// checkConvAgainstRef runs AccumulateConv and the oracle over the same
+// sub-range into identical non-zero accumulators and compares every element,
+// the ones outside the sub-range included.
+func checkConvAgainstRef(t *testing.T, rng *rand.Rand, l workload.Layer, in *Tensor, w *Weights,
+	k0, k1, c0, c1, y0, y1 int) {
+	t.Helper()
+	got := NewTensor(l.K, l.OutH(), l.OutW())
+	fillFullRange(rng, got.Data)
+	want := NewTensor(got.Chans, got.H, got.W)
+	copy(want.Data, got.Data)
+	AccumulateConv(got, in, w, l, k0, k1, c0, c1, y0, y1)
+	accumulateConvRef(want, in, w, l, k0, k1, c0, c1, y0, y1)
+	if !got.Equal(want) {
+		t.Fatalf("layer %+v k[%d,%d) c[%d,%d) y[%d,%d): differs from the element-wise reference",
+			l, k0, k1, c0, c1, y0, y1)
+	}
+}
+
+// TestAccumulateConvMatchesReference is the seeded differential test of the
+// slice-indexed convolution: random layers over {Conv, Depthwise} × stride
+// 1–3 × same / valid padding × R ≠ S × kernels wider than the input ×
+// R = S = 1, full-range operands, and random sub-ranges whose upper bounds
+// may lie past K, C and OutH.
+func TestAccumulateConvMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const want = 10000
+	shapes, wider, oneTap := 0, 0, 0
+	for shapes < want {
+		l := workload.Layer{
+			Name: "rand", Type: workload.Conv,
+			C: 1 + rng.Intn(5), H: 1 + rng.Intn(7), W: 1 + rng.Intn(7), K: 1 + rng.Intn(5),
+			R: 1 + rng.Intn(5), S: 1 + rng.Intn(5), Stride: 1 + rng.Intn(3), Valid: rng.Intn(2) == 0,
+		}
+		if rng.Intn(4) == 0 {
+			l.R, l.S = 1, 1
+		}
+		if rng.Intn(2) == 0 {
+			l.Type, l.K = workload.Depthwise, l.C
+		}
+		if l.Validate() != nil || l.OutH() < 1 || l.OutW() < 1 {
+			continue // valid padding with a kernel wider than the input has no output
+		}
+		shapes++
+		if l.R > l.H || l.S > l.W {
+			wider++
+		}
+		if l.R == 1 && l.S == 1 {
+			oneTap++
+		}
+		in := NewTensor(l.C, l.H, l.W)
+		fillFullRange(rng, in.Data)
+		w := WeightsFor(l)
+		fillFullRange(rng, w.Data)
+
+		checkConvAgainstRef(t, rng, l, in, w, 0, l.K, 0, l.ReductionChannels(), 0, l.OutH())
+		k0, c0, y0 := rng.Intn(l.K), rng.Intn(l.C), rng.Intn(l.OutH())
+		checkConvAgainstRef(t, rng, l, in, w,
+			k0, k0+rng.Intn(l.K+2), c0, c0+rng.Intn(l.C+2), y0, y0+rng.Intn(l.OutH()+2))
+	}
+	// The generator must reach the corners the kernel branches on.
+	if wider < want/20 || oneTap < want/10 {
+		t.Fatalf("of %d shapes only %d have a kernel wider than the input and %d have R = S = 1",
+			shapes, wider, oneTap)
+	}
+}
+
+// TestAccumulateConvMatchesReferenceOnNetworks checks every weighted layer
+// of the two networks the benchmark runs, on the activations the layers
+// really see.
+func TestAccumulateConvMatchesReferenceOnNetworks(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, name := range []string{"MobileNet/8", "Mini"} {
+		net, err := workload.ResolveShape(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, ws := RandomModel(net, 1)
+		for i, l := range net.Layers {
+			if ws[i] != nil {
+				in, err := reshapeInput(l, cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkConvAgainstRef(t, rng, l, in, ws[i], 0, l.K, 0, l.ReductionChannels(), 0, l.OutH())
+			}
+			if cur, err = Forward(l, cur, ws[i]); err != nil {
+				t.Fatalf("%s layer %d: %v", name, i, err)
+			}
+		}
+	}
+}
+
+var benchSink int32
+
+// BenchmarkAccumulateConv times one full layer of each kernel shape
+// MobileNet/8 runs: the first 3×3 convolution, the first depthwise and
+// pointwise layers, and the classifier.
+func BenchmarkAccumulateConv(b *testing.B) {
+	net, err := workload.ResolveShape("MobileNet/8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	first := map[workload.LayerType]workload.Layer{}
+	for _, l := range net.Layers {
+		if _, ok := first[l.Type]; !ok {
+			first[l.Type] = l
+		}
+	}
+	for _, arm := range []struct {
+		name string
+		typ  workload.LayerType
+	}{
+		{"conv", workload.Conv}, {"depthwise", workload.Depthwise},
+		{"pointwise", workload.Pointwise}, {"fc", workload.FC},
+	} {
+		l, ok := first[arm.typ]
+		if !ok {
+			b.Fatalf("MobileNet/8 has no %s layer", arm.name)
+		}
+		b.Run(arm.name, func(b *testing.B) {
+			in := NewTensor(l.C, l.H, l.W)
+			in.Randomize(1)
+			w := WeightsFor(l)
+			w.Randomize(2)
+			out := NewTensor(l.K, l.OutH(), l.OutW())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AccumulateConv(out, in, w, l, 0, l.K, 0, l.ReductionChannels(), 0, out.H)
+			}
+			benchSink = out.Data[0]
+		})
 	}
 }

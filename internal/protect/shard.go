@@ -10,8 +10,9 @@ import (
 // SeculatorShard is a per-worker view of a SeculatorMemory for the sharded
 // secure execution path. Each shard owns a private clone of the CTR engine
 // (the AES key schedule is shared and immutable, the scratch is not), a
-// private mac.PartialBank, private ciphertext/plaintext staging buffers,
-// and local traffic counters — so any number of shards may encrypt, MAC and
+// private mac.RowHasher every block MAC of the shard comes from, a private
+// mac.PartialBank, private ciphertext/plaintext staging buffers, and local
+// traffic counters — so any number of shards may encrypt, MAC and
 // fold concurrently without touching shared mutable state, as long as they
 // operate on distinct lines inside the DRAM's reservation (mem.DRAM.Reserve:
 // there a line is a fixed 64-byte range of one slab, so a quiet read or
@@ -44,7 +45,8 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
 // memory: MAC partials and traffic counts reset, the plaintext/ciphertext
 // staging is zeroed so no block of the previous run survives in pooled
-// scratch, and the row hasher returns to its zero-value-ready state. The
+// scratch, and the hasher is scrubbed in place (it buffers the tail of
+// the last plaintext block it hashed; see mac.RowHasher.Scrub). The
 // engine clone is kept — it shares the parent's immutable key schedule,
 // which Recycle on the parent guarantees is unchanged.
 func (s *SeculatorShard) Recycle() {
@@ -52,7 +54,7 @@ func (s *SeculatorShard) Recycle() {
 	s.reads, s.writes = 0, 0
 	clear(s.ct[:])
 	clear(s.pt[:])
-	s.rowh = mac.RowHasher{}
+	s.rowh.Scrub()
 }
 
 // Merge reduces shard state back into the memory: per-shard partial MAC
@@ -103,7 +105,7 @@ func (s *SeculatorShard) fetch(addr uint64, layer, fmapID uint32, vn int, blockI
 // is shard scratch, valid until the shard's next operation.
 func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
 	pt := s.fetch(addr, prevLayer, fmapID, vn, blockIdx)
-	d := mac.BlockMAC(s.parent.ref(prevLayer, fmapID, vn, blockIdx), pt)
+	d := s.rowh.Block(s.parent.ref(prevLayer, fmapID, vn, blockIdx), pt)
 	if first {
 		s.partial.OnFirstRead(d)
 	} else {
@@ -116,7 +118,7 @@ func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int
 func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockIdx uint32) []byte {
 	m := s.parent
 	pt := s.fetch(addr, m.layer, fmapID, vn, blockIdx)
-	s.partial.OnPartialRead(mac.BlockMAC(m.ref(m.layer, fmapID, vn, blockIdx), pt))
+	s.partial.OnPartialRead(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx), pt))
 	return pt
 }
 
@@ -125,7 +127,7 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 // golden accumulation.
 func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32) ([]byte, mac.Digest) {
 	pt := s.fetch(addr, ownerLayer, fmapID, vn, blockIdx)
-	return pt, mac.BlockMAC(s.parent.ref(ownerLayer, fmapID, vn, blockIdx), pt)
+	return pt, s.rowh.Block(s.parent.ref(ownerLayer, fmapID, vn, blockIdx), pt)
 }
 
 // WriteBlock is the shard counterpart of SeculatorMemory.WriteBlock.
@@ -134,7 +136,7 @@ func (s *SeculatorShard) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx
 	s.engine.EncryptBlock(s.ct[:], plaintext, m.counter(m.layer, fmapID, vn, blockIdx))
 	m.dram.WriteBlockQuiet(addr, s.ct[:])
 	s.writes++
-	s.partial.OnWrite(mac.BlockMAC(m.ref(m.layer, fmapID, vn, blockIdx), plaintext))
+	s.partial.OnWrite(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx), plaintext))
 }
 
 // WriteRow encrypts and stores n consecutive blocks of one fmap row —
@@ -149,7 +151,7 @@ func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx u
 	m.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
 	for b := 0; b < n; b++ {
 		o := b * tensor.BlockBytes
-		s.partial.OnWrite(mac.BlockMAC(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes]))
+		s.partial.OnWrite(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes]))
 	}
 	s.writes += n
 }
@@ -160,7 +162,7 @@ func (s *SeculatorShard) HostWriteBlock(addr uint64, ownerLayer, fmapID uint32, 
 	s.engine.EncryptBlock(s.ct[:], plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx))
 	m.dram.WriteBlockQuiet(addr, s.ct[:])
 	s.writes++
-	return mac.BlockMAC(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
+	return s.rowh.Block(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
 }
 
 // HostWriteRow encrypts and stores n consecutive blocks on behalf of the

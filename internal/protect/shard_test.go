@@ -2,6 +2,7 @@ package protect
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -180,5 +181,34 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 		if !bytes.Equal(da.Peek(a), db.Peek(a)) {
 			t.Fatalf("ciphertext differs at line %d", a)
 		}
+	}
+}
+
+// TestShardRecycleScrubsHasher: the shard's hasher buffers the tail of the
+// last plaintext block it MACed inside its SHA-256 state, so Recycle must
+// scrub it like the staging buffers — and keep it, so a pooled run builds
+// none. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
+// hasher (mac's own tests decode it); reflect.DeepEqual follows the hasher
+// into that state.
+func TestShardRecycleScrubsHasher(t *testing.T) {
+	var scrubbed mac.RowHasher
+	scrubbed.Block(mac.BlockRef{}, shardPattern(0))
+	scrubbed.Scrub()
+
+	d := shardTestDRAM(t)
+	d.Reserve(1)
+	m := NewSeculatorMemory(d, 3, 4)
+	m.BeginLayer(1)
+	sh := m.Shard()
+	sh.WriteBlock(0, 2, 1, 0, shardPattern(1))
+	if reflect.DeepEqual(sh.rowh, scrubbed) {
+		t.Fatal("a used hasher compares equal to a scrubbed one: the comparison sees nothing")
+	}
+	sh.Recycle()
+	if !reflect.DeepEqual(sh.rowh, scrubbed) {
+		t.Fatal("Recycle left the shard's hasher unscrubbed, or dropped it")
+	}
+	if sh.ct != [tensor.BlockBytes]byte{} || sh.pt != [tensor.BlockBytes]byte{} {
+		t.Fatal("Recycle left block staging behind")
 	}
 }

@@ -305,8 +305,8 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		}
 	case overlap:
 		if weights[0] != nil {
-			ints, pt, ct := rt.loadScratch(0, states[0].wl.sliceInts, states[0].wl.sliceBlocks)
-			states[0].goldenWeights = x.loadLayerWeights(rt.shards[0], &states[0], weights[0], ints, pt, ct)
+			pt, ct := rt.rowScratch(0, states[0].wl.sliceBlocks)
+			states[0].goldenWeights = x.loadLayerWeights(rt.shards[0], &states[0], weights[0], pt, ct)
 			sm.Merge(rt.shards[0])
 		}
 	default:
@@ -327,8 +327,8 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 				if g, ok := rt.waitPreload(); ok {
 					st.goldenWeights = g
 				} else {
-					ints, pt, ct := rt.loadScratch(0, st.wl.sliceInts, st.wl.sliceBlocks)
-					st.goldenWeights = x.loadLayerWeights(rt.shards[0], st, weights[i], ints, pt, ct)
+					pt, ct := rt.rowScratch(0, st.wl.sliceBlocks)
+					st.goldenWeights = x.loadLayerWeights(rt.shards[0], st, weights[i], pt, ct)
 					sm.Merge(rt.shards[0])
 				}
 			}
@@ -568,17 +568,16 @@ func (x *Executor) loadInput(rt *inferRuntime, input *nn.Tensor, il actLayout) m
 
 // loadLayerWeights host-writes one layer's weights through a shard, slice
 // by slice, returning the layer's golden XOR-MAC. The caller supplies the
-// staging (ints of wl.sliceInts values, pt/ct of wl.sliceBlocks blocks):
-// inline loads pass the runtime's loadScratch, forked loads their shard's
-// scratch, and the overlapped preload its private preloadScratch — so no
-// path shares staging with a concurrently executing layer shard.
-func (x *Executor) loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights, ints []int32, pt, ct []byte) mac.Digest {
+// staging (pt/ct of wl.sliceBlocks blocks): inline and forked loads pass
+// their shard's rowScratch, and the overlapped preload its private
+// preloadScratch — so no path shares staging with a concurrently executing
+// layer shard.
+func (x *Executor) loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights, pt, ct []byte) mac.Digest {
 	var golden mac.Digest
 	wl := st.wl
 	for k := 0; k < wl.k; k++ {
 		for cg := 0; cg < wl.cGroups; cg++ {
-			weightSliceInto(ints, st.layer, w, k, cg)
-			encodeRowInto(pt, ints)
+			encodeRowInto(pt, weightRun(st.layer, w, k, cg, wl.sliceInts))
 			golden = golden.Xor(sh.HostWriteRow(wl.addr(k, cg, 0), wl.ownerID, uint32(k), 1,
 				uint32(cg*wl.sliceBlocks), pt, ct))
 		}
@@ -602,67 +601,26 @@ func (x *Executor) loadAllWeights(rt *inferRuntime, states []layerState, weights
 			if weights[i] == nil {
 				continue
 			}
-			wl := states[i].wl
-			ints := rt.weightInts(s, wl.sliceInts)
-			pt, ct := rt.rowScratch(s, wl.sliceBlocks)
-			states[i].goldenWeights = x.loadLayerWeights(sh, &states[i], weights[i], ints, pt, ct)
+			pt, ct := rt.rowScratch(s, states[i].wl.sliceBlocks)
+			states[i].goldenWeights = x.loadLayerWeights(sh, &states[i], weights[i], pt, ct)
 		}
 	})
 }
 
-// weightSliceInto fills dst (the (k, c-group) slice, len == sliceInts) with
-// the flat int32 weight row — the allocation-free counterpart of weightSlice
-// for the hot load paths. Padded channel groups read as zero.
-func weightSliceInto(dst []int32, l workload.Layer, w *nn.Weights, k, cg int) {
-	i := 0
+// weightRun returns the (k, c-group) weight slice where it lives: the
+// (k, c, r, s) layout stores a group of sliceInts/(R·S) channels as one
+// contiguous run of the tensor, clipped at the last real channel. The run
+// needs no staging copy: a padded channel group is a run shorter than
+// sliceInts (or empty), and the block codecs zero-pad on encode and clip on
+// decode. A depthwise filter has one channel, which every c-group sees.
+func weightRun(l workload.Layer, w *nn.Weights, k, cg, sliceInts int) []int32 {
+	filter := w.R * w.S
+	ct := sliceInts / filter
 	if l.Type == workload.Depthwise {
-		for r := 0; r < l.R; r++ {
-			for s := 0; s < l.S; s++ {
-				dst[i] = w.At(k, 0, r, s)
-				i++
-			}
-		}
-		return
+		cg = 0
 	}
-	ct := len(dst) / (l.R * l.S)
-	for c := cg * ct; c < (cg+1)*ct; c++ {
-		for r := 0; r < l.R; r++ {
-			for s := 0; s < l.S; s++ {
-				if c < l.C {
-					dst[i] = w.At(k, c, r, s)
-				} else {
-					dst[i] = 0 // padded channel group
-				}
-				i++
-			}
-		}
-	}
-}
-
-// weightSlice extracts the (k, c-group) weight slice as a flat int32 row.
-func weightSlice(l workload.Layer, w *nn.Weights, k, cg, sliceInts int) []int32 {
-	out := make([]int32, 0, sliceInts)
-	if l.Type == workload.Depthwise {
-		for r := 0; r < l.R; r++ {
-			for s := 0; s < l.S; s++ {
-				out = append(out, w.At(k, 0, r, s))
-			}
-		}
-		return out
-	}
-	ct := sliceInts / (l.R * l.S)
-	for c := cg * ct; c < (cg+1)*ct; c++ {
-		for r := 0; r < l.R; r++ {
-			for s := 0; s < l.S; s++ {
-				if c < l.C {
-					out = append(out, w.At(k, c, r, s))
-				} else {
-					out = append(out, 0) // padded channel group
-				}
-			}
-		}
-	}
-	return out
+	lo, hi := min(cg*ct, w.C), min((cg+1)*ct, w.C)
+	return w.Data[(k*w.C+lo)*filter : (k*w.C+hi)*filter]
 }
 
 func finalVN(write interface{ MaxVN() int }) int {

@@ -1,8 +1,10 @@
 package secure
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +203,80 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	decodeBlock(got, 16, blk[:])
 	if got[19] != 7 || got[15] != 0 || got[0] != 0 {
 		t.Fatal("multi-block round trip failed")
+	}
+}
+
+// weightSliceRef is the element-wise (k, c-group) slice extraction that
+// weightRun replaced, kept as its oracle: every element through
+// Weights.At, padded channels written as explicit zeros.
+func weightSliceRef(l workload.Layer, w *nn.Weights, k, cg, sliceInts int) []int32 {
+	out := make([]int32, 0, sliceInts)
+	if l.Type == workload.Depthwise {
+		for r := 0; r < l.R; r++ {
+			for s := 0; s < l.S; s++ {
+				out = append(out, w.At(k, 0, r, s))
+			}
+		}
+		return out
+	}
+	ct := sliceInts / (l.R * l.S)
+	for c := cg * ct; c < (cg+1)*ct; c++ {
+		for r := 0; r < l.R; r++ {
+			for s := 0; s < l.S; s++ {
+				if c < l.C {
+					out = append(out, w.At(k, c, r, s))
+				} else {
+					out = append(out, 0) // padded channel group
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestWeightRunMatchesReference: encoding a (k, c-group) slice straight
+// from its run of the weight tensor stores the same bytes as encoding the
+// staged element-wise copy, and decoding those bytes straight into the run
+// of an empty tensor restores exactly the slice's real channels — over
+// conv and depthwise shapes, channel groups that divide C, that straddle
+// its end, and that lie wholly past it.
+func TestWeightRunMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		l := workload.Layer{Type: workload.Conv, C: 1 + rng.Intn(9), K: 1 + rng.Intn(4),
+			R: 1 + rng.Intn(3), S: 1 + rng.Intn(3)}
+		ct := 1 + rng.Intn(l.C+2) // channels per group; may exceed C
+		cGroups := tensor.CeilDiv(l.C, ct) + rng.Intn(2)
+		if rng.Intn(3) == 0 {
+			l.Type, l.K, ct = workload.Depthwise, l.C, 1
+		}
+		w := nn.WeightsFor(l)
+		for i := range w.Data {
+			w.Data[i] = int32(rng.Uint32())
+		}
+		sliceInts := ct * l.R * l.S
+		sliceBlocks := tensor.CeilDiv(sliceInts*4, tensor.BlockBytes)
+		got := make([]byte, sliceBlocks*tensor.BlockBytes)
+		want := make([]byte, len(got))
+		back := nn.WeightsFor(l)
+		for k := 0; k < l.K; k++ {
+			for cg := 0; cg < cGroups; cg++ {
+				encodeRowInto(got, weightRun(l, w, k, cg, sliceInts))
+				encodeRowInto(want, weightSliceRef(l, w, k, cg, sliceInts))
+				if !bytes.Equal(got, want) {
+					t.Fatalf("layer %+v ct=%d k=%d cg=%d: encoded slice differs from the element-wise reference", l, ct, k, cg)
+				}
+				run := weightRun(l, back, k, cg, sliceInts)
+				for j := 0; j < sliceBlocks; j++ {
+					decodeBlock(run, j*intsPerBlock, got[j*tensor.BlockBytes:(j+1)*tensor.BlockBytes])
+				}
+			}
+		}
+		for i, v := range w.Data {
+			if back.Data[i] != v {
+				t.Fatalf("layer %+v ct=%d: decoded weight %d = %d, want %d", l, ct, i, back.Data[i], v)
+			}
+		}
 	}
 }
 

@@ -299,8 +299,8 @@ func (r *layerRun) readWeightTile(e dataflow.Event) {
 	rt := r.rt
 	clear(rt.wDigest)
 	rt.forkBlocks(k1-k0, wl.sliceBlocks, func(s int, sh *protect.SeculatorShard, lo, hi int) {
-		ints := rt.weightInts(s, wl.sliceInts)
 		for k := k0 + lo; k < k0+hi; k++ {
+			run := weightRun(r.st.layer, r.w, k, cg, wl.sliceInts)
 			for j := 0; j < wl.sliceBlocks; j++ {
 				flat := (k*wl.cGroups+cg)*wl.sliceBlocks + j
 				pt, d := sh.ReadStatic(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1,
@@ -309,41 +309,12 @@ func (r *layerRun) readWeightTile(e dataflow.Event) {
 					r.wTouched[flat] = true
 					rt.wDigest[s] = rt.wDigest[s].Xor(d)
 				}
-				decodeBlock(ints, j*intsPerBlock, pt)
+				decodeBlock(run, j*intsPerBlock, pt)
 			}
-			r.decodeWeightSlice(k, cg, ints)
 		}
 	})
 	for _, d := range rt.wDigest {
 		r.wDigest = r.wDigest.Xor(d)
-	}
-}
-
-// decodeWeightSlice scatters a decoded (k, c-group) slice into the weight
-// tensor.
-func (r *layerRun) decodeWeightSlice(k, cg int, ints []int32) {
-	l := r.st.layer
-	if l.Type == workload.Depthwise {
-		i := 0
-		for rr := 0; rr < l.R; rr++ {
-			for ss := 0; ss < l.S; ss++ {
-				r.w.Data[((k*r.w.C+0)*r.w.R+rr)*r.w.S+ss] = ints[i]
-				i++
-			}
-		}
-		return
-	}
-	ct := r.st.wl.sliceInts / (l.R * l.S)
-	i := 0
-	for cc := cg * ct; cc < (cg+1)*ct; cc++ {
-		for rr := 0; rr < l.R; rr++ {
-			for ss := 0; ss < l.S; ss++ {
-				if cc < l.C {
-					r.w.Data[((k*r.w.C+cc)*r.w.R+rr)*r.w.S+ss] = ints[i]
-				}
-				i++
-			}
-		}
 	}
 }
 
@@ -409,25 +380,19 @@ func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 func (r *layerRun) verifyWeights() error {
 	got := r.wDigest
 	// Fold unread weight blocks host-side (slices of fully padded channel
-	// groups, or resident groups skipped by the mapping's reuse). The slice
-	// is re-derived at most once per (k, cg) into runtime scratch — the
-	// events have quiesced, so shard 0's decode slab is free.
+	// groups, or resident groups skipped by the mapping's reuse).
 	wl := r.st.wl
 	l := r.st.layer
 	blk := r.rt.blockBuf[:]
 	for k := 0; k < wl.k; k++ {
 		for cg := 0; cg < wl.cGroups; cg++ {
-			var ints []int32
+			run := weightRun(l, r.wOrig(), k, cg, wl.sliceInts)
 			for j := 0; j < wl.sliceBlocks; j++ {
 				flat := (k*wl.cGroups+cg)*wl.sliceBlocks + j
 				if r.wTouched[flat] {
 					continue
 				}
-				if ints == nil {
-					ints = r.rt.weightInts(0, wl.sliceInts)
-					weightSliceInto(ints, l, r.wOrig(), k, cg)
-				}
-				encodeBlockInto(blk, ints, j)
+				encodeBlockInto(blk, run, j)
 				got = got.Xor(r.sm.BlockDigest(wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks+j), blk))
 			}
 		}

@@ -133,16 +133,13 @@ type inferRuntime struct {
 	wData     []int32 // decoded-weight tensor backing
 	wTensor   nn.Weights
 	flatRuns  []flatRun // FC block-run staging (orchestrator only)
-	wInts     [][]int32 // per-shard weight-slice decode scratch
-	ldInts    []int32   // host-load weight-slice staging (orchestrator)
 	blockBuf  [tensor.BlockBytes]byte
 
 	// Preload-stage private staging: the loader task runs concurrently
 	// with the executing layer's shards, so it must never share rowScratch
-	// or wInts with them.
-	preloadPT   []byte
-	preloadCT   []byte
-	preloadInts []int32
+	// with them.
+	preloadPT []byte
+	preloadCT []byte
 }
 
 // workerCount resolves the executor's effective intra-inference worker
@@ -167,7 +164,6 @@ func (x *Executor) newRuntime(w int, sm *protect.SeculatorMemory, dram *mem.DRAM
 	rt.rowPT = make([][]byte, w)
 	rt.rowCT = make([][]byte, w)
 	rt.wDigest = make([]mac.Digest, w)
-	rt.wInts = make([][]int32, w)
 	if w > 1 {
 		rt.pool = sharedPool()
 	}
@@ -306,8 +302,8 @@ func (rt *inferRuntime) startPreload(x *Executor, st *layerState, w *nn.Weights)
 				rt.preload.panicVal = r
 			}
 		}()
-		ints, pt, ct := rt.preloadScratch(st.wl.sliceInts, st.wl.sliceBlocks)
-		rt.preload.golden = x.loadLayerWeights(rt.preload.sh, st, w, ints, pt, ct)
+		pt, ct := rt.preloadScratch(st.wl.sliceBlocks)
+		rt.preload.golden = x.loadLayerWeights(rt.preload.sh, st, w, pt, ct)
 	}
 	if rt.pool.Submit(task) != nil {
 		return
@@ -411,34 +407,15 @@ func (rt *inferRuntime) weightsTensor(k, c, r, s int) *nn.Weights {
 	return &rt.wTensor
 }
 
-// weightInts returns shard s's weight-slice decode scratch of n ints.
-// Distinct shards own distinct slabs, so concurrent calls with distinct s
-// are safe (the rowScratch contract).
-func (rt *inferRuntime) weightInts(s, n int) []int32 {
-	rt.wInts[s] = growInts(rt.wInts[s], n)
-	return rt.wInts[s][:n]
-}
-
-// loadScratch returns the host-load staging (ints, pt, ct) for slices of
-// sliceInts values in sliceBlocks blocks, drawn from shard s's row scratch.
-// Never call it from the preload stage — that runs concurrently with layer
-// shards; use preloadScratch.
-func (rt *inferRuntime) loadScratch(s, sliceInts, sliceBlocks int) ([]int32, []byte, []byte) {
-	rt.ldInts = growInts(rt.ldInts, sliceInts)
-	pt, ct := rt.rowScratch(s, sliceBlocks)
-	return rt.ldInts[:sliceInts], pt, ct
-}
-
-// preloadScratch is loadScratch for the overlapped weight-preload task,
+// preloadScratch is rowScratch for the overlapped weight-preload task,
 // backed by slabs no executing shard touches.
-func (rt *inferRuntime) preloadScratch(sliceInts, sliceBlocks int) ([]int32, []byte, []byte) {
-	rt.preloadInts = growInts(rt.preloadInts, sliceInts)
+func (rt *inferRuntime) preloadScratch(sliceBlocks int) (pt, ct []byte) {
 	need := sliceBlocks * tensor.BlockBytes
 	if cap(rt.preloadPT) < need {
 		rt.preloadPT = make([]byte, need)
 		rt.preloadCT = make([]byte, need)
 	}
-	return rt.preloadInts[:sliceInts], rt.preloadPT[:need], rt.preloadCT[:need]
+	return rt.preloadPT[:need], rt.preloadCT[:need]
 }
 
 // ---- pooled run state ----
@@ -552,13 +529,8 @@ func (rt *inferRuntime) scrub() {
 	clear(rt.outData[0])
 	clear(rt.outData[1])
 	clear(rt.wData)
-	for i := range rt.wInts {
-		clear(rt.wInts[i])
-	}
-	clear(rt.ldInts)
 	clear(rt.preloadPT)
 	clear(rt.preloadCT)
-	clear(rt.preloadInts)
 	clear(rt.blockBuf[:])
 	clear(rt.inTouched)
 	clear(rt.wTouched)

@@ -29,6 +29,7 @@ package secure
 
 import (
 	"context"
+	"crypto/subtle"
 	"fmt"
 
 	"seculator/internal/mac"
@@ -128,17 +129,14 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 		ctRow := make([]byte, wl.sliceBlocks*tensor.BlockBytes)
 		for k := 0; k < wl.k; k++ {
 			for cg := 0; cg < wl.cGroups; cg++ {
-				ints := weightSlice(st.layer, weights[i], k, cg, wl.sliceInts)
-				encodeRowInto(pt, ints)
+				encodeRowInto(pt, weightRun(st.layer, weights[i], k, cg, wl.sliceInts))
 				rl.golden = rl.golden.Xor(sh.HostWriteRow(wl.addr(k, cg, 0), wl.ownerID,
 					uint32(k), 1, uint32(cg*wl.sliceBlocks), pt, ctRow))
 				off := ((k*wl.cGroups + cg) * wl.sliceBlocks) * tensor.BlockBytes
 				copy(rl.ct[off:], ctRow)
 				// pad = plaintext ⊕ ciphertext: the CTR keystream, pinned so
 				// epoch verification decrypts without an AES pass.
-				for b := range ctRow {
-					rl.pads[off+b] = pt[b] ^ ctRow[b]
-				}
+				subtle.XORBytes(rl.pads[off:], pt, ctRow)
 			}
 		}
 		res.bytes += int64(len(rl.ct) + len(rl.pads))
@@ -173,9 +171,7 @@ func (res *WeightResidency) Verify() error {
 		for k := 0; k < wl.k; k++ {
 			for cg := 0; cg < wl.cGroups; cg++ {
 				off := ((k*wl.cGroups + cg) * wl.sliceBlocks) * tensor.BlockBytes
-				for b := 0; b < rowBytes; b++ {
-					scratch[b] = rl.ct[off+b] ^ rl.pads[off+b]
-				}
+				subtle.XORBytes(scratch, rl.ct[off:off+rowBytes], rl.pads[off:off+rowBytes])
 				ref := mac.BlockRef{Secret: res.secret, Layer: wl.ownerID, Fmap: uint32(k),
 					VN: 1, Index: uint32(cg * wl.sliceBlocks)}
 				d, _ := rowh.FoldRow(ref, scratch[:rowBytes])
