@@ -13,6 +13,7 @@ import (
 	"seculator/internal/crypto"
 	"seculator/internal/dataflow"
 	"seculator/internal/mac"
+	"seculator/internal/mem"
 	"seculator/internal/npu"
 	"seculator/internal/protect"
 	"seculator/internal/runner"
@@ -458,14 +459,18 @@ func BenchmarkSecureInference(b *testing.B) {
 }
 
 // BenchmarkLibDeep is the benchmark's lib-deep operation as a Go benchmark:
-// the root SecureInferenceContext on MobileNet/8 over pooled run state, one
-// goroutine, output checked against the reference model. It exists so the
-// hot path has a one-command profile —
+// the root SecureInferenceContext on MobileNet/8, one goroutine, output
+// checked against the reference model. It exists so the hot path has a
+// one-command profile —
 //
-//	go test -run '^$' -bench LibDeep -benchtime 300x -cpuprofile cpu.prof .
+//	go test -run '^$' -bench LibDeep/loader -benchtime 300x -cpuprofile cpu.prof .
 //
 // — and so CI's bench smoke prints its B/op (the pooled path's memory
-// budget, DESIGN.md §15) on every push.
+// budget, DESIGN.md §15) on every push. The two arms are the two
+// provisioning paths side by side: "loader" is the default run (pooled
+// state, the model host-written by the loader goroutine while the layers
+// execute); "hooked" adds a no-op phase hook, which makes the run load the
+// whole model up front on state it builds afresh.
 func BenchmarkLibDeep(b *testing.B) {
 	net, err := workload.ResolveShape("MobileNet/8")
 	if err != nil {
@@ -476,20 +481,30 @@ func BenchmarkLibDeep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func() {
-		res, err := SecureInferenceContext(context.Background(), net, in, ws, InferenceOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Output.Equal(golden) {
-			b.Fatal("diverged")
-		}
-	}
-	run() // builds the pooled run state; every timed iteration reuses it
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
+	for _, arm := range []struct {
+		name string
+		opts InferenceOptions
+	}{
+		{"loader", InferenceOptions{}},
+		{"hooked", InferenceOptions{Hook: func(int, *mem.DRAM) {}}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			run := func() {
+				res, err := SecureInferenceContext(context.Background(), net, in, ws, arm.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Output.Equal(golden) {
+					b.Fatal("diverged")
+				}
+			}
+			run() // builds the pooled run state; every timed loader iteration reuses it
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }
 

@@ -166,9 +166,11 @@ func TestTrialShrinksFailures(t *testing.T) {
 // streaming, a stride-2 valid-padding partial-tile chain ending in FC
 // flattening, and a weights-resident mapping with zero ifmap blocks. The
 // last pin is not a past failure but a reach guarantee: generated networks
-// all stay under the executor's 32 KiB preload cutover, so this one — a
-// second layer with 36 KiB of weights — is what takes the serial/parallel
-// oracle through the overlapped weight preload.
+// carry a few KiB of weights per layer, which the executor's weight loader
+// has always written before the layer loop asks for them, so this one — a
+// second layer with 36 KiB of weights behind a small first layer — is what
+// takes the serial/parallel oracle's hook-free run through a loader that is
+// still writing when its layer is reached.
 func TestRegressionPinnedConfigs(t *testing.T) {
 	pins := []struct {
 		name string
@@ -187,7 +189,7 @@ func TestRegressionPinnedConfigs(t *testing.T) {
 			`seed=3 oracle= config={"seed":3,"mapping":{"reuse":1,"order":"CS","ahw":2,"ac":4,"ak":1,"ifb":0,"ofb":3,"wb":2,"resident":true},"net":{"layers":[{"t":0,"c":2,"h":7,"w":9,"k":4,"r":3,"s":3,"st":2,"v":true},{"t":4,"c":4,"h":3,"w":4,"k":4,"r":2,"s":2,"st":2},{"t":3,"c":16,"h":1,"w":1,"k":5,"r":1,"s":1,"st":1}]},"scenario":{"tiles":2,"versions":2,"bpt":1},"attack":{"kind":0,"block":1,"block2":2,"byte":31,"bit":7}}`,
 		},
 		{
-			"preload-over-cutover",
+			"loader-behind-36KiB-layer",
 			`seed=4 oracle=serial-parallel config={"seed":4,"mapping":{"reuse":0,"order":"KCS","ahw":1,"ac":1,"ak":1,"ifb":1,"ofb":1,"wb":1},"net":{"layers":[{"t":0,"c":3,"h":6,"w":6,"k":32,"r":3,"s":3,"st":1},{"t":0,"c":32,"h":6,"w":6,"k":32,"r":3,"s":3,"st":1}]},"scenario":{"tiles":2,"versions":2,"bpt":1},"attack":{"kind":0,"block":0,"block2":0,"byte":0,"bit":0}}`,
 		},
 	}

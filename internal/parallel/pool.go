@@ -12,7 +12,7 @@ var ErrPoolClosed = errors.New("parallel: pool closed")
 // Pool is the persistent counterpart to Map/ForEach: a fixed set of worker
 // goroutines consuming an unbounded FIFO of tasks. Map is built for one-shot
 // experiment fan-outs that start and finish together; the executor's
-// fork/join and preload need workers that outlive any single run.
+// fork/join needs workers that outlive any single run.
 //
 // The queue is deliberately unbounded: admission control (bounding how much
 // work may be outstanding) belongs to the caller, which can reject work

@@ -165,15 +165,24 @@ func (s *SeculatorShard) HostWriteBlock(addr uint64, ownerLayer, fmapID uint32, 
 	return s.rowh.Block(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
 }
 
-// HostWriteRow encrypts and stores n consecutive blocks on behalf of the
-// host (model load), returning the XOR of their MACs for the caller's
-// golden digest. Scratch rules match WriteRow.
-func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) mac.Digest {
+// HostSealRow encrypts n consecutive host-owned blocks (model load) into
+// dst — at least len(plaintext) bytes, caller-owned like WriteRow's scratch —
+// and returns the XOR of their MACs for the caller's golden digest. It
+// stores nothing: the residency build seals straight into its pinned image.
+func (s *SeculatorShard) HostSealRow(dst []byte, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
 	m := s.parent
 	n := len(plaintext) / tensor.BlockBytes
-	s.engine.EncryptBlocks(ctScratch, plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx), n)
-	m.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
+	s.engine.EncryptBlocks(dst, plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx), n)
 	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext[:n*tensor.BlockBytes])
+	return g
+}
+
+// HostWriteRow is HostSealRow into the caller's scratch, then a store of the
+// n sealed lines at addr, addr+1, ….
+func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) mac.Digest {
+	g := s.HostSealRow(ctScratch, ownerLayer, fmapID, vn, blockIdx, plaintext)
+	n := len(plaintext) / tensor.BlockBytes
+	s.parent.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
 	s.writes += n
 	return g
 }

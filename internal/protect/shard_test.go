@@ -212,3 +212,51 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 		t.Fatal("Recycle left block staging behind")
 	}
 }
+
+// TestShardSealRowMatchesWriteRow: HostWriteRow is HostSealRow plus a store,
+// so sealing a row into a buffer yields the lines HostWriteRow puts in DRAM
+// and the same golden digest — and only the store counts as write traffic.
+func TestShardSealRowMatchesWriteRow(t *testing.T) {
+	const n = 5
+	row := make([]byte, n*tensor.BlockBytes)
+	for i := 0; i < n; i++ {
+		copy(row[i*tensor.BlockBytes:], shardPattern(i))
+	}
+	d := shardTestDRAM(t)
+	d.Reserve(16)
+	m := NewSeculatorMemory(d, 3, 4)
+	sh := m.Shard()
+
+	sealed := make([]byte, len(row))
+	gs := sh.HostSealRow(sealed, 0x8001, 2, 1, 6, row)
+	if sh.writes != 0 || d.Lines() != 0 {
+		t.Fatalf("HostSealRow stored something: %d writes counted, %d lines in DRAM", sh.writes, d.Lines())
+	}
+	if bytes.Equal(sealed, row) {
+		t.Fatal("HostSealRow left plaintext in dst")
+	}
+
+	gw := sh.HostWriteRow(4, 0x8001, 2, 1, 6, row, make([]byte, len(row)))
+	if gw != gs {
+		t.Fatalf("golden digest: write %x, seal %x", gw, gs)
+	}
+	if sh.writes != n || d.Lines() != n {
+		t.Fatalf("HostWriteRow: %d writes counted, %d lines stored, want %d", sh.writes, d.Lines(), n)
+	}
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(d.Peek(uint64(4+i)), sealed[i*tensor.BlockBytes:(i+1)*tensor.BlockBytes]) {
+			t.Fatalf("line %d: stored ciphertext differs from the sealed row", i)
+		}
+	}
+	// And both are the per-block host write, block for block.
+	var gb mac.Digest
+	for i := 0; i < n; i++ {
+		gb = gb.Xor(sh.HostWriteBlock(uint64(10+i), 0x8001, 2, 1, uint32(6+i), shardPattern(i)))
+		if !bytes.Equal(d.Peek(uint64(10+i)), d.Peek(uint64(4+i))) {
+			t.Fatalf("line %d: row and per-block host writes differ", i)
+		}
+	}
+	if gb != gs {
+		t.Fatalf("golden digest: per-block %x, row %x", gb, gs)
+	}
+}

@@ -285,17 +285,20 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	// attacker-invisible, so the two paths stay bit- and
 	// observation-identical.
 	dram.Reserve(total)
-	goldenInput := x.loadInput(rt, input, inputLayout)
 
-	// Residency attach: install the pinned, pre-verified ciphertext by
-	// memcpy and mark every layer trusted — no host encrypt, no golden
-	// re-MAC, no per-tile weight fetch. Otherwise provision normally.
+	// Provisioning. A residency attach installs the pinned, pre-verified
+	// ciphertext by memcpy and marks every layer trusted — no host encrypt,
+	// no golden re-MAC, no per-tile weight fetch. Otherwise the host load
+	// leaves the critical path: one loader goroutine writes the model, layer
+	// by layer, while the layer loop runs (startLoader) — unless an attacker
+	// hook or injector is installed; both observe load/execute ordering that
+	// overlapping would change, so those runs load everything up front.
 	resident := x.residentFor(net, weights)
-	// Layer-overlap pipeline: while layer k executes, a loader shard
-	// host-writes layer k+1's weights and computes their golden XOR-MAC on
-	// the pool. Only without an attacker hook or injector — both observe
-	// load/execute ordering that overlapping would change.
-	overlap := !resident && rt.parallelOn() && x.AfterPhase == nil && x.Injector == nil
+	overlap := !resident && x.AfterPhase == nil && x.Injector == nil
+	if overlap {
+		rt.startLoader(x, states, weights)
+	}
+	goldenInput := x.loadInput(rt, input, inputLayout)
 	switch {
 	case resident:
 		x.Residency.install(dram)
@@ -303,13 +306,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 			states[i].resident = true
 			states[i].goldenWeights = x.Residency.layers[i].golden
 		}
-	case overlap:
-		if weights[0] != nil {
-			pt, ct := rt.rowScratch(0, states[0].wl.sliceBlocks)
-			states[0].goldenWeights = x.loadLayerWeights(rt.shards[0], &states[0], weights[0], pt, ct)
-			sm.Merge(rt.shards[0])
-		}
-	default:
+	case !overlap:
 		x.loadAllWeights(rt, states, weights)
 	}
 	x.hook(-1, dram)
@@ -322,19 +319,8 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		if overlap {
-			if i > 0 && weights[i] != nil {
-				if g, ok := rt.waitPreload(); ok {
-					st.goldenWeights = g
-				} else {
-					pt, ct := rt.rowScratch(0, st.wl.sliceBlocks)
-					st.goldenWeights = x.loadLayerWeights(rt.shards[0], st, weights[i], pt, ct)
-					sm.Merge(rt.shards[0])
-				}
-			}
-			if i+1 < len(states) {
-				rt.startPreload(x, &states[i+1], weights[i+1])
-			}
+		if overlap && weights[i] != nil {
+			rt.awaitWeights() // this layer's region is stored, st.goldenWeights published
 		}
 		// One attempt = re-fetch + re-execute the layer's event stream,
 		// then close the pending verification (layer-0 golden inputs, or
@@ -568,10 +554,9 @@ func (x *Executor) loadInput(rt *inferRuntime, input *nn.Tensor, il actLayout) m
 
 // loadLayerWeights host-writes one layer's weights through a shard, slice
 // by slice, returning the layer's golden XOR-MAC. The caller supplies the
-// staging (pt/ct of wl.sliceBlocks blocks): inline and forked loads pass
-// their shard's rowScratch, and the overlapped preload its private
-// preloadScratch — so no path shares staging with a concurrently executing
-// layer shard.
+// staging (pt/ct of wl.sliceBlocks blocks): the up-front load passes its
+// shard's rowScratch and the loader its private preloadScratch — so no path
+// shares staging with a concurrently executing layer shard.
 func (x *Executor) loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights, pt, ct []byte) mac.Digest {
 	var golden mac.Digest
 	wl := st.wl
@@ -585,9 +570,9 @@ func (x *Executor) loadLayerWeights(sh *protect.SeculatorShard, st *layerState, 
 	return golden
 }
 
-// loadAllWeights host-writes every layer's weights (non-overlap mode),
-// forked across layers: each layer's region and golden digest belong to
-// exactly one chunk.
+// loadAllWeights host-writes every layer's weights up front (hooked and
+// injected runs), forked across layers: each layer's region and golden
+// digest belong to exactly one chunk.
 func (x *Executor) loadAllWeights(rt *inferRuntime, states []layerState, weights []*nn.Weights) {
 	total := 0
 	for i := range states {
@@ -671,4 +656,15 @@ func decodeBlock(dst []int32, off int, blk []byte) {
 		}
 		dst[idx] = int32(binary.BigEndian.Uint32(blk[i*4:]))
 	}
+}
+
+// blockDecodesTo reports whether decodeBlock(dst, off, blk) would leave dst
+// unchanged: the values a repeat weight read must match.
+func blockDecodesTo(dst []int32, off int, blk []byte) bool {
+	for i := 0; i < intsPerBlock && off+i < len(dst); i++ {
+		if dst[off+i] != int32(binary.BigEndian.Uint32(blk[i*4:])) {
+			return false
+		}
+	}
+	return true
 }

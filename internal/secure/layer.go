@@ -285,10 +285,13 @@ func (r *layerRun) readProducerBlock(sh *protect.SeculatorShard, ch, row, j int)
 }
 
 // readWeightTile fetches the (k-group x c-group) weight slices of a tile
-// through the static-read path, folding first-touch MACs for the golden
-// comparison and decoding the weights. Shards split the k range; each
-// shard accumulates its first-touch folds into a private digest that the
-// orchestrator XORs together after the join.
+// through the static-read path. A block's first read folds its MAC for the
+// golden comparison and decodes the weights; a repeat read (a mapping that
+// cannot hold the tile re-fetches it) is consumed only if it decodes to what
+// the first read did — the adversary owns the DRAM between the two, and only
+// the first is bound to the golden digest. Shards split the k range; each
+// accumulates its folds into a private digest, gathered after the join with
+// the flag a differing repeat sets (r.err is not shard-safe).
 func (r *layerRun) readWeightTile(e dataflow.Event) {
 	l := r.st.layer
 	c := r.st.choice
@@ -308,13 +311,18 @@ func (r *layerRun) readWeightTile(e dataflow.Event) {
 				if !r.wTouched[flat] {
 					r.wTouched[flat] = true
 					rt.wDigest[s] = rt.wDigest[s].Xor(d)
+					decodeBlock(run, j*intsPerBlock, pt)
+				} else if !blockDecodesTo(run, j*intsPerBlock, pt) {
+					rt.wStale.Store(true)
 				}
-				decodeBlock(run, j*intsPerBlock, pt)
 			}
 		}
 	})
 	for _, d := range rt.wDigest {
 		r.wDigest = r.wDigest.Xor(d)
+	}
+	if rt.wStale.Swap(false) {
+		r.err = fmt.Errorf("%w: layer %q weights: a repeat read differs from the verified first read", mac.ErrIntegrity, l.Name)
 	}
 }
 

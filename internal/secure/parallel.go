@@ -15,8 +15,8 @@ import (
 	"seculator/internal/tensor"
 )
 
-// Tuning thresholds of the intra-inference pipeline. Sharding has a
-// fork/join cost, so tiny tiles run inline on the orchestrator.
+// Tuning thresholds of the sharded tile paths. Sharding has a fork/join
+// cost, so tiny tiles run inline on the orchestrator.
 const (
 	// minForkBlocks is the smallest number of 64-byte blocks per shard worth
 	// a fork: one block costs ~4 AES + 1 SHA-256 invocation, so below this
@@ -26,14 +26,6 @@ const (
 	// minComputeOps is the smallest estimated MAC-free arithmetic volume
 	// (multiply-accumulates) worth forking a compute range for.
 	minComputeOps = 1 << 13
-
-	// minStageBytes is the cutover of the one background stage, the weight
-	// preload: it only engages for weight regions at least this large.
-	// Below it the pool handshake plus the join latency cost more than the
-	// crypto the stage hides, so small layers load inline even at high
-	// worker counts — the forked-shard paths have their own per-call
-	// cutover in shardCount.
-	minStageBytes = 32 << 10
 )
 
 // defaultParallel is the worker count of Executor runs that leave Parallel
@@ -52,8 +44,8 @@ func init() {
 // cryptoPool is the persistent worker pool shared by every parallel
 // inference in the process — workers outlive any single Run, like the
 // serving scheduler's pool. Sized generously relative to GOMAXPROCS: tasks
-// are short and CPU-bound, and the pool also absorbs the weight-preload
-// stage, which must make progress while forks are waiting.
+// are short and CPU-bound. The weight loader is not one of them: it lives as
+// long as its run and would hold a worker that Fork needs.
 var (
 	cryptoPoolOnce sync.Once
 	cryptoPool     *parallel.Pool
@@ -91,9 +83,9 @@ func (li *lockedInjector) OnWrite(lineAddr uint64, data []byte) {
 }
 
 // inferRuntime is the per-Run parallel execution state: the worker shards,
-// their scratch and the weight-preload pipeline. workers == 1 routes
-// everything inline through shard 0, which preserves the exact serial
-// order of every DRAM access and MAC fold.
+// their scratch and the weight loader. workers == 1 routes every tile
+// inline through shard 0, which preserves the exact serial order of every
+// DRAM access and MAC fold.
 type inferRuntime struct {
 	workers int
 	pool    *parallel.Pool // nil when workers == 1
@@ -109,8 +101,10 @@ type inferRuntime struct {
 	rowCT [][]byte
 
 	// wDigest collects per-shard XOR folds of first-touch weight MACs
-	// during one forked weight-tile read.
+	// during one forked weight-tile read; a shard sets wStale when a repeat
+	// read differs from its first.
 	wDigest []mac.Digest
+	wStale  atomic.Bool
 
 	preload preloadState
 
@@ -135,9 +129,8 @@ type inferRuntime struct {
 	flatRuns  []flatRun // FC block-run staging (orchestrator only)
 	blockBuf  [tensor.BlockBytes]byte
 
-	// Preload-stage private staging: the loader task runs concurrently
-	// with the executing layer's shards, so it must never share rowScratch
-	// with them.
+	// The loader's private staging: it runs concurrently with the executing
+	// layer's shards, so it must never share rowScratch with them.
 	preloadPT []byte
 	preloadCT []byte
 }
@@ -171,12 +164,6 @@ func (x *Executor) newRuntime(w int, sm *protect.SeculatorMemory, dram *mem.DRAM
 }
 
 func (rt *inferRuntime) parallelOn() bool { return rt.workers > 1 }
-
-// stageWorth reports whether a region of the given block count is large
-// enough to engage a background stage for (see minStageBytes).
-func (rt *inferRuntime) stageWorth(blocks int) bool {
-	return rt.parallelOn() && blocks*tensor.BlockBytes >= minStageBytes
-}
 
 // rowScratch returns shard s's plaintext and ciphertext staging for a row
 // of nblocks blocks, growing it if needed. Distinct shards own distinct
@@ -269,75 +256,75 @@ func (rt *inferRuntime) forkCompute(k0, k1, y0, y1, cost int, fn func(k0, k1, y0
 	})
 }
 
-// preloadState tracks the layer-overlap pipeline: while layer k executes,
-// a dedicated loader shard host-writes layer k+1's weights and accumulates
-// their golden XOR-MAC on the pool.
+// preloadState is the run's weight loader: one goroutine that host-writes
+// every layer's weights in layer order through its own shard and staging
+// while the layer loop runs, so only layer 0's load is on the critical path.
 type preloadState struct {
-	pending  bool
-	done     chan struct{}
-	golden   mac.Digest
-	panicVal any
-	sh       *protect.SeculatorShard
+	sh *protect.SeculatorShard
+
+	// ready carries one token per weighted layer, sent once that layer's
+	// region is stored and its golden digest published; the loader closes it
+	// on exit. nil when no loader is running.
+	ready    chan struct{}
+	stop     atomic.Bool // set by drain: stop before the next layer
+	panicVal any         // a recovered loader panic, published by the close
 }
 
-// startPreload kicks off layer st's weight load on the pool. Only legal in
-// overlap mode (no attacker hook, no injector): the load mutates DRAM while
-// the previous layer is still executing, which is invisible to the
-// architecture (disjoint, pre-reserved lines) but not to a hook that
-// expects "all loads precede phase -1" ordering.
-func (rt *inferRuntime) startPreload(x *Executor, st *layerState, w *nn.Weights) {
-	if w == nil || !rt.stageWorth(st.wl.blocks()) {
-		return
+// startLoader launches the run's weight loader. Only legal in overlap mode
+// (no attacker hook, no injector): it mutates DRAM while layers execute,
+// which is invisible to the architecture (disjoint, pre-reserved lines) but
+// not to a hook that expects "all loads precede phase -1" ordering. A plain
+// goroutine, not a pool task: the pool is nil at one worker.
+func (rt *inferRuntime) startLoader(x *Executor, states []layerState, weights []*nn.Weights) {
+	p := &rt.preload
+	if p.sh == nil {
+		p.sh = rt.sm.Shard()
 	}
-	if rt.preload.sh == nil {
-		rt.preload.sh = rt.sm.Shard()
-	}
-	done := make(chan struct{})
-	rt.preload.done = done
-	rt.preload.panicVal = nil
-	task := func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				rt.preload.panicVal = r
+	// Buffered to the number of sends, so the loader never blocks and
+	// whatever waits for it (drain) cannot deadlock.
+	ready := make(chan struct{}, len(states))
+	p.ready = ready
+	go func() {
+		defer close(ready)
+		defer func() { p.panicVal = recover() }()
+		for i := range states {
+			if weights[i] == nil {
+				continue
 			}
-		}()
-		pt, ct := rt.preloadScratch(st.wl.sliceBlocks)
-		rt.preload.golden = x.loadLayerWeights(rt.preload.sh, st, w, pt, ct)
+			if p.stop.Load() {
+				return
+			}
+			pt, ct := rt.preloadScratch(states[i].wl.sliceBlocks)
+			states[i].goldenWeights = x.loadLayerWeights(p.sh, &states[i], weights[i], pt, ct)
+			ready <- struct{}{}
+		}
+	}()
+}
+
+// awaitWeights blocks until the loader has published the next weighted
+// layer — tokens arrive in layer order, one per call. A closed channel
+// means the loader died: its panic is re-raised here, on the orchestrator.
+func (rt *inferRuntime) awaitWeights() {
+	if _, ok := <-rt.preload.ready; !ok {
+		panic(rt.preload.panicVal)
 	}
-	if rt.pool.Submit(task) != nil {
+}
+
+// drain joins the loader — called on every exit from Run, so no goroutine
+// touches the run's DRAM after Run returns or after the state is parked —
+// and only then merges its shard: the loader counts writes for the whole
+// run, and Merge is orchestrator-only.
+func (rt *inferRuntime) drain() {
+	p := &rt.preload
+	if p.ready == nil {
 		return
 	}
-	rt.preload.pending = true
-}
-
-// waitPreload joins the in-flight weight preload, merges the loader shard's
-// traffic, re-raises any captured panic on the orchestrator, and returns
-// the golden weight digest. ok is false when no preload was pending (the
-// caller then loads inline).
-func (rt *inferRuntime) waitPreload() (golden mac.Digest, ok bool) {
-	if !rt.preload.pending {
-		return mac.Digest{}, false
+	p.stop.Store(true)
+	for range p.ready {
 	}
-	<-rt.preload.done
-	rt.preload.pending = false
-	rt.sm.Merge(rt.preload.sh)
-	if r := rt.preload.panicVal; r != nil {
-		rt.preload.panicVal = nil
-		panic(r)
-	}
-	return rt.preload.golden, true
-}
-
-// drain quiesces the preload stage — called on any exit from Run so no pool
-// task touches the run's DRAM after Run returns.
-func (rt *inferRuntime) drain() {
-	if rt.preload.pending {
-		<-rt.preload.done
-		rt.preload.pending = false
-		rt.sm.Merge(rt.preload.sh)
-		rt.preload.panicVal = nil
-	}
+	p.ready, p.panicVal = nil, nil
+	p.stop.Store(false)
+	rt.sm.Merge(p.sh)
 }
 
 // ---- per-layer slab accessors ----
@@ -407,8 +394,8 @@ func (rt *inferRuntime) weightsTensor(k, c, r, s int) *nn.Weights {
 	return &rt.wTensor
 }
 
-// preloadScratch is rowScratch for the overlapped weight-preload task,
-// backed by slabs no executing shard touches.
+// preloadScratch is rowScratch for the weight loader, backed by slabs no
+// executing shard touches.
 func (rt *inferRuntime) preloadScratch(sliceBlocks int) (pt, ct []byte) {
 	need := sliceBlocks * tensor.BlockBytes
 	if cap(rt.preloadPT) < need {
@@ -422,7 +409,7 @@ func (rt *inferRuntime) preloadScratch(sliceBlocks int) (pt, ct []byte) {
 
 // runState bundles everything one Executor.Run builds before executing:
 // the DRAM image, the secure memory (AES key schedule, MAC checker), and
-// the runtime (shards, staging slabs, the preload stage). Steady-state
+// the runtime (shards, staging slabs, the weight loader). Steady-state
 // serving traffic recreates exactly this state on every request, keyed by
 // nothing but (worker count, DRAM config, crypto identity) — so completed
 // runs park their state in a sync.Pool and later runs with the same key
@@ -493,7 +480,7 @@ func (x *Executor) acquireRun() (*runState, error) {
 	}, nil
 }
 
-// release quiesces the run's preload stage and, when the state is
+// release joins the run's weight loader and, when the state is
 // pool-eligible, scrubs and parks it for the next compatible run.
 func (rs *runState) release() {
 	rs.rt.drain()
@@ -510,8 +497,9 @@ func (rs *runState) release() {
 
 // scrub wipes every byte of run-derived data from the runtime's pooled
 // scratch: shard staging, row buffers, decoded activations and weights,
-// and the preload stage. Bitmaps and digests clear too, so a dirty reset cannot leak one
-// run's protocol state into the next.
+// and the loader's shard and staging (drain has already joined it and reset
+// its hand-off state). Bitmaps and digests clear too, so a dirty reset
+// cannot leak one run's protocol state into the next.
 func (rt *inferRuntime) scrub() {
 	for _, sh := range rt.shards {
 		sh.Recycle()
@@ -519,12 +507,12 @@ func (rt *inferRuntime) scrub() {
 	if rt.preload.sh != nil {
 		rt.preload.sh.Recycle()
 	}
-	rt.preload = preloadState{sh: rt.preload.sh}
 	for i := range rt.rowPT {
 		clear(rt.rowPT[i])
 		clear(rt.rowCT[i])
 	}
 	clear(rt.wDigest)
+	rt.wStale.Store(false)
 	clear(rt.inData)
 	clear(rt.outData[0])
 	clear(rt.outData[1])

@@ -104,8 +104,9 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 		choices: choices, weights: weights,
 		layers: make([]residentLayer, len(states)),
 	}
-	// A throwaway memory supplies the exact host-load crypto: same engine
-	// construction, same counters, same block MAC positions.
+	// A throwaway memory supplies the exact host-load crypto — same engine
+	// construction, same counters, same block MAC positions — and stores
+	// nothing: each row is sealed straight into the layer's pinned image.
 	dram, err := mem.New(dramCfg)
 	if err != nil {
 		return nil, err
@@ -122,21 +123,20 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 		wl := st.wl
 		rl := &res.layers[i]
 		rl.wl = wl
-		nblk := rl.blocks()
-		rl.ct = make([]byte, nblk*tensor.BlockBytes)
-		rl.pads = make([]byte, nblk*tensor.BlockBytes)
-		pt := make([]byte, wl.sliceBlocks*tensor.BlockBytes)
-		ctRow := make([]byte, wl.sliceBlocks*tensor.BlockBytes)
+		rowBytes := wl.sliceBlocks * tensor.BlockBytes
+		rl.ct = make([]byte, rl.blocks()*tensor.BlockBytes)
+		rl.pads = make([]byte, len(rl.ct))
+		pt := make([]byte, rowBytes)
 		for k := 0; k < wl.k; k++ {
 			for cg := 0; cg < wl.cGroups; cg++ {
 				encodeRowInto(pt, weightRun(st.layer, weights[i], k, cg, wl.sliceInts))
-				rl.golden = rl.golden.Xor(sh.HostWriteRow(wl.addr(k, cg, 0), wl.ownerID,
-					uint32(k), 1, uint32(cg*wl.sliceBlocks), pt, ctRow))
-				off := ((k*wl.cGroups + cg) * wl.sliceBlocks) * tensor.BlockBytes
-				copy(rl.ct[off:], ctRow)
+				off := (k*wl.cGroups + cg) * rowBytes
+				ct := rl.ct[off : off+rowBytes]
+				rl.golden = rl.golden.Xor(sh.HostSealRow(ct, wl.ownerID,
+					uint32(k), 1, uint32(cg*wl.sliceBlocks), pt))
 				// pad = plaintext ⊕ ciphertext: the CTR keystream, pinned so
 				// epoch verification decrypts without an AES pass.
-				subtle.XORBytes(rl.pads[off:], pt, ctRow)
+				subtle.XORBytes(rl.pads[off:], pt, ct)
 			}
 		}
 		res.bytes += int64(len(rl.ct) + len(rl.pads))

@@ -4,26 +4,28 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
 	"seculator/internal/protect"
 	"seculator/internal/resilience"
-	"seculator/internal/tensor"
 	"seculator/internal/workload"
 )
 
-// The two executor paths no other tier-1 test reaches at the default
-// configuration: partial-sum spills (the MAC_R term of Equation 1) and the
-// overlapped weight preload, the one background stage.
+// Partial-sum spills (the MAC_R term of Equation 1), which no other tier-1
+// test reaches at the default configuration, and the weight loader's
+// equivalence and life cycle.
 
 // stageRun is everything about one run that must not depend on the worker
 // count.
 type stageRun struct {
 	out       *nn.Tensor
 	outputMAC mac.Digest
+	blocks    int
 	regs      []protect.RegisterState // per layer, then the readout epoch
 }
 
@@ -35,7 +37,7 @@ func runStages(t *testing.T, x *Executor, net workload.Network, in *nn.Tensor, w
 	if err != nil {
 		t.Fatalf("workers=%d: %v", x.Parallel, err)
 	}
-	r.out, r.outputMAC = res.Output, res.OutputMAC
+	r.out, r.outputMAC, r.blocks = res.Output, res.OutputMAC, res.Blocks
 	return r
 }
 
@@ -46,6 +48,9 @@ func (r stageRun) mustEqual(t *testing.T, base stageRun, tag string) {
 	}
 	if r.outputMAC != base.outputMAC {
 		t.Fatalf("%s: OutputMAC differs", tag)
+	}
+	if r.blocks != base.blocks {
+		t.Fatalf("%s: %d DRAM lines, want %d", tag, r.blocks, base.blocks)
 	}
 	if len(r.regs) != len(base.regs) {
 		t.Fatalf("%s: %d register snapshots, want %d", tag, len(r.regs), len(base.regs))
@@ -151,9 +156,9 @@ func TestPartialSumTamperDetected(t *testing.T) {
 	}
 }
 
-// preloadNet's second layer carries 36 KiB of weights — over minStageBytes,
-// so at more than one worker it loads on the pool while the first layer
-// executes; the third is far below it and loads inline after the join.
+// preloadNet's second layer carries 36 KiB of weights and its third 1 KiB:
+// a loader that is still writing the former when the layer loop reaches it,
+// and one that finished the latter long before.
 func preloadNet() workload.Network {
 	return workload.Network{Name: "preload", Layers: []workload.Layer{
 		{Name: "c1", Type: workload.Conv, C: 3, H: 6, W: 6, K: 32, R: 3, S: 3, Stride: 1},
@@ -162,38 +167,119 @@ func preloadNet() workload.Network {
 	}}
 }
 
-// TestPreloadOverlapMatchesSerial runs the overlapped weight preload with
-// no environment variable: bit-equal to serial in outputs, OutputMAC and
-// every per-layer register snapshot.
-func TestPreloadOverlapMatchesSerial(t *testing.T) {
+func resolveShape(t *testing.T, name string) workload.Network {
+	t.Helper()
+	net, err := workload.ResolveShape(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// checkProvisionOverlap compares, per network and worker count, a plain run
+// (the loader host-writes the model while the layer loop runs) with a run
+// under a no-op AfterPhase (everything loaded up front, unpooled state) —
+// since the loader engages at every worker count, a hooked run is the one
+// un-overlapped baseline left. Each plain run happens twice: the second
+// rides pooled state, the loader's shard and staging included.
+func checkProvisionOverlap(t *testing.T) {
+	for _, net := range []workload.Network{preloadNet(), resolveShape(t, "Mini"), resolveShape(t, "MobileNet/8")} {
+		in, ws := nn.RandomModel(net, 9)
+		golden, err := nn.ForwardNetwork(net, in, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 8} {
+			tag := fmt.Sprintf("%s workers=%d", net.Name, workers)
+			inline := NewExecutor()
+			inline.Parallel = workers
+			inline.AfterPhase = func(int, *mem.DRAM) {}
+			base := runStages(t, inline, net, in, ws)
+			if !base.out.Equal(golden) {
+				t.Fatalf("%s: up-front run diverged from the reference", tag)
+			}
+			for round := 0; round < 2; round++ {
+				x := NewExecutor()
+				x.Parallel = workers
+				runStages(t, x, net, in, ws).mustEqual(t, base, fmt.Sprintf("%s round %d, loader vs up-front", tag, round))
+			}
+		}
+	}
+}
+
+// TestProvisionOverlapMatchesInline: the loader changes when the weights are
+// written, never what a run observes — output, OutputMAC, every per-layer
+// register snapshot and the DRAM line count — on two Ps and on one, where
+// the loader runs only when the orchestrator first waits for it.
+func TestProvisionOverlapMatchesInline(t *testing.T) {
+	checkProvisionOverlap(t)
+	t.Run("GOMAXPROCS=1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		checkProvisionOverlap(t)
+	})
+}
+
+// TestLoaderPanicSurfaces: a panic on the loader goroutine would kill the
+// process; it must cross to the orchestrator and leave Run as a typed
+// InternalError — three times in a row, so a run state parked with a dead
+// loader's leftovers (a closed channel, a stale panic) would show.
+func TestLoaderPanicSurfaces(t *testing.T) {
 	net := preloadNet()
 	in, ws := nn.RandomModel(net, 9)
-	golden, err := nn.ForwardNetwork(net, in, ws)
+	bad := append([]*nn.Weights(nil), ws...)
+	last := *ws[len(ws)-1]
+	last.Data = nil
+	bad[len(bad)-1] = &last
+	for round := 0; round < 3; round++ {
+		_, err := NewExecutor().Run(context.Background(), net, in, bad)
+		var ie *resilience.InternalError
+		if !errors.As(err, &ie) {
+			t.Fatalf("round %d: err = %v, want *resilience.InternalError", round, err)
+		}
+	}
+	if _, err := NewExecutor().Run(context.Background(), net, in, ws); err != nil {
+		t.Fatalf("clean run after three loader panics: %v", err)
+	}
+}
+
+// TestCancelMidRunJoinsLoader: cancelling between layers 1 and 2 of
+// MobileNet/8 leaves most of the model unloaded. Run must stop the loader
+// and join it before returning — no goroutine left, nothing still writing
+// into the parked DRAM — and the next run on that pooled state must produce
+// the OutputMAC the root package's TestOutputMACPinned holds.
+func TestCancelMidRunJoinsLoader(t *testing.T) {
+	const pinned = "94b5bd3f7b1fbbf5c96e74dc4769581a0f686c81af064355cca58331e269ea01"
+	net := resolveShape(t, "MobileNet/8")
+	in, ws := nn.RandomModel(net, 1)
+	before := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	x := NewExecutor()
+	x.Parallel = 1 // no pool workers to count
+	x.OnLayerMACs = func(phase int, _ protect.RegisterState) {
+		if phase == 1 {
+			cancel()
+		}
+	}
+	if _, err := x.Run(ctx, net, in, ws); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// The join is the loader's close of its channel, its last act; the
+	// runtime may take a moment longer to retire the goroutine.
+	for wait := 0; runtime.NumGoroutine() > before; wait++ {
+		if wait == 1000 {
+			t.Fatalf("%d goroutines after a cancelled run, %d before: the loader was not joined", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	x.OnLayerMACs = nil
+	res, err := x.Run(context.Background(), net, in, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	states, _, _, err := NewExecutor().plan(net, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := states[1].wl.blocks() * tensor.BlockBytes; got < minStageBytes {
-		t.Fatalf("layer 1 weights are %d B, under the %d B preload cutover; the test exercises nothing", got, minStageBytes)
-	}
-	if got := states[2].wl.blocks() * tensor.BlockBytes; got >= minStageBytes {
-		t.Fatalf("layer 2 weights are %d B, want under the %d B cutover (the inline-load branch)", got, minStageBytes)
-	}
-
-	serial := NewExecutor()
-	serial.Parallel = 1
-	base := runStages(t, serial, net, in, ws)
-	if !base.out.Equal(golden) {
-		t.Fatal("serial run diverged from the reference")
-	}
-	// Twice: the second run rides pooled state, preload scratch included.
-	for round := 0; round < 2; round++ {
-		x := NewExecutor()
-		x.Parallel = 8
-		runStages(t, x, net, in, ws).mustEqual(t, base, fmt.Sprintf("workers=8 round %d vs serial", round))
+	if got := fmt.Sprintf("%x", res.OutputMAC[:]); got != pinned || res.Blocks != 7997 {
+		t.Fatalf("run after a cancelled one: Blocks %d OutputMAC %s, want 7997 %s", res.Blocks, got, pinned)
 	}
 }
