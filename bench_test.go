@@ -508,6 +508,53 @@ func BenchmarkLibDeep(b *testing.B) {
 	}
 }
 
+// BenchmarkLibMini is BenchmarkLibDeep's counterpart for the small model —
+// Mini, what serve-mini, serve-cold, gateway-pair and lib-tamper run — on a
+// pooled secure.Executor, the serving tier's inner call:
+//
+//	go test -run '^$' -bench LibMini/resident -benchtime 3000x -cpuprofile cpu.prof .
+//
+// "resident" attaches a WeightResidency (serve-mini's hit path: no weight is
+// host-written, fetched or MACed, so the ifmap reads and ofmap writes are
+// what is left); "full" host-writes and verifies the model on every run.
+func BenchmarkLibMini(b *testing.B) {
+	net := workload.Mini()
+	in, ws := RandomModel(net, 1)
+	golden, err := ReferenceInference(net, in, ws)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []string{"resident", "full"} {
+		b.Run(arm, func(b *testing.B) {
+			x := secure.NewExecutor()
+			if arm == "resident" {
+				x.Residency, err = secure.BuildWeightResidency(context.Background(), net, x.NPU, x.DRAM, x.Secret, x.Random, ws)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			run := func() {
+				res, err := x.Run(context.Background(), net, in, ws)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Output.Equal(golden) {
+					b.Fatal("diverged")
+				}
+				if attached := res.Counts.WeightFirst == 0; attached != (arm == "resident") {
+					b.Fatalf("%d weight blocks read: the run took the other arm's path", res.Counts.WeightFirst)
+				}
+			}
+			run() // builds the pooled run state
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
 // BenchmarkTransformerEvaluation runs the BERT-base encoder across the
 // three headline designs — Table 4's workload class.
 func BenchmarkTransformerEvaluation(b *testing.B) {

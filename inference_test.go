@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"seculator/internal/mac"
+	"seculator/internal/mem"
+	"seculator/internal/protect"
 	"seculator/internal/secure"
 	"seculator/internal/workload"
 )
@@ -302,6 +304,82 @@ func TestOutputMACPinned(t *testing.T) {
 						tc.shape, name, pass, res.Blocks, got, tc.blocks, tc.outputMAC)
 				}
 			}
+		}
+	}
+}
+
+// TestBlockCountsPinned pins what the executor says it moved (Result.Counts),
+// beside the digests above: a change may make a block cheaper, but how many
+// of each class a mapping moves is the model — the counts the simulator's
+// traffic and ROADMAP 2a's oracle are to be held against. The default run
+// (loader, pooled) and a hooked run (model loaded up front, fresh state) must
+// report the same, at both worker counts, and a hooked run's DRAM must have
+// recorded exactly the reads and writes the counts sum to. A resident run
+// reads no weight and host-writes only the input.
+func TestBlockCountsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		shape        string
+		globalBuffer int // 0: the default
+		want         protect.BlockCounts
+	}{
+		{"Mini", 0, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 480, WeightFirst: 400, OfmapWrites: 298, HostWrites: 436}},
+		{"Mini", 2048, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 1776, WeightFirst: 784, WeightRepeat: 184, OfmapWrites: 298, HostWrites: 820}},
+		{"MobileNet/8", 0, protect.BlockCounts{IfmapFirst: 3293, WeightFirst: 4704, OfmapWrites: 3237, HostWrites: 4760}},
+	} {
+		net, err := workload.ResolveShape(tc.shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, ws := RandomModel(net, 1)
+		executor := func(workers int) *secure.Executor {
+			x := secure.NewExecutor()
+			x.Parallel = workers
+			if tc.globalBuffer != 0 {
+				x.NPU.GlobalBufferBytes = tc.globalBuffer
+			}
+			return x
+		}
+		counts := func(name string, x *secure.Executor) protect.BlockCounts {
+			t.Helper()
+			res, err := x.Run(context.Background(), net, in, ws)
+			if err != nil {
+				t.Fatalf("%s (buffer %d), %s: %v", tc.shape, tc.globalBuffer, name, err)
+			}
+			return res.Counts
+		}
+		for _, workers := range []int{1, 8} {
+			x := executor(workers)
+			for pass := 0; pass < 2; pass++ { // the second pass rides pooled state
+				if got := counts("loader", x); got != tc.want {
+					t.Errorf("%s (buffer %d), loader, workers %d, pass %d: %+v, want %+v",
+						tc.shape, tc.globalBuffer, workers, pass, got, tc.want)
+				}
+			}
+			var dram *mem.DRAM
+			x.AfterPhase = func(_ int, d *mem.DRAM) { dram = d }
+			got := counts("hooked", x)
+			if got != tc.want {
+				t.Errorf("%s (buffer %d), hooked, workers %d: %+v, want %+v", tc.shape, tc.globalBuffer, workers, got, tc.want)
+			}
+			tr := dram.Traffic()
+			if r, w := tr.ReadBlocks[0], tr.WriteBlocks[0]; r != uint64(got.Reads()) || w != uint64(got.Writes()) || tr.Overhead() != 0 {
+				t.Errorf("%s (buffer %d), hooked, workers %d: DRAM recorded %d reads / %d writes / %d overhead, counts sum to %d / %d / 0",
+					tc.shape, tc.globalBuffer, workers, r, w, tr.Overhead(), got.Reads(), got.Writes())
+			}
+		}
+
+		x := executor(1)
+		x.Residency, err = secure.BuildWeightResidency(context.Background(), net, x.NPU, x.DRAM, x.Secret, x.Random, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// These mappings read every weight block they store, so WeightFirst is
+		// also the weight share of the host writes; the rest is the input.
+		want := tc.want
+		want.HostWrites -= want.WeightFirst
+		want.WeightFirst, want.WeightRepeat = 0, 0
+		if got := counts("resident", x); got != want {
+			t.Errorf("%s (buffer %d), resident: %+v, want %+v", tc.shape, tc.globalBuffer, got, want)
 		}
 	}
 }

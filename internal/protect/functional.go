@@ -25,6 +25,10 @@ type SeculatorMemory struct {
 	layer   uint32
 	started bool
 
+	// counts is what the merged shards moved (Merge); the serial API below
+	// records straight into the DRAM's traffic counters and leaves it alone.
+	counts BlockCounts
+
 	// ct is the reusable ciphertext staging buffer: DRAM copies payloads
 	// on write and into the caller's dst on read, so the block only lives
 	// here transiently. One buffer per memory keeps the per-block path
@@ -59,6 +63,7 @@ func (m *SeculatorMemory) Recycle(d *mem.DRAM, secret, bootRandom uint64) bool {
 	m.checker = mac.LayerChecker{}
 	m.layer = 0
 	m.started = false
+	m.counts = BlockCounts{}
 	clear(m.ct[:])
 	return true
 }

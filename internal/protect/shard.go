@@ -28,12 +28,46 @@ type SeculatorShard struct {
 	engine  *crypto.CTREngine
 	partial mac.PartialBank
 
-	reads  int // blocks fetched, merged into the DRAM traffic counters
-	writes int // blocks stored, merged into the DRAM traffic counters
+	n BlockCounts // blocks moved, merged into the memory's counts and the DRAM traffic counters
 
 	ct   [tensor.BlockBytes]byte
 	pt   [tensor.BlockBytes]byte
 	rowh mac.RowHasher
+
+	// ReadInputRun's staging: the line a re-read fetches, compared against
+	// ct, and the plaintext of one that differs, decrypted aside so pt keeps
+	// the first read's.
+	runCT [tensor.BlockBytes]byte
+	runPT [tensor.BlockBytes]byte
+}
+
+// BlockCounts is the number of 64-byte blocks a memory's shards moved, by
+// tensor class — what the executor did, as opposed to what the simulator's
+// traffic model says it should do. A first read is a block's first touch in
+// its layer, a repeat any later one.
+type BlockCounts struct {
+	IfmapFirst, IfmapRepeat   int
+	WeightFirst, WeightRepeat int
+	PartialReads              int
+	OfmapWrites, HostWrites   int
+}
+
+// Reads is every block fetched from DRAM.
+func (c BlockCounts) Reads() int {
+	return c.IfmapFirst + c.IfmapRepeat + c.WeightFirst + c.WeightRepeat + c.PartialReads
+}
+
+// Writes is every block stored to DRAM.
+func (c BlockCounts) Writes() int { return c.OfmapWrites + c.HostWrites }
+
+func (c *BlockCounts) add(o BlockCounts) {
+	c.IfmapFirst += o.IfmapFirst
+	c.IfmapRepeat += o.IfmapRepeat
+	c.WeightFirst += o.WeightFirst
+	c.WeightRepeat += o.WeightRepeat
+	c.PartialReads += o.PartialReads
+	c.OfmapWrites += o.OfmapWrites
+	c.HostWrites += o.HostWrites
 }
 
 // Shard creates a worker view of the memory. Shards are cheap; the secure
@@ -51,9 +85,11 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 // which Recycle on the parent guarantees is unchanged.
 func (s *SeculatorShard) Recycle() {
 	s.partial.Reset()
-	s.reads, s.writes = 0, 0
+	s.n = BlockCounts{}
 	clear(s.ct[:])
 	clear(s.pt[:])
+	clear(s.runCT[:])
+	clear(s.runPT[:])
 	s.rowh.Scrub()
 }
 
@@ -67,14 +103,10 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 		if s == nil {
 			continue
 		}
-		if s.reads > 0 {
-			m.dram.Record(sim.Read, sim.DataTraffic, s.reads)
-			s.reads = 0
-		}
-		if s.writes > 0 {
-			m.dram.Record(sim.Write, sim.DataTraffic, s.writes)
-			s.writes = 0
-		}
+		m.dram.Record(sim.Read, sim.DataTraffic, s.n.Reads())
+		m.dram.Record(sim.Write, sim.DataTraffic, s.n.Writes())
+		m.counts.add(s.n)
+		s.n = BlockCounts{}
 		if s.partial.Folds() > 0 {
 			m.mustStart()
 			m.checker.FoldBank(&s.partial)
@@ -82,6 +114,10 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 		}
 	}
 }
+
+// BlockCounts returns the per-tensor-class block totals of every shard
+// merged since the memory was built or recycled.
+func (m *SeculatorMemory) BlockCounts() BlockCounts { return m.counts }
 
 // Registers returns the four XOR-MAC register values of the current layer's
 // bank — the observability hook the serial/parallel equivalence tests use
@@ -91,11 +127,11 @@ func (m *SeculatorMemory) Registers() (w, r, fr, ir mac.Digest) {
 	return b.W.Value(), b.R.Value(), b.FR.Value(), b.IR.Value()
 }
 
-// fetch reads and decrypts one block into the shard's plaintext scratch.
+// fetch reads and decrypts one block into the shard's plaintext scratch;
+// the caller counts it in its tensor class.
 func (s *SeculatorShard) fetch(addr uint64, layer, fmapID uint32, vn int, blockIdx uint32) []byte {
 	m := s.parent
 	m.dram.ReadBlockQuiet(addr, s.ct[:])
-	s.reads++
 	s.engine.DecryptBlock(s.pt[:], s.ct[:], m.counter(layer, fmapID, vn, blockIdx))
 	return s.pt[:]
 }
@@ -104,11 +140,39 @@ func (s *SeculatorShard) fetch(addr uint64, layer, fmapID uint32, vn int, blockI
 // into the shard's partial bank instead of the checker. The returned slice
 // is shard scratch, valid until the shard's next operation.
 func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
+	return s.ReadInputRun(addr, prevLayer, fmapID, vn, blockIdx, first, 1)
+}
+
+// ReadInputRun is n >= 1 consecutive ReadInput calls on one line — the first
+// with the given first flag, the rest repeats — returning the first read's
+// plaintext. Every read is fetched (an injector sees n OnRead calls),
+// counted and folded, so all four registers and fold counts are those of
+// n separate calls; but plaintext and MAC are pure functions of
+// (ciphertext, counter, ref), so a re-read is decrypted and MACed only when
+// its ciphertext differs from the previous fetch's, and otherwise folds the
+// digest in hand.
+func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool, n int) []byte {
+	m := s.parent
+	ref := m.ref(prevLayer, fmapID, vn, blockIdx)
 	pt := s.fetch(addr, prevLayer, fmapID, vn, blockIdx)
-	d := s.rowh.Block(s.parent.ref(prevLayer, fmapID, vn, blockIdx), pt)
+	d := s.rowh.Block(ref, pt)
 	if first {
 		s.partial.OnFirstRead(d)
+		s.n.IfmapFirst++
 	} else {
+		s.partial.OnRepeatRead(d)
+		s.n.IfmapRepeat++
+	}
+	s.n.IfmapRepeat += n - 1
+	for t := 1; t < n; t++ {
+		m.dram.ReadBlockQuiet(addr, s.runCT[:])
+		// Both operands are DRAM contents the adversary already owns, so the
+		// compare's timing leaks nothing.
+		if s.runCT != s.ct {
+			s.ct = s.runCT
+			s.engine.DecryptBlock(s.runPT[:], s.ct[:], m.counter(prevLayer, fmapID, vn, blockIdx))
+			d = s.rowh.Block(ref, s.runPT[:])
+		}
 		s.partial.OnRepeatRead(d)
 	}
 	return pt
@@ -118,15 +182,22 @@ func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int
 func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockIdx uint32) []byte {
 	m := s.parent
 	pt := s.fetch(addr, m.layer, fmapID, vn, blockIdx)
+	s.n.PartialReads++
 	s.partial.OnPartialRead(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx), pt))
 	return pt
 }
 
 // ReadStatic is the shard counterpart of SeculatorMemory.ReadStatic: no
 // register folds; the block's MAC is returned for the caller's private
-// golden accumulation.
-func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32) ([]byte, mac.Digest) {
+// golden accumulation. Only the caller knows whether this is the block's
+// first read in its layer: first picks the count it lands in.
+func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, first bool) ([]byte, mac.Digest) {
 	pt := s.fetch(addr, ownerLayer, fmapID, vn, blockIdx)
+	if first {
+		s.n.WeightFirst++
+	} else {
+		s.n.WeightRepeat++
+	}
 	return pt, s.rowh.Block(s.parent.ref(ownerLayer, fmapID, vn, blockIdx), pt)
 }
 
@@ -135,7 +206,7 @@ func (s *SeculatorShard) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx
 	m := s.parent
 	s.engine.EncryptBlock(s.ct[:], plaintext, m.counter(m.layer, fmapID, vn, blockIdx))
 	m.dram.WriteBlockQuiet(addr, s.ct[:])
-	s.writes++
+	s.n.OfmapWrites++
 	s.partial.OnWrite(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx), plaintext))
 }
 
@@ -153,7 +224,7 @@ func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx u
 		o := b * tensor.BlockBytes
 		s.partial.OnWrite(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes]))
 	}
-	s.writes += n
+	s.n.OfmapWrites += n
 }
 
 // HostWriteBlock is the shard counterpart of SeculatorMemory.HostWriteBlock.
@@ -161,7 +232,7 @@ func (s *SeculatorShard) HostWriteBlock(addr uint64, ownerLayer, fmapID uint32, 
 	m := s.parent
 	s.engine.EncryptBlock(s.ct[:], plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx))
 	m.dram.WriteBlockQuiet(addr, s.ct[:])
-	s.writes++
+	s.n.HostWrites++
 	return s.rowh.Block(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
 }
 
@@ -183,7 +254,7 @@ func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn
 	g := s.HostSealRow(ctScratch, ownerLayer, fmapID, vn, blockIdx, plaintext)
 	n := len(plaintext) / tensor.BlockBytes
 	s.parent.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
-	s.writes += n
+	s.n.HostWrites += n
 	return g
 }
 

@@ -186,8 +186,8 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 
 // TestShardRecycleScrubsHasher: the shard's hasher buffers the tail of the
 // last plaintext block it MACed inside its SHA-256 state, so Recycle must
-// scrub it like the staging buffers — and keep it, so a pooled run builds
-// none. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
+// scrub it like the staging buffers (ReadInputRun's two included) — and keep
+// it, so a pooled run builds none. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
 // hasher (mac's own tests decode it); reflect.DeepEqual follows the hasher
 // into that state.
 func TestShardRecycleScrubsHasher(t *testing.T) {
@@ -204,12 +204,25 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	if reflect.DeepEqual(sh.rowh, scrubbed) {
 		t.Fatal("a used hasher compares equal to a scrubbed one: the comparison sees nothing")
 	}
+	// A run whose re-read arrives flipped fills all four staging lines: the
+	// first read's ciphertext and plaintext, the re-read's and its plaintext.
+	m.Merge(sh)
+	m.BeginLayer(2)
+	d.SetInjector(&runTamper{d: d, n: 2, sched: []byte{1, 3, 0x40}})
+	sh.ReadInputRun(0, 1, 2, 1, 0, true, 2)
+	var zero [tensor.BlockBytes]byte
+	if sh.ct == zero || sh.pt == zero || sh.runCT == zero || sh.runPT == zero {
+		t.Fatal("a staging line is still zero before Recycle: the check below sees nothing")
+	}
 	sh.Recycle()
 	if !reflect.DeepEqual(sh.rowh, scrubbed) {
 		t.Fatal("Recycle left the shard's hasher unscrubbed, or dropped it")
 	}
-	if sh.ct != [tensor.BlockBytes]byte{} || sh.pt != [tensor.BlockBytes]byte{} {
+	if sh.ct != zero || sh.pt != zero || sh.runCT != zero || sh.runPT != zero {
 		t.Fatal("Recycle left block staging behind")
+	}
+	if sh.n != (BlockCounts{}) {
+		t.Fatalf("Recycle left block counts behind: %+v", sh.n)
 	}
 }
 
@@ -229,8 +242,8 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 
 	sealed := make([]byte, len(row))
 	gs := sh.HostSealRow(sealed, 0x8001, 2, 1, 6, row)
-	if sh.writes != 0 || d.Lines() != 0 {
-		t.Fatalf("HostSealRow stored something: %d writes counted, %d lines in DRAM", sh.writes, d.Lines())
+	if sh.n.Writes() != 0 || d.Lines() != 0 {
+		t.Fatalf("HostSealRow stored something: %d writes counted, %d lines in DRAM", sh.n.Writes(), d.Lines())
 	}
 	if bytes.Equal(sealed, row) {
 		t.Fatal("HostSealRow left plaintext in dst")
@@ -240,8 +253,8 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 	if gw != gs {
 		t.Fatalf("golden digest: write %x, seal %x", gw, gs)
 	}
-	if sh.writes != n || d.Lines() != n {
-		t.Fatalf("HostWriteRow: %d writes counted, %d lines stored, want %d", sh.writes, d.Lines(), n)
+	if sh.n.HostWrites != n || d.Lines() != n {
+		t.Fatalf("HostWriteRow: %d writes counted, %d lines stored, want %d", sh.n.HostWrites, d.Lines(), n)
 	}
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(d.Peek(uint64(4+i)), sealed[i*tensor.BlockBytes:(i+1)*tensor.BlockBytes]) {

@@ -218,6 +218,13 @@ type Result struct {
 	// serial/parallel equivalence tests assert exactly that.
 	OutputMAC mac.Digest
 
+	// Counts is what the run moved, in 64-byte blocks per tensor class,
+	// summed from the shards' own tallies, retried layers included. Its
+	// Reads and Writes are what the run's DRAM recorded as data traffic —
+	// less, on a resident run, the weight image installed by memcpy, which
+	// no shard moves.
+	Counts protect.BlockCounts
+
 	// Recovery reports the detect-and-recover activity of the run: layer
 	// retries performed, layers recovered from transient faults, and
 	// whether a persistent violation latched the breach.
@@ -375,8 +382,9 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	if x.OnLayerMACs != nil {
 		x.OnLayerMACs(len(states), sm.RegisterSnapshot())
 	}
+	rt.drain() // the loader's shard holds the run's weight host writes until merged
 	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states),
-		Blocks: dram.Lines(), Recovery: stats}, nil
+		Blocks: dram.Lines(), Counts: sm.BlockCounts(), Recovery: stats}, nil
 }
 
 // residentFor reports whether this run may attach to x.Residency: the

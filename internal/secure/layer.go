@@ -222,7 +222,7 @@ func (r *layerRun) readIfmapTile(e dataflow.Event) {
 			ch := c0 + it/span
 			iy := iy0 + it%span
 			for j := 0; j < r.producer.bpr; j++ {
-				r.readProducerBlock(sh, ch, iy, j)
+				r.readProducerBlock(sh, ch, iy, j, 1)
 			}
 		}
 	})
@@ -232,8 +232,8 @@ func (r *layerRun) readIfmapTile(e dataflow.Event) {
 // [f0, f1) of an FC input. Consecutive elements hit the same 16-element
 // block, and the repeat-read MAC folds of those hits are part of the
 // protocol — so the range shards by runs of identical blocks, each run
-// executing its first-touch + repeats serially on one shard exactly like
-// the serial path.
+// one ReadInputRun on one shard: every read fetched, counted and folded,
+// AES and SHA paid once while the line does not change.
 func (r *layerRun) readFlatRange(f0, f1 int) {
 	p := r.producer
 	perChan := p.rows * p.cols
@@ -259,24 +259,22 @@ func (r *layerRun) readFlatRange(f0, f1 int) {
 	r.rt.forkBlocks(len(runs), 1, func(_ int, sh *protect.SeculatorShard, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			b := runs[i]
-			for t := 0; t < b.n; t++ {
-				r.readProducerBlock(sh, b.ch, b.row, b.j)
-			}
+			r.readProducerBlock(sh, b.ch, b.row, b.j, b.n)
 		}
 	})
 }
 
-// readProducerBlock performs one decrypted block read from the producer
-// region through a shard, folding it into the shard's partial MAC_FR on
-// first touch and MAC_IR on repeats, and assembling the plaintext into the
-// layer's input tensor.
-func (r *layerRun) readProducerBlock(sh *protect.SeculatorShard, ch, row, j int) {
+// readProducerBlock performs n back-to-back decrypted reads of one block of
+// the producer region through a shard, folding the first into the shard's
+// partial MAC_FR on first touch and everything else into MAC_IR, and
+// assembling the first-touch plaintext into the layer's input tensor.
+func (r *layerRun) readProducerBlock(sh *protect.SeculatorShard, ch, row, j, n int) {
 	p := r.producer
 	flat := (ch*p.rows+row)*p.bpr + j
 	first := !r.inTouched[flat]
 	r.inTouched[flat] = true
 	blockIdx := uint32(row*p.bpr + j)
-	pt := sh.ReadInput(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first)
+	pt := sh.ReadInputRun(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first, n)
 	if first {
 		off := (ch*p.rows+row)*p.cols + j*intsPerBlock
 		end := min(len(r.in.Data), (ch*p.rows+row)*p.cols+p.cols)
@@ -306,9 +304,10 @@ func (r *layerRun) readWeightTile(e dataflow.Event) {
 			run := weightRun(r.st.layer, r.w, k, cg, wl.sliceInts)
 			for j := 0; j < wl.sliceBlocks; j++ {
 				flat := (k*wl.cGroups+cg)*wl.sliceBlocks + j
+				first := !r.wTouched[flat]
 				pt, d := sh.ReadStatic(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1,
-					uint32(cg*wl.sliceBlocks+j))
-				if !r.wTouched[flat] {
+					uint32(cg*wl.sliceBlocks+j), first)
+				if first {
 					r.wTouched[flat] = true
 					rt.wDigest[s] = rt.wDigest[s].Xor(d)
 					decodeBlock(run, j*intsPerBlock, pt)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -208,6 +209,9 @@ func TestPooledStateNotResurrectedByReserve(t *testing.T) {
 // a pooled run state has been through the deep benchmark model, another
 // serial run allocates bookkeeping only (< 64 KiB), never a DRAM image — the
 // 512 KiB slab a re-Reserve used to cost every run is 8x over this bound.
+// The budget binds the median of 20 runs, not their mean: sync.Pool may drop
+// the parked state at any GC, and the one run that then rebuilds it (about
+// one window in 70) is the pool's contract, not a leak.
 func TestPooledRunByteBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled run states at random under the race detector")
@@ -226,14 +230,17 @@ func TestPooledRunByteBudget(t *testing.T) {
 	}
 	run() // builds the run state and grows its slabs
 	run()
-	const runs = 20
+	perRun := make([]uint64, 20)
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	for i := range perRun {
+		runtime.ReadMemStats(&before)
 		run()
+		runtime.ReadMemStats(&after)
+		perRun[i] = after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp >= 64<<10 {
-		t.Fatalf("steady-state pooled run allocates %d B/op, budget is 64 KiB", perOp)
+	slices.Sort(perRun)
+	if median := perRun[len(perRun)/2]; median >= 64<<10 {
+		t.Fatalf("steady-state pooled run allocates %d B (median of %d; all: %v), budget is 64 KiB",
+			median, len(perRun), perRun)
 	}
 }
