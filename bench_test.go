@@ -8,6 +8,7 @@ package seculator
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"seculator/internal/crypto"
@@ -398,10 +399,7 @@ func BenchmarkRunResNet18(b *testing.B) {
 
 // BenchmarkSecureInference measures the full functional path — encrypted
 // DRAM, per-block AES-CTR + SHA-256, XOR-MAC layer verification — at two
-// model scales and two intra-inference worker counts, verifying
-// equivalence each iteration. serial vs parallel8 on the same net is the
-// tentpole speedup figure: the sharded crypto pipeline must be faster on a
-// multi-core runner while staying bit-identical.
+// model scales on fresh executors, verifying equivalence each iteration.
 func BenchmarkSecureInference(b *testing.B) {
 	small := Network{
 		Name: "bench-cnn",
@@ -411,8 +409,8 @@ func BenchmarkSecureInference(b *testing.B) {
 			{Name: "fc", Type: FC, C: 8 * 8 * 8, H: 1, W: 1, K: 10, R: 1, S: 1, Stride: 1},
 		},
 	}
-	// deep carries enough blocks per tile that every stage of the parallel
-	// pipeline engages: sharded reads/writes and overlapped weight loading
+	// deep carries enough blocks per tile that every stage of the pipeline
+	// engages: helper-hashed reads and writes and overlapped weight loading
 	// across its seven layers.
 	deep := Network{
 		Name: "bench-deep",
@@ -427,14 +425,11 @@ func BenchmarkSecureInference(b *testing.B) {
 		},
 	}
 	for _, bm := range []struct {
-		name    string
-		net     Network
-		workers int
+		name string
+		net  Network
 	}{
-		{"small/serial", small, 1},
-		{"small/parallel8", small, 8},
-		{"deep/serial", deep, 1},
-		{"deep/parallel8", deep, 8},
+		{"small", small},
+		{"deep", deep},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			in, ws := RandomModel(bm.net, 1)
@@ -444,9 +439,7 @@ func BenchmarkSecureInference(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				x := secure.NewExecutor()
-				x.Parallel = bm.workers
-				res, err := x.Run(context.Background(), bm.net, in, ws)
+				res, err := secure.NewExecutor().Run(context.Background(), bm.net, in, ws)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -466,11 +459,14 @@ func BenchmarkSecureInference(b *testing.B) {
 //	go test -run '^$' -bench LibDeep/loader -benchtime 300x -cpuprofile cpu.prof .
 //
 // — and so CI's bench smoke prints its B/op (the pooled path's memory
-// budget, DESIGN.md §15) on every push. The two arms are the two
-// provisioning paths side by side: "loader" is the default run (pooled
-// state, the model host-written by the loader goroutine while the layers
-// execute); "hooked" adds a no-op phase hook, which makes the run load the
-// whole model up front on state it builds afresh.
+// budget, DESIGN.md §15) on every push. "loader" is the default run (pooled
+// state, the model host-written by the loader goroutine and the block MACs
+// hashed by a borrowed helper while the layers execute); "hooked" adds a
+// no-op phase hook, which makes the run load the whole model up front on
+// state it builds afresh; "one-cpu" is "loader" at GOMAXPROCS=1, where no
+// helper is borrowed and nothing overlaps — so "-bench LibDeep" alone shows
+// what the second CPU buys, and Result.Hashing says how much of the hashing
+// moved (reported as helper-macs/op).
 func BenchmarkLibDeep(b *testing.B) {
 	net, err := workload.ResolveShape("MobileNet/8")
 	if err != nil {
@@ -482,13 +478,19 @@ func BenchmarkLibDeep(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, arm := range []struct {
-		name string
-		opts InferenceOptions
+		name  string
+		opts  InferenceOptions
+		procs int // GOMAXPROCS for the arm; 0 leaves it
 	}{
-		{"loader", InferenceOptions{}},
-		{"hooked", InferenceOptions{Hook: func(int, *mem.DRAM) {}}},
+		{"loader", InferenceOptions{}, 0},
+		{"hooked", InferenceOptions{Hook: func(int, *mem.DRAM) {}}, 0},
+		{"one-cpu", InferenceOptions{}, 1},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
+			if arm.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(arm.procs))
+			}
+			helperMACs := 0
 			run := func() {
 				res, err := SecureInferenceContext(context.Background(), net, in, ws, arm.opts)
 				if err != nil {
@@ -497,13 +499,16 @@ func BenchmarkLibDeep(b *testing.B) {
 				if !res.Output.Equal(golden) {
 					b.Fatal("diverged")
 				}
+				helperMACs += res.Hashing.Helper
 			}
 			run() // builds the pooled run state; every timed loader iteration reuses it
 			b.ReportAllocs()
 			b.ResetTimer()
+			helperMACs = 0
 			for i := 0; i < b.N; i++ {
 				run()
 			}
+			b.ReportMetric(float64(helperMACs)/float64(b.N), "helper-macs/op")
 		})
 	}
 }

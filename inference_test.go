@@ -281,17 +281,14 @@ func TestOutputMACPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		in, ws := RandomModel(net, 1)
+		x := secure.NewExecutor()
 		arms := map[string]func() (InferenceResult, error){
 			"SecureInferenceContext": func() (InferenceResult, error) {
 				return SecureInferenceContext(context.Background(), net, in, ws, InferenceOptions{})
 			},
-		}
-		for _, workers := range []int{1, 8} {
-			x := secure.NewExecutor()
-			x.Parallel = workers
-			arms[fmt.Sprintf("Executor.Parallel=%d", workers)] = func() (InferenceResult, error) {
+			"Executor.Run": func() (InferenceResult, error) {
 				return x.Run(context.Background(), net, in, ws)
-			}
+			},
 		}
 		for name, run := range arms {
 			for pass := 0; pass < 2; pass++ {
@@ -313,9 +310,9 @@ func TestOutputMACPinned(t *testing.T) {
 // of each class a mapping moves is the model — the counts the simulator's
 // traffic and ROADMAP 2a's oracle are to be held against. The default run
 // (loader, pooled) and a hooked run (model loaded up front, fresh state) must
-// report the same, at both worker counts, and a hooked run's DRAM must have
-// recorded exactly the reads and writes the counts sum to. A resident run
-// reads no weight and host-writes only the input.
+// report the same, and a hooked run's DRAM must have recorded exactly the
+// reads and writes the counts sum to. A resident run reads no weight and
+// host-writes only the input.
 func TestBlockCountsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		shape        string
@@ -331,9 +328,8 @@ func TestBlockCountsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		in, ws := RandomModel(net, 1)
-		executor := func(workers int) *secure.Executor {
+		executor := func() *secure.Executor {
 			x := secure.NewExecutor()
-			x.Parallel = workers
 			if tc.globalBuffer != 0 {
 				x.NPU.GlobalBufferBytes = tc.globalBuffer
 			}
@@ -347,28 +343,26 @@ func TestBlockCountsPinned(t *testing.T) {
 			}
 			return res.Counts
 		}
-		for _, workers := range []int{1, 8} {
-			x := executor(workers)
-			for pass := 0; pass < 2; pass++ { // the second pass rides pooled state
-				if got := counts("loader", x); got != tc.want {
-					t.Errorf("%s (buffer %d), loader, workers %d, pass %d: %+v, want %+v",
-						tc.shape, tc.globalBuffer, workers, pass, got, tc.want)
-				}
-			}
-			var dram *mem.DRAM
-			x.AfterPhase = func(_ int, d *mem.DRAM) { dram = d }
-			got := counts("hooked", x)
-			if got != tc.want {
-				t.Errorf("%s (buffer %d), hooked, workers %d: %+v, want %+v", tc.shape, tc.globalBuffer, workers, got, tc.want)
-			}
-			tr := dram.Traffic()
-			if r, w := tr.ReadBlocks[0], tr.WriteBlocks[0]; r != uint64(got.Reads()) || w != uint64(got.Writes()) || tr.Overhead() != 0 {
-				t.Errorf("%s (buffer %d), hooked, workers %d: DRAM recorded %d reads / %d writes / %d overhead, counts sum to %d / %d / 0",
-					tc.shape, tc.globalBuffer, workers, r, w, tr.Overhead(), got.Reads(), got.Writes())
+		x := executor()
+		for pass := 0; pass < 2; pass++ { // the second pass rides pooled state
+			if got := counts("loader", x); got != tc.want {
+				t.Errorf("%s (buffer %d), loader, pass %d: %+v, want %+v",
+					tc.shape, tc.globalBuffer, pass, got, tc.want)
 			}
 		}
+		var dram *mem.DRAM
+		x.AfterPhase = func(_ int, d *mem.DRAM) { dram = d }
+		got := counts("hooked", x)
+		if got != tc.want {
+			t.Errorf("%s (buffer %d), hooked: %+v, want %+v", tc.shape, tc.globalBuffer, got, tc.want)
+		}
+		tr := dram.Traffic()
+		if r, w := tr.ReadBlocks[0], tr.WriteBlocks[0]; r != uint64(got.Reads()) || w != uint64(got.Writes()) || tr.Overhead() != 0 {
+			t.Errorf("%s (buffer %d), hooked: DRAM recorded %d reads / %d writes / %d overhead, counts sum to %d / %d / 0",
+				tc.shape, tc.globalBuffer, r, w, tr.Overhead(), got.Reads(), got.Writes())
+		}
 
-		x := executor(1)
+		x = executor()
 		x.Residency, err = secure.BuildWeightResidency(context.Background(), net, x.NPU, x.DRAM, x.Secret, x.Random, ws)
 		if err != nil {
 			t.Fatal(err)

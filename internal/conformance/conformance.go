@@ -5,9 +5,11 @@
 //
 //  1. cross-scheme equivalence: every protection design computes identical
 //     outputs and self-consistent traffic/metadata accounting;
-//  2. serial/parallel equivalence: outputs, OutputMAC, all four XOR-MAC
-//     registers and the ciphertext bytes in DRAM are bit-identical across
-//     worker counts {1, 2, 8};
+//  2. serial/parallel equivalence: outputs, OutputMAC, block counts, all
+//     four XOR-MAC registers and the ciphertext bytes in DRAM are
+//     bit-identical whether the layer loop hashes its block MACs itself or
+//     a helper hashes them beside it, and whether the model is loaded up
+//     front or by the loader;
 //  3. the VN master equation: the ⟨η, κ, ρ⟩ FSM replay matches the VN
 //     sequence the dataflow simulator enumerates, for every mapping;
 //  4. attack detection: randomized tamper/replay/swap/splice mutations are
@@ -153,9 +155,6 @@ type Config struct {
 	Scenario ScenSpec   `json:"scenario"`
 	Attack   AttackSpec `json:"attack"`
 }
-
-// Workers are the worker counts the serial/parallel oracle compares.
-var Workers = []int{1, 2, 8}
 
 // Generate derives the full trial configuration from one seed.
 func Generate(seed int64) Config {

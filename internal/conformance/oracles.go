@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 
 	"seculator/internal/attack"
 	"seculator/internal/dataflow"
@@ -322,17 +323,19 @@ func CheckCrossScheme(cfg Config) error {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 2: serial/parallel equivalence.
+// Oracle 2: serial/parallel equivalence — block MACs hashed on the layer
+// loop or beside it, the model loaded up front or by the loader.
 // ---------------------------------------------------------------------------
 
 // runSnapshot is everything observable about one executor run that must be
-// bit-identical across worker counts.
+// bit-identical whoever hashes its block MACs and whenever its weights load.
 type runSnapshot struct {
 	out       []int32
 	outputMAC mac.Digest
 	blocks    int
+	counts    protect.BlockCounts
 	regs      []protect.RegisterState
-	phases    []uint64 // FNV-1a over the full DRAM ciphertext per phase
+	phases    []uint64 // hooked runs: FNV-1a over the full DRAM ciphertext per phase
 }
 
 func dramDigest(d *mem.DRAM) uint64 {
@@ -348,12 +351,17 @@ func dramDigest(d *mem.DRAM) uint64 {
 	return h.Sum64()
 }
 
-// CheckSerialParallel runs the secure executor on the generated network at
-// every worker count in Workers and asserts: identical decrypted outputs
-// (also equal to the plaintext reference), identical OutputMAC, identical
-// per-layer snapshots of all four XOR-MAC registers (values and fold
-// counts), and bit-identical DRAM ciphertext at every phase boundary. A
-// final hook-free run covers the overlapped-load path the hooks disable.
+// CheckSerialParallel runs the secure executor on the generated network four
+// ways — {inline, helper} × {hooked, loader} — and asserts identical
+// decrypted outputs (also equal to the plaintext reference), OutputMAC,
+// Blocks and Counts, identical per-layer snapshots of all four XOR-MAC
+// registers (values and fold counts), and, between the two hooked runs,
+// bit-identical DRAM ciphertext at every phase boundary. An inline run has
+// one P (GOMAXPROCS=1), so it borrows no MAC helper and its layer loop hashes
+// every block MAC itself; a helper run has at least two and must borrow one.
+// A hooked run (an AfterPhase hook) loads the whole model up front on fresh
+// state; a loader run is the default, its weights host-written beside the
+// layer loop. The oracle keeps its name for its repro corpora.
 func CheckSerialParallel(cfg Config) error {
 	net := cfg.Net.Network()
 	if err := net.Validate(); err != nil {
@@ -365,14 +373,18 @@ func CheckSerialParallel(cfg Config) error {
 		return fmt.Errorf("reference: %w", err)
 	}
 
-	run := func(workers int, hooks bool) (runSnapshot, error) {
+	run := func(helper, hooked bool) (runSnapshot, error) {
+		procs := 1
+		if helper {
+			procs = max(2, runtime.GOMAXPROCS(0))
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		x := secure.NewExecutor()
-		x.Parallel = workers
 		var snap runSnapshot
-		if hooks {
-			x.OnLayerMACs = func(phase int, regs protect.RegisterState) {
-				snap.regs = append(snap.regs, regs)
-			}
+		x.OnLayerMACs = func(phase int, regs protect.RegisterState) {
+			snap.regs = append(snap.regs, regs)
+		}
+		if hooked {
 			x.AfterPhase = func(phase int, d *mem.DRAM) {
 				snap.phases = append(snap.phases, dramDigest(d))
 			}
@@ -381,57 +393,51 @@ func CheckSerialParallel(cfg Config) error {
 		if err != nil {
 			return snap, err
 		}
+		if res.Hashing.Borrowed != helper {
+			return snap, fmt.Errorf("borrowed a MAC helper: %v at GOMAXPROCS=%d", res.Hashing.Borrowed, procs)
+		}
 		snap.out = res.Output.Data
 		snap.outputMAC = res.OutputMAC
 		snap.blocks = res.Blocks
+		snap.counts = res.Counts
 		return snap, nil
 	}
 
 	var base runSnapshot
-	for i, workers := range Workers {
-		snap, err := run(workers, true)
+	for i, arm := range []struct {
+		name           string
+		helper, hooked bool
+	}{
+		{"inline/hooked", false, true},
+		{"helper/hooked", true, true},
+		{"inline/loader", false, false},
+		{"helper/loader", true, false},
+	} {
+		snap, err := run(arm.helper, arm.hooked)
 		if err != nil {
-			return fmt.Errorf("workers=%d: honest run failed: %w", workers, err)
+			return fmt.Errorf("%s: honest run failed: %w", arm.name, err)
 		}
-		if i == 0 {
-			base = snap
-			if len(snap.out) != len(golden.Data) {
-				return fmt.Errorf("output length %d, reference %d", len(snap.out), len(golden.Data))
-			}
-			for j := range snap.out {
-				if snap.out[j] != golden.Data[j] {
-					return fmt.Errorf("output[%d]=%d, reference %d", j, snap.out[j], golden.Data[j])
-				}
+		if i > 0 {
+			if err := snap.diff(base, arm.name+" vs inline/hooked"); err != nil {
+				return err
 			}
 			continue
 		}
-		if err := snap.diff(base, workers, Workers[0]); err != nil {
-			return err
+		base = snap
+		if len(snap.out) != len(golden.Data) {
+			return fmt.Errorf("output length %d, reference %d", len(snap.out), len(golden.Data))
 		}
-	}
-
-	// Hook-free parallel run: exercises the overlapped weight-load path.
-	last := Workers[len(Workers)-1]
-	snap, err := run(last, false)
-	if err != nil {
-		return fmt.Errorf("workers=%d (no hooks): honest run failed: %w", last, err)
-	}
-	for j := range snap.out {
-		if snap.out[j] != base.out[j] {
-			return fmt.Errorf("overlap run output[%d]=%d, serial %d", j, snap.out[j], base.out[j])
+		for j := range snap.out {
+			if snap.out[j] != golden.Data[j] {
+				return fmt.Errorf("output[%d]=%d, reference %d", j, snap.out[j], golden.Data[j])
+			}
 		}
-	}
-	if snap.outputMAC != base.outputMAC {
-		return fmt.Errorf("overlap run OutputMAC differs from serial")
-	}
-	if snap.blocks != base.blocks {
-		return fmt.Errorf("overlap run Blocks=%d, serial %d", snap.blocks, base.blocks)
 	}
 	return nil
 }
 
-func (s runSnapshot) diff(base runSnapshot, workers, baseWorkers int) error {
-	tag := fmt.Sprintf("workers=%d vs %d", workers, baseWorkers)
+// diff compares s with base; phase digests only when s has them (a hooked run).
+func (s runSnapshot) diff(base runSnapshot, tag string) error {
 	for j := range s.out {
 		if s.out[j] != base.out[j] {
 			return fmt.Errorf("%s: output[%d] %d != %d", tag, j, s.out[j], base.out[j])
@@ -443,6 +449,9 @@ func (s runSnapshot) diff(base runSnapshot, workers, baseWorkers int) error {
 	if s.blocks != base.blocks {
 		return fmt.Errorf("%s: Blocks %d != %d", tag, s.blocks, base.blocks)
 	}
+	if s.counts != base.counts {
+		return fmt.Errorf("%s: Counts %+v != %+v", tag, s.counts, base.counts)
+	}
 	if len(s.regs) != len(base.regs) {
 		return fmt.Errorf("%s: %d register snapshots != %d", tag, len(s.regs), len(base.regs))
 	}
@@ -450,6 +459,9 @@ func (s runSnapshot) diff(base runSnapshot, workers, baseWorkers int) error {
 		if s.regs[j] != base.regs[j] {
 			return fmt.Errorf("%s: MAC registers diverge at phase %d: %+v != %+v", tag, j, s.regs[j], base.regs[j])
 		}
+	}
+	if s.phases == nil {
+		return nil
 	}
 	if len(s.phases) != len(base.phases) {
 		return fmt.Errorf("%s: %d phase digests != %d", tag, len(s.phases), len(base.phases))

@@ -25,9 +25,8 @@ const pipelineBatch = 3
 // others, so any layer of one request may overlap any layer of another —
 // and demands each request be bit-identical to its own serial, non-resident
 // baseline: same decrypted output, same OutputMAC, same per-layer register
-// snapshots, same DRAM block count. This is the serial/parallel oracle
-// extended across requests: interleaving and residency must both be
-// unobservable.
+// snapshots, same DRAM block count. This is oracle 2 extended across
+// requests: interleaving and residency must both be unobservable.
 func CheckPipelinedBatch(cfg Config) error {
 	net := cfg.Net.Network()
 	if err := net.Validate(); err != nil {
@@ -113,7 +112,7 @@ func CheckPipelinedBatch(cfg Config) error {
 		if errs[i] != nil {
 			return fmt.Errorf("concurrent request %d: %w", i, errs[i])
 		}
-		if err := snaps[i].diff(base[i], pipelineBatch, 1); err != nil {
+		if err := snaps[i].diff(base[i], "resident, concurrent"); err != nil {
 			return fmt.Errorf("concurrent request %d vs serial baseline: %w", i, err)
 		}
 	}

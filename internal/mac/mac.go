@@ -141,11 +141,11 @@ func (r *Register) Merge(o Register) {
 	r.folds += o.folds
 }
 
-// PartialBank is a shard-private set of the four XOR-MAC accumulators. A
-// worker folds the block MACs of its slice of a tile into its own partial
-// bank — no locks, no sharing — and the orchestrator reduces all partial
-// banks into the layer's real bank with LayerChecker.FoldBank once the
-// shards have joined. Soundness rests on the XOR-MAC itself: each folded
+// PartialBank is a private set of the four XOR-MAC accumulators. A shard
+// (or a helper hashing for one) folds block MACs into its own partial bank —
+// no locks, no sharing — and the orchestrator reduces the partial banks
+// into the layer's real bank with LayerChecker.FoldBank once their writers
+// have quiesced. Soundness rests on the XOR-MAC itself: each folded
 // MAC binds a unique (layer, fmap, VN, index) position, so the fold order
 // across shards is immaterial (see Register.Merge).
 type PartialBank struct {

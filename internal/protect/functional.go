@@ -25,9 +25,13 @@ type SeculatorMemory struct {
 	layer   uint32
 	started bool
 
-	// counts is what the merged shards moved (Merge); the serial API below
-	// records straight into the DRAM's traffic counters and leaves it alone.
-	counts BlockCounts
+	// counts is what the merged shards moved and hashing who hashed their
+	// MACs (Merge); the serial API below records straight into the DRAM's
+	// traffic counters and leaves both alone.
+	counts  BlockCounts
+	hashing Hashing
+	// weights is the current layer's fold of merged first-read weight MACs.
+	weights mac.Digest
 
 	// ct is the reusable ciphertext staging buffer: DRAM copies payloads
 	// on write and into the caller's dst on read, so the block only lives
@@ -63,7 +67,7 @@ func (m *SeculatorMemory) Recycle(d *mem.DRAM, secret, bootRandom uint64) bool {
 	m.checker = mac.LayerChecker{}
 	m.layer = 0
 	m.started = false
-	m.counts = BlockCounts{}
+	m.counts, m.hashing, m.weights = BlockCounts{}, Hashing{}, mac.Digest{}
 	clear(m.ct[:])
 	return true
 }
@@ -72,15 +76,19 @@ func (m *SeculatorMemory) Recycle(d *mem.DRAM, secret, bootRandom uint64) bool {
 func (m *SeculatorMemory) BeginLayer(layerID uint32) {
 	m.layer = layerID
 	m.started = true
+	m.weights = mac.Digest{}
 	m.checker.Begin(layerID)
 }
 
 // RestartLayer discards the current layer's accumulated MAC folds while
 // keeping the previous layer's pending bank — the first step of a
 // layer-level recovery: the executor re-fetches the working set and
-// re-executes the layer, re-accumulating FR/R/W from scratch.
+// re-executes the layer, re-accumulating FR/R/W (and the weight digest) from
+// scratch. Merge the shards first, so no fold of the failed attempt is still
+// owed.
 func (m *SeculatorMemory) RestartLayer() {
 	m.mustStart()
+	m.weights = mac.Digest{}
 	m.checker.Restart()
 }
 
@@ -198,8 +206,9 @@ func (m *SeculatorMemory) FinalOutputMAC() mac.Digest { return m.checker.FinalW(
 // RegisterState is a read-only snapshot of the four XOR-MAC registers of the
 // bank accumulating the current layer, with their fold counts — the
 // observable architectural state of the MAC unit at a layer boundary. The
-// commutative XOR fold makes every field bit-identical across worker counts;
-// the conformance harness asserts exactly that.
+// commutative XOR fold makes every field bit-identical whoever hashed the
+// block MACs (a shard inline, or a borrowed helper); the conformance harness
+// asserts exactly that.
 type RegisterState struct {
 	W, R, FR, IR                     mac.Digest
 	WFolds, RFolds, FRFolds, IRFolds uint64

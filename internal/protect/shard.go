@@ -7,26 +7,31 @@ import (
 	"seculator/internal/tensor"
 )
 
-// SeculatorShard is a per-worker view of a SeculatorMemory for the sharded
-// secure execution path. Each shard owns a private clone of the CTR engine
-// (the AES key schedule is shared and immutable, the scratch is not), a
-// private mac.RowHasher every block MAC of the shard comes from, a private
-// mac.PartialBank, private ciphertext/plaintext staging buffers, and local
-// traffic counters — so any number of shards may encrypt, MAC and
-// fold concurrently without touching shared mutable state, as long as they
-// operate on distinct lines inside the DRAM's reservation (mem.DRAM.Reserve:
-// there a line is a fixed 64-byte range of one slab, so a quiet read or
-// write shares nothing with its neighbours).
+// SeculatorShard is a per-goroutine view of a SeculatorMemory. Each shard
+// owns a private clone of the CTR engine (the AES key schedule is shared and
+// immutable, the scratch is not), a private mac.RowHasher every block MAC of
+// the shard comes from, private partial folds, private ciphertext/plaintext
+// staging buffers, and local traffic counters — so shards may encrypt, MAC
+// and fold concurrently without touching shared mutable state, as long as
+// they operate on distinct lines inside the DRAM's reservation
+// (mem.DRAM.Reserve: there a line is a fixed 64-byte range of one slab, so a
+// quiet read or write shares nothing with its neighbours). The secure
+// executor runs two per inference: the layer loop's and the weight loader's.
 //
 // Ownership rules (DESIGN.md §10): a shard is single-goroutine; plaintext
 // slices returned by its Read* methods alias the shard's scratch and are
 // valid only until the shard's next operation; nothing a shard accumulates
 // is visible to the checker until the orchestrator calls Merge on the main
-// goroutine after the shards have joined.
+// goroutine after the shard has quiesced. A shard that has borrowed a helper
+// (Borrow, helper.go) hands the block MACs of its reads and writes to it;
+// Merge collects them.
 type SeculatorShard struct {
-	parent  *SeculatorMemory
-	engine  *crypto.CTREngine
-	partial mac.PartialBank
+	parent *SeculatorMemory
+	engine *crypto.CTREngine
+	folds  macFolds // the MACs this shard hashed itself
+
+	helper       *macHelper // borrowed; nil hashes every owed MAC inline
+	helperHashed int        // owed MACs the helper hashed, not yet merged
 
 	n BlockCounts // blocks moved, merged into the memory's counts and the DRAM traffic counters
 
@@ -70,21 +75,22 @@ func (c *BlockCounts) add(o BlockCounts) {
 	c.HostWrites += o.HostWrites
 }
 
-// Shard creates a worker view of the memory. Shards are cheap; the secure
-// executor keeps one per worker for the whole run.
+// Shard creates a view of the memory for one goroutine. Shards are cheap; the
+// secure executor keeps its two for the whole run.
 func (m *SeculatorMemory) Shard() *SeculatorShard {
 	return &SeculatorShard{parent: m, engine: m.engine.Clone()}
 }
 
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
-// memory: MAC partials and traffic counts reset, the plaintext/ciphertext
+// memory: MAC partials and traffic counts reset (hand a borrowed helper back
+// first: HandBack scrubs that helper), the plaintext/ciphertext
 // staging is zeroed so no block of the previous run survives in pooled
 // scratch, and the hasher is scrubbed in place (it buffers the tail of
 // the last plaintext block it hashed; see mac.RowHasher.Scrub). The
 // engine clone is kept — it shares the parent's immutable key schedule,
 // which Recycle on the parent guarantees is unchanged.
 func (s *SeculatorShard) Recycle() {
-	s.partial.Reset()
+	s.folds, s.helperHashed = macFolds{}, 0
 	s.n = BlockCounts{}
 	clear(s.ct[:])
 	clear(s.pt[:])
@@ -93,24 +99,34 @@ func (s *SeculatorShard) Recycle() {
 	s.rowh.Scrub()
 }
 
-// Merge reduces shard state back into the memory: per-shard partial MAC
-// banks fold into the current layer's bank (commutative XOR, so the shard
-// order is immaterial), and local transfer counts flush into the DRAM
-// traffic counters. Must run on the orchestrating goroutine after every
-// merged shard has quiesced; it resets the shards for reuse.
+// Merge reduces shard state back into the memory: first every MAC a shard
+// still owes is hashed (settle: its helper's ring drained, its helper's
+// partials taken), then per-shard partial MAC banks fold into the current
+// layer's bank (commutative XOR, so the shard order and who hashed what are
+// immaterial), first-read weight MACs into the layer's weight digest, and
+// local transfer counts into the DRAM traffic counters. Must run on the
+// orchestrating goroutine after every merged shard has quiesced; it resets
+// the shards for reuse.
 func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 	for _, s := range shards {
 		if s == nil {
 			continue
 		}
+		s.settle()
 		m.dram.Record(sim.Read, sim.DataTraffic, s.n.Reads())
 		m.dram.Record(sim.Write, sim.DataTraffic, s.n.Writes())
 		m.counts.add(s.n)
 		s.n = BlockCounts{}
-		if s.partial.Folds() > 0 {
+		m.hashing.Borrowed = m.hashing.Borrowed || s.helper != nil
+		m.hashing.Loop += s.folds.hashed
+		m.hashing.Helper += s.helperHashed
+		s.folds.hashed, s.helperHashed = 0, 0
+		m.weights = m.weights.Xor(s.folds.weights)
+		s.folds.weights = mac.Digest{}
+		if s.folds.bank.Folds() > 0 {
 			m.mustStart()
-			m.checker.FoldBank(&s.partial)
-			s.partial.Reset()
+			m.checker.FoldBank(&s.folds.bank)
+			s.folds.bank.Reset()
 		}
 	}
 }
@@ -119,9 +135,27 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 // merged since the memory was built or recycled.
 func (m *SeculatorMemory) BlockCounts() BlockCounts { return m.counts }
 
+// Hashing says where the block MACs of the shards' reads and writes — the
+// ones the layer checks consume — were hashed, over every shard merged since
+// the memory was built or recycled.
+type Hashing struct {
+	Borrowed bool // a merged shard had a helper
+	Loop     int  // hashed by the shards themselves: inline, or draining a ring
+	Helper   int  // hashed by borrowed helpers
+}
+
+// Hashing returns the split of every shard merged since the memory was built
+// or recycled.
+func (m *SeculatorMemory) Hashing() Hashing { return m.hashing }
+
+// WeightDigest returns the XOR of the MACs of the weight blocks first-read
+// (ReadStatic) by shards merged since the current layer began — the value
+// the layer's golden weight comparison checks.
+func (m *SeculatorMemory) WeightDigest() mac.Digest { return m.weights }
+
 // Registers returns the four XOR-MAC register values of the current layer's
-// bank — the observability hook the serial/parallel equivalence tests use
-// to assert bit-identical digests.
+// bank — the observability hook the equivalence tests use to assert
+// bit-identical digests.
 func (m *SeculatorMemory) Registers() (w, r, fr, ir mac.Digest) {
 	b := m.checker.Current()
 	return b.W.Value(), b.R.Value(), b.FR.Value(), b.IR.Value()
@@ -136,9 +170,10 @@ func (s *SeculatorShard) fetch(addr uint64, layer, fmapID uint32, vn int, blockI
 	return s.pt[:]
 }
 
-// ReadInput is the shard counterpart of SeculatorMemory.ReadInput: it folds
-// into the shard's partial bank instead of the checker. The returned slice
-// is shard scratch, valid until the shard's next operation.
+// ReadInput is the shard counterpart of SeculatorMemory.ReadInput: its MAC
+// is owed to the shard (and Merge folds it) instead of folding into the
+// checker. The returned slice is shard scratch, valid until the shard's next
+// operation.
 func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
 	return s.ReadInputRun(addr, prevLayer, fmapID, vn, blockIdx, first, 1)
 }
@@ -149,32 +184,34 @@ func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int
 // counted and folded, so all four registers and fold counts are those of
 // n separate calls; but plaintext and MAC are pure functions of
 // (ciphertext, counter, ref), so a re-read is decrypted and MACed only when
-// its ciphertext differs from the previous fetch's, and otherwise folds the
-// digest in hand.
+// its ciphertext differs from the previous fetch's: each run of identical
+// reads is owed as one MAC folded once per read.
 func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool, n int) []byte {
 	m := s.parent
 	ref := m.ref(prevLayer, fmapID, vn, blockIdx)
 	pt := s.fetch(addr, prevLayer, fmapID, vn, blockIdx)
-	d := s.rowh.Block(ref, pt)
+	to := toRepeat
 	if first {
-		s.partial.OnFirstRead(d)
+		to = toFirst
 		s.n.IfmapFirst++
 	} else {
-		s.partial.OnRepeatRead(d)
 		s.n.IfmapRepeat++
 	}
 	s.n.IfmapRepeat += n - 1
+	block, reads := pt, 1
 	for t := 1; t < n; t++ {
 		m.dram.ReadBlockQuiet(addr, s.runCT[:])
 		// Both operands are DRAM contents the adversary already owns, so the
 		// compare's timing leaks nothing.
 		if s.runCT != s.ct {
+			s.owe(ref, block, to, reads)
 			s.ct = s.runCT
 			s.engine.DecryptBlock(s.runPT[:], s.ct[:], m.counter(prevLayer, fmapID, vn, blockIdx))
-			d = s.rowh.Block(ref, s.runPT[:])
+			block, to, reads = s.runPT[:], toRepeat, 0
 		}
-		s.partial.OnRepeatRead(d)
+		reads++
 	}
+	s.owe(ref, block, to, reads)
 	return pt
 }
 
@@ -183,22 +220,25 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 	m := s.parent
 	pt := s.fetch(addr, m.layer, fmapID, vn, blockIdx)
 	s.n.PartialReads++
-	s.partial.OnPartialRead(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx), pt))
+	s.owe(m.ref(m.layer, fmapID, vn, blockIdx), pt, toPartial, 1)
 	return pt
 }
 
 // ReadStatic is the shard counterpart of SeculatorMemory.ReadStatic: no
-// register folds; the block's MAC is returned for the caller's private
-// golden accumulation. Only the caller knows whether this is the block's
-// first read in its layer: first picks the count it lands in.
-func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, first bool) ([]byte, mac.Digest) {
+// register folds. Only the caller knows whether this is the block's first
+// read in its layer: a first read's MAC folds into the layer's weight digest
+// (WeightDigest, after Merge) for the golden comparison; a repeat's is bound
+// to nothing, so it is not computed — the caller compares its plaintext
+// with the first read's instead.
+func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
 	pt := s.fetch(addr, ownerLayer, fmapID, vn, blockIdx)
-	if first {
-		s.n.WeightFirst++
-	} else {
+	if !first {
 		s.n.WeightRepeat++
+		return pt
 	}
-	return pt, s.rowh.Block(s.parent.ref(ownerLayer, fmapID, vn, blockIdx), pt)
+	s.n.WeightFirst++
+	s.owe(s.parent.ref(ownerLayer, fmapID, vn, blockIdx), pt, toWeight, 1)
+	return pt
 }
 
 // WriteBlock is the shard counterpart of SeculatorMemory.WriteBlock.
@@ -207,12 +247,12 @@ func (s *SeculatorShard) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx
 	s.engine.EncryptBlock(s.ct[:], plaintext, m.counter(m.layer, fmapID, vn, blockIdx))
 	m.dram.WriteBlockQuiet(addr, s.ct[:])
 	s.n.OfmapWrites++
-	s.partial.OnWrite(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx), plaintext))
+	s.owe(m.ref(m.layer, fmapID, vn, blockIdx), plaintext, toWrite, 1)
 }
 
 // WriteRow encrypts and stores n consecutive blocks of one fmap row —
 // block indices blockIdx, blockIdx+1, … at line addresses addr, addr+1, …
-// — folding each block's MAC into the shard's partial MAC_W. plaintext
+// — owing each block's MAC to MAC_W. plaintext
 // holds the n packed blocks; ctScratch is caller-owned ciphertext staging
 // of at least the same size (the batch API never allocates).
 func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
@@ -222,7 +262,7 @@ func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx u
 	m.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
 	for b := 0; b < n; b++ {
 		o := b * tensor.BlockBytes
-		s.partial.OnWrite(s.rowh.Block(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes]))
+		s.owe(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes], toWrite, 1)
 	}
 	s.n.OfmapWrites += n
 }

@@ -187,7 +187,7 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 // TestShardRecycleScrubsHasher: the shard's hasher buffers the tail of the
 // last plaintext block it MACed inside its SHA-256 state, so Recycle must
 // scrub it like the staging buffers (ReadInputRun's two included) — and keep
-// it, so a pooled run builds none. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
+// it, so a pooled run builds none; HandBack does the same for a helper. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
 // hasher (mac's own tests decode it); reflect.DeepEqual follows the hasher
 // into that state.
 func TestShardRecycleScrubsHasher(t *testing.T) {
@@ -223,6 +223,28 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	}
 	if sh.n != (BlockCounts{}) {
 		t.Fatalf("Recycle left block counts behind: %+v", sh.n)
+	}
+
+	// A borrowed helper keeps plaintext too — a copy of every block in its
+	// ring, a tail in its hasher — and outlives the run: handing it back
+	// scrubs both, so no slot survives into the next borrower's run.
+	hm, hs := borrowedShard(t, 16)
+	h := hs.helper
+	hm.BeginLayer(1)
+	for i := 0; i < batchJobs; i++ {
+		hs.WriteBlock(uint64(i), 2, 1, uint32(i), shardPattern(i))
+	}
+	awaitHelper(t, h)
+	hm.Merge(hs)
+	if h.ring == ([ringJobs]macJob{}) || reflect.DeepEqual(h.rowh, scrubbed) {
+		t.Fatal("the helper's ring or hasher holds nothing before hand-back: the check below sees nothing")
+	}
+	hs.HandBack()
+	if h.ring != ([ringJobs]macJob{}) {
+		t.Fatal("HandBack left a ring slot behind")
+	}
+	if !reflect.DeepEqual(h.rowh, scrubbed) {
+		t.Fatal("HandBack left the helper's hasher unscrubbed")
 	}
 }
 

@@ -98,7 +98,7 @@ type Executor struct {
 	// bank accumulating layer `phase` right after that layer's event stream
 	// and verification close (phase i >= 0), and of the readout epoch's bank
 	// with phase == Layers. The serial/parallel equivalence oracle compares
-	// these snapshots across worker counts bit for bit.
+	// these snapshots across inline- and helper-hashed runs bit for bit.
 	OnLayerMACs func(phase int, regs protect.RegisterState)
 
 	// Injector, when non-nil, is installed on the DRAM read/write paths —
@@ -111,15 +111,6 @@ type Executor struct {
 	// MaxRetries times with exponential backoff. The zero policy disables
 	// recovery (every detection is terminal).
 	Retry resilience.Policy
-
-	// Parallel is the intra-inference worker count: how many shards the
-	// per-tile AES-CTR + SHA-256 work (and the MAC-free arithmetic) is
-	// split across. The XOR-MAC's commutative fold makes the sharded run
-	// bit-identical to the serial one — outputs and all four registers.
-	// 0 means the process default — serial, unless the environment
-	// variable SECULATOR_INFER_PARALLEL named a count at start-up; 1 runs
-	// serial.
-	Parallel int
 
 	// Residency, when non-nil, attaches the run to a pinned
 	// verify-once-then-resident weight cache (see residency.go): the
@@ -214,8 +205,8 @@ type Result struct {
 
 	// OutputMAC is the final layer's MAC_W register — the XOR-MAC a host
 	// consuming the outputs verifies against. Because the XOR fold is
-	// commutative, it is bit-identical across worker counts; the
-	// serial/parallel equivalence tests assert exactly that.
+	// commutative, it is bit-identical whoever hashed the block MACs; the
+	// inline/helper equivalence tests assert exactly that.
 	OutputMAC mac.Digest
 
 	// Counts is what the run moved, in 64-byte blocks per tensor class,
@@ -224,6 +215,12 @@ type Result struct {
 	// less, on a resident run, the weight image installed by memcpy, which
 	// no shard moves.
 	Counts protect.BlockCounts
+
+	// Hashing says whether the run borrowed a MAC helper and how many of
+	// the block MACs its reads and writes owe were hashed there rather than
+	// on the layer loop (DESIGN.md §10). Like Recovery, it is also reported
+	// beside a detection error.
+	Hashing protect.Hashing
 
 	// Recovery reports the detect-and-recover activity of the run: layer
 	// retries performed, layers recovered from transient faults, and
@@ -243,6 +240,8 @@ type Result struct {
 // escapes this method; ctx cancels between layers and between retries.
 func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tensor, weights []*nn.Weights) (res Result, err error) {
 	defer resilience.Recover(&err)
+	runsInFlight.Add(1)
+	defer runsInFlight.Add(-1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -267,14 +266,9 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	dram, sm, rt := rs.dram, rs.sm, rs.rt
 	defer rs.release()
 	if x.Injector != nil {
-		if rt.parallelOn() {
-			// Fault injectors keep state (RNG, replay maps) and are
-			// single-goroutine by contract; shards reach them through a
-			// serializing wrapper.
-			dram.SetInjector(&lockedInjector{in: x.Injector})
-		} else {
-			dram.SetInjector(x.Injector)
-		}
+		// Every fetch is the layer loop's, so the injector sees one
+		// goroutine; a helper only ever hashes copies.
+		dram.SetInjector(x.Injector)
 	}
 
 	states, inputLayout, total, err := x.plan(net, weights)
@@ -286,8 +280,8 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	}
 	// Reserve the run's whole address space (mem.DRAM.Reserve): inside the
 	// reservation a line is a fixed range of one slab, which is what lets
-	// shards write distinct lines concurrently and spares the serial path a
-	// lookup and a first-write allocation per line. A pooled DRAM that has
+	// the loader write beside the layer loop and spares both a lookup and a
+	// first-write allocation per line. A pooled DRAM that has
 	// run a network this large already reserves nothing. Reservation is
 	// attacker-invisible, so the two paths stay bit- and
 	// observation-identical.
@@ -316,7 +310,12 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	case !overlap:
 		x.loadAllWeights(rt, states, weights)
 	}
+	rt.settle() // the host writes reach the traffic counters before the hook sees them
 	x.hook(-1, dram)
+
+	// Block MACs leave the layer loop: a borrowed helper hashes them beside
+	// it until each layer's check (DESIGN.md §10).
+	rt.sh.Borrow(int(runsInFlight.Load()))
 
 	var stats resilience.Stats
 	producer := inputLayout
@@ -351,7 +350,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 			return nil
 		}
 		if err := x.recoverLoop(ctx, attempt, &stats); err != nil {
-			return Result{Recovery: stats}, fmt.Errorf("secure: layer %d (%s): %w", i, st.layer.Name, err)
+			return Result{Hashing: sm.Hashing(), Recovery: stats}, fmt.Errorf("secure: layer %d (%s): %w", i, st.layer.Name, err)
 		}
 		producer = st.act
 		producerData = st.out
@@ -377,14 +376,14 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		return nil
 	}
 	if err := x.recoverLoop(ctx, readAttempt, &stats); err != nil {
-		return Result{Recovery: stats}, err
+		return Result{Hashing: sm.Hashing(), Recovery: stats}, err
 	}
 	if x.OnLayerMACs != nil {
 		x.OnLayerMACs(len(states), sm.RegisterSnapshot())
 	}
 	rt.drain() // the loader's shard holds the run's weight host writes until merged
 	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states),
-		Blocks: dram.Lines(), Counts: sm.BlockCounts(), Recovery: stats}, nil
+		Blocks: dram.Lines(), Counts: sm.BlockCounts(), Hashing: sm.Hashing(), Recovery: stats}, nil
 }
 
 // residentFor reports whether this run may attach to x.Residency: the
@@ -450,7 +449,7 @@ func (x *Executor) hook(phase int, d *mem.DRAM) {
 // plan maps every layer and lays out the address space without writing
 // anything: the input region, then per layer its activation and weight
 // regions, all contiguous from line 0. It returns the total line count so
-// parallel runs can pre-reserve the DRAM store before sharding. The
+// the run can pre-reserve the DRAM store before anything is written. The
 // mapping search is memoized (sched.MapCached) — the serving tier plans
 // the same layers on every request — and a residency attach reuses its
 // pinned choices outright.
@@ -536,35 +535,25 @@ func planInfo(states []layerState, input actLayout) PlanInfo {
 	return p
 }
 
-// loadInput host-writes the encrypted layer-0 input, sharded across the
-// runtime, and returns the host's golden XOR-MAC over all its blocks. The
-// per-shard partial digests XOR together, so the golden value is identical
-// for any worker count.
+// loadInput host-writes the encrypted layer-0 input through the loop shard
+// and returns the host's golden XOR-MAC over all its blocks.
 func (x *Executor) loadInput(rt *inferRuntime, input *nn.Tensor, il actLayout) mac.Digest {
-	golden := rt.wDigest
-	clear(golden)
-	n := input.Chans * input.H
-	rt.forkBlocks(n, il.bpr, func(s int, sh *protect.SeculatorShard, lo, hi int) {
-		pt, ct := rt.rowScratch(s, il.bpr)
-		for it := lo; it < hi; it++ {
-			c, y := it/input.H, it%input.H
+	var golden mac.Digest
+	pt, ct := rt.rowScratch(il.bpr)
+	for c := 0; c < input.Chans; c++ {
+		for y := 0; y < input.H; y++ {
 			encodeRowInto(pt, rowOf(input, c, y))
-			d := sh.HostWriteRow(il.addr(c, y, 0), 0, uint32(c), 1, uint32(y*il.bpr), pt, ct)
-			golden[s] = golden[s].Xor(d)
+			golden = golden.Xor(rt.sh.HostWriteRow(il.addr(c, y, 0), 0, uint32(c), 1, uint32(y*il.bpr), pt, ct))
 		}
-	})
-	var g mac.Digest
-	for _, d := range golden {
-		g = g.Xor(d)
 	}
-	return g
+	return golden
 }
 
 // loadLayerWeights host-writes one layer's weights through a shard, slice
 // by slice, returning the layer's golden XOR-MAC. The caller supplies the
-// staging (pt/ct of wl.sliceBlocks blocks): the up-front load passes its
-// shard's rowScratch and the loader its private preloadScratch — so no path
-// shares staging with a concurrently executing layer shard.
+// staging (pt/ct of wl.sliceBlocks blocks): the up-front load passes the
+// loop shard's rowScratch and the loader its private preloadScratch — so no
+// path shares staging with a concurrently executing layer.
 func (x *Executor) loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights, pt, ct []byte) mac.Digest {
 	var golden mac.Digest
 	wl := st.wl
@@ -579,25 +568,15 @@ func (x *Executor) loadLayerWeights(sh *protect.SeculatorShard, st *layerState, 
 }
 
 // loadAllWeights host-writes every layer's weights up front (hooked and
-// injected runs), forked across layers: each layer's region and golden
-// digest belong to exactly one chunk.
+// injected runs) through the loop shard.
 func (x *Executor) loadAllWeights(rt *inferRuntime, states []layerState, weights []*nn.Weights) {
-	total := 0
 	for i := range states {
-		if weights[i] != nil {
-			total += states[i].wl.k * states[i].wl.cGroups * states[i].wl.sliceBlocks
+		if weights[i] == nil {
+			continue
 		}
+		pt, ct := rt.rowScratch(states[i].wl.sliceBlocks)
+		states[i].goldenWeights = x.loadLayerWeights(rt.sh, &states[i], weights[i], pt, ct)
 	}
-	n := len(states)
-	rt.forkBlocks(n, total/max(n, 1), func(s int, sh *protect.SeculatorShard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if weights[i] == nil {
-				continue
-			}
-			pt, ct := rt.rowScratch(s, states[i].wl.sliceBlocks)
-			states[i].goldenWeights = x.loadLayerWeights(sh, &states[i], weights[i], pt, ct)
-		}
-	})
 }
 
 // weightRun returns the (k, c-group) weight slice where it lives: the

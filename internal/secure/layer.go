@@ -13,12 +13,9 @@ import (
 )
 
 // layerRun is the per-layer execution context: the decrypted working set
-// being assembled from DRAM reads, first-touch bitmaps, and the weight
-// integrity digest. The tile-event handlers shard their block loops across
-// the runtime's workers; the first-touch bitmaps stay race-free because a
-// chunk partition never assigns the same block to two shards within one
-// event, and across events the handlers run sequentially on the
-// orchestrator with a merge barrier in between.
+// being assembled from DRAM reads and the first-touch bitmaps. Every block
+// moves through the runtime's loop shard on the orchestrator; the block MACs
+// those moves owe are settled (rt.settle) before the layer's checks.
 type layerRun struct {
 	rt *inferRuntime
 	sm *protect.SeculatorMemory
@@ -33,7 +30,6 @@ type layerRun struct {
 
 	inTouched []bool // per producer block: first-read seen
 	wTouched  []bool // per weight block: first-read seen
-	wDigest   mac.Digest
 
 	// flatIn is the reusable flattened-input header FC compute visits view
 	// the producer volume through (same backing data, collapsed shape).
@@ -51,6 +47,9 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 	producer actLayout, producerData *nn.Tensor, weights *nn.Weights, restart bool) (mac.Digest, error) {
 
 	sm := rt.sm
+	// A failed attempt may still owe MACs: they land in the bank RestartLayer
+	// is about to clear, never in the retry's.
+	rt.settle()
 	if restart {
 		sm.RestartLayer()
 	} else {
@@ -96,6 +95,7 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 		return mac.Digest{}, err
 	}
 
+	rt.settle() // every block MAC of the layer, before any check reads one
 	if weights != nil && !st.resident {
 		if err := run.verifyWeights(); err != nil {
 			return mac.Digest{}, err
@@ -148,28 +148,15 @@ func (r *layerRun) onCompute(idx dataflow.LoopIdx) bool {
 		r.flatIn = nn.Tensor{Chans: l.C, H: 1, W: 1, Data: r.in.Data}
 		in = &r.flatIn
 	}
-	// The arithmetic itself shards like the crypto: sub-ranges own disjoint
-	// output elements and keep the serial per-element accumulation order,
-	// so the int32 results are bit-identical.
 	switch l.Type {
 	case workload.Pool:
-		cost := (k1 - k0) * (y1 - y0) * l.OutW() * max(1, l.R*l.S)
-		r.rt.forkCompute(k0, k1, y0, y1, cost, func(k0, k1, y0, y1 int) {
-			nn.AccumulatePool(r.out, in, l, k0, k1, y0, y1)
-		})
+		nn.AccumulatePool(r.out, in, l, k0, k1, y0, y1)
 	case workload.Upsample:
-		cost := (k1 - k0) * (y1 - y0) * l.OutW()
-		r.rt.forkCompute(k0, k1, y0, y1, cost, func(k0, k1, y0, y1 int) {
-			nn.AccumulateUpsample(r.out, in, l, k0, k1, y0, y1)
-		})
+		nn.AccumulateUpsample(r.out, in, l, k0, k1, y0, y1)
 	default:
-		creduce := l.ReductionChannels()
 		c0 := idx.C * c.CT
-		c1 := min(creduce, c0+c.CT)
-		cost := (k1 - k0) * (y1 - y0) * l.OutW() * max(1, l.R*l.S) * max(1, c1-c0)
-		r.rt.forkCompute(k0, k1, y0, y1, cost, func(k0, k1, y0, y1 int) {
-			nn.AccumulateConv(r.out, in, r.w, l, k0, k1, c0, c1, y0, y1)
-		})
+		c1 := min(l.ReductionChannels(), c0+c.CT)
+		nn.AccumulateConv(r.out, in, r.w, l, k0, k1, c0, c1, y0, y1)
 	}
 	return true
 }
@@ -212,32 +199,24 @@ func (r *layerRun) readIfmapTile(e dataflow.Event) {
 		iy0 = max(0, y0*l.Stride-padY)
 		iy1 = min(l.H, (y1-1)*l.Stride+l.R-padY)
 	}
-	rows := (c1 - c0) * (iy1 - iy0)
-	if rows <= 0 {
-		return
-	}
-	span := iy1 - iy0
-	r.rt.forkBlocks(rows, r.producer.bpr, func(_ int, sh *protect.SeculatorShard, lo, hi int) {
-		for it := lo; it < hi; it++ {
-			ch := c0 + it/span
-			iy := iy0 + it%span
+	for ch := c0; ch < c1; ch++ {
+		for iy := iy0; iy < iy1; iy++ {
 			for j := 0; j < r.producer.bpr; j++ {
-				r.readProducerBlock(sh, ch, iy, j, 1)
+				r.readProducerBlock(ch, iy, j, 1)
 			}
 		}
-	})
+	}
 }
 
 // readFlatRange reads the producer blocks containing flattened elements
 // [f0, f1) of an FC input. Consecutive elements hit the same 16-element
 // block, and the repeat-read MAC folds of those hits are part of the
-// protocol — so the range shards by runs of identical blocks, each run
-// one ReadInputRun on one shard: every read fetched, counted and folded,
-// AES and SHA paid once while the line does not change.
+// protocol — so each run of identical blocks is one ReadInputRun: every
+// read fetched, counted and folded, AES and SHA paid once while the line
+// does not change.
 func (r *layerRun) readFlatRange(f0, f1 int) {
 	p := r.producer
 	perChan := p.rows * p.cols
-	runs := r.rt.flatRuns[:0]
 	for f := f0; f < f1; {
 		ch := f / perChan
 		rem := f % perChan
@@ -252,29 +231,22 @@ func (r *layerRun) readFlatRange(f0, f1 int) {
 			}
 			n++
 		}
-		runs = append(runs, flatRun{ch: ch, row: row, j: j, n: n})
+		r.readProducerBlock(ch, row, j, n)
 		f += n
 	}
-	r.rt.flatRuns = runs // keep any growth for the next range/layer/run
-	r.rt.forkBlocks(len(runs), 1, func(_ int, sh *protect.SeculatorShard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b := runs[i]
-			r.readProducerBlock(sh, b.ch, b.row, b.j, b.n)
-		}
-	})
 }
 
 // readProducerBlock performs n back-to-back decrypted reads of one block of
-// the producer region through a shard, folding the first into the shard's
-// partial MAC_FR on first touch and everything else into MAC_IR, and
-// assembling the first-touch plaintext into the layer's input tensor.
-func (r *layerRun) readProducerBlock(sh *protect.SeculatorShard, ch, row, j, n int) {
+// the producer region, owing the first read's MAC to MAC_FR on first touch
+// and everything else to MAC_IR, and assembling the first-touch plaintext
+// into the layer's input tensor.
+func (r *layerRun) readProducerBlock(ch, row, j, n int) {
 	p := r.producer
 	flat := (ch*p.rows+row)*p.bpr + j
 	first := !r.inTouched[flat]
 	r.inTouched[flat] = true
 	blockIdx := uint32(row*p.bpr + j)
-	pt := sh.ReadInputRun(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first, n)
+	pt := r.rt.sh.ReadInputRun(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first, n)
 	if first {
 		off := (ch*p.rows+row)*p.cols + j*intsPerBlock
 		end := min(len(r.in.Data), (ch*p.rows+row)*p.cols+p.cols)
@@ -283,13 +255,11 @@ func (r *layerRun) readProducerBlock(sh *protect.SeculatorShard, ch, row, j, n i
 }
 
 // readWeightTile fetches the (k-group x c-group) weight slices of a tile
-// through the static-read path. A block's first read folds its MAC for the
-// golden comparison and decodes the weights; a repeat read (a mapping that
-// cannot hold the tile re-fetches it) is consumed only if it decodes to what
-// the first read did — the adversary owns the DRAM between the two, and only
-// the first is bound to the golden digest. Shards split the k range; each
-// accumulates its folds into a private digest, gathered after the join with
-// the flag a differing repeat sets (r.err is not shard-safe).
+// through the static-read path. A block's first read owes its MAC to the
+// layer's weight digest for the golden comparison and decodes the weights; a
+// repeat read (a mapping that cannot hold the tile re-fetches it) is consumed
+// only if it decodes to what the first read did — the adversary owns the DRAM
+// between the two, and only the first is bound to the golden digest.
 func (r *layerRun) readWeightTile(e dataflow.Event) {
 	l := r.st.layer
 	c := r.st.choice
@@ -297,30 +267,23 @@ func (r *layerRun) readWeightTile(e dataflow.Event) {
 	k0 := e.Idx.K * c.KT
 	k1 := min(l.K, k0+c.KT)
 	cg := e.Idx.C
-	rt := r.rt
-	clear(rt.wDigest)
-	rt.forkBlocks(k1-k0, wl.sliceBlocks, func(s int, sh *protect.SeculatorShard, lo, hi int) {
-		for k := k0 + lo; k < k0+hi; k++ {
-			run := weightRun(r.st.layer, r.w, k, cg, wl.sliceInts)
-			for j := 0; j < wl.sliceBlocks; j++ {
-				flat := (k*wl.cGroups+cg)*wl.sliceBlocks + j
-				first := !r.wTouched[flat]
-				pt, d := sh.ReadStatic(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1,
-					uint32(cg*wl.sliceBlocks+j), first)
-				if first {
-					r.wTouched[flat] = true
-					rt.wDigest[s] = rt.wDigest[s].Xor(d)
-					decodeBlock(run, j*intsPerBlock, pt)
-				} else if !blockDecodesTo(run, j*intsPerBlock, pt) {
-					rt.wStale.Store(true)
-				}
+	stale := false
+	for k := k0; k < k1; k++ {
+		run := weightRun(l, r.w, k, cg, wl.sliceInts)
+		for j := 0; j < wl.sliceBlocks; j++ {
+			flat := (k*wl.cGroups+cg)*wl.sliceBlocks + j
+			first := !r.wTouched[flat]
+			pt := r.rt.sh.ReadStatic(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1,
+				uint32(cg*wl.sliceBlocks+j), first)
+			if first {
+				r.wTouched[flat] = true
+				decodeBlock(run, j*intsPerBlock, pt)
+			} else if !blockDecodesTo(run, j*intsPerBlock, pt) {
+				stale = true
 			}
 		}
-	})
-	for _, d := range rt.wDigest {
-		r.wDigest = r.wDigest.Xor(d)
 	}
-	if rt.wStale.Swap(false) {
+	if stale {
 		r.err = fmt.Errorf("%w: layer %q weights: a repeat read differs from the verified first read", mac.ErrIntegrity, l.Name)
 	}
 }
@@ -337,55 +300,40 @@ func (r *layerRun) ofmapRows(e dataflow.Event) (k0, k1, y0, y1 int) {
 }
 
 // readPartialTile decrypts a partial-sum tile back into the output tensor,
-// folding its MACs into MAC_R. Shards split the (k, y) rows; each row
-// decodes straight into its disjoint slice of the output tensor.
+// owing its MACs to MAC_R; each row decodes straight into its slice of the
+// output tensor.
 func (r *layerRun) readPartialTile(e dataflow.Event) {
 	a := r.st.act
 	k0, k1, y0, y1 := r.ofmapRows(e)
-	rows := (k1 - k0) * (y1 - y0)
-	if rows <= 0 {
-		return
-	}
-	span := y1 - y0
-	r.rt.forkBlocks(rows, a.bpr, func(_ int, sh *protect.SeculatorShard, lo, hi int) {
-		for it := lo; it < hi; it++ {
-			k := k0 + it/span
-			y := y0 + it%span
+	for k := k0; k < k1; k++ {
+		for y := y0; y < y1; y++ {
 			dst := rowOf(r.out, k, y)
 			for j := 0; j < a.bpr; j++ {
-				pt := sh.ReadPartial(a.addr(k, y, j), uint32(k), e.VN, uint32(y*a.bpr+j))
+				pt := r.rt.sh.ReadPartial(a.addr(k, y, j), uint32(k), e.VN, uint32(y*a.bpr+j))
 				decodeBlock(dst, j*intsPerBlock, pt)
 			}
 		}
-	})
+	}
 }
 
 // writeOfmapTile encrypts the tile's current accumulation under the event's
-// version number, folding its MACs into MAC_W. Shards split the (k, y)
-// rows and use the row-batch encrypt path with per-shard staging.
+// version number through the row-batch path, owing its MACs to MAC_W.
 func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 	a := r.st.act
 	k0, k1, y0, y1 := r.ofmapRows(e)
-	rows := (k1 - k0) * (y1 - y0)
-	if rows <= 0 {
-		return
-	}
-	span := y1 - y0
-	r.rt.forkBlocks(rows, a.bpr, func(s int, sh *protect.SeculatorShard, lo, hi int) {
-		pt, ct := r.rt.rowScratch(s, a.bpr)
-		for it := lo; it < hi; it++ {
-			k := k0 + it/span
-			y := y0 + it%span
+	pt, ct := r.rt.rowScratch(a.bpr)
+	for k := k0; k < k1; k++ {
+		for y := y0; y < y1; y++ {
 			encodeRowInto(pt, rowOf(r.out, k, y))
-			sh.WriteRow(a.addr(k, y, 0), uint32(k), e.VN, uint32(y*a.bpr), pt, ct)
+			r.rt.sh.WriteRow(a.addr(k, y, 0), uint32(k), e.VN, uint32(y*a.bpr), pt, ct)
 		}
-	})
+	}
 }
 
-// verifyWeights compares the accumulated first-touch weight MACs (plus
+// verifyWeights compares the settled first-touch weight MACs (plus
 // host-side folds for never-read padded slices) against the golden digest.
 func (r *layerRun) verifyWeights() error {
-	got := r.wDigest
+	got := r.sm.WeightDigest()
 	// Fold unread weight blocks host-side (slices of fully padded channel
 	// groups, or resident groups skipped by the mapping's reuse).
 	wl := r.st.wl
@@ -440,31 +388,30 @@ func (r *layerRun) unreadExternal() mac.Digest {
 // readout is the host consuming the final outputs: a fresh layer epoch that
 // first-reads every output block and closes the last layer's verification.
 // restart re-runs the epoch after a failed verification, keeping the last
-// layer's pending bank. Like a layer's reads, the readout shards its rows.
+// layer's pending bank.
 func (x *Executor) readout(rt *inferRuntime, states []layerState,
 	final actLayout, restart bool) (*nn.Tensor, error) {
 
 	sm := rt.sm
 	last := states[len(states)-1]
+	rt.settle()
 	if restart {
 		sm.RestartLayer()
 	} else {
 		sm.BeginLayer(uint32(len(states) + 1))
 	}
 	out := nn.NewTensor(final.chans, final.rows, final.cols)
-	n := final.chans * final.rows
-	rt.forkBlocks(n, final.bpr, func(_ int, sh *protect.SeculatorShard, lo, hi int) {
-		for it := lo; it < hi; it++ {
-			ch := it / final.rows
-			row := it % final.rows
+	for ch := 0; ch < final.chans; ch++ {
+		for row := 0; row < final.rows; row++ {
 			dst := rowOf(out, ch, row)
 			for j := 0; j < final.bpr; j++ {
-				pt := sh.ReadInput(final.addr(ch, row, j), final.ownerID, uint32(ch),
+				pt := rt.sh.ReadInput(final.addr(ch, row, j), final.ownerID, uint32(ch),
 					final.vn, uint32(row*final.bpr+j), true)
 				decodeBlock(dst, j*intsPerBlock, pt)
 			}
 		}
-	})
+	}
+	rt.settle()
 	if err := sm.VerifyPreviousLayer(mac.Digest{}); err != nil {
 		return nil, fmt.Errorf("secure: verifying final layer %q: %w", last.layer.Name, err)
 	}

@@ -21,7 +21,8 @@ import (
 // or the keystream. So the conformance harness runs the same request
 // sequence twice — once on fresh state per run (pooling off), once reusing
 // one pooled state across consecutive runs — and demands bit-identical
-// outputs AND bit-identical final MAC registers, across worker counts.
+// outputs AND bit-identical final MAC registers, hashed inline and by a
+// borrowed helper.
 
 // conformanceCase is one request in the reuse sequence: deliberately
 // different networks and seeds back to back, so any stale geometry,
@@ -71,27 +72,26 @@ func runCase(t *testing.T, x *Executor, c conformanceCase) (*nn.Tensor, protect.
 // TestPooledRuntimeConformance is the reuse oracle: one executor serving
 // the whole sequence with pooling on (every run after the first rides the
 // recycled state) must match fresh-state baselines bit for bit — outputs
-// and all four XOR-MAC registers with their fold counts.
+// and all four XOR-MAC registers with their fold counts. Workers is
+// GOMAXPROCS: inline at one, a helper at four.
 func TestPooledRuntimeConformance(t *testing.T) {
 	seq := conformanceSequence()
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			// Fresh-state baselines: pooling off, a new executor per run.
 			runPoolingOff.Store(true)
 			defer runPoolingOff.Store(false)
 			baselines := make([]*nn.Tensor, len(seq))
 			baseRegs := make([]protect.RegisterState, len(seq))
 			for i, c := range seq {
-				x := NewExecutor()
-				x.Parallel = workers
-				baselines[i], baseRegs[i] = runCase(t, x, c)
+				baselines[i], baseRegs[i] = runCase(t, NewExecutor(), c)
 			}
 
 			// Pooled: one executor, consecutive runs, state recycled
 			// between them.
 			runPoolingOff.Store(false)
 			x := NewExecutor()
-			x.Parallel = workers
 			for i, c := range seq {
 				out, regs := runCase(t, x, c)
 				if !out.Equal(baselines[i]) {
@@ -133,10 +133,11 @@ func TestPooledRuntimeIdentityMismatch(t *testing.T) {
 }
 
 // TestRunPoolHammer floods the run-state pool from many goroutines with
-// mixed networks, seeds, and worker counts — the shape of a busy serving
-// tier. Under -race it is the data-race detector's view of the pool
-// (acquire/scrub/release and the preload hand-off); functionally every
-// result must match its golden reference.
+// mixed networks and seeds — the shape of a busy serving tier, where some
+// runs borrow a MAC helper and the rest, over GOMAXPROCS in flight, hash
+// inline. Under -race it is the data-race detector's view of the pool
+// (acquire/scrub/release, the preload hand-off, the helper borrow and
+// hand-back); functionally every result must match its golden reference.
 func TestRunPoolHammer(t *testing.T) {
 
 	seq := conformanceSequence()
@@ -165,7 +166,6 @@ func TestRunPoolHammer(t *testing.T) {
 				i := (g + it) % len(seq)
 				c := seq[i]
 				x := NewExecutor()
-				x.Parallel = 1 + (g+it)%4 // mix pool keys: workers 1..4
 				in, ws := nn.RandomModel(c.net, c.seed)
 				res, err := x.Run(context.Background(), c.net, in, ws)
 				if err != nil {
@@ -222,7 +222,6 @@ func TestPooledRunByteBudget(t *testing.T) {
 	}
 	in, ws := nn.RandomModel(net, 1)
 	x := NewExecutor()
-	x.Parallel = 1 // forked shards cost a few KiB of goroutines per layer on top
 	run := func() {
 		if _, err := x.Run(context.Background(), net, in, ws); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"seculator/internal/nn"
@@ -47,13 +48,12 @@ func (p *rereadTap) OnWrite(uint64, []byte) {}
 // rereadExecutor squeezes Mini through a 2 KiB global buffer (184 repeat
 // weight reads; the default buffer makes none) or runs it at the default
 // one (480 repeat ifmap reads), watching the regions pick selects.
-func rereadExecutor(workers int, smallBuffer, flip bool, pick func(PlanInfo) []Region) (*Executor, *rereadTap) {
+func rereadExecutor(smallBuffer, flip bool, pick func(PlanInfo) []Region) (*Executor, *rereadTap) {
 	tap := &rereadTap{seen: map[uint64]int{}, flip: flip}
 	x := NewExecutor()
 	if smallBuffer {
 		x.NPU.GlobalBufferBytes = 2048
 	}
-	x.Parallel = workers
 	x.Injector = tap
 	x.OnPlan = func(pi PlanInfo) { tap.regions = pick(pi) }
 	return x, tap
@@ -73,13 +73,15 @@ func miniAndGolden(t *testing.T) (workload.Network, *nn.Tensor, []*nn.Weights, *
 // TestRepeatWeightReadTamperDetected: only a weight block's first read folds
 // into the golden comparison, so a repeat read must equal it to be consumed.
 // Until PR 19 it was decoded over the verified weights unchecked: one bit
-// flipped on a second read gave a wrong output and no error.
+// flipped on a second read gave a wrong output and no error. Workers is
+// GOMAXPROCS: the MAC hashed inline at one, by a helper at eight.
 func TestRepeatWeightReadTamperDetected(t *testing.T) {
 	net, in, ws, golden := miniAndGolden(t)
 	weights := func(pi PlanInfo) []Region { return pi.Weights }
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			x, tap := rereadExecutor(workers, true, false, weights)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+			x, tap := rereadExecutor(true, false, weights)
 			res, err := x.Run(context.Background(), net, in, ws)
 			if err != nil || !res.Output.Equal(golden) {
 				t.Fatalf("honest run: err = %v, output equal = %v", err, err == nil && res.Output.Equal(golden))
@@ -88,7 +90,7 @@ func TestRepeatWeightReadTamperDetected(t *testing.T) {
 				t.Fatal("the mapping never re-read a weight block; the test exercises nothing")
 			}
 
-			x, _ = rereadExecutor(workers, true, true, weights)
+			x, _ = rereadExecutor(true, true, weights)
 			x.Retry = resilience.Policy{}
 			_, err = x.Run(context.Background(), net, in, ws)
 			var ie *resilience.IntegrityError
@@ -96,7 +98,7 @@ func TestRepeatWeightReadTamperDetected(t *testing.T) {
 				t.Fatalf("flipped repeat read, no retries: err = %v, want an IntegrityError of class weight", err)
 			}
 
-			x, _ = rereadExecutor(workers, true, true, weights)
+			x, _ = rereadExecutor(true, true, weights)
 			res, err = x.Run(context.Background(), net, in, ws)
 			if err != nil {
 				t.Fatalf("one-shot flip under the default policy: %v", err)
@@ -115,7 +117,7 @@ func TestRepeatWeightReadTamperDetected(t *testing.T) {
 // the output — the run is clean and correct.
 func TestRepeatIfmapReadTamperHarmless(t *testing.T) {
 	net, in, ws, golden := miniAndGolden(t)
-	x, tap := rereadExecutor(1, false, true, func(pi PlanInfo) []Region {
+	x, tap := rereadExecutor(false, true, func(pi PlanInfo) []Region {
 		return append([]Region{pi.Input}, pi.Acts...)
 	})
 	x.Retry = resilience.Policy{}
@@ -164,7 +166,8 @@ var miniFlippedFC = phasePin{[4]uint64{10, 0, 96, 576}, "fc8319e25f3af0130f5aa36
 // TestMiniRegistersPinned holds every register value and fold count of Mini
 // to what the per-read loop produced — a re-read may cost less than a first
 // read, but it folds what that read would have folded, a tampered one
-// included — at both worker counts, on pooled state and under an injector.
+// included — hashed inline and by a helper, on pooled state and under an
+// injector.
 func TestMiniRegistersPinned(t *testing.T) {
 	net, in, ws, golden := miniAndGolden(t)
 	run := func(x *Executor) []phasePin {
@@ -188,18 +191,17 @@ func TestMiniRegistersPinned(t *testing.T) {
 			}
 		}
 	}
-	for _, workers := range []int{1, 8} {
+	for _, procs := range []int{1, 8} {
 		x := NewExecutor()
-		x.Parallel = workers
 		for pass := 0; pass < 2; pass++ { // the second pass rides pooled state
-			check(fmt.Sprintf("workers=%d pass %d", workers, pass), run(x), miniPhasePins)
+			atProcs(procs, func() { check(fmt.Sprintf("GOMAXPROCS=%d pass %d", procs, pass), run(x), miniPhasePins) })
 		}
 	}
 	acts := func(pi PlanInfo) []Region { return append([]Region{pi.Input}, pi.Acts...) }
-	x, _ := rereadExecutor(1, false, false, acts)
+	x, _ := rereadExecutor(false, false, acts)
 	check("injector, no flip", run(x), miniPhasePins)
 
-	x, tap := rereadExecutor(1, false, true, acts)
+	x, tap := rereadExecutor(false, true, acts)
 	x.Retry = resilience.Policy{}
 	want := append([]phasePin(nil), miniPhasePins...)
 	want[4] = miniFlippedFC

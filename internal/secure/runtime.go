@@ -1,0 +1,328 @@
+package secure
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"seculator/internal/mem"
+	"seculator/internal/nn"
+	"seculator/internal/protect"
+	"seculator/internal/tensor"
+)
+
+// runsInFlight counts the Executor.Runs executing in the process: a run
+// borrows a MAC helper only while fewer than GOMAXPROCS are (protect.Borrow),
+// so a busy server hashes inline instead of oversubscribing its CPUs.
+var runsInFlight atomic.Int32
+
+// inferRuntime is the per-Run execution state: the loop shard every block of
+// the layer loop moves through (the one producer of a borrowed MAC helper's
+// ring), its row staging, the weight loader, and the per-layer slabs.
+type inferRuntime struct {
+	sm *protect.SeculatorMemory
+	sh *protect.SeculatorShard
+
+	// Row staging for the batch encrypt paths (caller-owned scratch contract
+	// of protect's row APIs); grown on demand.
+	rowPT []byte
+	rowCT []byte
+
+	preload preloadState
+
+	// Per-layer bookkeeping slabs: grown to the largest layer seen and
+	// reused across layers, recovery attempts, and — through the run pool —
+	// requests, so the steady-state layer loop performs no per-tile or
+	// per-layer slice allocation. Every slab is kept at full length (len ==
+	// cap) so scrub's clear() reaches every byte it ever held.
+	lr        layerRun // the per-layer execution context, reset per layer
+	inTouched []bool   // producer-block first-read bitmap
+	wTouched  []bool   // weight-block first-read bitmap
+	inData    []int32  // input-assembly tensor backing
+	inTensor  nn.Tensor
+	// outData double-buffers the layer outputs by layer parity: layer i
+	// assembles into buffer i&1 while layer i-1's output (buffer (i-1)&1,
+	// the producer plaintext for external folds) stays intact. Only the
+	// host readout's tensor escapes the run and stays freshly allocated.
+	outData   [2][]int32
+	outTensor [2]nn.Tensor
+	wData     []int32 // decoded-weight tensor backing
+	wTensor   nn.Weights
+	blockBuf  [tensor.BlockBytes]byte
+
+	// The loader's private staging: it runs concurrently with the layer loop,
+	// so it must never share rowScratch with it.
+	preloadPT []byte
+	preloadCT []byte
+}
+
+// rowScratch returns the loop shard's plaintext and ciphertext staging for a
+// row of nblocks blocks, growing it if needed.
+func (rt *inferRuntime) rowScratch(nblocks int) (pt, ct []byte) {
+	need := nblocks * tensor.BlockBytes
+	if cap(rt.rowPT) < need {
+		rt.rowPT = make([]byte, need)
+		rt.rowCT = make([]byte, need)
+	}
+	return rt.rowPT[:need], rt.rowCT[:need]
+}
+
+// settle merges the loop shard: every MAC it owes — queued on a borrowed
+// helper or not — lands in the current layer's registers and weight digest.
+// The executor settles before anything reads or resets them: each check,
+// OnLayerMACs, FinalOutputMAC, BeginLayer and RestartLayer.
+func (rt *inferRuntime) settle() { rt.sm.Merge(rt.sh) }
+
+// preloadState is the run's weight loader: one goroutine that host-writes
+// every layer's weights in layer order through its own shard and staging
+// while the layer loop runs, so only layer 0's load is on the critical path.
+type preloadState struct {
+	sh *protect.SeculatorShard
+
+	// ready carries one token per weighted layer, sent once that layer's
+	// region is stored and its golden digest published; the loader closes it
+	// on exit. nil when no loader is running.
+	ready    chan struct{}
+	stop     atomic.Bool // set by drain: stop before the next layer
+	panicVal any         // a recovered loader panic, published by the close
+}
+
+// startLoader launches the run's weight loader. Only legal in overlap mode
+// (no attacker hook, no injector): it mutates DRAM while layers execute,
+// which is invisible to the architecture (disjoint, pre-reserved lines) but
+// not to a hook that expects "all loads precede phase -1" ordering.
+func (rt *inferRuntime) startLoader(x *Executor, states []layerState, weights []*nn.Weights) {
+	p := &rt.preload
+	if p.sh == nil {
+		p.sh = rt.sm.Shard()
+	}
+	// Buffered to the number of sends, so the loader never blocks and
+	// whatever waits for it (drain) cannot deadlock.
+	ready := make(chan struct{}, len(states))
+	p.ready = ready
+	go func() {
+		defer close(ready)
+		defer func() { p.panicVal = recover() }()
+		for i := range states {
+			if weights[i] == nil {
+				continue
+			}
+			if p.stop.Load() {
+				return
+			}
+			pt, ct := rt.preloadScratch(states[i].wl.sliceBlocks)
+			states[i].goldenWeights = x.loadLayerWeights(p.sh, &states[i], weights[i], pt, ct)
+			ready <- struct{}{}
+		}
+	}()
+}
+
+// awaitWeights blocks until the loader has published the next weighted
+// layer — tokens arrive in layer order, one per call. A closed channel
+// means the loader died: its panic is re-raised here, on the orchestrator.
+func (rt *inferRuntime) awaitWeights() {
+	if _, ok := <-rt.preload.ready; !ok {
+		panic(rt.preload.panicVal)
+	}
+}
+
+// drain joins the loader — called on every exit from Run, so no goroutine
+// touches the run's DRAM after Run returns or after the state is parked —
+// and only then merges its shard: the loader counts writes for the whole
+// run, and Merge is orchestrator-only.
+func (rt *inferRuntime) drain() {
+	p := &rt.preload
+	if p.ready == nil {
+		return
+	}
+	p.stop.Store(true)
+	for range p.ready {
+	}
+	p.ready, p.panicVal = nil, nil
+	p.stop.Store(false)
+	rt.sm.Merge(p.sh)
+}
+
+// ---- per-layer slab accessors ----
+
+func growInts(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:cap(s)]
+}
+
+func growBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	return s[:cap(s)]
+}
+
+// touchedInput returns the producer first-read bitmap sized to n blocks,
+// cleared for a fresh layer attempt.
+func (rt *inferRuntime) touchedInput(n int) []bool {
+	rt.inTouched = growBools(rt.inTouched, n)
+	clear(rt.inTouched[:n])
+	return rt.inTouched[:n]
+}
+
+// touchedWeights is touchedInput for the weight-block bitmap.
+func (rt *inferRuntime) touchedWeights(n int) []bool {
+	rt.wTouched = growBools(rt.wTouched, n)
+	clear(rt.wTouched[:n])
+	return rt.wTouched[:n]
+}
+
+// inputTensor returns the reusable input-assembly tensor shaped for the
+// producer, zeroed: untouched blocks must decode as zeros, exactly like a
+// fresh allocation.
+func (rt *inferRuntime) inputTensor(chans, rows, cols int) *nn.Tensor {
+	n := chans * rows * cols
+	rt.inData = growInts(rt.inData, n)
+	clear(rt.inData[:n])
+	rt.inTensor = nn.Tensor{Chans: chans, H: rows, W: cols, Data: rt.inData[:n]}
+	return &rt.inTensor
+}
+
+// outputTensor returns the layer-output tensor for parity (layer index &
+// 1), zeroed for accumulation. The other parity — the previous layer's
+// output, still consumed as producer plaintext — is untouched.
+func (rt *inferRuntime) outputTensor(parity, chans, rows, cols int) *nn.Tensor {
+	n := chans * rows * cols
+	rt.outData[parity] = growInts(rt.outData[parity], n)
+	clear(rt.outData[parity][:n])
+	rt.outTensor[parity] = nn.Tensor{Chans: chans, H: rows, W: cols, Data: rt.outData[parity][:n]}
+	return &rt.outTensor[parity]
+}
+
+// weightsTensor returns the reusable decoded-weight tensor for a layer,
+// zeroed (never-decoded padded slices must read as zero weights).
+func (rt *inferRuntime) weightsTensor(k, c, r, s int) *nn.Weights {
+	n := k * c * r * s
+	rt.wData = growInts(rt.wData, n)
+	clear(rt.wData[:n])
+	rt.wTensor = nn.Weights{K: k, C: c, R: r, S: s, Data: rt.wData[:n]}
+	return &rt.wTensor
+}
+
+// preloadScratch is rowScratch for the weight loader, backed by slabs the
+// layer loop never touches.
+func (rt *inferRuntime) preloadScratch(sliceBlocks int) (pt, ct []byte) {
+	need := sliceBlocks * tensor.BlockBytes
+	if cap(rt.preloadPT) < need {
+		rt.preloadPT = make([]byte, need)
+		rt.preloadCT = make([]byte, need)
+	}
+	return rt.preloadPT[:need], rt.preloadCT[:need]
+}
+
+// ---- pooled run state ----
+
+// runState bundles everything one Executor.Run builds before executing:
+// the DRAM image, the secure memory (AES key schedule, MAC checker), and
+// the runtime (shards, staging slabs, the weight loader). Steady-state
+// serving traffic recreates exactly this state on every request, keyed by
+// nothing but (DRAM config, crypto identity) — so completed runs park their
+// state in a sync.Pool and later runs with the same key reuse it instead of
+// re-allocating ~10^4 objects.
+//
+// Scrub discipline (DESIGN.md §15): a state enters the pool only after
+// every plaintext byte of the run — activations, weights, DRAM ciphertext
+// — has been zeroed, and the MAC helper it borrowed has been handed back
+// scrubbed. The AES key schedule is retained, but only because the pool key
+// pins the exact (secret, random) identity: a run under any other identity
+// builds fresh state.
+type runState struct {
+	dram *mem.DRAM
+	sm   *protect.SeculatorMemory
+	rt   *inferRuntime
+
+	dramCfg        mem.Config
+	secret, random uint64
+	poolable       bool
+}
+
+var (
+	// runPool holds parked *runState values; their identity (DRAM config,
+	// secret, random) is checked on Get.
+	runPool sync.Pool
+
+	// runPoolingOff disables cross-request run-state reuse; only the
+	// in-package conformance test sets it, to produce fresh-state baselines
+	// for dirty-reset detection.
+	runPoolingOff atomic.Bool
+)
+
+// acquireRun returns a run state for this executor: a pooled one when a
+// compatible state is parked, else a freshly built one. Runs with an
+// attacker hook or fault injector never use the pool — those harnesses
+// may retain the DRAM handle past Run, and their runs are not the steady
+// state this path optimizes.
+func (x *Executor) acquireRun() (*runState, error) {
+	poolable := !runPoolingOff.Load() && x.AfterPhase == nil && x.Injector == nil
+	if poolable {
+		if v := runPool.Get(); v != nil {
+			rs := v.(*runState)
+			if rs.dramCfg == x.DRAM && rs.secret == x.Secret && rs.random == x.Random {
+				return rs, nil
+			}
+			// Keyed to a different config or crypto identity: a pooled
+			// state must never be rebound, so drop it and build fresh.
+		}
+	}
+	dram, err := mem.New(x.DRAM)
+	if err != nil {
+		return nil, err
+	}
+	sm := protect.NewSeculatorMemory(dram, x.Secret, x.Random)
+	return &runState{
+		dram: dram, sm: sm, rt: &inferRuntime{sm: sm, sh: sm.Shard()},
+		dramCfg: x.DRAM, secret: x.Secret, random: x.Random,
+		poolable: poolable,
+	}, nil
+}
+
+// release hands the run's MAC helper back, joins its weight loader and, when
+// the state is pool-eligible, scrubs and parks it for the next compatible
+// run.
+func (rs *runState) release() {
+	rs.rt.sh.HandBack()
+	rs.rt.drain()
+	if !rs.poolable || runPoolingOff.Load() {
+		return
+	}
+	if !rs.sm.Recycle(rs.dram, rs.secret, rs.random) {
+		return
+	}
+	rs.dram.Reset()
+	rs.rt.scrub()
+	runPool.Put(rs)
+}
+
+// scrub wipes every byte of run-derived data from the runtime's pooled
+// scratch: both shards' staging, row buffers, decoded activations and
+// weights, and the loader's staging (drain has already joined the loader and
+// reset its hand-off state). Bitmaps clear too, so a dirty reset cannot leak
+// one run's protocol state into the next.
+func (rt *inferRuntime) scrub() {
+	rt.sh.Recycle()
+	if rt.preload.sh != nil {
+		rt.preload.sh.Recycle()
+	}
+	clear(rt.rowPT)
+	clear(rt.rowCT)
+	clear(rt.inData)
+	clear(rt.outData[0])
+	clear(rt.outData[1])
+	clear(rt.wData)
+	clear(rt.preloadPT)
+	clear(rt.preloadCT)
+	clear(rt.blockBuf[:])
+	clear(rt.inTouched)
+	clear(rt.wTouched)
+	rt.lr = layerRun{}
+	rt.inTensor = nn.Tensor{}
+	rt.outTensor[0] = nn.Tensor{}
+	rt.outTensor[1] = nn.Tensor{}
+	rt.wTensor = nn.Weights{}
+}

@@ -20,8 +20,16 @@ import (
 // test reaches at the default configuration, and the weight loader's
 // equivalence and life cycle.
 
-// stageRun is everything about one run that must not depend on the worker
-// count.
+// atProcs runs f at GOMAXPROCS=n. At one P a run borrows no MAC helper and
+// its layer loop hashes every block MAC itself; at more it borrows one
+// (protect.Borrow) — the two ways a run hashes, with no option between them.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// stageRun is everything about one run that must not depend on who hashes
+// its block MACs or when its weights load.
 type stageRun struct {
 	out       *nn.Tensor
 	outputMAC mac.Digest
@@ -35,7 +43,7 @@ func runStages(t *testing.T, x *Executor, net workload.Network, in *nn.Tensor, w
 	x.OnLayerMACs = func(_ int, regs protect.RegisterState) { r.regs = append(r.regs, regs) }
 	res, err := x.Run(context.Background(), net, in, ws)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", x.Parallel, err)
+		t.Fatal(err)
 	}
 	r.out, r.outputMAC, r.blocks = res.Output, res.OutputMAC, res.Blocks
 	return r
@@ -71,10 +79,9 @@ func spillNet() workload.Network {
 	}}
 }
 
-func spillExecutor(workers int) *Executor {
+func spillExecutor() *Executor {
 	x := NewExecutor()
 	x.NPU.GlobalBufferBytes = 2048
-	x.Parallel = workers
 	return x
 }
 
@@ -108,7 +115,7 @@ func (p *partialReadTap) attach(x *Executor) {
 
 // TestPartialSumSpill: with partial sums spilling to DRAM the run still
 // equals the plaintext reference, and outputs, OutputMAC and every register
-// snapshot are the same at 1 and 8 workers.
+// snapshot are the same hashed inline and by a helper.
 func TestPartialSumSpill(t *testing.T) {
 	net := spillNet()
 	in, ws := nn.RandomModel(net, 5)
@@ -118,7 +125,7 @@ func TestPartialSumSpill(t *testing.T) {
 	}
 
 	tap := &partialReadTap{}
-	x := spillExecutor(1)
+	x := spillExecutor()
 	tap.attach(x)
 	if _, err := x.Run(context.Background(), net, in, ws); err != nil {
 		t.Fatal(err)
@@ -127,25 +134,29 @@ func TestPartialSumSpill(t *testing.T) {
 		t.Fatal("the mapping never re-read a partial sum; the test exercises nothing")
 	}
 
-	serial := runStages(t, spillExecutor(1), net, in, ws)
-	if !serial.out.Equal(golden) {
+	var inline stageRun
+	atProcs(1, func() { inline = runStages(t, spillExecutor(), net, in, ws) })
+	if !inline.out.Equal(golden) {
 		t.Fatal("spilling run diverged from the reference")
 	}
-	runStages(t, spillExecutor(8), net, in, ws).mustEqual(t, serial, "workers=8 vs 1")
+	atProcs(8, func() { runStages(t, spillExecutor(), net, in, ws).mustEqual(t, inline, "helper vs inline") })
 }
 
 // TestPartialSumTamperDetected: one bit flipped in a partial block between
-// its write and its re-read lands in MAC_R and breaks Equation 1.
+// its write and its re-read lands in MAC_R and breaks Equation 1 — at one
+// worker (GOMAXPROCS, atProcs), the MAC hashed inline, and at eight, by a
+// helper.
 func TestPartialSumTamperDetected(t *testing.T) {
 	net := spillNet()
 	in, ws := nn.RandomModel(net, 5)
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			tap := &partialReadTap{flip: true}
-			x := spillExecutor(workers)
+			x := spillExecutor()
 			x.Retry = resilience.Policy{}
 			tap.attach(x)
-			_, err := x.Run(context.Background(), net, in, ws)
+			var err error
+			atProcs(workers, func() { _, err = x.Run(context.Background(), net, in, ws) })
 			if tap.reads == 0 {
 				t.Fatal("no partial read to tamper with")
 			}
@@ -176,12 +187,12 @@ func resolveShape(t *testing.T, name string) workload.Network {
 	return net
 }
 
-// checkProvisionOverlap compares, per network and worker count, a plain run
-// (the loader host-writes the model while the layer loop runs) with a run
-// under a no-op AfterPhase (everything loaded up front, unpooled state) —
-// since the loader engages at every worker count, a hooked run is the one
-// un-overlapped baseline left. Each plain run happens twice: the second
-// rides pooled state, the loader's shard and staging included.
+// checkProvisionOverlap compares, per network, a plain run (the loader
+// host-writes the model while the layer loop runs) with a run under a no-op
+// AfterPhase (everything loaded up front, unpooled state) — since the loader
+// engages on every plain run, a hooked run is the one un-overlapped baseline
+// left. Each plain run happens twice: the second rides pooled state, the
+// loader's shard and staging included.
 func checkProvisionOverlap(t *testing.T) {
 	for _, net := range []workload.Network{preloadNet(), resolveShape(t, "Mini"), resolveShape(t, "MobileNet/8")} {
 		in, ws := nn.RandomModel(net, 9)
@@ -189,20 +200,15 @@ func checkProvisionOverlap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 8} {
-			tag := fmt.Sprintf("%s workers=%d", net.Name, workers)
-			inline := NewExecutor()
-			inline.Parallel = workers
-			inline.AfterPhase = func(int, *mem.DRAM) {}
-			base := runStages(t, inline, net, in, ws)
-			if !base.out.Equal(golden) {
-				t.Fatalf("%s: up-front run diverged from the reference", tag)
-			}
-			for round := 0; round < 2; round++ {
-				x := NewExecutor()
-				x.Parallel = workers
-				runStages(t, x, net, in, ws).mustEqual(t, base, fmt.Sprintf("%s round %d, loader vs up-front", tag, round))
-			}
+		inline := NewExecutor()
+		inline.AfterPhase = func(int, *mem.DRAM) {}
+		base := runStages(t, inline, net, in, ws)
+		if !base.out.Equal(golden) {
+			t.Fatalf("%s: up-front run diverged from the reference", net.Name)
+		}
+		for round := 0; round < 2; round++ {
+			x := NewExecutor()
+			runStages(t, x, net, in, ws).mustEqual(t, base, fmt.Sprintf("%s round %d, loader vs up-front", net.Name, round))
 		}
 	}
 }
@@ -246,17 +252,19 @@ func TestLoaderPanicSurfaces(t *testing.T) {
 // MobileNet/8 leaves most of the model unloaded. Run must stop the loader
 // and join it before returning — no goroutine left, nothing still writing
 // into the parked DRAM — and the next run on that pooled state must produce
-// the OutputMAC the root package's TestOutputMACPinned holds.
+// the OutputMAC the root package's TestOutputMACPinned holds. The MAC
+// helpers are persistent by design (the run may start the process's first),
+// so they are counted out on both sides.
 func TestCancelMidRunJoinsLoader(t *testing.T) {
 	const pinned = "94b5bd3f7b1fbbf5c96e74dc4769581a0f686c81af064355cca58331e269ea01"
 	net := resolveShape(t, "MobileNet/8")
 	in, ws := nn.RandomModel(net, 1)
-	before := runtime.NumGoroutine()
+	goroutines := func() int { return runtime.NumGoroutine() - protect.Helpers() }
+	before := goroutines()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	x := NewExecutor()
-	x.Parallel = 1 // no pool workers to count
 	x.OnLayerMACs = func(phase int, _ protect.RegisterState) {
 		if phase == 1 {
 			cancel()
@@ -267,9 +275,9 @@ func TestCancelMidRunJoinsLoader(t *testing.T) {
 	}
 	// The join is the loader's close of its channel, its last act; the
 	// runtime may take a moment longer to retire the goroutine.
-	for wait := 0; runtime.NumGoroutine() > before; wait++ {
+	for wait := 0; goroutines() > before; wait++ {
 		if wait == 1000 {
-			t.Fatalf("%d goroutines after a cancelled run, %d before: the loader was not joined", runtime.NumGoroutine(), before)
+			t.Fatalf("%d goroutines after a cancelled run, %d before (MAC helpers not counted): the loader was not joined", goroutines(), before)
 		}
 		time.Sleep(time.Millisecond)
 	}
