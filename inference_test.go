@@ -312,16 +312,22 @@ func TestOutputMACPinned(t *testing.T) {
 // (loader, pooled) and a hooked run (model loaded up front, fresh state) must
 // report the same, and a hooked run's DRAM must have recorded exactly the
 // reads and writes the counts sum to. A resident run reads no weight and
-// host-writes only the input.
+// host-writes only the input. Beside the counts, Result.Keystream: a clean
+// run computes one CTR pad per block written, and every decrypting read
+// reuses the pad its line's write computed.
 func TestBlockCountsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		shape        string
 		globalBuffer int // 0: the default
 		want         protect.BlockCounts
+		pads         protect.Keystreams
 	}{
-		{"Mini", 0, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 480, WeightFirst: 400, OfmapWrites: 298, HostWrites: 436}},
-		{"Mini", 2048, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 1776, WeightFirst: 784, WeightRepeat: 184, OfmapWrites: 298, HostWrites: 820}},
-		{"MobileNet/8", 0, protect.BlockCounts{IfmapFirst: 3293, WeightFirst: 4704, OfmapWrites: 3237, HostWrites: 4760}},
+		{"Mini", 0, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 480, WeightFirst: 400, OfmapWrites: 298, HostWrites: 436},
+			protect.Keystreams{Computed: 734, Reused: 734}},
+		{"Mini", 2048, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 1776, WeightFirst: 784, WeightRepeat: 184, OfmapWrites: 298, HostWrites: 820},
+			protect.Keystreams{Computed: 1118, Reused: 1782}},
+		{"MobileNet/8", 0, protect.BlockCounts{IfmapFirst: 3293, WeightFirst: 4704, OfmapWrites: 3237, HostWrites: 4760},
+			protect.Keystreams{Computed: 7997, Reused: 7997}},
 	} {
 		net, err := workload.ResolveShape(tc.shape)
 		if err != nil {
@@ -335,27 +341,25 @@ func TestBlockCountsPinned(t *testing.T) {
 			}
 			return x
 		}
-		counts := func(name string, x *secure.Executor) protect.BlockCounts {
+		check := func(name string, x *secure.Executor, want protect.BlockCounts, pads protect.Keystreams) protect.BlockCounts {
 			t.Helper()
 			res, err := x.Run(context.Background(), net, in, ws)
 			if err != nil {
 				t.Fatalf("%s (buffer %d), %s: %v", tc.shape, tc.globalBuffer, name, err)
 			}
+			if res.Counts != want || res.Keystream != pads || res.Keystream.Computed != res.Counts.Writes() {
+				t.Errorf("%s (buffer %d), %s: %+v and pads %+v, want %+v and %+v",
+					tc.shape, tc.globalBuffer, name, res.Counts, res.Keystream, want, pads)
+			}
 			return res.Counts
 		}
 		x := executor()
 		for pass := 0; pass < 2; pass++ { // the second pass rides pooled state
-			if got := counts("loader", x); got != tc.want {
-				t.Errorf("%s (buffer %d), loader, pass %d: %+v, want %+v",
-					tc.shape, tc.globalBuffer, pass, got, tc.want)
-			}
+			check(fmt.Sprintf("loader, pass %d", pass), x, tc.want, tc.pads)
 		}
 		var dram *mem.DRAM
 		x.AfterPhase = func(_ int, d *mem.DRAM) { dram = d }
-		got := counts("hooked", x)
-		if got != tc.want {
-			t.Errorf("%s (buffer %d), hooked: %+v, want %+v", tc.shape, tc.globalBuffer, got, tc.want)
-		}
+		got := check("hooked", x, tc.want, tc.pads)
 		tr := dram.Traffic()
 		if r, w := tr.ReadBlocks[0], tr.WriteBlocks[0]; r != uint64(got.Reads()) || w != uint64(got.Writes()) || tr.Overhead() != 0 {
 			t.Errorf("%s (buffer %d), hooked: DRAM recorded %d reads / %d writes / %d overhead, counts sum to %d / %d / 0",
@@ -369,11 +373,12 @@ func TestBlockCountsPinned(t *testing.T) {
 		}
 		// These mappings read every weight block they store, so WeightFirst is
 		// also the weight share of the host writes; the rest is the input.
-		want := tc.want
+		// Neither the installed weights nor their skipped reads use a pad.
+		want, pads := tc.want, tc.pads
 		want.HostWrites -= want.WeightFirst
+		pads.Computed -= want.WeightFirst
+		pads.Reused -= want.WeightFirst + want.WeightRepeat
 		want.WeightFirst, want.WeightRepeat = 0, 0
-		if got := counts("resident", x); got != want {
-			t.Errorf("%s (buffer %d), resident: %+v, want %+v", tc.shape, tc.globalBuffer, got, want)
-		}
+		check("resident", x, want, pads)
 	}
 }

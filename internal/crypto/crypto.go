@@ -81,9 +81,9 @@ func (e *CTREngine) Clone() *CTREngine {
 	return &CTREngine{block: e.block, key: e.key}
 }
 
-// pad computes the 64-byte one-time pad for the counter into dst: four AES
+// Pad computes the 64-byte one-time pad for the counter into dst: four AES
 // blocks, one per 16-byte lane, distinguished by a 2-bit lane index.
-func (e *CTREngine) pad(dst []byte, c Counter) {
+func (e *CTREngine) Pad(dst []byte, c Counter) {
 	in := &e.ctrBuf
 	binary.BigEndian.PutUint32(in[0:4], c.Fmap)
 	binary.BigEndian.PutUint32(in[4:8], c.Layer)
@@ -101,7 +101,7 @@ func (e *CTREngine) EncryptBlock(dst, src []byte, c Counter) {
 		panic(fmt.Sprintf("crypto: CTR block must be %d bytes, got dst=%d src=%d",
 			tensor.BlockBytes, len(dst), len(src)))
 	}
-	e.pad(e.padBuf[:], c)
+	e.Pad(e.padBuf[:], c)
 	// Eight 64-bit words, not 64 bytes (XOR has no byte order).
 	le := binary.LittleEndian
 	for i := 0; i < tensor.BlockBytes; i += 8 {

@@ -256,7 +256,7 @@ func TestCTRWrongVNGarblesProperty(t *testing.T) {
 // cannot see: the pad of a block is four crypto/aes encryptions under the
 // key secret‖random of the counters Fmap‖Layer‖VN‖(Block≪2|lane), every
 // field big-endian and written out here byte by byte; the ciphertext is
-// plaintext ⊕ pad; and EncryptBlocks(n) is n EncryptBlock calls on
+// plaintext ⊕ pad, where pad is what Pad returns; and EncryptBlocks(n) is n EncryptBlock calls on
 // consecutive Block values. Clone, in-place and a Block index whose shift
 // overflows 32 bits are covered by the random draw.
 func TestCTRPadDefinitionPinned(t *testing.T) {
@@ -313,6 +313,13 @@ func TestCTRPadDefinitionPinned(t *testing.T) {
 			e.EncryptBlock(blk, blk, cb) // in place
 			if !bytes.Equal(blk, want[o:o+tensor.BlockBytes]) {
 				t.Fatalf("EncryptBlock(%v) differs from the hand-built pad", cb)
+			}
+			var pad [tensor.BlockBytes]byte
+			e.Pad(pad[:], cb)
+			for i := range pad {
+				if src[o+i]^pad[i] != want[o+i] {
+					t.Fatalf("Pad(%v) differs from the hand-built pad at byte %d", cb, i)
+				}
 			}
 		}
 	}

@@ -25,13 +25,15 @@ type SeculatorMemory struct {
 	layer   uint32
 	started bool
 
-	// counts is what the merged shards moved and hashing who hashed their
-	// MACs (Merge); the serial API below records straight into the DRAM's
-	// traffic counters and leaves both alone.
+	// counts is what the merged shards moved, hashing who hashed their MACs
+	// and ks their pads (Merge); the serial API below records straight into
+	// the DRAM's traffic counters and leaves all three alone.
 	counts  BlockCounts
 	hashing Hashing
+	ks      Keystreams
 	// weights is the current layer's fold of merged first-read weight MACs.
 	weights mac.Digest
+	keys    []keystream // the shards' keystream memo, one entry per line (shard.go)
 
 	// ct is the reusable ciphertext staging buffer: DRAM copies payloads
 	// on write and into the caller's dst on read, so the block only lives
@@ -57,8 +59,8 @@ func NewSeculatorMemory(d *mem.DRAM, secret, bootRandom uint64) *SeculatorMemory
 // alive. It reports false (and changes nothing) when the requested
 // (secret, bootRandom) differ from the ones the engine was keyed with:
 // a pooled memory must never be rebound to a different key, so the caller
-// then builds a fresh one. The ciphertext staging buffer is scrubbed; the
-// caller owns scrubbing the DRAM it passed in.
+// then builds a fresh one. The ciphertext staging and every keystream memo
+// entry are scrubbed; the caller owns scrubbing the DRAM it passed in.
 func (m *SeculatorMemory) Recycle(d *mem.DRAM, secret, bootRandom uint64) bool {
 	if secret != m.secret || bootRandom != m.random {
 		return false
@@ -67,8 +69,9 @@ func (m *SeculatorMemory) Recycle(d *mem.DRAM, secret, bootRandom uint64) bool {
 	m.checker = mac.LayerChecker{}
 	m.layer = 0
 	m.started = false
-	m.counts, m.hashing, m.weights = BlockCounts{}, Hashing{}, mac.Digest{}
+	m.counts, m.hashing, m.ks, m.weights = BlockCounts{}, Hashing{}, Keystreams{}, mac.Digest{}
 	clear(m.ct[:])
+	clear(m.keys)
 	return true
 }
 

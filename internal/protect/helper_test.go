@@ -8,6 +8,7 @@ import (
 
 	"seculator/internal/mac"
 	"seculator/internal/resilience"
+	"seculator/internal/tensor"
 )
 
 // borrowedShard returns a shard of a fresh memory (runSerialScript's crypto
@@ -45,8 +46,9 @@ func awaitHelper(t *testing.T, h *macHelper) {
 // writeScript is layer 1 of runSerialScript: n blocks written.
 func writeScript(m *SeculatorMemory, sh *SeculatorShard, n int) RegisterState {
 	m.BeginLayer(1)
+	ct := make([]byte, tensor.BlockBytes)
 	for i := 0; i < n; i++ {
-		sh.WriteBlock(uint64(i%64), uint32(i%3), 1, uint32(i), shardPattern(i))
+		sh.WriteRow(uint64(i%64), uint32(i%3), 1, uint32(i), shardPattern(i), ct)
 	}
 	m.Merge(sh)
 	return m.RegisterSnapshot()
@@ -63,9 +65,10 @@ func TestHelperFoldsMatchSerial(t *testing.T) {
 	want := sm.RegisterSnapshot()
 
 	m, sh := borrowedShard(t, 2*n)
+	ct := make([]byte, tensor.BlockBytes)
 	m.BeginLayer(1)
 	for i := 0; i < n; i++ {
-		sh.WriteBlock(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i))
+		sh.WriteRow(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i), ct)
 	}
 	m.Merge(sh)
 	m.BeginLayer(2)
@@ -76,7 +79,7 @@ func TestHelperFoldsMatchSerial(t *testing.T) {
 		sh.ReadInput(uint64(i), 1, uint32(i%3), 1, uint32(i), false)
 	}
 	for i := 0; i < n; i++ {
-		sh.WriteBlock(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i))
+		sh.WriteRow(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i), ct)
 	}
 	m.Merge(sh)
 	if got := m.RegisterSnapshot(); got != want {
@@ -109,7 +112,7 @@ func TestHelperPanicSurfacesAtDrain(t *testing.T) {
 			h.push(mac.BlockRef{}, shardPattern(0), foldTo(255), 1)
 		} else {
 			for i := 0; i < batchJobs; i++ {
-				sh.WriteBlock(uint64(i), 2, 1, uint32(i), shardPattern(i))
+				sh.WriteRow(uint64(i), 2, 1, uint32(i), shardPattern(i), make([]byte, tensor.BlockBytes))
 			}
 		}
 		awaitHelper(t, h)

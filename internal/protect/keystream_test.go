@@ -1,0 +1,246 @@
+package protect
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"seculator/internal/crypto"
+	"seculator/internal/mac"
+	"seculator/internal/mem"
+	"seculator/internal/tensor"
+)
+
+// The keystream memo is a memo of a pure function, so a memory whose memo is
+// reserved and one whose memo never is — where every pad is computed — must
+// be indistinguishable to everything but the pad tally, under any DRAM
+// mutation between operations and any injector during them.
+
+const (
+	memoLines = 16 // lines the memo covers
+	fuzzLines = 20 // lines the ops address; a row written at the last may run two past
+	fuzzOpLen = 5  // bytes per op
+)
+
+// memoArm is one side of the differential: a memory, its one shard, its DRAM
+// and injector, row staging, and the line its last Snapshot op captured.
+type memoArm struct {
+	d    *mem.DRAM
+	m    *SeculatorMemory
+	sh   *SeculatorShard
+	tap  *runTamper
+	ct   []byte
+	snap []byte
+}
+
+func newMemoArm(t *testing.T, memo bool, sched []byte) *memoArm {
+	t.Helper()
+	d := shardTestDRAM(t)
+	d.Reserve(fuzzLines)
+	m := NewSeculatorMemory(d, 7, 9)
+	if memo {
+		m.ReserveKeystreams(memoLines)
+	}
+	a := &memoArm{d: d, m: m, sh: m.Shard(), tap: &runTamper{d: d, n: 256, sched: sched},
+		ct: make([]byte, 3*tensor.BlockBytes)}
+	d.SetInjector(a.tap)
+	m.BeginLayer(1)
+	return a
+}
+
+// fuzzCounter decodes a counter from one byte: small fields, so counters
+// drawn apart collide often enough to hit entries they did not aim at.
+func fuzzCounter(b byte) crypto.Counter {
+	return crypto.Counter{Fmap: uint32(b & 3), Layer: uint32(b >> 2 & 3), VN: uint32(1 + b>>4&1), Block: uint32(b >> 5)}
+}
+
+// fuzzRow is k packed pattern blocks.
+func fuzzRow(k int, seed byte) []byte {
+	row := make([]byte, 0, k*tensor.BlockBytes)
+	for b := 0; b < k; b++ {
+		row = append(row, shardPattern(int(seed)+b)...)
+	}
+	return row
+}
+
+// checkKeystreamMemo runs the op sequence on both arms. An op is five bytes
+// (op, addr, a, b, c):
+//
+//	0 WriteRow      of 1+a%3 blocks under counter b (current layer), pattern c
+//	1 HostWriteRow  of 1+a%3 blocks under counter b, pattern c
+//	2 ReadInputRun  counter: the line's last write's if a%4 != 0, else b;
+//	                first = c&1, run length 1+(c>>1)%4
+//	3 ReadPartial   counter as 2, in the current layer
+//	4 ReadStatic    counter as 2, first = c&1
+//	5 DRAM attack   a%4: Tamper(addr, b&63, c|1), Swap(addr, b), Snapshot(addr), Restore(addr)
+//	6 next layer    merge, compare, verify the layer before, BeginLayer
+//	7 Recycle       merge, compare, recycle memory, shard and DRAM
+//
+// Reads, digests, registers, the weight digest, block counts, traffic and
+// every DRAM line must agree; the memo arm must reuse a pad exactly when the
+// line's last shard write computed it for the read's counter, and compute
+// every other one.
+func checkKeystreamMemo(t *testing.T, ops, sched []byte) {
+	t.Helper()
+	memo, ref := newMemoArm(t, true, sched), newMemoArm(t, false, sched)
+	arms := [2]*memoArm{memo, ref}
+	last := map[uint64]crypto.Counter{} // each line's last shard-write counter since the last Recycle
+	layer := uint32(1)
+	for len(ops) >= fuzzOpLen {
+		op, addr, a, b, c := ops[0]%8, uint64(ops[1]%fuzzLines), ops[2], ops[3], ops[4]
+		ops = ops[fuzzOpLen:]
+		what := fmt.Sprintf("op %d at line %d (%d %d %d)", op, addr, a, b, c)
+
+		w, written := last[addr]
+		ctr := fuzzCounter(b)
+		if written && a%4 != 0 {
+			ctr = w
+		}
+		if op == 3 {
+			ctr.Layer = layer
+		}
+		hit := written && addr < memoLines && w == ctr
+		ksBefore := [2]Keystreams{memo.sh.ks, ref.sh.ks}
+		var got [2][]byte
+		switch op {
+		case 0, 1:
+			k := 1 + int(a%3)
+			wc := fuzzCounter(b)
+			if op == 0 {
+				wc.Layer = layer
+			}
+			for i, arm := range arms {
+				if op == 0 {
+					arm.sh.WriteRow(addr, wc.Fmap, int(wc.VN), wc.Block, fuzzRow(k, c), arm.ct[:k*tensor.BlockBytes])
+				} else {
+					g := arm.sh.HostWriteRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, fuzzRow(k, c), arm.ct[:k*tensor.BlockBytes])
+					got[i] = g[:]
+				}
+			}
+			for i := 0; i < k; i++ {
+				last[addr+uint64(i)] = wc
+				wc.Block++
+			}
+		case 2:
+			for i, arm := range arms {
+				got[i] = bytes.Clone(arm.sh.ReadInputRun(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, c&1 != 0, 1+int(c>>1)%4))
+			}
+		case 3:
+			for i, arm := range arms {
+				got[i] = bytes.Clone(arm.sh.ReadPartial(addr, ctr.Fmap, int(ctr.VN), ctr.Block))
+			}
+		case 4:
+			for i, arm := range arms {
+				got[i] = bytes.Clone(arm.sh.ReadStatic(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, c&1 != 0))
+			}
+		case 5:
+			for _, arm := range arms {
+				switch a % 4 {
+				case 0:
+					arm.d.Tamper(addr, int(b&63), c|1)
+				case 1:
+					arm.d.Swap(addr, uint64(b%fuzzLines))
+				case 2:
+					arm.snap, _ = arm.d.Snapshot(addr)
+				case 3:
+					arm.d.Restore(addr, arm.snap)
+				}
+			}
+		case 6, 7:
+			sameMemoState(t, what, memo, ref)
+			if op == 6 {
+				e0, e1 := memo.m.VerifyPreviousLayer(mac.Digest{}), ref.m.VerifyPreviousLayer(mac.Digest{})
+				if fmt.Sprint(e0) != fmt.Sprint(e1) {
+					t.Fatalf("%s: Equation 1 says %v with the memo, %v without", what, e0, e1)
+				}
+				layer++
+			} else {
+				clear(last)
+			}
+			for _, arm := range arms {
+				if op == 7 {
+					arm.sh.Recycle()
+					if !arm.m.Recycle(arm.d, 7, 9) {
+						t.Fatal("Recycle refused the memory's own identity")
+					}
+					arm.d.Reset()
+					arm.d.SetInjector(arm.tap)
+				}
+				arm.m.BeginLayer(layer)
+			}
+		}
+		if !bytes.Equal(got[0], got[1]) {
+			t.Fatalf("%s: %x with the memo, %x without", what, got[0], got[1])
+		}
+		dm, dr := memo.sh.ks, ref.sh.ks
+		dm.Computed -= ksBefore[0].Computed
+		dm.Reused -= ksBefore[0].Reused
+		dr.Computed -= ksBefore[1].Computed
+		dr.Reused -= ksBefore[1].Reused
+		if op <= 1 && dm.Reused != 0 {
+			t.Fatalf("%s: pads %+v with the memo: a write reused a pad", what, dm)
+		}
+		if dr.Reused != 0 || dm.Computed+dm.Reused != dr.Computed {
+			t.Fatalf("%s: pads %+v with the memo, %+v without: the same pads, counted apart", what, dm, dr)
+		}
+		if op >= 2 && op <= 4 && (hit && dm.Computed != 0 || !hit && dm.Reused != 0) {
+			t.Fatalf("%s: pads %+v with the memo; a reuse expected: %v", what, dm, hit)
+		}
+	}
+	sameMemoState(t, "the end", memo, ref)
+	if km, kr := memo.m.Keystreams(), ref.m.Keystreams(); kr.Reused != 0 || km.Computed+km.Reused != kr.Computed {
+		t.Fatalf("merged pads %+v with the memo, %+v without", km, kr)
+	}
+}
+
+// sameMemoState merges both arms and compares everything they expose.
+func sameMemoState(t *testing.T, what string, memo, ref *memoArm) {
+	t.Helper()
+	memo.m.Merge(memo.sh)
+	ref.m.Merge(ref.sh)
+	if g, w := memo.m.RegisterSnapshot(), ref.m.RegisterSnapshot(); g != w {
+		t.Fatalf("%s: registers\n with the memo %+v\n without       %+v", what, g, w)
+	}
+	if memo.m.WeightDigest() != ref.m.WeightDigest() {
+		t.Fatalf("%s: weight digests differ", what)
+	}
+	if g, w := memo.m.BlockCounts(), ref.m.BlockCounts(); g != w {
+		t.Fatalf("%s: block counts %+v with the memo, %+v without", what, g, w)
+	}
+	if memo.d.Traffic() != ref.d.Traffic() || memo.d.Lines() != ref.d.Lines() {
+		t.Fatalf("%s: DRAM traffic or line count differs", what)
+	}
+	for a := uint64(0); a < fuzzLines+2; a++ {
+		g, w := memo.d.Peek(a), ref.d.Peek(a)
+		if !bytes.Equal(g, w) || (g == nil) != (w == nil) {
+			t.Fatalf("%s: DRAM line %d is %x with the memo, %x without", what, a, g, w)
+		}
+	}
+}
+
+// FuzzKeystreamMemo drives the differential from fuzz input: an op sequence
+// (see checkKeystreamMemo) and an injector schedule (see runTamper). The seed
+// corpus is committed under testdata/fuzz.
+func FuzzKeystreamMemo(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops, sched []byte) {
+		checkKeystreamMemo(t, ops[:min(len(ops), 64*fuzzOpLen)], sched)
+	})
+}
+
+// TestKeystreamMemoReusesWrites: on a clean write-then-read sequence every
+// read decrypts with the pad its line's write computed, so the memo arm
+// computes one pad per written block and the reference one per pad used.
+func TestKeystreamMemoReusesWrites(t *testing.T) {
+	arm := newMemoArm(t, true, nil)
+	arm.sh.WriteRow(0, 2, 1, 0, fuzzRow(3, 9), arm.ct)
+	for i := uint64(0); i < 3; i++ {
+		arm.sh.ReadStatic(i, 1, 2, 1, uint32(i), true)
+		arm.sh.ReadPartial(i, 2, 1, uint32(i))
+	}
+	arm.sh.ReadInputRun(1, 1, 2, 1, 1, true, 4)
+	arm.sh.ReadStatic(1, 1, 2, 2, 1, false) // another VN: computed
+	arm.m.Merge(arm.sh)
+	if got, want := arm.m.Keystreams(), (Keystreams{Computed: 4, Reused: 7}); got != want {
+		t.Fatalf("pads %+v, want %+v", got, want)
+	}
+}

@@ -66,7 +66,7 @@ func readRunOutcome(t *testing.T, n int, first bool, sched []byte, asRun, helped
 		defer sh.HandBack()
 	}
 	m.BeginLayer(1)
-	sh.WriteBlock(addr, fmap, vn, idx, shardPattern(11))
+	sh.WriteRow(addr, fmap, vn, idx, shardPattern(11), make([]byte, tensor.BlockBytes))
 	m.Merge(sh)
 	m.BeginLayer(2)
 	tap := &runTamper{d: d, n: n, sched: sched}

@@ -1,6 +1,8 @@
 package protect
 
 import (
+	"crypto/subtle"
+
 	"seculator/internal/crypto"
 	"seculator/internal/mac"
 	"seculator/internal/sim"
@@ -33,10 +35,12 @@ type SeculatorShard struct {
 	helper       *macHelper // borrowed; nil hashes every owed MAC inline
 	helperHashed int        // owed MACs the helper hashed, not yet merged
 
-	n BlockCounts // blocks moved, merged into the memory's counts and the DRAM traffic counters
+	n  BlockCounts // blocks moved, merged into the memory's counts and the DRAM traffic counters
+	ks Keystreams  // pads used, merged like n
 
 	ct   [tensor.BlockBytes]byte
 	pt   [tensor.BlockBytes]byte
+	pad  [tensor.BlockBytes]byte // a pad with no memo entry to live in
 	rowh mac.RowHasher
 
 	// ReadInputRun's staging: the line a re-read fetches, compared against
@@ -75,6 +79,29 @@ func (c *BlockCounts) add(o BlockCounts) {
 	c.HostWrites += o.HostWrites
 }
 
+// Keystreams counts the 64-byte CTR pads the shards used: Computed by the
+// engine (every write; a read the memo misses) or Reused from the memo.
+type Keystreams struct{ Computed, Reused int }
+
+// keystream is one line's keystream memo entry: the pad its last shard write
+// computed and the whole counter it is the pad of (DESIGN.md §10).
+type keystream struct {
+	pad [tensor.BlockBytes]byte
+	ctr crypto.Counter
+	set bool
+}
+
+// ReserveKeystreams sizes the memo to lines [0, n) in one allocation (none
+// once it holds n); a memory never reserved computes every pad.
+func (m *SeculatorMemory) ReserveKeystreams(n uint64) {
+	if uint64(len(m.keys)) < n {
+		m.keys = make([]keystream, n)
+	}
+}
+
+// Keystreams returns the pad tallies of every shard merged since New or Recycle.
+func (m *SeculatorMemory) Keystreams() Keystreams { return m.ks }
+
 // Shard creates a view of the memory for one goroutine. Shards are cheap; the
 // secure executor keeps its two for the whole run.
 func (m *SeculatorMemory) Shard() *SeculatorShard {
@@ -82,8 +109,8 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 }
 
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
-// memory: MAC partials and traffic counts reset (hand a borrowed helper back
-// first: HandBack scrubs that helper), the plaintext/ciphertext
+// memory: MAC partials, traffic and pad counts reset (hand a borrowed helper
+// back first: HandBack scrubs that helper), the plaintext/ciphertext/pad
 // staging is zeroed so no block of the previous run survives in pooled
 // scratch, and the hasher is scrubbed in place (it buffers the tail of
 // the last plaintext block it hashed; see mac.RowHasher.Scrub). The
@@ -91,9 +118,10 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 // which Recycle on the parent guarantees is unchanged.
 func (s *SeculatorShard) Recycle() {
 	s.folds, s.helperHashed = macFolds{}, 0
-	s.n = BlockCounts{}
+	s.n, s.ks = BlockCounts{}, Keystreams{}
 	clear(s.ct[:])
 	clear(s.pt[:])
+	clear(s.pad[:])
 	clear(s.runCT[:])
 	clear(s.runPT[:])
 	s.rowh.Scrub()
@@ -104,9 +132,9 @@ func (s *SeculatorShard) Recycle() {
 // partials taken), then per-shard partial MAC banks fold into the current
 // layer's bank (commutative XOR, so the shard order and who hashed what are
 // immaterial), first-read weight MACs into the layer's weight digest, and
-// local transfer counts into the DRAM traffic counters. Must run on the
-// orchestrating goroutine after every merged shard has quiesced; it resets
-// the shards for reuse.
+// local transfer and pad counts into the DRAM traffic counters and the
+// memory's tallies. Must run on the orchestrating goroutine after every
+// merged shard has quiesced; it resets the shards for reuse.
 func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 	for _, s := range shards {
 		if s == nil {
@@ -116,7 +144,8 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 		m.dram.Record(sim.Read, sim.DataTraffic, s.n.Reads())
 		m.dram.Record(sim.Write, sim.DataTraffic, s.n.Writes())
 		m.counts.add(s.n)
-		s.n = BlockCounts{}
+		m.ks = Keystreams{m.ks.Computed + s.ks.Computed, m.ks.Reused + s.ks.Reused}
+		s.n, s.ks = BlockCounts{}, Keystreams{}
 		m.hashing.Borrowed = m.hashing.Borrowed || s.helper != nil
 		m.hashing.Loop += s.folds.hashed
 		m.hashing.Helper += s.helperHashed
@@ -161,12 +190,25 @@ func (m *SeculatorMemory) Registers() (w, r, fr, ir mac.Digest) {
 	return b.W.Value(), b.R.Value(), b.FR.Value(), b.IR.Value()
 }
 
+// readPad returns the pad a read of line addr decrypts with under ctr: the
+// memo's when the line's last write computed it for this very counter (on a
+// clean run, every read's), else one computed into the shard's scratch.
+func (s *SeculatorShard) readPad(addr uint64, ctr crypto.Counter) []byte {
+	if keys := s.parent.keys; addr < uint64(len(keys)) && keys[addr].set && keys[addr].ctr == ctr {
+		s.ks.Reused++
+		return keys[addr].pad[:]
+	}
+	s.ks.Computed++
+	s.engine.Pad(s.pad[:], ctr)
+	return s.pad[:]
+}
+
 // fetch reads and decrypts one block into the shard's plaintext scratch;
 // the caller counts it in its tensor class.
 func (s *SeculatorShard) fetch(addr uint64, layer, fmapID uint32, vn int, blockIdx uint32) []byte {
 	m := s.parent
 	m.dram.ReadBlockQuiet(addr, s.ct[:])
-	s.engine.DecryptBlock(s.pt[:], s.ct[:], m.counter(layer, fmapID, vn, blockIdx))
+	subtle.XORBytes(s.pt[:], s.ct[:], s.readPad(addr, m.counter(layer, fmapID, vn, blockIdx)))
 	return s.pt[:]
 }
 
@@ -206,7 +248,7 @@ func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn 
 		if s.runCT != s.ct {
 			s.owe(ref, block, to, reads)
 			s.ct = s.runCT
-			s.engine.DecryptBlock(s.runPT[:], s.ct[:], m.counter(prevLayer, fmapID, vn, blockIdx))
+			subtle.XORBytes(s.runPT[:], s.ct[:], s.readPad(addr, m.counter(prevLayer, fmapID, vn, blockIdx)))
 			block, to, reads = s.runPT[:], toRepeat, 0
 		}
 		reads++
@@ -241,39 +283,38 @@ func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn i
 	return pt
 }
 
-// WriteBlock is the shard counterpart of SeculatorMemory.WriteBlock.
-func (s *SeculatorShard) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) {
-	m := s.parent
-	s.engine.EncryptBlock(s.ct[:], plaintext, m.counter(m.layer, fmapID, vn, blockIdx))
-	m.dram.WriteBlockQuiet(addr, s.ct[:])
-	s.n.OfmapWrites++
-	s.owe(m.ref(m.layer, fmapID, vn, blockIdx), plaintext, toWrite, 1)
+// storeRow encrypts the n packed blocks of plaintext under counters ctr,
+// ctr+1, … into ct (caller-owned, at least as long), each pad computed into
+// its line's memo entry, stores them at lines addr, addr+1, … and returns n.
+func (s *SeculatorShard) storeRow(addr uint64, ctr crypto.Counter, plaintext, ct []byte) int {
+	n, keys := len(plaintext)/tensor.BlockBytes, s.parent.keys
+	for b := 0; b < n; b++ {
+		pad, a := s.pad[:], addr+uint64(b)
+		if a < uint64(len(keys)) {
+			keys[a].ctr, keys[a].set = ctr, true
+			pad = keys[a].pad[:]
+		}
+		s.engine.Pad(pad, ctr)
+		o := b * tensor.BlockBytes
+		subtle.XORBytes(ct[o:o+tensor.BlockBytes], plaintext[o:o+tensor.BlockBytes], pad)
+		ctr.Block++
+	}
+	s.ks.Computed += n
+	s.parent.dram.WriteRangeQuiet(addr, ct[:n*tensor.BlockBytes])
+	return n
 }
 
 // WriteRow encrypts and stores n consecutive blocks of one fmap row —
 // block indices blockIdx, blockIdx+1, … at line addresses addr, addr+1, …
-// — owing each block's MAC to MAC_W. plaintext
-// holds the n packed blocks; ctScratch is caller-owned ciphertext staging
-// of at least the same size (the batch API never allocates).
+// — owing each block's MAC to MAC_W (storeRow's contract).
 func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
 	m := s.parent
-	n := len(plaintext) / tensor.BlockBytes
-	s.engine.EncryptBlocks(ctScratch, plaintext, m.counter(m.layer, fmapID, vn, blockIdx), n)
-	m.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
+	n := s.storeRow(addr, m.counter(m.layer, fmapID, vn, blockIdx), plaintext, ctScratch)
 	for b := 0; b < n; b++ {
 		o := b * tensor.BlockBytes
 		s.owe(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes], toWrite, 1)
 	}
 	s.n.OfmapWrites += n
-}
-
-// HostWriteBlock is the shard counterpart of SeculatorMemory.HostWriteBlock.
-func (s *SeculatorShard) HostWriteBlock(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
-	m := s.parent
-	s.engine.EncryptBlock(s.ct[:], plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx))
-	m.dram.WriteBlockQuiet(addr, s.ct[:])
-	s.n.HostWrites++
-	return s.rowh.Block(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
 }
 
 // HostSealRow encrypts n consecutive host-owned blocks (model load) into
@@ -288,18 +329,12 @@ func (s *SeculatorShard) HostSealRow(dst []byte, ownerLayer, fmapID uint32, vn i
 	return g
 }
 
-// HostWriteRow is HostSealRow into the caller's scratch, then a store of the
-// n sealed lines at addr, addr+1, ….
+// HostWriteRow seals a row as HostSealRow does, through storeRow — so each
+// line's pad lands in its memo entry — and stores it at addr, addr+1, ….
 func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) mac.Digest {
-	g := s.HostSealRow(ctScratch, ownerLayer, fmapID, vn, blockIdx, plaintext)
-	n := len(plaintext) / tensor.BlockBytes
-	s.parent.dram.WriteRangeQuiet(addr, ctScratch[:n*tensor.BlockBytes])
+	m := s.parent
+	n := s.storeRow(addr, m.counter(ownerLayer, fmapID, vn, blockIdx), plaintext, ctScratch)
 	s.n.HostWrites += n
+	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext[:n*tensor.BlockBytes])
 	return g
-}
-
-// BlockDigest computes the MAC of a plaintext block at a position, like
-// SeculatorMemory.BlockDigest (pure; safe from any goroutine).
-func (s *SeculatorShard) BlockDigest(ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
-	return s.parent.BlockDigest(ownerLayer, fmapID, vn, blockIdx, plaintext)
 }

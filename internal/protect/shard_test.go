@@ -3,6 +3,7 @@ package protect
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -64,6 +65,7 @@ func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 	d := shardTestDRAM(t)
 	d.Reserve(uint64(2 * n))
 	m := NewSeculatorMemory(d, 7, 9)
+	m.ReserveKeystreams(uint64(2 * n)) // shards fill and read distinct memo entries concurrently
 	shards := make([]*SeculatorShard, w)
 	for s := range shards {
 		shards[s] = m.Shard()
@@ -83,8 +85,9 @@ func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 
 	m.BeginLayer(1)
 	fork(func(s int, sh *SeculatorShard) {
+		ct := make([]byte, tensor.BlockBytes)
 		for i := s; i < n; i += w {
-			sh.WriteBlock(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i))
+			sh.WriteRow(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i), ct)
 		}
 	})
 	m.BeginLayer(2)
@@ -100,8 +103,9 @@ func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 		}
 	})
 	fork(func(s int, sh *SeculatorShard) {
+		ct := make([]byte, tensor.BlockBytes)
 		for i := s; i < n; i += w {
-			sh.WriteBlock(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i))
+			sh.WriteRow(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i), ct)
 		}
 	})
 	return d, m
@@ -111,7 +115,8 @@ func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 // path: for worker counts 1, 2 and 8, the four XOR-MAC registers, every
 // ciphertext byte in DRAM, and the traffic totals must be bit-identical to
 // the serial run — commutativity of the XOR fold makes the shard
-// interleaving immaterial.
+// interleaving immaterial — and every read, whichever shard wrote its line,
+// decrypts with the pad that write left in the keystream memo.
 func TestShardedFoldsMatchSerial(t *testing.T) {
 	const n = 100
 	sd, sm := runSerialScript(t, n)
@@ -134,6 +139,9 @@ func TestShardedFoldsMatchSerial(t *testing.T) {
 		}
 		if pd.Lines() != sd.Lines() {
 			t.Fatalf("w=%d: %d lines, serial %d", w, pd.Lines(), sd.Lines())
+		}
+		if got, want := pm.Keystreams(), (Keystreams{Computed: 2 * n, Reused: n + n/5}); got != want {
+			t.Fatalf("w=%d: pads %+v, want %+v", w, got, want)
 		}
 	}
 }
@@ -186,8 +194,9 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 
 // TestShardRecycleScrubsHasher: the shard's hasher buffers the tail of the
 // last plaintext block it MACed inside its SHA-256 state, so Recycle must
-// scrub it like the staging buffers (ReadInputRun's two included) — and keep
-// it, so a pooled run builds none; HandBack does the same for a helper. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
+// scrub it like the staging buffers (ReadInputRun's two and the pad included)
+// — and keep it, so a pooled run builds none; the memory's Recycle zeroes
+// every keystream memo entry; HandBack does the same for a helper. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
 // hasher (mac's own tests decode it); reflect.DeepEqual follows the hasher
 // into that state.
 func TestShardRecycleScrubsHasher(t *testing.T) {
@@ -200,7 +209,7 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	m := NewSeculatorMemory(d, 3, 4)
 	m.BeginLayer(1)
 	sh := m.Shard()
-	sh.WriteBlock(0, 2, 1, 0, shardPattern(1))
+	sh.WriteRow(0, 2, 1, 0, shardPattern(1), make([]byte, tensor.BlockBytes))
 	if reflect.DeepEqual(sh.rowh, scrubbed) {
 		t.Fatal("a used hasher compares equal to a scrubbed one: the comparison sees nothing")
 	}
@@ -210,19 +219,39 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	m.BeginLayer(2)
 	d.SetInjector(&runTamper{d: d, n: 2, sched: []byte{1, 3, 0x40}})
 	sh.ReadInputRun(0, 1, 2, 1, 0, true, 2)
+	// No memo is reserved yet, so every pad went through the shard's scratch.
 	var zero [tensor.BlockBytes]byte
-	if sh.ct == zero || sh.pt == zero || sh.runCT == zero || sh.runPT == zero {
+	if sh.ct == zero || sh.pt == zero || sh.runCT == zero || sh.runPT == zero || sh.pad == zero {
 		t.Fatal("a staging line is still zero before Recycle: the check below sees nothing")
 	}
 	sh.Recycle()
 	if !reflect.DeepEqual(sh.rowh, scrubbed) {
 		t.Fatal("Recycle left the shard's hasher unscrubbed, or dropped it")
 	}
-	if sh.ct != zero || sh.pt != zero || sh.runCT != zero || sh.runPT != zero {
+	if sh.ct != zero || sh.pt != zero || sh.runCT != zero || sh.runPT != zero || sh.pad != zero {
 		t.Fatal("Recycle left block staging behind")
 	}
-	if sh.n != (BlockCounts{}) {
-		t.Fatalf("Recycle left block counts behind: %+v", sh.n)
+	if sh.n != (BlockCounts{}) || sh.ks != (Keystreams{}) {
+		t.Fatalf("Recycle left block or pad counts behind: %+v, %+v", sh.n, sh.ks)
+	}
+
+	// The keystream memo holds a pad and a counter per written line: the
+	// memory's Recycle zeroes every entry and keeps the capacity.
+	const memoLen = 4
+	m.ReserveKeystreams(memoLen)
+	sh.WriteRow(0, 2, 3, 0, make([]byte, 3*tensor.BlockBytes), make([]byte, 3*tensor.BlockBytes))
+	if slices.Contains(m.keys[:3], keystream{}) {
+		t.Fatal("a written line has no memo entry: the check below sees nothing")
+	}
+	m.Merge(sh)
+	if !m.Recycle(d, 3, 4) {
+		t.Fatal("Recycle refused the memory's own identity")
+	}
+	if len(m.keys) != memoLen || slices.ContainsFunc(m.keys, func(k keystream) bool { return k != keystream{} }) {
+		t.Fatal("Recycle left a keystream memo entry behind, or dropped the memo")
+	}
+	if m.Keystreams() != (Keystreams{}) {
+		t.Fatalf("Recycle left pad counts behind: %+v", m.Keystreams())
 	}
 
 	// A borrowed helper keeps plaintext too — a copy of every block in its
@@ -232,7 +261,7 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	h := hs.helper
 	hm.BeginLayer(1)
 	for i := 0; i < batchJobs; i++ {
-		hs.WriteBlock(uint64(i), 2, 1, uint32(i), shardPattern(i))
+		hs.WriteRow(uint64(i), 2, 1, uint32(i), shardPattern(i), make([]byte, tensor.BlockBytes))
 	}
 	awaitHelper(t, h)
 	hm.Merge(hs)
@@ -283,10 +312,10 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 			t.Fatalf("line %d: stored ciphertext differs from the sealed row", i)
 		}
 	}
-	// And both are the per-block host write, block for block.
+	// And both are the one-block host write, block for block.
 	var gb mac.Digest
 	for i := 0; i < n; i++ {
-		gb = gb.Xor(sh.HostWriteBlock(uint64(10+i), 0x8001, 2, 1, uint32(6+i), shardPattern(i)))
+		gb = gb.Xor(sh.HostWriteRow(uint64(10+i), 0x8001, 2, 1, uint32(6+i), shardPattern(i), make([]byte, tensor.BlockBytes)))
 		if !bytes.Equal(d.Peek(uint64(10+i)), d.Peek(uint64(4+i))) {
 			t.Fatalf("line %d: row and per-block host writes differ", i)
 		}

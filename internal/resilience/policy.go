@@ -9,6 +9,12 @@ import (
 // failed layer gets and how the backoff between them grows. Backoff is
 // exponential (Base, 2·Base, 4·Base, …) capped at Max; the wait is
 // context-aware so cancellation and deadlines cut recovery short.
+//
+// A wait is a runtime timer, so a sub-millisecond backoff sleeps to the
+// timer's granularity: on a 2-vCPU Linux x86 VM (go1.24) waits of 100, 200
+// and 400 µs each take ≈ 1.07 ms at the median (EXPERIMENTS E32). The
+// default policy's three retries therefore cost ≈ 3.2 ms of sleep, which
+// is most of a detected-tamper run.
 type Policy struct {
 	MaxRetries int           // re-executions after the first failure (0 disables recovery)
 	Base       time.Duration // first backoff; 0 means no waiting between retries

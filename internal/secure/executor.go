@@ -222,6 +222,10 @@ type Result struct {
 	// beside a detection error.
 	Hashing protect.Hashing
 
+	// Keystream is how many CTR pads the run computed — on a clean run, one
+	// per block written — and reused, summed from the shards like Counts.
+	Keystream protect.Keystreams
+
 	// Recovery reports the detect-and-recover activity of the run: layer
 	// retries performed, layers recovered from transient faults, and
 	// whether a persistent violation latched the breach.
@@ -284,8 +288,9 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	// first-write allocation per line. A pooled DRAM that has
 	// run a network this large already reserves nothing. Reservation is
 	// attacker-invisible, so the two paths stay bit- and
-	// observation-identical.
+	// observation-identical. The keystream memo is sized alike (DESIGN.md §10).
 	dram.Reserve(total)
+	sm.ReserveKeystreams(total)
 
 	// Provisioning. A residency attach installs the pinned, pre-verified
 	// ciphertext by memcpy and marks every layer trusted — no host encrypt,
@@ -382,8 +387,8 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		x.OnLayerMACs(len(states), sm.RegisterSnapshot())
 	}
 	rt.drain() // the loader's shard holds the run's weight host writes until merged
-	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states),
-		Blocks: dram.Lines(), Counts: sm.BlockCounts(), Hashing: sm.Hashing(), Recovery: stats}, nil
+	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states), Blocks: dram.Lines(),
+		Counts: sm.BlockCounts(), Hashing: sm.Hashing(), Keystream: sm.Keystreams(), Recovery: stats}, nil
 }
 
 // residentFor reports whether this run may attach to x.Residency: the

@@ -335,13 +335,15 @@ func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 func (r *layerRun) verifyWeights() error {
 	got := r.sm.WeightDigest()
 	// Fold unread weight blocks host-side (slices of fully padded channel
-	// groups, or resident groups skipped by the mapping's reuse).
+	// groups, or resident groups skipped by the mapping's reuse). Every slice
+	// the mapping touches is decoded by now, so r.w stands in for the host's
+	// copy.
 	wl := r.st.wl
 	l := r.st.layer
 	blk := r.rt.blockBuf[:]
 	for k := 0; k < wl.k; k++ {
 		for cg := 0; cg < wl.cGroups; cg++ {
-			run := weightRun(l, r.wOrig(), k, cg, wl.sliceInts)
+			run := weightRun(l, r.w, k, cg, wl.sliceInts)
 			for j := 0; j < wl.sliceBlocks; j++ {
 				flat := (k*wl.cGroups+cg)*wl.sliceBlocks + j
 				if r.wTouched[flat] {
@@ -357,11 +359,6 @@ func (r *layerRun) verifyWeights() error {
 	}
 	return nil
 }
-
-// wOrig returns the decoded weights — by the time verifyWeights runs every
-// slice the mapping touches has been decoded, and untouched slices are
-// only host-folded, so the decoded tensor stands in for the host's copy.
-func (r *layerRun) wOrig() *nn.Weights { return r.w }
 
 // unreadExternal folds the MACs of producer blocks this layer never read —
 // the host-assisted external term of the producer's Equation 1 check.

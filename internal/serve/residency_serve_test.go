@@ -113,6 +113,17 @@ func TestResidencyHitOverHTTP(t *testing.T) {
 	if withInput.OutputSum == first.OutputSum {
 		t.Fatal("distinct input produced the cached output")
 	}
+	// The resident path builds its input only from the seed when the request
+	// carries none; a request's own input is the whole of it.
+	ref, ws := seculator.RandomModel(net, 3)
+	copy(ref.Data, in)
+	golden, err := seculator.ReferenceInference(net, ref, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withInput.OutputSum != serve.OutputSum(golden) {
+		t.Fatalf("resident checksum with an input %#x, reference %#x", withInput.OutputSum, serve.OutputSum(golden))
+	}
 }
 
 // TestBreachDropsTenantResidencyEpoch: a command-channel breach moves the

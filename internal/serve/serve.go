@@ -761,7 +761,9 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 			ws = resident.Weights()
 			first := net.Layers[0]
 			in = nn.NewTensor(first.C, first.H, first.W)
-			in.Randomize(req.Seed)
+			if len(req.Input) == 0 { // a request's input, validated to full length, overwrites every value
+				in.Randomize(req.Seed)
+			}
 		}
 	}
 	if in == nil {
