@@ -49,6 +49,25 @@ func (l Layout) Addr(tile, block int) uint64 {
 // the MidLayer hook.
 type Mutator func(d *mem.DRAM, l Layout)
 
+// scenarioMemory builds a scenario's Seculator memory laid out as
+// secure.Executor lays out a run: DRAM slab and keystream memo reserved for
+// every line before the first write, so the scenario crosses both.
+func scenarioMemory(s Scenario) (*mem.DRAM, *protect.SeculatorMemory, Layout, error) {
+	layout := Layout{Base: 0, Tiles: s.Tiles, BlocksPerTile: s.BlocksPerTile, FinalVN: s.Versions}
+	if s.Tiles <= 0 || s.BlocksPerTile <= 0 {
+		return nil, nil, layout, fmt.Errorf("attack: degenerate scenario %+v", s)
+	}
+	dram, err := mem.New(mem.DefaultConfig())
+	if err != nil {
+		return nil, nil, layout, err
+	}
+	lines := layout.Addr(s.Tiles, 0)
+	dram.Reserve(lines)
+	sm := protect.NewSeculatorMemory(dram, s.Secret, s.BootRandom)
+	sm.ReserveKeystreams(lines)
+	return dram, sm, layout, nil
+}
+
 // RunSeculator executes two layers functionally on the Seculator memory:
 // layer 1 writes every tile `Versions` times (reading back each non-final
 // partial, as the dataflows guarantee), then layer 2 first-reads all final
@@ -59,22 +78,12 @@ type Mutator func(d *mem.DRAM, l Layout)
 // The returned error is nil for honest executions and wraps
 // mac.ErrIntegrity when the verification catches the attacker.
 func RunSeculator(s Scenario, midLayer, mutate Mutator) error {
-	if s.Tiles <= 0 || s.Versions <= 0 || s.BlocksPerTile <= 0 {
+	if s.Versions <= 0 {
 		return fmt.Errorf("attack: degenerate scenario %+v", s)
 	}
-	dram, err := mem.New(mem.DefaultConfig())
+	dram, sm, layout, err := scenarioMemory(s)
 	if err != nil {
 		return err
-	}
-	sm := protect.NewSeculatorMemory(dram, s.Secret, s.BootRandom)
-	layout := Layout{Base: 0, Tiles: s.Tiles, BlocksPerTile: s.BlocksPerTile, FinalVN: s.Versions}
-
-	plain := func(tile, vn, block int) []byte {
-		b := make([]byte, tensor.BlockBytes)
-		for i := range b {
-			b[i] = byte(tile*31 + vn*7 + block*3 + i)
-		}
-		return b
 	}
 
 	// Layer 1: partial-sum write/read/update cycles, in-place per tile.
@@ -86,7 +95,7 @@ func RunSeculator(s Scenario, midLayer, mutate Mutator) error {
 				if vn > 1 {
 					sm.ReadPartial(addr, uint32(tile), vn-1, uint32(block))
 				}
-				sm.WriteBlock(addr, uint32(tile), vn, uint32(block), plain(tile, vn, block))
+				sm.WriteBlock(addr, uint32(tile), vn, uint32(block), scenarioPlain(tile, vn, block))
 			}
 		}
 		if vn == 1 && midLayer != nil {
@@ -113,12 +122,10 @@ func RunSeculator(s Scenario, midLayer, mutate Mutator) error {
 // the ciphertext leaks the plaintext (equality) and the byte-value
 // histogram of all ciphertext, for entropy analysis.
 func Eavesdrop(s Scenario) (leaks int, histogram [256]int, err error) {
-	dram, err := mem.New(mem.DefaultConfig())
+	dram, sm, layout, err := scenarioMemory(s)
 	if err != nil {
 		return 0, histogram, err
 	}
-	sm := protect.NewSeculatorMemory(dram, s.Secret, s.BootRandom)
-	layout := Layout{Base: 0, Tiles: s.Tiles, BlocksPerTile: s.BlocksPerTile, FinalVN: s.Versions}
 
 	sm.BeginLayer(1)
 	for tile := 0; tile < s.Tiles; tile++ {

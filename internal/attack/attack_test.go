@@ -1,13 +1,17 @@
 package attack
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/npu"
+	"seculator/internal/protect"
+	"seculator/internal/sim"
 	"seculator/internal/widen"
 	"seculator/internal/workload"
 )
@@ -21,6 +25,10 @@ func TestHonestExecutionVerifies(t *testing.T) {
 func TestDegenerateScenarioRejected(t *testing.T) {
 	if err := RunSeculator(Scenario{}, nil, nil); err == nil {
 		t.Fatal("degenerate scenario accepted")
+	}
+	// A negative shape would reserve a wrapped-around line count.
+	if _, _, err := Eavesdrop(Scenario{Tiles: -1, BlocksPerTile: 4, Versions: 1}); err == nil {
+		t.Fatal("Eavesdrop accepted a negative tile count")
 	}
 }
 
@@ -126,6 +134,60 @@ func TestEavesdropLearnsNothing(t *testing.T) {
 		if float64(c) > 4*expected+8 {
 			t.Fatalf("byte value %#x appears %d times (expected ~%.0f): ciphertext is biased", v, c, expected)
 		}
+	}
+}
+
+// TestEavesdropPinned pins what the snooper sees, bit for bit: the leak count
+// and a digest of the ciphertext byte histogram of the default scenario and
+// of the 16×16 one. Both are pure functions of the pads, so a change to the
+// write path that moved any ciphertext byte moves a digest.
+func TestEavesdropPinned(t *testing.T) {
+	for _, c := range []struct {
+		tiles, perTile int
+		hist           string
+	}{
+		{4, 4, "6226ed3dbd3d50cf9f164be2c90b3e271bf5f4bf4ecacf248e7278fdc79c01a6"},
+		{16, 16, "1ef324ef4fb1e744c096d1d981a7ac7b4cecb313a2e8202fc2c0e0b2ba47542f"},
+	} {
+		s := DefaultScenario()
+		s.Tiles, s.BlocksPerTile = c.tiles, c.perTile
+		leaks, hist, err := Eavesdrop(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(hist)))); leaks != 0 || got != c.hist {
+			t.Errorf("%d×%d: %d leaks, histogram digest %s, want 0 and %s", c.tiles, c.perTile, leaks, got, c.hist)
+		}
+	}
+}
+
+// TestScenarioRunsOnTheExecutorLayout: a scenario's memory has every line it
+// writes reserved, DRAM and keystream memo alike, before its first write —
+// so each final read decrypts with the pad its write computed, and the
+// scenario's traffic is one data block per write and per read.
+func TestScenarioRunsOnTheExecutorLayout(t *testing.T) {
+	s := DefaultScenario()
+	var traffic mem.TrafficStats
+	if err := RunSeculator(s, nil, func(d *mem.DRAM, l Layout) { traffic = d.Traffic() }); err != nil {
+		t.Fatal(err)
+	}
+	lines := s.Tiles * s.BlocksPerTile
+	if w, r := traffic.WriteBlocks[sim.DataTraffic], traffic.ReadBlocks[sim.DataTraffic]; w != uint64(s.Versions*lines) || r != uint64((s.Versions-1)*lines) {
+		t.Fatalf("layer 1 moved %d writes and %d partial reads, want %d and %d", w, r, s.Versions*lines, (s.Versions-1)*lines)
+	}
+	dram, sm, _, err := scenarioMemory(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.BeginLayer(1)
+	sm.WriteBlock(uint64(lines-1), 0, 1, 0, scenarioPlain(0, 1, 0))
+	sm.BeginLayer(2)
+	sm.ReadInput(uint64(lines-1), 1, 0, 1, 0, true)
+	if dram.Lines() != 1 || dram.Peek(uint64(lines)) != nil {
+		t.Fatal("the scenario's lines are not where its layout puts them")
+	}
+	if got, want := sm.Keystreams(), (protect.Keystreams{Computed: 1, Reused: 1}); got != want {
+		t.Fatalf("pads %+v, want %+v: the scenario's last line has no memo entry", got, want)
 	}
 }
 

@@ -55,8 +55,8 @@ func TestDetectionMatrix(t *testing.T) {
 					t.Errorf("Baseline/%s: attack should corrupt data silently", atk)
 				}
 			default:
-				if !res.Detected {
-					t.Errorf("%s/%s: attack not detected (corrupted=%v)", d, atk, res.Corrupted)
+				if !res.Detected || res.Corrupted {
+					t.Errorf("%s/%s: attack not detected, or corrupted data delivered: %+v", d, atk, res)
 				}
 			}
 		}

@@ -321,9 +321,11 @@ func macRegisterTrial(seed int64) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	sm := protect.NewSeculatorMemory(dram, 0x5ec0_1a70, uint64(seed)|1)
-
+	// The executor's layout: every line the trial writes reserved up front.
 	const tiles, blocks = 2, 2
+	dram.Reserve(tiles * blocks)
+	sm := protect.NewSeculatorMemory(dram, 0x5ec0_1a70, uint64(seed)|1)
+	sm.ReserveKeystreams(tiles * blocks)
 	plain := func(tile, blk int) []byte {
 		b := make([]byte, 64)
 		for i := range b {

@@ -3,7 +3,10 @@ package fault
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"seculator/internal/mem"
@@ -245,6 +248,24 @@ func TestCampaignOutcomes(t *testing.T) {
 	if detected == 0 {
 		t.Fatal("no Seculator trial detected anything; campaign exercised nothing")
 	}
+
+	// And the seeded outcomes themselves are pinned, point by point.
+	want := []Outcome{
+		{Runs: 2, Benign: 1, Clean: 1},    // bit-flip, Baseline
+		{Runs: 2, Recovered: 1, Clean: 1}, // bit-flip, Seculator
+		{Runs: 2, FalseNegative: 1, Benign: 1},
+		{Runs: 2, Aborted: 2},
+		{Runs: 2, Benign: 2},
+		{Runs: 2, Recovered: 2},
+		{Runs: 2, FalseNegative: 2},
+		{Runs: 2, Clean: 2},
+		{Runs: 2, Recovered: 2}, // mac-register, Seculator
+	}
+	for i, p := range points {
+		if p.Outcome != want[i] {
+			t.Errorf("%s/%s: %+v, pinned %+v", p.Design, p.Fault, p.Outcome, want[i])
+		}
+	}
 }
 
 func TestCampaignDeterministic(t *testing.T) {
@@ -271,7 +292,14 @@ func TestCampaignDeterministic(t *testing.T) {
 			t.Fatalf("point %d differs across identical runs:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
+	if want := (Outcome{Runs: 2, Recovered: 2}); a[0].Outcome != want {
+		t.Fatalf("seed 7: %+v, pinned %+v", a[0].Outcome, want)
+	}
 }
+
+// defaultCampaignDigest is the SHA-256 of DefaultCampaign's points at one
+// trial each, printed one "%+v" per line.
+const defaultCampaignDigest = "029597f67345141127d081da627561a4838e4c3a03ce208131ca83d6e6f13574"
 
 func TestDefaultCampaignRuns(t *testing.T) {
 	if testing.Short() {
@@ -285,6 +313,14 @@ func TestDefaultCampaignRuns(t *testing.T) {
 	}
 	if len(points) == 0 {
 		t.Fatal("default campaign produced no points")
+	}
+	// Every point's outcome is pinned by a digest of the whole sweep.
+	var all strings.Builder
+	for _, p := range points {
+		fmt.Fprintf(&all, "%+v\n", p)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256([]byte(all.String()))), defaultCampaignDigest; got != want {
+		t.Errorf("default campaign outcomes moved: digest %s, pinned %s\n%s", got, want, all.String())
 	}
 	for _, p := range points {
 		if p.Design == protect.Seculator && p.Outcome.FalseNegative != 0 {

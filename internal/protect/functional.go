@@ -6,15 +6,15 @@ import (
 	"seculator/internal/crypto"
 	"seculator/internal/mac"
 	"seculator/internal/mem"
-	"seculator/internal/tensor"
 )
 
 // SeculatorMemory is the functional counterpart of the Seculator timing
 // engine: it really encrypts blocks with the paper's AES-CTR counter layout
 // (Section 6.3), really folds per-block SHA-256 MACs into the XOR-MAC
 // registers (Section 6.4), and really runs the Equation 1 layer check —
-// against a DRAM whose contents an attacker can mutate at will. It backs
-// the attack-detection test suite and the attackdemo example.
+// against a DRAM whose contents an attacker can mutate at will. Every block
+// goes through a SeculatorShard (shard.go): the executor's, or the memory's
+// own for the serial API below, which the attack and fault harnesses call.
 type SeculatorMemory struct {
 	dram    *mem.DRAM
 	engine  *crypto.CTREngine
@@ -26,8 +26,8 @@ type SeculatorMemory struct {
 	started bool
 
 	// counts is what the merged shards moved, hashing who hashed their MACs
-	// and ks their pads (Merge); the serial API below records straight into
-	// the DRAM's traffic counters and leaves all three alone.
+	// and ks their pads (Merge) — serial calls included, since each merges
+	// the memory's own shard.
 	counts  BlockCounts
 	hashing Hashing
 	ks      Keystreams
@@ -35,12 +35,9 @@ type SeculatorMemory struct {
 	weights mac.Digest
 	keys    []keystream // the shards' keystream memo, one entry per line (shard.go)
 
-	// ct is the reusable ciphertext staging buffer: DRAM copies payloads
-	// on write and into the caller's dst on read, so the block only lives
-	// here transiently. One buffer per memory keeps the per-block path
-	// allocation-free; like its crypto engine, a SeculatorMemory is
-	// single-goroutine by contract.
-	ct [tensor.BlockBytes]byte
+	// own is the serial API's shard, built on its first call: executor runs
+	// never build one. Like the shard, the serial API is single-goroutine.
+	own *SeculatorShard
 }
 
 // NewSeculatorMemory builds the functional secure memory. secret is the
@@ -59,7 +56,7 @@ func NewSeculatorMemory(d *mem.DRAM, secret, bootRandom uint64) *SeculatorMemory
 // alive. It reports false (and changes nothing) when the requested
 // (secret, bootRandom) differ from the ones the engine was keyed with:
 // a pooled memory must never be rebound to a different key, so the caller
-// then builds a fresh one. The ciphertext staging and every keystream memo
+// then builds a fresh one. The own shard, if any, and every keystream memo
 // entry are scrubbed; the caller owns scrubbing the DRAM it passed in.
 func (m *SeculatorMemory) Recycle(d *mem.DRAM, secret, bootRandom uint64) bool {
 	if secret != m.secret || bootRandom != m.random {
@@ -70,7 +67,9 @@ func (m *SeculatorMemory) Recycle(d *mem.DRAM, secret, bootRandom uint64) bool {
 	m.layer = 0
 	m.started = false
 	m.counts, m.hashing, m.ks, m.weights = BlockCounts{}, Hashing{}, Keystreams{}, mac.Digest{}
-	clear(m.ct[:])
+	if m.own != nil {
+		m.own.Recycle()
+	}
 	clear(m.keys)
 	return true
 }
@@ -112,72 +111,49 @@ func (m *SeculatorMemory) ref(layer, fmapID uint32, vn int, blockIdx uint32) mac
 	return mac.BlockRef{Secret: m.secret, Layer: layer, Fmap: fmapID, VN: uint32(vn), Index: blockIdx}
 }
 
-// WriteBlock encrypts plaintext under the current layer's identity and the
-// given (fmap, vn, index) position, stores it to DRAM, and folds its MAC
-// into MAC_W.
-func (m *SeculatorMemory) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) {
+// serial returns the memory's own shard, building it on first use.
+func (m *SeculatorMemory) serial() *SeculatorShard {
 	m.mustStart()
-	m.engine.EncryptBlock(m.ct[:], plaintext, m.counter(m.layer, fmapID, vn, blockIdx))
-	m.dram.WriteBlock(addr, m.ct[:], 0)
-	m.checker.OnWrite(mac.BlockMAC(m.ref(m.layer, fmapID, vn, blockIdx), plaintext))
+	if m.own == nil {
+		m.own = m.Shard()
+	}
+	return m.own
+}
+
+// WriteBlock encrypts one 64-byte plaintext block under the current layer's
+// identity and the given (fmap, vn, index) position, stores it to DRAM, and
+// folds its MAC into MAC_W.
+func (m *SeculatorMemory) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) {
+	s := m.serial()
+	s.WriteRow(addr, fmapID, vn, blockIdx, plaintext, s.ct[:])
+	m.Merge(s)
 }
 
 // ReadPartial fetches and decrypts a partial ofmap block written earlier in
-// this layer, folding its MAC into MAC_R.
+// this layer, folding its MAC into MAC_R. The returned slice is the own
+// shard's scratch, valid until the memory's next call.
 func (m *SeculatorMemory) ReadPartial(addr uint64, fmapID uint32, vn int, blockIdx uint32) []byte {
-	m.mustStart()
-	pt := m.fetch(addr, m.layer, fmapID, vn, blockIdx)
-	m.checker.OnPartialRead(mac.BlockMAC(m.ref(m.layer, fmapID, vn, blockIdx), pt))
+	s := m.serial()
+	pt := s.ReadPartial(addr, fmapID, vn, blockIdx)
+	m.Merge(s)
 	return pt
 }
 
 // ReadInput fetches and decrypts an ifmap block produced by prevLayer at
 // version vn. first marks the block's first touch this layer (MAC_FR);
-// repeats fold into MAC_IR only.
+// repeats fold into MAC_IR only. The slice is valid as ReadPartial's.
 func (m *SeculatorMemory) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
-	m.mustStart()
-	pt := m.fetch(addr, prevLayer, fmapID, vn, blockIdx)
-	d := mac.BlockMAC(m.ref(prevLayer, fmapID, vn, blockIdx), pt)
-	if first {
-		m.checker.OnFirstRead(d)
-	} else {
-		m.checker.OnRepeatRead(d)
-	}
+	s := m.serial()
+	pt := s.ReadInput(addr, prevLayer, fmapID, vn, blockIdx, first)
+	m.Merge(s)
 	return pt
-}
-
-// ReadStatic fetches and decrypts a block without touching the layer MAC
-// registers — the path for read-only data (weights) whose integrity is
-// checked against a host-provided golden XOR-MAC by the caller. The block's
-// MAC is returned alongside the plaintext for that fold.
-func (m *SeculatorMemory) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32) ([]byte, mac.Digest) {
-	pt := m.fetch(addr, ownerLayer, fmapID, vn, blockIdx)
-	return pt, mac.BlockMAC(m.ref(ownerLayer, fmapID, vn, blockIdx), pt)
-}
-
-// HostWriteBlock encrypts and stores a block on behalf of the host (model
-// load: weights, layer-0 inputs) under an arbitrary owner layer ID, without
-// touching the NPU's MAC registers. It returns the block's MAC so the host
-// can accumulate golden digests.
-func (m *SeculatorMemory) HostWriteBlock(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
-	m.engine.EncryptBlock(m.ct[:], plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx))
-	m.dram.WriteBlock(addr, m.ct[:], 0)
-	return mac.BlockMAC(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
 }
 
 // BlockDigest computes the MAC of a plaintext block at a position — the
 // host-side helper for golden digests and external (host-consumed) folds.
+// It is pure: no register, count or DRAM line changes.
 func (m *SeculatorMemory) BlockDigest(ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
 	return mac.BlockMAC(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
-}
-
-func (m *SeculatorMemory) fetch(addr uint64, layer, fmapID uint32, vn int, blockIdx uint32) []byte {
-	m.dram.ReadBlock(addr, m.ct[:], 0)
-	// The plaintext is returned to the caller and must survive the next
-	// fetch: it is the one allocation left on this path.
-	pt := make([]byte, tensor.BlockBytes)
-	m.engine.DecryptBlock(pt, m.ct[:], m.counter(layer, fmapID, vn, blockIdx))
-	return pt
 }
 
 // VerifyPreviousLayer runs the Equation 1 check for the layer before the
@@ -218,24 +194,13 @@ type RegisterState struct {
 }
 
 // RegisterSnapshot captures the current bank's four XOR-MAC registers with
-// their fold counts (Registers returns the values alone).
+// their fold counts.
 func (m *SeculatorMemory) RegisterSnapshot() RegisterState {
 	b := m.checker.Current()
 	return RegisterState{
 		W: b.W.Value(), R: b.R.Value(), FR: b.FR.Value(), IR: b.IR.Value(),
 		WFolds: b.W.Folds(), RFolds: b.R.Folds(), FRFolds: b.FR.Folds(), IRFolds: b.IR.Folds(),
 	}
-}
-
-// GoldenInputMAC computes the XOR-MAC a host would supply for data it wrote
-// itself: the fold of the block MACs of `blocks` plaintext blocks written
-// under (layer, fmapID) with the given vn, at consecutive block indices.
-func (m *SeculatorMemory) GoldenInputMAC(layer, fmapID uint32, vn int, blocks [][]byte) mac.Digest {
-	var g mac.Digest
-	for i, b := range blocks {
-		g = g.Xor(mac.BlockMAC(m.ref(layer, fmapID, vn, uint32(i)), b))
-	}
-	return g
 }
 
 func (m *SeculatorMemory) mustStart() {

@@ -3,6 +3,7 @@ package protect
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"seculator/internal/mac"
@@ -83,28 +84,29 @@ func TestSeculatorMemoryDetectsTamper(t *testing.T) {
 	}
 }
 
+// TestSeculatorMemoryGoldenHelpers: the host's golden digest is the fold of
+// BlockDigest over the blocks it loaded, whether the load's row seal computed
+// it or the host folds it itself; a first weight read folds the same MAC into
+// the weight digest, and first input reads verify against the golden.
 func TestSeculatorMemoryGoldenHelpers(t *testing.T) {
 	sm, _ := newSecMem(t)
 	blocks := [][]byte{plainBlock(1), plainBlock(2)}
 	var want mac.Digest
 	for i, b := range blocks {
-		d := sm.HostWriteBlock(uint64(100+i), 0, 5, 1, uint32(i), b)
-		want = want.Xor(d)
-		if d != sm.BlockDigest(0, 5, 1, uint32(i), b) {
-			t.Fatal("HostWriteBlock digest != BlockDigest")
-		}
+		want = want.Xor(sm.BlockDigest(0, 5, 1, uint32(i), b))
 	}
-	if g := sm.GoldenInputMAC(0, 5, 1, blocks); g != want {
-		t.Fatal("GoldenInputMAC mismatch")
+	sh := sm.Shard()
+	row := slices.Concat(blocks...)
+	if g := sh.HostWriteRow(100, 0, 5, 1, 0, row, make([]byte, len(row))); g != want {
+		t.Fatal("HostWriteRow's golden digest is not the fold of BlockDigest")
 	}
-	// ReadStatic round-trips and returns the matching digest.
 	sm.BeginLayer(1)
-	pt, d := sm.ReadStatic(100, 0, 5, 1, 0)
-	if !bytes.Equal(pt, blocks[0]) {
+	if pt := sh.ReadStatic(100, 0, 5, 1, 0, true); !bytes.Equal(pt, blocks[0]) {
 		t.Fatal("ReadStatic plaintext mismatch")
 	}
-	if d != sm.BlockDigest(0, 5, 1, 0, blocks[0]) {
-		t.Fatal("ReadStatic digest mismatch")
+	sm.Merge(sh)
+	if sm.WeightDigest() != sm.BlockDigest(0, 5, 1, 0, blocks[0]) {
+		t.Fatal("a first weight read folded something other than its BlockDigest")
 	}
 	// Golden input verification through the checker.
 	sm.ReadInput(100, 0, 5, 1, 0, true)
@@ -134,6 +136,86 @@ func TestSeculatorMemoryMustStart(t *testing.T) {
 		}
 	}()
 	sm.WriteBlock(0, 0, 1, 0, plainBlock(0))
+}
+
+// TestRowsMustBeWholeBlocks: every write path takes whole 64-byte blocks and
+// panics on anything else, rather than storing and MACing the whole blocks
+// of a short row and dropping its tail; WriteBlock takes exactly one.
+func TestRowsMustBeWholeBlocks(t *testing.T) {
+	writes := map[string]func(sm *SeculatorMemory, sh *SeculatorShard, pt []byte){
+		"WriteBlock": func(sm *SeculatorMemory, _ *SeculatorShard, pt []byte) { sm.WriteBlock(0, 0, 1, 0, pt) },
+		"WriteRow": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
+			sh.WriteRow(0, 0, 1, 0, pt, make([]byte, 2*tensor.BlockBytes))
+		},
+		"HostWriteRow": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
+			sh.HostWriteRow(0, 0, 0, 1, 0, pt, make([]byte, 2*tensor.BlockBytes))
+		},
+		"HostSealRow": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
+			sh.HostSealRow(make([]byte, 2*tensor.BlockBytes), 0, 0, 1, 0, pt)
+		},
+	}
+	for name, write := range writes {
+		for _, n := range []int{0, 63, 100, 64, 128} {
+			sm, d := newSecMem(t)
+			sm.BeginLayer(1)
+			sh := sm.Shard()
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				write(sm, sh, make([]byte, n))
+				return false
+			}()
+			// WriteBlock takes one block: its ciphertext room is one line.
+			want := n == 0 || n%tensor.BlockBytes != 0 || (name == "WriteBlock" && n != tensor.BlockBytes)
+			if panicked != want {
+				t.Errorf("%s of %d bytes: panicked %v, want %v", name, n, panicked, want)
+			}
+			if sm.Merge(sh); panicked && (d.Lines() != 0 || sm.BlockCounts() != (BlockCounts{}) || sm.RegisterSnapshot() != (RegisterState{})) {
+				t.Errorf("%s of %d bytes stored, counted or folded something before panicking", name, n)
+			}
+		}
+	}
+}
+
+// TestSerialCallsAreCounted: each serial call merges the memory's own shard,
+// so the attack scenario's shape — every tile written Versions times, each
+// non-final version read back as a partial, the finals first-read by the
+// next layer — shows up block for block in BlockCounts, the pad and hashing
+// tallies, and the DRAM's data traffic.
+func TestSerialCallsAreCounted(t *testing.T) {
+	const tiles, versions, perTile = 4, 3, 4
+	const lines = tiles * perTile
+	sm, d := newSecMem(t)
+	d.Reserve(lines)
+	sm.ReserveKeystreams(lines)
+	sm.BeginLayer(1)
+	for vn := 1; vn <= versions; vn++ {
+		for a := 0; a < lines; a++ {
+			if vn > 1 {
+				sm.ReadPartial(uint64(a), uint32(a/perTile), vn-1, uint32(a%perTile))
+			}
+			sm.WriteBlock(uint64(a), uint32(a/perTile), vn, uint32(a%perTile), plainBlock(byte(vn*a)))
+		}
+	}
+	sm.BeginLayer(2)
+	for a := 0; a < lines; a++ {
+		sm.ReadInput(uint64(a), 1, uint32(a/perTile), versions, uint32(a%perTile), true)
+	}
+	if err := sm.VerifyPreviousLayer(mac.Digest{}); err != nil {
+		t.Fatal(err)
+	}
+	want := BlockCounts{OfmapWrites: versions * lines, PartialReads: (versions - 1) * lines, IfmapFirst: lines}
+	if got := sm.BlockCounts(); got != want {
+		t.Fatalf("block counts %+v, want %+v", got, want)
+	}
+	if got, want := d.Traffic(), (mem.TrafficStats{ReadBlocks: [6]uint64{48}, WriteBlocks: [6]uint64{48}}); got != want {
+		t.Fatalf("traffic %+v, want %+v", got, want)
+	}
+	if got, want := sm.Keystreams(), (Keystreams{Computed: 48, Reused: 48}); got != want {
+		t.Fatalf("pads %+v, want %+v: every read decrypts with its line's last write's", got, want)
+	}
+	if got, want := sm.Hashing(), (Hashing{Loop: 96}); got != want {
+		t.Fatalf("hashing %+v, want %+v", got, want)
+	}
 }
 
 func TestSeculatorFunctionalAdapter(t *testing.T) {

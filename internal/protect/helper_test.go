@@ -11,7 +11,7 @@ import (
 	"seculator/internal/tensor"
 )
 
-// borrowedShard returns a shard of a fresh memory (runSerialScript's crypto
+// borrowedShard returns a shard of a fresh memory (runBlockScript's crypto
 // identity, lines reserved) with a helper borrowed,
 // at GOMAXPROCS >= 2 (restored by t.Cleanup), where Borrow may start one.
 func borrowedShard(t *testing.T, lines int) (*SeculatorMemory, *SeculatorShard) {
@@ -43,7 +43,8 @@ func awaitHelper(t *testing.T, h *macHelper) {
 	}
 }
 
-// writeScript is layer 1 of runSerialScript: n blocks written.
+// writeScript is layer 1 of runBlockScript, through a shard: n blocks
+// written at lines i%64.
 func writeScript(m *SeculatorMemory, sh *SeculatorShard, n int) RegisterState {
 	m.BeginLayer(1)
 	ct := make([]byte, tensor.BlockBytes)
@@ -57,12 +58,12 @@ func writeScript(m *SeculatorMemory, sh *SeculatorShard, n int) RegisterState {
 // TestHelperFoldsMatchSerial: the reference script through a shard with a
 // helper — the ring overrun several times, so the loop hashes some MACs
 // inline, the helper some and the drain the rest — folds exactly what the
-// serial API folds, registers and fold counts, and every owed MAC is hashed
-// once, by someone.
+// per-block reference folds, registers and fold counts, and every owed MAC
+// is hashed once, by someone.
 func TestHelperFoldsMatchSerial(t *testing.T) {
 	const n = 5 * ringJobs
-	_, sm := runSerialScript(t, n)
-	want := sm.RegisterSnapshot()
+	_, ref := runReferenceScript(t, n)
+	want := ref.RegisterSnapshot()
 
 	m, sh := borrowedShard(t, 2*n)
 	ct := make([]byte, tensor.BlockBytes)
@@ -128,14 +129,12 @@ func TestHelperPanicSurfacesAtDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the next borrower: %v", err)
 	}
-	d := shardTestDRAM(t)
-	d.Reserve(64)
-	m := NewSeculatorMemory(d, 7, 9)
-	m.BeginLayer(1)
-	for i := 0; i < batchJobs; i++ {
-		m.WriteBlock(uint64(i), 2, 1, uint32(i), shardPattern(i))
+	ref := newRefMemory(shardTestDRAM(t), 7, 9)
+	ref.BeginLayer(1)
+	for i := 0; i < 3*ringJobs; i++ {
+		ref.WriteBlock(uint64(i%64), uint32(i%3), 1, uint32(i), shardPattern(i))
 	}
-	if want := writeScript(m, m.Shard(), 3*ringJobs); got != want {
+	if want := ref.RegisterSnapshot(); got != want {
 		t.Fatalf("after a helper panic\n got %+v\nwant %+v", got, want)
 	}
 }

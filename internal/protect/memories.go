@@ -26,7 +26,8 @@ type FunctionalMemory interface {
 	Write(addr uint64, fmap uint32, vn int, idx uint32, plaintext []byte)
 	// Read fetches the block written by ownerLayer at version vn. first
 	// marks the block's first touch this layer (Seculator's MAC_FR path).
-	// Per-block designs return an integrity error immediately.
+	// Per-block designs return an integrity error immediately. The block
+	// may alias the memory's scratch: it is valid until the next call.
 	Read(addr uint64, ownerLayer, fmap uint32, vn int, idx uint32, first bool) ([]byte, error)
 	// EndLayer closes the epoch: Seculator verifies the previous layer.
 	EndLayer() error
@@ -373,10 +374,7 @@ func (m *GuardNNMemory) EndLayer() error { return nil }
 // SeculatorFunctional adapts SeculatorMemory to the FunctionalMemory
 // interface: reads never fail individually; EndLayer runs the Equation 1
 // verification for the previous layer.
-type SeculatorFunctional struct {
-	inner *SeculatorMemory
-	layer uint32
-}
+type SeculatorFunctional struct{ inner *SeculatorMemory }
 
 // NewSeculatorFunctional wraps a SeculatorMemory.
 func NewSeculatorFunctional(d *mem.DRAM, secret, random uint64) *SeculatorFunctional {
@@ -387,10 +385,7 @@ func NewSeculatorFunctional(d *mem.DRAM, secret, random uint64) *SeculatorFuncti
 func (m *SeculatorFunctional) DesignName() Design { return Seculator }
 
 // BeginLayer implements FunctionalMemory.
-func (m *SeculatorFunctional) BeginLayer(l uint32) {
-	m.layer = l
-	m.inner.BeginLayer(l)
-}
+func (m *SeculatorFunctional) BeginLayer(l uint32) { m.inner.BeginLayer(l) }
 
 // Write implements FunctionalMemory.
 func (m *SeculatorFunctional) Write(addr uint64, fmap uint32, vn int, idx uint32, pt []byte) {
@@ -400,7 +395,7 @@ func (m *SeculatorFunctional) Write(addr uint64, fmap uint32, vn int, idx uint32
 // Read implements FunctionalMemory: in-layer reads are partial-sum reads,
 // cross-layer reads are input reads; detection is deferred to EndLayer.
 func (m *SeculatorFunctional) Read(addr uint64, ownerLayer, fmap uint32, vn int, idx uint32, first bool) ([]byte, error) {
-	if ownerLayer == m.layer {
+	if ownerLayer == m.inner.layer {
 		return m.inner.ReadPartial(addr, fmap, vn, idx), nil
 	}
 	return m.inner.ReadInput(addr, ownerLayer, fmap, vn, idx, first), nil
@@ -409,7 +404,7 @@ func (m *SeculatorFunctional) Read(addr uint64, ownerLayer, fmap uint32, vn int,
 // EndLayer implements FunctionalMemory: with at least two layer epochs in
 // flight, run the deferred Equation 1 check for the previous layer.
 func (m *SeculatorFunctional) EndLayer() error {
-	if m.layer < 2 {
+	if m.inner.layer < 2 {
 		return nil
 	}
 	return m.inner.VerifyPreviousLayer(mac.Digest{})

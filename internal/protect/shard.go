@@ -2,6 +2,7 @@ package protect
 
 import (
 	"crypto/subtle"
+	"fmt"
 
 	"seculator/internal/crypto"
 	"seculator/internal/mac"
@@ -24,9 +25,10 @@ import (
 // slices returned by its Read* methods alias the shard's scratch and are
 // valid only until the shard's next operation; nothing a shard accumulates
 // is visible to the checker until the orchestrator calls Merge on the main
-// goroutine after the shard has quiesced. A shard that has borrowed a helper
-// (Borrow, helper.go) hands the block MACs of its reads and writes to it;
-// Merge collects them.
+// goroutine after the shard has quiesced (the serial API merges its own
+// shard after every call). A shard that has borrowed a helper (Borrow,
+// helper.go) hands the block MACs of its reads and writes to it; Merge
+// collects them.
 type SeculatorShard struct {
 	parent *SeculatorMemory
 	engine *crypto.CTREngine
@@ -182,14 +184,6 @@ func (m *SeculatorMemory) Hashing() Hashing { return m.hashing }
 // the layer's golden weight comparison checks.
 func (m *SeculatorMemory) WeightDigest() mac.Digest { return m.weights }
 
-// Registers returns the four XOR-MAC register values of the current layer's
-// bank — the observability hook the equivalence tests use to assert
-// bit-identical digests.
-func (m *SeculatorMemory) Registers() (w, r, fr, ir mac.Digest) {
-	b := m.checker.Current()
-	return b.W.Value(), b.R.Value(), b.FR.Value(), b.IR.Value()
-}
-
 // readPad returns the pad a read of line addr decrypts with under ctr: the
 // memo's when the line's last write computed it for this very counter (on a
 // clean run, every read's), else one computed into the shard's scratch.
@@ -212,10 +206,10 @@ func (s *SeculatorShard) fetch(addr uint64, layer, fmapID uint32, vn int, blockI
 	return s.pt[:]
 }
 
-// ReadInput is the shard counterpart of SeculatorMemory.ReadInput: its MAC
-// is owed to the shard (and Merge folds it) instead of folding into the
-// checker. The returned slice is shard scratch, valid until the shard's next
-// operation.
+// ReadInput fetches and decrypts an ifmap block produced by prevLayer at
+// version vn; its MAC is owed to MAC_FR and MAC_IR when first marks the
+// block's first touch this layer, else to MAC_IR alone. The returned slice is
+// shard scratch, valid until the shard's next operation.
 func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
 	return s.ReadInputRun(addr, prevLayer, fmapID, vn, blockIdx, first, 1)
 }
@@ -257,7 +251,7 @@ func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn 
 	return pt
 }
 
-// ReadPartial is the shard counterpart of SeculatorMemory.ReadPartial.
+// ReadPartial reads back a partial ofmap block of this layer, owing its MAC to MAC_R.
 func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockIdx uint32) []byte {
 	m := s.parent
 	pt := s.fetch(addr, m.layer, fmapID, vn, blockIdx)
@@ -266,9 +260,9 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 	return pt
 }
 
-// ReadStatic is the shard counterpart of SeculatorMemory.ReadStatic: no
-// register folds. Only the caller knows whether this is the block's first
-// read in its layer: a first read's MAC folds into the layer's weight digest
+// ReadStatic fetches and decrypts a read-only (weight) block: no register
+// folds. Only the caller knows whether this is the block's first read in
+// its layer: a first read's MAC folds into the layer's weight digest
 // (WeightDigest, after Merge) for the golden comparison; a repeat's is bound
 // to nothing, so it is not computed — the caller compares its plaintext
 // with the first read's instead.
@@ -283,11 +277,20 @@ func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn i
 	return pt
 }
 
+// rowBlocks is the number of blocks in a row, which must be whole, at least
+// one, and fit ct; it panics before the row touches a memo entry or line.
+func rowBlocks(plaintext, ct []byte) int {
+	if len(plaintext) == 0 || len(plaintext)%tensor.BlockBytes != 0 || len(ct) < len(plaintext) {
+		panic(fmt.Sprintf("protect: row must be whole %d-byte blocks with room for them, got %d and %d", tensor.BlockBytes, len(plaintext), len(ct)))
+	}
+	return len(plaintext) / tensor.BlockBytes
+}
+
 // storeRow encrypts the n packed blocks of plaintext under counters ctr,
 // ctr+1, … into ct (caller-owned, at least as long), each pad computed into
 // its line's memo entry, stores them at lines addr, addr+1, … and returns n.
 func (s *SeculatorShard) storeRow(addr uint64, ctr crypto.Counter, plaintext, ct []byte) int {
-	n, keys := len(plaintext)/tensor.BlockBytes, s.parent.keys
+	n, keys := rowBlocks(plaintext, ct), s.parent.keys
 	for b := 0; b < n; b++ {
 		pad, a := s.pad[:], addr+uint64(b)
 		if a < uint64(len(keys)) {
@@ -323,9 +326,8 @@ func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx u
 // stores nothing: the residency build seals straight into its pinned image.
 func (s *SeculatorShard) HostSealRow(dst []byte, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
 	m := s.parent
-	n := len(plaintext) / tensor.BlockBytes
-	s.engine.EncryptBlocks(dst, plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx), n)
-	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext[:n*tensor.BlockBytes])
+	s.engine.EncryptBlocks(dst, plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx), rowBlocks(plaintext, dst))
+	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
 	return g
 }
 
@@ -335,6 +337,6 @@ func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn
 	m := s.parent
 	n := s.storeRow(addr, m.counter(ownerLayer, fmapID, vn, blockIdx), plaintext, ctScratch)
 	s.n.HostWrites += n
-	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext[:n*tensor.BlockBytes])
+	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
 	return g
 }

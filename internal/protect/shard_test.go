@@ -2,6 +2,7 @@ package protect
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -30,13 +31,20 @@ func shardPattern(i int) []byte {
 	return b
 }
 
-// runSerialScript drives the two-layer reference workload through the
-// serial SeculatorMemory API: layer 1 writes n blocks, layer 2 first-reads
-// them all, repeat-reads every fifth, and writes n more.
-func runSerialScript(t *testing.T, n int) (*mem.DRAM, *SeculatorMemory) {
+// blockMemory is the per-block API the reference model and the memory's
+// serial API share.
+type blockMemory interface {
+	BeginLayer(layer uint32)
+	WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext []byte)
+	ReadInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte
+	RegisterSnapshot() RegisterState
+}
+
+// runBlockScript drives the two-layer reference workload one block at a
+// time: layer 1 writes n blocks, layer 2 first-reads them all, repeat-reads
+// every fifth, and writes n more.
+func runBlockScript(t *testing.T, m blockMemory, n int) {
 	t.Helper()
-	d := shardTestDRAM(t)
-	m := NewSeculatorMemory(d, 7, 9)
 	m.BeginLayer(1)
 	for i := 0; i < n; i++ {
 		m.WriteBlock(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i))
@@ -45,7 +53,7 @@ func runSerialScript(t *testing.T, n int) (*mem.DRAM, *SeculatorMemory) {
 	for i := 0; i < n; i++ {
 		pt := m.ReadInput(uint64(i), 1, uint32(i%3), 1, uint32(i), true)
 		if !bytes.Equal(pt, shardPattern(i)) {
-			t.Fatalf("serial read %d decrypted wrong plaintext", i)
+			t.Fatalf("per-block read %d decrypted wrong plaintext", i)
 		}
 	}
 	for i := 0; i < n; i += 5 {
@@ -54,12 +62,20 @@ func runSerialScript(t *testing.T, n int) (*mem.DRAM, *SeculatorMemory) {
 	for i := 0; i < n; i++ {
 		m.WriteBlock(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i))
 	}
-	return d, m
+}
+
+// runReferenceScript runs the workload on the per-block reference model.
+func runReferenceScript(t *testing.T, n int) (*mem.DRAM, *refMemory) {
+	t.Helper()
+	d := shardTestDRAM(t)
+	r := newRefMemory(d, 7, 9)
+	runBlockScript(t, r, n)
+	return d, r
 }
 
 // runShardedScript drives the same workload through w shards running on w
 // real goroutines against pre-reserved DRAM, interleaving the work by
-// index so the fold order differs maximally from the serial run.
+// index so the fold order differs maximally from the per-block run.
 func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 	t.Helper()
 	d := shardTestDRAM(t)
@@ -111,39 +127,47 @@ func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 	return d, m
 }
 
-// TestShardedFoldsMatchSerial is the soundness test of the sharded crypto
-// path: for worker counts 1, 2 and 8, the four XOR-MAC registers, every
-// ciphertext byte in DRAM, and the traffic totals must be bit-identical to
-// the serial run — commutativity of the XOR fold makes the shard
-// interleaving immaterial — and every read, whichever shard wrote its line,
-// decrypts with the pad that write left in the keystream memo.
+// TestShardedFoldsMatchSerial is the soundness test of the shard crypto
+// path: for worker counts 1, 2 and 8, and for the memory's serial API (its
+// own shard, merged per call), the four XOR-MAC registers and their fold
+// counts, every ciphertext byte in DRAM, and the traffic totals must be
+// bit-identical to the per-block reference model — commutativity of the XOR
+// fold makes the shard interleaving immaterial — and every sharded read,
+// whichever shard wrote its line, decrypts with the pad that write left in
+// the keystream memo.
 func TestShardedFoldsMatchSerial(t *testing.T) {
 	const n = 100
-	sd, sm := runSerialScript(t, n)
-	sw, sr, sfr, sir := sm.Registers()
+	rd, ref := runReferenceScript(t, n)
+	want := ref.RegisterSnapshot()
 
-	for _, w := range []int{1, 2, 8} {
-		pd, pm := runShardedScript(t, n, w)
-		gw, gr, gfr, gir := pm.Registers()
-		if gw != sw || gr != sr || gfr != sfr || gir != sir {
-			t.Fatalf("w=%d: register mismatch\n  W  %x vs %x\n  R  %x vs %x\n  FR %x vs %x\n  IR %x vs %x",
-				w, gw, sw, gr, sr, gfr, sfr, gir, sir)
+	same := func(what string, d *mem.DRAM, m *SeculatorMemory) {
+		t.Helper()
+		if got := m.RegisterSnapshot(); got != want {
+			t.Fatalf("%s: registers\n got %+v\nwant %+v", what, got, want)
 		}
 		for a := uint64(0); a < 2*n; a++ {
-			if !bytes.Equal(pd.Peek(a), sd.Peek(a)) {
-				t.Fatalf("w=%d: ciphertext mismatch at line %d", w, a)
+			if !bytes.Equal(d.Peek(a), rd.Peek(a)) {
+				t.Fatalf("%s: ciphertext mismatch at line %d", what, a)
 			}
 		}
-		if pt, st := pd.Traffic(), sd.Traffic(); pt != st {
-			t.Fatalf("w=%d: traffic %+v, serial %+v", w, pt, st)
+		if got, want := d.Traffic(), rd.Traffic(); got != want {
+			t.Fatalf("%s: traffic %+v, reference %+v", what, got, want)
 		}
-		if pd.Lines() != sd.Lines() {
-			t.Fatalf("w=%d: %d lines, serial %d", w, pd.Lines(), sd.Lines())
+		if d.Lines() != rd.Lines() {
+			t.Fatalf("%s: %d lines, reference %d", what, d.Lines(), rd.Lines())
 		}
+	}
+	for _, w := range []int{1, 2, 8} {
+		pd, pm := runShardedScript(t, n, w)
+		same(fmt.Sprintf("w=%d", w), pd, pm)
 		if got, want := pm.Keystreams(), (Keystreams{Computed: 2 * n, Reused: n + n/5}); got != want {
 			t.Fatalf("w=%d: pads %+v, want %+v", w, got, want)
 		}
 	}
+	sd := shardTestDRAM(t)
+	sm := NewSeculatorMemory(sd, 7, 9)
+	runBlockScript(t, sm, n)
+	same("serial", sd, sm)
 }
 
 // TestShardedEquationOneVerifies: layer 2 first-reads exactly layer 1's
@@ -157,7 +181,7 @@ func TestShardedEquationOneVerifies(t *testing.T) {
 }
 
 // TestShardBatchRowMatchesBlocks: the batch WriteRow path must produce the
-// same ciphertext and the same MAC folds as per-block WriteBlock calls.
+// same ciphertext and the same MAC folds as per-block reference writes.
 func TestShardBatchRowMatchesBlocks(t *testing.T) {
 	const n = 8
 	row := make([]byte, n*tensor.BlockBytes)
@@ -172,18 +196,16 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 	ct := make([]byte, n*tensor.BlockBytes)
 	sa.WriteRow(0, 2, 1, 0, row, ct)
 	ma.Merge(sa)
-	aw, _, _, _ := ma.Registers()
 
 	db := shardTestDRAM(t)
-	mb := NewSeculatorMemory(db, 3, 4)
+	mb := newRefMemory(db, 3, 4)
 	mb.BeginLayer(1)
 	for i := 0; i < n; i++ {
 		mb.WriteBlock(uint64(i), 2, 1, uint32(i), shardPattern(i))
 	}
-	bw, _, _, _ := mb.Registers()
 
-	if aw != bw {
-		t.Fatalf("MAC_W differs: batch %x, per-block %x", aw, bw)
+	if aw, bw := ma.RegisterSnapshot(), mb.RegisterSnapshot(); aw != bw {
+		t.Fatalf("MAC_W differs: batch %+v, per-block %+v", aw, bw)
 	}
 	for a := uint64(0); a < n; a++ {
 		if !bytes.Equal(da.Peek(a), db.Peek(a)) {
