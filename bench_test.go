@@ -570,7 +570,7 @@ func BenchmarkTransformerEvaluation(b *testing.B) {
 	cfg := DefaultConfig()
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		rs, err := RunAll(net, []Design{Baseline, TNPU, Seculator}, cfg)
+		rs, err := RunAllContext(context.Background(), net, []Design{Baseline, TNPU, Seculator}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -584,7 +584,7 @@ func BenchmarkTransformerEvaluation(b *testing.B) {
 func BenchmarkDetectionMatrix(b *testing.B) {
 	var detected int
 	for i := 0; i < b.N; i++ {
-		cells, err := DetectionMatrix(DefaultAttackScenario())
+		cells, err := DetectionMatrixContext(context.Background(), DefaultAttackScenario())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -605,7 +605,7 @@ func BenchmarkTraceCapture(b *testing.B) {
 	net := workload.MobileNet()
 	var entropy float64
 	for i := 0; i < b.N; i++ {
-		tr, err := CaptureTrace(net, Baseline, cfg)
+		tr, err := CaptureTraceContext(context.Background(), net, Baseline, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -636,7 +636,7 @@ func BenchmarkSensitivityBandwidth(b *testing.B) {
 	net := workload.ResNet18()
 	var lo, hi float64
 	for i := 0; i < b.N; i++ {
-		res, err := SweepBandwidth(net, cfg, []float64{0.11, 0.22, 0.44})
+		res, err := SweepBandwidthContext(context.Background(), net, cfg, []float64{0.11, 0.22, 0.44})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -656,7 +656,7 @@ func BenchmarkGANGenerator(b *testing.B) {
 	cfg := DefaultConfig()
 	var perf float64
 	for i := 0; i < b.N; i++ {
-		rs, err := RunAll(net, []Design{Baseline, TNPU, Seculator}, cfg)
+		rs, err := RunAllContext(context.Background(), net, []Design{Baseline, TNPU, Seculator}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -670,7 +670,7 @@ func BenchmarkGANGenerator(b *testing.B) {
 // and the microarchitectural root of the paper's "accessing secure memory
 // is expensive" observation.
 func BenchmarkAblationRowBuffer(b *testing.B) {
-	tr, err := CaptureTrace(workload.ResNet18(), Baseline, DefaultConfig())
+	tr, err := CaptureTraceContext(context.Background(), workload.ResNet18(), Baseline, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -741,7 +741,7 @@ func BenchmarkDefencePlanning(b *testing.B) {
 	var plan DefencePlan
 	var err error
 	for i := 0; i < b.N; i++ {
-		plan, err = PlanDefence(net, cfg, 0.5, 8, DefaultDefenceOptions())
+		plan, err = PlanDefenceContext(context.Background(), net, cfg, 0.5, 8, DefaultDefenceOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

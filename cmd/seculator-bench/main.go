@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -92,16 +93,17 @@ func main() {
 	if want("sensitivity") {
 		net, err := seculator.NetworkByName("ResNet18")
 		check(err)
-		bw, err := seculator.SweepBandwidth(net, cfg, []float64{0.11, 0.22, 0.44})
+		ctx := context.Background()
+		bw, err := seculator.SweepBandwidthContext(ctx, net, cfg, []float64{0.11, 0.22, 0.44})
 		check(err)
 		show(seculator.SweepTable(bw))
-		gb, err := seculator.SweepGlobalBuffer(net, cfg, []int{120, 240, 480})
+		gb, err := seculator.SweepGlobalBufferContext(ctx, net, cfg, []int{120, 240, 480})
 		check(err)
 		show(seculator.SweepTable(gb))
-		pe, err := seculator.SweepPEArray(net, cfg, []int{16, 32, 64})
+		pe, err := seculator.SweepPEArrayContext(ctx, net, cfg, []int{16, 32, 64})
 		check(err)
 		show(seculator.SweepTable(pe))
-		mc, err := seculator.SweepMACCache(net, cfg, []int{2, 8, 32, 64})
+		mc, err := seculator.SweepMACCacheContext(ctx, net, cfg, []int{2, 8, 32, 64})
 		check(err)
 		show(seculator.SweepTable(mc))
 	}

@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -50,6 +51,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	ctx := context.Background()
 	cfg := seculator.DefaultConfig()
 
 	if *showTrace {
@@ -61,7 +63,7 @@ func main() {
 				fatalf("%v", err)
 			}
 		}
-		tr, err := seculator.CaptureTrace(net, d, cfg)
+		tr, err := seculator.CaptureTraceContext(ctx, net, d, cfg)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -75,18 +77,18 @@ func main() {
 	}
 
 	if *all {
-		runAll(net, cfg, *layers)
+		runAll(ctx, net, cfg, *layers)
 		return
 	}
 	design, err := designByName(*designName)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	base, err := seculator.Run(net, seculator.Baseline, cfg)
+	base, err := seculator.RunContext(ctx, net, seculator.Baseline, cfg)
 	if err != nil {
 		fatalf("baseline: %v", err)
 	}
-	res, err := seculator.Run(net, design, cfg)
+	res, err := seculator.RunContext(ctx, net, design, cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -101,8 +103,8 @@ func main() {
 	printResult(res, base, cfg, *layers)
 }
 
-func runAll(net seculator.Network, cfg seculator.Config, layers bool) {
-	results, err := seculator.RunAll(net, seculator.Designs(), cfg)
+func runAll(ctx context.Context, net seculator.Network, cfg seculator.Config, layers bool) {
+	results, err := seculator.RunAllContext(ctx, net, seculator.Designs(), cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}

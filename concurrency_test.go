@@ -1,6 +1,9 @@
 package seculator
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // sweepNet is a two-conv network small enough that the four sensitivity
 // sweeps finish quickly at every worker count.
@@ -33,22 +36,22 @@ func TestParallelDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		out = append(out, ch.Fig4Table().String(), ch.Fig5Table().String())
-		bw, err := SweepBandwidth(net, cfg, []float64{0.11, 0.44})
+		bw, err := SweepBandwidthContext(context.Background(), net, cfg, []float64{0.11, 0.44})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, SweepTable(bw).String())
-		gb, err := SweepGlobalBuffer(net, cfg, []int{120, 480})
+		gb, err := SweepGlobalBufferContext(context.Background(), net, cfg, []int{120, 480})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, SweepTable(gb).String())
-		pe, err := SweepPEArray(net, cfg, []int{16, 64})
+		pe, err := SweepPEArrayContext(context.Background(), net, cfg, []int{16, 64})
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, SweepTable(pe).String())
-		mc, err := SweepMACCache(net, cfg, []int{2, 64})
+		mc, err := SweepMACCacheContext(context.Background(), net, cfg, []int{2, 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,14 +84,14 @@ func TestSimCacheReuse(t *testing.T) {
 	ResetSimCache()
 	defer ResetSimCache()
 
-	if _, err := SweepBandwidth(net, cfg, []float64{0.11, 0.44}); err != nil {
+	if _, err := SweepBandwidthContext(context.Background(), net, cfg, []float64{0.11, 0.44}); err != nil {
 		t.Fatal(err)
 	}
 	cold := SimCacheStats()
 	if cold.Misses == 0 {
 		t.Fatal("cold sweep recorded no cache misses")
 	}
-	if _, err := SweepBandwidth(net, cfg, []float64{0.11, 0.44}); err != nil {
+	if _, err := SweepBandwidthContext(context.Background(), net, cfg, []float64{0.11, 0.44}); err != nil {
 		t.Fatal(err)
 	}
 	warm := SimCacheStats()

@@ -10,7 +10,7 @@ import (
 // baseline must silently corrupt under each of them. A change that weakens
 // any design's detection machinery fails the corresponding named subtest.
 func TestTable5DetectionRegression(t *testing.T) {
-	cells, err := DetectionMatrix(DefaultAttackScenario())
+	cells, err := DetectionMatrixContext(context.Background(), DefaultAttackScenario())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,23 @@
 package seculator_test
 
 import (
+	"context"
 	"fmt"
 
 	"seculator"
 )
 
 // The basic flow: simulate a benchmark on two designs and compare.
-func ExampleRun() {
+func ExampleRunContext() {
+	ctx := context.Background()
 	cfg := seculator.DefaultConfig()
 	net := seculator.ResNet18()
 
-	base, err := seculator.Run(net, seculator.Baseline, cfg)
+	base, err := seculator.RunContext(ctx, net, seculator.Baseline, cfg)
 	if err != nil {
 		panic(err)
 	}
-	sec, err := seculator.Run(net, seculator.Seculator, cfg)
+	sec, err := seculator.RunContext(ctx, net, seculator.Seculator, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -70,7 +72,7 @@ func ExampleDeriveWritePattern() {
 
 // Run a real (integer) network through the functional encrypted path and
 // confirm the output matches the unprotected reference.
-func ExampleSecureInference() {
+func ExampleSecureInferenceContext() {
 	net := seculator.Network{
 		Name: "tiny",
 		Layers: []seculator.Layer{
@@ -82,7 +84,7 @@ func ExampleSecureInference() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := seculator.SecureInference(net, in, ws, nil)
+	res, err := seculator.SecureInferenceContext(context.Background(), net, in, ws, seculator.InferenceOptions{})
 	if err != nil {
 		panic(err)
 	}

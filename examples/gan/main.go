@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := seculator.DefaultConfig()
 
 	// Timing: the canonical DCGAN generator across designs.
@@ -26,7 +28,7 @@ func main() {
 		dcgan.Name, len(dcgan.Layers), len(dcgan.Layers)/2,
 		float64(dcgan.Params())/1e6, float64(dcgan.MACs())/1e9)
 
-	results, err := seculator.RunAll(dcgan, seculator.Designs(), cfg)
+	results, err := seculator.RunAllContext(ctx, dcgan, seculator.Designs(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := seculator.SecureInference(tiny, seed, ws, nil)
+	res, err := seculator.SecureInferenceContext(ctx, tiny, seed, ws, seculator.InferenceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

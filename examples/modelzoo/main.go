@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,12 +12,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := seculator.DefaultConfig()
 
 	fmt.Println("Model zoo: five CNNs x six designs (Figures 7 & 8)")
 	fmt.Println()
 	for _, net := range seculator.Benchmarks() {
-		results, err := seculator.RunAll(net, seculator.Designs(), cfg)
+		results, err := seculator.RunAllContext(ctx, net, seculator.Designs(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

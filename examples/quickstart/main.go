@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,18 +12,19 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := seculator.DefaultConfig()
 	net := seculator.ResNet18()
 
-	base, err := seculator.Run(net, seculator.Baseline, cfg)
+	base, err := seculator.RunContext(ctx, net, seculator.Baseline, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tnpu, err := seculator.Run(net, seculator.TNPU, cfg)
+	tnpu, err := seculator.RunContext(ctx, net, seculator.TNPU, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sec, err := seculator.Run(net, seculator.Seculator, cfg)
+	sec, err := seculator.RunContext(ctx, net, seculator.Seculator, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

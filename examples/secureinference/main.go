@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -29,13 +30,14 @@ func main() {
 		},
 	}
 	input, weights := seculator.RandomModel(net, 2026)
+	ctx := context.Background()
 
 	golden, err := seculator.ReferenceInference(net, input, weights)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := seculator.SecureInference(net, input, weights, nil)
+	res, err := seculator.SecureInferenceContext(ctx, net, input, weights, seculator.InferenceOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,8 +51,8 @@ func main() {
 	}
 
 	// Attack the same inference: flip one DRAM byte after layer 1.
-	_, err = seculator.SecureInference(net, input, weights,
-		func(phase int, d *seculator.DRAM) {
+	_, err = seculator.SecureInferenceContext(ctx, net, input, weights, seculator.InferenceOptions{
+		Hook: func(phase int, d *seculator.DRAM) {
 			if phase == 1 {
 				var last uint64
 				for addr := uint64(0); addr < 100000; addr++ {
@@ -60,7 +62,8 @@ func main() {
 				}
 				d.Tamper(last, 7, 0x04)
 			}
-		})
+		},
+	})
 	if errors.Is(err, mac.ErrIntegrity) {
 		fmt.Println("\nmid-inference DRAM tamper: DETECTED -> execution aborted, NPU reboots")
 	} else {

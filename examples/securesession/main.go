@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -17,11 +18,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := seculator.DefaultConfig()
 	net := seculator.MobileNet()
 	key := []byte("negotiated-session-key")
 
-	res, err := seculator.RunSecureSession(net, cfg, key, nil)
+	res, err := seculator.RunSecureSessionContext(ctx, net, cfg, key, seculator.SessionOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,12 +33,13 @@ func main() {
 		res.Cycles, res.Seconds(cfg.NPU.FreqHz)*1e3, res.Traffic.Total())
 
 	// A man in the middle rewrites layer 5's command in flight.
-	_, err = seculator.RunSecureSession(net, cfg, key,
-		func(layer int, p *seculator.HostPacket) {
+	_, err = seculator.RunSecureSessionContext(ctx, net, cfg, key, seculator.SessionOptions{
+		Intercept: func(layer int, p *seculator.HostPacket) {
 			if layer == 5 {
 				p.Payload[25] ^= 0x01
 			}
-		})
+		},
+	})
 	if errors.Is(err, host.ErrChannel) {
 		fmt.Println("\nMITM on the command channel: DETECTED -> session aborted, reboot required")
 	} else {
@@ -44,7 +47,7 @@ func main() {
 	}
 
 	// Plan a Seculator+ defence: at least 0.5 leakage error within 8x.
-	plan, err := seculator.PlanDefence(net, cfg, 0.5, 8, seculator.DefaultDefenceOptions())
+	plan, err := seculator.PlanDefenceContext(ctx, net, cfg, 0.5, 8, seculator.DefaultDefenceOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

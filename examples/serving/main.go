@@ -32,24 +32,25 @@ func main() {
 		replay   bool
 		captured *host.Packet
 	)
+	mitm := func(layer int, p *host.Packet) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !replay {
+			return
+		}
+		switch layer {
+		case 2:
+			cp := *p
+			cp.Payload = append([]byte(nil), p.Payload...)
+			captured = &cp
+		case 4:
+			if captured != nil {
+				*p = *captured
+			}
+		}
+	}
 	srv, err := serve.New(serve.Options{
-		Intercept: func(layer int, p *host.Packet) {
-			mu.Lock()
-			defer mu.Unlock()
-			if !replay {
-				return
-			}
-			switch layer {
-			case 2:
-				cp := *p
-				cp.Payload = append([]byte(nil), p.Payload...)
-				captured = &cp
-			case 4:
-				if captured != nil {
-					*p = *captured
-				}
-			}
-		},
+		InterceptFor: func(string) host.Intercept { return mitm },
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	fmt.Printf("%s: %d matmul layers (seq=128, d=768), %.1fM parameters, %.1f GMACs\n\n",
 		net.Name, len(net.Layers), float64(net.Params())/1e6, float64(net.MACs())/1e9)
 
-	results, err := seculator.RunAll(net, seculator.Designs(), cfg)
+	results, err := seculator.RunAllContext(context.Background(), net, seculator.Designs(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

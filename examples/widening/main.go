@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := seculator.DefaultConfig()
 	victim := seculator.MobileNet()
 
@@ -20,7 +22,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-8s %14s %16s %18s\n", "widen", "volume cost", "leakage error", "Seculator+ slowdown")
 
-	baseRun, err := seculator.Run(victim, seculator.SeculatorPlus, cfg)
+	baseRun, err := seculator.RunContext(ctx, victim, seculator.SeculatorPlus, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := seculator.Run(wnet, seculator.SeculatorPlus, cfg)
+		run, err := seculator.RunContext(ctx, wnet, seculator.SeculatorPlus, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dr, err := seculator.Run(dummy, seculator.SeculatorPlus, cfg)
+	dr, err := seculator.RunContext(ctx, dummy, seculator.SeculatorPlus, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,43 +72,26 @@ func EnergyTable(n Network, cfg Config) (Table, error) {
 // SweepResult is a sensitivity sweep over one system parameter.
 type SweepResult = sweep.Result
 
-// SweepBandwidth re-measures the design comparison across DRAM bandwidths.
-func SweepBandwidth(n Network, cfg Config, values []float64) (SweepResult, error) {
-	return sweep.Bandwidth(context.Background(), n, cfg, values)
-}
-
-// SweepBandwidthContext is SweepBandwidth with cancellation between points.
+// SweepBandwidthContext re-measures the design comparison across DRAM
+// bandwidths, with cancellation between points.
 func SweepBandwidthContext(ctx context.Context, n Network, cfg Config, values []float64) (SweepResult, error) {
 	return sweep.Bandwidth(ctx, n, cfg, values)
 }
 
-// SweepGlobalBuffer sweeps the on-chip buffer capacity (KB).
-func SweepGlobalBuffer(n Network, cfg Config, kbs []int) (SweepResult, error) {
-	return sweep.GlobalBuffer(context.Background(), n, cfg, kbs)
-}
-
-// SweepGlobalBufferContext is SweepGlobalBuffer with cancellation between
-// points.
+// SweepGlobalBufferContext sweeps the on-chip buffer capacity (KB), with
+// cancellation between points.
 func SweepGlobalBufferContext(ctx context.Context, n Network, cfg Config, kbs []int) (SweepResult, error) {
 	return sweep.GlobalBuffer(ctx, n, cfg, kbs)
 }
 
-// SweepPEArray sweeps the (square) systolic array extent.
-func SweepPEArray(n Network, cfg Config, dims []int) (SweepResult, error) {
-	return sweep.PEArray(context.Background(), n, cfg, dims)
-}
-
-// SweepPEArrayContext is SweepPEArray with cancellation between points.
+// SweepPEArrayContext sweeps the (square) systolic array extent, with
+// cancellation between points.
 func SweepPEArrayContext(ctx context.Context, n Network, cfg Config, dims []int) (SweepResult, error) {
 	return sweep.PEArray(ctx, n, cfg, dims)
 }
 
-// SweepMACCache sweeps the MAC-cache size (KB) of the per-block designs.
-func SweepMACCache(n Network, cfg Config, kbs []int) (SweepResult, error) {
-	return sweep.MACCache(context.Background(), n, cfg, kbs)
-}
-
-// SweepMACCacheContext is SweepMACCache with cancellation between points.
+// SweepMACCacheContext sweeps the MAC-cache size (KB) of the per-block
+// designs, with cancellation between points.
 func SweepMACCacheContext(ctx context.Context, n Network, cfg Config, kbs []int) (SweepResult, error) {
 	return sweep.MACCache(ctx, n, cfg, kbs)
 }

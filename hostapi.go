@@ -37,16 +37,11 @@ type DefenceOptions = defence.Options
 // DefaultDefenceOptions returns a pragmatic search space.
 func DefaultDefenceOptions() DefenceOptions { return defence.DefaultOptions() }
 
-// PlanDefence searches widening factors (adding dummy-network injection
-// when geometry alone cannot reach the target) for the cheapest Seculator+
-// configuration with model-extraction leakage error >= target and runtime
-// overhead <= maxOverhead.
-func PlanDefence(victim Network, cfg Config, target, maxOverhead float64, opt DefenceOptions) (DefencePlan, error) {
-	return defence.PlanDefence(context.Background(), victim, cfg, target, maxOverhead, opt)
-}
-
-// PlanDefenceContext is PlanDefence with a context: the search's underlying
-// simulations stop when ctx is cancelled.
+// PlanDefenceContext searches widening factors (adding dummy-network
+// injection when geometry alone cannot reach the target) for the cheapest
+// Seculator+ configuration with model-extraction leakage error >= target
+// and runtime overhead <= maxOverhead. The search's underlying simulations
+// stop when ctx is cancelled.
 func PlanDefenceContext(ctx context.Context, victim Network, cfg Config, target, maxOverhead float64, opt DefenceOptions) (DefencePlan, error) {
 	return defence.PlanDefence(ctx, victim, cfg, target, maxOverhead, opt)
 }
@@ -65,19 +60,14 @@ type SessionIntercept = host.Intercept
 // and a DRAM-phase attack hook (Hook) for replay/splice demos.
 type SessionOptions = host.SessionOptions
 
-// RunSecureSession drives the complete Figure 6 flow on the Seculator
-// design: the host issues one authenticated command per layer (geometry +
-// VN triplet), the NPU endpoint authenticates and cross-derives each
-// triplet, and the commanded network executes. Channel violations abort
-// the session with a typed ChannelError.
-func RunSecureSession(net Network, cfg Config, sessionKey []byte, mitm SessionIntercept) (SessionResult, error) {
-	return host.RunSession(context.Background(), net, cfg, sessionKey, SessionOptions{Intercept: mitm})
-}
-
-// RunSecureSessionContext is the full-control session entry point: ctx
-// cancels between commands and layers, and opts can attach a functional
-// model, a recovery policy and a fault injector. No panic escapes; all
-// failures carry the resilience error taxonomy.
+// RunSecureSessionContext drives the complete Figure 6 flow on the
+// Seculator design: the host issues one authenticated command per layer
+// (geometry + VN triplet), the NPU endpoint authenticates and cross-derives
+// each triplet, and the commanded network executes. Channel violations
+// abort the session with a typed ChannelError. ctx cancels between
+// commands and layers, and opts can attach a man in the middle, a
+// functional model, a recovery policy and a fault injector. No panic
+// escapes; all failures carry the resilience error taxonomy.
 func RunSecureSessionContext(ctx context.Context, net Network, cfg Config, sessionKey []byte, opts SessionOptions) (SessionResult, error) {
 	return host.RunSession(ctx, net, cfg, sessionKey, opts)
 }

@@ -39,16 +39,6 @@ type InferenceResult = secure.Result
 // between execution phases; see secure.Hook.
 type SecureInferenceHook = secure.Hook
 
-// SecureInference executes the network functionally through Seculator's
-// full protection path — AES-CTR encrypted DRAM, FSM-generated version
-// numbers, XOR-MAC layer verification — and returns the decrypted output,
-// which is guaranteed (and tested) to be bit-identical to
-// ReferenceInference. A non-nil hook can mutate DRAM between phases; any
-// resulting integrity violation aborts the run.
-func SecureInference(net Network, in *Tensor, weights []*ModelWeights, hook SecureInferenceHook) (InferenceResult, error) {
-	return SecureInferenceContext(context.Background(), net, in, weights, InferenceOptions{Hook: hook})
-}
-
 // InferenceOptions tunes a secure functional inference.
 type InferenceOptions struct {
 	// Hook, when non-nil, interposes an attacker between execution phases.
@@ -61,9 +51,14 @@ type InferenceOptions struct {
 	Retry RetryPolicy
 }
 
-// SecureInferenceContext is SecureInference with cancellation and full
-// control over fault injection and the layer-level detect-and-recover
-// policy. The returned result carries per-run recovery statistics.
+// SecureInferenceContext executes the network functionally through
+// Seculator's full protection path — AES-CTR encrypted DRAM, FSM-generated
+// version numbers, XOR-MAC layer verification — and returns the decrypted
+// output, which is guaranteed (and tested) to be bit-identical to
+// ReferenceInference. ctx cancels the run; opts can attach an attack hook
+// (any resulting integrity violation aborts the run), a fault injector and
+// the layer-level detect-and-recover policy. The returned result carries
+// per-run recovery statistics.
 func SecureInferenceContext(ctx context.Context, net Network, in *Tensor, weights []*ModelWeights, opts InferenceOptions) (InferenceResult, error) {
 	x := secure.NewExecutor()
 	x.AfterPhase = opts.Hook
@@ -91,13 +86,8 @@ func Transformer(cfg TransformerConfig) (Network, error) { return workload.Trans
 // (footprints, boundary inference, entropy).
 type MemoryTrace = trace.Trace
 
-// CaptureTrace simulates (network, design) and records the bus-visible
-// address trace.
-func CaptureTrace(n Network, d Design, cfg Config) (*MemoryTrace, error) {
-	return trace.Capture(context.Background(), n, d, cfg)
-}
-
-// CaptureTraceContext is CaptureTrace with cancellation between layers.
+// CaptureTraceContext simulates (network, design) and records the
+// bus-visible address trace, with cancellation between layers.
 func CaptureTraceContext(ctx context.Context, n Network, d Design, cfg Config) (*MemoryTrace, error) {
 	return trace.Capture(ctx, n, d, cfg)
 }
@@ -122,15 +112,10 @@ const (
 	AttackSpliceWithMAC = attack.AttackSpliceWithMAC
 )
 
-// DetectionMatrix mounts tamper/replay/splice attacks (with and without
-// coherent MAC manipulation) against every design's functional memory and
-// reports who detects what — the behavioural validation of Table 5.
-func DetectionMatrix(s AttackScenario) ([]DetectionCell, error) {
-	return attack.DetectionMatrix(context.Background(), s)
-}
-
-// DetectionMatrixContext is DetectionMatrix with cancellation between
-// cells.
+// DetectionMatrixContext mounts tamper/replay/splice attacks (with and
+// without coherent MAC manipulation) against every design's functional
+// memory and reports who detects what — the behavioural validation of
+// Table 5. Cancellation is observed between cells.
 func DetectionMatrixContext(ctx context.Context, s AttackScenario) ([]DetectionCell, error) {
 	return attack.DetectionMatrix(ctx, s)
 }

@@ -32,7 +32,7 @@ func TestSecureInferenceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SecureInference(net, in, ws, nil)
+	res, err := SecureInferenceContext(context.Background(), net, in, ws, InferenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSecureInferenceEquivalence(t *testing.T) {
 func TestSecureInferenceDetectsHookTamper(t *testing.T) {
 	net := demoNet()
 	in, ws := RandomModel(net, 99)
-	_, err := SecureInference(net, in, ws, func(phase int, d *DRAM) {
+	_, err := SecureInferenceContext(context.Background(), net, in, ws, InferenceOptions{Hook: func(phase int, d *DRAM) {
 		if phase == 0 {
 			var last uint64
 			for addr := uint64(0); addr < 100000; addr++ {
@@ -54,7 +54,7 @@ func TestSecureInferenceDetectsHookTamper(t *testing.T) {
 			}
 			d.Tamper(last, 1, 0x10)
 		}
-	})
+	}})
 	if !errors.Is(err, mac.ErrIntegrity) {
 		t.Fatalf("hook tamper not detected: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestTransformerSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunAll(net, []Design{Baseline, TNPU, Seculator}, DefaultConfig())
+	results, err := RunAllContext(context.Background(), net, []Design{Baseline, TNPU, Seculator}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTransformerSurface(t *testing.T) {
 }
 
 func TestCaptureTraceSurface(t *testing.T) {
-	tr, err := CaptureTrace(demoNet(), Baseline, DefaultConfig())
+	tr, err := CaptureTraceContext(context.Background(), demoNet(), Baseline, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCaptureTraceSurface(t *testing.T) {
 }
 
 func TestDetectionMatrixSurface(t *testing.T) {
-	cells, err := DetectionMatrix(DefaultAttackScenario())
+	cells, err := DetectionMatrixContext(context.Background(), DefaultAttackScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestNoiseScheduleSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunLayerSchedule("noisy", sched, SeculatorPlus, DefaultConfig())
+	res, err := RunLayerScheduleContext(context.Background(), "noisy", sched, SeculatorPlus, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Run(victim, SeculatorPlus, DefaultConfig())
+	clean, err := RunContext(context.Background(), victim, SeculatorPlus, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPreprocSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunAll(pp, []Design{Baseline, Seculator}, DefaultConfig())
+	results, err := RunAllContext(context.Background(), pp, []Design{Baseline, Seculator}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestGANSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SecureInference(net, in, ws, nil)
+	res, err := SecureInferenceContext(context.Background(), net, in, ws, InferenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestEnergySurface(t *testing.T) {
 func TestSweepSurface(t *testing.T) {
 	cfg := DefaultConfig()
 	net := demoNet()
-	res, err := SweepBandwidth(net, cfg, []float64{0.11, 0.44})
+	res, err := SweepBandwidthContext(context.Background(), net, cfg, []float64{0.11, 0.44})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +216,13 @@ func TestSweepSurface(t *testing.T) {
 	if len(tbl.Rows) != 2 || len(tbl.Header) != 6 {
 		t.Fatalf("sweep table shape: %dx%d", len(tbl.Rows), len(tbl.Header))
 	}
-	if _, err := SweepGlobalBuffer(net, cfg, []int{240}); err != nil {
+	if _, err := SweepGlobalBufferContext(context.Background(), net, cfg, []int{240}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepPEArray(net, cfg, []int{16}); err != nil {
+	if _, err := SweepPEArrayContext(context.Background(), net, cfg, []int{16}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SweepMACCache(net, cfg, []int{8}); err != nil {
+	if _, err := SweepMACCacheContext(context.Background(), net, cfg, []int{8}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,7 +251,7 @@ func TestHostChannelSurface(t *testing.T) {
 }
 
 func TestPlanDefenceSurface(t *testing.T) {
-	p, err := PlanDefence(demoNet(), DefaultConfig(), 0.3, 30, DefaultDefenceOptions())
+	p, err := PlanDefenceContext(context.Background(), demoNet(), DefaultConfig(), 0.3, 30, DefaultDefenceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -636,6 +636,9 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		fr, err = g.forward(r.Context(), src, http.MethodPost, "/v1/sessions", r, &req)
 		if err != nil {
 			lastErr = err
+			if r.Context().Err() != nil {
+				break // the client is gone; the next candidate would fail the same way
+			}
 			continue
 		}
 		lastErr = nil

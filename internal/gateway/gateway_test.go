@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,6 +290,65 @@ func TestGatewayClientCancelDoesNotEjectReplicas(t *testing.T) {
 	}
 	if _, err := gc.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 1}); err != nil {
 		t.Fatalf("live request after three hung-up clients: %v", err)
+	}
+}
+
+// A client that hangs up during session create is not retried on the next
+// replica: forward leaves the ctx.Err() check to its callers, and session
+// create makes it as stateless inference does. Both replicas hold the
+// create until its request context ends, so only the client's cancel can
+// end the first forward. (The prober is parked at a 1 h interval.)
+func TestSessionCreateClientCancelNotRetried(t *testing.T) {
+	arrived := make(chan struct{}, 2)
+	replica := http.NewServeMux()
+	replica.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, serve.HealthResponse{Status: "ok"})
+	})
+	replica.HandleFunc("POST /v1/sessions", func(_ http.ResponseWriter, r *http.Request) {
+		// Only once the body is consumed does the server watch the
+		// connection, and so end the request context when the caller leaves.
+		_, _ = io.Copy(io.Discard, r.Body)
+		arrived <- struct{}{}
+		<-r.Context().Done()
+	})
+	var cfg gateway.Config
+	for _, name := range []string{"r0", "r1"} {
+		rs := httptest.NewServer(replica)
+		t.Cleanup(rs.Close)
+		cfg.Replicas = append(cfg.Replicas, gateway.ReplicaConfig{Name: name, URL: rs.URL})
+	}
+	g, err := gateway.New(gateway.Options{Config: cfg, Health: gateway.HealthConfig{ProbeInterval: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader("{}")).WithContext(ctx)
+		g.Handler().ServeHTTP(rec, req)
+	}()
+	select {
+	case <-arrived:
+	case <-done:
+		t.Fatalf("session create answered %d before reaching a replica", rec.Code)
+	}
+	cancel()
+	<-done // the handler has returned: its 502 is written and counted
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("session create with the client gone: %d, want 502", rec.Code)
+	}
+	scrape := httptest.NewRecorder()
+	g.Handler().ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if v, _ := metricLookup(t, scrape.Body.String(), `seculator_gateway_requests_total{code="502"}`); v != 1 {
+		t.Fatalf("requests_total{code=\"502\"} = %v, want 1", v)
+	}
+	if v, _ := metricLookup(t, scrape.Body.String(), "seculator_gateway_retries_total"); v != 0 {
+		t.Fatalf("retries_total = %v after a hung-up session create, want 0", v)
 	}
 }
 

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // MemoStats is a snapshot of a Memo's hit/miss counters.
@@ -31,9 +32,10 @@ type memoEntry[V any] struct {
 
 // Memo is a concurrency-safe memoization cache for deterministic
 // computations, keyed by a comparable fingerprint. A sync.RWMutex guards
-// the key map; per-key sync.Once serializes the compute so a point is
-// never simulated twice. Both values and errors are cached — the
-// simulations it fronts are pure functions of their fingerprint.
+// the key map — a hit takes one read lock and bumps an atomic counter —
+// and per-key sync.Once serializes the compute so a point is never
+// computed twice. Both values and errors are cached; a caller whose
+// errors must not persist drops them with Forget.
 //
 // Cached values are shared across callers: treat anything returned
 // through a Memo as immutable.
@@ -42,13 +44,13 @@ type memoEntry[V any] struct {
 // caller is far smaller; the bound only guards against unbounded growth
 // when keys derive from caller-chosen input (the serving tier's
 // "Name/div" network names). On overflow the table is cleared rather than
-// LRU-evicted, as sched's mapping memo does; a compute in flight at that
-// moment still completes through its entry's sync.Once and is returned to
-// everyone already waiting on it.
+// LRU-evicted — rebuilding a few hundred entries is cheaper than per-hit
+// bookkeeping; a compute in flight at that moment still completes through
+// its entry's sync.Once and is returned to everyone already waiting on it.
 type Memo[K comparable, V any] struct {
 	mu           sync.RWMutex
 	entries      map[K]*memoEntry[V]
-	hits, misses uint64
+	hits, misses atomic.Uint64
 }
 
 // memoCap is the most entries a Memo holds before it clears itself.
@@ -74,15 +76,13 @@ func (m *Memo[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 			}
 			e = &memoEntry[V]{}
 			m.entries[key] = e
-			m.misses++
-		} else {
-			m.hits++
 		}
 		m.mu.Unlock()
+	}
+	if ok {
+		m.hits.Add(1)
 	} else {
-		m.mu.Lock()
-		m.hits++
-		m.mu.Unlock()
+		m.misses.Add(1)
 	}
 	e.once.Do(func() { e.val, e.err = fn() })
 	return e.val, e.err
@@ -100,8 +100,9 @@ func (m *Memo[K, V]) Forget(key K) {
 // Stats returns a snapshot of the counters.
 func (m *Memo[K, V]) Stats() MemoStats {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return MemoStats{Hits: m.hits, Misses: m.misses, Entries: len(m.entries)}
+	entries := len(m.entries)
+	m.mu.RUnlock()
+	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Entries: entries}
 }
 
 // Reset discards every entry and zeroes the counters.
@@ -109,14 +110,13 @@ func (m *Memo[K, V]) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries = make(map[K]*memoEntry[V])
-	m.hits, m.misses = 0, 0
+	m.ResetStats()
 }
 
 // ResetStats zeroes the hit/miss counters while keeping every cached entry.
 // Long-running processes use it to window the counters (hit rate since the
 // last scrape) without throwing away warm state.
 func (m *Memo[K, V]) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.hits, m.misses = 0, 0
+	m.hits.Store(0)
+	m.misses.Store(0)
 }

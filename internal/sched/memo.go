@@ -1,10 +1,9 @@
 package sched
 
 import (
-	"sync"
-
 	"seculator/internal/mem"
 	"seculator/internal/npu"
+	"seculator/internal/parallel"
 	"seculator/internal/workload"
 )
 
@@ -32,43 +31,23 @@ type mapKey struct {
 	dram  mem.Config
 }
 
-// mapMemoCap bounds the memo table. The working set is tiny (layers of the
-// registered networks × one or two configs); the bound only guards against
-// unbounded growth under adversarial layer diversity. On overflow the table
-// is cleared rather than LRU-evicted — rebuilding a few hundred entries is
-// cheaper than per-hit bookkeeping on this path.
-const mapMemoCap = 4096
+// mapMemo holds every search's result. It clears itself at parallel.Memo's
+// bound: the working set is tiny (layers of the registered networks × one
+// or two configs), and the bound only guards against unbounded growth
+// under adversarial layer diversity.
+var mapMemo = parallel.NewMemo[mapKey, Choice]()
 
-var mapMemo struct {
-	mu sync.RWMutex
-	m  map[mapKey]Choice
-}
-
-// MapCached is Map with memoization. Errors are not cached: a failing
-// search (no feasible mapping) is re-run on every call so callers see the
-// live error, but failures are rare and never on the serving hot path.
+// MapCached is Map with memoization; concurrent misses on one key search
+// once. Errors are not cached: a failing search (no feasible mapping) is
+// forgotten, so every call re-runs it and sees the live error, but failures
+// are rare and never on the serving hot path.
 func MapCached(l workload.Layer, cfg npu.Config, dram mem.Config) (Choice, error) {
 	key := mapKey{layer: l, npu: cfg, dram: dram}
-
-	mapMemo.mu.RLock()
-	c, ok := mapMemo.m[key]
-	mapMemo.mu.RUnlock()
-	if ok {
-		return c, nil
-	}
-
-	c, err := Map(l, cfg, dram)
+	c, err := mapMemo.Do(key, func() (Choice, error) { return Map(l, cfg, dram) })
 	if err != nil {
-		return Choice{}, err
+		mapMemo.Forget(key)
 	}
-
-	mapMemo.mu.Lock()
-	if mapMemo.m == nil || len(mapMemo.m) >= mapMemoCap {
-		mapMemo.m = make(map[mapKey]Choice)
-	}
-	mapMemo.m[key] = c
-	mapMemo.mu.Unlock()
-	return c, nil
+	return c, err
 }
 
 // MapNetworkCached is MapNetwork built on MapCached: one memo lookup per

@@ -19,7 +19,7 @@ import (
 func TestSessionChannelReplayOverHTTP(t *testing.T) {
 	var captured *host.Packet
 	_, c := newTestServer(t, serve.Options{
-		Intercept: func(layer int, p *host.Packet) {
+		InterceptFor: interceptAll(func(layer int, p *host.Packet) {
 			switch layer {
 			case 2:
 				cp := *p
@@ -30,7 +30,7 @@ func TestSessionChannelReplayOverHTTP(t *testing.T) {
 					*p = *captured
 				}
 			}
-		},
+		}),
 	})
 	ctx := ctxT(t)
 	sess, err := c.CreateSession(ctx, serve.SessionCreateRequest{})
@@ -105,7 +105,7 @@ func TestSessionFreshnessReplayOverHTTP(t *testing.T) {
 			}
 		}
 	}
-	_, c := newTestServer(t, serve.Options{Hook: hook})
+	_, c := newTestServer(t, serve.Options{HookFor: hookAll(hook)})
 	ctx := ctxT(t)
 	sess, err := c.CreateSession(ctx, serve.SessionCreateRequest{})
 	if err != nil {
@@ -139,7 +139,7 @@ func TestSessionFreshnessReplayOverHTTP(t *testing.T) {
 func TestSessionlessBreachMapsWithoutEviction(t *testing.T) {
 	fired := false
 	_, c := newTestServer(t, serve.Options{
-		Hook: func(phase int, d *mem.DRAM) {
+		HookFor: hookAll(func(phase int, d *mem.DRAM) {
 			if phase == 1 && !fired {
 				// Corrupt a line layer 2 will consume.
 				for a := uint64(1 << 14); a > 0; a-- {
@@ -150,7 +150,7 @@ func TestSessionlessBreachMapsWithoutEviction(t *testing.T) {
 					}
 				}
 			}
-		},
+		}),
 	})
 	_, err := c.Infer(ctxT(t), serve.InferRequest{Network: "Mini", Seed: 9})
 	var ae *client.APIError

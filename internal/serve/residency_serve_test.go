@@ -133,7 +133,7 @@ func TestBreachDropsTenantResidencyEpoch(t *testing.T) {
 	var captured *host.Packet
 	armed := false
 	_, c := newTestServer(t, serve.Options{
-		Intercept: func(layer int, p *host.Packet) {
+		InterceptFor: interceptAll(func(layer int, p *host.Packet) {
 			if !armed {
 				return
 			}
@@ -147,7 +147,7 @@ func TestBreachDropsTenantResidencyEpoch(t *testing.T) {
 					*p = *captured
 				}
 			}
-		},
+		}),
 	})
 	ctx := ctxT(t)
 

@@ -76,18 +76,13 @@ type Options struct {
 	// to restore per-request provisioning.
 	Residency ResidencyConfig
 
-	// Intercept and Hook are attack instrumentation applied to every
-	// session-bound inference: the command-channel man in the middle and
-	// the DRAM phase hook. Tests and demos use them to mount replay and
-	// splice attacks through the HTTP boundary; production servers leave
-	// them nil.
-	Intercept host.Intercept
-	Hook      secure.Hook
-
-	// InterceptFor and HookFor are the per-tenant variants, used by the
-	// chaos harness to lace one tenant's traffic with attacks while the
-	// others run clean. When set they take precedence over Intercept/Hook
-	// for that tenant (a nil return means clean).
+	// InterceptFor and HookFor are attack instrumentation, resolved per
+	// tenant for each inference: the command-channel man in the middle and
+	// the DRAM phase hook (a nil function or a nil return means clean).
+	// Tests and demos use them to mount replay and splice attacks through
+	// the HTTP boundary — one tenant's traffic laced while the others run
+	// clean, or every tenant's by ignoring the argument; production servers
+	// leave them nil.
 	InterceptFor func(tenant string) host.Intercept
 	HookFor      func(tenant string) secure.Hook
 
@@ -188,17 +183,17 @@ func New(opts Options) (*Server, error) {
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/infer", s.handleInfer)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("POST /v1/sessions/restore", s.handleRestore)
+	s.mux.HandleFunc("POST /v1/sessions", s.asTenant(s.handleSessionCreate))
+	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.asTenant(s.handleSessionDelete))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.asTenant(s.handleSnapshot))
+	s.mux.HandleFunc("POST /v1/sessions/restore", s.asTenant(s.handleRestore))
 	s.mux.HandleFunc("GET /v1/designs", s.handleDesigns)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /admin/drain", s.handleAdminDrain)
-	s.mux.HandleFunc("GET /admin/sessions/{id}/snapshot", s.handleAdminSnapshot)
-	s.mux.HandleFunc("POST /admin/sessions/restore", s.handleAdminRestore)
-	s.mux.HandleFunc("DELETE /admin/sessions/{id}", s.handleAdminEvict)
+	s.mux.HandleFunc("POST /admin/drain", s.asAdmin(s.handleAdminDrain))
+	s.mux.HandleFunc("GET /admin/sessions/{id}/snapshot", s.asAdmin(s.handleSnapshot))
+	s.mux.HandleFunc("POST /admin/sessions/restore", s.asAdmin(s.handleRestore))
+	s.mux.HandleFunc("DELETE /admin/sessions/{id}", s.asAdmin(s.handleSessionDelete))
 
 	s.janitorWG.Add(1)
 	go s.runJanitor()
@@ -328,13 +323,49 @@ func WriteError(w http.ResponseWriter, status int, body ErrorBody) {
 	WriteJSON(w, status, body)
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenants.Resolve(r)
-	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
+// sessionHandler serves one session operation on behalf of an acting
+// tenant: a tenant's name on the /v1 routes, "" on the /admin routes, where
+// the gateway acts for the platform — any tenant's session, no ownership
+// rule (a restored envelope's MAC still gates integrity).
+type sessionHandler func(w http.ResponseWriter, r *http.Request, tenant string)
+
+// asTenant authenticates a /v1 session request and runs h as its tenant.
+func (s *Server) asTenant(h sessionHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t, err := s.tenants.Resolve(r)
+		if err != nil {
+			status, body := statusFor(err)
+			WriteJSON(w, status, body)
+			return
+		}
+		h(w, r, t.Name())
 	}
+}
+
+// asAdmin authorizes an /admin request and runs h as the platform (tenant
+// ""): the configured key must match (constant-time); an unconfigured key
+// leaves the surface open for trusted listeners.
+func (s *Server) asAdmin(h sessionHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.opts.AdminKey != "" && !hmacEqualString(r.Header.Get("X-Admin-Key"), s.opts.AdminKey) {
+			WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
+			return
+		}
+		h(w, r, "")
+	}
+}
+
+// clampMs converts a client-supplied millisecond count to a duration of at
+// most max, clamping first so a huge count cannot overflow into a negative
+// or tiny duration.
+func clampMs(ms int64, max time.Duration) time.Duration {
+	if ms >= max.Milliseconds() {
+		return max
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
+func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, tenant string) {
 	var req SessionCreateRequest
 	if r.ContentLength != 0 {
 		if err := DecodeJSON(r.Body, 1<<16, &req); err != nil {
@@ -346,7 +377,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
 		return
 	}
-	resp, err := s.sessions.Create(t.Name(), time.Duration(req.IdleTimeoutMs)*time.Millisecond)
+	resp, err := s.sessions.Create(tenant, clampMs(req.IdleTimeoutMs, s.opts.SessionIdle))
 	if err != nil {
 		WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error(), Class: ClassInternal})
 		return
@@ -354,29 +385,24 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusCreated, resp)
 }
 
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenants.Resolve(r)
-	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
+// handleSessionDelete closes a tenant's session; on the admin route it
+// removes any tenant's session — the source side of a completed migration,
+// counted as a migrate eviction rather than a close.
+func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request, tenant string) {
+	reason := EvictClose
+	if tenant == "" {
+		reason = EvictMigrate
 	}
-	if s.sessions.Evict(r.PathValue("id"), t.Name(), EvictClose) {
+	if s.sessions.Evict(r.PathValue("id"), tenant, reason) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	WriteJSON(w, http.StatusNotFound, ErrorBody{Error: ErrSessionUnknown.Error(), Class: ClassUnknownSession})
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenants.Resolve(r)
-	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
-	}
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, tenant string) {
 	id := r.PathValue("id")
-	env, err := s.SnapshotSession(id, t.Name())
+	env, err := s.SnapshotSession(id, tenant)
 	if err != nil {
 		status, body := statusFor(err)
 		WriteJSON(w, status, body)
@@ -385,13 +411,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, SnapshotResponse{SessionID: id, Snapshot: env})
 }
 
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	t, err := s.tenants.Resolve(r)
-	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
-	}
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, tenant string) {
 	if s.Draining() {
 		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
 		return
@@ -401,7 +421,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
 		return
 	}
-	resp, err := s.RestoreSession(req.Snapshot, t.Name())
+	resp, err := s.RestoreSession(req.Snapshot, tenant)
 	if err != nil {
 		status, body := statusFor(err)
 		WriteJSON(w, status, body)
@@ -441,81 +461,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // ---- admin surface (gateway migration hooks) ----
 
-// adminOK authorizes an /admin/* request: the configured key must match
-// (constant-time); an unconfigured key leaves the surface open for trusted
-// listeners.
-func (s *Server) adminOK(r *http.Request) bool {
-	if s.opts.AdminKey == "" {
-		return true
-	}
-	return hmacEqualString(r.Header.Get("X-Admin-Key"), s.opts.AdminKey)
-}
-
-func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
-	if !s.adminOK(r) {
-		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
-		return
-	}
+func (s *Server) handleAdminDrain(w http.ResponseWriter, _ *http.Request, _ string) {
 	s.BeginDrain()
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleAdminSnapshot exports any tenant's session — the gateway acts for
-// the platform, not for one tenant, when it migrates sessions between
-// replicas.
-func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
-	if !s.adminOK(r) {
-		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
-		return
-	}
-	id := r.PathValue("id")
-	env, err := s.SnapshotSession(id, "")
-	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
-	}
-	WriteJSON(w, http.StatusOK, SnapshotResponse{SessionID: id, Snapshot: env})
-}
-
-// handleAdminRestore imports a sealed envelope without a tenant-ownership
-// check (the envelope MAC still gates integrity; only the "acting tenant
-// must own the snapshot" rule is waived for the trusted front).
-func (s *Server) handleAdminRestore(w http.ResponseWriter, r *http.Request) {
-	if !s.adminOK(r) {
-		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
-		return
-	}
-	if s.Draining() {
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
-		return
-	}
-	var req RestoreRequest
-	if err := DecodeJSON(r.Body, 1<<20, &req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
-		return
-	}
-	resp, err := s.RestoreSession(req.Snapshot, "")
-	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
-	}
-	WriteJSON(w, http.StatusCreated, resp)
-}
-
-// handleAdminEvict removes a session regardless of owner — the source side
-// of a completed migration.
-func (s *Server) handleAdminEvict(w http.ResponseWriter, r *http.Request) {
-	if !s.adminOK(r) {
-		WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
-		return
-	}
-	if s.sessions.Evict(r.PathValue("id"), "", EvictMigrate) {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	WriteJSON(w, http.StatusNotFound, ErrorBody{Error: ErrSessionUnknown.Error(), Class: ClassUnknownSession})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -637,10 +585,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.opts.MaxTimeout {
-			timeout = s.opts.MaxTimeout
-		}
+		timeout = clampMs(req.TimeoutMs, s.opts.MaxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -714,24 +659,20 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // interceptFor resolves the command-channel attack instrumentation for a
-// tenant's inference: the per-tenant hook wins, then the global one.
+// tenant's inference.
 func (s *Server) interceptFor(tenant string) host.Intercept {
-	if s.opts.InterceptFor != nil {
-		if ic := s.opts.InterceptFor(tenant); ic != nil {
-			return ic
-		}
+	if s.opts.InterceptFor == nil {
+		return nil
 	}
-	return s.opts.Intercept
+	return s.opts.InterceptFor(tenant)
 }
 
 // hookFor resolves the DRAM phase hook for a tenant's inference.
 func (s *Server) hookFor(tenant string) secure.Hook {
-	if s.opts.HookFor != nil {
-		if h := s.opts.HookFor(tenant); h != nil {
-			return h
-		}
+	if s.opts.HookFor == nil {
+		return nil
 	}
-	return s.opts.Hook
+	return s.opts.HookFor(tenant)
 }
 
 // runInference executes one request on a scheduler worker: build (or attach

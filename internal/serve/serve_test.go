@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"seculator"
+	"seculator/internal/host"
 	"seculator/internal/mem"
+	"seculator/internal/secure"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
 )
@@ -34,6 +36,16 @@ func newTestServer(t *testing.T, opts serve.Options) (*serve.Server, *client.Cli
 		hs.Close()
 	})
 	return s, client.New(hs.URL, hs.Client())
+}
+
+// hookAll and interceptAll attach one attack hook to every tenant's
+// inferences.
+func hookAll(h secure.Hook) func(string) secure.Hook {
+	return func(string) secure.Hook { return h }
+}
+
+func interceptAll(ic host.Intercept) func(string) host.Intercept {
+	return func(string) host.Intercept { return ic }
 }
 
 func ctxT(t *testing.T) context.Context {
@@ -248,9 +260,9 @@ func TestQueueFull429(t *testing.T) {
 	var once sync.Once
 	_, c := newTestServer(t, serve.Options{
 		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 1},
-		Hook: func(phase int, _ *mem.DRAM) {
+		HookFor: hookAll(func(phase int, _ *mem.DRAM) {
 			<-release
-		},
+		}),
 	})
 	defer once.Do(func() { close(release) })
 	ctx := ctxT(t)
@@ -284,9 +296,9 @@ func TestDeadline503(t *testing.T) {
 	var once sync.Once
 	_, c := newTestServer(t, serve.Options{
 		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 8},
-		Hook: func(phase int, _ *mem.DRAM) {
+		HookFor: hookAll(func(phase int, _ *mem.DRAM) {
 			<-release
-		},
+		}),
 	})
 	defer once.Do(func() { close(release) })
 	ctx := ctxT(t)
@@ -319,9 +331,9 @@ func TestDrainOverHTTP(t *testing.T) {
 	var once sync.Once
 	s, err := serve.New(serve.Options{
 		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 8},
-		Hook: func(phase int, _ *mem.DRAM) {
+		HookFor: hookAll(func(phase int, _ *mem.DRAM) {
 			<-release
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

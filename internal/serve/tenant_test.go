@@ -117,10 +117,10 @@ func TestTenantQueueBound(t *testing.T) {
 	_, c := newTestServer(t, serve.Options{
 		Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 64},
 		Tenants:   []serve.TenantConfig{{Key: "k-a", Name: "a", MaxPending: 1}},
-		Hook: func(phase int, _ *mem.DRAM) {
+		HookFor: hookAll(func(phase int, _ *mem.DRAM) {
 			started.Do(func() { close(running) })
 			<-release
-		},
+		}),
 	})
 	t.Cleanup(func() { once.Do(func() { close(release) }) })
 	ctx := ctxT(t)

@@ -11,19 +11,14 @@ import (
 
 // IntersperseDummy builds a Seculator+ noise schedule: after every `period`
 // real layers, one decoy layer from the dummy network is inserted. The
-// result is an execution schedule for RunLayerSchedule (decoys need not
-// chain with the victim).
+// result is an execution schedule for RunLayerScheduleContext (decoys need
+// not chain with the victim).
 func IntersperseDummy(real, dummy Network, period int) ([]Layer, error) {
 	return widen.Intersperse(real, dummy, period)
 }
 
-// RunLayerSchedule simulates an arbitrary layer schedule (e.g. a
-// dummy-interspersed execution) on a design.
-func RunLayerSchedule(name string, layers []Layer, d Design, cfg Config) (Result, error) {
-	return runner.RunLayers(context.Background(), name, layers, d, cfg)
-}
-
-// RunLayerScheduleContext is RunLayerSchedule with cancellation between
+// RunLayerScheduleContext simulates an arbitrary layer schedule (e.g. a
+// dummy-interspersed execution) on a design, with cancellation between
 // layers.
 func RunLayerScheduleContext(ctx context.Context, name string, layers []Layer, d Design, cfg Config) (Result, error) {
 	return runner.RunLayers(ctx, name, layers, d, cfg)

@@ -6,9 +6,9 @@ import (
 	"seculator/internal/resilience"
 )
 
-// The resilience error taxonomy. Every failure surfaced by Run, RunAll,
-// RunSecureSession and SecureInference is (or wraps) one of these typed
-// errors; match with errors.As.
+// The resilience error taxonomy. Every failure surfaced by RunContext,
+// RunAllContext, RunSecureSessionContext and SecureInferenceContext is (or
+// wraps) one of these typed errors; match with errors.As.
 type (
 	// IntegrityError reports an XOR-MAC or per-block MAC verification
 	// failure, carrying the layer, tensor class and persistence verdict.

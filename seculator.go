@@ -19,11 +19,13 @@
 // the shape of every table and figure in the paper's evaluation; see
 // EXPERIMENTS.md for the paper-vs-measured record.
 //
-// Quick start:
+// Every long-running entry point takes a context.Context first and stops
+// when it is cancelled. Quick start:
 //
+//	ctx := context.Background()
 //	cfg := seculator.DefaultConfig()
-//	base, _ := seculator.Run(seculator.ResNet18(), seculator.Baseline, cfg)
-//	sec, _ := seculator.Run(seculator.ResNet18(), seculator.Seculator, cfg)
+//	base, _ := seculator.RunContext(ctx, seculator.ResNet18(), seculator.Baseline, cfg)
+//	sec, _ := seculator.RunContext(ctx, seculator.ResNet18(), seculator.Seculator, cfg)
 //	fmt.Printf("Seculator overhead: %.1f%%\n", (1/sec.Performance(base)-1)*100)
 package seculator
 
@@ -136,24 +138,14 @@ type Result = runner.Result
 // LayerResult is the per-layer slice of a Result.
 type LayerResult = runner.LayerResult
 
-// Run simulates one network on one design.
-func Run(n Network, d Design, cfg Config) (Result, error) {
-	return runner.Run(context.Background(), n, d, cfg)
-}
-
-// RunContext is Run with a context: the simulation stops between layers
-// when ctx is cancelled or its deadline passes.
+// RunContext simulates one network on one design. The simulation stops
+// between layers when ctx is cancelled or its deadline passes.
 func RunContext(ctx context.Context, n Network, d Design, cfg Config) (Result, error) {
 	return runner.Run(ctx, n, d, cfg)
 }
 
-// RunAll simulates a network across several designs.
-func RunAll(n Network, designs []Design, cfg Config) ([]Result, error) {
-	return runner.RunAll(context.Background(), n, designs, cfg)
-}
-
-// RunAllContext is RunAll with a context: cancellation is observed between
-// designs and between layers.
+// RunAllContext simulates a network across several designs. Cancellation
+// is observed between designs and between layers.
 func RunAllContext(ctx context.Context, n Network, designs []Design, cfg Config) ([]Result, error) {
 	return runner.RunAll(ctx, n, designs, cfg)
 }

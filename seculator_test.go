@@ -1,7 +1,12 @@
 package seculator
 
 import (
+	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -17,16 +22,50 @@ func TestPublicRunRoundTrip(t *testing.T) {
 			{Name: "c2", Type: Conv, C: 8, H: 16, W: 16, K: 8, R: 3, S: 3, Stride: 1},
 		},
 	}
-	base, err := Run(net, Baseline, cfg)
+	base, err := RunContext(context.Background(), net, Baseline, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec, err := Run(net, Seculator, cfg)
+	sec, err := RunContext(context.Background(), net, Seculator, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p := sec.Performance(base); p <= 0 || p > 1 {
 		t.Fatalf("Seculator normalized performance = %g", p)
+	}
+}
+
+// TestNoContextlessTwins keeps the facade at one entry point per operation:
+// an exported X beside an exported XContext is the same operation twice, and
+// the context-first form is the one that stays.
+func TestNoContextlessTwins(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+				funcs[fd.Name.Name] = true
+			}
+		}
+	}
+	if len(funcs) == 0 {
+		t.Fatal("parsed no exported functions")
+	}
+	for name := range funcs {
+		if base, ok := strings.CutSuffix(name, "Context"); ok && funcs[base] {
+			t.Errorf("%s has a context-less twin %s", name, base)
+		}
 	}
 }
 
