@@ -314,20 +314,25 @@ func TestOutputMACPinned(t *testing.T) {
 // reads and writes the counts sum to. A resident run reads no weight and
 // host-writes only the input. Beside the counts, Result.Keystream: a clean
 // run computes one CTR pad per block written, and every decrypting read
-// reuses the pad its line's write computed.
+// reuses the pad its line's write computed. And Result.Hashing: a clean run
+// hashes the MAC of every ofmap write (Loop + Helper, whoever hashed it)
+// and takes every read's from the memo (Reused); the two sum to the MACs
+// the run hashed before reads took recorded ones (macs), which no arm moves.
 func TestBlockCountsPinned(t *testing.T) {
+	type macSplit struct{ hashed, reused, macs int }
 	for _, tc := range []struct {
 		shape        string
 		globalBuffer int // 0: the default
 		want         protect.BlockCounts
 		pads         protect.Keystreams
+		full, res    macSplit // the full arms, and the resident one
 	}{
 		{"Mini", 0, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 480, WeightFirst: 400, OfmapWrites: 298, HostWrites: 436},
-			protect.Keystreams{Computed: 734, Reused: 734}},
+			protect.Keystreams{Computed: 734, Reused: 734}, macSplit{298, 734, 1032}, macSplit{298, 334, 632}},
 		{"Mini", 2048, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 1776, WeightFirst: 784, WeightRepeat: 184, OfmapWrites: 298, HostWrites: 820},
-			protect.Keystreams{Computed: 1118, Reused: 1782}},
+			protect.Keystreams{Computed: 1118, Reused: 1782}, macSplit{298, 1598, 1896}, macSplit{298, 814, 1112}},
 		{"MobileNet/8", 0, protect.BlockCounts{IfmapFirst: 3293, WeightFirst: 4704, OfmapWrites: 3237, HostWrites: 4760},
-			protect.Keystreams{Computed: 7997, Reused: 7997}},
+			protect.Keystreams{Computed: 7997, Reused: 7997}, macSplit{3237, 7997, 11234}, macSplit{3237, 3293, 6530}},
 	} {
 		net, err := workload.ResolveShape(tc.shape)
 		if err != nil {
@@ -341,7 +346,7 @@ func TestBlockCountsPinned(t *testing.T) {
 			}
 			return x
 		}
-		check := func(name string, x *secure.Executor, want protect.BlockCounts, pads protect.Keystreams) protect.BlockCounts {
+		check := func(name string, x *secure.Executor, want protect.BlockCounts, pads protect.Keystreams, macs macSplit) protect.BlockCounts {
 			t.Helper()
 			res, err := x.Run(context.Background(), net, in, ws)
 			if err != nil {
@@ -351,15 +356,19 @@ func TestBlockCountsPinned(t *testing.T) {
 				t.Errorf("%s (buffer %d), %s: %+v and pads %+v, want %+v and %+v",
 					tc.shape, tc.globalBuffer, name, res.Counts, res.Keystream, want, pads)
 			}
+			h := res.Hashing
+			if got := (macSplit{h.Loop + h.Helper, h.Reused, h.Loop + h.Helper + h.Reused}); got != macs {
+				t.Errorf("%s (buffer %d), %s: MACs hashed / reused / in all %v, want %v", tc.shape, tc.globalBuffer, name, got, macs)
+			}
 			return res.Counts
 		}
 		x := executor()
 		for pass := 0; pass < 2; pass++ { // the second pass rides pooled state
-			check(fmt.Sprintf("loader, pass %d", pass), x, tc.want, tc.pads)
+			check(fmt.Sprintf("loader, pass %d", pass), x, tc.want, tc.pads, tc.full)
 		}
 		var dram *mem.DRAM
 		x.AfterPhase = func(_ int, d *mem.DRAM) { dram = d }
-		got := check("hooked", x, tc.want, tc.pads)
+		got := check("hooked", x, tc.want, tc.pads, tc.full)
 		tr := dram.Traffic()
 		if r, w := tr.ReadBlocks[0], tr.WriteBlocks[0]; r != uint64(got.Reads()) || w != uint64(got.Writes()) || tr.Overhead() != 0 {
 			t.Errorf("%s (buffer %d), hooked: DRAM recorded %d reads / %d writes / %d overhead, counts sum to %d / %d / 0",
@@ -379,6 +388,6 @@ func TestBlockCountsPinned(t *testing.T) {
 		pads.Computed -= want.WeightFirst
 		pads.Reused -= want.WeightFirst + want.WeightRepeat
 		want.WeightFirst, want.WeightRepeat = 0, 0
-		check("resident", x, want, pads)
+		check("resident", x, want, pads, tc.res)
 	}
 }

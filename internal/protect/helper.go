@@ -13,16 +13,17 @@ import (
 //
 // Seculator checks integrity once per layer (Equation 1), so no block MAC is
 // needed before its layer's check: a shard that has borrowed a helper copies
-// each MAC it owes — (position, 64-byte plaintext, register, read count) —
-// into the helper's ring and moves on, and the helper hashes and folds it
-// into a partial bank of its own. Merge drains the ring before anything reads
+// each MAC it owes — (position, 64-byte plaintext, register, read count, and
+// a final write's memo entry) — into the helper's ring and moves on, and the
+// helper hashes and folds it into a partial bank of its own, recording a
+// final write's MAC in its entry. Merge drains the ring before anything reads
 // a register: the draining shard hashes every job the helper has not claimed
 // and waits out the one batch it has, so each register holds exactly the
 // folds an inline run would have made (XOR commutes). A shard without a
 // helper, or whose helper's ring is full, hashes inline through the same fold.
 
 const (
-	// ringJobs is a helper ring's capacity: 3 KiB of jobs, the loop's
+	// ringJobs is a helper ring's capacity: 3.25 KiB of jobs, the loop's
 	// lead on the helper before it hashes inline.
 	ringJobs = 32
 	// batchJobs bounds one helper claim — the most a drain ever waits for —
@@ -50,16 +51,29 @@ const (
 )
 
 // macFolds is what owed MACs fold into: a partial register bank, the
-// first-read weight digest, and how many MACs were hashed into them.
+// first-read weight digest, how many MACs were hashed into them and how many
+// reads folded one the memo recorded instead.
 type macFolds struct {
 	bank    mac.PartialBank
 	weights mac.Digest
 	hashed  int
+	reused  int
 }
 
-// fold folds d for n reads of one block: the first into to, the rest as
+// hash folds the MAC of ref ‖ block, hashed with rowh, for n reads into to,
+// first recording it in rec — a final write's memo entry — if there is one.
+func (f *macFolds) hash(rowh *mac.RowHasher, ref mac.BlockRef, block []byte, to foldTo, n int, rec *keystream) {
+	d := rowh.Block(ref, block)
+	if rec != nil {
+		rec.mac, rec.hashed = d, true
+	}
+	f.add(to, d, n)
+	f.hashed++
+}
+
+// add folds d for n reads of one block: the first into to, the rest as
 // repeat reads (n > 1 only for ifmap reads).
-func (f *macFolds) fold(to foldTo, d mac.Digest, n int) {
+func (f *macFolds) add(to foldTo, d mac.Digest, n int) {
 	switch to {
 	case toWrite:
 		f.bank.OnWrite(d)
@@ -77,28 +91,30 @@ func (f *macFolds) fold(to foldTo, d mac.Digest, n int) {
 	for ; n > 1; n-- {
 		f.bank.OnRepeatRead(d)
 	}
-	f.hashed++
 }
 
-// macJob is one owed MAC: hash ref ‖ block once, fold it for n reads into to.
+// macJob is one owed MAC: hash ref ‖ block once, fold it for n reads into
+// to, and record it in rec when a final write owes it.
 type macJob struct {
 	ref   mac.BlockRef
 	block [tensor.BlockBytes]byte
 	to    foldTo
 	n     int32
+	rec   *keystream
 }
 
 // hash folds the job into f with rowh.
 func (j *macJob) hash(f *macFolds, rowh *mac.RowHasher) {
-	f.fold(j.to, rowh.Block(j.ref, j.block[:]), int(j.n))
+	f.hash(rowh, j.ref, j.block[:], j.to, int(j.n), j.rec)
 }
 
 // macHelper is one persistent hashing goroutine and its ring. The ring has
 // one producer (the borrowing shard) and two consumers that claim batches by
 // CAS on tail: the helper, and the shard itself when it drains. The helper
-// keeps no pointer into any run: a borrower holds the helper, not the other
-// way round. The counters sit on separate cache lines by writer, so a push
-// touches no line the helper writes per batch.
+// keeps no pointer into any run but the memo entries of the final writes
+// queued on it, which HandBack clears: a borrower holds the helper, not the
+// other way round. The counters sit on separate cache lines by writer, so a
+// push touches no line the helper writes per batch.
 type macHelper struct {
 	ring [ringJobs]macJob
 
@@ -168,8 +184,9 @@ func (s *SeculatorShard) Borrow(runs int) bool {
 }
 
 // HandBack detaches the shard's helper and returns it to the idle set: jobs
-// still queued (a run that ended in error) are dropped, and the ring, the
-// helper's hasher and its partials are scrubbed, so no plaintext of this run
+// still queued (a run that ended in error) are dropped — their final writes
+// record no MAC — and the ring, the helper's hasher and its partials are
+// scrubbed, so no plaintext of this run, and no pointer into its memo,
 // outlives it there. Orchestrator-only; a no-op without a helper.
 func (s *SeculatorShard) HandBack() {
 	h := s.helper
@@ -191,12 +208,13 @@ func (s *SeculatorShard) HandBack() {
 }
 
 // owe routes one block MAC the layer's registers are owed: onto the helper's
-// ring while it has room, else hashed here. n > 1 only for ifmap reads.
-func (s *SeculatorShard) owe(ref mac.BlockRef, block []byte, to foldTo, n int) {
-	if h := s.helper; h != nil && h.push(ref, block, to, n) {
+// ring while it has room, else hashed here. n > 1 only for ifmap reads; rec
+// is a final write's memo entry, nil for every other MAC.
+func (s *SeculatorShard) owe(ref mac.BlockRef, block []byte, to foldTo, n int, rec *keystream) {
+	if h := s.helper; h != nil && h.push(ref, block, to, n, rec) {
 		return
 	}
-	s.folds.fold(to, s.rowh.Block(ref, block), n)
+	s.folds.hash(&s.rowh, ref, block, to, n, rec)
 }
 
 // settle lands every MAC the shard owes in its own folds: it hashes each job
@@ -247,7 +265,7 @@ func (h *macHelper) quiesce() {
 
 // push copies a job into the ring, publishing every batchJobs-th. It reports
 // false, and queues nothing, when the ring is full.
-func (h *macHelper) push(ref mac.BlockRef, block []byte, to foldTo, n int) bool {
+func (h *macHelper) push(ref mac.BlockRef, block []byte, to foldTo, n int, rec *keystream) bool {
 	p := h.pushed
 	if p-h.free >= ringJobs {
 		if h.free = h.done.Load(); p-h.free >= ringJobs {
@@ -255,7 +273,7 @@ func (h *macHelper) push(ref mac.BlockRef, block []byte, to foldTo, n int) bool 
 		}
 	}
 	j := &h.ring[p%ringJobs]
-	j.ref, j.to, j.n = ref, to, int32(n)
+	j.ref, j.to, j.n, j.rec = ref, to, int32(n), rec
 	copy(j.block[:], block)
 	h.pushed = p + 1
 	if h.pushed%batchJobs == 0 {

@@ -110,7 +110,7 @@ func TestHelperPanicSurfacesAtDrain(t *testing.T) {
 		}
 		m.BeginLayer(1)
 		if poison {
-			h.push(mac.BlockRef{}, shardPattern(0), foldTo(255), 1)
+			h.push(mac.BlockRef{}, shardPattern(0), foldTo(255), 1, nil)
 		} else {
 			for i := 0; i < batchJobs; i++ {
 				sh.WriteRow(uint64(i), 2, 1, uint32(i), shardPattern(i), make([]byte, tensor.BlockBytes))

@@ -3,6 +3,7 @@ package protect
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"seculator/internal/crypto"
@@ -11,10 +12,12 @@ import (
 	"seculator/internal/tensor"
 )
 
-// The keystream memo is a memo of a pure function, so a memory whose memo is
-// reserved and one whose memo never is — where every pad is computed — must
-// be indistinguishable to everything but the pad tally, under any DRAM
-// mutation between operations and any injector during them.
+// The keystream memo is a memo of pure functions — the pad of a counter, the
+// MAC of a ciphertext under a counter — so a memory whose memo is reserved
+// and one whose memo never is — where every pad is computed and every MAC
+// hashed — must be indistinguishable to everything but the pad and MAC
+// tallies, under any DRAM mutation between operations and any injector
+// during them.
 
 const (
 	memoLines = 16 // lines the memo covers
@@ -63,10 +66,19 @@ func fuzzRow(k int, seed byte) []byte {
 	return row
 }
 
+// lineWrite is what the reuse model knows of a line's last shard write: its
+// counter, the ciphertext it stored, and whether it records its MAC.
+type lineWrite struct {
+	ctr      crypto.Counter
+	ct       [tensor.BlockBytes]byte
+	recorded bool
+}
+
 // checkKeystreamMemo runs the op sequence on both arms. An op is five bytes
 // (op, addr, a, b, c):
 //
-//	0 WriteRow      of 1+a%3 blocks under counter b (current layer), pattern c
+//	0 WriteRow      of 1+a%3 blocks under counter b (current layer), pattern
+//	                c; WriteFinalRow if a&4
 //	1 HostWriteRow  of 1+a%3 blocks under counter b, pattern c
 //	2 ReadInputRun  counter: the line's last write's if a%4 != 0, else b;
 //	                first = c&1, run length 1+(c>>1)%4
@@ -76,15 +88,25 @@ func fuzzRow(k int, seed byte) []byte {
 //	6 next layer    merge, compare, verify the layer before, BeginLayer
 //	7 Recycle       merge, compare, recycle memory, shard and DRAM
 //
+// With a&8 the memo arm's shard hands ops 0 – 4 the MACs they owe to a
+// borrowed helper (where GOMAXPROCS lets it borrow one), waits until the
+// helper has hashed them and settles before the next op — the executor's
+// rule: a line a final write's queued job names is touched again only after
+// a settle.
+//
 // Reads, digests, registers, the weight digest, block counts, traffic and
 // every DRAM line must agree; the memo arm must reuse a pad exactly when the
 // line's last shard write computed it for the read's counter, and compute
-// every other one.
-func checkKeystreamMemo(t *testing.T, ops, sched []byte) {
+// every other one; and it must take a read's MAC from the memo exactly when
+// the model predicts it — a first fetch (ReadInputRun's, or ReadStatic's
+// with first) of the bytes the line's last write stored, under its counter,
+// by a write that records its MAC — and hash every other one. It returns how
+// many MACs the memo arm took from the memo.
+func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 	t.Helper()
 	memo, ref := newMemoArm(t, true, sched), newMemoArm(t, false, sched)
 	arms := [2]*memoArm{memo, ref}
-	last := map[uint64]crypto.Counter{} // each line's last shard-write counter since the last Recycle
+	last := map[uint64]lineWrite{} // each line's last shard write since the last Recycle
 	layer := uint32(1)
 	for len(ops) >= fuzzOpLen {
 		op, addr, a, b, c := ops[0]%8, uint64(ops[1]%fuzzLines), ops[2], ops[3], ops[4]
@@ -94,13 +116,15 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) {
 		w, written := last[addr]
 		ctr := fuzzCounter(b)
 		if written && a%4 != 0 {
-			ctr = w
+			ctr = w.ctr
 		}
 		if op == 3 {
 			ctr.Layer = layer
 		}
-		hit := written && addr < memoLines && w == ctr
+		hit := written && addr < memoLines && w.ctr == ctr
 		ksBefore := [2]Keystreams{memo.sh.ks, ref.sh.ks}
+		reusedBefore, fetchedBefore := memo.sh.folds.reused, len(memo.tap.fetched)
+		helped := op <= 4 && a&8 != 0 && memo.sh.Borrow(1)
 		var got [2][]byte
 		switch op {
 		case 0, 1:
@@ -110,15 +134,21 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) {
 				wc.Layer = layer
 			}
 			for i, arm := range arms {
-				if op == 0 {
-					arm.sh.WriteRow(addr, wc.Fmap, int(wc.VN), wc.Block, fuzzRow(k, c), arm.ct[:k*tensor.BlockBytes])
-				} else {
-					g := arm.sh.HostWriteRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, fuzzRow(k, c), arm.ct[:k*tensor.BlockBytes])
+				row, ct := fuzzRow(k, c), arm.ct[:k*tensor.BlockBytes]
+				switch {
+				case op == 1:
+					g := arm.sh.HostWriteRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, row, ct)
 					got[i] = g[:]
+				case a&4 != 0:
+					arm.sh.WriteFinalRow(addr, wc.Fmap, int(wc.VN), wc.Block, row, ct)
+				default:
+					arm.sh.WriteRow(addr, wc.Fmap, int(wc.VN), wc.Block, row, ct)
 				}
 			}
 			for i := 0; i < k; i++ {
-				last[addr+uint64(i)] = wc
+				lw := lineWrite{ctr: wc, recorded: op == 1 || a&4 != 0}
+				copy(lw.ct[:], memo.ct[i*tensor.BlockBytes:])
+				last[addr+uint64(i)] = lw
 				wc.Block++
 			}
 		case 2:
@@ -169,8 +199,26 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) {
 				arm.m.BeginLayer(layer)
 			}
 		}
+		if helped {
+			awaitHelper(t, memo.sh.helper)
+			memo.sh.settle()
+			memo.sh.HandBack()
+		}
 		if !bytes.Equal(got[0], got[1]) {
 			t.Fatalf("%s: %x with the memo, %x without", what, got[0], got[1])
+		}
+		// The model's MAC reuse: a first fetch, of exactly what a recording
+		// write stored, under its counter.
+		wantReused := 0
+		if firstFetch := op == 2 || op == 4 && c&1 != 0; firstFetch && hit && w.recorded && memo.tap.fetched[fetchedBefore] == w.ct {
+			wantReused = 1
+		}
+		if d := memo.sh.folds.reused - reusedBefore; op < 6 && d != wantReused {
+			t.Fatalf("%s: %d MACs taken from the memo, the model predicts %d", what, d, wantReused)
+		}
+		reused += wantReused
+		if ref.sh.folds.reused != 0 {
+			t.Fatalf("%s: a memory with no memo reused a MAC", what)
 		}
 		dm, dr := memo.sh.ks, ref.sh.ks
 		dm.Computed -= ksBefore[0].Computed
@@ -191,6 +239,7 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) {
 	if km, kr := memo.m.Keystreams(), ref.m.Keystreams(); kr.Reused != 0 || km.Computed+km.Reused != kr.Computed {
 		t.Fatalf("merged pads %+v with the memo, %+v without", km, kr)
 	}
+	return reused
 }
 
 // sameMemoState merges both arms and compares everything they expose.
@@ -209,6 +258,11 @@ func sameMemoState(t *testing.T, what string, memo, ref *memoArm) {
 	}
 	if memo.d.Traffic() != ref.d.Traffic() || memo.d.Lines() != ref.d.Lines() {
 		t.Fatalf("%s: DRAM traffic or line count differs", what)
+	}
+	// A MAC is owed once either way; the memo only changes who produced it.
+	hm, hr := memo.m.Hashing(), ref.m.Hashing()
+	if hr.Reused != 0 || hm.Loop+hm.Helper+hm.Reused != hr.Loop+hr.Helper {
+		t.Fatalf("%s: MACs %+v with the memo, %+v without", what, hm, hr)
 	}
 	for a := uint64(0); a < fuzzLines+2; a++ {
 		g, w := memo.d.Peek(a), ref.d.Peek(a)
@@ -242,5 +296,45 @@ func TestKeystreamMemoReusesWrites(t *testing.T) {
 	arm.m.Merge(arm.sh)
 	if got, want := arm.m.Keystreams(), (Keystreams{Computed: 4, Reused: 7}); got != want {
 		t.Fatalf("pads %+v, want %+v", got, want)
+	}
+}
+
+// TestMACMemoReusesRecordingWrites walks the MAC memo's cases through the
+// differential: a read takes the recorded MAC after a final write (hashed
+// inline, or by a borrowed helper) or a host write, and hashes after a
+// non-final write, under another counter, after a tamper, after a later
+// write over a recorded one, and after a Recycle.
+func TestMACMemoReusesRecordingWrites(t *testing.T) {
+	ops := []byte{
+		0, 2, 4, 0x21, 5, // final WriteRow of lines 2, 3
+		6, 0, 0, 0, 0, // next layer
+		2, 2, 1, 0, 1, // first read of line 2: reused
+		2, 3, 1, 0, 6, // a run of four repeat reads of line 3: the first fetch reused
+		0, 5, 0, 0x21, 7, // non-final WriteRow of line 5
+		6, 0, 0, 0, 0,
+		2, 5, 1, 0, 1, // hashed: nothing recorded
+		1, 8, 1, 0x05, 9, // HostWriteRow of lines 8, 9
+		4, 8, 1, 0, 1, // first weight read of line 8: reused
+		4, 9, 1, 0, 0, // a repeat weight read: no MAC at all
+		5, 9, 0, 3, 0x10, // tamper line 9
+		4, 9, 1, 0, 1, // hashed: the bytes differ
+		2, 8, 0, 0x7f, 1, // line 8 under another counter: hashed
+		1, 11, 0, 0x05, 3, // HostWriteRow of line 11 ...
+		0, 11, 0, 0x22, 4, // ... overwritten by a non-final WriteRow
+		6, 0, 0, 0, 0,
+		2, 11, 1, 0, 1, // hashed: the later write dropped the record
+		0, 13, 12, 0x40, 11, // final WriteRow of line 13, its MAC on a helper
+		6, 0, 0, 0, 0,
+		2, 13, 1, 0, 1, // reused
+		7, 0, 0, 0, 0, // Recycle
+		2, 2, 1, 0x21, 1, // hashed: the memo is empty
+	}
+	if n := checkKeystreamMemo(t, ops, nil); n != 4 {
+		t.Fatalf("%d MACs taken from the memo, want 4: lines 2, 3, 8 and 13", n)
+	}
+	// The entry stays compact: the pad, counter and flag it had, plus at
+	// most about 100 bytes for the ciphertext, the MAC and their flag.
+	if got := reflect.TypeOf(keystream{}).Size(); got > 184 {
+		t.Fatalf("a keystream memo entry is %d bytes", got)
 	}
 }

@@ -16,11 +16,12 @@ import (
 // next read sees the stored line again, A-B-A) unless offset's top bit is set,
 // which also flips the stored line, so every later read sees it (A-B-B).
 type runTamper struct {
-	d     *mem.DRAM
-	n     int
-	sched []byte
-	calls int
-	log   [][2]uint64 // (line address, call index)
+	d       *mem.DRAM
+	n       int
+	sched   []byte
+	calls   int
+	log     [][2]uint64               // (line address, call index)
+	fetched [][tensor.BlockBytes]byte // what each read returned, flips included
 }
 
 func (p *runTamper) OnRead(addr uint64, data []byte) {
@@ -35,6 +36,7 @@ func (p *runTamper) OnRead(addr uint64, data []byte) {
 			p.d.Tamper(addr, off, mask)
 		}
 	}
+	p.fetched = append(p.fetched, [tensor.BlockBytes]byte(data))
 	p.calls++
 }
 

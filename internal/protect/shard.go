@@ -86,11 +86,24 @@ func (c *BlockCounts) add(o BlockCounts) {
 type Keystreams struct{ Computed, Reused int }
 
 // keystream is one line's keystream memo entry: the pad its last shard write
-// computed and the whole counter it is the pad of (DESIGN.md §10).
+// computed, the whole counter it is the pad of and the ciphertext it stored
+// — and, once hashed, that write's block MAC, when the write records it: a
+// host write, or an ofmap line's final version (DESIGN.md §10, "MAC memo").
 type keystream struct {
-	pad [tensor.BlockBytes]byte
-	ctr crypto.Counter
-	set bool
+	pad    [tensor.BlockBytes]byte
+	ct     [tensor.BlockBytes]byte
+	mac    mac.Digest
+	ctr    crypto.Counter
+	set    bool
+	hashed bool // mac is the MAC of ct's plaintext under ctr
+}
+
+// entry returns line addr's memo entry, or nil outside the memo.
+func (m *SeculatorMemory) entry(addr uint64) *keystream {
+	if addr < uint64(len(m.keys)) {
+		return &m.keys[addr]
+	}
+	return nil
 }
 
 // ReserveKeystreams sizes the memo to lines [0, n) in one allocation (none
@@ -151,7 +164,8 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 		m.hashing.Borrowed = m.hashing.Borrowed || s.helper != nil
 		m.hashing.Loop += s.folds.hashed
 		m.hashing.Helper += s.helperHashed
-		s.folds.hashed, s.helperHashed = 0, 0
+		m.hashing.Reused += s.folds.reused
+		s.folds.hashed, s.helperHashed, s.folds.reused = 0, 0, 0
 		m.weights = m.weights.Xor(s.folds.weights)
 		s.folds.weights = mac.Digest{}
 		if s.folds.bank.Folds() > 0 {
@@ -167,12 +181,14 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 func (m *SeculatorMemory) BlockCounts() BlockCounts { return m.counts }
 
 // Hashing says where the block MACs of the shards' reads and writes — the
-// ones the layer checks consume — were hashed, over every shard merged since
-// the memory was built or recycled.
+// ones the layer checks consume — were hashed, or that a read took its MAC
+// from the memo, over every shard merged since the memory was built or
+// recycled.
 type Hashing struct {
 	Borrowed bool // a merged shard had a helper
 	Loop     int  // hashed by the shards themselves: inline, or draining a ring
 	Helper   int  // hashed by borrowed helpers
+	Reused   int  // taken by reads from the MAC their line's last write recorded
 }
 
 // Hashing returns the split of every shard merged since the memory was built
@@ -188,22 +204,47 @@ func (m *SeculatorMemory) WeightDigest() mac.Digest { return m.weights }
 // memo's when the line's last write computed it for this very counter (on a
 // clean run, every read's), else one computed into the shard's scratch.
 func (s *SeculatorShard) readPad(addr uint64, ctr crypto.Counter) []byte {
-	if keys := s.parent.keys; addr < uint64(len(keys)) && keys[addr].set && keys[addr].ctr == ctr {
+	if k := s.parent.entry(addr); k != nil && k.set && k.ctr == ctr {
 		s.ks.Reused++
-		return keys[addr].pad[:]
+		return k.pad[:]
 	}
 	s.ks.Computed++
 	s.engine.Pad(s.pad[:], ctr)
 	return s.pad[:]
 }
 
-// fetch reads and decrypts one block into the shard's plaintext scratch;
-// the caller counts it in its tensor class.
-func (s *SeculatorShard) fetch(addr uint64, layer, fmapID uint32, vn int, blockIdx uint32) []byte {
-	m := s.parent
-	m.dram.ReadBlockQuiet(addr, s.ct[:])
-	subtle.XORBytes(s.pt[:], s.ct[:], s.readPad(addr, m.counter(layer, fmapID, vn, blockIdx)))
+// fetch reads line addr into the shard's ciphertext scratch and decrypts it
+// under ctr into its plaintext scratch; the caller counts it in its tensor
+// class.
+func (s *SeculatorShard) fetch(addr uint64, ctr crypto.Counter) []byte {
+	s.parent.dram.ReadBlockQuiet(addr, s.ct[:])
+	subtle.XORBytes(s.pt[:], s.ct[:], s.readPad(addr, ctr))
 	return s.pt[:]
+}
+
+// recorded returns the MAC line addr's memo entry holds when it is the MAC
+// of the line just fetched into the shard's ciphertext scratch under ctr:
+// the line's last write stored exactly these bytes under exactly this
+// counter and recorded its MAC. Else nil. Plaintext and MAC are pure
+// functions of (ciphertext, counter), so it is the digest hashing would
+// produce. Both compared lines are DRAM contents the adversary already owns,
+// so the compare's timing leaks nothing.
+func (s *SeculatorShard) recorded(addr uint64, ctr crypto.Counter) *mac.Digest {
+	if k := s.parent.entry(addr); k != nil && k.hashed && k.ctr == ctr && k.ct == s.ct {
+		return &k.mac
+	}
+	return nil
+}
+
+// oweUnless owes block's MAC, unless d — recorded's — is that MAC: then it
+// folds d here, unhashed.
+func (s *SeculatorShard) oweUnless(d *mac.Digest, ref mac.BlockRef, block []byte, to foldTo, n int) {
+	if d == nil {
+		s.owe(ref, block, to, n, nil)
+		return
+	}
+	s.folds.add(to, *d, n)
+	s.folds.reused++
 }
 
 // ReadInput fetches and decrypts an ifmap block produced by prevLayer at
@@ -221,11 +262,13 @@ func (s *SeculatorShard) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int
 // n separate calls; but plaintext and MAC are pure functions of
 // (ciphertext, counter, ref), so a re-read is decrypted and MACed only when
 // its ciphertext differs from the previous fetch's: each run of identical
-// reads is owed as one MAC folded once per read.
+// reads is owed as one MAC folded once per read. The first fetch's MAC is
+// the memo's when the line's last write recorded it for these very bytes.
 func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool, n int) []byte {
 	m := s.parent
-	ref := m.ref(prevLayer, fmapID, vn, blockIdx)
-	pt := s.fetch(addr, prevLayer, fmapID, vn, blockIdx)
+	ref, ctr := m.ref(prevLayer, fmapID, vn, blockIdx), m.counter(prevLayer, fmapID, vn, blockIdx)
+	pt := s.fetch(addr, ctr)
+	memo := s.recorded(addr, ctr)
 	to := toRepeat
 	if first {
 		to = toFirst
@@ -240,23 +283,23 @@ func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn 
 		// Both operands are DRAM contents the adversary already owns, so the
 		// compare's timing leaks nothing.
 		if s.runCT != s.ct {
-			s.owe(ref, block, to, reads)
+			s.oweUnless(memo, ref, block, to, reads)
 			s.ct = s.runCT
-			subtle.XORBytes(s.runPT[:], s.ct[:], s.readPad(addr, m.counter(prevLayer, fmapID, vn, blockIdx)))
-			block, to, reads = s.runPT[:], toRepeat, 0
+			subtle.XORBytes(s.runPT[:], s.ct[:], s.readPad(addr, ctr))
+			block, to, reads, memo = s.runPT[:], toRepeat, 0, nil
 		}
 		reads++
 	}
-	s.owe(ref, block, to, reads)
+	s.oweUnless(memo, ref, block, to, reads)
 	return pt
 }
 
 // ReadPartial reads back a partial ofmap block of this layer, owing its MAC to MAC_R.
 func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockIdx uint32) []byte {
 	m := s.parent
-	pt := s.fetch(addr, m.layer, fmapID, vn, blockIdx)
+	pt := s.fetch(addr, m.counter(m.layer, fmapID, vn, blockIdx))
 	s.n.PartialReads++
-	s.owe(m.ref(m.layer, fmapID, vn, blockIdx), pt, toPartial, 1)
+	s.owe(m.ref(m.layer, fmapID, vn, blockIdx), pt, toPartial, 1, nil)
 	return pt
 }
 
@@ -265,15 +308,18 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 // its layer: a first read's MAC folds into the layer's weight digest
 // (WeightDigest, after Merge) for the golden comparison; a repeat's is bound
 // to nothing, so it is not computed — the caller compares its plaintext
-// with the first read's instead.
+// with the first read's instead. A first read's MAC is the memo's when the
+// line's host write recorded it for these very bytes.
 func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
-	pt := s.fetch(addr, ownerLayer, fmapID, vn, blockIdx)
+	m := s.parent
+	ctr := m.counter(ownerLayer, fmapID, vn, blockIdx)
+	pt := s.fetch(addr, ctr)
 	if !first {
 		s.n.WeightRepeat++
 		return pt
 	}
 	s.n.WeightFirst++
-	s.owe(s.parent.ref(ownerLayer, fmapID, vn, blockIdx), pt, toWeight, 1)
+	s.oweUnless(s.recorded(addr, ctr), m.ref(ownerLayer, fmapID, vn, blockIdx), pt, toWeight, 1)
 	return pt
 }
 
@@ -288,18 +334,24 @@ func rowBlocks(plaintext, ct []byte) int {
 
 // storeRow encrypts the n packed blocks of plaintext under counters ctr,
 // ctr+1, … into ct (caller-owned, at least as long), each pad computed into
-// its line's memo entry, stores them at lines addr, addr+1, … and returns n.
+// its line's memo entry beside the counter and the ciphertext — whose
+// recorded MAC, a previous write's, it drops — stores them at lines addr,
+// addr+1, … and returns n.
 func (s *SeculatorShard) storeRow(addr uint64, ctr crypto.Counter, plaintext, ct []byte) int {
-	n, keys := rowBlocks(plaintext, ct), s.parent.keys
+	n := rowBlocks(plaintext, ct)
 	for b := 0; b < n; b++ {
-		pad, a := s.pad[:], addr+uint64(b)
-		if a < uint64(len(keys)) {
-			keys[a].ctr, keys[a].set = ctr, true
-			pad = keys[a].pad[:]
+		o := b * tensor.BlockBytes
+		line, pad := ct[o:o+tensor.BlockBytes], s.pad[:]
+		k := s.parent.entry(addr + uint64(b))
+		if k != nil {
+			k.ctr, k.set, k.hashed = ctr, true, false
+			pad = k.pad[:]
 		}
 		s.engine.Pad(pad, ctr)
-		o := b * tensor.BlockBytes
-		subtle.XORBytes(ct[o:o+tensor.BlockBytes], plaintext[o:o+tensor.BlockBytes], pad)
+		subtle.XORBytes(line, plaintext[o:o+tensor.BlockBytes], pad)
+		if k != nil {
+			k.ct = [tensor.BlockBytes]byte(line)
+		}
 		ctr.Block++
 	}
 	s.ks.Computed += n
@@ -311,11 +363,28 @@ func (s *SeculatorShard) storeRow(addr uint64, ctr crypto.Counter, plaintext, ct
 // block indices blockIdx, blockIdx+1, … at line addresses addr, addr+1, …
 // — owing each block's MAC to MAC_W (storeRow's contract).
 func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
+	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, ctScratch, false)
+}
+
+// WriteFinalRow is WriteRow for the row's final version in its layer, the
+// one the next layer's first reads ask for: whoever hashes a block's owed
+// MAC — this shard, a drain, or the borrowed helper — also records it in the
+// line's memo entry. The caller writes these lines nowhere else until the
+// shard's next Merge, which publishes the records: one writer per entry.
+func (s *SeculatorShard) WriteFinalRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
+	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, ctScratch, true)
+}
+
+func (s *SeculatorShard) writeRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte, final bool) {
 	m := s.parent
 	n := s.storeRow(addr, m.counter(m.layer, fmapID, vn, blockIdx), plaintext, ctScratch)
 	for b := 0; b < n; b++ {
+		var rec *keystream
+		if final {
+			rec = m.entry(addr + uint64(b))
+		}
 		o := b * tensor.BlockBytes
-		s.owe(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes], toWrite, 1)
+		s.owe(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes], toWrite, 1, rec)
 	}
 	s.n.OfmapWrites += n
 }
@@ -332,11 +401,22 @@ func (s *SeculatorShard) HostSealRow(dst []byte, ownerLayer, fmapID uint32, vn i
 }
 
 // HostWriteRow seals a row as HostSealRow does, through storeRow — so each
-// line's pad lands in its memo entry — and stores it at addr, addr+1, ….
+// line's pad lands in its memo entry, and so does each block's MAC as it
+// folds into the digest — and stores it at addr, addr+1, ….
 func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) mac.Digest {
 	m := s.parent
 	n := s.storeRow(addr, m.counter(ownerLayer, fmapID, vn, blockIdx), plaintext, ctScratch)
 	s.n.HostWrites += n
-	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
+	var g mac.Digest
+	ref := m.ref(ownerLayer, fmapID, vn, blockIdx)
+	for b := 0; b < n; b++ {
+		o := b * tensor.BlockBytes
+		d := s.rowh.Block(ref, plaintext[o:o+tensor.BlockBytes])
+		if k := m.entry(addr + uint64(b)); k != nil {
+			k.mac, k.hashed = d, true
+		}
+		g = g.Xor(d)
+		ref.Index++
+	}
 	return g
 }

@@ -218,7 +218,9 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 // last plaintext block it MACed inside its SHA-256 state, so Recycle must
 // scrub it like the staging buffers (ReadInputRun's two and the pad included)
 // — and keep it, so a pooled run builds none; the memory's Recycle zeroes
-// every keystream memo entry; HandBack does the same for a helper. The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
+// every keystream memo entry, recorded ciphertext and MAC included; HandBack
+// does the same for a helper, memo pointers of queued final writes included.
+// The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
 // hasher (mac's own tests decode it); reflect.DeepEqual follows the hasher
 // into that state.
 func TestShardRecycleScrubsHasher(t *testing.T) {
@@ -257,13 +259,16 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 		t.Fatalf("Recycle left block or pad counts behind: %+v, %+v", sh.n, sh.ks)
 	}
 
-	// The keystream memo holds a pad and a counter per written line: the
-	// memory's Recycle zeroes every entry and keeps the capacity.
+	// The keystream memo holds a pad, a counter and a ciphertext per written
+	// line, and a final write's MAC: the memory's Recycle zeroes every entry
+	// and keeps the capacity.
 	const memoLen = 4
 	m.ReserveKeystreams(memoLen)
-	sh.WriteRow(0, 2, 3, 0, make([]byte, 3*tensor.BlockBytes), make([]byte, 3*tensor.BlockBytes))
-	if slices.Contains(m.keys[:3], keystream{}) {
-		t.Fatal("a written line has no memo entry: the check below sees nothing")
+	sh.WriteFinalRow(0, 2, 3, 0, make([]byte, 3*tensor.BlockBytes), make([]byte, 3*tensor.BlockBytes))
+	if slices.ContainsFunc(m.keys[:3], func(k keystream) bool {
+		return k.pad == zero || k.ct == zero || !k.hashed || k.mac == (mac.Digest{})
+	}) {
+		t.Fatal("a written line's memo entry lacks a pad, ciphertext or MAC: the check below sees nothing")
 	}
 	m.Merge(sh)
 	if !m.Recycle(d, 3, 4) {
@@ -280,15 +285,20 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	// ring, a tail in its hasher — and outlives the run: handing it back
 	// scrubs both, so no slot survives into the next borrower's run.
 	hm, hs := borrowedShard(t, 16)
+	hm.ReserveKeystreams(16)
 	h := hs.helper
 	hm.BeginLayer(1)
 	for i := 0; i < batchJobs; i++ {
-		hs.WriteRow(uint64(i), 2, 1, uint32(i), shardPattern(i), make([]byte, tensor.BlockBytes))
+		hs.WriteFinalRow(uint64(i), 2, 1, uint32(i), shardPattern(i), make([]byte, tensor.BlockBytes))
 	}
 	awaitHelper(t, h)
 	hm.Merge(hs)
-	if h.ring == ([ringJobs]macJob{}) || reflect.DeepEqual(h.rowh, scrubbed) {
-		t.Fatal("the helper's ring or hasher holds nothing before hand-back: the check below sees nothing")
+	if h.ring == ([ringJobs]macJob{}) || reflect.DeepEqual(h.rowh, scrubbed) ||
+		!slices.ContainsFunc(h.ring[:], func(j macJob) bool { return j.rec != nil }) {
+		t.Fatal("the helper's ring, its memo pointers or its hasher hold nothing before hand-back: the check below sees nothing")
+	}
+	if slices.ContainsFunc(hm.keys[:batchJobs], func(k keystream) bool { return !k.hashed }) {
+		t.Fatal("the helper hashed a final write's MAC without recording it")
 	}
 	hs.HandBack()
 	if h.ring != ([ringJobs]macJob{}) {

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"math"
 	"time"
 )
 
@@ -32,13 +33,17 @@ func DefaultPolicy() Policy {
 // Disabled returns the fail-fast policy: every detection is terminal.
 func Disabled() Policy { return Policy{} }
 
-// BackoffFor returns the wait before retry attempt n (1-based).
+// BackoffFor returns the wait before retry attempt n (1-based). Uncapped, it
+// saturates at the longest Duration instead of overflowing.
 func (p Policy) BackoffFor(attempt int) time.Duration {
 	if p.Base <= 0 || attempt <= 0 {
 		return 0
 	}
 	d := p.Base
 	for i := 1; i < attempt; i++ {
+		if d > math.MaxInt64/2 {
+			return math.MaxInt64
+		}
 		d *= 2
 		if p.Max > 0 && d >= p.Max {
 			return p.Max

@@ -80,6 +80,21 @@ func TestPolicyBackoff(t *testing.T) {
 	}
 }
 
+// TestPolicyBackoffUncappedSaturates: with no cap the doubling must stop at
+// the longest wait, not wrap — 100 µs doubled 47 times overflows an int64 of
+// nanoseconds, and a zero or negative backoff makes Wait not wait at all.
+func TestPolicyBackoffUncappedSaturates(t *testing.T) {
+	p := Policy{MaxRetries: 1000, Base: 100 * time.Microsecond}
+	var prev time.Duration
+	for _, attempt := range []int{1, 47, 48, 64, 1000} {
+		got := p.BackoffFor(attempt)
+		if got <= 0 || got < prev {
+			t.Fatalf("BackoffFor(%d) = %v after %v: want a positive, non-decreasing wait", attempt, got, prev)
+		}
+		prev = got
+	}
+}
+
 func TestPolicyWaitCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -216,10 +216,11 @@ type Result struct {
 	// no shard moves.
 	Counts protect.BlockCounts
 
-	// Hashing says whether the run borrowed a MAC helper and how many of
-	// the block MACs its reads and writes owe were hashed there rather than
-	// on the layer loop (DESIGN.md §10). Like Recovery, it is also reported
-	// beside a detection error.
+	// Hashing says whether the run borrowed a MAC helper, how many of the
+	// block MACs its reads and writes owe were hashed there rather than on
+	// the layer loop, and how many reads took the MAC their line's last
+	// write recorded in the keystream memo instead (DESIGN.md §10). Like
+	// Recovery, it is also reported beside a detection error.
 	Hashing protect.Hashing
 
 	// Keystream is how many CTR pads the run computed — on a clean run, one

@@ -20,6 +20,7 @@ import (
 	"seculator/internal/protect"
 	"seculator/internal/resilience"
 	"seculator/internal/secure"
+	"seculator/internal/tensor"
 	"seculator/internal/workload"
 )
 
@@ -364,8 +365,22 @@ func TestHelperMatchesInline(t *testing.T) {
 // TestHelperKeepsNoRunState: a MAC helper outlives every run that borrows
 // it, so it must hold nothing of one. An unpooled run's DRAM image — which
 // its memory, shards and runtime all reach — is collected once Run returns,
-// while the helper it borrowed lives on.
+// while the helper it borrowed lives on. So is its keystream memo, which
+// only the memory and the jobs of its queued final writes point into: the
+// live heap after an unpooled MobileNet/8 run, whose memo holds at least the
+// 64-byte pad of each of its 7,997 lines, is what it was before the run.
 func TestHelperKeepsNoRunState(t *testing.T) {
+	deep, err := workload.ResolveShape("MobileNet/8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	din, dws := nn.RandomModel(deep, 5)
+	hooked := secure.NewExecutor()
+	hooked.AfterPhase = func(int, *mem.DRAM) {}
+	if _, err := runArm(t, true, hooked, deep, din, dws); err != nil { // caches the mappings, starts the helper
+		t.Fatal(err)
+	}
+
 	net := pipeNet()
 	in, ws := nn.RandomModel(net, 5)
 	var dram weak.Pointer[mem.DRAM]
@@ -386,5 +401,20 @@ func TestHelperKeepsNoRunState(t *testing.T) {
 	}
 	if protect.Helpers() == 0 {
 		t.Fatal("no MAC helper outlived the run")
+	}
+
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	res, err := runArm(t, true, hooked, deep, din, dws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew, pads := live()-before, int64(res.Blocks*tensor.BlockBytes); grew > pads/2 {
+		t.Fatalf("the live heap grew %d bytes over an unpooled run whose memo holds %d bytes of pads", grew, pads)
 	}
 }

@@ -317,18 +317,29 @@ func (r *layerRun) readPartialTile(e dataflow.Event) {
 }
 
 // writeOfmapTile encrypts the tile's current accumulation under the event's
-// version number through the row-batch path, owing its MACs to MAC_W.
+// version number through the row-batch path, owing its MACs to MAC_W. The
+// write of the final version — each line's only one per layer attempt, and
+// the one the next layer reads — records its MACs in the keystream memo.
 func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 	a := r.st.act
 	k0, k1, y0, y1 := r.ofmapRows(e)
 	pt, ct := r.rt.rowScratch(a.bpr)
+	final := r.finalWrite(e)
 	for k := k0; k < k1; k++ {
 		for y := y0; y < y1; y++ {
 			encodeRowInto(pt, rowOf(r.out, k, y))
-			r.rt.sh.WriteRow(a.addr(k, y, 0), uint32(k), e.VN, uint32(y*a.bpr), pt, ct)
+			if final {
+				r.rt.sh.WriteFinalRow(a.addr(k, y, 0), uint32(k), e.VN, uint32(y*a.bpr), pt, ct)
+			} else {
+				r.rt.sh.WriteRow(a.addr(k, y, 0), uint32(k), e.VN, uint32(y*a.bpr), pt, ct)
+			}
 		}
 	}
 }
+
+// finalWrite reports whether an ofmap write event stores its lines' final
+// version: the VN the consumer reads.
+func (r *layerRun) finalWrite(e dataflow.Event) bool { return e.VN == r.st.act.vn }
 
 // verifyWeights compares the settled first-touch weight MACs (plus
 // host-side folds for never-read padded slices) against the golden digest.
