@@ -466,8 +466,9 @@ func BenchmarkSecureInference(b *testing.B) {
 // state it builds afresh; "one-cpu" is "loader" at GOMAXPROCS=1, where no
 // helper is borrowed and nothing overlaps — so "-bench LibDeep" alone shows
 // what the second CPU buys, and Result.Hashing says how much of the hashing
-// moved (reported as helper-macs/op) and how many reads took a recorded MAC
-// instead of hashing one (reused-macs/op).
+// moved (reported as helper-macs/op), how many reads hashed no MAC
+// (reused-macs/op) and how many output pads the loader computed ahead of the
+// loop (ahead-pads/op; none on "hooked", which has no loader).
 func BenchmarkLibDeep(b *testing.B) {
 	net, err := workload.ResolveShape("MobileNet/8")
 	if err != nil {
@@ -491,7 +492,7 @@ func BenchmarkLibDeep(b *testing.B) {
 			if arm.procs > 0 {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(arm.procs))
 			}
-			helperMACs, reusedMACs := 0, 0
+			helperMACs, reusedMACs, aheadPads := 0, 0, 0
 			run := func() {
 				res, err := SecureInferenceContext(context.Background(), net, in, ws, arm.opts)
 				if err != nil {
@@ -502,16 +503,18 @@ func BenchmarkLibDeep(b *testing.B) {
 				}
 				helperMACs += res.Hashing.Helper
 				reusedMACs += res.Hashing.Reused
+				aheadPads += res.Keystream.Ahead
 			}
 			run() // builds the pooled run state; every timed loader iteration reuses it
 			b.ReportAllocs()
 			b.ResetTimer()
-			helperMACs, reusedMACs = 0, 0
+			helperMACs, reusedMACs, aheadPads = 0, 0, 0
 			for i := 0; i < b.N; i++ {
 				run()
 			}
 			b.ReportMetric(float64(helperMACs)/float64(b.N), "helper-macs/op")
 			b.ReportMetric(float64(reusedMACs)/float64(b.N), "reused-macs/op")
+			b.ReportMetric(float64(aheadPads)/float64(b.N), "ahead-pads/op")
 		})
 	}
 }

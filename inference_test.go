@@ -314,7 +314,10 @@ func TestOutputMACPinned(t *testing.T) {
 // reads and writes the counts sum to. A resident run reads no weight and
 // host-writes only the input. Beside the counts, Result.Keystream: a clean
 // run computes one CTR pad per block written, and every decrypting read
-// reuses the pad its line's write computed. And Result.Hashing: a clean run
+// reuses the pad its line's write computed; on the loader arms the loader
+// computed the pads of every layer whose lines are written once ahead of
+// the loop (Keystream.Ahead, a share of Computed), and no other arm pads
+// ahead. And Result.Hashing: a clean run
 // hashes the MAC of every ofmap write (Loop + Helper, whoever hashed it)
 // and takes every read's from the memo (Reused); the two sum to the MACs
 // the run hashed before reads took recorded ones (macs), which no arm moves.
@@ -326,13 +329,14 @@ func TestBlockCountsPinned(t *testing.T) {
 		want         protect.BlockCounts
 		pads         protect.Keystreams
 		full, res    macSplit // the full arms, and the resident one
+		ahead        int      // Keystream.Ahead on the loader arms
 	}{
 		{"Mini", 0, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 480, WeightFirst: 400, OfmapWrites: 298, HostWrites: 436},
-			protect.Keystreams{Computed: 734, Reused: 734}, macSplit{298, 734, 1032}, macSplit{298, 334, 632}},
+			protect.Keystreams{Computed: 734, Reused: 734}, macSplit{298, 734, 1032}, macSplit{298, 334, 632}, 298},
 		{"Mini", 2048, protect.BlockCounts{IfmapFirst: 334, IfmapRepeat: 1776, WeightFirst: 784, WeightRepeat: 184, OfmapWrites: 298, HostWrites: 820},
-			protect.Keystreams{Computed: 1118, Reused: 1782}, macSplit{298, 1598, 1896}, macSplit{298, 814, 1112}},
+			protect.Keystreams{Computed: 1118, Reused: 1782}, macSplit{298, 1598, 1896}, macSplit{298, 814, 1112}, 298},
 		{"MobileNet/8", 0, protect.BlockCounts{IfmapFirst: 3293, WeightFirst: 4704, OfmapWrites: 3237, HostWrites: 4760},
-			protect.Keystreams{Computed: 7997, Reused: 7997}, macSplit{3237, 7997, 11234}, macSplit{3237, 3293, 6530}},
+			protect.Keystreams{Computed: 7997, Reused: 7997}, macSplit{3237, 7997, 11234}, macSplit{3237, 3293, 6530}, 3237},
 	} {
 		net, err := workload.ResolveShape(tc.shape)
 		if err != nil {
@@ -346,12 +350,13 @@ func TestBlockCountsPinned(t *testing.T) {
 			}
 			return x
 		}
-		check := func(name string, x *secure.Executor, want protect.BlockCounts, pads protect.Keystreams, macs macSplit) protect.BlockCounts {
+		check := func(name string, x *secure.Executor, want protect.BlockCounts, pads protect.Keystreams, macs macSplit, ahead int) protect.BlockCounts {
 			t.Helper()
 			res, err := x.Run(context.Background(), net, in, ws)
 			if err != nil {
 				t.Fatalf("%s (buffer %d), %s: %v", tc.shape, tc.globalBuffer, name, err)
 			}
+			pads.Ahead = ahead
 			if res.Counts != want || res.Keystream != pads || res.Keystream.Computed != res.Counts.Writes() {
 				t.Errorf("%s (buffer %d), %s: %+v and pads %+v, want %+v and %+v",
 					tc.shape, tc.globalBuffer, name, res.Counts, res.Keystream, want, pads)
@@ -364,11 +369,11 @@ func TestBlockCountsPinned(t *testing.T) {
 		}
 		x := executor()
 		for pass := 0; pass < 2; pass++ { // the second pass rides pooled state
-			check(fmt.Sprintf("loader, pass %d", pass), x, tc.want, tc.pads, tc.full)
+			check(fmt.Sprintf("loader, pass %d", pass), x, tc.want, tc.pads, tc.full, tc.ahead)
 		}
 		var dram *mem.DRAM
 		x.AfterPhase = func(_ int, d *mem.DRAM) { dram = d }
-		got := check("hooked", x, tc.want, tc.pads, tc.full)
+		got := check("hooked", x, tc.want, tc.pads, tc.full, 0)
 		tr := dram.Traffic()
 		if r, w := tr.ReadBlocks[0], tr.WriteBlocks[0]; r != uint64(got.Reads()) || w != uint64(got.Writes()) || tr.Overhead() != 0 {
 			t.Errorf("%s (buffer %d), hooked: DRAM recorded %d reads / %d writes / %d overhead, counts sum to %d / %d / 0",
@@ -388,6 +393,6 @@ func TestBlockCountsPinned(t *testing.T) {
 		pads.Computed -= want.WeightFirst
 		pads.Reused -= want.WeightFirst + want.WeightRepeat
 		want.WeightFirst, want.WeightRepeat = 0, 0
-		check("resident", x, want, pads, tc.res)
+		check("resident", x, want, pads, tc.res, 0)
 	}
 }

@@ -111,6 +111,11 @@ func (m *SeculatorMemory) ref(layer, fmapID uint32, vn int, blockIdx uint32) mac
 	return mac.BlockRef{Secret: m.secret, Layer: layer, Fmap: fmapID, VN: uint32(vn), Index: blockIdx}
 }
 
+// refAt is the MAC position of the block a counter encrypts.
+func (m *SeculatorMemory) refAt(c crypto.Counter) mac.BlockRef {
+	return m.ref(c.Layer, c.Fmap, int(c.VN), c.Block)
+}
+
 // serial returns the memory's own shard, building it on first use.
 func (m *SeculatorMemory) serial() *SeculatorShard {
 	m.mustStart()

@@ -85,11 +85,15 @@ func TestSeculatorMemoryDetectsTamper(t *testing.T) {
 }
 
 // TestSeculatorMemoryGoldenHelpers: the host's golden digest is the fold of
-// BlockDigest over the blocks it loaded, whether the load's row seal computed
-// it or the host folds it itself; a first weight read folds the same MAC into
-// the weight digest, and first input reads verify against the golden.
+// BlockDigest over the blocks it loaded, whether the input load's row seal
+// computed it or the host folds it itself, and first input reads verify
+// against it. The weight path keeps its host state in the keystream memo, so
+// a weight store or read on a memory that reserved none panics; with one, a
+// first weight read of the host's bytes folds nothing into the weight fold,
+// and one of other bytes folds the difference of the two BlockDigests — as
+// does the unread pass (UnreadWeight) given a stand-in plaintext.
 func TestSeculatorMemoryGoldenHelpers(t *testing.T) {
-	sm, _ := newSecMem(t)
+	sm, d := newSecMem(t)
 	blocks := [][]byte{plainBlock(1), plainBlock(2)}
 	var want mac.Digest
 	for i, b := range blocks {
@@ -97,22 +101,59 @@ func TestSeculatorMemoryGoldenHelpers(t *testing.T) {
 	}
 	sh := sm.Shard()
 	row := slices.Concat(blocks...)
-	if g := sh.HostWriteRow(100, 0, 5, 1, 0, row, make([]byte, len(row))); g != want {
+	if g := sh.HostWriteRow(200, 0, 5, 1, 0, row, make([]byte, len(row))); g != want {
 		t.Fatal("HostWriteRow's golden digest is not the fold of BlockDigest")
 	}
 	sm.BeginLayer(1)
-	if pt := sh.ReadStatic(100, 0, 5, 1, 0, true); !bytes.Equal(pt, blocks[0]) {
+	sm.ReadInput(200, 0, 5, 1, 0, true)
+	sm.ReadInput(201, 0, 5, 1, 1, true)
+	if err := sm.VerifyInputsGolden(want); err != nil {
+		t.Fatalf("golden verification failed: %v", err)
+	}
+
+	for name, op := range map[string]func(){
+		"HostStoreRow": func() { sh.HostStoreRow(100, 0x8001, 5, 1, 0, row, make([]byte, len(row))) },
+		"ReadStatic":   func() { sh.ReadStatic(100, 0x8001, 5, 1, 0, true) },
+		"UnreadWeight": func() { sm.UnreadWeight(100, 0x8001, 5, 1, 0, blocks[0]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a memory with no keystream memo did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
+
+	sm.ReserveKeystreams(128)
+	sh.HostStoreRow(100, 0x8001, 5, 1, 0, row, make([]byte, len(row)))
+	if pt := sh.ReadStatic(100, 0x8001, 5, 1, 0, true); !bytes.Equal(pt, blocks[0]) {
 		t.Fatal("ReadStatic plaintext mismatch")
 	}
 	sm.Merge(sh)
-	if sm.WeightDigest() != sm.BlockDigest(0, 5, 1, 0, blocks[0]) {
-		t.Fatal("a first weight read folded something other than its BlockDigest")
+	if sm.WeightDigest() != (mac.Digest{}) || sm.Hashing().Reused != 1 {
+		t.Fatalf("a first weight read of the host's bytes folded %v, %d reused", sm.WeightDigest(), sm.Hashing().Reused)
 	}
-	// Golden input verification through the checker.
-	sm.ReadInput(100, 0, 5, 1, 0, true)
-	sm.ReadInput(101, 0, 5, 1, 1, true)
-	if err := sm.VerifyInputsGolden(want); err != nil {
-		t.Fatalf("golden verification failed: %v", err)
+	if g := sm.UnreadWeight(101, 0x8001, 5, 1, 1, blocks[1]); g != (mac.Digest{}) {
+		t.Fatal("the unread pass owes a term for the host's own plaintext")
+	}
+	other := plainBlock(9)
+	host, fake := sm.BlockDigest(0x8001, 5, 1, 1, blocks[1]), sm.BlockDigest(0x8001, 5, 1, 1, other)
+	if g := sm.UnreadWeight(101, 0x8001, 5, 1, 1, other); g != host.Xor(fake) {
+		t.Fatal("the unread pass's term for another plaintext is not the difference of the two BlockDigests")
+	}
+	// A line no weight host store wrote owes the stand-in's MAC alone.
+	sm.BeginLayer(2)
+	sm.WriteBlock(102, 5, 1, 2, other)
+	if g := sm.UnreadWeight(102, 0x8001, 5, 1, 2, other); g != sm.BlockDigest(0x8001, 5, 1, 2, other) {
+		t.Fatal("the unread pass owes a host term for a line no weight host store wrote")
+	}
+	d.Tamper(101, 3, 0x10)
+	pt := bytes.Clone(sh.ReadStatic(101, 0x8001, 5, 1, 1, true))
+	sm.Merge(sh)
+	if sm.WeightDigest() != host.Xor(sm.BlockDigest(0x8001, 5, 1, 1, pt)) {
+		t.Fatal("a tampered first weight read folded something other than the difference of the two BlockDigests")
 	}
 }
 

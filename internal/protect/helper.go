@@ -47,12 +47,13 @@ const (
 	toPartial               // MAC_R
 	toFirst                 // MAC_FR and MAC_IR (a first read)
 	toRepeat                // MAC_IR (a repeat read)
-	toWeight                // the layer's golden weight digest
+	toWeight                // the layer's weight fold (the golden comparison)
 )
 
 // macFolds is what owed MACs fold into: a partial register bank, the
-// first-read weight digest, how many MACs were hashed into them and how many
-// reads folded one the memo recorded instead.
+// weight fold, how many MACs were hashed into them and how many reads
+// hashed none instead: they folded the MAC the memo recorded, or (a weight
+// read that fetched the host's bytes) owed nothing.
 type macFolds struct {
 	bank    mac.PartialBank
 	weights mac.Digest

@@ -17,7 +17,11 @@ import (
 // and one whose memo never is — where every pad is computed and every MAC
 // hashed — must be indistinguishable to everything but the pad and MAC
 // tallies, under any DRAM mutation between operations and any injector
-// during them.
+// during them. The weight path keeps its host state in the memo and has no
+// memo-less form, so the reference side runs its ops through refMemory and
+// a model of the weight check's arithmetic: the XOR, per first weight read,
+// of the fetched block's MAC and the MAC of what the line's weight host
+// store stored.
 
 const (
 	memoLines = 16 // lines the memo covers
@@ -26,7 +30,11 @@ const (
 )
 
 // memoArm is one side of the differential: a memory, its one shard, its DRAM
-// and injector, row staging, and the line its last Snapshot op captured.
+// and injector, row staging, and the line its last Snapshot op captured. The
+// reference arm also runs the weight ops through rm and keeps the model's
+// tallies of them, since the last Recycle (weights since the last layer
+// began): the weight fold, the block counts and pads they add and the MACs
+// the memo arm owes for them.
 type memoArm struct {
 	d    *mem.DRAM
 	m    *SeculatorMemory
@@ -34,6 +42,12 @@ type memoArm struct {
 	tap  *runTamper
 	ct   []byte
 	snap []byte
+
+	rm      *refMemory
+	weights mac.Digest
+	extra   BlockCounts
+	pads    int
+	macs    int
 }
 
 func newMemoArm(t *testing.T, memo bool, sched []byte) *memoArm {
@@ -45,7 +59,7 @@ func newMemoArm(t *testing.T, memo bool, sched []byte) *memoArm {
 		m.ReserveKeystreams(memoLines)
 	}
 	a := &memoArm{d: d, m: m, sh: m.Shard(), tap: &runTamper{d: d, n: 256, sched: sched},
-		ct: make([]byte, 3*tensor.BlockBytes)}
+		ct: make([]byte, 3*tensor.BlockBytes), rm: newRefMemory(d, 7, 9)}
 	d.SetInjector(a.tap)
 	m.BeginLayer(1)
 	return a
@@ -67,23 +81,28 @@ func fuzzRow(k int, seed byte) []byte {
 }
 
 // lineWrite is what the reuse model knows of a line's last shard write: its
-// counter, the ciphertext it stored, and whether it records its MAC.
+// counter, the ciphertext it stored, whether it records its MAC, and — for a
+// weight host store — the plaintext the host stored.
 type lineWrite struct {
 	ctr      crypto.Counter
 	ct       [tensor.BlockBytes]byte
 	recorded bool
+	host     *[tensor.BlockBytes]byte
 }
 
 // checkKeystreamMemo runs the op sequence on both arms. An op is five bytes
 // (op, addr, a, b, c):
 //
 //	0 WriteRow      of 1+a%3 blocks under counter b (current layer), pattern
-//	                c; WriteFinalRow if a&4
-//	1 HostWriteRow  of 1+a%3 blocks under counter b, pattern c
+//	                c; WriteFinalRow if a&4; with a&16 the memo arm first pads
+//	                the row's lines inside the memo ahead (PadAhead), under
+//	                the row's counter, or with a&32 under counter c
+//	1 HostWriteRow  of 1+a%3 blocks under counter b, pattern c; with a&4
+//	                HostStoreRow, its row moved inside the memo
 //	2 ReadInputRun  counter: the line's last write's if a%4 != 0, else b;
 //	                first = c&1, run length 1+(c>>1)%4
 //	3 ReadPartial   counter as 2, in the current layer
-//	4 ReadStatic    counter as 2, first = c&1
+//	4 ReadStatic    counter as 2, first = c&1, its line moved inside the memo
 //	5 DRAM attack   a%4: Tamper(addr, b&63, c|1), Swap(addr, b), Snapshot(addr), Restore(addr)
 //	6 next layer    merge, compare, verify the layer before, BeginLayer
 //	7 Recycle       merge, compare, recycle memory, shard and DRAM
@@ -94,23 +113,33 @@ type lineWrite struct {
 // rule: a line a final write's queued job names is touched again only after
 // a settle.
 //
-// Reads, digests, registers, the weight digest, block counts, traffic and
+// Reads, digests, registers, the weight fold, block counts, traffic and
 // every DRAM line must agree; the memo arm must reuse a pad exactly when the
-// line's last shard write computed it for the read's counter, and compute
-// every other one; and it must take a read's MAC from the memo exactly when
-// the model predicts it — a first fetch (ReadInputRun's, or ReadStatic's
-// with first) of the bytes the line's last write stored, under its counter,
-// by a write that records its MAC — and hash every other one. It returns how
-// many MACs the memo arm took from the memo.
+// line's last shard write computed it for the read's counter, compute every
+// other one, and take a pad computed ahead exactly when the write's counter
+// is the one it was computed for; and it must take a read's MAC from the
+// memo exactly when the model predicts it — a first ReadInputRun fetch of
+// the bytes the line's last write stored, under its counter, by a write that
+// records its MAC — hash every other one, and hash nothing for a first
+// ReadStatic of the bytes a weight host store stored, under its counter. It
+// returns how many reads hashed nothing.
 func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 	t.Helper()
 	memo, ref := newMemoArm(t, true, sched), newMemoArm(t, false, sched)
 	arms := [2]*memoArm{memo, ref}
 	last := map[uint64]lineWrite{} // each line's last shard write since the last Recycle
 	layer := uint32(1)
+	wasted := 0 // pads the memo arm computed ahead that no write took, since the last Recycle
 	for len(ops) >= fuzzOpLen {
 		op, addr, a, b, c := ops[0]%8, uint64(ops[1]%fuzzLines), ops[2], ops[3], ops[4]
 		ops = ops[fuzzOpLen:]
+		k := 1 + int(a%3)
+		switch {
+		case op == 1 && a&4 != 0:
+			addr %= uint64(memoLines - k + 1)
+		case op == 4:
+			addr %= memoLines
+		}
 		what := fmt.Sprintf("op %d at line %d (%d %d %d)", op, addr, a, b, c)
 
 		w, written := last[addr]
@@ -124,18 +153,40 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 		hit := written && addr < memoLines && w.ctr == ctr
 		ksBefore := [2]Keystreams{memo.sh.ks, ref.sh.ks}
 		reusedBefore, fetchedBefore := memo.sh.folds.reused, len(memo.tap.fetched)
+		refPads, ahead, wastedBefore := 0, 0, wasted
 		helped := op <= 4 && a&8 != 0 && memo.sh.Borrow(1)
 		var got [2][]byte
 		switch op {
 		case 0, 1:
-			k := 1 + int(a%3)
 			wc := fuzzCounter(b)
 			if op == 0 {
 				wc.Layer = layer
 			}
+			host := op == 1 && a&4 != 0
+			row := fuzzRow(k, c)
+			if op == 0 && a&16 != 0 && addr < memoLines {
+				ahead = min(k, memoLines-int(addr))
+				pc := wc
+				if a&32 != 0 {
+					pc = fuzzCounter(c)
+				}
+				memo.sh.PadAhead(addr, pc.Layer, pc.Fmap, int(pc.VN), pc.Block, ahead)
+				if pc != wc {
+					wasted += ahead
+				}
+			}
 			for i, arm := range arms {
-				row, ct := fuzzRow(k, c), arm.ct[:k*tensor.BlockBytes]
+				ct := arm.ct[:k*tensor.BlockBytes]
 				switch {
+				case host && i == 1:
+					for j := 0; j < k; j++ {
+						o := j * tensor.BlockBytes
+						arm.rm.hostStore(addr+uint64(j), wc.Layer, wc.Fmap, int(wc.VN), wc.Block+uint32(j), row[o:o+tensor.BlockBytes])
+					}
+					arm.extra.HostWrites += k
+					refPads = k
+				case host:
+					arm.sh.HostStoreRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, row, ct)
 				case op == 1:
 					g := arm.sh.HostWriteRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, row, ct)
 					got[i] = g[:]
@@ -146,8 +197,11 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 				}
 			}
 			for i := 0; i < k; i++ {
-				lw := lineWrite{ctr: wc, recorded: op == 1 || a&4 != 0}
+				lw := lineWrite{ctr: wc, recorded: op == 1 && !host || op == 0 && a&4 != 0}
 				copy(lw.ct[:], memo.ct[i*tensor.BlockBytes:])
+				if host {
+					lw.host = (*[tensor.BlockBytes]byte)(row[i*tensor.BlockBytes:])
+				}
 				last[addr+uint64(i)] = lw
 				wc.Block++
 			}
@@ -160,9 +214,23 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 				got[i] = bytes.Clone(arm.sh.ReadPartial(addr, ctr.Fmap, int(ctr.VN), ctr.Block))
 			}
 		case 4:
-			for i, arm := range arms {
-				got[i] = bytes.Clone(arm.sh.ReadStatic(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, c&1 != 0))
+			got[0] = bytes.Clone(memo.sh.ReadStatic(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, c&1 != 0))
+			pt, d := ref.rm.read(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block)
+			got[1], refPads = pt, 1
+			if c&1 == 0 {
+				ref.extra.WeightRepeat++
+				break
 			}
+			ref.extra.WeightFirst++
+			ref.macs++
+			if written && w.host != nil {
+				hc := w.ctr
+				d = d.Xor(mac.BlockMAC(mac.BlockRef{Secret: 7, Layer: hc.Layer, Fmap: hc.Fmap, VN: hc.VN, Index: hc.Block}, w.host[:]))
+				if w.ctr != ctr || memo.tap.fetched[fetchedBefore] != w.ct {
+					ref.macs++ // the host's MAC, beside the fetched block's
+				}
+			}
+			ref.weights = ref.weights.Xor(d)
 		case 5:
 			for _, arm := range arms {
 				switch a % 4 {
@@ -186,7 +254,9 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 				layer++
 			} else {
 				clear(last)
+				ref.extra, ref.pads, ref.macs, wasted = BlockCounts{}, 0, 0, 0
 			}
+			ref.weights = mac.Digest{}
 			for _, arm := range arms {
 				if op == 7 {
 					arm.sh.Recycle()
@@ -199,6 +269,7 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 				arm.m.BeginLayer(layer)
 			}
 		}
+		ref.pads += refPads
 		if helped {
 			awaitHelper(t, memo.sh.helper)
 			memo.sh.settle()
@@ -207,14 +278,18 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 		if !bytes.Equal(got[0], got[1]) {
 			t.Fatalf("%s: %x with the memo, %x without", what, got[0], got[1])
 		}
-		// The model's MAC reuse: a first fetch, of exactly what a recording
-		// write stored, under its counter.
+		// The model's MAC reuse: a first ReadInputRun fetch of exactly what a
+		// recording write stored, under its counter; a first ReadStatic fetch
+		// of exactly what a weight host store stored, under its counter.
 		wantReused := 0
-		if firstFetch := op == 2 || op == 4 && c&1 != 0; firstFetch && hit && w.recorded && memo.tap.fetched[fetchedBefore] == w.ct {
-			wantReused = 1
+		if hit && (op == 2 || op == 4 && c&1 != 0) {
+			fetched := memo.tap.fetched[fetchedBefore]
+			if op == 2 && w.recorded && fetched == w.ct || op == 4 && w.host != nil && fetched == w.ct {
+				wantReused = 1
+			}
 		}
 		if d := memo.sh.folds.reused - reusedBefore; op < 6 && d != wantReused {
-			t.Fatalf("%s: %d MACs taken from the memo, the model predicts %d", what, d, wantReused)
+			t.Fatalf("%s: %d reads hashed nothing, the model predicts %d", what, d, wantReused)
 		}
 		reused += wantReused
 		if ref.sh.folds.reused != 0 {
@@ -223,26 +298,31 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 		dm, dr := memo.sh.ks, ref.sh.ks
 		dm.Computed -= ksBefore[0].Computed
 		dm.Reused -= ksBefore[0].Reused
+		dm.Ahead -= ksBefore[0].Ahead
 		dr.Computed -= ksBefore[1].Computed
 		dr.Reused -= ksBefore[1].Reused
 		if op <= 1 && dm.Reused != 0 {
 			t.Fatalf("%s: pads %+v with the memo: a write reused a pad", what, dm)
 		}
-		if dr.Reused != 0 || dm.Computed+dm.Reused != dr.Computed {
-			t.Fatalf("%s: pads %+v with the memo, %+v without: the same pads, counted apart", what, dm, dr)
+		if op < 6 && (dm.Ahead != ahead || dr.Reused != 0 || dr.Ahead != 0 ||
+			dm.Computed+dm.Reused != dr.Computed+refPads+wasted-wastedBefore) {
+			t.Fatalf("%s: pads %+v with the memo, %+v (and %d uncounted) without, %d ahead, %d of them untaken: the same pads, counted apart",
+				what, dm, dr, refPads, ahead, wasted-wastedBefore)
 		}
 		if op >= 2 && op <= 4 && (hit && dm.Computed != 0 || !hit && dm.Reused != 0) {
 			t.Fatalf("%s: pads %+v with the memo; a reuse expected: %v", what, dm, hit)
 		}
 	}
 	sameMemoState(t, "the end", memo, ref)
-	if km, kr := memo.m.Keystreams(), ref.m.Keystreams(); kr.Reused != 0 || km.Computed+km.Reused != kr.Computed {
-		t.Fatalf("merged pads %+v with the memo, %+v without", km, kr)
+	if km, kr := memo.m.Keystreams(), ref.m.Keystreams(); kr.Reused != 0 || km.Ahead > km.Computed ||
+		km.Computed+km.Reused != kr.Computed+ref.pads+wasted {
+		t.Fatalf("merged pads %+v with the memo, %+v (and %d uncounted, %d untaken ahead) without", km, kr, ref.pads, wasted)
 	}
 	return reused
 }
 
-// sameMemoState merges both arms and compares everything they expose.
+// sameMemoState merges both arms and compares everything they expose, the
+// reference arm's weight ops as its model tallied them.
 func sameMemoState(t *testing.T, what string, memo, ref *memoArm) {
 	t.Helper()
 	memo.m.Merge(memo.sh)
@@ -250,19 +330,23 @@ func sameMemoState(t *testing.T, what string, memo, ref *memoArm) {
 	if g, w := memo.m.RegisterSnapshot(), ref.m.RegisterSnapshot(); g != w {
 		t.Fatalf("%s: registers\n with the memo %+v\n without       %+v", what, g, w)
 	}
-	if memo.m.WeightDigest() != ref.m.WeightDigest() {
-		t.Fatalf("%s: weight digests differ", what)
+	if g, w := memo.m.WeightDigest(), ref.weights; g != w {
+		t.Fatalf("%s: weight fold %v, the reference's golden ⊕ reads %v", what, g, w)
 	}
-	if g, w := memo.m.BlockCounts(), ref.m.BlockCounts(); g != w {
-		t.Fatalf("%s: block counts %+v with the memo, %+v without", what, g, w)
+	want := ref.m.BlockCounts()
+	want.add(ref.extra)
+	if g := memo.m.BlockCounts(); g != want {
+		t.Fatalf("%s: block counts %+v with the memo, %+v without", what, g, want)
 	}
 	if memo.d.Traffic() != ref.d.Traffic() || memo.d.Lines() != ref.d.Lines() {
 		t.Fatalf("%s: DRAM traffic or line count differs", what)
 	}
 	// A MAC is owed once either way; the memo only changes who produced it.
+	// A weight read owes the fetched block's, and the host's unless the two
+	// cancel.
 	hm, hr := memo.m.Hashing(), ref.m.Hashing()
-	if hr.Reused != 0 || hm.Loop+hm.Helper+hm.Reused != hr.Loop+hr.Helper {
-		t.Fatalf("%s: MACs %+v with the memo, %+v without", what, hm, hr)
+	if hr.Reused != 0 || hm.Loop+hm.Helper+hm.Reused != hr.Loop+hr.Helper+ref.macs {
+		t.Fatalf("%s: MACs %+v with the memo, %+v and %d weight MACs without", what, hm, hr, ref.macs)
 	}
 	for a := uint64(0); a < fuzzLines+2; a++ {
 		g, w := memo.d.Peek(a), ref.d.Peek(a)
@@ -301,9 +385,12 @@ func TestKeystreamMemoReusesWrites(t *testing.T) {
 
 // TestMACMemoReusesRecordingWrites walks the MAC memo's cases through the
 // differential: a read takes the recorded MAC after a final write (hashed
-// inline, or by a borrowed helper) or a host write, and hashes after a
+// inline, or by a borrowed helper) or a host input write, and hashes after a
 // non-final write, under another counter, after a tamper, after a later
-// write over a recorded one, and after a Recycle.
+// write over a recorded one, and after a Recycle. A first weight read hashes
+// nothing when it fetches what a weight host store stored, under its
+// counter; otherwise it owes the fetched block's MAC and the host's — and a
+// host input write is no weight store.
 func TestMACMemoReusesRecordingWrites(t *testing.T) {
 	ops := []byte{
 		0, 2, 4, 0x21, 5, // final WriteRow of lines 2, 3
@@ -314,11 +401,15 @@ func TestMACMemoReusesRecordingWrites(t *testing.T) {
 		6, 0, 0, 0, 0,
 		2, 5, 1, 0, 1, // hashed: nothing recorded
 		1, 8, 1, 0x05, 9, // HostWriteRow of lines 8, 9
-		4, 8, 1, 0, 1, // first weight read of line 8: reused
+		2, 8, 1, 0, 1, // first input read of line 8: reused
+		4, 9, 1, 0, 1, // first weight read of line 9: hashed, no weight store wrote it
+		1, 8, 5, 0x05, 9, // HostStoreRow of lines 8, 9, 10
+		4, 8, 1, 0, 1, // first weight read of line 8: nothing hashed
 		4, 9, 1, 0, 0, // a repeat weight read: no MAC at all
 		5, 9, 0, 3, 0x10, // tamper line 9
-		4, 9, 1, 0, 1, // hashed: the bytes differ
-		2, 8, 0, 0x7f, 1, // line 8 under another counter: hashed
+		4, 9, 1, 0, 1, // both MACs: the bytes differ
+		4, 10, 0, 0x7f, 1, // line 10 under another counter: both MACs
+		2, 8, 0, 0x7f, 1, // an input read of line 8 under another counter: hashed
 		1, 11, 0, 0x05, 3, // HostWriteRow of line 11 ...
 		0, 11, 0, 0x22, 4, // ... overwritten by a non-final WriteRow
 		6, 0, 0, 0, 0,
@@ -329,12 +420,34 @@ func TestMACMemoReusesRecordingWrites(t *testing.T) {
 		7, 0, 0, 0, 0, // Recycle
 		2, 2, 1, 0x21, 1, // hashed: the memo is empty
 	}
-	if n := checkKeystreamMemo(t, ops, nil); n != 4 {
-		t.Fatalf("%d MACs taken from the memo, want 4: lines 2, 3, 8 and 13", n)
+	if n := checkKeystreamMemo(t, ops, nil); n != 5 {
+		t.Fatalf("%d reads hashed nothing, want 5: lines 2, 3, 8 (twice) and 13", n)
 	}
-	// The entry stays compact: the pad, counter and flag it had, plus at
-	// most about 100 bytes for the ciphertext, the MAC and their flag.
-	if got := reflect.TypeOf(keystream{}).Size(); got > 184 {
+	// The entry stays compact: the pad, counter and flag it had, plus the
+	// ciphertext, the MAC and three flags — the host and ahead marks fit in
+	// what was padding.
+	if got := reflect.TypeOf(keystream{}).Size(); got > 180 {
 		t.Fatalf("a keystream memo entry is %d bytes", got)
 	}
+}
+
+// TestPadAheadTakenOnce walks the pads computed ahead through the
+// differential: a write under the counter a pad was computed for takes it
+// and clears the mark, so the same write again computes its pads; a pad
+// computed for another counter is not taken; a row that runs past the memo
+// pads only its lines inside it; Recycle drops the marks with the entries.
+func TestPadAheadTakenOnce(t *testing.T) {
+	ops := []byte{
+		0, 0, 16, 0x21, 5, // lines 0, 1 padded ahead, then written: both pads taken
+		0, 0, 1, 0x21, 5, // the same counters, not padded ahead: computed
+		0, 4, 48, 0x21, 5, // line 4 padded ahead under another counter: not taken
+		0, 15, 16 | 1, 0x02, 9, // lines 15 – 17: only line 15 padded ahead, and taken
+		0, 6, 16, 0x03, 1, // lines 6, 7 padded ahead and written ...
+		6, 0, 0, 0, 0,
+		2, 6, 1, 0, 1, // ... and read with the pads the writes took
+		0, 9, 16 | 4, 0x04, 2, // a final write of lines 9 – 11 padded ahead
+		7, 0, 0, 0, 0, // Recycle
+		0, 0, 2, 0x21, 5, // computed: the memo is empty
+	}
+	checkKeystreamMemo(t, ops, nil)
 }

@@ -45,6 +45,15 @@ func (r *refMemory) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx uint
 	r.checker.OnWrite(mac.BlockMAC(ref, plaintext))
 }
 
+// hostStore encrypts and stores one weight block for the host: nothing
+// folds, since the weight check is the caller's model.
+func (r *refMemory) hostStore(addr uint64, layer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) {
+	ctr, _ := r.at(layer, fmapID, vn, blockIdx)
+	ct := make([]byte, tensor.BlockBytes)
+	r.engine.EncryptBlock(ct, plaintext, ctr)
+	r.d.WriteBlock(addr, ct, sim.DataTraffic)
+}
+
 // read fetches and decrypts one block and returns it with its MAC.
 func (r *refMemory) read(addr uint64, layer, fmapID uint32, vn int, blockIdx uint32) ([]byte, mac.Digest) {
 	ctr, ref := r.at(layer, fmapID, vn, blockIdx)

@@ -50,6 +50,9 @@ type SeculatorShard struct {
 	// the first read's.
 	runCT [tensor.BlockBytes]byte
 	runPT [tensor.BlockBytes]byte
+	// ReadStatic's: the plaintext a weight host store stored, recovered from
+	// its memo entry for the MAC a changed first read owes.
+	hostPT [tensor.BlockBytes]byte
 }
 
 // BlockCounts is the number of 64-byte blocks a memory's shards moved, by
@@ -82,13 +85,20 @@ func (c *BlockCounts) add(o BlockCounts) {
 }
 
 // Keystreams counts the 64-byte CTR pads the shards used: Computed by the
-// engine (every write; a read the memo misses) or Reused from the memo.
-type Keystreams struct{ Computed, Reused int }
+// engine (every write; a read the memo misses; a pad computed ahead) or
+// Reused from the memo. Ahead is the share of Computed that PadAhead
+// computed before the write that uses it.
+type Keystreams struct{ Computed, Reused, Ahead int }
 
 // keystream is one line's keystream memo entry: the pad its last shard write
 // computed, the whole counter it is the pad of and the ciphertext it stored
 // — and, once hashed, that write's block MAC, when the write records it: a
-// host write, or an ofmap line's final version (DESIGN.md §10, "MAC memo").
+// host input write, or an ofmap line's final version (DESIGN.md §10, "MAC
+// memo"). A weight host store records no MAC: it marks the entry host, and
+// the weight check derives the host's plaintext from ct and pad only where a
+// read did not fetch ct unchanged. A pad computed ahead of its write
+// (PadAhead) sits in pad and ctr, marked ahead, until a write under ctr
+// takes it.
 type keystream struct {
 	pad    [tensor.BlockBytes]byte
 	ct     [tensor.BlockBytes]byte
@@ -96,6 +106,8 @@ type keystream struct {
 	ctr    crypto.Counter
 	set    bool
 	hashed bool // mac is the MAC of ct's plaintext under ctr
+	host   bool // a weight host store (HostStoreRow) stored ct under ctr
+	ahead  bool // pad is ctr's, computed ahead; no write has taken it yet
 }
 
 // entry returns line addr's memo entry, or nil outside the memo.
@@ -104,6 +116,16 @@ func (m *SeculatorMemory) entry(addr uint64) *keystream {
 		return &m.keys[addr]
 	}
 	return nil
+}
+
+// entries returns the memo entries of lines [addr, addr+n), panicking when
+// the memo does not cover them all: the weight path and PadAhead keep their
+// state nowhere else.
+func (m *SeculatorMemory) entries(addr uint64, n int) []keystream {
+	if end := addr + uint64(n); end < addr || end > uint64(len(m.keys)) {
+		panic(fmt.Sprintf("protect: lines [%d, %d) lie outside the keystream memo of %d lines", addr, end, len(m.keys)))
+	}
+	return m.keys[addr : addr+uint64(n)]
 }
 
 // ReserveKeystreams sizes the memo to lines [0, n) in one allocation (none
@@ -139,6 +161,7 @@ func (s *SeculatorShard) Recycle() {
 	clear(s.pad[:])
 	clear(s.runCT[:])
 	clear(s.runPT[:])
+	clear(s.hostPT[:])
 	s.rowh.Scrub()
 }
 
@@ -146,7 +169,7 @@ func (s *SeculatorShard) Recycle() {
 // still owes is hashed (settle: its helper's ring drained, its helper's
 // partials taken), then per-shard partial MAC banks fold into the current
 // layer's bank (commutative XOR, so the shard order and who hashed what are
-// immaterial), first-read weight MACs into the layer's weight digest, and
+// immaterial), first-read weight MACs into the layer's weight fold, and
 // local transfer and pad counts into the DRAM traffic counters and the
 // memory's tallies. Must run on the orchestrating goroutine after every
 // merged shard has quiesced; it resets the shards for reuse.
@@ -159,7 +182,7 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 		m.dram.Record(sim.Read, sim.DataTraffic, s.n.Reads())
 		m.dram.Record(sim.Write, sim.DataTraffic, s.n.Writes())
 		m.counts.add(s.n)
-		m.ks = Keystreams{m.ks.Computed + s.ks.Computed, m.ks.Reused + s.ks.Reused}
+		m.ks = Keystreams{m.ks.Computed + s.ks.Computed, m.ks.Reused + s.ks.Reused, m.ks.Ahead + s.ks.Ahead}
 		s.n, s.ks = BlockCounts{}, Keystreams{}
 		m.hashing.Borrowed = m.hashing.Borrowed || s.helper != nil
 		m.hashing.Loop += s.folds.hashed
@@ -181,23 +204,29 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 func (m *SeculatorMemory) BlockCounts() BlockCounts { return m.counts }
 
 // Hashing says where the block MACs of the shards' reads and writes — the
-// ones the layer checks consume — were hashed, or that a read took its MAC
-// from the memo, over every shard merged since the memory was built or
-// recycled.
+// ones the layer checks consume — were hashed, or that a read needed none
+// hashed (it took its MAC from the memo, or its weight term cancelled), over
+// every shard merged since the memory was built or recycled.
 type Hashing struct {
 	Borrowed bool // a merged shard had a helper
 	Loop     int  // hashed by the shards themselves: inline, or draining a ring
 	Helper   int  // hashed by borrowed helpers
-	Reused   int  // taken by reads from the MAC their line's last write recorded
+	// Reused counts reads that hashed none: each took the MAC its line's
+	// last write recorded, or fetched a weight host store's bytes unchanged.
+	Reused int
 }
 
 // Hashing returns the split of every shard merged since the memory was built
 // or recycled.
 func (m *SeculatorMemory) Hashing() Hashing { return m.hashing }
 
-// WeightDigest returns the XOR of the MACs of the weight blocks first-read
-// (ReadStatic) by shards merged since the current layer began — the value
-// the layer's golden weight comparison checks.
+// WeightDigest returns the weight fold of the shards merged since the
+// current layer began: for each weight block first-read (ReadStatic), the
+// MAC of what the read fetched XOR the MAC of what the host stored there —
+// zero for a read that fetched the host's bytes unchanged. With the unread
+// blocks' terms (UnreadWeight) it is the layer's weight check, which passes
+// on zero: the host's golden XOR-MAC and the reads' fold, less every term
+// the two share.
 func (m *SeculatorMemory) WeightDigest() mac.Digest { return m.weights }
 
 // readPad returns the pad a read of line addr decrypts with under ctr: the
@@ -305,13 +334,16 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 
 // ReadStatic fetches and decrypts a read-only (weight) block: no register
 // folds. Only the caller knows whether this is the block's first read in
-// its layer: a first read's MAC folds into the layer's weight digest
-// (WeightDigest, after Merge) for the golden comparison; a repeat's is bound
-// to nothing, so it is not computed — the caller compares its plaintext
-// with the first read's instead. A first read's MAC is the memo's when the
-// line's host write recorded it for these very bytes.
+// its layer: a first read owes the layer's weight fold (WeightDigest, after
+// Merge) the difference between what it fetched and what the line's weight
+// host store stored — nothing when it fetched exactly those bytes under
+// exactly that counter, else the MAC of the fetched plaintext and, if a host
+// store wrote the line, the MAC of the host's. A repeat's MAC is bound to
+// nothing, so it is not computed — the caller compares its plaintext with
+// the first read's instead. The line must lie inside the keystream memo.
 func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
 	m := s.parent
+	k := &m.entries(addr, 1)[0]
 	ctr := m.counter(ownerLayer, fmapID, vn, blockIdx)
 	pt := s.fetch(addr, ctr)
 	if !first {
@@ -319,8 +351,41 @@ func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn i
 		return pt
 	}
 	s.n.WeightFirst++
-	s.oweUnless(s.recorded(addr, ctr), m.ref(ownerLayer, fmapID, vn, blockIdx), pt, toWeight, 1)
+	// Both compared lines are DRAM contents the adversary already owns, so
+	// the compare's timing leaks nothing.
+	if k.host && k.ctr == ctr && k.ct == s.ct {
+		s.folds.reused++
+		return pt
+	}
+	s.owe(m.ref(ownerLayer, fmapID, vn, blockIdx), pt, toWeight, 1, nil)
+	if k.host {
+		subtle.XORBytes(s.hostPT[:], k.ct[:], k.pad[:])
+		s.owe(m.refAt(k.ctr), s.hostPT[:], toWeight, 1, nil)
+	}
 	return pt
+}
+
+// UnreadWeight returns the weight fold's term for a weight block no read of
+// the layer fetched, given the plaintext that stands in for it (the layer's
+// decoded weights): zero when the line's weight host store stored exactly
+// that plaintext under that block's counter, else the plaintext's MAC XOR,
+// if a host store wrote the line, the host plaintext's. It is pure: no
+// register, count or line changes. The line must lie inside the keystream
+// memo.
+func (m *SeculatorMemory) UnreadWeight(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
+	k := &m.entries(addr, 1)[0]
+	ctr := m.counter(ownerLayer, fmapID, vn, blockIdx)
+	var host [tensor.BlockBytes]byte
+	subtle.XORBytes(host[:], k.ct[:], k.pad[:])
+	// Both are on-chip plaintexts: compare in constant time.
+	if k.host && k.ctr == ctr && subtle.ConstantTimeCompare(host[:], plaintext) == 1 {
+		return mac.Digest{}
+	}
+	d := mac.BlockMAC(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
+	if k.host {
+		d = d.Xor(mac.BlockMAC(m.refAt(k.ctr), host[:]))
+	}
+	return d
 }
 
 // rowBlocks is the number of blocks in a row, which must be whole, at least
@@ -334,9 +399,10 @@ func rowBlocks(plaintext, ct []byte) int {
 
 // storeRow encrypts the n packed blocks of plaintext under counters ctr,
 // ctr+1, … into ct (caller-owned, at least as long), each pad computed into
-// its line's memo entry beside the counter and the ciphertext — whose
-// recorded MAC, a previous write's, it drops — stores them at lines addr,
-// addr+1, … and returns n.
+// its line's memo entry — or taken from it, when PadAhead computed it for
+// exactly that counter — beside the counter and the ciphertext, dropping
+// whatever the entry recorded of a previous write; stores them at lines
+// addr, addr+1, … and returns n.
 func (s *SeculatorShard) storeRow(addr uint64, ctr crypto.Counter, plaintext, ct []byte) int {
 	n := rowBlocks(plaintext, ct)
 	for b := 0; b < n; b++ {
@@ -344,17 +410,19 @@ func (s *SeculatorShard) storeRow(addr uint64, ctr crypto.Counter, plaintext, ct
 		line, pad := ct[o:o+tensor.BlockBytes], s.pad[:]
 		k := s.parent.entry(addr + uint64(b))
 		if k != nil {
-			k.ctr, k.set, k.hashed = ctr, true, false
 			pad = k.pad[:]
 		}
-		s.engine.Pad(pad, ctr)
+		if k == nil || !k.ahead || k.ctr != ctr {
+			s.engine.Pad(pad, ctr)
+			s.ks.Computed++
+		}
 		subtle.XORBytes(line, plaintext[o:o+tensor.BlockBytes], pad)
 		if k != nil {
-			k.ct = [tensor.BlockBytes]byte(line)
+			k.ct, k.ctr = [tensor.BlockBytes]byte(line), ctr
+			k.set, k.hashed, k.host, k.ahead = true, false, false, false
 		}
 		ctr.Block++
 	}
-	s.ks.Computed += n
 	s.parent.dram.WriteRangeQuiet(addr, ct[:n*tensor.BlockBytes])
 	return n
 }
@@ -402,7 +470,9 @@ func (s *SeculatorShard) HostSealRow(dst []byte, ownerLayer, fmapID uint32, vn i
 
 // HostWriteRow seals a row as HostSealRow does, through storeRow — so each
 // line's pad lands in its memo entry, and so does each block's MAC as it
-// folds into the digest — and stores it at addr, addr+1, ….
+// folds into the digest — and stores it at addr, addr+1, …. The layer-0
+// input load uses it: its first reads fold their MACs into MAC_FR, an
+// observable register, so they take the recorded ones.
 func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) mac.Digest {
 	m := s.parent
 	n := s.storeRow(addr, m.counter(ownerLayer, fmapID, vn, blockIdx), plaintext, ctScratch)
@@ -419,4 +489,43 @@ func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn
 		ref.Index++
 	}
 	return g
+}
+
+// HostStoreRow is the weight host store: it encrypts and stores a row as
+// HostWriteRow does but hashes nothing. Each line's memo entry keeps the
+// pad, counter and ciphertext storeRow records, marked host, which is all
+// the weight check needs: a first read (ReadStatic) or the unread pass
+// (UnreadWeight) that meets these bytes under this counter owes nothing,
+// and one that does not recovers the host's plaintext from the entry. The
+// lines must lie inside the keystream memo; a row that does not panics
+// before it touches an entry or a line.
+func (s *SeculatorShard) HostStoreRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
+	m := s.parent
+	ks := m.entries(addr, rowBlocks(plaintext, ctScratch))
+	s.n.HostWrites += s.storeRow(addr, m.counter(ownerLayer, fmapID, vn, blockIdx), plaintext, ctScratch)
+	for i := range ks {
+		ks[i].host = true
+	}
+}
+
+// PadAhead computes the pads of n consecutive lines — addr, addr+1, … under
+// the counters of blocks blockIdx, blockIdx+1, … of (layer, fmapID, vn) —
+// into their memo entries, marked ahead, dropping whatever the entries
+// recorded: the first write of each line under exactly that counter
+// (storeRow) takes the pad instead of computing it, and clears the mark.
+// The pads count as computed, and as ahead. The lines must lie inside the
+// keystream memo, and no other goroutine may touch their entries until the
+// caller publishes them.
+func (s *SeculatorShard) PadAhead(addr uint64, layer, fmapID uint32, vn int, blockIdx uint32, n int) {
+	ctr := s.parent.counter(layer, fmapID, vn, blockIdx)
+	ks := s.parent.entries(addr, n)
+	for i := range ks {
+		k := &ks[i]
+		s.engine.Pad(k.pad[:], ctr)
+		k.ctr = ctr
+		k.set, k.hashed, k.host, k.ahead = false, false, false, true
+		ctr.Block++
+	}
+	s.ks.Computed += n
+	s.ks.Ahead += n
 }

@@ -260,9 +260,10 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	}
 
 	// The keystream memo holds a pad, a counter and a ciphertext per written
-	// line, and a final write's MAC: the memory's Recycle zeroes every entry
-	// and keeps the capacity.
-	const memoLen = 4
+	// line, a final write's MAC, a weight host store's mark, and a pad
+	// computed ahead with its mark: the memory's Recycle zeroes every entry
+	// and keeps the capacity, and the pad tallies, the ahead share included.
+	const memoLen = 6
 	m.ReserveKeystreams(memoLen)
 	sh.WriteFinalRow(0, 2, 3, 0, make([]byte, 3*tensor.BlockBytes), make([]byte, 3*tensor.BlockBytes))
 	if slices.ContainsFunc(m.keys[:3], func(k keystream) bool {
@@ -270,7 +271,24 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	}) {
 		t.Fatal("a written line's memo entry lacks a pad, ciphertext or MAC: the check below sees nothing")
 	}
+	sh.HostStoreRow(3, 0x8001, 2, 1, 0, shardPattern(4), make([]byte, tensor.BlockBytes))
+	sh.PadAhead(4, 2, 5, 1, 0, 2)
+	if k := m.keys[3]; !k.host || k.ct == zero {
+		t.Fatal("a weight host store left no marked entry: the check below sees nothing")
+	}
+	// A first read of other bytes recovers the host's plaintext into staging.
+	d.Tamper(3, 0, 1)
+	sh.ReadStatic(3, 0x8001, 2, 1, 0, true)
+	if sh.hostPT == zero {
+		t.Fatal("a changed weight read left the host plaintext staging empty: the check below sees nothing")
+	}
+	if slices.ContainsFunc(m.keys[4:], func(k keystream) bool { return !k.ahead || k.pad == zero }) {
+		t.Fatal("a line padded ahead has no marked pad: the check below sees nothing")
+	}
 	m.Merge(sh)
+	if m.Keystreams().Ahead != 2 {
+		t.Fatalf("pads %+v: the two computed ahead are not counted", m.Keystreams())
+	}
 	if !m.Recycle(d, 3, 4) {
 		t.Fatal("Recycle refused the memory's own identity")
 	}
@@ -279,6 +297,9 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	}
 	if m.Keystreams() != (Keystreams{}) {
 		t.Fatalf("Recycle left pad counts behind: %+v", m.Keystreams())
+	}
+	if sh.Recycle(); sh.hostPT != zero {
+		t.Fatal("Recycle left the host plaintext staging behind")
 	}
 
 	// A borrowed helper keeps plaintext too — a copy of every block in its
@@ -312,6 +333,7 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 // TestShardSealRowMatchesWriteRow: HostWriteRow is HostSealRow plus a store,
 // so sealing a row into a buffer yields the lines HostWriteRow puts in DRAM
 // and the same golden digest — and only the store counts as write traffic.
+// HostStoreRow, the weight load, stores the same lines and hashes nothing.
 func TestShardSealRowMatchesWriteRow(t *testing.T) {
 	const n = 5
 	row := make([]byte, n*tensor.BlockBytes)
@@ -354,5 +376,15 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 	}
 	if gb != gs {
 		t.Fatalf("golden digest: per-block %x, row %x", gb, gs)
+	}
+	m.ReserveKeystreams(32)
+	sh.HostStoreRow(20, 0x8001, 2, 1, 6, row, make([]byte, len(row)))
+	for i := 0; i < n; i++ {
+		if !bytes.Equal(d.Peek(uint64(20+i)), d.Peek(uint64(4+i))) {
+			t.Fatalf("line %d: the weight store and the host write differ", i)
+		}
+		if k := m.keys[20+i]; !k.host || k.hashed {
+			t.Fatalf("line %d: the weight store left its entry %v marked host, %v hashed", i, k.host, k.hashed)
+		}
 	}
 }

@@ -11,7 +11,8 @@
 //     every block MAC folds into the XOR-MAC registers;
 //   - at each layer boundary the Equation 1 check verifies the previous
 //     layer, first-layer inputs are checked against the host's golden
-//     digest, and weights against their per-layer golden digests;
+//     digest, and weights against what the host stored (a weight fold that
+//     keeps only the difference between the host's MACs and the reads');
 //   - finally the host reads the outputs back through the same path.
 //
 // The output must equal package nn's direct reference computation bit for
@@ -122,6 +123,11 @@ type Executor struct {
 	// weights ARE the residency's verified tensors, and no attacker hook
 	// or fault injector is installed.
 	Residency *WeightResidency
+
+	// weightFoldTap, when non-nil, observes each weighted layer attempt's
+	// weight fold before its check: the in-package oracle holds it to a
+	// reference's golden ⊕ reads ⊕ unread arithmetic.
+	weightFoldTap func(layer int, fold mac.Digest)
 }
 
 // DefaultSecret and DefaultRandom are the process's DRAM crypto identity:
@@ -192,9 +198,8 @@ type layerState struct {
 	act actLayout    // this layer's output region
 	wl  weightLayout // this layer's weight region (zero for pools)
 
-	goldenWeights mac.Digest // XOR of all weight-block MACs
-	resident      bool       // weights pre-verified by an attached residency
-	out           *nn.Tensor
+	resident bool // weights pre-verified by an attached residency
+	out      *nn.Tensor
 }
 
 // Result is the outcome of a functional run.
@@ -295,15 +300,16 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 
 	// Provisioning. A residency attach installs the pinned, pre-verified
 	// ciphertext by memcpy and marks every layer trusted — no host encrypt,
-	// no golden re-MAC, no per-tile weight fetch. Otherwise the host load
-	// leaves the critical path: one loader goroutine writes the model, layer
-	// by layer, while the layer loop runs (startLoader) — unless an attacker
-	// hook or injector is installed; both observe load/execute ordering that
-	// overlapping would change, so those runs load everything up front.
+	// no per-tile weight fetch. Otherwise the host load leaves the critical
+	// path: one loader goroutine writes the model, layer by layer, while the
+	// layer loop runs, and computes ahead the pads of the output lines each
+	// layer writes once (startLoader) — unless an attacker hook or injector
+	// is installed; both observe load/execute ordering that overlapping
+	// would change, so those runs load everything up front.
 	resident := x.residentFor(net, weights)
 	overlap := !resident && x.AfterPhase == nil && x.Injector == nil
 	if overlap {
-		rt.startLoader(x, states, weights)
+		rt.startLoader(states, weights)
 	}
 	goldenInput := x.loadInput(rt, input, inputLayout)
 	switch {
@@ -311,7 +317,6 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		x.Residency.install(dram)
 		for i := range states {
 			states[i].resident = true
-			states[i].goldenWeights = x.Residency.layers[i].golden
 		}
 	case !overlap:
 		x.loadAllWeights(rt, states, weights)
@@ -331,8 +336,8 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		if overlap && weights[i] != nil {
-			rt.awaitWeights() // this layer's region is stored, st.goldenWeights published
+		if overlap {
+			rt.awaitLayer() // this layer's weights are stored, its output pads computed
 		}
 		// One attempt = re-fetch + re-execute the layer's event stream,
 		// then close the pending verification (layer-0 golden inputs, or
@@ -555,25 +560,24 @@ func (x *Executor) loadInput(rt *inferRuntime, input *nn.Tensor, il actLayout) m
 	return golden
 }
 
-// loadLayerWeights host-writes one layer's weights through a shard, slice
-// by slice, returning the layer's golden XOR-MAC. The caller supplies the
-// staging (pt/ct of wl.sliceBlocks blocks): the up-front load passes the
-// loop shard's rowScratch and the loader its private preloadScratch — so no
-// path shares staging with a concurrently executing layer.
-func (x *Executor) loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights, pt, ct []byte) mac.Digest {
-	var golden mac.Digest
+// loadLayerWeights host-stores one layer's weights through a shard, slice
+// by slice (HostStoreRow: no MAC is hashed; the layer's weight check
+// compares its reads with what the memo says was stored). The caller
+// supplies the staging (pt/ct of wl.sliceBlocks blocks): the up-front load
+// passes the loop shard's rowScratch and the loader its private
+// preloadScratch — so no path shares staging with a concurrently executing
+// layer.
+func loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights, pt, ct []byte) {
 	wl := st.wl
 	for k := 0; k < wl.k; k++ {
 		for cg := 0; cg < wl.cGroups; cg++ {
 			encodeRowInto(pt, weightRun(st.layer, w, k, cg, wl.sliceInts))
-			golden = golden.Xor(sh.HostWriteRow(wl.addr(k, cg, 0), wl.ownerID, uint32(k), 1,
-				uint32(cg*wl.sliceBlocks), pt, ct))
+			sh.HostStoreRow(wl.addr(k, cg, 0), wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks), pt, ct)
 		}
 	}
-	return golden
 }
 
-// loadAllWeights host-writes every layer's weights up front (hooked and
+// loadAllWeights host-stores every layer's weights up front (hooked and
 // injected runs) through the loop shard.
 func (x *Executor) loadAllWeights(rt *inferRuntime, states []layerState, weights []*nn.Weights) {
 	for i := range states {
@@ -581,7 +585,18 @@ func (x *Executor) loadAllWeights(rt *inferRuntime, states []layerState, weights
 			continue
 		}
 		pt, ct := rt.rowScratch(states[i].wl.sliceBlocks)
-		states[i].goldenWeights = x.loadLayerWeights(rt.sh, &states[i], weights[i], pt, ct)
+		loadLayerWeights(rt.sh, &states[i], weights[i], pt, ct)
+	}
+}
+
+// padOutputsAhead computes the pad of every line of a layer's output
+// region into its memo entry (protect.PadAhead), one channel — a run of
+// consecutive lines and block indices — at a time. Only for a layer whose
+// final VN is 1: each output line is then written once, under exactly the
+// counter padded here.
+func padOutputsAhead(sh *protect.SeculatorShard, a actLayout) {
+	for ch := 0; ch < a.chans; ch++ {
+		sh.PadAhead(a.addr(ch, 0, 0), a.ownerID, uint32(ch), a.vn, 0, a.rows*a.bpr)
 	}
 }
 

@@ -97,8 +97,12 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 
 	rt.settle() // every block MAC of the layer, before any check reads one
 	if weights != nil && !st.resident {
-		if err := run.verifyWeights(); err != nil {
-			return mac.Digest{}, err
+		fold := run.weightFold()
+		if x.weightFoldTap != nil {
+			x.weightFoldTap(int(st.act.ownerID)-1, fold)
+		}
+		if fold != (mac.Digest{}) {
+			return mac.Digest{}, fmt.Errorf("%w: layer %q weights: digest mismatch", mac.ErrIntegrity, st.layer.Name)
 		}
 	}
 	st.out = run.out
@@ -255,8 +259,8 @@ func (r *layerRun) readProducerBlock(ch, row, j, n int) {
 }
 
 // readWeightTile fetches the (k-group x c-group) weight slices of a tile
-// through the static-read path. A block's first read owes its MAC to the
-// layer's weight digest for the golden comparison and decodes the weights; a
+// through the static-read path. A block's first read owes the layer's weight
+// fold its difference from the host's store and decodes the weights; a
 // repeat read (a mapping that cannot hold the tile re-fetches it) is consumed
 // only if it decodes to what the first read did — the adversary owns the DRAM
 // between the two, and only the first is bound to the golden digest.
@@ -341,14 +345,17 @@ func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 // version: the VN the consumer reads.
 func (r *layerRun) finalWrite(e dataflow.Event) bool { return e.VN == r.st.act.vn }
 
-// verifyWeights compares the settled first-touch weight MACs (plus
-// host-side folds for never-read padded slices) against the golden digest.
-func (r *layerRun) verifyWeights() error {
+// weightFold is the layer's weight check, which passes on zero: the settled
+// fold of the first reads' terms (WeightDigest) with the terms of the
+// blocks no read fetched. Either term is the difference between a block's
+// MAC and the MAC of what the host stored there, so the fold is the host's
+// golden XOR-MAC XOR the MACs of what the layer consumed.
+func (r *layerRun) weightFold() mac.Digest {
 	got := r.sm.WeightDigest()
-	// Fold unread weight blocks host-side (slices of fully padded channel
-	// groups, or resident groups skipped by the mapping's reuse). Every slice
-	// the mapping touches is decoded by now, so r.w stands in for the host's
-	// copy.
+	// Unread weight blocks (slices of fully padded channel groups, or
+	// resident groups skipped by the mapping's reuse) fold host-side. Every
+	// slice the mapping touches is decoded by now, so r.w stands in for
+	// them.
 	wl := r.st.wl
 	l := r.st.layer
 	blk := r.rt.blockBuf[:]
@@ -361,14 +368,11 @@ func (r *layerRun) verifyWeights() error {
 					continue
 				}
 				encodeBlockInto(blk, run, j)
-				got = got.Xor(r.sm.BlockDigest(wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks+j), blk))
+				got = got.Xor(r.sm.UnreadWeight(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks+j), blk))
 			}
 		}
 	}
-	if got != r.st.goldenWeights {
-		return fmt.Errorf("%w: layer %q weights: digest mismatch", mac.ErrIntegrity, l.Name)
-	}
-	return nil
+	return got
 }
 
 // unreadExternal folds the MACs of producer blocks this layer never read —

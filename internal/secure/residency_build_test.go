@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
 	"seculator/internal/tensor"
@@ -27,8 +28,12 @@ func buildDefaultResidency(tb testing.TB, net workload.Network, ws []*nn.Weights
 
 // TestResidencyCiphertextIsHostLoadImage: every layer's pinned ciphertext
 // equals the weight region a hooked run's DRAM holds right after model load
-// (phase -1), and its pinned golden digest equals the one that load computes
-// — install() works because of this, and nothing else asserted it.
+// (phase -1) — install() works because of this, and nothing else asserted
+// it — and its pinned golden digest is the XOR of mac.BlockMAC over the
+// host's plaintext blocks at their positions, folded here block by block
+// rather than by the build's row hasher. (Runs no longer fold a golden
+// digest: the host load hashes nothing, so the pinned one is checked
+// against the definition instead.)
 func TestResidencyCiphertextIsHostLoadImage(t *testing.T) {
 	for _, net := range []workload.Network{miniNet(), resolveShape(t, "Mini"), resolveShape(t, "MobileNet/8")} {
 		in, ws := nn.RandomModel(net, 3)
@@ -60,20 +65,27 @@ func TestResidencyCiphertextIsHostLoadImage(t *testing.T) {
 			t.Fatalf("%s: hook saw %d weight regions, residency pins %d", net.Name, len(plan.Weights), len(res.layers))
 		}
 
-		// The same load, driven directly, for the digests Run keeps private.
-		rs, err := x.acquireRun()
+		states, _, _, err := x.plan(net, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		states, _, total, err := x.plan(net, ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs.dram.Reserve(total)
-		x.loadAllWeights(rs.rt, states, ws)
+		blk := make([]byte, tensor.BlockBytes)
 		for i := range states {
-			if states[i].goldenWeights != res.layers[i].golden {
-				t.Fatalf("%s layer %d: pinned golden digest differs from the host load's", net.Name, i)
+			var want mac.Digest
+			if wl := states[i].wl; ws[i] != nil {
+				for k := 0; k < wl.k; k++ {
+					for cg := 0; cg < wl.cGroups; cg++ {
+						run := weightRun(states[i].layer, ws[i], k, cg, wl.sliceInts)
+						for j := 0; j < wl.sliceBlocks; j++ {
+							encodeBlockInto(blk, run, j)
+							want = want.Xor(mac.BlockMAC(mac.BlockRef{Secret: x.Secret, Layer: wl.ownerID,
+								Fmap: uint32(k), VN: 1, Index: uint32(cg*wl.sliceBlocks + j)}, blk))
+						}
+					}
+				}
+			}
+			if res.layers[i].golden != want {
+				t.Fatalf("%s layer %d: pinned golden digest is not the fold of the host plaintext's block MACs", net.Name, i)
 			}
 		}
 	}

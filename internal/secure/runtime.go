@@ -72,15 +72,17 @@ func (rt *inferRuntime) rowScratch(nblocks int) (pt, ct []byte) {
 // OnLayerMACs, FinalOutputMAC, BeginLayer and RestartLayer.
 func (rt *inferRuntime) settle() { rt.sm.Merge(rt.sh) }
 
-// preloadState is the run's weight loader: one goroutine that host-writes
-// every layer's weights in layer order through its own shard and staging
-// while the layer loop runs, so only layer 0's load is on the critical path.
+// preloadState is the run's weight loader: one goroutine that, layer by
+// layer in order, host-stores the layer's weights and computes ahead the
+// pads of the output lines the layer writes once, through its own shard and
+// staging, while the layer loop runs — so only layer 0's share is on the
+// critical path.
 type preloadState struct {
 	sh *protect.SeculatorShard
 
-	// ready carries one token per weighted layer, sent once that layer's
-	// region is stored and its golden digest published; the loader closes it
-	// on exit. nil when no loader is running.
+	// ready carries one token per layer, pool layers included, sent once
+	// that layer's weight region is stored and its output pads are computed;
+	// the loader closes it on exit. nil when no loader is running.
 	ready    chan struct{}
 	stop     atomic.Bool // set by drain: stop before the next layer
 	panicVal any         // a recovered loader panic, published by the close
@@ -90,7 +92,7 @@ type preloadState struct {
 // (no attacker hook, no injector): it mutates DRAM while layers execute,
 // which is invisible to the architecture (disjoint, pre-reserved lines) but
 // not to a hook that expects "all loads precede phase -1" ordering.
-func (rt *inferRuntime) startLoader(x *Executor, states []layerState, weights []*nn.Weights) {
+func (rt *inferRuntime) startLoader(states []layerState, weights []*nn.Weights) {
 	p := &rt.preload
 	if p.sh == nil {
 		p.sh = rt.sm.Shard()
@@ -103,23 +105,28 @@ func (rt *inferRuntime) startLoader(x *Executor, states []layerState, weights []
 		defer close(ready)
 		defer func() { p.panicVal = recover() }()
 		for i := range states {
-			if weights[i] == nil {
-				continue
-			}
 			if p.stop.Load() {
 				return
 			}
-			pt, ct := rt.preloadScratch(states[i].wl.sliceBlocks)
-			states[i].goldenWeights = x.loadLayerWeights(p.sh, &states[i], weights[i], pt, ct)
+			st := &states[i]
+			if weights[i] != nil {
+				pt, ct := rt.preloadScratch(st.wl.sliceBlocks)
+				loadLayerWeights(p.sh, st, weights[i], pt, ct)
+			}
+			// The loop stores to these entries only after it takes this
+			// token, and the loader touches them no more: one writer each.
+			if st.act.vn == 1 {
+				padOutputsAhead(p.sh, st.act)
+			}
 			ready <- struct{}{}
 		}
 	}()
 }
 
-// awaitWeights blocks until the loader has published the next weighted
-// layer — tokens arrive in layer order, one per call. A closed channel
-// means the loader died: its panic is re-raised here, on the orchestrator.
-func (rt *inferRuntime) awaitWeights() {
+// awaitLayer blocks until the loader has published the next layer — tokens
+// arrive in layer order, one per call. A closed channel means the loader
+// died: its panic is re-raised here, on the orchestrator.
+func (rt *inferRuntime) awaitLayer() {
 	if _, ok := <-rt.preload.ready; !ok {
 		panic(rt.preload.panicVal)
 	}

@@ -291,3 +291,87 @@ func TestCancelMidRunJoinsLoader(t *testing.T) {
 		t.Fatalf("run after a cancelled one: Blocks %d OutputMAC %s, want 7997 %s", res.Blocks, got, pinned)
 	}
 }
+
+// TestCancelWithPadsAheadLeavesNothing: cancelling a pooled MobileNet/8 run
+// after layer 3, once the loader has stored every layer's weights and padded
+// every later layer's output lines — pads no store took — must leave nothing
+// behind in the parked state: the next run on it matches a fresh state's
+// output, OutputMAC, Counts and Keystream. The test finds the state both
+// runs ride by taking it out of the pool and putting it back; the race
+// detector's pool drops some of what is Put, so a round whose runs did not
+// both ride it is run again.
+func TestCancelWithPadsAheadLeavesNothing(t *testing.T) {
+	net := resolveShape(t, "MobileNet/8")
+	in, ws := nn.RandomModel(net, 1)
+	runPoolingOff.Store(true)
+	fresh, err := NewExecutor().Run(context.Background(), net, in, ws)
+	runPoolingOff.Store(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Keystream.Ahead == 0 {
+		t.Fatal("a fresh run padded nothing ahead: the test sees nothing")
+	}
+	for round := 0; round < 20; round++ {
+		x := NewExecutor()
+		if _, err := x.Run(context.Background(), net, in, ws); err != nil {
+			t.Fatal(err)
+		}
+		v := runPool.Get()
+		if v == nil {
+			continue
+		}
+		rs := v.(*runState)
+		runPool.Put(rs)
+
+		ctx, cancel := context.WithCancel(context.Background())
+		rode, padded := false, false
+		x.OnLayerMACs = func(phase int, _ protect.RegisterState) {
+			if phase != 3 {
+				return
+			}
+			cancel()
+			// Only the run riding rs set its channel, on this goroutine.
+			ready := rs.rt.preload.ready
+			if rode = ready != nil; !rode {
+				return
+			}
+			// Four tokens taken; wait until the loader has sent the rest.
+			for deadline := time.Now().Add(10 * time.Second); len(ready)+4 < len(net.Layers) && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			padded = len(ready)+4 == len(net.Layers)
+		}
+		_, err := x.Run(ctx, net, in, ws)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if rode && !padded {
+			t.Fatal("the loader never finished padding ahead while the loop waited")
+		}
+		again := false
+		x.OnLayerMACs = func(phase int, _ protect.RegisterState) {
+			if phase == 0 {
+				again = rs.rt.preload.ready != nil
+			}
+		}
+		res, err := x.Run(context.Background(), net, in, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rode || !again {
+			continue
+		}
+		if !res.Output.Equal(fresh.Output) || res.OutputMAC != fresh.OutputMAC ||
+			res.Counts != fresh.Counts || res.Keystream != fresh.Keystream {
+			t.Fatalf("after a cancelled run: OutputMAC %v, %+v, pads %+v; a fresh state's %v, %+v, pads %+v",
+				res.OutputMAC, res.Counts, res.Keystream, fresh.OutputMAC, fresh.Counts, fresh.Keystream)
+		}
+		return
+	}
+	if raceEnabled {
+		t.Skip("the race detector's pool never handed one state to both runs")
+	}
+	t.Fatal("the pool never handed one state to both runs")
+}
