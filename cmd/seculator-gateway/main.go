@@ -42,6 +42,7 @@ import (
 	"seculator/internal/serve"
 	"seculator/internal/serve/chaos"
 	"seculator/internal/serve/client"
+	"seculator/internal/workload"
 )
 
 func main() {
@@ -243,7 +244,7 @@ func runSmoke(replicas int) error {
 		return errors.New("smoke: response not stamped with the serving replica")
 	}
 
-	net := serve.MiniNet()
+	net := workload.Mini()
 	in, ws := seculator.RandomModel(net, seed)
 	golden, err := seculator.ReferenceInference(net, in, ws)
 	if err != nil {

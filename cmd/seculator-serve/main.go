@@ -55,6 +55,7 @@ import (
 	"seculator/internal/serve/chaos"
 	"seculator/internal/serve/client"
 	"seculator/internal/serve/loadgen"
+	"seculator/internal/workload"
 )
 
 func main() {
@@ -400,7 +401,7 @@ func runSmoke(opts serve.Options) error {
 		return fmt.Errorf("smoke: infer: %w", err)
 	}
 
-	net := serve.MiniNet()
+	net := workload.Mini()
 	in, ws := seculator.RandomModel(net, seed)
 	golden, err := seculator.ReferenceInference(net, in, ws)
 	if err != nil {

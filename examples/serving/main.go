@@ -21,6 +21,7 @@ import (
 	"seculator/internal/host"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
+	"seculator/internal/workload"
 )
 
 func main() {
@@ -79,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	netw := serve.MiniNet()
+	netw := workload.Mini()
 	in, ws := seculator.RandomModel(netw, seed)
 	golden, err := seculator.ReferenceInference(netw, in, ws)
 	if err != nil {

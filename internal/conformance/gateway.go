@@ -15,6 +15,7 @@ import (
 	"seculator/internal/host"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
+	"seculator/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -73,7 +74,7 @@ func CheckGatewayAttack(cfg Config) error {
 
 	// Honest phase: the gateway must be a transparent proxy — the output
 	// checksum through two hops equals the local reference computation.
-	net := serve.MiniNet()
+	net := workload.Mini()
 	in, ws := seculator.RandomModel(net, cfg.Seed)
 	golden, err := seculator.ReferenceInference(net, in, ws)
 	if err != nil {

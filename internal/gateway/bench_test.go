@@ -8,6 +8,7 @@ import (
 	"seculator/internal/gateway"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
+	"seculator/internal/workload"
 )
 
 func newBenchCluster(b *testing.B, n int) *client.Client {
@@ -24,7 +25,7 @@ func newBenchCluster(b *testing.B, n int) *client.Client {
 // iteration (same recipe as the serve benches), so the pinned-model
 // benches measure the hot path with varying inputs.
 func benchInput(i int) []int32 {
-	net := serve.MiniNet()
+	net := workload.Mini()
 	first := net.Layers[0]
 	in := make([]int32, first.C*first.H*first.W)
 	x := uint64(i)*2654435761 + 99

@@ -8,6 +8,7 @@ import (
 
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
+	"seculator/internal/workload"
 )
 
 func newBenchServer(b *testing.B, opts serve.Options) *client.Client {
@@ -30,7 +31,7 @@ func newBenchServer(b *testing.B, opts serve.Options) *client.Client {
 // iteration, so the fixed-model benchmarks measure the residency hit path
 // (weights pinned, inputs varying) the way production traffic looks.
 func benchInput(i int) []int32 {
-	net := serve.MiniNet()
+	net := workload.Mini()
 	first := net.Layers[0]
 	in := make([]int32, first.C*first.H*first.W)
 	x := uint64(i)*2654435761 + 99

@@ -359,7 +359,7 @@ func (c *campaign) runPhase(ctx context.Context, ph Phase, d time.Duration) map[
 			var rep loadgen.Report
 			var err error
 			if p.Adversarial && ph == PhaseAttack {
-				rep = c.attackLoop(ctx, cl, p, d)
+				rep = attackStream(ctx, cl, c.opts.Network, p.AttackRPS, d, c.opts.Seed)
 			} else {
 				rep, err = loadgen.Run(ctx, cl, loadgen.Options{
 					RPS:      p.RPS,
@@ -380,19 +380,13 @@ func (c *campaign) runPhase(ctx context.Context, ph Phase, d time.Duration) map[
 	return reports
 }
 
-// attackLoop adapts the campaign's plan to the shared adversarial stream.
-func (c *campaign) attackLoop(ctx context.Context, cl *client.Client, p TenantPlan, d time.Duration) loadgen.Report {
-	return AttackStream(ctx, cl, c.opts.Network, p.AttackRPS, d, c.opts.Seed)
-}
-
-// AttackStream is the adversarial generator: an open-loop arrival process
+// attackStream is the adversarial generator: an open-loop arrival process
 // at rps where every arrival opens a fresh session and runs one inference
 // through the server's replay MITM intercept — each executed request is a
 // guaranteed VN breach, and refused ones probe the quarantine the breach
 // history earned. No retries: the adversary takes every refusal. Request
-// seeds derive from seed, so the stream replays. The chaos campaign's
-// attack phase and the workload suite's attack-laced mixes both ride it.
-func AttackStream(ctx context.Context, cl *client.Client, network string, rps float64, d time.Duration, seed int64) loadgen.Report {
+// seeds derive from seed, so the stream replays.
+func attackStream(ctx context.Context, cl *client.Client, network string, rps float64, d time.Duration, seed int64) loadgen.Report {
 	rep := loadgen.Report{Errors: make(map[string]int)}
 	interval := time.Duration(float64(time.Second) / rps)
 	if interval <= 0 {
@@ -622,12 +616,10 @@ func (c *campaign) check(res *Result, scrape string) {
 	}
 }
 
-// ReplayIntercept is the command-channel MITM: capture the layer-2 packet,
+// replayIntercept is the command-channel MITM: capture the layer-2 packet,
 // splice it over layer 4 — the version-number check downstream flags it.
-// One intercept carries the capture state of one inference; callers hand a
-// fresh one to every session-bound run (serve.Options.InterceptFor does).
-func ReplayIntercept() host.Intercept { return replayIntercept() }
-
+// One intercept carries the capture state of one inference; the campaign
+// hands a fresh one to every adversarial run (serve.Options.InterceptFor).
 func replayIntercept() host.Intercept {
 	var mu sync.Mutex
 	var captured *host.Packet
@@ -649,15 +641,9 @@ func replayIntercept() host.Intercept {
 
 // MetricValue returns the value of a /metrics scrape line for the given
 // tenant label (or an unlabeled line when tenant is empty); absent lines
-// read 0. The chaos invariants and the workload scenario runner both read
-// their evidence through it.
+// read 0. The chaos invariants read their evidence through it, and the
+// repository benchmark parses its scrapes with it.
 func MetricValue(scrape, name, tenant string) float64 { return metricValue(scrape, name, tenant) }
-
-// MetricValueLabeled is MetricValue with a raw label-substring match, for
-// multi-label lines like shed-by-reason.
-func MetricValueLabeled(scrape, name, labels string) float64 {
-	return metricValueLabeled(scrape, name, labels)
-}
 
 func metricValue(scrape, name, tenant string) float64 {
 	if tenant == "" {

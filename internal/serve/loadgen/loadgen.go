@@ -67,20 +67,10 @@ type Options struct {
 	// legacy shape: uniform spacing with sequential request seeds 1, 2, …
 	Seed int64
 	// Poisson draws exponential (memoryless) inter-arrival gaps with mean
-	// 1/RPS instead of uniform spacing — the open-loop arrival process the
-	// workload scenario curves are built from. The gap sequence is seeded
-	// by Seed, so it is reproducible run to run.
+	// 1/RPS instead of uniform spacing — the open-loop arrival process of
+	// independent users. The gap sequence is seeded by Seed, so it is
+	// reproducible run to run.
 	Poisson bool
-	// SessionEvery, with Sessions, rotates to a freshly created session
-	// every N arrivals — session-churn traffic, where session setup joins
-	// the steady-state path. Replaced sessions are left to idle expiry so
-	// in-flight requests on them still complete. Zero keeps one session
-	// for the whole run.
-	SessionEvery int
-	// KeepSamples retains the sorted OK latency samples on the report, so
-	// callers merging several concurrent streams (the workload scenario
-	// runner) can compute exact cross-stream percentiles.
-	KeepSamples bool
 }
 
 func (o *Options) setDefaults() {
@@ -110,11 +100,6 @@ type Report struct {
 	P50, P95, P99  time.Duration
 	Max            time.Duration
 	ResidencyHits  int // OK requests that rode the server's pinned weights
-	SessionsOpened int // sessions created (initial + churn rotations)
-
-	// Samples holds the sorted OK latencies when Options.KeepSamples was
-	// set; nil otherwise.
-	Samples []time.Duration
 
 	// ByReplica attributes completed requests to the replica that served
 	// them. Populated only when the target is a gateway (which stamps
@@ -272,43 +257,16 @@ func Run(ctx context.Context, target Inferer, opts Options) (Report, error) {
 		inputLen = first.C * first.H * first.W
 	}
 
-	var sessClient *client.Client
 	if opts.Sessions {
 		c, ok := target.(*client.Client)
 		if !ok {
 			return Report{}, fmt.Errorf("loadgen: Sessions requires a *client.Client target")
 		}
-		sessClient = c
 		sres, err := c.CreateSession(ctx, serve.SessionCreateRequest{})
 		if err != nil {
 			return Report{}, fmt.Errorf("loadgen: opening session: %w", err)
 		}
 		sessionID = sres.SessionID
-		rep.SessionsOpened = 1
-	}
-
-	// currentSession reads the live session id; rotate swaps in a fresh one
-	// (session churn). Replaced sessions are abandoned to idle expiry so
-	// requests already holding the old id still complete.
-	var sessMu sync.Mutex
-	currentSession := func() string {
-		sessMu.Lock()
-		defer sessMu.Unlock()
-		return sessionID
-	}
-	rotate := func() {
-		sres, err := sessClient.CreateSession(ctx, serve.SessionCreateRequest{})
-		mu.Lock()
-		if err != nil {
-			rep.Errors["session-rotate"]++
-			mu.Unlock()
-			return
-		}
-		rep.SessionsOpened++
-		mu.Unlock()
-		sessMu.Lock()
-		sessionID = sres.SessionID
-		sessMu.Unlock()
 	}
 
 	sched := Schedule(opts)
@@ -321,7 +279,7 @@ func Run(ctx context.Context, target Inferer, opts Options) (Report, error) {
 	defer timer.Stop()
 
 arrivals:
-	for i, a := range sched {
+	for _, a := range sched {
 		// Open loop: fire at the scheduled offset; a generator running
 		// behind fires immediately rather than bending the schedule.
 		if wait := time.Until(start.Add(a.At)); wait > 0 {
@@ -335,13 +293,6 @@ arrivals:
 			break arrivals
 		}
 		rep.Sent++
-		if sessClient != nil && opts.SessionEvery > 0 && i > 0 && i%opts.SessionEvery == 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rotate()
-			}()
-		}
 		select {
 		case slots <- struct{}{}:
 		default:
@@ -355,7 +306,7 @@ arrivals:
 			req := serve.InferRequest{
 				Network:   opts.Network,
 				Seed:      seed,
-				Session:   currentSession(),
+				Session:   sessionID,
 				TimeoutMs: opts.TimeoutMs,
 			}
 			if opts.FixedModel {
@@ -410,9 +361,6 @@ arrivals:
 		rep.P95 = Percentile(lats, 0.95)
 		rep.P99 = Percentile(lats, 0.99)
 		rep.Max = lats[len(lats)-1]
-		if opts.KeepSamples {
-			rep.Samples = lats
-		}
 	}
 	if len(byReplica) > 0 {
 		rep.ByReplica = make(map[string]ReplicaStats, len(byReplica))
@@ -446,10 +394,10 @@ func varyInput(n int, seed int64) []int32 {
 // nearest-rank method: the smallest value with at least p of the sample at
 // or below it, rank ⌈p·n⌉. The previous rounding formula read one rank low
 // whenever p·n had a fraction under one half — on 99 samples p99 reported
-// the 98th value instead of the maximum — which matters exactly in the
-// small-sample per-phase reports the workload suite gates on. The epsilon
-// absorbs float artifacts like 0.95·1000 = 950.0000000000001, which would
-// otherwise ceil to rank 951.
+// the 98th value instead of the maximum — which matters exactly in small
+// samples such as one replica's slice of a gateway run. The epsilon absorbs
+// float artifacts like 0.95·1000 = 950.0000000000001, which would otherwise
+// ceil to rank 951.
 func Percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

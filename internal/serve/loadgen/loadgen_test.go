@@ -176,48 +176,3 @@ func TestPercentileNearestRank(t *testing.T) {
 		t.Errorf("empty sample p99 = %v, want 0", got)
 	}
 }
-
-// Session churn rotates to fresh sessions on schedule and the run still
-// completes; the report carries the opened-session count.
-func TestLoadgenSessionChurn(t *testing.T) {
-	c := newTarget(t)
-	rep, err := loadgen.Run(context.Background(), c, loadgen.Options{
-		RPS: 100, Duration: 400 * time.Millisecond, Network: "Mini",
-		Sessions: true, SessionEvery: 5, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK == 0 {
-		t.Fatalf("no churned-session traffic succeeded: %+v", rep)
-	}
-	if rep.SessionsOpened < 2 {
-		t.Fatalf("expected session rotations, got %d opened", rep.SessionsOpened)
-	}
-	if rep.Errors["session-rotate"] > 0 {
-		t.Fatalf("session rotations failed: %+v", rep.Errors)
-	}
-}
-
-// KeepSamples retains the full sorted latency sample for cross-stream
-// percentile merging.
-func TestLoadgenKeepSamples(t *testing.T) {
-	c := newTarget(t)
-	rep, err := loadgen.Run(context.Background(), c, loadgen.Options{
-		RPS: 200, Duration: 300 * time.Millisecond, Network: "Mini", KeepSamples: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Samples) != rep.OK {
-		t.Fatalf("kept %d samples for %d OK requests", len(rep.Samples), rep.OK)
-	}
-	for i := 1; i < len(rep.Samples); i++ {
-		if rep.Samples[i] < rep.Samples[i-1] {
-			t.Fatalf("samples not sorted at %d", i)
-		}
-	}
-	if rep.P99 != loadgen.Percentile(rep.Samples, 0.99) {
-		t.Fatalf("report p99 %v disagrees with Percentile over its own samples", rep.P99)
-	}
-}

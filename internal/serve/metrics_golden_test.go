@@ -10,6 +10,7 @@ import (
 
 	"seculator/internal/protect"
 	"seculator/internal/runner"
+	"seculator/internal/workload"
 )
 
 // TestMetricsGoldenScrape drives a fixed script of events through a real
@@ -123,7 +124,7 @@ func TestMetricsGoldenScrape(t *testing.T) {
 	residencyBytes(-1024)
 
 	for i := 0; i < 2; i++ { // one miss, one hit, one entry
-		if _, err := runner.RunCached(context.Background(), MiniNet(), protect.Seculator, s.cfg); err != nil {
+		if _, err := runner.RunCached(context.Background(), workload.Mini(), protect.Seculator, s.cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

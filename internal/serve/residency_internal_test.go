@@ -9,6 +9,7 @@ import (
 	"seculator/internal/nn"
 	"seculator/internal/runner"
 	"seculator/internal/secure"
+	"seculator/internal/workload"
 )
 
 // Manager-level residency tests with an injected clock: epoch expiry,
@@ -28,7 +29,7 @@ func newResHarness(cfg ResidencyConfig) *resHarness {
 
 func (h *resHarness) build(seed int64) func() (*secure.WeightResidency, error) {
 	return func() (*secure.WeightResidency, error) {
-		net := MiniNet()
+		net := workload.Mini()
 		cfg := runner.DefaultConfig()
 		_, ws := nn.RandomModel(net, seed)
 		return secure.BuildWeightResidency(context.Background(), net, cfg.NPU, cfg.DRAM,

@@ -9,6 +9,7 @@ import (
 	"seculator/internal/host"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
+	"seculator/internal/workload"
 )
 
 // Server-level residency and concurrency tests: running requests at once
@@ -34,7 +35,7 @@ func TestPipelinedBatchMatchesSerial(t *testing.T) {
 	})
 	ctx := ctxT(t)
 
-	net := serve.MiniNet()
+	net := workload.Mini()
 	golden := make([]uint64, burst)
 	for i := range golden {
 		in, ws := seculator.RandomModel(net, int64(i))
@@ -98,7 +99,7 @@ func TestResidencyHitOverHTTP(t *testing.T) {
 		t.Fatalf("resident checksum %#x, first %#x", second.OutputSum, first.OutputSum)
 	}
 
-	net := serve.MiniNet()
+	net := workload.Mini()
 	in := make([]int32, net.Layers[0].C*net.Layers[0].H*net.Layers[0].W)
 	for i := range in {
 		in[i] = int32(i%13 - 6)

@@ -176,7 +176,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.sched = NewScheduler(opts.Scheduler)
 
-	s.register(MiniNet())
+	s.register(workload.Mini())
 	for _, n := range workload.All() {
 		s.register(n)
 	}
@@ -207,13 +207,6 @@ func (s *Server) register(n workload.Network) {
 	}
 }
 
-// MiniNet is the serving demo network: one layer of every type, small
-// enough that a functional secure inference completes in milliseconds —
-// the unit of work for load generation and smoke tests. The definition
-// lives in workload (workload.Mini) so the mix registry can validate model
-// names without importing serve.
-func MiniNet() workload.Network { return workload.Mini() }
-
 // resolveNetwork looks a request's network up: a registry name, or
 // "Name/div" for a shrunk benchmark (workload.Shrink), so load tests can
 // dial model size without a registry change.
@@ -233,13 +226,13 @@ func (s *Server) resolveNetwork(name string) (workload.Network, error) {
 }
 
 // ResolveNetwork resolves a network name against the default registry
-// (MiniNet plus workload.All, including the "Name/div" shrink form) — the
-// same set every server registers. Clients that need model geometry
+// (workload.Mini plus workload.All, including the "Name/div" shrink form)
+// — the same set every server registers. Clients that need model geometry
 // without a round trip (the load generator building input overrides) use
 // this.
 func ResolveNetwork(name string) (workload.Network, error) {
 	s := &Server{networks: make(map[string]workload.Network)}
-	s.register(MiniNet())
+	s.register(workload.Mini())
 	for _, n := range workload.All() {
 		s.register(n)
 	}

@@ -16,6 +16,7 @@ import (
 	"seculator/internal/secure"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
+	"seculator/internal/workload"
 )
 
 // newTestServer brings up a server behind httptest and returns a typed
@@ -63,7 +64,7 @@ func TestInferRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := serve.MiniNet()
+	net := workload.Mini()
 	in, ws := seculator.RandomModel(net, 42)
 	golden, err := seculator.ReferenceInference(net, in, ws)
 	if err != nil {
@@ -101,7 +102,7 @@ func TestSessionInferRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := serve.MiniNet()
+	net := workload.Mini()
 	if resp.Commands != len(net.Layers) {
 		t.Fatalf("%d commands for %d layers", resp.Commands, len(net.Layers))
 	}
@@ -131,7 +132,7 @@ func TestSessionInferRoundTrip(t *testing.T) {
 // An explicit input override replaces the seed-generated activations.
 func TestInferInputOverride(t *testing.T) {
 	_, c := newTestServer(t, serve.Options{})
-	net := serve.MiniNet()
+	net := workload.Mini()
 	in, ws := seculator.RandomModel(net, 3)
 	for i := range in.Data {
 		in.Data[i] = int32(i % 11)
@@ -165,21 +166,6 @@ func TestInferBadRequests(t *testing.T) {
 	_, err = c.Infer(ctxT(t), serve.InferRequest{Network: "Mini", Session: "s-deadbeef"})
 	if !client.IsUnknownSession(err) {
 		t.Fatalf("unknown session: %v", err)
-	}
-}
-
-// Sessions expire after their idle timeout and the janitor sweeps them.
-func TestSessionIdleExpiry(t *testing.T) {
-	_, c := newTestServer(t, serve.Options{SessionIdle: 30 * time.Millisecond})
-	ctx := ctxT(t)
-	sess, err := c.CreateSession(ctx, serve.SessionCreateRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(80 * time.Millisecond)
-	_, err = c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 1, Session: sess.SessionID})
-	if !client.IsUnknownSession(err) {
-		t.Fatalf("expired session still served: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -75,6 +76,87 @@ func TestTenantRateLimit(t *testing.T) {
 	if v := metricValue(t, scrape, `seculator_serve_tenant_shed_total{tenant="a",reason="rate"}`); v != 1 {
 		t.Fatalf(`shed{a,rate} = %v, want 1`, v)
 	}
+}
+
+// A refused request is charged to exactly one shed reason: a queue-full
+// refusal and a quarantine refusal each raise tenant_shed_total by one under
+// their own reason, leave the other reasons at zero, and reach the client
+// with the matching class.
+func TestTenantShedByReason(t *testing.T) {
+	checkShed := func(t *testing.T, c *client.Client, refusal error, tenant, class, reason string) {
+		t.Helper()
+		var ae *client.APIError
+		if !errors.As(refusal, &ae) || ae.Body.Class != class {
+			t.Fatalf("refusal %v, want class %s", refusal, class)
+		}
+		scrape, err := c.Metrics(ctxT(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []string{serve.ShedRate, serve.ShedQueue, serve.ShedQuarantine} {
+			want := 0.0
+			if r == reason {
+				want = 1
+			}
+			name := fmt.Sprintf("seculator_serve_tenant_shed_total{tenant=%q,reason=%q}", tenant, r)
+			if v, _ := metricLookup(t, scrape, name); v != want {
+				t.Errorf("%s = %v, want %v", name, v, want)
+			}
+		}
+	}
+
+	t.Run("queue", func(t *testing.T) {
+		entered, release := make(chan struct{}), make(chan struct{})
+		var enter, free sync.Once
+		unblock := func() { free.Do(func() { close(release) }) }
+		_, c := newTestServer(t, serve.Options{
+			Tenants:   []serve.TenantConfig{{Key: "k-a", Name: "a"}},
+			Scheduler: serve.SchedulerConfig{Workers: 1, MaxQueue: 1},
+			HookFor: hookAll(func(int, *mem.DRAM) {
+				enter.Do(func() { close(entered) })
+				<-release
+			}),
+		})
+		t.Cleanup(unblock)
+		c.SetAPIKey("k-a")
+		ctx := ctxT(t)
+
+		first := make(chan error, 1)
+		go func() {
+			_, err := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 1})
+			first <- err
+		}()
+		<-entered // the first request runs and holds the only queue slot
+		_, refusal := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 2})
+		unblock()
+		if err := <-first; err != nil {
+			t.Fatalf("admitted request failed: %v", err)
+		}
+		checkShed(t, c, refusal, "a", serve.ClassQueueFull, serve.ShedQueue)
+	})
+
+	t.Run("quarantine", func(t *testing.T) {
+		_, c := newTestServer(t, serve.Options{
+			Tenants:      []serve.TenantConfig{{Key: "k-evil", Name: "evil"}},
+			Quarantine:   serve.QuarantineConfig{OpenAfter: 1, OpenFor: time.Minute},
+			InterceptFor: func(string) host.Intercept { return replayIntercept() },
+		})
+		c.SetAPIKey("k-evil")
+		ctx := ctxT(t)
+
+		sess, err := c.CreateSession(ctx, serve.SessionCreateRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 1, Session: sess.SessionID})
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
+			t.Fatalf("replayed command should breach with 409: %v", err)
+		}
+		// The one breach opened the breaker for a minute.
+		_, refusal := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 2})
+		checkShed(t, c, refusal, "evil", serve.ClassQuarantined, serve.ShedQuarantine)
+	})
 }
 
 // A tenant cannot see, use, close, or snapshot another tenant's session —

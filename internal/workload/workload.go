@@ -6,7 +6,11 @@
 // differently, which we note per network).
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // LayerType classifies a layer for mapping and timing purposes.
 type LayerType uint8
@@ -373,6 +377,42 @@ func ByName(name string) (Network, error) {
 		return Transformer(TinyTransformer())
 	}
 	return Network{}, fmt.Errorf("workload: unknown network %q", name)
+}
+
+// Mini is the serving demo network: one layer of every type, small enough
+// that a functional secure inference completes in milliseconds — the unit
+// of work for load generation, smoke tests and the serving benchmarks.
+func Mini() Network {
+	return Network{
+		Name: "Mini",
+		Note: "serving demo network (conv/pool/depthwise/pointwise/FC)",
+		Layers: []Layer{
+			{Name: "c1", Type: Conv, C: 3, H: 12, W: 12, K: 8, R: 3, S: 3, Stride: 1},
+			{Name: "p1", Type: Pool, C: 8, H: 12, W: 12, K: 8, R: 2, S: 2, Stride: 2, Valid: true},
+			{Name: "dw", Type: Depthwise, C: 8, H: 6, W: 6, K: 8, R: 3, S: 3, Stride: 1},
+			{Name: "pw", Type: Pointwise, C: 8, H: 6, W: 6, K: 16, R: 1, S: 1, Stride: 1},
+			{Name: "fc", Type: FC, C: 16 * 6 * 6, H: 1, W: 1, K: 10, R: 1, S: 1, Stride: 1},
+		},
+	}
+}
+
+// ResolveShape resolves a model shape name: "Mini", a registry network, or
+// "Name/div" for a shrunk benchmark.
+func ResolveShape(name string) (Network, error) {
+	if name == Mini().Name {
+		return Mini(), nil
+	}
+	if n, err := ByName(name); err == nil {
+		return n, nil
+	}
+	if base, divs, ok := strings.Cut(name, "/"); ok {
+		if div, err := strconv.Atoi(divs); err == nil {
+			if n, err := ByName(base); err == nil {
+				return Shrink(n, div)
+			}
+		}
+	}
+	return Network{}, fmt.Errorf("workload: unknown model shape %q", name)
 }
 
 // Shrink scales a network down by div in both spatial extent and channel

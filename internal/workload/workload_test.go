@@ -179,3 +179,22 @@ func TestShrinkBenchmarks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ResolveShape accepts the Mini serving net, registry networks and shrunk
+// "Name/div" forms, and the results validate.
+func TestResolveShape(t *testing.T) {
+	for _, name := range []string{"Mini", "MobileNet", "MobileNet/8", "ResNet18/16"} {
+		n, err := ResolveShape(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := n.Validate(); err != nil {
+			t.Fatalf("%s resolves to invalid network: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "NoSuch", "NoSuch/4", "Mini/x"} {
+		if _, err := ResolveShape(name); err == nil {
+			t.Fatalf("%q resolved", name)
+		}
+	}
+}
