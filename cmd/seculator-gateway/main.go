@@ -9,7 +9,6 @@
 //	seculator-gateway -replicas http://a:8080,http://b:8080
 //	seculator-gateway -local 3                            # in-process fleet
 //	seculator-gateway -local 2 -smoke                     # CI round trip
-//	seculator-gateway -chaos -seed 1 -duration 2s         # replica-kill campaign
 //
 // -config points at a JSON file ({"replicas":[{"name":…,"url":…}],
 // "vnodes":…,"load_factor":…}); SIGHUP or POST /admin/reload re-reads it
@@ -20,9 +19,10 @@
 // -local N starts N in-process replicas and fronts them on -addr — a
 // self-contained fleet for development. -smoke is the CI mode: bring up a
 // local fleet, run one session round trip through the gateway verified
-// against the reference computation, then drain. -chaos runs the
-// multi-replica kill campaign (traffic mid-run, one replica killed, zero
-// session loss required) and exits non-zero on any violation.
+// against the reference computation, then drain. The multi-replica kill
+// campaign (traffic mid-run, one replica killed, zero session loss
+// required) runs as a test: go test -run TestGatewayChaosCampaign
+// ./internal/serve/chaos/.
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 	"seculator"
 	"seculator/internal/gateway"
 	"seculator/internal/serve"
-	"seculator/internal/serve/chaos"
 	"seculator/internal/serve/client"
 	"seculator/internal/workload"
 )
@@ -58,12 +57,6 @@ func main() {
 		ejectFor   = flag.Duration("eject-for", 2*time.Second, "hold-down before an ejected replica is probed half-open")
 
 		smoke = flag.Bool("smoke", false, "local fleet, one verified round trip through the gateway, drain, exit")
-
-		doChaos  = flag.Bool("chaos", false, "run the replica-kill campaign instead of serving; exit 1 on violations")
-		seed     = flag.Int64("seed", 1, "chaos: campaign seed")
-		duration = flag.Duration("duration", 2*time.Second, "chaos: traffic window (kill lands halfway)")
-		rps      = flag.Float64("rps", 40, "chaos: stateless traffic rate through the gateway")
-		sessions = flag.Int("sessions", 4, "chaos: live sessions carried through the kill")
 	)
 	flag.Parse()
 
@@ -80,14 +73,6 @@ func main() {
 			n = 2
 		}
 		if err := runSmoke(n); err != nil {
-			fail(err)
-		}
-	case *doChaos:
-		n := *local
-		if n <= 0 {
-			n = 3
-		}
-		if err := runChaos(*seed, n, *sessions, *rps, *duration); err != nil {
 			fail(err)
 		}
 	case *local > 0:
@@ -193,28 +178,6 @@ func runLocal(n int, addr string, health gateway.HealthConfig) error {
 		fmt.Printf("seculator-gateway: local %s at %s\n", r.Name, r.URL)
 	}
 	return serveLoop(lc.Gateway, addr, false)
-}
-
-// runChaos executes the replica-kill campaign and reports.
-func runChaos(seed int64, replicas, sessions int, rps float64, duration time.Duration) error {
-	res, err := chaos.RunGateway(context.Background(), chaos.GatewayOptions{
-		Seed:     seed,
-		Replicas: replicas,
-		Sessions: sessions,
-		RPS:      rps,
-		Duration: duration,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res)
-	if !res.Ok() {
-		return fmt.Errorf("chaos: %d violations", len(res.Violations))
-	}
-	return nil
 }
 
 // runSmoke is the CI round trip: a session inference through the gateway

@@ -10,25 +10,23 @@
 //	seculator-serve -queue 512 -workers 8
 //	seculator-serve -loadgen -rps 200 -duration 5s -network Mini
 //	seculator-serve -loadgen -target http://host:8080 -rps 100
-//	seculator-serve -loadgen -gateway http://gw:8080 -rps 100   # per-replica attribution
 //	seculator-serve -loadgen -replicas 2 -rps 100    # in-process cluster + gateway
 //	seculator-serve -tenants tenants.json       # multi-tenant front
 //	seculator-serve -snapshot-key $KEY          # stable session-snapshot sealing
-//	seculator-serve -chaos -seed 1 -duration 1s # seeded fault campaign, exit 0/1
 //	seculator-serve -smoke                   # start, one round-trip, drain
 //	seculator-serve -loadgen -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -loadgen without -target starts an in-process server, drives it at the
 // requested rate, prints p50/p95/p99 latency and sustained RPS, and exits.
-// -gateway points the generator at a replica-sharding gateway (the report
-// then attributes completions per replica); -replicas N instead starts an
-// in-process N-replica cluster fronted by a gateway and drives that.
+// A -target that is a replica-sharding gateway gets completions attributed
+// per replica in the report; -replicas N instead starts an in-process
+// N-replica cluster fronted by a gateway and drives that.
 // -tenants takes a path to (or an inline) JSON array of tenant configs
 // ({"key","name","weight","rate_rps","burst","max_pending"}); without it
 // the server runs single-tenant and unauthenticated as before.
-// -chaos runs the three-phase isolation campaign from the chaos package
-// (honest + slow + adversarial tenants, mid-attack restart) and exits
-// non-zero if any isolation invariant is violated.
+// The seeded isolation campaign (honest, slow and adversarial tenants, a
+// mid-attack restart) runs as a test: go test -run TestChaosCampaign
+// ./internal/serve/chaos/.
 // -smoke is the CI mode: start, one session round-trip verified against
 // the reference computation, graceful shutdown.
 package main
@@ -52,7 +50,6 @@ import (
 	"seculator"
 	"seculator/internal/gateway"
 	"seculator/internal/serve"
-	"seculator/internal/serve/chaos"
 	"seculator/internal/serve/client"
 	"seculator/internal/serve/loadgen"
 	"seculator/internal/workload"
@@ -69,13 +66,9 @@ func main() {
 		tenants = flag.String("tenants", "", "tenant registry: path to, or inline, JSON array of tenant configs (empty = single anonymous tenant)")
 		snapKey = flag.String("snapshot-key", "", "session-snapshot sealing key (empty = random per process; set it so snapshots survive restarts)")
 
-		doChaos = flag.Bool("chaos", false, "run the seeded isolation campaign instead of serving; exit 1 on violations")
-		seed    = flag.Int64("seed", 1, "chaos campaign / loadgen schedule seed (same seed = identical request schedule)")
-		restart = flag.Bool("restart", true, "chaos: kill and restore the server mid-attack")
-
 		doLoad   = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target   = flag.String("target", "", "loadgen target base URL (empty = in-process server)")
-		gwURL    = flag.String("gateway", "", "loadgen: gateway base URL to drive (reports per-replica attribution)")
+		seed     = flag.Int64("seed", 1, "loadgen schedule seed (same seed = identical request schedule)")
+		target   = flag.String("target", "", "loadgen target base URL: a replica or a gateway (empty = in-process server)")
 		replicas = flag.Int("replicas", 0, "loadgen: start an in-process N-replica cluster behind a gateway and drive that")
 		rps      = flag.Float64("rps", 100, "loadgen target arrival rate")
 		duration = flag.Duration("duration", 3*time.Second, "loadgen run length")
@@ -85,9 +78,8 @@ func main() {
 		fixed    = flag.Bool("fixed-model", false, "loadgen: pin one model and vary inputs (residency-cache serving shape)")
 		mseed    = flag.Int64("model-seed", 1, "loadgen: pinned model seed under -fixed-model")
 		poisson  = flag.Bool("poisson", false, "loadgen: exponential (memoryless) inter-arrival gaps instead of uniform spacing")
-		noRes    = flag.Bool("no-residency", false, "disable the verified-weight residency cache (per-request provisioning)")
 
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (loadgen/chaos/smoke)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (loadgen/smoke)")
 		memProf = flag.String("memprofile", "", "write an end-of-run allocation profile to this file")
 
 		smoke = flag.Bool("smoke", false, "start, one verified round-trip, graceful drain, exit")
@@ -101,7 +93,6 @@ func main() {
 		},
 		SessionIdle:    *idle,
 		DefaultTimeout: *timeout,
-		Residency:      serve.ResidencyConfig{Disabled: *noRes},
 	}
 	if *tenants != "" {
 		tcs, err := loadTenants(*tenants)
@@ -125,13 +116,8 @@ func main() {
 			stopProf()
 			fail(err)
 		}
-	case *doChaos:
-		if err := runChaos(opts, *seed, *duration, *restart); err != nil {
-			stopProf()
-			fail(err)
-		}
 	case *doLoad:
-		if err := runLoadgen(opts, loadTarget(*target, *gwURL), *replicas, *apiKey, loadgen.Options{
+		if err := runLoadgen(opts, *target, *replicas, *apiKey, loadgen.Options{
 			RPS: *rps, Duration: *duration, Network: *network, Sessions: *sessions,
 			FixedModel: *fixed, ModelSeed: *mseed, Seed: *seed, Poisson: *poisson,
 		}); err != nil {
@@ -218,54 +204,6 @@ func loadTenants(arg string) ([]serve.TenantConfig, error) {
 	return tcs, nil
 }
 
-// runChaos drives the three-phase isolation campaign against an
-// in-process server and exits non-zero on any invariant violation. The
-// scheduler shape comes from the serving flags; the tenant cast is fixed
-// (honest on sessions, slow, adversarial at 2x its rate limit) so the
-// campaign always exercises every fault class.
-func runChaos(opts serve.Options, seed int64, phase time.Duration, restart bool) error {
-	res, err := chaos.Run(context.Background(), chaos.Options{
-		Seed: seed,
-		Plans: []chaos.TenantPlan{
-			{
-				Tenant:   serve.TenantConfig{Key: "k-good", Name: "good", Weight: 2, RateRPS: 200, Burst: 50, MaxPending: 64},
-				RPS:      30,
-				Sessions: true,
-			},
-			{
-				Tenant:           serve.TenantConfig{Key: "k-slow", Name: "slow", Weight: 1, RateRPS: 200, Burst: 50, MaxPending: 64},
-				RPS:              10,
-				SlowEveryLayerMs: 2,
-			},
-			{
-				Tenant:      serve.TenantConfig{Key: "k-evil", Name: "evil", Weight: 1, RateRPS: 40, Burst: 10, MaxPending: 64},
-				RPS:         20,
-				Adversarial: true,
-			},
-		},
-		Scheduler: opts.Scheduler,
-		Quarantine: serve.QuarantineConfig{
-			ThrottleAfter: 1, OpenAfter: 3, Window: time.Minute,
-			OpenFor: 50 * time.Millisecond, MaxOpenFor: 300 * time.Millisecond,
-			ThrottleRPS: 1000, ThrottleBurst: 1000, ProbeSuccesses: 2,
-		},
-		SnapshotKey: opts.SnapshotKey,
-		PhaseFor:    phase,
-		Restart:     restart,
-		Logf: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res)
-	if !res.Ok() {
-		return fmt.Errorf("chaos: %d isolation violations", len(res.Violations))
-	}
-	return nil
-}
-
 // runServer serves until SIGTERM/SIGINT, then drains: the listener closes,
 // in-flight HTTP requests finish, the scheduler delivers everything it
 // admitted, and only then does the process exit.
@@ -327,15 +265,6 @@ func startInProcess(opts serve.Options) (string, func() error, error) {
 		return srv.Close(ctx)
 	}
 	return "http://" + ln.Addr().String(), drain, nil
-}
-
-// loadTarget resolves the loadgen base URL: -gateway wins over -target so
-// a gateway run gets per-replica attribution without repurposing -target.
-func loadTarget(target, gatewayURL string) string {
-	if gatewayURL != "" {
-		return gatewayURL
-	}
-	return target
 }
 
 func runLoadgen(opts serve.Options, target string, replicas int, apiKey string, lopts loadgen.Options) error {

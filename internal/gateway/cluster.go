@@ -13,7 +13,7 @@ import (
 
 // cluster.go — LocalCluster: an in-process replica fleet behind a
 // gateway, on loopback listeners. It is the shared fixture of the
-// gateway's tests, the loadgen -gateway mode, the multi-replica chaos
+// gateway's tests, the loadgen -replicas mode, the multi-replica chaos
 // campaign, and the conformance gateway oracle — all of which need "N
 // replicas + gateway, shared snapshot/admin keys, and a way to kill or
 // drain one replica".

@@ -48,6 +48,15 @@ const DefaultLoadFactor = 1.25
 // the request (all candidates dead, or the retry budget ran out).
 const ClassUpstream = "upstream"
 
+const (
+	// forwardTimeout bounds one proxied request: the replica-side cap on a
+	// request's own deadline.
+	forwardTimeout = 2 * time.Minute
+	// retryBudget is how many alternate replicas a request may try after
+	// its first pick fails.
+	retryBudget = 1
+)
+
 // Options configures a Gateway. Either Config or ConfigPath must describe
 // at least one replica.
 type Options struct {
@@ -65,27 +74,6 @@ type Options struct {
 	// snapshots won't verify across replicas and every migration will
 	// fail closed).
 	AdminKey string
-	// ForwardTimeout bounds one proxied request (default 2m, matching the
-	// replica-side MaxTimeout default).
-	ForwardTimeout time.Duration
-	// RetryBudget is how many alternate replicas a retryable request may
-	// try after its first pick fails (default 1: retry once).
-	RetryBudget int
-	// HTTPClient overrides the forwarding client (tests).
-	HTTPClient *http.Client
-}
-
-func (o *Options) setDefaults() {
-	if o.ForwardTimeout <= 0 {
-		o.ForwardTimeout = 2 * time.Minute
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 1
-	}
-	o.Health.setDefaults()
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
-	}
 }
 
 // replica is one backend's runtime handle. Handles persist across config
@@ -121,7 +109,7 @@ type Gateway struct {
 	routing atomic.Pointer[routing]
 	gen     atomic.Uint64
 
-	reloadMu sync.Mutex // serializes Reload and Rebalance
+	reloadMu sync.Mutex // serializes Reload
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -130,7 +118,7 @@ type Gateway struct {
 
 // New builds a gateway and starts its health prober.
 func New(opts Options) (*Gateway, error) {
-	opts.setDefaults()
+	opts.Health.setDefaults()
 	cfg := opts.Config
 	if opts.ConfigPath != "" {
 		loaded, err := LoadConfig(opts.ConfigPath)
@@ -144,7 +132,7 @@ func New(opts Options) (*Gateway, error) {
 	}
 	g := &Gateway{
 		opts:  opts,
-		http:  opts.HTTPClient,
+		http:  &http.Client{},
 		vault: newVault(),
 		stop:  make(chan struct{}),
 	}
@@ -327,7 +315,7 @@ type forwardResult struct {
 // caused by the caller's own context (the client hung up) says nothing
 // about the replica: it is returned as ctx's error and observed nowhere —
 // callers check ctx.Err() before retrying or failing over. The gateway's
-// own ForwardTimeout expiring still counts against the replica.
+// own forwardTimeout expiring still counts against the replica.
 func (g *Gateway) forward(caller context.Context, rep *replica, method, path string, src *http.Request, in any) (forwardResult, error) {
 	var body io.Reader
 	if in != nil {
@@ -340,7 +328,7 @@ func (g *Gateway) forward(caller context.Context, rep *replica, method, path str
 		defer serve.PutJSON(s)
 		body = bytes.NewReader(s.Bytes())
 	}
-	ctx, cancel := context.WithTimeout(caller, g.opts.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(caller, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, rep.url+path, body)
 	if err != nil {
@@ -412,19 +400,15 @@ func (g *Gateway) upstreamError(w http.ResponseWriter, why string) {
 // sequence window, so the gateway only fails over when the source is
 // demonstrably gone).
 func (g *Gateway) replicaAlive(rep *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.Health.ProbeTimeout)
+	_, err := g.health(rep)
+	return err == nil
+}
+
+// health asks a replica for its /healthz, bounded by probeTimeout.
+func (g *Gateway) health(rep *replica) (serve.HealthResponse, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.http.Do(req)
-	if err != nil {
-		return false
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	return rep.admin.Health(ctx)
 }
 
 // ---- handlers ----
@@ -443,27 +427,37 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	g.statelessInfer(w, r, rt, &req)
 }
 
-// statelessInfer spreads seedful inference by rendezvous + bounded load.
-// A stateless request is deterministic in its (network, seed, input), so
-// a transport failure or replica-side 5xx retries on the next candidate
-// within the budget.
+// statelessInfer spreads seedful inference by rendezvous + bounded load,
+// moving on to the next candidate within the retry budget.
 func (g *Gateway) statelessInfer(w http.ResponseWriter, r *http.Request, rt *routing, req *serve.InferRequest) {
 	candidates := statelessCandidates(rt, tenantKeyOf(r), time.Now())
 	if len(candidates) == 0 {
 		g.upstreamErrorStatic(w, preNoReplica)
 		return
 	}
-	attempts := 1 + g.opts.RetryBudget
-	if attempts > len(candidates) {
-		attempts = len(candidates)
+	fr, rep, err := g.forwardFirst(r, candidates, "/v1/infer", req)
+	if err != nil {
+		g.upstreamError(w, fmt.Sprintf("all replicas failed: %v", err))
+		return
 	}
+	g.relayInfer(w, fr, rep.name, req.ReturnSnapshot, "")
+}
+
+// forwardFirst POSTs body to the first of candidates that answers, trying
+// at most 1 + retryBudget of them. A transport failure or a 5xx moves on
+// to the next; the last try's answer, whatever its status, is returned
+// with the replica that gave it. Both callers may move on after a 5xx: a
+// stateless inference is deterministic in its (network, seed, input), and
+// a replica answers a session create with 5xx only when it made no
+// session. A non-nil error means no candidate answered.
+func (g *Gateway) forwardFirst(r *http.Request, candidates []*replica, path string, body any) (forwardResult, *replica, error) {
+	attempts := min(1+retryBudget, len(candidates))
 	var lastErr error
-	for i := 0; i < attempts; i++ {
-		rep := candidates[i]
+	for i, rep := range candidates[:attempts] {
 		if i > 0 {
 			g.metrics.retries.Inc()
 		}
-		fr, err := g.forward(r.Context(), rep, http.MethodPost, "/v1/infer", r, req)
+		fr, err := g.forward(r.Context(), rep, http.MethodPost, path, r, body)
 		if err != nil {
 			lastErr = err
 			if r.Context().Err() != nil {
@@ -475,10 +469,9 @@ func (g *Gateway) statelessInfer(w http.ResponseWriter, r *http.Request, rt *rou
 			lastErr = fmt.Errorf("replica %s returned %d", rep.name, fr.status)
 			continue
 		}
-		g.relayInfer(w, fr, rep.name, req.ReturnSnapshot, "")
-		return
+		return fr, rep, nil
 	}
-	g.upstreamError(w, fmt.Sprintf("all replicas failed: %v", lastErr))
+	return forwardResult{}, nil, lastErr
 }
 
 // sessionInfer routes a session-bound inference to the session's home
@@ -598,13 +591,8 @@ func (g *Gateway) relayInfer(w http.ResponseWriter, fr forwardResult, replicaNam
 // on.
 func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req serve.SessionCreateRequest
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: err.Error(), Class: serve.ClassBadRequest})
-		return
-	}
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, &req); err != nil {
+	if r.ContentLength != 0 {
+		if err := serve.DecodeJSON(r.Body, 1<<16, &req); err != nil {
 			g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + err.Error(), Class: serve.ClassBadRequest})
 			return
 		}
@@ -621,31 +609,9 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		g.upstreamErrorStatic(w, preNoSessionAccepting)
 		return
 	}
-	attempts := 1 + g.opts.RetryBudget
-	if attempts > len(accepting) {
-		attempts = len(accepting)
-	}
-	var fr forwardResult
-	var src *replica
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		src = accepting[i]
-		if i > 0 {
-			g.metrics.retries.Inc()
-		}
-		fr, err = g.forward(r.Context(), src, http.MethodPost, "/v1/sessions", r, &req)
-		if err != nil {
-			lastErr = err
-			if r.Context().Err() != nil {
-				break // the client is gone; the next candidate would fail the same way
-			}
-			continue
-		}
-		lastErr = nil
-		break
-	}
-	if lastErr != nil {
-		g.upstreamError(w, fmt.Sprintf("session create failed: %v", lastErr))
+	fr, src, err := g.forwardFirst(r, accepting, "/v1/sessions", &req)
+	if err != nil {
+		g.upstreamError(w, fmt.Sprintf("session create failed: %v", err))
 		return
 	}
 	if fr.status != http.StatusCreated {
@@ -674,7 +640,7 @@ func (g *Gateway) placeSession(rt *routing, src *replica, id string, now time.Ti
 	// Already home (or the move failed; the rebalancer will retry): seed
 	// the vault with the newborn state so even a pre-first-infer kill of
 	// the replica loses nothing.
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 	defer cancel()
 	if snap, err := src.admin.AdminSnapshot(ctx, id); err == nil {
 		g.vault.put(id, src.name, &snap.Snapshot)
@@ -684,38 +650,35 @@ func (g *Gateway) placeSession(rt *routing, src *replica, id string, now time.Ti
 }
 
 func (g *Gateway) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rt := g.routing.Load()
-	rep := g.homeOf(rt, id)
-	if rep == nil {
-		g.upstreamErrorStatic(w, preNoSessionReplica)
-		return
+	if fr, ok := g.forwardHome(w, r); ok {
+		if fr.status < 300 || fr.status == http.StatusNotFound {
+			g.vault.drop(r.PathValue("id"))
+		}
+		g.relay(w, fr)
 	}
-	fr, err := g.forward(r.Context(), rep, http.MethodDelete, "/v1/sessions/"+id, r, nil)
-	if err != nil {
-		g.upstreamError(w, err.Error())
-		return
-	}
-	if fr.status < 300 || fr.status == http.StatusNotFound {
-		g.vault.drop(id)
-	}
-	g.relay(w, fr)
 }
 
 func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rt := g.routing.Load()
-	rep := g.homeOf(rt, id)
+	if fr, ok := g.forwardHome(w, r); ok {
+		g.relay(w, fr)
+	}
+}
+
+// forwardHome forwards a /v1/sessions/{id} request as-is to the session's
+// home replica. When no home answers it writes the 502 itself and reports
+// false.
+func (g *Gateway) forwardHome(w http.ResponseWriter, r *http.Request) (forwardResult, bool) {
+	rep := g.homeOf(g.routing.Load(), r.PathValue("id"))
 	if rep == nil {
 		g.upstreamErrorStatic(w, preNoSessionReplica)
-		return
+		return forwardResult{}, false
 	}
-	fr, err := g.forward(r.Context(), rep, http.MethodGet, "/v1/sessions/"+id+"/snapshot", r, nil)
+	fr, err := g.forward(r.Context(), rep, r.Method, r.URL.Path, r, nil)
 	if err != nil {
 		g.upstreamError(w, err.Error())
-		return
+		return forwardResult{}, false
 	}
-	g.relay(w, fr)
+	return fr, true
 }
 
 // handleRestore imports a tenant's sealed snapshot. The envelope payload
@@ -828,7 +791,7 @@ func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if r.ContentLength != 0 {
 		var cfg Config
-		if derr := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&cfg); derr != nil {
+		if derr := serve.DecodeJSON(r.Body, 1<<20, &cfg); derr != nil {
 			g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + derr.Error(), Class: serve.ClassBadRequest})
 			return
 		}
@@ -875,23 +838,8 @@ func (g *Gateway) probeAll() {
 }
 
 func (g *Gateway) probe(rep *replica) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.Health.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/healthz", nil)
+	h, err := g.health(rep)
 	if err != nil {
-		return
-	}
-	resp, err := g.http.Do(req)
-	if err != nil {
-		if rep.hp.ObserveFailure(time.Now()) {
-			g.failoverAll(rep.name)
-		}
-		return
-	}
-	defer resp.Body.Close()
-	var h serve.HealthResponse
-	decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&h)
-	if resp.StatusCode != http.StatusOK || decodeErr != nil {
 		if rep.hp.ObserveFailure(time.Now()) {
 			g.failoverAll(rep.name)
 		}

@@ -12,7 +12,7 @@ import (
 //	Healthy ──FailAfter consecutive failures──▶ Ejected ──EjectFor──▶ Probing
 //	   ▲                                           ▲                    │
 //	   │                                           │ probe failure      │
-//	   └──────── RecoverAfter clean probes ────────┴────────────────────┘
+//	   └──────── recoverAfter clean probes ────────┴────────────────────┘
 //
 // The gateway fails open: a replica starts Healthy and serves traffic
 // until observed otherwise, so a cold gateway in front of a warm fleet
@@ -36,52 +36,36 @@ const (
 	HealthProbing
 )
 
-// String renders the state for /metrics and logs.
-func (s HealthState) String() string {
-	switch s {
-	case HealthHealthy:
-		return "healthy"
-	case HealthEjected:
-		return "ejected"
-	case HealthProbing:
-		return "probing"
-	}
-	return "unknown"
-}
+const (
+	// probeTimeout bounds one /healthz round trip.
+	probeTimeout = 2 * time.Second
+	// recoverAfter is how many consecutive probe successes return an
+	// ejected replica to service.
+	recoverAfter = 2
+)
 
 // HealthConfig shapes the prober. The zero value gets defaults sized for
 // the simulated system (sub-second detection without probe spam).
 type HealthConfig struct {
 	// ProbeInterval is the active /healthz probe period (default 500ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (default 2s).
-	ProbeTimeout time.Duration
 	// FailAfter is how many consecutive failures (probe or forward) eject
 	// a replica (default 3).
 	FailAfter int
 	// EjectFor is the hold before an ejected replica is probed again
 	// (default 2s).
 	EjectFor time.Duration
-	// RecoverAfter is how many consecutive probe successes return an
-	// ejected replica to service (default 2).
-	RecoverAfter int
 }
 
 func (c *HealthConfig) setDefaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
 	}
 	if c.EjectFor <= 0 {
 		c.EjectFor = 2 * time.Second
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 2
 	}
 }
 
@@ -140,7 +124,7 @@ func (p *prober) ObserveSuccess(now time.Time) {
 		p.fails = 0
 	case HealthProbing:
 		p.oks++
-		if p.oks >= p.cfg.RecoverAfter {
+		if p.oks >= recoverAfter {
 			p.state = HealthHealthy
 			p.fails = 0
 		}
@@ -162,7 +146,7 @@ func (p *prober) ObserveFailure(now time.Time) (ejected bool) {
 		}
 	case HealthProbing:
 		// One bad probe re-ejects: a recovering replica earns its way
-		// back with RecoverAfter consecutive successes.
+		// back with recoverAfter consecutive successes.
 		p.eject(now)
 		return true
 	}

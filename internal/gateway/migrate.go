@@ -137,7 +137,7 @@ func (g *Gateway) Locations() map[string]string {
 // It returns the migrated envelope, or nil on failure (the session stays
 // at the source; the caller's next pass retries).
 func (g *Gateway) migrateLive(src, target *replica, id, reason string) *serve.SnapshotEnvelope {
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 	defer cancel()
 	snap, err := src.admin.AdminSnapshot(ctx, id)
 	if err != nil {
@@ -162,7 +162,7 @@ func (g *Gateway) migrateLive(src, target *replica, id, reason string) *serve.Sn
 // already there (an earlier half-completed migration), and the envelope's
 // MAC guarantees it is the same session.
 func (g *Gateway) restoreAt(target *replica, env *serve.SnapshotEnvelope) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
 	defer cancel()
 	_, err := target.admin.AdminRestore(ctx, *env)
 	if err == nil {
@@ -270,14 +270,6 @@ func (g *Gateway) rebalanceLocked() int {
 		}
 	}
 	return moved
-}
-
-// Rebalance re-homes vaulted sessions to their ring owners (the public
-// hook the reload path and tests share).
-func (g *Gateway) Rebalance() int {
-	g.reloadMu.Lock()
-	defer g.reloadMu.Unlock()
-	return g.rebalanceLocked()
 }
 
 // hmacEqual compares two strings in constant time (admin-key check).

@@ -242,13 +242,7 @@ func (b *Breaker) Release(probe bool) {
 
 // open transitions to Open with the escalated hold. Caller holds b.mu.
 func (b *Breaker) open(now time.Time) {
-	hold := b.cfg.OpenFor
-	for i := uint64(0); i < b.opensRow && hold < b.cfg.MaxOpenFor; i++ {
-		hold *= 2
-	}
-	if hold > b.cfg.MaxOpenFor {
-		hold = b.cfg.MaxOpenFor
-	}
+	hold := resilience.Policy{Base: b.cfg.OpenFor, Max: b.cfg.MaxOpenFor}.BackoffFor(int(b.opensRow) + 1)
 	b.state = BreakerOpen
 	b.until = now.Add(hold)
 	b.opens++

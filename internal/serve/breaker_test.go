@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -151,5 +152,39 @@ func TestBreakerProbeRelease(t *testing.T) {
 	b.Record(false, probe, now)
 	if st := b.State(); st != serve.BreakerClosed {
 		t.Fatalf("clean probe should close: state %v", st)
+	}
+}
+
+// An escalating hold saturates at MaxOpenFor instead of wrapping. With a
+// 1 h first hold, no effective cap and every half-open probe breaching,
+// the 22nd re-open doubles past math.MaxInt64 nanoseconds; a wrapped hold
+// would admit the next probe at once and leave every later hold at zero,
+// so the quarantine would stop holding anyone.
+func TestBreakerHoldSaturates(t *testing.T) {
+	b := serve.NewBreaker(serve.QuarantineConfig{OpenAfter: 1, OpenFor: time.Hour, MaxOpenFor: math.MaxInt64})
+	now := time.Unix(1000, 0)
+	if opened := b.Record(true, false, now); !opened {
+		t.Fatal("first breach must open with OpenAfter 1")
+	}
+	hold := time.Hour
+	for reopen := 1; reopen <= 30; reopen++ {
+		_, err := b.Allow("t", now)
+		var qe *resilience.QuarantineError
+		if !errors.As(err, &qe) || qe.RetryAfter != hold {
+			t.Fatalf("open %d: refusal %v, want a hold of %v", reopen, err, hold)
+		}
+		now = now.Add(hold)
+		probe, err := b.Allow("t", now)
+		if !probe || err != nil {
+			t.Fatalf("open %d: expired hold admits no probe: probe=%v err=%v", reopen, probe, err)
+		}
+		if opened := b.Record(true, probe, now); !opened {
+			t.Fatalf("open %d: breaching probe did not re-open", reopen)
+		}
+		if hold > math.MaxInt64/2 {
+			hold = math.MaxInt64
+		} else {
+			hold *= 2
+		}
 	}
 }

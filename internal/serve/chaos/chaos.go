@@ -60,6 +60,14 @@ const (
 // Phases returns the campaign stages in execution order.
 func Phases() []Phase { return []Phase{PhaseBaseline, PhaseAttack, PhaseRecovery} }
 
+const (
+	// network is the model every campaign request runs.
+	network = "Mini"
+	// p99Floor absorbs timer noise on fast paths: the honest p99 bound is
+	// max(2x baseline, p99Floor).
+	p99Floor = 100 * time.Millisecond
+)
+
 // TenantPlan is one tenant's role in the campaign.
 type TenantPlan struct {
 	// Tenant is registered with the server as-is (key, weight, rate).
@@ -100,8 +108,6 @@ type Options struct {
 	Scheduler   serve.SchedulerConfig
 	Quarantine  serve.QuarantineConfig
 	SnapshotKey []byte
-	// Network names the model all traffic runs (default "Mini").
-	Network string
 	// PhaseFor is the wall time per phase (default 1s).
 	PhaseFor time.Duration
 	// Restart kills the server halfway through the attack phase: all
@@ -110,22 +116,13 @@ type Options struct {
 	// between phases) so the campaign also proves the breaker re-earns
 	// the quarantine on the replacement replica.
 	Restart bool
-	// P99Floor absorbs timer noise on fast paths: the honest p99 bound is
-	// max(2x baseline, P99Floor) (default 100ms).
-	P99Floor time.Duration
 	// Logf, when set, narrates the campaign (e.g. t.Logf).
 	Logf func(format string, args ...any)
 }
 
 func (o *Options) setDefaults() {
-	if o.Network == "" {
-		o.Network = "Mini"
-	}
 	if o.PhaseFor <= 0 {
 		o.PhaseFor = time.Second
-	}
-	if o.P99Floor <= 0 {
-		o.P99Floor = 100 * time.Millisecond
 	}
 	for i := range o.Plans {
 		if o.Plans[i].RPS <= 0 {
@@ -359,12 +356,12 @@ func (c *campaign) runPhase(ctx context.Context, ph Phase, d time.Duration) map[
 			var rep loadgen.Report
 			var err error
 			if p.Adversarial && ph == PhaseAttack {
-				rep = attackStream(ctx, cl, c.opts.Network, p.AttackRPS, d, c.opts.Seed)
+				rep = attackStream(ctx, cl, p.AttackRPS, d, c.opts.Seed)
 			} else {
 				rep, err = loadgen.Run(ctx, cl, loadgen.Options{
 					RPS:      p.RPS,
 					Duration: d,
-					Network:  c.opts.Network,
+					Network:  network,
 					Sessions: p.Sessions,
 				})
 				if err != nil {
@@ -386,7 +383,7 @@ func (c *campaign) runPhase(ctx context.Context, ph Phase, d time.Duration) map[
 // guaranteed VN breach, and refused ones probe the quarantine the breach
 // history earned. No retries: the adversary takes every refusal. Request
 // seeds derive from seed, so the stream replays.
-func attackStream(ctx context.Context, cl *client.Client, network string, rps float64, d time.Duration, seed int64) loadgen.Report {
+func attackStream(ctx context.Context, cl *client.Client, rps float64, d time.Duration, seed int64) loadgen.Report {
 	rep := loadgen.Report{Errors: make(map[string]int)}
 	interval := time.Duration(float64(time.Second) / rps)
 	if interval <= 0 {
@@ -509,7 +506,7 @@ func (c *campaign) restart(ctx context.Context, res *Result) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("chaos: probe session: %w", err)
 	}
-	before, err := probe.Infer(ctx, serve.InferRequest{Network: c.opts.Network, Seed: probeSeed, Session: sess.SessionID})
+	before, err := probe.Infer(ctx, serve.InferRequest{Network: network, Seed: probeSeed, Session: sess.SessionID})
 	if err != nil {
 		return false, fmt.Errorf("chaos: probe infer: %w", err)
 	}
@@ -541,7 +538,7 @@ func (c *campaign) restart(ctx context.Context, res *Result) (bool, error) {
 		res.Violations = append(res.Violations, "restart: restored session state not bit-identical to snapshot")
 		return false, nil
 	}
-	after, err := probe.Infer(ctx, serve.InferRequest{Network: c.opts.Network, Seed: probeSeed, Session: sess.SessionID})
+	after, err := probe.Infer(ctx, serve.InferRequest{Network: network, Seed: probeSeed, Session: sess.SessionID})
 	if err != nil {
 		res.Violations = append(res.Violations, fmt.Sprintf("restart: probe infer after restore: %v", err))
 		return false, nil
@@ -605,8 +602,8 @@ func (c *campaign) check(res *Result, scrape string) {
 			}
 		}
 		bound := 2 * baseline.P99
-		if bound < c.opts.P99Floor {
-			bound = c.opts.P99Floor
+		if bound < p99Floor {
+			bound = p99Floor
 		}
 		if atk := res.Reports[PhaseAttack][name]; atk.P99 > bound {
 			res.Violations = append(res.Violations,

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"seculator/internal/resilience"
 )
 
 // retry.go — capped exponential backoff with jitter for backpressure
@@ -110,17 +112,17 @@ func retryAfterHint(err error) time.Duration {
 // delay computes the attempt's backoff: doubled base capped at max,
 // jittered, floored at the server hint.
 func (r retrier) delay(attempt int, hint time.Duration) time.Duration {
-	d := r.policy.BaseDelay
-	for i := 0; i < attempt && d < r.policy.MaxDelay; i++ {
-		d *= 2
-	}
-	if d > r.policy.MaxDelay {
-		d = r.policy.MaxDelay
-	}
+	d := resilience.Policy{Base: r.policy.BaseDelay, Max: r.policy.MaxDelay}.BackoffFor(attempt + 1)
 	r.mu.Lock()
 	f := 1 + r.policy.Jitter*(2*r.rng.Float64()-1)
 	r.mu.Unlock()
-	d = time.Duration(float64(d) * f)
+	// Jitter scales in floating point and caps there: a product at or past
+	// the cap must not wrap on its way back to a Duration.
+	if j := float64(d) * f; j < float64(r.policy.MaxDelay) {
+		d = time.Duration(j)
+	} else {
+		d = r.policy.MaxDelay
+	}
 	if hint > d {
 		d = hint
 	}

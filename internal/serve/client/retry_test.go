@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -176,5 +177,21 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 			t.Fatalf("backoff above cap: %v", d)
 		}
 		prev = d
+	}
+}
+
+// An uncapped backoff saturates at the longest wait instead of wrapping:
+// 50 ms doubled 38 times passes math.MaxInt64 nanoseconds, and a wrapped
+// delay of zero or less would retry at once. Each delay stays at or above
+// the doubled base (or the cap) less the jitter, and never above the cap.
+func TestBackoffUncappedSaturates(t *testing.T) {
+	const base = 50 * time.Millisecond
+	r := newRetrier(RetryPolicy{MaxAttempts: 100, BaseDelay: base, MaxDelay: math.MaxInt64, Seed: 1})
+	for attempt := 0; attempt < 64; attempt++ {
+		d := r.delay(attempt, 0)
+		floor := math.Min(float64(base)*math.Pow(2, float64(attempt)), math.MaxInt64) * (1 - r.policy.Jitter)
+		if float64(d) < floor*(1-1e-9) {
+			t.Fatalf("attempt %d waits %v, want at least %v", attempt, d, time.Duration(floor))
+		}
 	}
 }

@@ -4,10 +4,10 @@
 //
 // The generator is open-loop: arrivals fire on a fixed schedule regardless
 // of completions (the "millions of users" shape — users do not wait for
-// each other), with a concurrency cap as the safety valve. Requests that
-// would exceed the cap are counted as shed rather than silently delaying
-// the schedule, so overload shows up in the report instead of bending the
-// arrival process.
+// each other), with a concurrency cap of 4x RPS (at least 8) as the safety
+// valve. Requests that would exceed the cap are counted as shed rather
+// than silently delaying the schedule, so overload shows up in the report
+// instead of bending the arrival process.
 package loadgen
 
 import (
@@ -38,18 +38,11 @@ type Options struct {
 	RPS float64
 	// Duration is how long to generate load (default 3s).
 	Duration time.Duration
-	// Concurrency caps in-flight requests (default 4x RPS, min 8);
-	// arrivals beyond it are shed and counted.
-	Concurrency int
 	// Network names the model every request runs (default "Mini").
 	Network string
-	// Sessions, when true, opens one secure session per worker slot and
-	// binds its requests to it — the command channel joins the measured
-	// path.
+	// Sessions, when true, opens one secure session and binds every
+	// request to it — the command channel joins the measured path.
 	Sessions bool
-	// TimeoutMs is the per-request deadline sent to the server (0 uses
-	// the server default).
-	TimeoutMs int64
 	// FixedModel pins every request to one model (ModelSeed) and varies
 	// the activation input instead — the production serving shape, where
 	// the server's residency cache verifies and pins the weights once and
@@ -79,12 +72,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.Duration <= 0 {
 		o.Duration = 3 * time.Second
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = int(4 * o.RPS)
-		if o.Concurrency < 8 {
-			o.Concurrency = 8
-		}
 	}
 	if o.Network == "" {
 		o.Network = "Mini"
@@ -242,7 +229,7 @@ func Run(ctx context.Context, target Inferer, opts Options) (Report, error) {
 		byReplica = make(map[string][]time.Duration)
 		rep       Report
 		wg        sync.WaitGroup
-		slots     = make(chan struct{}, opts.Concurrency)
+		slots     = make(chan struct{}, max(8, int(4*opts.RPS))) // arrivals beyond it are shed
 		sessionID string
 		inputLen  int
 	)
@@ -304,10 +291,9 @@ arrivals:
 			defer wg.Done()
 			defer func() { <-slots }()
 			req := serve.InferRequest{
-				Network:   opts.Network,
-				Seed:      seed,
-				Session:   sessionID,
-				TimeoutMs: opts.TimeoutMs,
+				Network: opts.Network,
+				Seed:    seed,
+				Session: sessionID,
 			}
 			if opts.FixedModel {
 				req.Seed = opts.ModelSeed

@@ -16,40 +16,28 @@ import (
 // ciphertext, golden XOR-MACs, pad bank, pinned mapping — and attaches
 // every later request to the shared pin. Invalidation rules:
 //
-//   - epoch expiry: entries older than ResidencyConfig.Epoch are
+//   - epoch expiry: entries older than residencyEpoch are
 //     re-verified (WeightResidency.Verify) before the next attach; a
 //     failed check evicts the entry and re-provisions from scratch;
 //   - tenant breach: a quarantined tenant's verification floor moves to
 //     "now", so that tenant's next attach forces a re-verify regardless of
 //     epoch age — a breached tenant never rides a stale trust decision;
-//   - capacity: least-recently-used entries are evicted beyond MaxModels.
+//   - capacity: least-recently-used entries are evicted beyond
+//     residencyMaxModels.
 //
 // The cache is shared across tenants by design: the pinned state is
 // content-addressed (network + seed fully determine the ciphertext under
 // the process DRAM identity), so there is nothing tenant-private in it —
 // what is per-tenant is only the *trust freshness* floor above.
 
-// ResidencyConfig shapes the serving tier's weight residency cache.
-type ResidencyConfig struct {
-	// Disabled turns residency off: every request re-provisions its
-	// weights (the pre-residency behavior).
-	Disabled bool
-	// Epoch is how long a verified entry is trusted before the next attach
-	// re-verifies it (default 5m).
-	Epoch time.Duration
-	// MaxModels bounds distinct resident (network, seed) entries; least
-	// recently used entries are evicted beyond it (default 32).
-	MaxModels int
-}
-
-func (c *ResidencyConfig) setDefaults() {
-	if c.Epoch <= 0 {
-		c.Epoch = 5 * time.Minute
-	}
-	if c.MaxModels <= 0 {
-		c.MaxModels = 32
-	}
-}
+const (
+	// residencyEpoch is how long a verified entry is trusted before the
+	// next attach re-verifies it.
+	residencyEpoch = 5 * time.Minute
+	// residencyMaxModels bounds distinct resident (network, seed) entries;
+	// least recently used entries are evicted beyond it.
+	residencyMaxModels = 32
+)
 
 // resKey identifies one resident model: the raw requested network name
 // (including "Name/div" shrink forms) plus the model seed that derives its
@@ -76,7 +64,6 @@ type resEntry struct {
 // residencyManager owns the resident entries and the per-tenant
 // verification floors.
 type residencyManager struct {
-	cfg     ResidencyConfig
 	metrics *Metrics
 	now     func() time.Time
 
@@ -85,10 +72,8 @@ type residencyManager struct {
 	floors  map[string]time.Time
 }
 
-func newResidencyManager(cfg ResidencyConfig, metrics *Metrics) *residencyManager {
-	cfg.setDefaults()
+func newResidencyManager(metrics *Metrics) *residencyManager {
 	return &residencyManager{
-		cfg:     cfg,
 		metrics: metrics,
 		now:     time.Now,
 		entries: make(map[resKey]*resEntry),
@@ -100,9 +85,6 @@ func newResidencyManager(cfg ResidencyConfig, metrics *Metrics) *residencyManage
 // tenant's next attach to any resident entry re-verifies it first. Called
 // on every breach-class inference error, alongside the quarantine breaker.
 func (m *residencyManager) InvalidateTenant(tenant string) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	m.floors[tenant] = m.now()
 	m.mu.Unlock()
@@ -131,7 +113,7 @@ func (m *residencyManager) attach(tenant, network string, seed int64,
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.res != nil {
-		stale := m.now().Sub(e.verifiedAt) >= m.cfg.Epoch || e.verifiedAt.Before(floor)
+		stale := m.now().Sub(e.verifiedAt) >= residencyEpoch || e.verifiedAt.Before(floor)
 		if !stale {
 			m.metrics.residencyHits.Inc()
 			return e.res, true, nil
@@ -176,10 +158,10 @@ func (m *residencyManager) drop(key resKey, e *resEntry) {
 	m.mu.Unlock()
 }
 
-// evictLocked enforces MaxModels after an insert of keep: the least
+// evictLocked enforces residencyMaxModels after an insert of keep: the least
 // recently used other entry goes. Caller holds m.mu.
 func (m *residencyManager) evictLocked(keep resKey) {
-	for len(m.entries) > m.cfg.MaxModels {
+	for len(m.entries) > residencyMaxModels {
 		var victimKey resKey
 		var victim *resEntry
 		for k, e := range m.entries {

@@ -21,8 +21,8 @@ type resHarness struct {
 	clock time.Time
 }
 
-func newResHarness(cfg ResidencyConfig) *resHarness {
-	h := &resHarness{m: newResidencyManager(cfg, &Metrics{}), clock: time.Unix(1_000_000, 0)}
+func newResHarness() *resHarness {
+	h := &resHarness{m: newResidencyManager(&Metrics{}), clock: time.Unix(1_000_000, 0)}
 	h.m.now = func() time.Time { return h.clock }
 	return h
 }
@@ -45,7 +45,7 @@ func (h *resHarness) counters() (hits, misses, reverifies, fails, evictions uint
 }
 
 func TestResidencyEpochExpiryForcesReverify(t *testing.T) {
-	h := newResHarness(ResidencyConfig{Epoch: time.Minute})
+	h := newResHarness()
 
 	r1, hit, err := h.m.attach("a", "Mini", 1, h.build(1))
 	if err != nil || hit {
@@ -59,7 +59,7 @@ func TestResidencyEpochExpiryForcesReverify(t *testing.T) {
 		t.Fatalf("in-epoch attach re-verified (%d)", rev)
 	}
 
-	h.clock = h.clock.Add(61 * time.Second)
+	h.clock = h.clock.Add(residencyEpoch + time.Second)
 	r3, hit, err := h.m.attach("a", "Mini", 1, h.build(1))
 	if err != nil || !hit || r3 != r1 {
 		t.Fatalf("post-epoch attach: hit=%v same=%v err=%v", hit, r3 == r1, err)
@@ -77,7 +77,7 @@ func TestResidencyEpochExpiryForcesReverify(t *testing.T) {
 
 	// The epoch check was just paid; the next attach inside the window
 	// must not pay it again.
-	h.clock = h.clock.Add(30 * time.Second)
+	h.clock = h.clock.Add(residencyEpoch / 2)
 	if _, hit, _ := h.m.attach("a", "Mini", 1, h.build(1)); !hit {
 		t.Fatal("attach after refreshed epoch missed")
 	}
@@ -87,7 +87,7 @@ func TestResidencyEpochExpiryForcesReverify(t *testing.T) {
 }
 
 func TestResidencyTamperCaughtOnEpochCheck(t *testing.T) {
-	h := newResHarness(ResidencyConfig{Epoch: time.Minute})
+	h := newResHarness()
 
 	r1, _, err := h.m.attach("a", "Mini", 1, h.build(1))
 	if err != nil {
@@ -99,7 +99,7 @@ func TestResidencyTamperCaughtOnEpochCheck(t *testing.T) {
 
 	// Inside the epoch the corruption is latent — that's the trust window
 	// the epoch bounds.
-	h.clock = h.clock.Add(61 * time.Second)
+	h.clock = h.clock.Add(residencyEpoch + time.Second)
 	r2, hit, err := h.m.attach("a", "Mini", 1, h.build(1))
 	if err != nil {
 		t.Fatalf("rebuild after failed epoch check: %v", err)
@@ -123,7 +123,7 @@ func TestResidencyTamperCaughtOnEpochCheck(t *testing.T) {
 }
 
 func TestResidencyTenantFloorForcesReverify(t *testing.T) {
-	h := newResHarness(ResidencyConfig{Epoch: time.Hour})
+	h := newResHarness()
 
 	if _, _, err := h.m.attach("a", "Mini", 1, h.build(1)); err != nil {
 		t.Fatal(err)
@@ -150,10 +150,10 @@ func TestResidencyTenantFloorForcesReverify(t *testing.T) {
 }
 
 func TestResidencyCapacityEviction(t *testing.T) {
-	h := newResHarness(ResidencyConfig{Epoch: time.Hour, MaxModels: 2})
+	h := newResHarness()
 
 	var sizes []int64
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= residencyMaxModels+1; seed++ {
 		r, _, err := h.m.attach("a", "Mini", seed, h.build(seed))
 		if err != nil {
 			t.Fatal(err)
@@ -165,14 +165,18 @@ func TestResidencyCapacityEviction(t *testing.T) {
 	n := len(h.m.entries)
 	_, oldest := h.m.entries[resKey{network: "Mini", seed: 1}]
 	h.m.mu.Unlock()
-	if n != 2 || oldest {
-		t.Fatalf("entries=%d oldestPresent=%v, want 2/false", n, oldest)
+	if n != residencyMaxModels || oldest {
+		t.Fatalf("entries=%d oldestPresent=%v, want %d/false", n, oldest, residencyMaxModels)
 	}
 	_, _, _, _, evict, bytes := h.counters()
 	if evict != 1 {
 		t.Fatalf("evictions=%d, want 1", evict)
 	}
-	if want := sizes[1] + sizes[2]; bytes != want {
+	var want int64
+	for _, size := range sizes[1:] {
+		want += size
+	}
+	if bytes != want {
 		t.Fatalf("resident_bytes=%d, want %d", bytes, want)
 	}
 }

@@ -197,8 +197,8 @@ func TestBreachDropsTenantResidencyEpoch(t *testing.T) {
 }
 
 // TestSnapshotCarriesNoResidency: a snapshot taken from a server running
-// resident inferences restores into a server with residency disabled and
-// continues bit-identically — proof the envelope carries only the
+// resident inferences restores into a fresh server with nothing resident
+// and continues bit-identically — proof the envelope carries only the
 // session's own state (key, sequence window, MAC registers), never the
 // shared pinned weights.
 func TestSnapshotCarriesNoResidency(t *testing.T) {
@@ -227,22 +227,19 @@ func TestSnapshotCarriesNoResidency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, c2 := newTestServer(t, serve.Options{
-		SnapshotKey: key,
-		Residency:   serve.ResidencyConfig{Disabled: true},
-	})
+	_, c2 := newTestServer(t, serve.Options{SnapshotKey: key})
 	if _, err := c2.RestoreSession(ctx, snap.Snapshot); err != nil {
-		t.Fatalf("restore into a residency-free server: %v", err)
+		t.Fatalf("restore into a server with nothing resident: %v", err)
 	}
 	after, err := c2.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 11, Session: sess.SessionID})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.ResidencyHit {
-		t.Fatal("residency-disabled server reported a hit")
+		t.Fatal("a server with nothing resident reported a hit")
 	}
 	if after.OutputSum != before.OutputSum || after.Commands != before.Commands {
-		t.Fatalf("restored session diverged without residency: sum %#x/%#x commands %d/%d",
+		t.Fatalf("restored session diverged on a fresh server: sum %#x/%#x commands %d/%d",
 			after.OutputSum, before.OutputSum, after.Commands, before.Commands)
 	}
 }

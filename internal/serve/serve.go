@@ -43,9 +43,7 @@ import (
 	"time"
 
 	"seculator/internal/host"
-	"seculator/internal/mem"
 	"seculator/internal/nn"
-	"seculator/internal/npu"
 	"seculator/internal/protect"
 	"seculator/internal/resilience"
 	"seculator/internal/runner"
@@ -53,28 +51,24 @@ import (
 	"seculator/internal/workload"
 )
 
-// Options configures a Server. The zero value serves with defaults.
+// maxTimeout clamps a request's own deadline; maxInputLen caps the length
+// of an explicit input override.
+const (
+	maxTimeout  = 2 * time.Minute
+	maxInputLen = 1 << 20
+)
+
+// Options configures a Server. The zero value serves with defaults. Every
+// server runs runner.DefaultConfig() and the verified-weight residency
+// cache (residency.go).
 type Options struct {
-	// Config is the simulated system; zero means runner.DefaultConfig().
-	Config runner.Config
 	// Scheduler bounds the request scheduler.
 	Scheduler SchedulerConfig
 	// SessionIdle is the default session idle expiry (default 5m).
 	SessionIdle time.Duration
 	// DefaultTimeout is the per-request deadline when the request names
-	// none (default 30s); MaxTimeout clamps requested deadlines (default
-	// 2m).
+	// none (default 30s).
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// MaxInputLen caps the explicit input override length (default 1<<20).
-	MaxInputLen int
-
-	// Residency shapes the verified-weight residency cache (residency.go):
-	// first use of a (network, model seed) pays encryption + golden-MAC
-	// verification once, pins the result, and later requests attach to the
-	// pinned state. The zero value enables it with defaults; set Disabled
-	// to restore per-request provisioning.
-	Residency ResidencyConfig
 
 	// InterceptFor and HookFor are attack instrumentation, resolved per
 	// tenant for each inference: the command-channel man in the middle and
@@ -114,12 +108,6 @@ func (o *Options) setDefaults() {
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 30 * time.Second
 	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 2 * time.Minute
-	}
-	if o.MaxInputLen <= 0 {
-		o.MaxInputLen = 1 << 20
-	}
 }
 
 // Server is the serving daemon: tenant registry + fair-share scheduler +
@@ -131,7 +119,7 @@ type Server struct {
 	tenants     *TenantRegistry
 	sessions    *SessionManager
 	metrics     *Metrics
-	residency   *residencyManager // nil when disabled
+	residency   *residencyManager
 	snapshotKey []byte
 	mux         *http.ServeMux
 
@@ -146,20 +134,13 @@ type Server struct {
 	janitorWG sync.WaitGroup
 }
 
-// New builds a server. The configuration is validated up front so a
-// misconfigured daemon fails at start, not on its first request.
+// New builds a server. The error result is always nil: every option has a
+// usable default.
 func New(opts Options) (*Server, error) {
 	opts.setDefaults()
-	cfg := opts.Config
-	if cfg.NPU == (npu.Config{}) && cfg.DRAM == (mem.Config{}) {
-		cfg = runner.DefaultConfig()
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, &resilience.ConfigError{Err: err}
-	}
 	s := &Server{
 		opts:        opts,
-		cfg:         cfg,
+		cfg:         runner.DefaultConfig(),
 		tenants:     NewTenantRegistry(opts.Tenants, opts.Quarantine, nil),
 		sessions:    NewSessionManager(opts.SessionIdle),
 		snapshotKey: opts.SnapshotKey,
@@ -171,9 +152,7 @@ func New(opts Options) (*Server, error) {
 	if len(s.snapshotKey) == 0 {
 		s.snapshotKey = newSnapshotKey()
 	}
-	if !opts.Residency.Disabled {
-		s.residency = newResidencyManager(opts.Residency, s.metrics)
-	}
+	s.residency = newResidencyManager(s.metrics)
 	s.sched = NewScheduler(opts.Scheduler)
 
 	s.register(workload.Mini())
@@ -553,9 +532,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	first := net.Layers[0]
 	if len(req.Input) > 0 {
-		if len(req.Input) > s.opts.MaxInputLen {
+		if len(req.Input) > maxInputLen {
 			s.writeError(w, http.StatusBadRequest, ErrorBody{
-				Error: fmt.Sprintf("serve: input too large (%d > %d)", len(req.Input), s.opts.MaxInputLen), Class: ClassBadRequest})
+				Error: fmt.Sprintf("serve: input too large (%d > %d)", len(req.Input), maxInputLen), Class: ClassBadRequest})
 			return
 		}
 		if want := first.C * first.H * first.W; len(req.Input) != want {
@@ -578,7 +557,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMs > 0 {
-		timeout = clampMs(req.TimeoutMs, s.opts.MaxTimeout)
+		timeout = clampMs(req.TimeoutMs, maxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -685,7 +664,7 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 	var in *nn.Tensor
 	var ws []*nn.Weights
 	var resident *secure.WeightResidency
-	if s.residency != nil && s.hookFor(tenant) == nil {
+	if s.hookFor(tenant) == nil {
 		r, hit, err := s.residency.attach(tenant, req.Network, req.Seed, func() (*secure.WeightResidency, error) {
 			_, bws := nn.RandomModel(net, req.Seed)
 			return secure.BuildWeightResidency(ctx, net, s.cfg.NPU, s.cfg.DRAM, secure.DefaultSecret, secure.DefaultRandom, bws)
