@@ -243,78 +243,101 @@ type Visitor func(Event) bool
 // increments on each write-back; reads observe the stored VN. Ifmap and
 // weight tiles are read-only (their VN is owned by the previous layer /
 // initial load and reported as 0 here; the protection engines substitute
-// the cross-layer VN).
+// the cross-layer VN). It runs a fresh Generator, so its bookkeeping is
+// allocated per call; a caller walking many mappings keeps a Generator.
 func Generate(m *Mapping, v Visitor) error {
-	return GenerateWithCompute(m, v, nil)
+	var g Generator
+	return g.Run(m, v, nil)
 }
 
-// GenerateWithCompute is Generate with a compute hook: body is invoked once
-// per loop-nest body visit, after the visit's input fetch events (ifmap,
-// weight, partial-ofmap read) and before its ofmap write-back — the point
-// where the PE array consumes the staged tiles. The functional executor
-// uses it to run the actual arithmetic of the visit. A false return stops
-// generation, like the Visitor's.
-func GenerateWithCompute(m *Mapping, v Visitor, body func(LoopIdx) bool) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	g := &generator{m: m, visit: v, body: body}
-	g.run()
-	return nil
-}
-
-type generator struct {
+// Generator walks mappings' loop nests like Generate, reusing its tile
+// bookkeeping from one call to the next: the per-tile slices grow to the
+// largest mapping seen and are cleared at the start of every call, so a
+// steady-state caller allocates nothing per walk. The zero value is ready
+// to use; a Generator is not safe for concurrent use.
+type Generator struct {
 	m       *Mapping
 	visit   Visitor
 	body    func(LoopIdx) bool
 	stopped bool
+	order   [3]LoopVar // the mapping's order, absent loops appended innermost
 
+	// Per-tile bookkeeping, kept at full length (len == cap) so Clear
+	// reaches every element a walk ever wrote.
 	ofmapVN     []int // per ofmap tile: current VN (writes so far)
 	ofmapWrites []int // per ofmap tile: writes emitted (for Final detection)
 	ifmapSeen   []bool
 	weightSeen  []bool
-	wResident   bool // weights already loaded (WeightsResident mode)
 }
 
-func (g *generator) run() {
-	m := g.m
+// Run walks m's loop nest, emitting its event stream to v, and — when body
+// is non-nil — invokes body once per loop-nest body visit, after the
+// visit's input fetch events (ifmap, weight, partial-ofmap read) and before
+// its ofmap write-back: the point where the PE array consumes the staged
+// tiles. The functional executor uses it to run the actual arithmetic of
+// the visit. A false return from either stops the walk. Run retains
+// neither m, v nor body once it returns.
+func (g *Generator) Run(m *Mapping, v Visitor, body func(LoopIdx) bool) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	g.m, g.visit, g.body, g.stopped = m, v, body, false
 	nOf := m.Bound(LoopK) * m.Bound(LoopS)
 	nIf := m.Bound(LoopC) * m.Bound(LoopS)
 	if m.PerChannel {
 		nIf = m.Bound(LoopK) * m.Bound(LoopS)
 	}
 	nW := m.Bound(LoopK) * m.Bound(LoopC)
-	g.ofmapVN = make([]int, nOf)
-	g.ofmapWrites = make([]int, nOf)
-	g.ifmapSeen = make([]bool, nIf)
-	g.weightSeen = make([]bool, nW)
+	g.ofmapVN = growClear(g.ofmapVN, nOf)
+	g.ofmapWrites = growClear(g.ofmapWrites, nOf)
+	g.ifmapSeen = growClear(g.ifmapSeen, nIf)
+	g.weightSeen = growClear(g.weightSeen, nW)
 
-	order := g.fullOrder()
-	var idx LoopIdx
-	g.nest(order, 0, &idx)
-}
-
-// fullOrder returns the loop order with absent variables appended innermost
-// (bound 1, so position is immaterial for iteration but gives them an index).
-func (g *generator) fullOrder() LoopOrder {
-	order := append(LoopOrder{}, g.m.Order...)
-	for _, v := range []LoopVar{LoopS, LoopC, LoopK} {
-		if !order.Contains(v) {
-			order = append(order, v)
+	// Validate guarantees each variable appears at most once, so the full
+	// order is always exactly the three variables.
+	n := copy(g.order[:], m.Order)
+	for _, lv := range [...]LoopVar{LoopS, LoopC, LoopK} {
+		if !m.Order.Contains(lv) {
+			g.order[n] = lv
+			n++
 		}
 	}
-	return order
+	var idx LoopIdx
+	g.nest(0, &idx)
+	g.m, g.visit, g.body = nil, nil, nil
+	return nil
 }
 
-func (g *generator) nest(order LoopOrder, depth int, idx *LoopIdx) {
+// Clear zeroes every element of the bookkeeping the generator retains and
+// drops its references: what a pooled owner calls before parking it.
+func (g *Generator) Clear() {
+	clear(g.ofmapVN)
+	clear(g.ofmapWrites)
+	clear(g.ifmapSeen)
+	clear(g.weightSeen)
+	g.m, g.visit, g.body, g.stopped, g.order = nil, nil, nil, false, [3]LoopVar{}
+}
+
+// growClear returns s at full length, at least n long, with its first n
+// elements zeroed (a grown slice is fresh, so already zero).
+func growClear[T int | bool](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:cap(s)]
+	clear(s[:n])
+	return s
+}
+
+func (g *Generator) nest(depth int, idx *LoopIdx) {
 	if g.stopped {
 		return
 	}
-	if depth == len(order) {
+	if depth == len(g.order) {
 		g.visitBody(*idx)
 		return
 	}
-	v := order[depth]
+	v := g.order[depth]
 	for i := 0; i < g.m.Bound(v); i++ {
 		switch v {
 		case LoopS:
@@ -324,7 +347,7 @@ func (g *generator) nest(order LoopOrder, depth int, idx *LoopIdx) {
 		case LoopK:
 			idx.K = i
 		}
-		g.nest(order, depth+1, idx)
+		g.nest(depth+1, idx)
 		if g.stopped {
 			return
 		}
@@ -333,7 +356,7 @@ func (g *generator) nest(order LoopOrder, depth int, idx *LoopIdx) {
 
 // visitBody is one (s, c, k) visit: the NPU processes ifmap tile (c, s)
 // against weight group (k, c), updating ofmap tile (k, s).
-func (g *generator) visitBody(idx LoopIdx) {
+func (g *Generator) visitBody(idx LoopIdx) {
 	m := g.m
 	stationary := m.outputStationary()
 	lastC := idx.C == m.Bound(LoopC)-1
@@ -430,7 +453,7 @@ func (g *generator) visitBody(idx LoopIdx) {
 // binding loops. For the canonical nests we model, this reduces to: fetch
 // when the non-binding loop (K) is at its first iteration OR K is not the
 // innermost present loop (in which case (c,s) changes every K step anyway).
-func (g *generator) ifmapFetchNeeded(idx LoopIdx) bool {
+func (g *Generator) ifmapFetchNeeded(idx LoopIdx) bool {
 	m := g.m
 	if m.PerChannel {
 		// The tile binds (k, s); only the (degenerate) C loop can repeat
@@ -448,7 +471,7 @@ func (g *generator) ifmapFetchNeeded(idx LoopIdx) bool {
 
 // weightFetchNeeded mirrors ifmapFetchNeeded for weight group (k, c), whose
 // non-binding loop is S. WeightsResident mappings load each group once.
-func (g *generator) weightFetchNeeded(idx LoopIdx) bool {
+func (g *Generator) weightFetchNeeded(idx LoopIdx) bool {
 	m := g.m
 	if m.WeightsResident {
 		return !g.weightSeen[g.wIndex(idx)]
@@ -463,24 +486,24 @@ func (g *generator) weightFetchNeeded(idx LoopIdx) bool {
 }
 
 // innermost returns the innermost *present* loop variable.
-func (g *generator) innermost() LoopVar {
+func (g *Generator) innermost() LoopVar {
 	if n := len(g.m.Order); n > 0 {
 		return g.m.Order[n-1]
 	}
 	return LoopK
 }
 
-func (g *generator) ofIndex(idx LoopIdx) int { return idx.K*g.m.Bound(LoopS) + idx.S }
+func (g *Generator) ofIndex(idx LoopIdx) int { return idx.K*g.m.Bound(LoopS) + idx.S }
 
-func (g *generator) ifIndex(idx LoopIdx) int {
+func (g *Generator) ifIndex(idx LoopIdx) int {
 	if g.m.PerChannel {
 		return idx.K*g.m.Bound(LoopS) + idx.S
 	}
 	return idx.C*g.m.Bound(LoopS) + idx.S
 }
-func (g *generator) wIndex(idx LoopIdx) int { return idx.K*g.m.Bound(LoopC) + idx.C }
+func (g *Generator) wIndex(idx LoopIdx) int { return idx.K*g.m.Bound(LoopC) + idx.C }
 
-func (g *generator) emit(e Event) {
+func (g *Generator) emit(e Event) {
 	if g.stopped {
 		return
 	}

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"seculator/internal/mac"
 	"seculator/internal/pattern"
@@ -125,7 +126,7 @@ func decode(payload []byte) (Command, error) {
 // Controller is the host endpoint: it signs commands under the session key
 // with increasing sequence numbers.
 type Controller struct {
-	key []byte
+	mac sessionMAC
 	seq uint64
 }
 
@@ -140,9 +141,7 @@ func NewController(sessionKey []byte) *Controller {
 // across the restart, so replay protection spans the session's whole life,
 // not one process incarnation.
 func NewControllerAt(sessionKey []byte, lastSeq uint64) *Controller {
-	k := make([]byte, len(sessionKey))
-	copy(k, sessionKey)
-	return &Controller{key: k, seq: lastSeq}
+	return &Controller{mac: newSessionMAC(sessionKey), seq: lastSeq}
 }
 
 // LastSeq returns the sequence number of the most recently issued command
@@ -155,13 +154,13 @@ func (h *Controller) Issue(c Command) Packet {
 	h.seq++
 	c.Seq = h.seq
 	payload := c.encode()
-	return Packet{Payload: payload, Tag: tag(h.key, payload)}
+	return Packet{Payload: payload, Tag: h.mac.tag(payload)}
 }
 
 // Endpoint is the NPU side: it verifies tags and enforces strictly
 // increasing sequence numbers.
 type Endpoint struct {
-	key     []byte
+	mac     sessionMAC
 	lastSeq uint64
 	breach  bool
 }
@@ -176,9 +175,7 @@ func NewEndpoint(sessionKey []byte) *Endpoint {
 // replayed pre-snapshot command is rejected by the restored endpoint exactly
 // as the original would have rejected it.
 func NewEndpointAt(sessionKey []byte, lastSeq uint64) *Endpoint {
-	k := make([]byte, len(sessionKey))
-	copy(k, sessionKey)
-	return &Endpoint{key: k, lastSeq: lastSeq}
+	return &Endpoint{mac: newSessionMAC(sessionKey), lastSeq: lastSeq}
 }
 
 // Receive authenticates and decodes a packet. Any failure latches the
@@ -187,7 +184,7 @@ func (e *Endpoint) Receive(p Packet) (Command, error) {
 	if e.breach {
 		return Command{}, fmt.Errorf("%w: breached, reboot required", ErrChannel)
 	}
-	if !hmac.Equal(p.Tag[:], tagSlice(e.key, p.Payload)) {
+	if want := e.mac.tag(p.Payload); !hmac.Equal(p.Tag[:], want[:]) {
 		e.breach = true
 		return Command{}, fmt.Errorf("%w: bad tag", ErrChannel)
 	}
@@ -211,20 +208,28 @@ func (e *Endpoint) Breached() bool { return e.breach }
 // reset of Figure 6. The session key would be renegotiated in a real
 // system; here the caller supplies the new one.
 func (e *Endpoint) Reboot(newSessionKey []byte) {
-	e.key = make([]byte, len(newSessionKey))
-	copy(e.key, newSessionKey)
+	e.mac = newSessionMAC(newSessionKey)
 	e.lastSeq = 0
 	e.breach = false
 }
 
-func tag(key, payload []byte) [32]byte {
-	var out [32]byte
-	copy(out[:], tagSlice(key, payload))
-	return out
+// sessionMAC is one endpoint's HMAC-SHA256 under the session key, keyed
+// once — when the endpoint is built or rebooted — and Reset per packet.
+// Controllers and endpoints live for one session run, so no keyed state
+// outlives it.
+type sessionMAC struct {
+	h   hash.Hash
+	sum [sha256.Size]byte // Sum's destination: a local would escape through h
 }
 
-func tagSlice(key, payload []byte) []byte {
-	h := hmac.New(sha256.New, key)
-	h.Write(payload)
-	return h.Sum(nil)
+func newSessionMAC(key []byte) sessionMAC {
+	return sessionMAC{h: hmac.New(sha256.New, key)} // hmac.New copies the key
+}
+
+// tag returns the payload's HMAC under the session key.
+func (m *sessionMAC) tag(payload []byte) [sha256.Size]byte {
+	m.h.Reset()
+	m.h.Write(payload)
+	m.h.Sum(m.sum[:0])
+	return m.sum
 }

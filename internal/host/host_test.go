@@ -1,7 +1,11 @@
 package host
 
 import (
+	"bytes"
 	"context"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -76,6 +80,51 @@ func TestTamperedPayloadRejected(t *testing.T) {
 	}
 }
 
+// TestIssueTagsAreIndependentHMACs: the controller keys its HMAC once and
+// resets it per packet; over a long run of commands every tag must still be
+// exactly a freshly keyed HMAC-SHA256 of the payload — no state carried
+// from one packet into the next — and the packets, payloads and tags, are
+// pinned byte for byte.
+func TestIssueTagsAreIndependentHMACs(t *testing.T) {
+	h := NewController(key)
+	wire := sha256.New()
+	for i := 0; i < 100; i++ {
+		c := sampleCommand()
+		c.LayerIndex = uint32(i)
+		p := h.Issue(c)
+		ref := hmac.New(sha256.New, key)
+		ref.Write(p.Payload)
+		if !bytes.Equal(p.Tag[:], ref.Sum(nil)) {
+			t.Fatalf("command %d: tag differs from an independent HMAC of its payload", i+1)
+		}
+		wire.Write(p.Payload)
+		wire.Write(p.Tag[:])
+	}
+	const want = "5ca03981003fcd45c35ca50c15ebc4573bd80b44d93326b138ba16e018ef7c03"
+	if got := hex.EncodeToString(wire.Sum(nil)); got != want {
+		t.Fatalf("the 100 packets hash to %s, want %s", got, want)
+	}
+}
+
+// TestRebootRekeys: a reboot renegotiates the session key, so the endpoint's
+// HMAC must follow it — a packet under the old key is refused and one under
+// the new key accepted.
+func TestRebootRekeys(t *testing.T) {
+	newKey := []byte("session-key-4567")
+	e := NewEndpoint(key)
+	if _, err := e.Receive(NewController(key).Issue(sampleCommand())); err != nil {
+		t.Fatal(err)
+	}
+	e.Reboot(newKey)
+	if _, err := e.Receive(NewController(key).Issue(sampleCommand())); !errors.Is(err, ErrChannel) {
+		t.Fatalf("old-key packet accepted after reboot: %v", err)
+	}
+	e.Reboot(newKey)
+	if _, err := e.Receive(NewController(newKey).Issue(sampleCommand())); err != nil {
+		t.Fatalf("new-key packet refused after reboot: %v", err)
+	}
+}
+
 func TestTamperedTagRejected(t *testing.T) {
 	h := NewController(key)
 	e := NewEndpoint(key)
@@ -110,7 +159,8 @@ func TestWrongSessionKeyRejected(t *testing.T) {
 func TestMalformedPayloadRejected(t *testing.T) {
 	e := NewEndpoint(key)
 	short := []byte{1, 2, 3}
-	p := Packet{Payload: short, Tag: tag(key, short)}
+	m := newSessionMAC(key)
+	p := Packet{Payload: short, Tag: m.tag(short)}
 	if _, err := e.Receive(p); !errors.Is(err, ErrChannel) {
 		t.Fatal("malformed payload accepted")
 	}
@@ -191,5 +241,27 @@ func TestRunSessionMITMDetected(t *testing.T) {
 func TestRunSessionRejectsBadNetwork(t *testing.T) {
 	if _, err := RunSession(context.Background(), workload.Network{Name: "empty"}, runner.DefaultConfig(), key, SessionOptions{}); err == nil {
 		t.Fatal("invalid network accepted")
+	}
+}
+
+// TestRunSessionAllocations pins what a warm timing-only session costs on
+// the deep benchmark model: each command's payload and the simulation
+// cache's key, not a freshly keyed HMAC per tag nor a formatted key.
+func TestRunSessionAllocations(t *testing.T) {
+	net, err := workload.ResolveShape("MobileNet/8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := runner.DefaultConfig()
+	run := func() {
+		if _, err := RunSession(context.Background(), net, cfg, key, SessionOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // maps the layers and simulates the point
+	if allocs := testing.AllocsPerRun(20, run); allocs > 150 {
+		t.Errorf("a MobileNet/8 session makes %.0f allocations, want at most 150", allocs)
+	} else {
+		t.Logf("a MobileNet/8 session makes %.0f allocations", allocs)
 	}
 }

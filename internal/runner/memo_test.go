@@ -176,3 +176,109 @@ func TestRunCachedBounded(t *testing.T) {
 		t.Fatalf("repeating the last point: %+v -> %+v, want one more hit", before, after)
 	}
 }
+
+// TestRunCachedKeyCoversEveryField changes, one at a time, every field of
+// the simulation input — each layer's fields, the network's name and note,
+// the design, and every field of Config but TraceFn, found by reflection —
+// and requires each change to miss the cached base point: a field left out
+// of the key would hit and fail here. A Config field of a kind the test
+// cannot change fails it too, so a new field cannot slip past.
+func TestRunCachedKeyCoversEveryField(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	ctx := context.Background()
+	net := memoNet("memo-fields")
+	net.Note = "note"
+	d := protect.Seculator
+	cfg := DefaultConfig()
+	run := func() { _, _ = RunCached(ctx, net, d, cfg) } // an error is a cached point too
+	run()
+	misses := CacheStats().Misses
+	run()
+	if got := CacheStats().Misses; got != misses {
+		t.Fatal("repeating the base point missed the cache")
+	}
+	mustMiss := func(field string) {
+		before := CacheStats().Misses
+		run()
+		if CacheStats().Misses != before+1 {
+			t.Errorf("changing %s hit the cached base point: the key leaves it out", field)
+		}
+	}
+	eachLeaf(t, reflect.ValueOf(&net.Name).Elem(), "Network.Name", mustMiss)
+	eachLeaf(t, reflect.ValueOf(&net.Note).Elem(), "Network.Note", mustMiss)
+	for i := range net.Layers {
+		eachLeaf(t, reflect.ValueOf(&net.Layers[i]).Elem(), fmt.Sprintf("Layers[%d]", i), mustMiss)
+	}
+	eachLeaf(t, reflect.ValueOf(&d).Elem(), "design", mustMiss)
+	c := reflect.ValueOf(&cfg).Elem()
+	for i := 0; i < c.NumField(); i++ {
+		if name := c.Type().Field(i).Name; name != "TraceFn" {
+			eachLeaf(t, c.Field(i), "Config."+name, mustMiss)
+		}
+	}
+
+	// Names are length-prefixed: one layer named with the first layer's
+	// whole encoding plus the second's name, and shaped like the second,
+	// spells the two-layer network's bytes but for the prefixes.
+	merged := net.Layers[1]
+	merged.Name = layersKey(net.Layers[:1]) + merged.Name
+	net.Layers = []workload.Layer{merged}
+	mustMiss("the layer boundary")
+}
+
+// eachLeaf changes each leaf field under v (a settable value) to a different
+// value, one at a time, calls f with its path, and restores it.
+func eachLeaf(t *testing.T, v reflect.Value, path string, f func(path string)) {
+	t.Helper()
+	if v.Kind() == reflect.Struct {
+		for i := 0; i < v.NumField(); i++ {
+			eachLeaf(t, v.Field(i), path+"."+v.Type().Field(i).Name, f)
+		}
+		return
+	}
+	old := reflect.New(v.Type()).Elem()
+	old.Set(v)
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float()*2 + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	default:
+		t.Fatalf("%s: the key test cannot change a %v field", path, v.Kind())
+	}
+	f(path)
+	v.Set(old)
+}
+
+// TestRunCachedHitAllocations pins what a cache hit costs — every stateless
+// and every session request pays one: the key's layer encoding is its one
+// allocation, on the small model and the deep one alike.
+func TestRunCachedHitAllocations(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	cfg := DefaultConfig()
+	for _, name := range []string{"Mini", "MobileNet/8"} {
+		net, err := workload.ResolveShape(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunCached(context.Background(), net, protect.Seculator, cfg); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := RunCached(context.Background(), net, protect.Seculator, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s: a cache hit makes %.0f allocations, want at most 1", name, allocs)
+		}
+	}
+}

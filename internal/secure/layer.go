@@ -87,7 +87,7 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 		}
 	}
 
-	err := dataflow.GenerateWithCompute(st.choice.Mapping, run.onEvent, run.onCompute)
+	err := rt.gen.Run(st.choice.Mapping, rt.onEvent, rt.onCompute)
 	if err == nil {
 		err = run.err
 	}

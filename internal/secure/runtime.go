@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"seculator/internal/dataflow"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
 	"seculator/internal/protect"
@@ -48,6 +49,13 @@ type inferRuntime struct {
 	wData     []int32 // decoded-weight tensor backing
 	wTensor   nn.Weights
 	blockBuf  [tensor.BlockBytes]byte
+
+	// gen walks each layer's tile-event stream into lr's callbacks, which
+	// are bound once, when the runtime is built: lr keeps one address for
+	// the runtime's life, so no layer re-boxes them as method values.
+	gen       dataflow.Generator
+	onEvent   dataflow.Visitor
+	onCompute func(dataflow.LoopIdx) bool
 
 	// The loader's private staging: it runs concurrently with the layer loop,
 	// so it must never share rowScratch with it.
@@ -282,8 +290,10 @@ func (x *Executor) acquireRun() (*runState, error) {
 		return nil, err
 	}
 	sm := protect.NewSeculatorMemory(dram, x.Secret, x.Random)
+	rt := &inferRuntime{sm: sm, sh: sm.Shard()}
+	rt.onEvent, rt.onCompute = rt.lr.onEvent, rt.lr.onCompute
 	return &runState{
-		dram: dram, sm: sm, rt: &inferRuntime{sm: sm, sh: sm.Shard()},
+		dram: dram, sm: sm, rt: rt,
 		dramCfg: x.DRAM, secret: x.Secret, random: x.Random,
 		poolable: poolable,
 	}, nil
@@ -309,8 +319,9 @@ func (rs *runState) release() {
 // scrub wipes every byte of run-derived data from the runtime's pooled
 // scratch: both shards' staging, row buffers, decoded activations and
 // weights, and the loader's staging (drain has already joined the loader and
-// reset its hand-off state). Bitmaps clear too, so a dirty reset cannot leak
-// one run's protocol state into the next.
+// reset its hand-off state). Bitmaps and the generator's tile bookkeeping
+// clear too, so a dirty reset cannot leak one run's protocol state into the
+// next; the bound callbacks stay, pointing at the zeroed layer context.
 func (rt *inferRuntime) scrub() {
 	rt.sh.Recycle()
 	if rt.preload.sh != nil {
@@ -327,6 +338,7 @@ func (rt *inferRuntime) scrub() {
 	clear(rt.blockBuf[:])
 	clear(rt.inTouched)
 	clear(rt.wTouched)
+	rt.gen.Clear()
 	rt.lr = layerRun{}
 	rt.inTensor = nn.Tensor{}
 	rt.outTensor[0] = nn.Tensor{}
