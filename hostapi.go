@@ -8,8 +8,8 @@ import (
 )
 
 // HostCommand is one "run layer" order the host CPU issues to the NPU over
-// the secure command channel (Section 6.1): the layer geometry, the data
-// region bases, the VN triplet and the golden digests.
+// the secure command channel just before the layer runs (Section 6.1): its
+// sequence number, layer index, layer geometry and write VN triplet.
 type HostCommand = host.Command
 
 // HostPacket is the authenticated wire form of a command.
@@ -61,13 +61,13 @@ type SessionIntercept = host.Intercept
 type SessionOptions = host.SessionOptions
 
 // RunSecureSessionContext drives the complete Figure 6 flow on the
-// Seculator design: the host issues one authenticated command per layer
-// (geometry + VN triplet), the NPU endpoint authenticates and cross-derives
-// each triplet, and the commanded network executes. Channel violations
-// abort the session with a typed ChannelError. ctx cancels between
-// commands and layers, and opts can attach a man in the middle, a
-// functional model, a recovery policy and a fault injector. No panic
-// escapes; all failures carry the resilience error taxonomy.
+// Seculator design: just before each layer runs, the host issues its
+// authenticated command (geometry + VN triplet) and the NPU endpoint checks
+// it against its plan; with a functional model (opts.Input) the layer then
+// runs with every VN regenerated from the received triplet. A refused
+// command stops the session at that layer with a typed ChannelError. ctx
+// cancels between layers; opts can also attach a man in the middle, a
+// recovery policy and a fault injector. No panic escapes.
 func RunSecureSessionContext(ctx context.Context, net Network, cfg Config, sessionKey []byte, opts SessionOptions) (SessionResult, error) {
 	return host.RunSession(ctx, net, cfg, sessionKey, opts)
 }

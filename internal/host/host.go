@@ -1,13 +1,12 @@
-// Package host models the CPU side of the system (Section 6.1): the host
-// delivers per-layer execution commands to the NPU over a PCIe link
-// protected by a shared session key. A command carries everything the
-// paper says the accelerator needs to run a layer without further host
-// involvement — the layer geometry, the data-region base addresses, the
-// master-equation triplet ⟨η, κ, ρ⟩ for the VN generator, and the golden
-// digests for host-written data — authenticated with an HMAC-style tag and
-// a strictly increasing sequence number, so command tampering and command
-// replay are both rejected (a rejected command is the "security breach →
-// reboot" path of Figure 6).
+// Package host models the CPU side of the system (Section 6.1): just before
+// each layer runs, the host sends the NPU a "run layer" command over a PCIe
+// link protected by a shared session key (Figure 6). A command carries the
+// layer's index and geometry and the write triplet ⟨η, κ, ρ⟩ from which the
+// NPU's VN generator (package vngen) rebuilds every version number the layer
+// uses. An HMAC tag and a strictly increasing sequence number reject
+// tampering and replay; the NPU also refuses an authentic command for
+// another layer or triplet than its own plan's. A refused command is Figure
+// 6's "security breach → reboot" path: the run stops at that layer.
 package host
 
 import (
@@ -17,8 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"math"
 
-	"seculator/internal/mac"
 	"seculator/internal/pattern"
 	"seculator/internal/workload"
 )
@@ -28,19 +27,13 @@ import (
 // tags under the wrong session key.
 var ErrChannel = errors.New("host: command channel authentication failed")
 
-// Command is one "run layer" order. All fields are what Section 6 says the
-// host communicates: the layer to execute, where its tensors live, the VN
-// triplet, and golden digests for data the host wrote itself.
+// Command is one "run layer" order: the layer to execute and the VN triplet
+// of its writes, under the session's sequence number.
 type Command struct {
-	Seq         uint64 // strictly increasing per session
-	LayerIndex  uint32
-	Layer       workload.Layer
-	Triplet     pattern.Triplet
-	IfmapBase   uint64
-	OfmapBase   uint64
-	WeightBase  uint64
-	GoldenInput mac.Digest // zero unless the host wrote this layer's inputs
-	GoldenWts   mac.Digest
+	Seq        uint64 // strictly increasing per session
+	LayerIndex uint32
+	Layer      workload.Layer // Name is not on the wire
+	Triplet    pattern.Triplet
 }
 
 // Packet is the wire form of a command: an encoded payload plus its tag.
@@ -49,45 +42,36 @@ type Packet struct {
 	Tag     [32]byte
 }
 
+// payloadLen is a command's wire length: Seq and LayerIndex, the layer's
+// type byte, seven dimensions and Valid byte, and the triplet's three
+// fields. Integers are big-endian 64-bit.
+const payloadLen = 8 + 8 + 1 + 7*8 + 1 + 3*8
+
 // encode serializes the command deterministically.
 func (c *Command) encode() []byte {
-	buf := make([]byte, 0, 160)
-	u64 := func(v uint64) {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	i64 := func(v int) { u64(uint64(int64(v))) }
-	u64(c.Seq)
-	u64(uint64(c.LayerIndex))
+	buf := make([]byte, 0, payloadLen)
+	i64 := func(v int) { buf = binary.BigEndian.AppendUint64(buf, uint64(int64(v))) }
+	buf = binary.BigEndian.AppendUint64(buf, c.Seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(c.LayerIndex))
 	buf = append(buf, byte(c.Layer.Type))
-	i64(c.Layer.C)
-	i64(c.Layer.H)
-	i64(c.Layer.W)
-	i64(c.Layer.K)
-	i64(c.Layer.R)
-	i64(c.Layer.S)
-	i64(c.Layer.Stride)
-	if c.Layer.Valid {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	for _, v := range [...]int{c.Layer.C, c.Layer.H, c.Layer.W, c.Layer.K, c.Layer.R, c.Layer.S, c.Layer.Stride} {
+		i64(v)
 	}
+	valid := byte(0)
+	if c.Layer.Valid {
+		valid = 1
+	}
+	buf = append(buf, valid)
 	i64(c.Triplet.Eta)
 	i64(c.Triplet.Kappa)
 	i64(c.Triplet.Rho)
-	u64(c.IfmapBase)
-	u64(c.OfmapBase)
-	u64(c.WeightBase)
-	buf = append(buf, c.GoldenInput[:]...)
-	buf = append(buf, c.GoldenWts[:]...)
 	return buf
 }
 
-// decode is the inverse of encode.
+// decode is the inverse of encode. It accepts only payloads encode can
+// produce, so every accepted payload re-encodes to itself byte for byte.
 func decode(payload []byte) (Command, error) {
-	const fixed = 8 + 8 + 1 + 7*8 + 1 + 3*8 + 3*8 + 32 + 32
-	if len(payload) != fixed {
+	if len(payload) != payloadLen {
 		return Command{}, fmt.Errorf("host: malformed command payload (%d bytes)", len(payload))
 	}
 	var c Command
@@ -99,27 +83,24 @@ func decode(payload []byte) (Command, error) {
 	}
 	i := func() int { return int(int64(u64())) }
 	c.Seq = u64()
-	c.LayerIndex = uint32(u64())
+	li := u64()
+	c.LayerIndex = uint32(li)
 	c.Layer.Type = workload.LayerType(payload[off])
 	off++
-	c.Layer.C = i()
-	c.Layer.H = i()
-	c.Layer.W = i()
-	c.Layer.K = i()
-	c.Layer.R = i()
-	c.Layer.S = i()
-	c.Layer.Stride = i()
-	c.Layer.Valid = payload[off] == 1
+	c.Layer.C, c.Layer.H, c.Layer.W, c.Layer.K = i(), i(), i(), i()
+	c.Layer.R, c.Layer.S, c.Layer.Stride = i(), i(), i()
+	valid := payload[off]
 	off++
-	c.Triplet.Eta = i()
-	c.Triplet.Kappa = i()
-	c.Triplet.Rho = i()
-	c.IfmapBase = u64()
-	c.OfmapBase = u64()
-	c.WeightBase = u64()
-	copy(c.GoldenInput[:], payload[off:off+32])
-	off += 32
-	copy(c.GoldenWts[:], payload[off:off+32])
+	c.Layer.Valid = valid == 1
+	c.Triplet.Eta, c.Triplet.Kappa, c.Triplet.Rho = i(), i(), i()
+	switch {
+	case li > math.MaxUint32:
+		return Command{}, fmt.Errorf("host: command layer index %d out of range", li)
+	case c.Layer.Type > workload.Upsample:
+		return Command{}, fmt.Errorf("host: unknown command layer type %d", c.Layer.Type)
+	case valid > 1:
+		return Command{}, fmt.Errorf("host: command padding flag %d is neither 0 nor 1", valid)
+	}
 	return c, nil
 }
 
@@ -132,21 +113,8 @@ type Controller struct {
 
 // NewController creates a host controller for a session key.
 func NewController(sessionKey []byte) *Controller {
-	return NewControllerAt(sessionKey, 0)
+	return &Controller{mac: newSessionMAC(sessionKey)}
 }
-
-// NewControllerAt creates a host controller whose next issued command gets
-// sequence number lastSeq+1 — the restore path for a session whose channel
-// state survived a snapshot: sequence numbers keep rising monotonically
-// across the restart, so replay protection spans the session's whole life,
-// not one process incarnation.
-func NewControllerAt(sessionKey []byte, lastSeq uint64) *Controller {
-	return &Controller{mac: newSessionMAC(sessionKey), seq: lastSeq}
-}
-
-// LastSeq returns the sequence number of the most recently issued command
-// (the snapshot point for session export).
-func (h *Controller) LastSeq() uint64 { return h.seq }
 
 // Issue builds the authenticated packet for the next command. The sequence
 // number is assigned here; the caller's Seq field is overwritten.
@@ -167,15 +135,7 @@ type Endpoint struct {
 
 // NewEndpoint creates the NPU receiver for a session key.
 func NewEndpoint(sessionKey []byte) *Endpoint {
-	return NewEndpointAt(sessionKey, 0)
-}
-
-// NewEndpointAt creates the NPU receiver with its replay window already
-// advanced past lastSeq — the counterpart of NewControllerAt on restore: a
-// replayed pre-snapshot command is rejected by the restored endpoint exactly
-// as the original would have rejected it.
-func NewEndpointAt(sessionKey []byte, lastSeq uint64) *Endpoint {
-	return &Endpoint{mac: newSessionMAC(sessionKey), lastSeq: lastSeq}
+	return &Endpoint{mac: newSessionMAC(sessionKey)}
 }
 
 // Receive authenticates and decodes a packet. Any failure latches the

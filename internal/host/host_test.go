@@ -10,9 +10,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"seculator/internal/mac"
+	"seculator/internal/nn"
 	"seculator/internal/pattern"
+	"seculator/internal/resilience"
 	"seculator/internal/runner"
+	"seculator/internal/secure"
 	"seculator/internal/workload"
 )
 
@@ -25,11 +27,7 @@ func sampleCommand() Command {
 			Name: "conv", Type: workload.Conv,
 			C: 64, H: 56, W: 56, K: 128, R: 3, S: 3, Stride: 2, Valid: true,
 		},
-		Triplet:    pattern.Triplet{Eta: 4, Kappa: 8, Rho: 16},
-		IfmapBase:  0x1000,
-		OfmapBase:  0x2000,
-		WeightBase: 0x3000,
-		GoldenWts:  mac.BlockMAC(mac.BlockRef{Secret: 1}, make([]byte, 64)),
+		Triplet: pattern.Triplet{Eta: 4, Kappa: 8, Rho: 16},
 	}
 }
 
@@ -100,7 +98,7 @@ func TestIssueTagsAreIndependentHMACs(t *testing.T) {
 		wire.Write(p.Payload)
 		wire.Write(p.Tag[:])
 	}
-	const want = "5ca03981003fcd45c35ca50c15ebc4573bd80b44d93326b138ba16e018ef7c03"
+	const want = "003eb1db13f09ae32bb4f381434ab0caf941438cb143fc4d491d44af9c6baba9"
 	if got := hex.EncodeToString(wire.Sum(nil)); got != want {
 		t.Fatalf("the 100 packets hash to %s, want %s", got, want)
 	}
@@ -169,7 +167,7 @@ func TestMalformedPayloadRejected(t *testing.T) {
 // Property: encode/decode round-trips arbitrary commands.
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seq uint64, li uint32, c, h, w, k, r, s, stride uint8,
-		valid bool, eta, kappa, rho uint8, ib, ob, wb uint64) bool {
+		valid bool, eta, kappa, rho uint8) bool {
 		cmd := Command{
 			Seq:        seq,
 			LayerIndex: li,
@@ -178,10 +176,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 				C:    int(c) + 1, H: int(h) + 1, W: int(w) + 1, K: int(k) + 1,
 				R: int(r) + 1, S: int(s) + 1, Stride: int(stride) + 1, Valid: valid,
 			},
-			Triplet:    pattern.Triplet{Eta: int(eta) + 1, Kappa: int(kappa) + 1, Rho: int(rho) + 1},
-			IfmapBase:  ib,
-			OfmapBase:  ob,
-			WeightBase: wb,
+			Triplet: pattern.Triplet{Eta: int(eta) + 1, Kappa: int(kappa) + 1, Rho: int(rho) + 1},
 		}
 		got, err := decode(cmd.encode())
 		return err == nil && got == cmd
@@ -245,8 +240,9 @@ func TestRunSessionRejectsBadNetwork(t *testing.T) {
 }
 
 // TestRunSessionAllocations pins what a warm timing-only session costs on
-// the deep benchmark model: each command's payload and the simulation
-// cache's key, not a freshly keyed HMAC per tag nor a formatted key.
+// the deep benchmark model: the channel's two keyed HMACs, each command's
+// payload (allocated once, at its exact length) and the simulation cache's
+// key, not a freshly keyed HMAC per tag nor a formatted key.
 func TestRunSessionAllocations(t *testing.T) {
 	net, err := workload.ResolveShape("MobileNet/8")
 	if err != nil {
@@ -259,9 +255,78 @@ func TestRunSessionAllocations(t *testing.T) {
 		}
 	}
 	run() // maps the layers and simulates the point
-	if allocs := testing.AllocsPerRun(20, run); allocs > 150 {
-		t.Errorf("a MobileNet/8 session makes %.0f allocations, want at most 150", allocs)
+	if allocs := testing.AllocsPerRun(20, run); allocs > 80 {
+		t.Errorf("a MobileNet/8 session makes %.0f allocations, want at most 80", allocs)
 	} else {
 		t.Logf("a MobileNet/8 session makes %.0f allocations", allocs)
+	}
+}
+
+// TestResidentSessionAllocations pins what a warm functional MobileNet/8
+// session on the resident weight path costs — the path a session-bound
+// inference on the server takes: the pooled resident run, the channel and
+// one payload per layer command.
+func TestResidentSessionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled run states at random under the race detector")
+	}
+	net, err := workload.ResolveShape("MobileNet/8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := runner.DefaultConfig()
+	in, ws := nn.RandomModel(net, 1)
+	res, err := secure.BuildWeightResidency(context.Background(), net, cfg.NPU, cfg.DRAM,
+		secure.DefaultSecret, secure.DefaultRandom, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	run := func() {
+		r, err := RunSession(context.Background(), net, cfg, key, SessionOptions{
+			Input: in, Weights: res.Weights(), Residency: res, BaseSeq: seq,
+		})
+		if err != nil || r.Output == nil {
+			t.Fatalf("resident session: %v", err)
+		}
+		seq = r.LastSeq
+	}
+	run() // builds the pooled run state and grows its slabs
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs > 80 {
+		t.Errorf("a resident MobileNet/8 session makes %.0f allocations, want at most 80", allocs)
+	} else {
+		t.Logf("a resident MobileNet/8 session makes %.0f allocations", allocs)
+	}
+}
+
+// TestRunSessionRefusesWrongLayer: a command that authenticates and arrives
+// in sequence but names another layer than the one about to run — what a
+// compromised host library holding the session key could send — is
+// refused at that layer, on the timing-only and the functional path, and
+// the functional run returns no output.
+func TestRunSessionRefusesWrongLayer(t *testing.T) {
+	net := sessionNet()
+	in, ws := nn.RandomModel(net, 3)
+	for _, opts := range []SessionOptions{{}, {Input: in, Weights: ws}} {
+		forger := NewController(key) // re-signs every packet, in sequence
+		opts.Intercept = func(layer int, p *Packet) {
+			c, err := decode(p.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if layer == 1 {
+				c.LayerIndex = 0 // layer 1's geometry and triplet, layer 0's index
+			}
+			*p = forger.Issue(c)
+		}
+		res, err := RunSession(context.Background(), net, runner.DefaultConfig(), key, opts)
+		var ce *resilience.ChannelError
+		if !errors.As(err, &ce) || ce.Layer != 1 || !errors.Is(err, ErrChannel) {
+			t.Fatalf("functional=%v: wrong-layer command: %v, want a ChannelError at layer 1", opts.Input != nil, err)
+		}
+		if res.Output != nil {
+			t.Fatal("a refused session returned an output")
+		}
 	}
 }

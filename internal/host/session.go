@@ -7,6 +7,7 @@ import (
 	"seculator/internal/dataflow"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
+	"seculator/internal/pattern"
 	"seculator/internal/protect"
 	"seculator/internal/resilience"
 	"seculator/internal/runner"
@@ -45,8 +46,9 @@ type SessionOptions struct {
 	Intercept Intercept
 
 	// Input and Weights, when Input is non-nil, make the session run the
-	// commanded network functionally through the encrypted Seculator path
-	// after the command phase, with layer-level detect-and-recover.
+	// network functionally through the encrypted Seculator path, each
+	// layer on the command it just received, with layer-level
+	// detect-and-recover.
 	Input   *nn.Tensor
 	Weights []*nn.Weights
 
@@ -64,11 +66,7 @@ type SessionOptions struct {
 	// to mount replay/splice attacks against a session's encrypted memory.
 	Hook secure.Hook
 
-	// BaseSeq seeds the command channel's sequence window: the controller
-	// issues BaseSeq+1 first and the endpoint rejects anything at or below
-	// BaseSeq. A stateful session passes its last persisted sequence here so
-	// the strictly-increasing guarantee holds across inferences and across
-	// snapshot/restore, not just within one RunSession call.
+	// BaseSeq seeds the command channel's sequence window (NewChannel).
 	BaseSeq uint64
 
 	// OnLayerMACs, when non-nil, observes the functional execution's XOR-MAC
@@ -85,16 +83,62 @@ type SessionOptions struct {
 	Residency *secure.WeightResidency
 }
 
+// Channel is one session's command link, the secure.CommandSource of its
+// executor: for layer i the host issues its command, the man in the middle
+// (if any) sees the packet in flight, and the NPU endpoint authenticates it
+// and checks it against the layer it is about to run.
+type Channel struct {
+	ctrl      Controller
+	npu       Endpoint
+	intercept Intercept
+}
+
+// NewChannel builds both ends of a session's channel, intercept (nil: the
+// honest link) between them. Sequence numbers continue after baseSeq, a
+// session's last persisted one: replay protection spans its whole life.
+func NewChannel(sessionKey []byte, baseSeq uint64, intercept Intercept) *Channel {
+	return &Channel{
+		ctrl:      Controller{mac: newSessionMAC(sessionKey), seq: baseSeq},
+		npu:       Endpoint{mac: newSessionMAC(sessionKey), lastSeq: baseSeq},
+		intercept: intercept,
+	}
+}
+
+// Command runs layer i's exchange and returns the write triplet the NPU
+// received. The NPU refuses a packet that fails authentication or
+// sequencing, and an authentic command whose layer index, geometry or
+// triplet is not its own plan's — what a compromised host library would
+// send. A refusal latches the breach and is a ChannelError at layer i.
+func (ch *Channel) Command(i int, planned sched.Choice) (pattern.Triplet, error) {
+	want := Command{LayerIndex: uint32(i), Layer: planned.Layer, Triplet: dataflow.DeriveWrite(planned.Mapping)}
+	pkt := ch.ctrl.Issue(want)
+	if ch.intercept != nil {
+		ch.intercept(i, &pkt)
+	}
+	got, err := ch.npu.Receive(pkt)
+	want.Seq, want.Layer.Name = got.Seq, "" // layer names are not on the wire
+	if err == nil && got != want {
+		ch.npu.breach = true
+		err = fmt.Errorf("%w: got %+v, want %+v", ErrChannel, got, want)
+	}
+	if err != nil {
+		return pattern.Triplet{}, &resilience.ChannelError{Layer: i, Err: fmt.Errorf("host: layer %d command refused: %w", i, err)}
+	}
+	return got.Triplet, nil
+}
+
+// LastSeq returns the sequence number of the last command issued.
+func (ch *Channel) LastSeq() uint64 { return ch.ctrl.seq }
+
 // RunSession drives the complete Figure 6 flow for one inference on the
-// Seculator design: the host maps every layer, derives its VN triplet, and
-// issues an authenticated command over the session-key channel; the NPU
-// endpoint authenticates each command and cross-checks the triplet against
-// its own derivation from the commanded layer before executing. Any channel
-// violation aborts the session with a typed resilience.ChannelError (reboot
-// required). The returned result is the simulated execution of the
-// commanded network, plus — when opts carries a model — the functional
-// output and its recovery statistics. ctx cancels between layers; no panic
-// escapes.
+// Seculator design: just before each layer runs, its command crosses the
+// session's Channel. With a model (opts.Input) the executor runs each layer
+// on the triplet it received; without one the commands are exchanged in a
+// plain loop. A refused command stops the session at that layer with a
+// typed resilience.ChannelError (reboot required) and no output. The
+// result is the simulated execution of the network with the channel's
+// accounting and — with a model — the functional output and its recovery
+// statistics. ctx cancels between layers; no panic escapes.
 func RunSession(ctx context.Context, net workload.Network, cfg runner.Config, sessionKey []byte,
 	opts SessionOptions) (res SessionResult, err error) {
 
@@ -108,60 +152,24 @@ func RunSession(ctx context.Context, net workload.Network, cfg runner.Config, se
 	if err := net.Validate(); err != nil {
 		return SessionResult{}, &resilience.ConfigError{Err: err}
 	}
-	choices, err := sched.MapNetworkCached(net, cfg.NPU, cfg.DRAM)
-	if err != nil {
-		return SessionResult{}, err
-	}
-	ctrl := NewControllerAt(sessionKey, opts.BaseSeq)
-	npu := NewEndpointAt(sessionKey, opts.BaseSeq)
-
-	for i, c := range choices {
-		if err := ctx.Err(); err != nil {
+	ch := NewChannel(sessionKey, opts.BaseSeq, opts.Intercept)
+	if opts.Input == nil {
+		choices, err := sched.MapNetworkCached(net, cfg.NPU, cfg.DRAM)
+		if err != nil {
 			return SessionResult{}, err
 		}
-		cmd := Command{
-			LayerIndex: uint32(i),
-			Layer:      c.Layer,
-			Triplet:    dataflow.DeriveWrite(c.Mapping),
-		}
-		pkt := ctrl.Issue(cmd)
-		if opts.Intercept != nil {
-			opts.Intercept(i, &pkt)
-		}
-		rcvd, err := npu.Receive(pkt)
-		if err != nil {
-			return SessionResult{}, &resilience.ChannelError{
-				Layer: i, Err: fmt.Errorf("host: layer %d command refused: %w", i, err),
+		for i, c := range choices {
+			if err := ctx.Err(); err != nil {
+				return SessionResult{}, err
+			}
+			if _, err := ch.Command(i, c); err != nil {
+				return SessionResult{}, err
 			}
 		}
-		// The NPU sanity-checks the commanded triplet against its own
-		// derivation for the commanded layer — a forged-but-authenticated
-		// command from a compromised host library would diverge here.
-		m, err := sched.MapCached(rcvd.Layer, cfg.NPU, cfg.DRAM)
-		if err != nil {
-			return SessionResult{}, fmt.Errorf("host: layer %d: commanded layer unmappable: %w", i, err)
-		}
-		if want := dataflow.DeriveWrite(m.Mapping); want != rcvd.Triplet {
-			return SessionResult{}, &resilience.ChannelError{
-				Layer: i,
-				Err: fmt.Errorf("%w: layer %d triplet %v != derived %v",
-					ErrChannel, i, rcvd.Triplet, want),
-			}
-		}
-	}
-
-	// The timing simulation is a pure function of (net, design, cfg); the
-	// memoized path lets a serving host run many sessions of the same model
-	// without re-simulating every request.
-	r, err := runner.RunCached(ctx, net, protect.Seculator, cfg)
-	if err != nil {
-		return SessionResult{}, err
-	}
-	res = SessionResult{Result: r, Commands: len(choices), LastSeq: ctrl.LastSeq()}
-
-	if opts.Input != nil {
+	} else {
 		x := secure.NewExecutor()
 		x.NPU, x.DRAM = cfg.NPU, cfg.DRAM
+		x.Commands = ch
 		x.Injector = opts.Injector
 		x.AfterPhase = opts.Hook
 		x.OnLayerMACs = opts.OnLayerMACs
@@ -170,11 +178,18 @@ func RunSession(ctx context.Context, net workload.Network, cfg runner.Config, se
 			x.Retry = opts.Retry
 		}
 		fr, err := x.Run(ctx, net, opts.Input, opts.Weights)
-		res.Recovery = fr.Recovery
+		res.Output, res.Recovery = fr.Output, fr.Recovery
 		if err != nil {
-			return res, fmt.Errorf("host: functional execution: %w", err)
+			return res, err
 		}
-		res.Output = fr.Output
 	}
+
+	// The timing simulation is a pure function of (net, design, cfg); the
+	// memoized path lets a serving host run many sessions of the same model
+	// without re-simulating every request.
+	if res.Result, err = runner.RunCached(ctx, net, protect.Seculator, cfg); err != nil {
+		return SessionResult{}, err
+	}
+	res.Commands, res.LastSeq = len(net.Layers), ch.LastSeq() // a command per layer, all accepted
 	return res, nil
 }

@@ -33,10 +33,12 @@ import (
 	"seculator/internal/mem"
 	"seculator/internal/nn"
 	"seculator/internal/npu"
+	"seculator/internal/pattern"
 	"seculator/internal/protect"
 	"seculator/internal/resilience"
 	"seculator/internal/sched"
 	"seculator/internal/tensor"
+	"seculator/internal/vngen"
 	"seculator/internal/workload"
 )
 
@@ -80,12 +82,23 @@ func (p PlanInfo) Final() Region {
 	return p.Acts[len(p.Acts)-1]
 }
 
+// CommandSource delivers the host's "run layer" commands (Figure 6): called
+// with layer i's planned mapping just before layer i runs, Command returns
+// the write triplet the NPU received for it, or the error that refused it.
+type CommandSource interface {
+	Command(i int, planned sched.Choice) (pattern.Triplet, error)
+}
+
 // Executor drives the functional execution.
 type Executor struct {
 	NPU    npu.Config
 	DRAM   mem.Config
 	Secret uint64
 	Random uint64
+
+	// Commands, when non-nil, is the session's command channel; nil derives
+	// every layer's command locally.
+	Commands CommandSource
 
 	// AfterPhase, when non-nil, is the attacker hook.
 	AfterPhase Hook
@@ -194,6 +207,7 @@ func (w weightLayout) addr(k, cg, blk int) uint64 {
 type layerState struct {
 	layer  workload.Layer
 	choice sched.Choice
+	write  pattern.Triplet // the received command's write triplet
 
 	act actLayout    // this layer's output region
 	wl  weightLayout // this layer's weight region (zero for pools)
@@ -239,7 +253,10 @@ type Result struct {
 }
 
 // Run executes the network on input with the given per-layer weights (nil
-// for pools), returning the decrypted output. An integrity violation —
+// for pools), returning the decrypted output. Each layer runs on the
+// command received just before it, its VNs drawn from a vngen.LayerUnit
+// configured with the command's write triplet; a refused command stops the
+// run there with no output. An integrity violation —
 // induced by the AfterPhase hook, the fault Injector, or real tampering —
 // triggers the layer-level recovery loop: the layer's working set is
 // re-fetched, its VN sequence re-derived, and the layer re-executed under
@@ -331,11 +348,20 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	var stats resilience.Stats
 	producer := inputLayout
 	producerData := input
+	prevWrite := pattern.Empty
 	for i := range states {
 		st := &states[i]
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
+		// The layer's command: received, or derived locally without a host.
+		if x.Commands == nil {
+			st.write = dataflow.DeriveWrite(st.choice.Mapping)
+		} else if st.write, err = x.Commands.Command(i, st.choice); err != nil {
+			return Result{Hashing: sm.Hashing(), Recovery: stats}, err
+		}
+		rt.unit.Configure(st.act.ownerID, st.write, dataflow.DeriveRead(st.choice.Mapping), prevWrite)
+		prevWrite = st.write
 		if overlap {
 			rt.awaitLayer() // this layer's weights are stored, its output pads computed
 		}
@@ -505,7 +531,7 @@ func planLayout(net workload.Network, weights []*nn.Weights, choices []sched.Cho
 			base: 0, chans: l.K, rows: l.OutH(), cols: l.OutW(),
 			bpr:     tensor.CeilDiv(l.OutW()*4, tensor.BlockBytes),
 			ownerID: uint32(i + 1),
-			vn:      finalVN(wp),
+			vn:      vngen.FinalVN(wp),
 		}
 		st.act.base = next
 		next += uint64(st.act.blocks())
@@ -614,13 +640,6 @@ func weightRun(l workload.Layer, w *nn.Weights, k, cg, sliceInts int) []int32 {
 	}
 	lo, hi := min(cg*ct, w.C), min((cg+1)*ct, w.C)
 	return w.Data[(k*w.C+lo)*filter : (k*w.C+hi)*filter]
-}
-
-func finalVN(write interface{ MaxVN() int }) int {
-	if v := write.MaxVN(); v > 0 {
-		return v
-	}
-	return 1
 }
 
 func rowOf(t *nn.Tensor, c, y int) []int32 {

@@ -1,56 +1,114 @@
 package secure
 
 import (
+	"fmt"
+
 	"seculator/internal/crypto"
 	"seculator/internal/dataflow"
 	"seculator/internal/mac"
 	"seculator/internal/nn"
+	"seculator/internal/pattern"
 	"seculator/internal/sched"
 	"seculator/internal/sim"
 	"seculator/internal/tensor"
 	"seculator/internal/workload"
 )
 
-// FinalWrites returns, per layer of net as x maps and lays it out, how many
-// writes each line of the layer's output activation region gets from one
-// pass of the layer's tile-event stream — all, and the final-version ones
-// writeOfmapTile makes through WriteFinalRow, by the same finalWrite and
-// ofmapRows. A layer attempt is one such pass.
-func FinalWrites(x *Executor, net workload.Network) (final, all [][]int, err error) {
+// walkLayers plans net as x maps and lays it out, and walks each layer's
+// tile-event stream with the runtime's VN unit configured as Run configures
+// it on a run without a command channel. visit sees every event with the
+// layer's context and, for an ofmap event, the VN the executor draws for it
+// — the next of the unit's write or partial-sum read sequence; the unit
+// must have emitted its whole sequences at the layer's end.
+func walkLayers(x *Executor, net workload.Network, visit func(i int, r *layerRun, e dataflow.Event, vn int)) error {
 	choices, err := sched.MapNetworkCached(net, x.NPU, x.DRAM)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	states, _, _ := planLayout(net, make([]*nn.Weights, len(net.Layers)), choices)
-	final, all = make([][]int, len(states)), make([][]int, len(states))
+	states, producer, _ := planLayout(net, make([]*nn.Weights, len(net.Layers)), choices)
+	rt := &inferRuntime{}
+	prevWrite := pattern.Empty
 	for i := range states {
 		st := &states[i]
-		r := &layerRun{st: st}
-		final[i], all[i] = make([]int, st.act.blocks()), make([]int, st.act.blocks())
+		st.write = dataflow.DeriveWrite(st.choice.Mapping)
+		rt.unit.Configure(st.act.ownerID, st.write, dataflow.DeriveRead(st.choice.Mapping), prevWrite)
+		prevWrite = st.write
+		r := &layerRun{rt: rt, st: st, producer: producer}
 		err := dataflow.Generate(st.choice.Mapping, func(e dataflow.Event) bool {
-			if e.Tensor != tensor.Ofmap || e.Kind != sim.Write {
-				return true
+			vn := 0
+			switch {
+			case e.Tensor == tensor.Ofmap && e.Kind == sim.Write:
+				vn, _ = rt.unit.WriteVN()
+			case e.Tensor == tensor.Ofmap:
+				vn, _ = rt.unit.ReadVN()
 			}
-			fin := r.finalWrite(e)
-			k0, k1, y0, y1 := r.ofmapRows(e)
-			for k := k0; k < k1; k++ {
-				for y := y0; y < y1; y++ {
-					for j := 0; j < st.act.bpr; j++ {
-						line := st.act.addr(k, y, j) - st.act.base
-						all[i][line]++
-						if fin {
-							final[i][line]++
-						}
-					}
-				}
-			}
+			visit(i, r, e, vn)
 			return true
 		})
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
+		if !rt.unit.Done() {
+			return fmt.Errorf("layer %d (%s): the VN unit outlived the event stream", i, st.layer.Name)
+		}
+		producer = st.act
 	}
-	return final, all, nil
+	return nil
+}
+
+// UnitVNs holds the executor's VN source to the tile-event trace: per layer
+// of net as x maps it, every ofmap event's VN from the layer's VN unit must
+// equal the trace's Event.VN, and the unit's ifmap VN the producer's final
+// version (the trace reports read-only tiles at VN 0). It returns how many
+// ofmap writes and partial-sum reads it compared.
+func UnitVNs(x *Executor, net workload.Network) (writes, partials int, err error) {
+	err = walkLayers(x, net, func(i int, r *layerRun, e dataflow.Event, vn int) {
+		if err != nil {
+			return
+		}
+		switch {
+		case e.Tensor == tensor.Ifmap && r.rt.unit.IfmapVN() != r.producer.vn:
+			err = fmt.Errorf("layer %d: ifmap VN %d, producer's final version %d", i, r.rt.unit.IfmapVN(), r.producer.vn)
+		case e.Tensor == tensor.Ofmap && vn != e.VN:
+			err = fmt.Errorf("layer %d: %v ofmap event %+v: unit VN %d, trace VN %d", i, e.Kind, e.Tile, vn, e.VN)
+		case e.Tensor == tensor.Ofmap && e.Kind == sim.Write:
+			writes++
+		case e.Tensor == tensor.Ofmap:
+			partials++
+		}
+	})
+	return writes, partials, err
+}
+
+// FinalWrites returns, per layer of net as x maps and lays it out, how many
+// writes each line of the layer's output activation region gets from one
+// pass of the layer's tile-event stream — all, and the final-version ones
+// writeOfmapTile makes through WriteFinalRow, by the same VN draw,
+// finalWrite and ofmapRows. A layer attempt is one such pass.
+func FinalWrites(x *Executor, net workload.Network) (final, all [][]int, err error) {
+	err = walkLayers(x, net, func(i int, r *layerRun, e dataflow.Event, vn int) {
+		st := r.st
+		if len(final) == i { // the layer's first event
+			final, all = append(final, make([]int, st.act.blocks())), append(all, make([]int, st.act.blocks()))
+		}
+		if e.Tensor != tensor.Ofmap || e.Kind != sim.Write {
+			return
+		}
+		fin := r.finalWrite(vn)
+		k0, k1, y0, y1 := r.ofmapRows(e)
+		for k := k0; k < k1; k++ {
+			for y := y0; y < y1; y++ {
+				for j := 0; j < st.act.bpr; j++ {
+					line := st.act.addr(k, y, j) - st.act.base
+					all[i][line]++
+					if fin {
+						final[i][line]++
+					}
+				}
+			}
+		}
+	})
+	return final, all, err
 }
 
 // SetWeightFoldTap installs f as x's observer of each weighted layer

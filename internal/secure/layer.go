@@ -9,6 +9,7 @@ import (
 	"seculator/internal/protect"
 	"seculator/internal/sim"
 	"seculator/internal/tensor"
+	"seculator/internal/vngen"
 	"seculator/internal/workload"
 )
 
@@ -52,6 +53,7 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 	rt.settle()
 	if restart {
 		sm.RestartLayer()
+		rt.unit.Reset()
 	} else {
 		sm.BeginLayer(st.act.ownerID)
 	}
@@ -250,7 +252,7 @@ func (r *layerRun) readProducerBlock(ch, row, j, n int) {
 	first := !r.inTouched[flat]
 	r.inTouched[flat] = true
 	blockIdx := uint32(row*p.bpr + j)
-	pt := r.rt.sh.ReadInputRun(p.addr(ch, row, j), p.ownerID, uint32(ch), p.vn, blockIdx, first, n)
+	pt := r.rt.sh.ReadInputRun(p.addr(ch, row, j), p.ownerID, uint32(ch), r.rt.unit.IfmapVN(), blockIdx, first, n)
 	if first {
 		off := (ch*p.rows+row)*p.cols + j*intsPerBlock
 		end := min(len(r.in.Data), (ch*p.rows+row)*p.cols+p.cols)
@@ -303,47 +305,50 @@ func (r *layerRun) ofmapRows(e dataflow.Event) (k0, k1, y0, y1 int) {
 	return
 }
 
-// readPartialTile decrypts a partial-sum tile back into the output tensor,
-// owing its MACs to MAC_R; each row decodes straight into its slice of the
-// output tensor.
+// readPartialTile decrypts a partial-sum tile back into the output tensor
+// under the next VN of the layer's read sequence (VN 0 once it is outrun),
+// owing its MACs to MAC_R; each row decodes straight into its slice.
 func (r *layerRun) readPartialTile(e dataflow.Event) {
+	vn, _ := r.rt.unit.ReadVN()
 	a := r.st.act
 	k0, k1, y0, y1 := r.ofmapRows(e)
 	for k := k0; k < k1; k++ {
 		for y := y0; y < y1; y++ {
 			dst := rowOf(r.out, k, y)
 			for j := 0; j < a.bpr; j++ {
-				pt := r.rt.sh.ReadPartial(a.addr(k, y, j), uint32(k), e.VN, uint32(y*a.bpr+j))
+				pt := r.rt.sh.ReadPartial(a.addr(k, y, j), uint32(k), vn, uint32(y*a.bpr+j))
 				decodeBlock(dst, j*intsPerBlock, pt)
 			}
 		}
 	}
 }
 
-// writeOfmapTile encrypts the tile's current accumulation under the event's
-// version number through the row-batch path, owing its MACs to MAC_W. The
-// write of the final version — each line's only one per layer attempt, and
-// the one the next layer reads — records its MACs in the keystream memo.
+// writeOfmapTile encrypts the tile's current accumulation under the next VN
+// of the layer's write sequence (VN 0, which no read asks for, once it is
+// outrun) through the row-batch path, owing its MACs to MAC_W. The write of
+// the final version — each line's only one per layer attempt, and the one
+// the next layer reads — records its MACs in the keystream memo.
 func (r *layerRun) writeOfmapTile(e dataflow.Event) {
+	vn, _ := r.rt.unit.WriteVN()
 	a := r.st.act
 	k0, k1, y0, y1 := r.ofmapRows(e)
 	pt, ct := r.rt.rowScratch(a.bpr)
-	final := r.finalWrite(e)
+	final := r.finalWrite(vn)
 	for k := k0; k < k1; k++ {
 		for y := y0; y < y1; y++ {
 			encodeRowInto(pt, rowOf(r.out, k, y))
 			if final {
-				r.rt.sh.WriteFinalRow(a.addr(k, y, 0), uint32(k), e.VN, uint32(y*a.bpr), pt, ct)
+				r.rt.sh.WriteFinalRow(a.addr(k, y, 0), uint32(k), vn, uint32(y*a.bpr), pt, ct)
 			} else {
-				r.rt.sh.WriteRow(a.addr(k, y, 0), uint32(k), e.VN, uint32(y*a.bpr), pt, ct)
+				r.rt.sh.WriteRow(a.addr(k, y, 0), uint32(k), vn, uint32(y*a.bpr), pt, ct)
 			}
 		}
 	}
 }
 
-// finalWrite reports whether an ofmap write event stores its lines' final
-// version: the VN the consumer reads.
-func (r *layerRun) finalWrite(e dataflow.Event) bool { return e.VN == r.st.act.vn }
+// finalWrite reports whether an ofmap write under version vn stores its
+// lines' final version under the layer's write triplet: the one consumers read.
+func (r *layerRun) finalWrite(vn int) bool { return vn == vngen.FinalVN(r.st.write) }
 
 // weightFold is the layer's weight check, which passes on zero: the settled
 // fold of the first reads' terms (WeightDigest) with the terms of the
@@ -398,9 +403,10 @@ func (r *layerRun) unreadExternal() mac.Digest {
 }
 
 // readout is the host consuming the final outputs: a fresh layer epoch that
-// first-reads every output block and closes the last layer's verification.
-// restart re-runs the epoch after a failed verification, keeping the last
-// layer's pending bank.
+// first-reads every output block, under the final VN of the last layer's
+// write triplet, and closes the last layer's verification. restart re-runs
+// the epoch after a failed verification, keeping the last layer's pending
+// bank.
 func (x *Executor) readout(rt *inferRuntime, states []layerState,
 	final actLayout, restart bool) (*nn.Tensor, error) {
 
@@ -413,12 +419,13 @@ func (x *Executor) readout(rt *inferRuntime, states []layerState,
 		sm.BeginLayer(uint32(len(states) + 1))
 	}
 	out := nn.NewTensor(final.chans, final.rows, final.cols)
+	vn := vngen.FinalVN(last.write)
 	for ch := 0; ch < final.chans; ch++ {
 		for row := 0; row < final.rows; row++ {
 			dst := rowOf(out, ch, row)
 			for j := 0; j < final.bpr; j++ {
 				pt := rt.sh.ReadInput(final.addr(ch, row, j), final.ownerID, uint32(ch),
-					final.vn, uint32(row*final.bpr+j), true)
+					vn, uint32(row*final.bpr+j), true)
 				decodeBlock(dst, j*intsPerBlock, pt)
 			}
 		}

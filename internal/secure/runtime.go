@@ -9,6 +9,7 @@ import (
 	"seculator/internal/nn"
 	"seculator/internal/protect"
 	"seculator/internal/tensor"
+	"seculator/internal/vngen"
 )
 
 // runsInFlight counts the Executor.Runs executing in the process: a run
@@ -35,10 +36,11 @@ type inferRuntime struct {
 	// requests, so the steady-state layer loop performs no per-tile or
 	// per-layer slice allocation. Every slab is kept at full length (len ==
 	// cap) so scrub's clear() reaches every byte it ever held.
-	lr        layerRun // the per-layer execution context, reset per layer
-	inTouched []bool   // producer-block first-read bitmap
-	wTouched  []bool   // weight-block first-read bitmap
-	inData    []int32  // input-assembly tensor backing
+	lr        layerRun        // the per-layer execution context, reset per layer
+	unit      vngen.LayerUnit // the layer's VN generator, configured per layer
+	inTouched []bool          // producer-block first-read bitmap
+	wTouched  []bool          // weight-block first-read bitmap
+	inData    []int32         // input-assembly tensor backing
 	inTensor  nn.Tensor
 	// outData double-buffers the layer outputs by layer parity: layer i
 	// assembles into buffer i&1 while layer i-1's output (buffer (i-1)&1,
@@ -340,6 +342,7 @@ func (rt *inferRuntime) scrub() {
 	clear(rt.wTouched)
 	rt.gen.Clear()
 	rt.lr = layerRun{}
+	rt.unit = vngen.LayerUnit{}
 	rt.inTensor = nn.Tensor{}
 	rt.outTensor[0] = nn.Tensor{}
 	rt.outTensor[1] = nn.Tensor{}

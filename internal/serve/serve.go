@@ -648,11 +648,11 @@ func (s *Server) hookFor(tenant string) secure.Hook {
 }
 
 // runInference executes one request on a scheduler worker: build (or attach
-// to) the deterministic model, then either the full secure session (command
-// channel + functional execution) or the sessionless secure inference
-// with the memoized timing simulation alongside. Session runs continue the
-// session's command-channel sequence window (grant.BaseSeq) and capture the
-// final MAC registers for the session's durable state.
+// to) the deterministic model, run the secure inference, then take the
+// memoized timing simulation. A session run executes each layer on the
+// command its channel just delivered, continuing the session's sequence
+// window (grant.BaseSeq), and captures the final MAC registers for the
+// session's durable state.
 func (s *Server) runInference(ctx context.Context, net workload.Network, req *InferRequest, grant *SessionGrant, tenant string) (*inferOutcome, error) {
 	start := time.Now()
 	oc := &inferOutcome{}
@@ -686,47 +686,31 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 		copy(in.Data, req.Input)
 	}
 
-	onMACs := func(_ int, regs protect.RegisterState) {
-		oc.regs = regs
-		oc.haveRegs = true
-	}
-
+	// One executor on both paths: a session only adds its command channel.
+	x := secure.NewExecutor()
+	x.NPU, x.DRAM = s.cfg.NPU, s.cfg.DRAM
+	x.AfterPhase = s.hookFor(tenant)
+	x.Residency = resident
+	x.OnLayerMACs = func(_ int, regs protect.RegisterState) { oc.regs, oc.haveRegs = regs, true }
+	var ch *host.Channel
 	if grant != nil {
-		res, err := host.RunSession(ctx, net, s.cfg, grant.Key, host.SessionOptions{
-			Input: in, Weights: ws,
-			Intercept:   s.interceptFor(tenant),
-			Hook:        s.hookFor(tenant),
-			BaseSeq:     grant.BaseSeq,
-			Residency:   resident,
-			OnLayerMACs: onMACs,
-		})
-		oc.recovery = res.Recovery
-		if err != nil {
-			return nil, err
-		}
-		oc.out = res.Output
-		oc.cycles = uint64(res.Cycles)
-		oc.commands = res.Commands
-		oc.lastSeq = res.LastSeq
-	} else {
-		x := secure.NewExecutor()
-		x.NPU, x.DRAM = s.cfg.NPU, s.cfg.DRAM
-		x.AfterPhase = s.hookFor(tenant)
-		x.Residency = resident
-		x.OnLayerMACs = onMACs
-		fr, err := x.Run(ctx, net, in, ws)
-		oc.recovery = fr.Recovery
-		if err != nil {
-			return nil, err
-		}
-		oc.out = fr.Output
-		// Timing rides the memoized simulation cache: the first request
-		// for a network pays the simulation, every later one shares it.
-		tr, err := runner.RunCached(ctx, net, protect.Seculator, s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		oc.cycles = uint64(tr.Cycles)
+		ch = host.NewChannel(grant.Key, grant.BaseSeq, s.interceptFor(tenant))
+		x.Commands = ch
+	}
+	fr, err := x.Run(ctx, net, in, ws)
+	oc.out, oc.recovery = fr.Output, fr.Recovery
+	if err != nil {
+		return nil, err
+	}
+	// Timing rides the memoized simulation cache: the first request for a
+	// network pays the simulation, every later one shares it.
+	tr, err := runner.RunCached(ctx, net, protect.Seculator, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	oc.cycles = uint64(tr.Cycles)
+	if ch != nil {
+		oc.commands, oc.lastSeq = len(net.Layers), ch.LastSeq()
 	}
 	oc.runMs = float64(time.Since(start)) / float64(time.Millisecond)
 	return oc, nil

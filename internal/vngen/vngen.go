@@ -33,11 +33,17 @@ type Generator struct {
 // New returns a generator for the given triplet. An empty triplet yields a
 // generator that is immediately exhausted.
 func New(t pattern.Triplet) *Generator {
+	g := new(Generator)
+	g.configure(t)
+	return g
+}
+
+// configure loads the configuration registers and rewinds the FSM.
+func (g *Generator) configure(t pattern.Triplet) {
 	if !t.Valid() {
 		panic(fmt.Sprintf("vngen: invalid triplet %+v", t))
 	}
-	g := &Generator{eta: t.Eta, kappa: t.Kappa, rho: t.Rho, val: 1}
-	return g
+	*g = Generator{eta: t.Eta, kappa: t.Kappa, rho: t.Rho, val: 1}
 }
 
 // Next emits the next VN of the sequence. ok is false once η·κ·ρ values
@@ -83,13 +89,7 @@ func (g *Generator) Emitted() int { return g.emitted }
 func (g *Generator) Remaining() int { return g.eta*g.kappa*g.rho - g.emitted }
 
 // Reset rewinds the FSM to the start of the sequence.
-func (g *Generator) Reset() {
-	g.run, g.rep, g.emitted = 0, 0, 0
-	g.val = 1
-	if g.eta == 0 {
-		g.val = 0
-	}
-}
+func (g *Generator) Reset() { *g = Generator{eta: g.eta, kappa: g.kappa, rho: g.rho, val: 1} }
 
 // StateBits returns the architectural state of the FSM in bits, assuming
 // 32-bit configuration and counter registers. Used by the hardware model.
@@ -107,27 +107,37 @@ func FirstWeightRead(idx dataflow.LoopIdx) bool { return idx.S == 0 }
 // LayerUnit bundles the per-layer VN machinery Seculator configures when
 // the host issues a "run layer" command: a write-VN generator, a read-VN
 // generator (for partial-sum read-backs), and the cross-layer constants for
-// read-only data.
+// read-only data. Configure reloads it in place, so it can live by value.
 type LayerUnit struct {
 	LayerID uint32
 
-	write *Generator
-	read  *Generator
+	write Generator
+	read  Generator
 
-	ifmapVN  int // VN of all ifmap data: final VN of the producing layer
-	weightVN int // VN of weights: always 1 (written once by the host)
+	ifmapVN int // VN of all ifmap data: final VN of the producing layer
 }
 
 // NewLayerUnit derives the layer's triplets from its mapping and the final
 // VN of the previous layer's write pattern.
 func NewLayerUnit(layerID uint32, m *dataflow.Mapping, prevWrite pattern.Triplet) *LayerUnit {
-	return &LayerUnit{
-		LayerID:  layerID,
-		write:    New(dataflow.DeriveWrite(m)),
-		read:     New(dataflow.DeriveRead(m)),
-		ifmapVN:  FinalVN(prevWrite),
-		weightVN: 1,
-	}
+	u := new(LayerUnit)
+	u.Configure(layerID, dataflow.DeriveWrite(m), dataflow.DeriveRead(m), prevWrite)
+	return u
+}
+
+// Configure loads the unit for one layer from its write and partial-sum
+// read triplets and the previous layer's write triplet.
+func (u *LayerUnit) Configure(layerID uint32, write, read, prevWrite pattern.Triplet) {
+	u.LayerID = layerID
+	u.write.configure(write)
+	u.read.configure(read)
+	u.ifmapVN = FinalVN(prevWrite)
+}
+
+// Reset rewinds both generators: a re-executed layer regenerates its VNs.
+func (u *LayerUnit) Reset() {
+	u.write.Reset()
+	u.read.Reset()
 }
 
 // WriteVN produces the VN for the next ofmap tile write-back.
@@ -139,8 +149,8 @@ func (u *LayerUnit) ReadVN() (int, bool) { return u.read.Next() }
 // IfmapVN is the (constant) VN used to decrypt all ifmap reads this layer.
 func (u *LayerUnit) IfmapVN() int { return u.ifmapVN }
 
-// WeightVN is the (constant) VN used to decrypt weight reads.
-func (u *LayerUnit) WeightVN() int { return u.weightVN }
+// WeightVN is the VN of weight reads: 1 (written once by the host).
+func (u *LayerUnit) WeightVN() int { return 1 }
 
 // Done reports whether both generators have emitted their full sequences —
 // the layer-completion condition the security module checks before running

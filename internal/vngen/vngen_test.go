@@ -257,3 +257,43 @@ func TestLayerUnitOnScheduledMappings(t *testing.T) {
 		}
 	}
 }
+
+// A unit kept by value and reconfigured in place must behave as a fresh
+// one for every layer, and Reset must rewind it mid-layer to regenerate the
+// same VNs — the re-execution of a layer under recovery.
+func TestLayerUnitConfigureInPlaceAndReset(t *testing.T) {
+	var unit LayerUnit
+	prev := pattern.Empty
+	for _, entry := range dataflow.AllTableEntries() {
+		m := entry.Build(dataflow.GridSpec{
+			AlphaHW: 2, AlphaC: 3, AlphaK: 2,
+			IfmapTileBlocks: 1, OfmapTileBlocks: 1, WeightTileBlocks: 1,
+		})
+		write, read := dataflow.DeriveWrite(m), dataflow.DeriveRead(m)
+		unit.Configure(7, write, read, prev)
+		if unit.LayerID != 7 || unit.IfmapVN() != FinalVN(prev) || unit.WeightVN() != 1 {
+			t.Fatalf("%s row %d: unit %+v after Configure", entry.Table, entry.Row, unit)
+		}
+		first, _ := unit.WriteVN()
+		unit.ReadVN()
+		unit.Reset()
+		if again, _ := unit.WriteVN(); again != first {
+			t.Fatalf("%s row %d: write VN %d after Reset, %d before", entry.Table, entry.Row, again, first)
+		}
+		unit.Reset()
+		for i, want := range write.Expand() {
+			if got, ok := unit.WriteVN(); !ok || got != want {
+				t.Fatalf("%s row %d: write %d = %d,%v want %d", entry.Table, entry.Row, i, got, ok, want)
+			}
+		}
+		for i, want := range read.Expand() {
+			if got, ok := unit.ReadVN(); !ok || got != want {
+				t.Fatalf("%s row %d: read %d = %d,%v want %d", entry.Table, entry.Row, i, got, ok, want)
+			}
+		}
+		if !unit.Done() {
+			t.Fatalf("%s row %d: unit not done after its sequences", entry.Table, entry.Row)
+		}
+		prev = write
+	}
+}
