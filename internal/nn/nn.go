@@ -141,7 +141,8 @@ func PadOrigin(l workload.Layer) (padY, padX int) {
 // once per output row and column, and the reduction then runs over
 // sub-slices of in.Data and w.Data. The outer order is k, y, x because the
 // late layers of the networks run here have 2×2 and 1×1 planes: with x
-// innermost the loop runs once or twice and hoisting its bounds is the cost.
+// innermost the loop runs once or twice and hoisting its bounds is the cost,
+// so a 3×3 kernel takes conv3x3 only on a plane with interior columns.
 // int32 sums wrap mod 2³², so the result does not depend on the order.
 func AccumulateConv(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
 	k0, k1, c0, c1, y0, y1 int) {
@@ -158,6 +159,11 @@ func AccumulateConv(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
 	}
 	plane, filter := in.H*in.W, w.R*w.S
 	pointwise := l.R == 1 && l.S == 1 && !depthwise
+	// in.W >= 3 spares 2×2 and 1×1 planes interior3's divisions.
+	if l.R == 3 && l.S == 3 && in.W >= 3 &&
+		conv3x3(out, in, w, l.Stride, padY, padX, k0, k1, c0, c1, y0, y1, depthwise) {
+		return
+	}
 	for k := k0; k < k1; k++ {
 		// First input plane and filter of the reduction: depthwise pairs
 		// input channel k with the output channel's only filter.
@@ -195,6 +201,71 @@ func AccumulateConv(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
 			}
 		}
 	}
+}
+
+// conv3x3 is AccumulateConv for a 3×3 kernel on a plane with interior
+// columns (whose windows lie wholly inside the input), and reports whether
+// it ran. Per (k, c) it hoists the nine taps, sums each interior pixel's
+// window unrolled from three input-row slices, and clips the rest.
+func conv3x3(out, in *Tensor, w *Weights, stride, padY, padX, k0, k1, c0, c1, y0, y1 int, depthwise bool) bool {
+	xlo, xhi := interior3(padX, stride, in.W, out.W)
+	if xlo == xhi {
+		return false
+	}
+	ylo, yhi := interior3(padY, stride, in.H, out.H)
+	plane := in.H * in.W
+	for k := k0; k < k1; k++ {
+		for c := c0; c < c1; c++ {
+			inC := in.Data[c*plane:][:plane]
+			if depthwise {
+				inC = in.Data[k*plane:][:plane]
+			}
+			t := w.Data[(k*w.C+c)*9:][:9]
+			t0, t1, t2, t3, t4, t5, t6, t7, t8 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7], t[8]
+			for y := y0; y < y1; y++ {
+				iy := y*stride - padY
+				orow := out.Data[(k*out.H+y)*out.W:][:out.W]
+				inner := y >= ylo && y < yhi
+				for x := range orow {
+					if !inner || x < xlo || x >= xhi {
+						orow[x] += clipped3(t, inC, in.W, in.H, iy, x*stride-padX)
+					}
+				}
+				if !inner {
+					continue
+				}
+				rows := inC[iy*in.W:]
+				r0, r1, r2 := rows[:in.W], rows[in.W:2*in.W], rows[2*in.W:3*in.W]
+				ix := xlo*stride - padX
+				for x := xlo; x < xhi; x++ {
+					a, b, d := r0[ix:ix+3], r1[ix:ix+3], r2[ix:ix+3]
+					orow[x] += t0*a[0] + t1*a[1] + t2*a[2] +
+						t3*b[0] + t4*b[1] + t5*b[2] +
+						t6*d[0] + t7*d[1] + t8*d[2]
+					ix += stride
+				}
+			}
+		}
+	}
+	return true
+}
+
+// clipped3 returns the window of taps t at (iy, ix) of the w×h plane p.
+func clipped3(t, p []int32, w, h, iy, ix int) (sum int32) {
+	for r := max(0, -iy); r < min(3, h-iy); r++ {
+		for s := max(0, -ix); s < min(3, w-ix); s++ {
+			sum += t[r*3+s] * p[(iy+r)*w+ix+s]
+		}
+	}
+	return sum
+}
+
+// interior3 returns the outputs [lo, hi) on one axis whose three taps lie
+// inside an input of extent n: hi is ⌊(n+pad−3)/stride⌋ + 1, which Go's
+// truncating division gets right because n+pad ≥ 1.
+func interior3(pad, stride, n, outN int) (lo, hi int) {
+	lo = min((pad+stride-1)/stride, outN)
+	return lo, max(lo, min((n+pad-3+stride)/stride, outN))
 }
 
 // dotPlanes returns Σ in[i·plane]·w[i]: the reduction of a one-tap kernel,
@@ -324,6 +395,12 @@ func RandomModel(net workload.Network, seed int64) (*Tensor, []*Weights) {
 	first := net.Layers[0]
 	in := NewTensor(first.C, first.H, first.W)
 	in.Randomize(seed)
+	return in, RandomWeights(net, seed)
+}
+
+// RandomWeights returns RandomModel's weights for the same seed, without
+// drawing the input.
+func RandomWeights(net workload.Network, seed int64) []*Weights {
 	ws := make([]*Weights, len(net.Layers))
 	for i, l := range net.Layers {
 		if w := WeightsFor(l); w != nil {
@@ -331,5 +408,5 @@ func RandomModel(net workload.Network, seed int64) (*Tensor, []*Weights) {
 			ws[i] = w
 		}
 	}
-	return in, ws
+	return ws
 }

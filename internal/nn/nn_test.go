@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -317,20 +319,24 @@ func checkConvAgainstRef(t *testing.T, rng *rand.Rand, l workload.Layer, in *Ten
 // TestAccumulateConvMatchesReference is the seeded differential test of the
 // slice-indexed convolution: random layers over {Conv, Depthwise} × stride
 // 1–3 × same / valid padding × R ≠ S × kernels wider than the input ×
-// R = S = 1, full-range operands, and random sub-ranges whose upper bounds
-// may lie past K, C and OutH.
+// R = S = 1 × R = S = 3, full-range operands, and random sub-ranges whose
+// upper bounds may lie past K, C and OutH.
 func TestAccumulateConvMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const want = 10000
 	shapes, wider, oneTap := 0, 0, 0
+	reached := map[string]int{} // the cases of the 3×3 path, below
 	for shapes < want {
 		l := workload.Layer{
 			Name: "rand", Type: workload.Conv,
 			C: 1 + rng.Intn(5), H: 1 + rng.Intn(7), W: 1 + rng.Intn(7), K: 1 + rng.Intn(5),
 			R: 1 + rng.Intn(5), S: 1 + rng.Intn(5), Stride: 1 + rng.Intn(3), Valid: rng.Intn(2) == 0,
 		}
-		if rng.Intn(4) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			l.R, l.S = 1, 1
+		case 1:
+			l.R, l.S = 3, 3
 		}
 		if rng.Intn(2) == 0 {
 			l.Type, l.K = workload.Depthwise, l.C
@@ -354,12 +360,63 @@ func TestAccumulateConvMatchesReference(t *testing.T) {
 		k0, c0, y0 := rng.Intn(l.K), rng.Intn(l.C), rng.Intn(l.OutH())
 		checkConvAgainstRef(t, rng, l, in, w,
 			k0, k0+rng.Intn(l.K+2), c0, c0+rng.Intn(l.C+2), y0, y0+rng.Intn(l.OutH()+2))
+		if l.R == 3 && l.S == 3 {
+			for _, c := range conv3x3Cases(l, k0, c0, y0) {
+				reached[c]++
+			}
+		}
 	}
 	// The generator must reach the corners the kernel branches on.
 	if wider < want/20 || oneTap < want/10 {
 		t.Fatalf("of %d shapes only %d have a kernel wider than the input and %d have R = S = 1",
 			shapes, wider, oneTap)
 	}
+	for _, c := range []string{
+		"stride 1", "stride 2", "stride 3", "1×1 plane", "2×2 plane", "plane with an interior",
+		"same padding", "valid padding", "conv", "depthwise",
+		"conv sub-range from k0, c0, y0 > 0", "depthwise sub-range from k0, y0 > 0",
+	} {
+		if reached[c] < want/500 {
+			t.Errorf("of %d shapes only %d are 3×3 layers with %s", shapes, reached[c], c)
+		}
+	}
+}
+
+// conv3x3Cases names what a 3×3 layer, checked over a sub-range starting
+// at (k0, c0, y0), exercises of the 3×3 path: the stride, the plane (an
+// interior is an output pixel whose window lies wholly inside the input),
+// the padding, the layer type and a sub-range starting mid-tensor.
+func conv3x3Cases(l workload.Layer, k0, c0, y0 int) []string {
+	padY, padX := PadOrigin(l)
+	inside := func(pad, n, outN int) bool {
+		for o := 0; o < outN; o++ {
+			if i := o*l.Stride - pad; i >= 0 && i+3 <= n {
+				return true
+			}
+		}
+		return false
+	}
+	cases := []string{fmt.Sprintf("stride %d", l.Stride), "same padding", "conv"}
+	if l.Valid {
+		cases[1] = "valid padding"
+	}
+	switch {
+	case inside(padY, l.H, l.OutH()) && inside(padX, l.W, l.OutW()):
+		cases = append(cases, "plane with an interior")
+	case l.H == 1 && l.W == 1:
+		cases = append(cases, "1×1 plane")
+	case l.H == 2 && l.W == 2:
+		cases = append(cases, "2×2 plane")
+	}
+	if l.Type == workload.Depthwise {
+		cases[2] = "depthwise"
+		if k0 > 0 && c0 == 0 && y0 > 0 {
+			cases = append(cases, "depthwise sub-range from k0, y0 > 0")
+		}
+	} else if k0 > 0 && c0 > 0 && y0 > 0 {
+		cases = append(cases, "conv sub-range from k0, c0, y0 > 0")
+	}
+	return cases
 }
 
 // TestAccumulateConvMatchesReferenceOnNetworks checks every weighted layer
@@ -388,11 +445,29 @@ func TestAccumulateConvMatchesReferenceOnNetworks(t *testing.T) {
 	}
 }
 
+// TestRandomWeightsMatchesRandomModel: the weights RandomWeights draws are
+// RandomModel's, value for value.
+func TestRandomWeightsMatchesRandomModel(t *testing.T) {
+	for _, name := range []string{"Mini", "MobileNet/8"} {
+		net, err := workload.ResolveShape(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{0, 1, 0x5eed} {
+			_, want := RandomModel(net, seed)
+			if got := RandomWeights(net, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: RandomWeights differs from RandomModel's weights", name, seed)
+			}
+		}
+	}
+}
+
 var benchSink int32
 
 // BenchmarkAccumulateConv times one full layer of each kernel shape
 // MobileNet/8 runs: the first 3×3 convolution, the first depthwise and
-// pointwise layers, and the classifier.
+// pointwise layers, and the classifier; and, as 3x3, Mini's stride-1 3×3
+// convolution, the layer the unrolled interior path was written for.
 func BenchmarkAccumulateConv(b *testing.B) {
 	net, err := workload.ResolveShape("MobileNet/8")
 	if err != nil {
@@ -404,15 +479,17 @@ func BenchmarkAccumulateConv(b *testing.B) {
 			first[l.Type] = l
 		}
 	}
-	for _, arm := range []struct {
+	arms := []struct {
 		name string
-		typ  workload.LayerType
+		l    workload.Layer
 	}{
-		{"conv", workload.Conv}, {"depthwise", workload.Depthwise},
-		{"pointwise", workload.Pointwise}, {"fc", workload.FC},
-	} {
-		l, ok := first[arm.typ]
-		if !ok {
+		{"conv", first[workload.Conv]}, {"depthwise", first[workload.Depthwise]},
+		{"pointwise", first[workload.Pointwise]}, {"fc", first[workload.FC]},
+		{"3x3", workload.Mini().Layers[0]},
+	}
+	for _, arm := range arms {
+		l := arm.l
+		if l.K == 0 {
 			b.Fatalf("MobileNet/8 has no %s layer", arm.name)
 		}
 		b.Run(arm.name, func(b *testing.B) {

@@ -666,8 +666,7 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 	var resident *secure.WeightResidency
 	if s.hookFor(tenant) == nil {
 		r, hit, err := s.residency.attach(tenant, req.Network, req.Seed, func() (*secure.WeightResidency, error) {
-			_, bws := nn.RandomModel(net, req.Seed)
-			return secure.BuildWeightResidency(ctx, net, s.cfg.NPU, s.cfg.DRAM, secure.DefaultSecret, secure.DefaultRandom, bws)
+			return secure.BuildWeightResidency(ctx, net, s.cfg.NPU, s.cfg.DRAM, secure.DefaultSecret, secure.DefaultRandom, nn.RandomWeights(net, req.Seed))
 		})
 		if err == nil {
 			resident, oc.residencyHit = r, hit

@@ -1,6 +1,9 @@
 package serve
 
-import "time"
+import (
+	"errors"
+	"time"
+)
 
 // The JSON wire types of the serving API. The typed client
 // (internal/serve/client) shares these; keep every field backward
@@ -32,7 +35,7 @@ type InferRequest struct {
 	Seed int64 `json:"seed"`
 	// Input, when non-empty, overrides the seed-generated input activations
 	// (flat channel-major C*H*W int32 layout).
-	Input []int32 `json:"input,omitempty"`
+	Input Tensor `json:"input,omitempty"`
 	// Session, when non-empty, binds the inference to a secure session:
 	// the host issues one authenticated command per layer under the
 	// session key before the functional execution.
@@ -51,6 +54,83 @@ type InferRequest struct {
 	ReturnSnapshot bool `json:"return_snapshot,omitempty"`
 }
 
+// Tensor is a flat int32 tensor on the wire, a []int32 to every caller. It
+// decodes without reflection into exactly what encoding/json decodes into a
+// []int32 (FuzzDecodeInferRequest holds the two equal).
+type Tensor []int32
+
+var errTensor = errors.New("serve: tensor is not an array of int32 values")
+
+// UnmarshalJSON parses a value encoding/json has validated and trimmed. As
+// encoding/json does, it takes null for the array (nil) or an element (which
+// keeps the old value at its index, within the slice's capacity, else 0),
+// reuses the capacity and leaves [] non-nil. Any other non-array value or
+// element, such as a fraction, an exponent or a value past int32, is an error.
+func (t *Tensor) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*t = nil
+		return nil
+	}
+	if len(b) == 0 || b[0] != '[' {
+		return errTensor
+	}
+	s := (*t)[:0]
+	i := skipSpace(b, 1)
+	if i < len(b) && b[i] == ']' {
+		s = Tensor{}
+	}
+	for i < len(b) && b[i] != ']' {
+		var v int32
+		if len(b)-i >= 4 && string(b[i:i+4]) == "null" {
+			if len(s) < cap(s) {
+				v = s[:len(s)+1][len(s)]
+			}
+			i += 4
+		} else if v, i = parseInt32(b, i); i < 0 {
+			return errTensor
+		}
+		s = append(s, v)
+		if i = skipSpace(b, i); i < len(b) && b[i] == ',' {
+			i = skipSpace(b, i+1)
+		} else if i == len(b) || b[i] != ']' {
+			return errTensor
+		}
+	}
+	*t = s
+	return nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte from i on.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// parseInt32 parses the integer at b[i:] and returns it and the index past
+// its digits, or a negative index for no digit or a value outside int32.
+func parseInt32(b []byte, i int) (int32, int) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n int64
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		if n = n*10 + int64(b[i]-'0'); n > 1<<31 {
+			return 0, -1
+		}
+	}
+	if i == start || n == 1<<31 && !neg {
+		return 0, -1
+	}
+	if neg {
+		n = -n
+	}
+	return int32(n), i
+}
+
 // RecoveryInfo mirrors resilience.Stats on the wire.
 type RecoveryInfo struct {
 	Retries    int  `json:"retries"`
@@ -66,8 +146,8 @@ type InferResponse struct {
 	OutputDims [3]int `json:"output_dims"` // channels, height, width
 	// OutputSum is the FNV-1a checksum of the output tensor — enough for a
 	// client to verify against a local reference run.
-	OutputSum uint64  `json:"output_sum"`
-	Output    []int32 `json:"output,omitempty"` // only with ReturnOutput
+	OutputSum uint64 `json:"output_sum"`
+	Output    Tensor `json:"output,omitempty"` // only with ReturnOutput
 
 	// Cycles is the simulated NPU execution time of the model under the
 	// Seculator design; Commands counts authenticated layer commands (zero
