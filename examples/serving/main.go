@@ -14,7 +14,7 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"seculator"
@@ -25,33 +25,17 @@ import (
 )
 
 func main() {
-	// A replay switch the breach demo flips after the honest traffic: the
-	// MITM captures layer 2's authenticated command and substitutes it for
-	// layer 4's.
-	var (
-		mu       sync.Mutex
-		replay   bool
-		captured *host.Packet
-	)
-	mitm := func(layer int, p *host.Packet) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !replay {
-			return
-		}
-		switch layer {
-		case 2:
-			cp := *p
-			cp.Payload = append([]byte(nil), p.Payload...)
-			captured = &cp
-		case 4:
-			if captured != nil {
-				*p = *captured
-			}
-		}
-	}
+	// A replay switch the breach demo flips after the honest traffic: once
+	// armed, each inference meets a MITM that captures layer 2's
+	// authenticated command and substitutes it for layer 4's.
+	var replay atomic.Bool
 	srv, err := serve.New(serve.Options{
-		InterceptFor: func(string) host.Intercept { return mitm },
+		InterceptFor: func(string) host.Intercept {
+			if !replay.Load() {
+				return nil
+			}
+			return host.ReplayIntercept(2, 4)
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -95,9 +79,7 @@ func main() {
 
 	// Breach: the next session request crosses a compromised channel. The
 	// server maps the typed ChannelError to 409 and evicts the session.
-	mu.Lock()
-	replay = true
-	mu.Unlock()
+	replay.Store(true)
 	_, err = c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: seed, Session: sess.SessionID})
 	var ae *client.APIError
 	if errors.As(err, &ae) && client.IsBreach(err) {

@@ -118,7 +118,7 @@ func RunMatrix(m protect.FunctionalMemory, macs *protect.MACStore, dram *mem.DRA
 				}
 			}
 			for blk := 0; blk < s.BlocksPerTile; blk++ {
-				m.Write(layout.Addr(tile, blk), uint32(tile), vn, uint32(blk), scenarioPlain(tile, vn, blk))
+				m.WriteBlock(layout.Addr(tile, blk), uint32(tile), vn, uint32(blk), scenarioPlain(tile, vn, blk))
 			}
 		}
 		if vn == 1 {

@@ -69,7 +69,7 @@ func TestPerBlockDesignsDetectImmediately(t *testing.T) {
 	for _, d := range []protect.Design{protect.Secure, protect.TNPU, protect.GuardNN} {
 		m, _, dram := buildMemory(t, d)
 		m.BeginLayer(1)
-		m.Write(0, 0, 1, 0, scenarioPlain(0, 1, 0))
+		m.WriteBlock(0, 0, 1, 0, scenarioPlain(0, 1, 0))
 		dram.Tamper(0, 3, 0xF0)
 		if _, err := m.Read(0, 1, 0, 1, 0, true); err == nil {
 			t.Errorf("%s: tampered read returned no error", d)
@@ -85,7 +85,7 @@ func TestSecureCounterRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.BeginLayer(1)
-	m.Write(0, 0, 1, 0, scenarioPlain(0, 1, 0))
+	m.WriteBlock(0, 0, 1, 0, scenarioPlain(0, 1, 0))
 	m.Counters().TamperMajor(0, 5) // off-band counter mutation
 	if _, err := m.Read(0, 1, 0, 1, 0, true); err == nil {
 		t.Fatal("counter rollback not detected")
@@ -101,9 +101,9 @@ func TestXTSDeterminismVsCTRFreshness(t *testing.T) {
 	dram1 := mustDRAM(t)
 	tnpu := protect.NewTNPUMemory(dram1, 9, 10)
 	tnpu.BeginLayer(1)
-	tnpu.Write(0, 0, 1, 0, pt)
+	tnpu.WriteBlock(0, 0, 1, 0, pt)
 	first, _ := dram1.Snapshot(0)
-	tnpu.Write(0, 0, 2, 0, pt) // same data, new version
+	tnpu.WriteBlock(0, 0, 2, 0, pt) // same data, new version
 	second, _ := dram1.Snapshot(0)
 	if string(first) != string(second) {
 		t.Fatal("XTS should produce identical ciphertext for identical (data, address)")
@@ -112,9 +112,9 @@ func TestXTSDeterminismVsCTRFreshness(t *testing.T) {
 	dram2 := mustDRAM(t)
 	gnn := protect.NewGuardNNMemory(dram2, 9, 10)
 	gnn.BeginLayer(1)
-	gnn.Write(0, 0, 1, 0, pt)
+	gnn.WriteBlock(0, 0, 1, 0, pt)
 	first, _ = dram2.Snapshot(0)
-	gnn.Write(0, 0, 2, 0, pt)
+	gnn.WriteBlock(0, 0, 2, 0, pt)
 	second, _ = dram2.Snapshot(0)
 	if string(first) == string(second) {
 		t.Fatal("CTR must refresh ciphertext across versions")

@@ -33,7 +33,7 @@ func NewFunctionalMemory(d protect.Design) (protect.FunctionalMemory, *protect.M
 		m := protect.NewGuardNNMemory(dram, 0x5ec_0005, 0x5ec_0006)
 		return m, m.MACs(), dram, nil
 	case protect.Seculator, protect.SeculatorPlus:
-		return protect.NewSeculatorFunctional(dram, 0x5ec_0007, 0x5ec_0008), nil, dram, nil
+		return protect.NewSeculatorMemory(dram, 0x5ec_0007, 0x5ec_0008), nil, dram, nil
 	default:
 		return nil, nil, nil, fmt.Errorf("attack: no functional memory for design %d", uint8(d))
 	}

@@ -4,15 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"seculator"
 	"seculator/internal/gateway"
 	"seculator/internal/host"
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
 	"seculator/internal/workload"
@@ -54,7 +52,7 @@ func CheckGatewayAttack(cfg Config) error {
 				},
 				InterceptFor: func(tenant string) host.Intercept {
 					if tenant == "evil" && attacking.Load() {
-						return gatewayMITM()
+						return host.ReplayIntercept(2, 4)
 					}
 					return nil
 				},
@@ -145,11 +143,13 @@ func CheckGatewayAttack(cfg Config) error {
 	if h := lc.Gateway.Locations()[id]; h != "" {
 		return fmt.Errorf("gateway: vault still homes breached session on %s", h)
 	}
-	breaches, err := scrapeBreaches(ctx, survivor.URL, "evil")
+	// The survivor's own /metrics is the fleet-side evidence that the
+	// latch landed where the session lives now.
+	scrape, err := client.New(survivor.URL, nil).Metrics(ctx)
 	if err != nil {
 		return fmt.Errorf("gateway: survivor scrape: %w", err)
 	}
-	if breaches < 1 {
+	if breaches, _ := metrics.Value(scrape, "seculator_serve_tenant_breaches_total", "tenant", "evil"); breaches < 1 {
 		return fmt.Errorf("gateway: survivor %s attributes no breach to evil (got %v)", survivor.Name, breaches)
 	}
 
@@ -177,43 +177,4 @@ func wantBreach(err error, what string) error {
 		return nil
 	}
 	return fmt.Errorf("gateway: %s raised class %q, want a breach class", what, ae.Body.Class)
-}
-
-// scrapeBreaches reads one replica's tenant breach counter directly from
-// its /metrics — the fleet-side evidence the latch landed where the
-// session lives now.
-func scrapeBreaches(ctx context.Context, replicaURL, tenant string) (float64, error) {
-	scrape, err := client.New(replicaURL, nil).Metrics(ctx)
-	if err != nil {
-		return 0, err
-	}
-	needle := fmt.Sprintf("seculator_serve_tenant_breaches_total{tenant=%q}", tenant)
-	for _, line := range strings.Split(scrape, "\n") {
-		if rest, ok := strings.CutPrefix(line, needle); ok {
-			return strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		}
-	}
-	return 0, nil
-}
-
-// gatewayMITM is the command-channel man-in-the-middle (the same splice
-// the chaos campaigns mount): capture the layer-2 packet, replay it over
-// layer 4 — a guaranteed version-number breach downstream.
-func gatewayMITM() host.Intercept {
-	var mu sync.Mutex
-	var captured *host.Packet
-	return func(layer int, p *host.Packet) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch layer {
-		case 2:
-			cp := *p
-			cp.Payload = append([]byte(nil), p.Payload...)
-			captured = &cp
-		case 4:
-			if captured != nil {
-				*p = *captured
-			}
-		}
-	}
 }

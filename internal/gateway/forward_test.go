@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"seculator/internal/gateway"
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
 )
@@ -86,7 +87,7 @@ func TestSessionFailoverOnForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := metricLookup(t, scrape, `seculator_gateway_migrations_total{reason="failover"}`); v != 1 {
+	if v, _ := metrics.Value(scrape, "seculator_gateway_migrations_total", "reason", "failover"); v != 1 {
 		t.Fatalf(`migrations_total{reason="failover"} = %v, want 1`, v)
 	}
 }
@@ -143,9 +144,9 @@ func serveReq(g *gateway.Gateway, method, path, body string, header http.Header)
 	return rec
 }
 
-func scrapeValue(t *testing.T, g *gateway.Gateway, name string) float64 {
-	t.Helper()
-	v, _ := metricLookup(t, serveReq(g, http.MethodGet, "/metrics", "", nil).Body.String(), name)
+// scrapeValue reads family name from the gateway's /metrics.
+func scrapeValue(g *gateway.Gateway, name string) float64 {
+	v, _ := metrics.Value(serveReq(g, http.MethodGet, "/metrics", "", nil).Body.String(), name)
 	return v
 }
 
@@ -170,7 +171,7 @@ func TestSessionCreateMovesOnAfter5xx(t *testing.T) {
 	if home := g.Locations()["s-1"]; home != order[1] {
 		t.Fatalf("session vaulted at %q, want %s", home, order[1])
 	}
-	if v := scrapeValue(t, g, "seculator_gateway_retries_total"); v != 1 {
+	if v := scrapeValue(g, "seculator_gateway_retries_total"); v != 1 {
 		t.Fatalf("retries_total = %v, want 1", v)
 	}
 
@@ -186,7 +187,7 @@ func TestSessionCreateMovesOnAfter5xx(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Class != serve.ClassShutdown {
 		t.Fatalf("relayed body %s (%v), want the replica's shutdown class", rec.Body, err)
 	}
-	if v := scrapeValue(t, g, "seculator_gateway_retries_total"); v != 1 {
+	if v := scrapeValue(g, "seculator_gateway_retries_total"); v != 1 {
 		t.Fatalf("retries_total = %v, want 1", v)
 	}
 	if rec := serveReq(g, http.MethodPost, "/v1/sessions", "{", nil); rec.Code != http.StatusBadRequest {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"seculator/internal/gateway"
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
 )
@@ -286,7 +287,7 @@ func TestGatewayClientCancelDoesNotEjectReplicas(t *testing.T) {
 		"seculator_gateway_retries_total",
 	} {
 		// A replica no forward was ever accounted to has no errors line.
-		if v, _ := metricLookup(t, scrape, name); v != 0 {
+		if v, _ := metrics.Value(scrape, name); v != 0 {
 			t.Errorf("%s = %v after three hung-up clients, want 0", name, v)
 		}
 	}
@@ -346,10 +347,10 @@ func TestSessionCreateClientCancelNotRetried(t *testing.T) {
 	}
 	scrape := httptest.NewRecorder()
 	g.Handler().ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if v, _ := metricLookup(t, scrape.Body.String(), `seculator_gateway_requests_total{code="502"}`); v != 1 {
+	if v, _ := metrics.Value(scrape.Body.String(), "seculator_gateway_requests_total", "code", "502"); v != 1 {
 		t.Fatalf("requests_total{code=\"502\"} = %v, want 1", v)
 	}
-	if v, _ := metricLookup(t, scrape.Body.String(), "seculator_gateway_retries_total"); v != 0 {
+	if v, _ := metrics.Value(scrape.Body.String(), "seculator_gateway_retries_total"); v != 0 {
 		t.Fatalf("retries_total = %v after a hung-up session create, want 0", v)
 	}
 }
@@ -420,7 +421,7 @@ func TestGatewayRelaysRetryAfter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := metricLookup(t, scrape, "seculator_gateway_replica_ejections_total")
+		v, _ := metrics.Value(scrape, "seculator_gateway_replica_ejections_total")
 		return v > 0
 	})
 	bad()

@@ -1,46 +1,22 @@
 package gateway_test
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 )
 
-// metricValue extracts one sample from a /metrics scrape. Labeled
-// families are summed across label sets when name has no label selector.
-func metricValue(t *testing.T, scrape, name string) float64 {
+// metricValue reads family name from a /metrics scrape: the sum of its
+// samples carrying the given label pairs. No matching sample fails the test.
+func metricValue(t *testing.T, scrape, name string, labels ...string) float64 {
 	t.Helper()
-	v, ok := metricLookup(t, scrape, name)
+	v, ok := metrics.Value(scrape, name, labels...)
 	if !ok {
-		t.Fatalf("metric %s missing from scrape:\n%s", name, scrape)
+		t.Fatalf("metric %s%q missing from scrape:\n%s", name, labels, scrape)
 	}
 	return v
-}
-
-func metricLookup(t *testing.T, scrape, name string) (float64, bool) {
-	t.Helper()
-	var sum float64
-	found := false
-	for _, line := range strings.Split(scrape, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if rest != "" && rest[0] != ' ' && rest[0] != '{' {
-			continue // prefix of a longer metric name
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			t.Fatalf("unparseable metric line %q: %v", line, err)
-		}
-		sum += v
-		found = true
-	}
-	return sum, found
 }
 
 // TestGatewayMetricsConcurrentScrapeConsistency extends the serve-side
@@ -104,7 +80,7 @@ func TestGatewayMetricsConcurrentScrapeConsistency(t *testing.T) {
 					}
 				}
 				for _, name := range names {
-					v, _ := metricLookup(t, scrape, name)
+					v, _ := metrics.Value(scrape, name)
 					if v < last[name] {
 						t.Errorf("%s went backwards: %v -> %v", name, last[name], v)
 					}
@@ -149,7 +125,7 @@ func TestGatewayMetricsConcurrentScrapeConsistency(t *testing.T) {
 	total := float64(inferWorkers * infersPerWorker)
 	// Every inference produced exactly one gateway 200 (plus the session
 	// create and any snapshot piggyback work, all on replica counters).
-	if ok200 := metricValue(t, scrape, `seculator_gateway_requests_total{code="200"}`); ok200 < total {
+	if ok200 := metricValue(t, scrape, "seculator_gateway_requests_total", "code", "200"); ok200 < total {
 		t.Errorf(`requests_total{code="200"} = %v, want >= %v`, ok200, total)
 	}
 	// Replica attribution covers the full load: the per-replica forward

@@ -233,6 +233,45 @@ func TestRunSessionMITMDetected(t *testing.T) {
 	}
 }
 
+// ReplayIntercept lets layer replay's packet through until it has captured
+// layer capture's, then substitutes a copy that a later change to the
+// captured packet's payload does not reach; other layers pass untouched.
+// Through a session the replayed command is refused at layer replay.
+func TestReplayIntercept(t *testing.T) {
+	h := NewController(key)
+	replay := ReplayIntercept(0, 1)
+	early := h.Issue(sampleCommand())
+	want := early
+	want.Payload = append([]byte(nil), early.Payload...)
+	replay(1, &early)
+	if !bytes.Equal(early.Payload, want.Payload) || early.Tag != want.Tag {
+		t.Fatal("replay slot rewritten before any capture")
+	}
+	first := h.Issue(sampleCommand())
+	captured := first
+	captured.Payload = append([]byte(nil), first.Payload...)
+	replay(0, &first)
+	first.Payload[0] ^= 0xff // the copy must not alias the wire packet
+	other := h.Issue(sampleCommand())
+	otherPayload := append([]byte(nil), other.Payload...)
+	replay(2, &other)
+	if !bytes.Equal(other.Payload, otherPayload) {
+		t.Fatal("a layer outside the attack was rewritten")
+	}
+	late := h.Issue(sampleCommand())
+	replay(1, &late)
+	if !bytes.Equal(late.Payload, captured.Payload) || late.Tag != captured.Tag {
+		t.Fatal("replay slot does not carry the captured packet")
+	}
+
+	_, err := RunSession(context.Background(), sessionNet(), runner.DefaultConfig(), key,
+		SessionOptions{Intercept: ReplayIntercept(0, 1)})
+	var ce *resilience.ChannelError
+	if !errors.As(err, &ce) || ce.Layer != 1 {
+		t.Fatalf("replayed command: %v, want a ChannelError at layer 1", err)
+	}
+}
+
 func TestRunSessionRejectsBadNetwork(t *testing.T) {
 	if _, err := RunSession(context.Background(), workload.Network{Name: "empty"}, runner.DefaultConfig(), key, SessionOptions{}); err == nil {
 		t.Fatal("invalid network accepted")

@@ -3,6 +3,7 @@ package host
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"seculator/internal/dataflow"
 	"seculator/internal/mem"
@@ -39,6 +40,30 @@ type SessionResult struct {
 // Intercept lets tests play the man in the middle on the PCIe link: it may
 // mutate the packet in flight. A nil Intercept is the honest link.
 type Intercept func(layer int, p *Packet)
+
+// ReplayIntercept is the command-replay man in the middle: it copies layer
+// capture's packet, payload included, and writes the copy over layer
+// replay's packet, an authentic command the endpoint must refuse as stale.
+// Before any capture, layer replay's packet passes untouched. Each call
+// returns a fresh attacker, safe for concurrent use.
+func ReplayIntercept(capture, replay int) Intercept {
+	var mu sync.Mutex
+	var captured *Packet
+	return func(layer int, p *Packet) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch layer {
+		case capture:
+			cp := *p
+			cp.Payload = append([]byte(nil), p.Payload...)
+			captured = &cp
+		case replay:
+			if captured != nil {
+				*p = *captured
+			}
+		}
+	}
+}
 
 // SessionOptions extends a secure session beyond the timing simulation.
 type SessionOptions struct {

@@ -1,14 +1,17 @@
 // Package metrics is the one counter registry and the one text-exposition
-// writer behind every /metrics endpoint of this module. A tier registers
-// its families once, at construction, in the order they should appear;
-// Render walks them in that order and writes a labelled family's samples
-// sorted by label value, so a scrape is reproducible byte for byte. The
-// package imports nothing from this module: any layer may depend on it.
+// writer behind every /metrics endpoint of this module, and the one reader
+// (Value) that tests, campaigns and demos read a scrape back with. A tier
+// registers its families once, at construction, in the order they should
+// appear; Render walks them in that order and writes a labelled family's
+// samples sorted by label value, so a scrape is reproducible byte for
+// byte. The package imports nothing from this module: any layer may depend
+// on it.
 package metrics
 
 import (
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,4 +167,62 @@ func (w *Writer) head(name string, labels []string) {
 		w.buf = append(w.buf, '}')
 	}
 	w.buf = append(w.buf, ' ')
+}
+
+// Value reads a scrape back, the inverse of Writer: the sum of every
+// sample of the family name (the name exactly, not a longer one it
+// prefixes) whose labels include each given name, value pair, values as
+// they were before Writer quoted them. The bool reports whether any sample
+// matched.
+func Value(scrape, name string, labels ...string) (sum float64, found bool) {
+	for _, line := range strings.Split(scrape, "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		// A sample's number holds no space, so its last space ends the
+		// label set even when a quoted value holds spaces.
+		sp := strings.LastIndexByte(rest, ' ')
+		if !ok || sp < 0 || !hasLabels(rest[:sp], labels) {
+			continue
+		}
+		if v, err := strconv.ParseFloat(rest[sp+1:], 64); err == nil {
+			sum, found = sum+v, true
+		}
+	}
+	return sum, found
+}
+
+// hasLabels reports whether set, a sample's label set in braces or empty,
+// carries each name, value pair of labels.
+func hasLabels(set string, labels []string) bool {
+	if set != "" {
+		if len(set) < 2 || set[0] != '{' || set[len(set)-1] != '}' {
+			return false // the rest of a longer family's name
+		}
+		set = set[1 : len(set)-1]
+	}
+	for i := 0; i+1 < len(labels); i += 2 {
+		if v, ok := label(set, labels[i]); !ok || v != labels[i+1] {
+			return false
+		}
+	}
+	return true
+}
+
+// label returns the unquoted value of the label name in set.
+func label(set, name string) (string, bool) {
+	for set != "" {
+		eq := strings.IndexByte(set, '=')
+		if eq < 0 {
+			return "", false
+		}
+		q, err := strconv.QuotedPrefix(set[eq+1:])
+		if err != nil {
+			return "", false
+		}
+		if set[:eq] == name {
+			v, err := strconv.Unquote(q)
+			return v, err == nil
+		}
+		set = strings.TrimPrefix(set[eq+1+len(q):], ",")
+	}
+	return "", false
 }

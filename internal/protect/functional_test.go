@@ -259,21 +259,24 @@ func TestSerialCallsAreCounted(t *testing.T) {
 	}
 }
 
-func TestSeculatorFunctionalAdapter(t *testing.T) {
+// SeculatorMemory is a FunctionalMemory itself: an in-layer read takes the
+// partial path, a read of the previous layer the input path, and EndLayer
+// runs the Equation 1 check from layer 2 on.
+func TestSeculatorMemoryFunctional(t *testing.T) {
 	d := mustDRAM(t)
-	fm := NewSeculatorFunctional(d, 1, 2)
+	var fm FunctionalMemory = NewSeculatorMemory(d, 1, 2)
 	if fm.DesignName() != Seculator {
 		t.Fatal("wrong design name")
 	}
 	fm.BeginLayer(1)
 	pt := plainBlock(7)
-	fm.Write(0, 0, 1, 0, pt)
+	fm.WriteBlock(0, 0, 1, 0, pt)
 	// In-layer read = partial path.
 	got, err := fm.Read(0, 1, 0, 1, 0, false)
 	if err != nil || !bytes.Equal(got, pt) {
-		t.Fatalf("adapter partial read: %v", err)
+		t.Fatalf("partial read: %v", err)
 	}
-	fm.Write(0, 0, 2, 0, pt)
+	fm.WriteBlock(0, 0, 2, 0, pt)
 	if err := fm.EndLayer(); err != nil {
 		t.Fatalf("layer-1 EndLayer should be a no-op: %v", err)
 	}
@@ -282,6 +285,6 @@ func TestSeculatorFunctionalAdapter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := fm.EndLayer(); err != nil {
-		t.Fatalf("honest adapter verification failed: %v", err)
+		t.Fatalf("honest verification failed: %v", err)
 	}
 }

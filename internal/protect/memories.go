@@ -21,9 +21,9 @@ type FunctionalMemory interface {
 	DesignName() Design
 	// BeginLayer starts a new layer epoch.
 	BeginLayer(layer uint32)
-	// Write stores a plaintext block at addr under position (fmap, idx)
-	// with the layer-assigned version vn.
-	Write(addr uint64, fmap uint32, vn int, idx uint32, plaintext []byte)
+	// WriteBlock stores a plaintext block at addr under position (fmap,
+	// idx) with the layer-assigned version vn.
+	WriteBlock(addr uint64, fmap uint32, vn int, idx uint32, plaintext []byte)
 	// Read fetches the block written by ownerLayer at version vn. first
 	// marks the block's first touch this layer (Seculator's MAC_FR path).
 	// Per-block designs return an integrity error immediately. The block
@@ -100,8 +100,8 @@ func (m *BaselineMemory) DesignName() Design { return Baseline }
 // BeginLayer implements FunctionalMemory.
 func (m *BaselineMemory) BeginLayer(uint32) {}
 
-// Write implements FunctionalMemory.
-func (m *BaselineMemory) Write(addr uint64, _ uint32, _ int, _ uint32, pt []byte) {
+// WriteBlock implements FunctionalMemory.
+func (m *BaselineMemory) WriteBlock(addr uint64, _ uint32, _ int, _ uint32, pt []byte) {
 	m.dram.WriteBlock(addr, pt, 0)
 }
 
@@ -130,8 +130,8 @@ type SGXMemory struct {
 	secret   uint64
 	layer    uint32
 
-	// deferred holds a Merkle-update failure from Write, surfaced at the
-	// next Read or EndLayer (FunctionalMemory.Write has no error return).
+	// deferred holds a Merkle-update failure from WriteBlock, surfaced at the
+	// next Read or EndLayer (FunctionalMemory.WriteBlock has no error return).
 	deferred error
 
 	ct [tensor.BlockBytes]byte // reusable ciphertext staging (single-goroutine)
@@ -187,9 +187,9 @@ func (m *SGXMemory) macOf(addr uint64, v counter.Value, data []byte) mac.Digest 
 	}, data)
 }
 
-// Write implements FunctionalMemory: bump the block counter, re-encrypt,
+// WriteBlock implements FunctionalMemory: bump the block counter, re-encrypt,
 // update the Merkle path and the block MAC.
-func (m *SGXMemory) Write(addr uint64, _ uint32, _ int, _ uint32, pt []byte) {
+func (m *SGXMemory) WriteBlock(addr uint64, _ uint32, _ int, _ uint32, pt []byte) {
 	v, _ := m.counters.Increment(addr)
 	if err := m.tree.Update(counter.PageOf(addr)); err != nil {
 		if m.deferred == nil {
@@ -222,7 +222,7 @@ func (m *SGXMemory) Read(addr uint64, _, _ uint32, _ int, _ uint32, _ bool) ([]b
 	return pt, nil
 }
 
-// EndLayer implements FunctionalMemory: surfaces any deferred Write error.
+// EndLayer implements FunctionalMemory: surfaces any deferred WriteBlock error.
 func (m *SGXMemory) EndLayer() error { return m.deferred }
 
 // -------------------------------------------------------------------- tnpu
@@ -266,9 +266,9 @@ func (m *TNPUMemory) macOf(addr uint64, fmap uint32, vn int, idx uint32, data []
 	}, data)
 }
 
-// Write implements FunctionalMemory: encrypt by position, record the tile
+// WriteBlock implements FunctionalMemory: encrypt by position, record the tile
 // VN in the tensor table, store a VN-binding MAC.
-func (m *TNPUMemory) Write(addr uint64, fmap uint32, vn int, idx uint32, pt []byte) {
+func (m *TNPUMemory) WriteBlock(addr uint64, fmap uint32, vn int, idx uint32, pt []byte) {
 	m.table[fmap] = vn
 	m.engine.EncryptBlock(m.ct[:], pt, addr)
 	m.dram.WriteBlock(addr, m.ct[:], 0)
@@ -341,9 +341,9 @@ func (m *GuardNNMemory) macOf(addr uint64, fmap uint32, vn int, idx uint32, data
 	}, data)
 }
 
-// Write implements FunctionalMemory: on-chip counters assign the VN, which
+// WriteBlock implements FunctionalMemory: on-chip counters assign the VN, which
 // the scheduler mirrors.
-func (m *GuardNNMemory) Write(addr uint64, fmap uint32, vn int, idx uint32, pt []byte) {
+func (m *GuardNNMemory) WriteBlock(addr uint64, fmap uint32, vn int, idx uint32, pt []byte) {
 	m.scheduler[fmap] = vn
 	m.engine.EncryptBlock(m.ct[:], pt, m.ctrOf(addr, fmap, vn))
 	m.dram.WriteBlock(addr, m.ct[:], 0)
@@ -371,41 +371,26 @@ func (m *GuardNNMemory) EndLayer() error { return nil }
 
 // --------------------------------------------------------------- seculator
 
-// SeculatorFunctional adapts SeculatorMemory to the FunctionalMemory
-// interface: reads never fail individually; EndLayer runs the Equation 1
-// verification for the previous layer.
-type SeculatorFunctional struct{ inner *SeculatorMemory }
-
-// NewSeculatorFunctional wraps a SeculatorMemory.
-func NewSeculatorFunctional(d *mem.DRAM, secret, random uint64) *SeculatorFunctional {
-	return &SeculatorFunctional{inner: NewSeculatorMemory(d, secret, random)}
-}
+var _ FunctionalMemory = (*SeculatorMemory)(nil)
 
 // DesignName implements FunctionalMemory.
-func (m *SeculatorFunctional) DesignName() Design { return Seculator }
+func (m *SeculatorMemory) DesignName() Design { return Seculator }
 
-// BeginLayer implements FunctionalMemory.
-func (m *SeculatorFunctional) BeginLayer(l uint32) { m.inner.BeginLayer(l) }
-
-// Write implements FunctionalMemory.
-func (m *SeculatorFunctional) Write(addr uint64, fmap uint32, vn int, idx uint32, pt []byte) {
-	m.inner.WriteBlock(addr, fmap, vn, idx, pt)
-}
-
-// Read implements FunctionalMemory: in-layer reads are partial-sum reads,
-// cross-layer reads are input reads; detection is deferred to EndLayer.
-func (m *SeculatorFunctional) Read(addr uint64, ownerLayer, fmap uint32, vn int, idx uint32, first bool) ([]byte, error) {
-	if ownerLayer == m.inner.layer {
-		return m.inner.ReadPartial(addr, fmap, vn, idx), nil
+// Read implements FunctionalMemory: an in-layer read is a partial-sum read,
+// any other an input read. It never fails itself: detection is deferred to
+// EndLayer.
+func (m *SeculatorMemory) Read(addr uint64, ownerLayer, fmap uint32, vn int, idx uint32, first bool) ([]byte, error) {
+	if ownerLayer == m.layer {
+		return m.ReadPartial(addr, fmap, vn, idx), nil
 	}
-	return m.inner.ReadInput(addr, ownerLayer, fmap, vn, idx, first), nil
+	return m.ReadInput(addr, ownerLayer, fmap, vn, idx, first), nil
 }
 
-// EndLayer implements FunctionalMemory: with at least two layer epochs in
-// flight, run the deferred Equation 1 check for the previous layer.
-func (m *SeculatorFunctional) EndLayer() error {
-	if m.inner.layer < 2 {
+// EndLayer implements FunctionalMemory: from layer 2 on, it runs the
+// deferred Equation 1 check of the previous layer.
+func (m *SeculatorMemory) EndLayer() error {
+	if m.layer < 2 {
 		return nil
 	}
-	return m.inner.VerifyPreviousLayer(mac.Digest{})
+	return m.VerifyPreviousLayer(mac.Digest{})
 }

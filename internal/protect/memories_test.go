@@ -58,7 +58,7 @@ func TestBaselineMemory(t *testing.T) {
 	}
 	m.BeginLayer(1)
 	pt := plainBlock(5)
-	m.Write(0, 0, 1, 0, pt)
+	m.WriteBlock(0, 0, 1, 0, pt)
 	got, err := m.Read(0, 1, 0, 1, 0, true)
 	if err != nil || !bytes.Equal(got, pt) {
 		t.Fatalf("baseline round trip: %v", err)
@@ -84,12 +84,12 @@ func TestSGXMemoryConfidentialityAndVersioning(t *testing.T) {
 	}
 	m.BeginLayer(1)
 	pt := plainBlock(6)
-	m.Write(0, 0, 1, 0, pt)
+	m.WriteBlock(0, 0, 1, 0, pt)
 	if bytes.Equal(d.Peek(0), pt) {
 		t.Fatal("SGX memory leaked plaintext to DRAM")
 	}
 	first, _ := d.Snapshot(0)
-	m.Write(0, 0, 2, 0, pt)
+	m.WriteBlock(0, 0, 2, 0, pt)
 	second, _ := d.Snapshot(0)
 	if bytes.Equal(first, second) {
 		t.Fatal("counter bump must refresh the ciphertext")
@@ -136,7 +136,7 @@ func TestGuardNNMemoryMissingSchedulerEntry(t *testing.T) {
 		t.Fatal("read without a scheduler VN should fail")
 	}
 	pt := plainBlock(8)
-	m.Write(5, 3, 1, 0, pt)
+	m.WriteBlock(5, 3, 1, 0, pt)
 	if bytes.Equal(d.Peek(5), pt) {
 		t.Fatal("GuardNN leaked plaintext")
 	}

@@ -373,6 +373,12 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 			if err != nil {
 				return classify(err, i, resilience.ClassWeight)
 			}
+			if !rt.unit.Done() {
+				// The layer-completion condition: a received triplet whose
+				// sequence outlasts the layer's writes is a refused command.
+				return &resilience.ChannelError{Layer: i, Err: fmt.Errorf(
+					"secure: layer %d ended before its write triplet %+v did", i, st.write)}
+			}
 			if i == 0 {
 				// First-layer inputs verify against the host's golden
 				// digest; blocks the mapping never touched fold host-side.

@@ -38,7 +38,7 @@ type inferRuntime struct {
 	// cap) so scrub's clear() reaches every byte it ever held.
 	lr        layerRun        // the per-layer execution context, reset per layer
 	unit      vngen.LayerUnit // the layer's VN generator, configured per layer
-	inTouched []bool          // producer-block first-read bitmap
+	inTouched []bool          // producer-block first-read and output-block final-write bitmaps
 	wTouched  []bool          // weight-block first-read bitmap
 	inData    []int32         // input-assembly tensor backing
 	inTensor  nn.Tensor
@@ -175,15 +175,16 @@ func growBools(s []bool, n int) []bool {
 	return s[:cap(s)]
 }
 
-// touchedInput returns the producer first-read bitmap sized to n blocks,
-// cleared for a fresh layer attempt.
-func (rt *inferRuntime) touchedInput(n int) []bool {
-	rt.inTouched = growBools(rt.inTouched, n)
-	clear(rt.inTouched[:n])
-	return rt.inTouched[:n]
+// touchedInput returns the producer first-read bitmap sized to in blocks and
+// the output final-write bitmap sized to out blocks, both cleared for a
+// fresh layer attempt; they share one slab.
+func (rt *inferRuntime) touchedInput(in, out int) (first, final []bool) {
+	rt.inTouched = growBools(rt.inTouched, in+out)
+	clear(rt.inTouched[:in+out])
+	return rt.inTouched[:in:in], rt.inTouched[in : in+out]
 }
 
-// touchedWeights is touchedInput for the weight-block bitmap.
+// touchedWeights is touchedInput's first-read bitmap for the weight blocks.
 func (rt *inferRuntime) touchedWeights(n int) []bool {
 	rt.wTouched = growBools(rt.wTouched, n)
 	clear(rt.wTouched[:n])

@@ -82,7 +82,10 @@ func (f forgedAt) Command(i int, planned sched.Choice) (pattern.Triplet, error) 
 // or freshness error at layer i or i+1 and return no output — for every
 // layer of Mini, and of a generated network whose middle layer writes
 // partial sums at a 1 KiB global buffer, and for forgeries that move the
-// final VN, reshape the sequence or shorten it.
+// final VN, reshape the sequence or shorten it. A forged sequence longer
+// than the layer's writes fails the layer-completion condition
+// (vngen.LayerUnit.Done) instead: a ChannelError at layer i, never retried
+// — even one that agrees with the plan on every VN the layer uses.
 func TestForgedTripletDetected(t *testing.T) {
 	mini, err := workload.ResolveShape("Mini")
 	if err != nil {
@@ -114,12 +117,24 @@ func TestForgedTripletDetected(t *testing.T) {
 				{Eta: 1, Kappa: w.Eta * w.Kappa, Rho: w.Rho},           // every write a new VN
 				{Eta: w.Eta * w.Kappa * w.Rho, Kappa: 1, Rho: 1},       // every write at VN 1
 				{Eta: w.Eta*w.Kappa*w.Rho - 1, Kappa: w.Kappa, Rho: 1}, // a sequence shorter than the layer
+				{Eta: w.Eta, Kappa: w.Kappa, Rho: w.Rho + 1},           // the planned VNs, then more
 			} {
 				if forged == w || !forged.Valid() {
 					continue
 				}
 				x.Commands = forgedAt{layer: i, forged: forged}
 				res, err := x.Run(context.Background(), c.net, in, ws)
+				if res.Output != nil {
+					t.Fatalf("%s, buffer %d, layer %d: a run on a forged triplet returned an output", c.net.Name, c.buffer, i)
+				}
+				if forged.Eta*forged.Kappa*forged.Rho > w.Eta*w.Kappa*w.Rho {
+					var ce *resilience.ChannelError
+					if !errors.As(err, &ce) || ce.Layer != i || resilience.Retryable(err) || res.Recovery.Recovered != 0 {
+						t.Fatalf("%s, buffer %d, layer %d, triplet %v forged as %v: got %v (recovery %+v), want an unretried ChannelError at layer %d",
+							c.net.Name, c.buffer, i, w, forged, err, res.Recovery, i)
+					}
+					continue
+				}
 				var ie *resilience.IntegrityError
 				var fe *resilience.FreshnessError
 				layer := -1
@@ -132,9 +147,6 @@ func TestForgedTripletDetected(t *testing.T) {
 				if layer != i && layer != i+1 {
 					t.Fatalf("%s, buffer %d, layer %d, triplet %v forged as %v: got %v, want an integrity or freshness error at layer %d or %d",
 						c.net.Name, c.buffer, i, w, forged, err, i, i+1)
-				}
-				if res.Output != nil {
-					t.Fatalf("%s, buffer %d, layer %d: a run on a forged triplet returned an output", c.net.Name, c.buffer, i)
 				}
 			}
 		}

@@ -17,20 +17,8 @@ import (
 // typed ChannelError to 409 with the layer index in the body, and the
 // session is evicted — reuse must 404.
 func TestSessionChannelReplayOverHTTP(t *testing.T) {
-	var captured *host.Packet
 	_, c := newTestServer(t, serve.Options{
-		InterceptFor: interceptAll(func(layer int, p *host.Packet) {
-			switch layer {
-			case 2:
-				cp := *p
-				cp.Payload = append([]byte(nil), p.Payload...)
-				captured = &cp
-			case 4:
-				if captured != nil {
-					*p = *captured
-				}
-			}
-		}),
+		InterceptFor: func(string) host.Intercept { return host.ReplayIntercept(2, 4) },
 	})
 	ctx := ctxT(t)
 	sess, err := c.CreateSession(ctx, serve.SessionCreateRequest{})

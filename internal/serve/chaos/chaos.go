@@ -33,7 +33,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +40,7 @@ import (
 
 	"seculator/internal/host"
 	"seculator/internal/mem"
+	"seculator/internal/metrics"
 	"seculator/internal/secure"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
@@ -279,7 +279,7 @@ func (c *campaign) serveOptions() serve.Options {
 		SnapshotKey: c.opts.SnapshotKey,
 		InterceptFor: func(tenant string) host.Intercept {
 			if adversarial[tenant] && c.attacking.Load() {
-				return replayIntercept()
+				return host.ReplayIntercept(2, 4)
 			}
 			return nil
 		},
@@ -557,8 +557,8 @@ func (c *campaign) check(res *Result, scrape string) {
 	for _, p := range c.opts.Plans {
 		name := p.Tenant.Name
 		if p.Adversarial {
-			opens := metricValue(scrape, "seculator_serve_tenant_breaker_opens_total", name)
-			state := metricValue(scrape, "seculator_serve_tenant_breaker_state", name)
+			opens, _ := metrics.Value(scrape, "seculator_serve_tenant_breaker_opens_total", "tenant", name)
+			state, _ := metrics.Value(scrape, "seculator_serve_tenant_breaker_state", "tenant", name)
 			res.BreakerOpens[name] = opens
 			res.FinalState[name] = state
 			if opens < 1 {
@@ -577,12 +577,11 @@ func (c *campaign) check(res *Result, scrape string) {
 		}
 		// Honest and slow tenants must never be quarantined or blamed for
 		// a breach — quarantine is attributable, not collective.
-		if v := metricValue(scrape, "seculator_serve_tenant_breaches_total", name); v != 0 {
+		if v, _ := metrics.Value(scrape, "seculator_serve_tenant_breaches_total", "tenant", name); v != 0 {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("honest %s: %v breaches attributed", name, v))
 		}
-		if v := metricValueLabeled(scrape, "seculator_serve_tenant_shed_total",
-			`tenant=`+strconv.Quote(name)+`,reason="quarantine"`); v != 0 {
+		if v, _ := metrics.Value(scrape, "seculator_serve_tenant_shed_total", "tenant", name, "reason", "quarantine"); v != 0 {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("honest %s: %v requests shed by quarantine", name, v))
 		}
@@ -613,60 +612,16 @@ func (c *campaign) check(res *Result, scrape string) {
 	}
 }
 
-// replayIntercept is the command-channel MITM: capture the layer-2 packet,
-// splice it over layer 4 — the version-number check downstream flags it.
-// One intercept carries the capture state of one inference; the campaign
-// hands a fresh one to every adversarial run (serve.Options.InterceptFor).
-func replayIntercept() host.Intercept {
-	var mu sync.Mutex
-	var captured *host.Packet
-	return func(layer int, p *host.Packet) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch layer {
-		case 2:
-			cp := *p
-			cp.Payload = append([]byte(nil), p.Payload...)
-			captured = &cp
-		case 4:
-			if captured != nil {
-				*p = *captured
-			}
-		}
-	}
-}
-
-// MetricValue returns the value of a /metrics scrape line for the given
-// tenant label (or an unlabeled line when tenant is empty); absent lines
-// read 0. The chaos invariants read their evidence through it, and the
-// repository benchmark parses its scrapes with it.
-func MetricValue(scrape, name, tenant string) float64 { return metricValue(scrape, name, tenant) }
-
-func metricValue(scrape, name, tenant string) float64 {
+// MetricValue returns the sum of the samples of the family name on a
+// /metrics scrape, only those of the given tenant when tenant is not
+// empty; an absent family reads 0. The repository benchmark parses its
+// scrapes with it.
+func MetricValue(scrape, name, tenant string) float64 {
+	var v float64
 	if tenant == "" {
-		return metricValueLabeled(scrape, name, "")
+		v, _ = metrics.Value(scrape, name)
+	} else {
+		v, _ = metrics.Value(scrape, name, "tenant", tenant)
 	}
-	return metricValueLabeled(scrape, name, "tenant="+strconv.Quote(tenant))
-}
-
-func metricValueLabeled(scrape, name, labels string) float64 {
-	for _, line := range strings.Split(scrape, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if labels != "" && !strings.Contains(rest, labels) {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) == 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			continue
-		}
-		return v
-	}
-	return 0
+	return v
 }

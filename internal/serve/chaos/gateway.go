@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"seculator/internal/gateway"
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
 	"seculator/internal/serve/loadgen"
@@ -286,10 +287,8 @@ func RunGateway(ctx context.Context, opts GatewayOptions) (GatewayResult, error)
 	if err != nil {
 		return res, fmt.Errorf("gateway chaos: final scrape: %w", err)
 	}
-	res.Ejections = metricValueLabeled(scrape, "seculator_gateway_replica_ejections_total",
-		`replica="`+res.Victim+`"`)
-	res.Failovers = metricValueLabeled(scrape, "seculator_gateway_migrations_total",
-		`reason="failover"`)
+	res.Ejections, _ = metrics.Value(scrape, "seculator_gateway_replica_ejections_total", "replica", res.Victim)
+	res.Failovers, _ = metrics.Value(scrape, "seculator_gateway_migrations_total", "reason", "failover")
 	if res.Ejections < 1 {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("victim %s never ejected (ejections=%v)", res.Victim, res.Ejections))
@@ -298,7 +297,7 @@ func RunGateway(ctx context.Context, opts GatewayOptions) (GatewayResult, error)
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("failover migrations %v < victim sessions %d", res.Failovers, victimSessions))
 	}
-	if v := metricValueLabeled(scrape, "seculator_gateway_requests_total", `code="502"`); v > 0 {
+	if v, _ := metrics.Value(scrape, "seculator_gateway_requests_total", "code", "502"); v > 0 {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("gateway returned %v upstream 502s", v))
 	}

@@ -1,46 +1,22 @@
 package serve_test
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 )
 
-// metricValue extracts one sample from a /metrics scrape. Labeled families
-// are summed across label sets when name has no label selector.
-func metricValue(t *testing.T, scrape, name string) float64 {
+// metricValue reads family name from a /metrics scrape: the sum of its
+// samples carrying the given label pairs. No matching sample fails the test.
+func metricValue(t *testing.T, scrape, name string, labels ...string) float64 {
 	t.Helper()
-	v, ok := metricLookup(t, scrape, name)
+	v, ok := metrics.Value(scrape, name, labels...)
 	if !ok {
-		t.Fatalf("metric %s missing from scrape:\n%s", name, scrape)
+		t.Fatalf("metric %s%q missing from scrape:\n%s", name, labels, scrape)
 	}
 	return v
-}
-
-func metricLookup(t *testing.T, scrape, name string) (float64, bool) {
-	t.Helper()
-	var sum float64
-	found := false
-	for _, line := range strings.Split(scrape, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if rest != "" && rest[0] != ' ' && rest[0] != '{' {
-			continue // prefix of a longer metric name
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			t.Fatalf("unparseable metric line %q: %v", line, err)
-		}
-		sum += v
-		found = true
-	}
-	return sum, found
 }
 
 // TestMetricsConcurrentScrapeConsistency hammers /v1/infer and /metrics
@@ -97,7 +73,7 @@ func TestMetricsConcurrentScrapeConsistency(t *testing.T) {
 				for _, name := range monotone {
 					// A family with no samples yet (e.g. requests_total
 					// before the first response) reads as zero.
-					v, _ := metricLookup(t, scrape, name)
+					v, _ := metrics.Value(scrape, name)
 					if v < last[name] {
 						t.Errorf("%s went backwards: %v -> %v", name, last[name], v)
 					}
@@ -141,7 +117,7 @@ func TestMetricsConcurrentScrapeConsistency(t *testing.T) {
 	if ok := metricValue(t, scrape, "seculator_serve_infer_ok_total"); ok != total {
 		t.Errorf("infer_ok_total = %v, want %v", ok, total)
 	}
-	if ok200 := metricValue(t, scrape, `seculator_serve_requests_total{code="200"}`); ok200 != total {
+	if ok200 := metricValue(t, scrape, "seculator_serve_requests_total", "code", "200"); ok200 != total {
 		t.Errorf(`requests_total{code="200"} = %v, want %v`, ok200, total)
 	}
 	if lat := metricValue(t, scrape, "seculator_serve_infer_latency_ms_total"); lat < 0 {
@@ -151,10 +127,10 @@ func TestMetricsConcurrentScrapeConsistency(t *testing.T) {
 		t.Errorf("negative queue sum %v", q)
 	}
 	// Every request rode the anonymous tenant's fair-share queue.
-	if adm := metricValue(t, scrape, `seculator_serve_tenant_admitted_total{tenant="default"}`); adm != total {
+	if adm := metricValue(t, scrape, "seculator_serve_tenant_admitted_total", "tenant", "default"); adm != total {
 		t.Errorf(`tenant_admitted_total{tenant="default"} = %v, want %v`, adm, total)
 	}
-	if shed, ok := metricLookup(t, scrape, "seculator_serve_tenant_shed_total"); ok && shed != 0 {
+	if shed, ok := metrics.Value(scrape, "seculator_serve_tenant_shed_total"); ok && shed != 0 {
 		t.Errorf("tenant_shed_total = %v on an uncontended run", shed)
 	}
 	// Every clean inference attaches to the residency cache exactly once:

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"seculator"
@@ -131,24 +132,14 @@ func TestResidencyHitOverHTTP(t *testing.T) {
 // tenant's verification floor, so the tenant's next attach re-verifies the
 // pinned weights before use — visible as a reverify on /metrics.
 func TestBreachDropsTenantResidencyEpoch(t *testing.T) {
-	var captured *host.Packet
-	armed := false
+	var armed atomic.Bool
 	_, c := newTestServer(t, serve.Options{
-		InterceptFor: interceptAll(func(layer int, p *host.Packet) {
-			if !armed {
-				return
+		InterceptFor: func(string) host.Intercept {
+			if !armed.Load() {
+				return nil
 			}
-			switch layer {
-			case 2:
-				cp := *p
-				cp.Payload = append([]byte(nil), p.Payload...)
-				captured = &cp
-			case 4:
-				if captured != nil {
-					*p = *captured
-				}
-			}
-		}),
+			return host.ReplayIntercept(2, 4)
+		},
 	})
 	ctx := ctxT(t)
 
@@ -160,13 +151,13 @@ func TestBreachDropsTenantResidencyEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	armed = true
+	armed.Store(true)
 	_, err = c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: 1, Session: sess.SessionID})
 	var ae *client.APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("replayed command accepted: %v", err)
 	}
-	armed = false
+	armed.Store(false)
 
 	scrape, err := c.Metrics(ctx)
 	if err != nil {

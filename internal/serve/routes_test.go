@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
 )
@@ -178,7 +179,7 @@ func TestSessionRouteTable(t *testing.T) {
 				if reason == tc.evicted {
 					want = 1
 				}
-				got, _ := metricLookup(t, scrape, `seculator_serve_sessions_evicted_total{reason="`+reason+`"}`)
+				got, _ := metrics.Value(scrape, "seculator_serve_sessions_evicted_total", "reason", reason)
 				if got != want {
 					t.Errorf("sessions_evicted_total{reason=%q} = %v, want %v", reason, got, want)
 				}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"seculator"
-	"seculator/internal/host"
 	"seculator/internal/mem"
 	"seculator/internal/secure"
 	"seculator/internal/serve"
@@ -39,14 +38,9 @@ func newTestServer(t *testing.T, opts serve.Options) (*serve.Server, *client.Cli
 	return s, client.New(hs.URL, hs.Client())
 }
 
-// hookAll and interceptAll attach one attack hook to every tenant's
-// inferences.
+// hookAll attaches one attack hook to every tenant's inferences.
 func hookAll(h secure.Hook) func(string) secure.Hook {
 	return func(string) secure.Hook { return h }
-}
-
-func interceptAll(ic host.Intercept) func(string) host.Intercept {
-	return func(string) host.Intercept { return ic }
 }
 
 func ctxT(t *testing.T) context.Context {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"seculator/internal/metrics"
 )
 
 // Session-lifetime tests on a stepped clock: idle expiry is decided by
@@ -83,15 +85,10 @@ func inferOn(t *testing.T, s *Server, id string) (int, string) {
 	return rec.Code, body.Class
 }
 
-func idleEvictions(t *testing.T, s *Server) string {
-	t.Helper()
+func idleEvictions(s *Server) float64 {
 	scrape := send(s, http.MethodGet, "/metrics", "").Body.String()
-	for _, line := range strings.Split(scrape, "\n") {
-		if v, ok := strings.CutPrefix(line, `seculator_serve_sessions_evicted_total{reason="idle"} `); ok {
-			return v
-		}
-	}
-	return "0"
+	v, _ := metrics.Value(scrape, "seculator_serve_sessions_evicted_total", "reason", "idle")
+	return v
 }
 
 // Each use extends a session's idle horizon; a session touched after it has
@@ -114,8 +111,8 @@ func TestSessionIdleExpiry(t *testing.T) {
 	if code, class := inferOn(t, s, id); code != http.StatusNotFound || class != ClassUnknownSession {
 		t.Fatalf("expired session: %d %s, want 404 %s", code, class, ClassUnknownSession)
 	}
-	if got := idleEvictions(t, s); got != "1" {
-		t.Fatalf("sessions_evicted_total{reason=\"idle\"} = %s, want 1", got)
+	if got := idleEvictions(s); got != 1 {
+		t.Fatalf("sessions_evicted_total{reason=\"idle\"} = %v, want 1", got)
 	}
 }
 
@@ -156,7 +153,7 @@ func TestSessionChurnAcrossIdleExpiry(t *testing.T) {
 	if code, class := inferOn(t, s, live); code != http.StatusOK {
 		t.Fatalf("live session refused after the sweep: %d %s", code, class)
 	}
-	if got := idleEvictions(t, s); got != "3" {
-		t.Fatalf("sessions_evicted_total{reason=\"idle\"} = %s, want 3", got)
+	if got := idleEvictions(s); got != 3 {
+		t.Fatalf("sessions_evicted_total{reason=\"idle\"} = %v, want 3", got)
 	}
 }

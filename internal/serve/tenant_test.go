@@ -3,15 +3,14 @@ package serve_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"seculator/internal/host"
 	"seculator/internal/mem"
+	"seculator/internal/metrics"
 	"seculator/internal/serve"
 	"seculator/internal/serve/client"
 )
@@ -42,11 +41,11 @@ func TestTenantAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, scrape, `seculator_serve_tenant_admitted_total{tenant="alice"}`); v != 1 {
+	if v := metricValue(t, scrape, "seculator_serve_tenant_admitted_total", "tenant", "alice"); v != 1 {
 		t.Fatalf("admitted{alice} = %v, want 1", v)
 	}
-	if !strings.Contains(scrape, `seculator_serve_tenant_breaker_state{tenant="alice"} 0`) {
-		t.Fatalf("breaker state gauge missing:\n%s", scrape)
+	if v := metricValue(t, scrape, "seculator_serve_tenant_breaker_state", "tenant", "alice"); v != 0 {
+		t.Fatalf("breaker_state{alice} = %v, want 0 (closed)", v)
 	}
 }
 
@@ -73,7 +72,7 @@ func TestTenantRateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, scrape, `seculator_serve_tenant_shed_total{tenant="a",reason="rate"}`); v != 1 {
+	if v := metricValue(t, scrape, "seculator_serve_tenant_shed_total", "tenant", "a", "reason", "rate"); v != 1 {
 		t.Fatalf(`shed{a,rate} = %v, want 1`, v)
 	}
 }
@@ -98,9 +97,8 @@ func TestTenantShedByReason(t *testing.T) {
 			if r == reason {
 				want = 1
 			}
-			name := fmt.Sprintf("seculator_serve_tenant_shed_total{tenant=%q,reason=%q}", tenant, r)
-			if v, _ := metricLookup(t, scrape, name); v != want {
-				t.Errorf("%s = %v, want %v", name, v, want)
+			if v, _ := metrics.Value(scrape, "seculator_serve_tenant_shed_total", "tenant", tenant, "reason", r); v != want {
+				t.Errorf("shed_total{tenant=%q,reason=%q} = %v, want %v", tenant, r, v, want)
 			}
 		}
 	}
@@ -139,7 +137,7 @@ func TestTenantShedByReason(t *testing.T) {
 		_, c := newTestServer(t, serve.Options{
 			Tenants:      []serve.TenantConfig{{Key: "k-evil", Name: "evil"}},
 			Quarantine:   serve.QuarantineConfig{OpenAfter: 1, OpenFor: time.Minute},
-			InterceptFor: func(string) host.Intercept { return replayIntercept() },
+			InterceptFor: func(string) host.Intercept { return host.ReplayIntercept(2, 4) },
 		})
 		c.SetAPIKey("k-evil")
 		ctx := ctxT(t)
@@ -331,27 +329,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-// replayIntercept builds the layer-2 → layer-4 command replay MITM used to
-// drive breach-class errors through the HTTP boundary.
-func replayIntercept() host.Intercept {
-	var mu sync.Mutex
-	var captured *host.Packet
-	return func(layer int, p *host.Packet) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch layer {
-		case 2:
-			cp := *p
-			cp.Payload = append([]byte(nil), p.Payload...)
-			captured = &cp
-		case 4:
-			if captured != nil {
-				*p = *captured
-			}
-		}
-	}
-}
-
 // Tenant breach quarantine through the HTTP boundary: an attacking tenant's
 // breaches escalate its breaker from throttled to open (451 with
 // Retry-After), half-open probes let it back only once clean, and an honest
@@ -374,7 +351,7 @@ func TestTenantQuarantineEscalation(t *testing.T) {
 		},
 		InterceptFor: func(tenant string) host.Intercept {
 			if tenant == "evil" && attacking() {
-				return replayIntercept()
+				return host.ReplayIntercept(2, 4)
 			}
 			return nil
 		},
@@ -444,13 +421,13 @@ func TestTenantQuarantineEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, scrape, `seculator_serve_tenant_breaker_opens_total{tenant="evil"}`); v < 1 {
+	if v := metricValue(t, scrape, "seculator_serve_tenant_breaker_opens_total", "tenant", "evil"); v < 1 {
 		t.Fatalf("breaker_opens{evil} = %v, want >= 1", v)
 	}
-	if v := metricValue(t, scrape, `seculator_serve_tenant_breaches_total{tenant="evil"}`); v < 3 {
+	if v := metricValue(t, scrape, "seculator_serve_tenant_breaches_total", "tenant", "evil"); v < 3 {
 		t.Fatalf("breaches{evil} = %v, want >= 3", v)
 	}
-	if v, ok := metricLookup(t, scrape, `seculator_serve_tenant_breaches_total{tenant="good"}`); ok && v != 0 {
+	if v, ok := metrics.Value(scrape, "seculator_serve_tenant_breaches_total", "tenant", "good"); ok && v != 0 {
 		t.Fatalf("honest tenant charged with breaches: %v", v)
 	}
 }
