@@ -67,9 +67,16 @@ func (t *Tensor) Equal(o *Tensor) bool {
 // Randomize fills the tensor with small deterministic values in [-8, 8)
 // from the seed, keeping tiled accumulation far from int32 overflow.
 func (t *Tensor) Randomize(seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := range t.Data {
-		t.Data[i] = int32(rng.Intn(16) - 8)
+	draw(t.Data, seed, 16)
+}
+
+// draw fills data with the values rand.New(rand.NewSource(seed)).Intn(n) − n/2
+// returns, for n a power of two, straight from the source: Intn(n) is then
+// Int31() & (n−1), and Int31 is the top 31 bits of the source's Int63.
+func draw(data []int32, seed int64, n int32) {
+	src := rand.NewSource(seed)
+	for i := range data {
+		data[i] = int32(src.Int63()>>32)&(n-1) - n/2
 	}
 }
 
@@ -94,10 +101,7 @@ func (w *Weights) At(k, c, r, s int) int32 {
 
 // Randomize fills the weights with small deterministic values in [-4, 4).
 func (w *Weights) Randomize(seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	for i := range w.Data {
-		w.Data[i] = int32(rng.Intn(8) - 4)
-	}
+	draw(w.Data, seed, 8)
 }
 
 // WeightsFor allocates the weight tensor a layer needs (nil for pools and
@@ -137,12 +141,13 @@ func PadOrigin(l workload.Layer) (padY, padX int) {
 // [y0, y1), over all output columns. Depthwise layers reduce each output
 // channel against its own input channel regardless of [c0, c1).
 //
-// The kernel's row and column ranges are clipped against the zero padding
-// once per output row and column, and the reduction then runs over
-// sub-slices of in.Data and w.Data. The outer order is k, y, x because the
-// late layers of the networks run here have 2×2 and 1×1 planes: with x
-// innermost the loop runs once or twice and hoisting its bounds is the cost,
-// so a 3×3 kernel takes conv3x3 only on a plane with interior columns.
+// A one-tap kernel at stride 1 takes pointwise1, and a 3×3 kernel on a
+// plane with interior columns conv3x3. Every other layer runs the clipped
+// loop below: the kernel's row and column ranges are clipped against the
+// zero padding once per output row and column, and the reduction then runs
+// over sub-slices of in.Data and w.Data. Its outer order is k, y, x because
+// the late layers of the networks run here have 2×2 and 1×1 planes: with x
+// innermost the loop runs once or twice and hoisting its bounds is the cost.
 // int32 sums wrap mod 2³², so the result does not depend on the order.
 func AccumulateConv(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
 	k0, k1, c0, c1, y0, y1 int) {
@@ -159,6 +164,10 @@ func AccumulateConv(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
 	}
 	plane, filter := in.H*in.W, w.R*w.S
 	pointwise := l.R == 1 && l.S == 1 && !depthwise
+	if pointwise && l.Stride == 1 {
+		pointwise1(out, in, w, k0, k1, c0, c1, y0, y1)
+		return
+	}
 	// in.W >= 3 spares 2×2 and 1×1 planes interior3's divisions.
 	if l.R == 3 && l.S == 3 && in.W >= 3 &&
 		conv3x3(out, in, w, l.Stride, padY, padX, k0, k1, c0, c1, y0, y1, depthwise) {
@@ -203,16 +212,59 @@ func AccumulateConv(out *Tensor, in *Tensor, w *Weights, l workload.Layer,
 	}
 }
 
+// pointwise1 is AccumulateConv for a one-tap kernel at stride 1, where the
+// output plane is the input plane and output pixel p reads pixel p of every
+// input channel. It register-blocks four sums carried across the
+// reduction: four adjacent pixels of one output channel, each step reading
+// four input values at a plane stride, or on a 1×1 plane (FC) four output
+// channels of the one pixel, each step reading one input value. The set-up
+// is per k, not per (k, c), which on 2×2 and 1×1 planes would be the cost;
+// the pixels and channels left over take dotPlanes.
+func pointwise1(out, in *Tensor, w *Weights, k0, k1, c0, c1, y0, y1 int) {
+	plane := in.H * in.W
+	p0, p1 := y0*in.W, y1*in.W
+	inC := in.Data[c0*plane:]
+	if plane == 1 && p0 < p1 {
+		for ; k0+4 <= k1; k0 += 4 {
+			s0, s1, s2, s3 := dot4Rows(inC[:c1-c0], w.Data[k0*w.C+c0:], w.C)
+			add4(out.Data[k0:k0+4], s0, s1, s2, s3)
+		}
+	}
+	for k := k0; k < k1 && p0 < p1; k++ {
+		wk := w.Data[k*w.C+c0:][:c1-c0]
+		o := out.Data[k*plane:][:p1]
+		p := p0
+		for ; p+4 <= p1; p += 4 {
+			s0, s1, s2, s3 := dot4Planes(inC[p:], wk, plane)
+			add4(o[p:p+4], s0, s1, s2, s3)
+		}
+		for ; p < p1; p++ {
+			o[p] += dotPlanes(inC[p:], wk, plane)
+		}
+	}
+}
+
+// add4 adds s0 … s3 to d[0:4].
+func add4(d []int32, s0, s1, s2, s3 int32) {
+	d = d[:4]
+	d[0] += s0
+	d[1] += s1
+	d[2] += s2
+	d[3] += s3
+}
+
 // conv3x3 is AccumulateConv for a 3×3 kernel on a plane with interior
 // columns (whose windows lie wholly inside the input), and reports whether
-// it ran. Per (k, c) it hoists the nine taps, sums each interior pixel's
-// window unrolled from three input-row slices, and clips the rest.
+// it ran. Every output row sums the full nine-tap window: a kernel row in
+// the padding takes zero taps over a row of the plane, so border rows need
+// no clipping. Per (k, c, y) the taps are hoisted, each interior pixel's
+// window is unrolled from three input-row slices, and the edge columns are
+// clipped by clip3.
 func conv3x3(out, in *Tensor, w *Weights, stride, padY, padX, k0, k1, c0, c1, y0, y1 int, depthwise bool) bool {
 	xlo, xhi := interior3(padX, stride, in.W, out.W)
 	if xlo == xhi {
 		return false
 	}
-	ylo, yhi := interior3(padY, stride, in.H, out.H)
 	plane := in.H * in.W
 	for k := k0; k < k1; k++ {
 		for c := c0; c < c1; c++ {
@@ -221,41 +273,61 @@ func conv3x3(out, in *Tensor, w *Weights, stride, padY, padX, k0, k1, c0, c1, y0
 				inC = in.Data[k*plane:][:plane]
 			}
 			t := w.Data[(k*w.C+c)*9:][:9]
-			t0, t1, t2, t3, t4, t5, t6, t7, t8 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7], t[8]
 			for y := y0; y < y1; y++ {
 				iy := y*stride - padY
-				orow := out.Data[(k*out.H+y)*out.W:][:out.W]
-				inner := y >= ylo && y < yhi
-				for x := range orow {
-					if !inner || x < xlo || x >= xhi {
-						orow[x] += clipped3(t, inC, in.W, in.H, iy, x*stride-padX)
+				var u [9]int32 // t, but zero in the kernel rows in the padding
+				var rows [3][]int32
+				for r := range rows {
+					ry := min(max(iy+r, 0), in.H-1)
+					rows[r] = inC[ry*in.W:][:in.W]
+					if ry == iy+r {
+						u[3*r], u[3*r+1], u[3*r+2] = t[3*r], t[3*r+1], t[3*r+2]
 					}
 				}
-				if !inner {
-					continue
+				r0, r1, r2 := rows[0], rows[1], rows[2]
+				orow := out.Data[(k*out.H+y)*out.W:][:out.W]
+				for x := 0; x < len(orow); x++ {
+					if x == xlo {
+						x = xhi - 1 // the interior columns are summed below
+						continue
+					}
+					orow[x] += clip3(&u, r0, r1, r2, x*stride-padX)
 				}
-				rows := inC[iy*in.W:]
-				r0, r1, r2 := rows[:in.W], rows[in.W:2*in.W], rows[2*in.W:3*in.W]
-				ix := xlo*stride - padX
-				for x := xlo; x < xhi; x++ {
-					a, b, d := r0[ix:ix+3], r1[ix:ix+3], r2[ix:ix+3]
-					orow[x] += t0*a[0] + t1*a[1] + t2*a[2] +
-						t3*b[0] + t4*b[1] + t5*b[2] +
-						t6*d[0] + t7*d[1] + t8*d[2]
-					ix += stride
-				}
+				window9(orow[xlo:xhi], r0, r1, r2, &u, xlo*stride-padX, stride)
 			}
 		}
 	}
 	return true
 }
 
-// clipped3 returns the window of taps t at (iy, ix) of the w×h plane p.
-func clipped3(t, p []int32, w, h, iy, ix int) (sum int32) {
-	for r := max(0, -iy); r < min(3, h-iy); r++ {
-		for s := max(0, -ix); s < min(3, w-ix); s++ {
-			sum += t[r*3+s] * p[(iy+r)*w+ix+s]
+// window9 adds to each o[i] the window of taps u at column ix + i·stride of
+// rows r0, r1 and r2, unrolled. At stride 1 each row is sliced once for the
+// whole run, which spares two of every pixel's three bounds checks.
+func window9(o, r0, r1, r2 []int32, u *[9]int32, ix, stride int) {
+	u0, u1, u2, u3, u4, u5, u6, u7, u8 := u[0], u[1], u[2], u[3], u[4], u[5], u[6], u[7], u[8]
+	if stride == 1 {
+		a, b, d := r0[ix:][:len(o)+2], r1[ix:][:len(o)+2], r2[ix:][:len(o)+2]
+		for x := range o {
+			o[x] += u0*a[x] + u1*a[x+1] + u2*a[x+2] +
+				u3*b[x] + u4*b[x+1] + u5*b[x+2] +
+				u6*d[x] + u7*d[x+1] + u8*d[x+2]
 		}
+		return
+	}
+	for x := range o {
+		a, b, d := r0[ix:ix+3], r1[ix:ix+3], r2[ix:ix+3]
+		o[x] += u0*a[0] + u1*a[1] + u2*a[2] +
+			u3*b[0] + u4*b[1] + u5*b[2] +
+			u6*d[0] + u7*d[1] + u8*d[2]
+		ix += stride
+	}
+}
+
+// clip3 returns the window of taps u at column ix of rows r0, r1 and r2,
+// clipped to the columns of the rows.
+func clip3(u *[9]int32, r0, r1, r2 []int32, ix int) (sum int32) {
+	for s := max(0, -ix); s < min(3, len(r0)-ix); s++ {
+		sum += u[s]*r0[ix+s] + u[3+s]*r1[ix+s] + u[6+s]*r2[ix+s]
 	}
 	return sum
 }
@@ -269,27 +341,86 @@ func interior3(pad, stride, n, outN int) (lo, hi int) {
 }
 
 // dotPlanes returns Σ in[i·plane]·w[i]: the reduction of a one-tap kernel,
-// which walks the channels at a plane stride. It is kept out of line
-// because inlined into AccumulateConv's loop nest its accumulator and index
-// spill to the stack, which doubles the time of a 128-channel reduction.
+// which walks the channels at a plane stride, in four independent sums. It
+// is kept out of line because inlined into AccumulateConv's loop nest its
+// sums and index spill to the stack, which doubles the time of a
+// 128-channel reduction.
 //
 //go:noinline
 func dotPlanes(in, w []int32, plane int) int32 {
-	var sum int32
+	var s0, s1, s2, s3 int32
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		v, p := w[i:i+4:i+4], i*plane
+		s0 += in[p] * v[0]
+		s1 += in[p+plane] * v[1]
+		s2 += in[p+2*plane] * v[2]
+		s3 += in[p+3*plane] * v[3]
+	}
+	for ; i < len(w); i++ {
+		s0 += in[i*plane] * w[i]
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// dot4Planes is dotPlanes for the four adjacent pixels in[0:4], carried in
+// four sums. It is out of line for the reason dotPlanes is.
+//
+//go:noinline
+func dot4Planes(in, w []int32, plane int) (s0, s1, s2, s3 int32) {
 	p := 0
 	for _, wv := range w {
-		sum += in[p] * wv
+		v := in[p : p+4 : p+4]
+		s0 += v[0] * wv
+		s1 += v[1] * wv
+		s2 += v[2] * wv
+		s3 += v[3] * wv
 		p += plane
 	}
-	return sum
+	return s0, s1, s2, s3
+}
+
+// dot4Rows returns the dot products of in with the four weight rows
+// w[j·stride:][:len(in)], j = 0 … 3, loading each input value once. It is
+// out of line for the reason dotPlanes is.
+//
+//go:noinline
+func dot4Rows(in, w []int32, stride int) (s0, s1, s2, s3 int32) {
+	n := len(in)
+	w0, w1, w2, w3 := w[:n], w[stride:][:n], w[2*stride:][:n], w[3*stride:][:n]
+	for i, v := range in {
+		s0 += v * w0[i]
+		s1 += v * w1[i]
+		s2 += v * w2[i]
+		s3 += v * w3[i]
+	}
+	return s0, s1, s2, s3
 }
 
 // AccumulatePool writes the max-pool result for channels [k0, k1) and
-// output rows [y0, y1) into out (pooling has a single reduction step).
+// output rows [y0, y1) into out (pooling has a single reduction step). A
+// 2×2 window at stride 2 (whose pad origin is always zero) with every
+// window inside the plane takes the maximum of four from two input-row
+// slices; other shapes skip the padding per element.
 func AccumulatePool(out *Tensor, in *Tensor, l workload.Layer, k0, k1, y0, y1 int) {
 	padY, padX := PadOrigin(l)
-	for k := k0; k < k1 && k < l.K; k++ {
-		for y := y0; y < y1 && y < out.H; y++ {
+	k1, y1 = min(k1, l.K), min(y1, out.H)
+	if l.R == 2 && l.S == 2 && l.Stride == 2 && 2*out.H <= in.H && 2*out.W <= in.W {
+		for k := k0; k < k1; k++ {
+			for y := y0; y < y1; y++ {
+				r0 := in.Data[(k*in.H+2*y)*in.W:][:2*out.W]
+				r1 := in.Data[(k*in.H+2*y+1)*in.W:][:2*out.W]
+				orow := out.Data[(k*out.H+y)*out.W:][:out.W]
+				for x := range orow {
+					a, b := r0[2*x:2*x+2], r1[2*x:2*x+2]
+					orow[x] = max(a[0], a[1], b[0], b[1])
+				}
+			}
+		}
+		return
+	}
+	for k := k0; k < k1; k++ {
+		for y := y0; y < y1; y++ {
 			for x := 0; x < out.W; x++ {
 				first := true
 				var best int32

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -319,8 +321,9 @@ func checkConvAgainstRef(t *testing.T, rng *rand.Rand, l workload.Layer, in *Ten
 // TestAccumulateConvMatchesReference is the seeded differential test of the
 // slice-indexed convolution: random layers over {Conv, Depthwise} × stride
 // 1–3 × same / valid padding × R ≠ S × kernels wider than the input ×
-// R = S = 1 × R = S = 3, full-range operands, and random sub-ranges whose
-// upper bounds may lie past K, C and OutH.
+// R = S = 1 (a quarter of them on a 1×1 plane) × R = S = 3, full-range
+// operands, and random sub-ranges whose upper bounds may lie past K, C and
+// OutH. It fails unless every path of the one-tap and 3×3 kernels is hit.
 func TestAccumulateConvMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const want = 10000
@@ -335,6 +338,9 @@ func TestAccumulateConvMatchesReference(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0:
 			l.R, l.S = 1, 1
+			if rng.Intn(4) == 0 {
+				l.H, l.W = 1, 1 // the plane of an FC layer
+			}
 		case 1:
 			l.R, l.S = 3, 3
 		}
@@ -360,10 +366,12 @@ func TestAccumulateConvMatchesReference(t *testing.T) {
 		k0, c0, y0 := rng.Intn(l.K), rng.Intn(l.C), rng.Intn(l.OutH())
 		checkConvAgainstRef(t, rng, l, in, w,
 			k0, k0+rng.Intn(l.K+2), c0, c0+rng.Intn(l.C+2), y0, y0+rng.Intn(l.OutH()+2))
+		cases := oneTapCases(l, y0)
 		if l.R == 3 && l.S == 3 {
-			for _, c := range conv3x3Cases(l, k0, c0, y0) {
-				reached[c]++
-			}
+			cases = conv3x3Cases(l, k0, c0, y0)
+		}
+		for _, c := range cases {
+			reached[c]++
 		}
 	}
 	// The generator must reach the corners the kernel branches on.
@@ -375,17 +383,53 @@ func TestAccumulateConvMatchesReference(t *testing.T) {
 		"stride 1", "stride 2", "stride 3", "1×1 plane", "2×2 plane", "plane with an interior",
 		"same padding", "valid padding", "conv", "depthwise",
 		"conv sub-range from k0, c0, y0 > 0", "depthwise sub-range from k0, y0 > 0",
+		"border rows at stride 1", "border rows at stride 2", "border rows at stride 3",
+		"H < 3 with an interior column", "sub-range from a border row y0 > 0",
+		"one-tap 1×1 plane", "one-tap 1×1 plane, K ≥ 4", "one-tap plane of 2 – 3",
+		"one-tap plane ≥ 4 without a tail", "one-tap plane ≥ 4 with a tail",
+		"one-tap sub-range from y0 > 0", "strided one-tap",
 	} {
 		if reached[c] < want/500 {
-			t.Errorf("of %d shapes only %d are 3×3 layers with %s", shapes, reached[c], c)
+			t.Errorf("of %d shapes only %d reach the case %q", shapes, reached[c], c)
 		}
 	}
+}
+
+// oneTapCases names what a one-tap convolution (R = S = 1), checked over a
+// sub-range starting at row y0, exercises of its paths: at stride 1,
+// pointwise1's four-pixel blocks, its tail, and the four-channel blocks of a
+// 1×1 plane; strided, the clipped loop.
+func oneTapCases(l workload.Layer, y0 int) []string {
+	if l.R != 1 || l.S != 1 || l.Type == workload.Depthwise {
+		return nil
+	}
+	if l.Stride > 1 {
+		return []string{"strided one-tap"}
+	}
+	var cases []string
+	switch plane := l.H * l.W; {
+	case plane == 1 && l.K >= 4:
+		cases = append(cases, "one-tap 1×1 plane", "one-tap 1×1 plane, K ≥ 4")
+	case plane == 1:
+		cases = append(cases, "one-tap 1×1 plane")
+	case plane < 4:
+		cases = append(cases, "one-tap plane of 2 – 3")
+	case plane%4 == 0:
+		cases = append(cases, "one-tap plane ≥ 4 without a tail")
+	default:
+		cases = append(cases, "one-tap plane ≥ 4 with a tail")
+	}
+	if y0 > 0 {
+		cases = append(cases, "one-tap sub-range from y0 > 0")
+	}
+	return cases
 }
 
 // conv3x3Cases names what a 3×3 layer, checked over a sub-range starting
 // at (k0, c0, y0), exercises of the 3×3 path: the stride, the plane (an
 // interior is an output pixel whose window lies wholly inside the input),
-// the padding, the layer type and a sub-range starting mid-tensor.
+// the padding, the layer type, a sub-range starting mid-tensor, and on a
+// plane with an interior column the rows whose windows cross the padding.
 func conv3x3Cases(l workload.Layer, k0, c0, y0 int) []string {
 	padY, padX := PadOrigin(l)
 	inside := func(pad, n, outN int) bool {
@@ -407,6 +451,22 @@ func conv3x3Cases(l workload.Layer, k0, c0, y0 int) []string {
 		cases = append(cases, "1×1 plane")
 	case l.H == 2 && l.W == 2:
 		cases = append(cases, "2×2 plane")
+	}
+	// A border row's windows cross the top or bottom padding.
+	border := func(o int) bool { i := o*l.Stride - padY; return i < 0 || i+3 > l.H }
+	if inside(padX, l.W, l.OutW()) {
+		for o := 0; o < l.OutH(); o++ {
+			if border(o) {
+				cases = append(cases, fmt.Sprintf("border rows at stride %d", l.Stride))
+				break
+			}
+		}
+		if l.H < 3 {
+			cases = append(cases, "H < 3 with an interior column")
+		}
+		if y0 > 0 && border(y0) {
+			cases = append(cases, "sub-range from a border row y0 > 0")
+		}
 	}
 	if l.Type == workload.Depthwise {
 		cases[2] = "depthwise"
@@ -445,6 +505,35 @@ func TestAccumulateConvMatchesReferenceOnNetworks(t *testing.T) {
 	}
 }
 
+// TestKernelsAllocFree: every layer kernel of Mini and MobileNet/8
+// allocates nothing.
+func TestKernelsAllocFree(t *testing.T) {
+	for _, name := range []string{"Mini", "MobileNet/8"} {
+		net, err := workload.ResolveShape(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, ws := RandomModel(net, 1)
+		for i, l := range net.Layers {
+			in, err := reshapeInput(l, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := NewTensor(l.K, l.OutH(), l.OutW())
+			if n := testing.AllocsPerRun(10, func() {
+				if l.Type == workload.Pool {
+					AccumulatePool(out, in, l, 0, l.K, 0, out.H)
+				} else {
+					AccumulateConv(out, in, ws[i], l, 0, l.K, 0, l.ReductionChannels(), 0, out.H)
+				}
+			}); n != 0 {
+				t.Errorf("%s layer %s: %v allocations per call", name, l.Name, n)
+			}
+			cur = out
+		}
+	}
+}
+
 // TestRandomWeightsMatchesRandomModel: the weights RandomWeights draws are
 // RandomModel's, value for value.
 func TestRandomWeightsMatchesRandomModel(t *testing.T) {
@@ -462,36 +551,162 @@ func TestRandomWeightsMatchesRandomModel(t *testing.T) {
 	}
 }
 
+// TestRandomizeMatchesMathRand: Tensor.Randomize and RandomWeights draw
+// the values rand.New(rand.NewSource(seed)).Intn gives, value for value.
+func TestRandomizeMatchesMathRand(t *testing.T) {
+	check := func(what string, data []int32, seed int64, n int) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(seed))
+		for i, v := range data {
+			if want := int32(rng.Intn(n) - n/2); v != want {
+				t.Fatalf("%s seed %d: element %d = %d, math/rand gives %d", what, seed, i, v, want)
+			}
+		}
+	}
+	for _, name := range []string{"Mini", "MobileNet/8"} {
+		net, err := workload.ResolveShape(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := net.Layers[0]
+		for seed := int64(-10); seed < 40; seed++ {
+			in := NewTensor(first.C, first.H, first.W)
+			in.Randomize(seed)
+			check(name+" input", in.Data, seed, 16)
+			for i, w := range RandomWeights(net, seed) {
+				if w != nil {
+					check(fmt.Sprintf("%s layer %d", name, i), w.Data, seed+int64(i)+1, 8)
+				}
+			}
+		}
+	}
+}
+
+// accumulatePoolRef is the element-wise max pool: each window element
+// through a bounds test, the maximum of those inside (0 if none).
+func accumulatePoolRef(out, in *Tensor, l workload.Layer, k0, k1, y0, y1 int) {
+	padY, padX := PadOrigin(l)
+	for k := k0; k < k1 && k < l.K; k++ {
+		for y := y0; y < y1 && y < out.H; y++ {
+			for x := 0; x < out.W; x++ {
+				var vals []int32
+				for r := 0; r < l.R; r++ {
+					for s := 0; s < l.S; s++ {
+						iy, ix := y*l.Stride+r-padY, x*l.Stride+s-padX
+						if iy >= 0 && iy < in.H && ix >= 0 && ix < in.W {
+							vals = append(vals, in.At(k, iy, ix))
+						}
+					}
+				}
+				best := int32(0)
+				if len(vals) > 0 {
+					best = slices.Max(vals)
+				}
+				out.Set(k, y, x, best)
+			}
+		}
+	}
+}
+
+// TestAccumulatePoolMatchesReference is the seeded differential test of
+// max pooling: random R, S in 1 – 3, stride 1 – 3, same and valid padding
+// on planes from 1×1 up, full-range values with ties and both int32 bounds,
+// and random sub-ranges whose upper bounds may lie past K and OutH. Both
+// the 2×2 / stride-2 path and the general loop must be reached.
+func TestAccumulatePoolMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const want = 5000
+	reached := map[string]int{}
+	for shapes := 0; shapes < want; {
+		c := 1 + rng.Intn(4)
+		l := workload.Layer{
+			Name: "pool", Type: workload.Pool, C: c, K: c, H: 1 + rng.Intn(8), W: 1 + rng.Intn(8),
+			R: 1 + rng.Intn(3), S: 1 + rng.Intn(3), Stride: 1 + rng.Intn(3), Valid: rng.Intn(2) == 0,
+		}
+		if rng.Intn(3) == 0 {
+			l.R, l.S, l.Stride = 2, 2, 2
+		}
+		if l.Validate() != nil || l.OutH() < 1 || l.OutW() < 1 {
+			continue
+		}
+		shapes++
+		padY, padX := PadOrigin(l)
+		if l.R == 2 && l.S == 2 && l.Stride == 2 && padY == 0 && padX == 0 &&
+			2*l.OutH() <= l.H && 2*l.OutW() <= l.W {
+			reached["2×2 / stride-2 path"]++
+		} else {
+			reached["general loop"]++
+		}
+		in := NewTensor(l.C, l.H, l.W)
+		fillFullRange(rng, in.Data)
+		for i := range in.Data {
+			switch rng.Intn(8) {
+			case 0:
+				in.Data[i] = in.Data[rng.Intn(len(in.Data))] // a tie
+			case 1:
+				in.Data[i] = math.MinInt32
+			case 2:
+				in.Data[i] = math.MaxInt32
+			}
+		}
+		k0, y0 := rng.Intn(l.K), rng.Intn(l.OutH())
+		for _, r := range [][4]int{
+			{0, l.K, 0, l.OutH()},
+			{k0, k0 + rng.Intn(l.K+2), y0, y0 + rng.Intn(l.OutH()+2)},
+		} {
+			got := NewTensor(l.K, l.OutH(), l.OutW())
+			fillFullRange(rng, got.Data)
+			ref := NewTensor(got.Chans, got.H, got.W)
+			copy(ref.Data, got.Data)
+			AccumulatePool(got, in, l, r[0], r[1], r[2], r[3])
+			accumulatePoolRef(ref, in, l, r[0], r[1], r[2], r[3])
+			if !got.Equal(ref) {
+				t.Fatalf("layer %+v k[%d,%d) y[%d,%d): differs from the element-wise reference", l, r[0], r[1], r[2], r[3])
+			}
+		}
+	}
+	for _, c := range []string{"2×2 / stride-2 path", "general loop"} {
+		if reached[c] < want/10 {
+			t.Errorf("of %d shapes only %d take the %s", want, reached[c], c)
+		}
+	}
+}
+
 var benchSink int32
+
+// layerNamed returns the layer of net called name.
+func layerNamed(b *testing.B, net workload.Network, name string) workload.Layer {
+	for _, l := range net.Layers {
+		if l.Name == name {
+			return l
+		}
+	}
+	b.Fatalf("%s has no layer %q", net.Name, name)
+	return workload.Layer{}
+}
 
 // BenchmarkAccumulateConv times one full layer of each kernel shape
 // MobileNet/8 runs: the first 3×3 convolution, the first depthwise and
-// pointwise layers, and the classifier; and, as 3x3, Mini's stride-1 3×3
-// convolution, the layer the unrolled interior path was written for.
+// pointwise layers, the classifier, and the one-tap layers on 2×2 (pw8)
+// and 1×1 (pw14) planes; and Mini's stride-1 3×3 convolution (3x3) and
+// pointwise layer.
 func BenchmarkAccumulateConv(b *testing.B) {
 	net, err := workload.ResolveShape("MobileNet/8")
 	if err != nil {
 		b.Fatal(err)
 	}
-	first := map[workload.LayerType]workload.Layer{}
-	for _, l := range net.Layers {
-		if _, ok := first[l.Type]; !ok {
-			first[l.Type] = l
-		}
-	}
+	mini := workload.Mini()
 	arms := []struct {
 		name string
 		l    workload.Layer
 	}{
-		{"conv", first[workload.Conv]}, {"depthwise", first[workload.Depthwise]},
-		{"pointwise", first[workload.Pointwise]}, {"fc", first[workload.FC]},
-		{"3x3", workload.Mini().Layers[0]},
+		{"conv", layerNamed(b, net, "conv1")}, {"depthwise", layerNamed(b, net, "dw2")},
+		{"pointwise", layerNamed(b, net, "pw2")}, {"fc", layerNamed(b, net, "fc")},
+		{"pointwise-2x2", layerNamed(b, net, "pw8")}, {"pointwise-1x1", layerNamed(b, net, "pw14")},
+		{"3x3", layerNamed(b, mini, "c1")}, {"mini-pw", layerNamed(b, mini, "pw")},
 	}
 	for _, arm := range arms {
 		l := arm.l
-		if l.K == 0 {
-			b.Fatalf("MobileNet/8 has no %s layer", arm.name)
-		}
 		b.Run(arm.name, func(b *testing.B) {
 			in := NewTensor(l.C, l.H, l.W)
 			in.Randomize(1)
@@ -504,6 +719,44 @@ func BenchmarkAccumulateConv(b *testing.B) {
 				AccumulateConv(out, in, w, l, 0, l.K, 0, l.ReductionChannels(), 0, out.H)
 			}
 			benchSink = out.Data[0]
+		})
+	}
+}
+
+// BenchmarkAccumulatePool times Mini's 2×2 / stride-2 max pool.
+func BenchmarkAccumulatePool(b *testing.B) {
+	l := layerNamed(b, workload.Mini(), "p1")
+	in := NewTensor(l.C, l.H, l.W)
+	in.Randomize(1)
+	out := NewTensor(l.K, l.OutH(), l.OutW())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AccumulatePool(out, in, l, 0, l.K, 0, out.H)
+	}
+	benchSink = out.Data[0]
+}
+
+// BenchmarkForwardNetwork times the reference forward pass of Mini and
+// MobileNet/8 on their seed-1 model, as the benchmark's nn.forward_ms.mini
+// and .deep do.
+func BenchmarkForwardNetwork(b *testing.B) {
+	for _, arm := range []struct{ name, net string }{{"mini", "Mini"}, {"deep", "MobileNet/8"}} {
+		b.Run(arm.name, func(b *testing.B) {
+			net, err := workload.ResolveShape(arm.net)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, ws := RandomModel(net, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := ForwardNetwork(net, in, ws)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = out.Data[0]
+			}
 		})
 	}
 }

@@ -30,6 +30,9 @@
 # tests: dataflow reads 95.0% (92.2% before), host 94.3% (94.6%: covered
 # helpers went) and runner 89.9% (87.4%), so the floors are 94.5, 94.0 and
 # 89.5.
+# nn's one-tap, 3×3 border-row and 2×2 pool paths came with a pool oracle,
+# a wider conv oracle, a math/rand oracle and an allocation test: nn reads
+# 94.2% (91.6% before), so its floor rises from 89.0 to 93.7.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +43,7 @@ declare -A floor=(
   [seculator/internal/mem]=95.5
   [seculator/internal/mac]=76.0
   [seculator/internal/crypto]=95.0
-  [seculator/internal/nn]=89.0
+  [seculator/internal/nn]=93.7
   [seculator/internal/vngen]=97.0
   [seculator/internal/serve]=85.0
   [seculator/internal/gateway]=84.5
