@@ -410,8 +410,8 @@ func BenchmarkSecureInference(b *testing.B) {
 		},
 	}
 	// deep carries enough blocks per tile that every stage of the pipeline
-	// engages: helper-hashed reads and writes and overlapped weight loading
-	// across its seven layers.
+	// engages: memo-reused reads, MAC-recording writes and overlapped weight
+	// loading across its seven layers.
 	deep := Network{
 		Name: "bench-deep",
 		Layers: []Layer{
@@ -460,15 +460,14 @@ func BenchmarkSecureInference(b *testing.B) {
 //
 // — and so CI's bench smoke prints its B/op (the pooled path's memory
 // budget, DESIGN.md §15) on every push. "loader" is the default run (pooled
-// state, the model host-written by the loader goroutine and the block MACs
-// hashed by a borrowed helper while the layers execute); "hooked" adds a
-// no-op phase hook, which makes the run load the whole model up front on
-// state it builds afresh; "one-cpu" is "loader" at GOMAXPROCS=1, where no
-// helper is borrowed and nothing overlaps — so "-bench LibDeep" alone shows
-// what the second CPU buys, and Result.Hashing says how much of the hashing
-// moved (reported as helper-macs/op), how many reads hashed no MAC
-// (reused-macs/op) and how many output pads the loader computed ahead of the
-// loop (ahead-pads/op; none on "hooked", which has no loader).
+// state, the model host-written by the loader goroutine while the layers
+// execute); "hooked" adds a no-op phase hook, which makes the run load the
+// whole model up front on state it builds afresh; "one-cpu" is "loader" at
+// GOMAXPROCS=1, where nothing overlaps — so "-bench LibDeep" alone shows
+// what the second CPU buys. Result.Hashing says how many reads hashed no MAC
+// (reused-macs/op), and Result.Keystream how many output pads the loader
+// computed ahead of the loop (ahead-pads/op; none on "hooked", which has no
+// loader).
 func BenchmarkLibDeep(b *testing.B) {
 	net, err := workload.ResolveShape("MobileNet/8")
 	if err != nil {
@@ -492,7 +491,7 @@ func BenchmarkLibDeep(b *testing.B) {
 			if arm.procs > 0 {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(arm.procs))
 			}
-			helperMACs, reusedMACs, aheadPads := 0, 0, 0
+			reusedMACs, aheadPads := 0, 0
 			run := func() {
 				res, err := SecureInferenceContext(context.Background(), net, in, ws, arm.opts)
 				if err != nil {
@@ -501,18 +500,16 @@ func BenchmarkLibDeep(b *testing.B) {
 				if !res.Output.Equal(golden) {
 					b.Fatal("diverged")
 				}
-				helperMACs += res.Hashing.Helper
 				reusedMACs += res.Hashing.Reused
 				aheadPads += res.Keystream.Ahead
 			}
 			run() // builds the pooled run state; every timed loader iteration reuses it
 			b.ReportAllocs()
 			b.ResetTimer()
-			helperMACs, reusedMACs, aheadPads = 0, 0, 0
+			reusedMACs, aheadPads = 0, 0
 			for i := 0; i < b.N; i++ {
 				run()
 			}
-			b.ReportMetric(float64(helperMACs)/float64(b.N), "helper-macs/op")
 			b.ReportMetric(float64(reusedMACs)/float64(b.N), "reused-macs/op")
 			b.ReportMetric(float64(aheadPads)/float64(b.N), "ahead-pads/op")
 		})

@@ -318,8 +318,8 @@ func TestOutputMACPinned(t *testing.T) {
 // computed the pads of every layer whose lines are written once ahead of
 // the loop (Keystream.Ahead, a share of Computed), and no other arm pads
 // ahead. And Result.Hashing: a clean run
-// hashes the MAC of every ofmap write (Loop + Helper, whoever hashed it)
-// and takes every read's from the memo (Reused); the two sum to the MACs
+// hashes the MAC of every ofmap write (Loop) and takes every read's from
+// the memo (Reused); the two sum to the MACs
 // the run hashed before reads took recorded ones (macs), which no arm moves.
 func TestBlockCountsPinned(t *testing.T) {
 	type macSplit struct{ hashed, reused, macs int }
@@ -362,7 +362,7 @@ func TestBlockCountsPinned(t *testing.T) {
 					tc.shape, tc.globalBuffer, name, res.Counts, res.Keystream, want, pads)
 			}
 			h := res.Hashing
-			if got := (macSplit{h.Loop + h.Helper, h.Reused, h.Loop + h.Helper + h.Reused}); got != macs {
+			if got := (macSplit{h.Loop, h.Reused, h.Loop + h.Reused}); got != macs {
 				t.Errorf("%s (buffer %d), %s: MACs hashed / reused / in all %v, want %v", tc.shape, tc.globalBuffer, name, got, macs)
 			}
 			return res.Counts

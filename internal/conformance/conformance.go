@@ -7,9 +7,9 @@
 //     outputs and self-consistent traffic/metadata accounting;
 //  2. serial/parallel equivalence: outputs, OutputMAC, block counts, all
 //     four XOR-MAC registers and the ciphertext bytes in DRAM are
-//     bit-identical whether the layer loop hashes its block MACs itself or
-//     a helper hashes them beside it, and whether the model is loaded up
-//     front or by the loader;
+//     bit-identical at one P and at several, and whether the model is
+//     loaded up front or by the loader, and a run starts no goroutine but
+//     the loader;
 //  3. the VN master equation: the ⟨η, κ, ρ⟩ FSM replay matches the VN
 //     sequence the dataflow simulator enumerates, for every mapping;
 //  4. attack detection: randomized tamper/replay/swap/splice mutations are

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"time"
 
 	"seculator/internal/attack"
 	"seculator/internal/dataflow"
@@ -323,12 +324,12 @@ func CheckCrossScheme(cfg Config) error {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 2: serial/parallel equivalence — block MACs hashed on the layer
-// loop or beside it, the model loaded up front or by the loader.
+// Oracle 2: serial/parallel equivalence — one P or several, the model loaded
+// up front or by the loader.
 // ---------------------------------------------------------------------------
 
 // runSnapshot is everything observable about one executor run that must be
-// bit-identical whoever hashes its block MACs and whenever its weights load.
+// bit-identical however many Ps it runs on and whenever its weights load.
 type runSnapshot struct {
 	out       []int32
 	outputMAC mac.Digest
@@ -352,16 +353,17 @@ func dramDigest(d *mem.DRAM) uint64 {
 }
 
 // CheckSerialParallel runs the secure executor on the generated network four
-// ways — {inline, helper} × {hooked, loader} — and asserts identical
+// ways — {one P, several} × {hooked, loader} — and asserts identical
 // decrypted outputs (also equal to the plaintext reference), OutputMAC,
 // Blocks and Counts, identical per-layer snapshots of all four XOR-MAC
 // registers (values and fold counts), and, between the two hooked runs,
-// bit-identical DRAM ciphertext at every phase boundary. An inline run has
-// one P (GOMAXPROCS=1), so it borrows no MAC helper and its layer loop hashes
-// every block MAC itself; a helper run has at least two and must borrow one.
-// A hooked run (an AfterPhase hook) loads the whole model up front on fresh
-// state; a loader run is the default, its weights host-written beside the
-// layer loop. The oracle keeps its name for its repro corpora.
+// bit-identical DRAM ciphertext at every phase boundary. A hooked run (an
+// AfterPhase hook) loads the whole model up front on fresh state; a loader
+// run is the default, its weights host-written beside the layer loop, which
+// at one P (GOMAXPROCS=1) runs only when the loop waits for it. The layer
+// loop hashes every block MAC itself: at every layer's register snapshot a
+// run has started no goroutine but the loader (none when hooked), and after
+// Run none is left. The oracle keeps its name for its repro corpora.
 func CheckSerialParallel(cfg Config) error {
 	net := cfg.Net.Network()
 	if err := net.Validate(); err != nil {
@@ -373,16 +375,20 @@ func CheckSerialParallel(cfg Config) error {
 		return fmt.Errorf("reference: %w", err)
 	}
 
-	run := func(helper, hooked bool) (runSnapshot, error) {
-		procs := 1
-		if helper {
-			procs = max(2, runtime.GOMAXPROCS(0))
-		}
+	run := func(procs int, hooked bool) (runSnapshot, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		x := secure.NewExecutor()
 		var snap runSnapshot
+		before, loader := runtime.NumGoroutine(), 1
+		if hooked {
+			loader = 0
+		}
+		var extra error
 		x.OnLayerMACs = func(phase int, regs protect.RegisterState) {
 			snap.regs = append(snap.regs, regs)
+			if n := runtime.NumGoroutine(); n > before+loader && extra == nil {
+				extra = fmt.Errorf("%d goroutines at phase %d, %d before Run and %d for a loader: the run started another", n, phase, before, loader)
+			}
 		}
 		if hooked {
 			x.AfterPhase = func(phase int, d *mem.DRAM) {
@@ -393,8 +399,16 @@ func CheckSerialParallel(cfg Config) error {
 		if err != nil {
 			return snap, err
 		}
-		if res.Hashing.Borrowed != helper {
-			return snap, fmt.Errorf("borrowed a MAC helper: %v at GOMAXPROCS=%d", res.Hashing.Borrowed, procs)
+		if extra != nil {
+			return snap, extra
+		}
+		// The loader's close of its channel is its last act; the runtime may
+		// take a moment longer to retire it.
+		for wait := 0; runtime.NumGoroutine() > before; wait++ {
+			if wait == 1000 {
+				return snap, fmt.Errorf("%d goroutines after Run, %d before: the run left one behind", runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 		snap.out = res.Output.Data
 		snap.outputMAC = res.OutputMAC
@@ -403,22 +417,24 @@ func CheckSerialParallel(cfg Config) error {
 		return snap, nil
 	}
 
+	many := max(2, runtime.GOMAXPROCS(0))
 	var base runSnapshot
 	for i, arm := range []struct {
-		name           string
-		helper, hooked bool
+		name   string
+		procs  int
+		hooked bool
 	}{
-		{"inline/hooked", false, true},
-		{"helper/hooked", true, true},
-		{"inline/loader", false, false},
-		{"helper/loader", true, false},
+		{"one-P/hooked", 1, true},
+		{"many-P/hooked", many, true},
+		{"one-P/loader", 1, false},
+		{"many-P/loader", many, false},
 	} {
-		snap, err := run(arm.helper, arm.hooked)
+		snap, err := run(arm.procs, arm.hooked)
 		if err != nil {
 			return fmt.Errorf("%s: honest run failed: %w", arm.name, err)
 		}
 		if i > 0 {
-			if err := snap.diff(base, arm.name+" vs inline/hooked"); err != nil {
+			if err := snap.diff(base, arm.name+" vs one-P/hooked"); err != nil {
 				return err
 			}
 			continue

@@ -19,8 +19,8 @@ import (
 //
 // The hasher also keeps one SHA-256 state for its lifetime: sha256.Sum256
 // builds and resets a fresh digest on every call, which is a tenth of a
-// block MAC's cost. The shards of the secure layer loop and the MAC helpers
-// therefore take their single-block MACs from the same hasher (Block).
+// block MAC's cost. The shards of the secure layer loop therefore take
+// their single-block MACs from the same hasher (Block).
 
 // RowHasher is caller-owned scratch for block MACs: the 88-byte message
 // buffer, a resident SHA-256 state and the sum it writes. The zero value is

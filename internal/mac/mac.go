@@ -142,7 +142,7 @@ func (r *Register) Merge(o Register) {
 }
 
 // PartialBank is a private set of the four XOR-MAC accumulators. A shard
-// (or a helper hashing for one) folds block MACs into its own partial bank —
+// folds block MACs into its own partial bank —
 // no locks, no sharing — and the orchestrator reduces the partial banks
 // into the layer's real bank with LayerChecker.FoldBank once their writers
 // have quiesced. Soundness rests on the XOR-MAC itself: each folded

@@ -25,7 +25,7 @@ type SeculatorMemory struct {
 	layer   uint32
 	started bool
 
-	// counts is what the merged shards moved, hashing who hashed their MACs
+	// counts is what the merged shards moved, hashing how many MACs they hashed
 	// and ks their pads (Merge) — serial calls included, since each merges
 	// the memory's own shard.
 	counts  BlockCounts
@@ -190,9 +190,8 @@ func (m *SeculatorMemory) FinalOutputMAC() mac.Digest { return m.checker.FinalW(
 // RegisterState is a read-only snapshot of the four XOR-MAC registers of the
 // bank accumulating the current layer, with their fold counts — the
 // observable architectural state of the MAC unit at a layer boundary. The
-// commutative XOR fold makes every field bit-identical whoever hashed the
-// block MACs (a shard inline, or a borrowed helper); the conformance harness
-// asserts exactly that.
+// commutative XOR fold makes every field bit-identical in whatever order
+// the block MACs fold; the conformance harness asserts exactly that.
 type RegisterState struct {
 	W, R, FR, IR                     mac.Digest
 	WFolds, RFolds, FRFolds, IRFolds uint64

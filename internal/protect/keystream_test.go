@@ -107,12 +107,6 @@ type lineWrite struct {
 //	6 next layer    merge, compare, verify the layer before, BeginLayer
 //	7 Recycle       merge, compare, recycle memory, shard and DRAM
 //
-// With a&8 the memo arm's shard hands ops 0 – 4 the MACs they owe to a
-// borrowed helper (where GOMAXPROCS lets it borrow one), waits until the
-// helper has hashed them and settles before the next op — the executor's
-// rule: a line a final write's queued job names is touched again only after
-// a settle.
-//
 // Reads, digests, registers, the weight fold, block counts, traffic and
 // every DRAM line must agree; the memo arm must reuse a pad exactly when the
 // line's last shard write computed it for the read's counter, compute every
@@ -154,7 +148,6 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 		ksBefore := [2]Keystreams{memo.sh.ks, ref.sh.ks}
 		reusedBefore, fetchedBefore := memo.sh.folds.reused, len(memo.tap.fetched)
 		refPads, ahead, wastedBefore := 0, 0, wasted
-		helped := op <= 4 && a&8 != 0 && memo.sh.Borrow(1)
 		var got [2][]byte
 		switch op {
 		case 0, 1:
@@ -270,11 +263,6 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 			}
 		}
 		ref.pads += refPads
-		if helped {
-			awaitHelper(t, memo.sh.helper)
-			memo.sh.settle()
-			memo.sh.HandBack()
-		}
 		if !bytes.Equal(got[0], got[1]) {
 			t.Fatalf("%s: %x with the memo, %x without", what, got[0], got[1])
 		}
@@ -345,7 +333,7 @@ func sameMemoState(t *testing.T, what string, memo, ref *memoArm) {
 	// A weight read owes the fetched block's, and the host's unless the two
 	// cancel.
 	hm, hr := memo.m.Hashing(), ref.m.Hashing()
-	if hr.Reused != 0 || hm.Loop+hm.Helper+hm.Reused != hr.Loop+hr.Helper+ref.macs {
+	if hr.Reused != 0 || hm.Loop+hm.Reused != hr.Loop+ref.macs {
 		t.Fatalf("%s: MACs %+v with the memo, %+v and %d weight MACs without", what, hm, hr, ref.macs)
 	}
 	for a := uint64(0); a < fuzzLines+2; a++ {
@@ -384,8 +372,8 @@ func TestKeystreamMemoReusesWrites(t *testing.T) {
 }
 
 // TestMACMemoReusesRecordingWrites walks the MAC memo's cases through the
-// differential: a read takes the recorded MAC after a final write (hashed
-// inline, or by a borrowed helper) or a host input write, and hashes after a
+// differential: a read takes the recorded MAC after a final write or a host
+// input write, and hashes after a
 // non-final write, under another counter, after a tamper, after a later
 // write over a recorded one, and after a Recycle. A first weight read hashes
 // nothing when it fetches what a weight host store stored, under its
@@ -414,7 +402,7 @@ func TestMACMemoReusesRecordingWrites(t *testing.T) {
 		0, 11, 0, 0x22, 4, // ... overwritten by a non-final WriteRow
 		6, 0, 0, 0, 0,
 		2, 11, 1, 0, 1, // hashed: the later write dropped the record
-		0, 13, 12, 0x40, 11, // final WriteRow of line 13, its MAC on a helper
+		0, 13, 12, 0x40, 11, // final WriteRow of line 13
 		6, 0, 0, 0, 0,
 		2, 13, 1, 0, 1, // reused
 		7, 0, 0, 0, 0, // Recycle

@@ -54,19 +54,15 @@ type runOutcome struct {
 
 // readRunOutcome writes one block as layer 1, then reads it n times as layer
 // 2 under the tamper schedule — through one ReadInputRun, or through n
-// ReadInput calls — and merges. With helped, the shard queues its MACs on a
-// helper when one can be borrowed (GOMAXPROCS > 1). It also returns the
-// shard, for white-box checks of its staging.
-func readRunOutcome(t *testing.T, n int, first bool, sched []byte, asRun, helped bool) (runOutcome, *SeculatorShard) {
+// ReadInput calls — and merges. It also returns the shard, for white-box
+// checks of its staging.
+func readRunOutcome(t *testing.T, n int, first bool, sched []byte, asRun bool) (runOutcome, *SeculatorShard) {
 	t.Helper()
 	const addr, fmap, vn, idx = 3, 2, 1, 5
 	d := shardTestDRAM(t)
 	d.Reserve(8)
 	m := NewSeculatorMemory(d, 7, 9)
 	sh := m.Shard()
-	if helped && sh.Borrow(1) {
-		defer sh.HandBack()
-	}
 	m.BeginLayer(1)
 	sh.WriteRow(addr, fmap, vn, idx, shardPattern(11), make([]byte, tensor.BlockBytes))
 	m.Merge(sh)
@@ -91,15 +87,13 @@ func readRunOutcome(t *testing.T, n int, first bool, sched []byte, asRun, helped
 
 // checkReadInputRun is the differential: ReadInputRun(…, first, n) and n
 // ReadInput calls must be indistinguishable — registers, fold counts, block
-// counts, DRAM traffic, the plaintext handed back and what the injector saw —
-// and so must the run with its MACs queued on a helper.
+// counts, DRAM traffic, the plaintext handed back and what the injector saw.
 func checkReadInputRun(t *testing.T, n int, first bool, sched []byte) {
 	t.Helper()
-	run, _ := readRunOutcome(t, n, first, sched, true, false)
-	ref, _ := readRunOutcome(t, n, first, sched, false, false)
-	helped, _ := readRunOutcome(t, n, first, sched, true, true)
-	if run.regs != ref.regs || helped.regs != ref.regs {
-		t.Errorf("registers: run %+v, helped run %+v, reads %+v", run.regs, helped.regs, ref.regs)
+	run, _ := readRunOutcome(t, n, first, sched, true)
+	ref, _ := readRunOutcome(t, n, first, sched, false)
+	if run.regs != ref.regs {
+		t.Errorf("registers: run %+v, reads %+v", run.regs, ref.regs)
 	}
 	if run.counts != ref.counts || run.counts.Reads() != n {
 		t.Errorf("block counts: run %+v, reads %+v, want %d reads", run.counts, ref.counts, n)
@@ -143,11 +137,11 @@ func TestReadInputRunMatchesReads(t *testing.T) {
 // only because an unchanged line is not decrypted again. The aside plaintext
 // is written exactly when a re-read differs, so it shows which path ran.
 func TestReadInputRunSkipsUnchangedLines(t *testing.T) {
-	_, sh := readRunOutcome(t, 6, true, nil, true, false)
+	_, sh := readRunOutcome(t, 6, true, nil, true)
 	if sh.runPT != [tensor.BlockBytes]byte{} {
 		t.Fatal("six reads of an untouched line decrypted a re-read")
 	}
-	_, sh = readRunOutcome(t, 6, true, []byte{0, 3, 0x40}, true, false)
+	_, sh = readRunOutcome(t, 6, true, []byte{0, 3, 0x40}, true)
 	if sh.runPT == [tensor.BlockBytes]byte{} {
 		t.Fatal("a re-read that differs from the read before it was not decrypted")
 	}

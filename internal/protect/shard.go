@@ -26,16 +26,13 @@ import (
 // valid only until the shard's next operation; nothing a shard accumulates
 // is visible to the checker until the orchestrator calls Merge on the main
 // goroutine after the shard has quiesced (the serial API merges its own
-// shard after every call). A shard that has borrowed a helper (Borrow,
-// helper.go) hands the block MACs of its reads and writes to it; Merge
-// collects them.
+// shard after every call). Every block MAC a shard's reads and writes owe
+// is hashed and folded by the shard itself, inline (owe): Seculator checks
+// integrity once per layer (Equation 1), and nothing needs a MAC before then.
 type SeculatorShard struct {
 	parent *SeculatorMemory
 	engine *crypto.CTREngine
-	folds  macFolds // the MACs this shard hashed itself
-
-	helper       *macHelper // borrowed; nil hashes every owed MAC inline
-	helperHashed int        // owed MACs the helper hashed, not yet merged
+	folds  macFolds // the MACs this shard owes, hashed and folded
 
 	n  BlockCounts // blocks moved, merged into the memory's counts and the DRAM traffic counters
 	ks Keystreams  // pads used, merged like n
@@ -146,15 +143,15 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 }
 
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
-// memory: MAC partials, traffic and pad counts reset (hand a borrowed helper
-// back first: HandBack scrubs that helper), the plaintext/ciphertext/pad
-// staging is zeroed so no block of the previous run survives in pooled
-// scratch, and the hasher is scrubbed in place (it buffers the tail of
-// the last plaintext block it hashed; see mac.RowHasher.Scrub). The
-// engine clone is kept — it shares the parent's immutable key schedule,
-// which Recycle on the parent guarantees is unchanged.
+// memory: MAC partials, traffic and pad counts reset, the
+// plaintext/ciphertext/pad staging is zeroed so no block of the previous
+// run survives in pooled scratch, and the hasher is scrubbed in place (it
+// buffers the tail of the last plaintext block it hashed; see
+// mac.RowHasher.Scrub). The engine clone is kept — it shares the parent's
+// immutable key schedule, which Recycle on the parent guarantees is
+// unchanged.
 func (s *SeculatorShard) Recycle() {
-	s.folds, s.helperHashed = macFolds{}, 0
+	s.folds = macFolds{}
 	s.n, s.ks = BlockCounts{}, Keystreams{}
 	clear(s.ct[:])
 	clear(s.pt[:])
@@ -165,30 +162,25 @@ func (s *SeculatorShard) Recycle() {
 	s.rowh.Scrub()
 }
 
-// Merge reduces shard state back into the memory: first every MAC a shard
-// still owes is hashed (settle: its helper's ring drained, its helper's
-// partials taken), then per-shard partial MAC banks fold into the current
-// layer's bank (commutative XOR, so the shard order and who hashed what are
-// immaterial), first-read weight MACs into the layer's weight fold, and
-// local transfer and pad counts into the DRAM traffic counters and the
-// memory's tallies. Must run on the orchestrating goroutine after every
+// Merge reduces shard state back into the memory: per-shard partial MAC
+// banks fold into the current layer's bank (commutative XOR, so the shard
+// order is immaterial), first-read weight MACs into the layer's weight
+// fold, and local transfer and pad counts into the DRAM traffic counters
+// and the memory's tallies. Must run on the orchestrating goroutine after every
 // merged shard has quiesced; it resets the shards for reuse.
 func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 	for _, s := range shards {
 		if s == nil {
 			continue
 		}
-		s.settle()
 		m.dram.Record(sim.Read, sim.DataTraffic, s.n.Reads())
 		m.dram.Record(sim.Write, sim.DataTraffic, s.n.Writes())
 		m.counts.add(s.n)
 		m.ks = Keystreams{m.ks.Computed + s.ks.Computed, m.ks.Reused + s.ks.Reused, m.ks.Ahead + s.ks.Ahead}
 		s.n, s.ks = BlockCounts{}, Keystreams{}
-		m.hashing.Borrowed = m.hashing.Borrowed || s.helper != nil
 		m.hashing.Loop += s.folds.hashed
-		m.hashing.Helper += s.helperHashed
 		m.hashing.Reused += s.folds.reused
-		s.folds.hashed, s.helperHashed, s.folds.reused = 0, 0, 0
+		s.folds.hashed, s.folds.reused = 0, 0
 		m.weights = m.weights.Xor(s.folds.weights)
 		s.folds.weights = mac.Digest{}
 		if s.folds.bank.Folds() > 0 {
@@ -203,14 +195,12 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 // merged since the memory was built or recycled.
 func (m *SeculatorMemory) BlockCounts() BlockCounts { return m.counts }
 
-// Hashing says where the block MACs of the shards' reads and writes — the
-// ones the layer checks consume — were hashed, or that a read needed none
-// hashed (it took its MAC from the memo, or its weight term cancelled), over
+// Hashing says how many block MACs the shards' reads and writes — the ones
+// the layer checks consume — hashed, and how many reads needed none hashed
+// (each took its MAC from the memo, or its weight term cancelled), over
 // every shard merged since the memory was built or recycled.
 type Hashing struct {
-	Borrowed bool // a merged shard had a helper
-	Loop     int  // hashed by the shards themselves: inline, or draining a ring
-	Helper   int  // hashed by borrowed helpers
+	Loop int // hashed by the shards themselves, inline
 	// Reused counts reads that hashed none: each took the MAC its line's
 	// last write recorded, or fetched a weight host store's bytes unchanged.
 	Reused int
@@ -263,6 +253,68 @@ func (s *SeculatorShard) recorded(addr uint64, ctr crypto.Counter) *mac.Digest {
 		return &k.mac
 	}
 	return nil
+}
+
+// foldTo names the accumulator an owed MAC folds into.
+type foldTo uint8
+
+const (
+	toWrite   foldTo = iota // MAC_W
+	toPartial               // MAC_R
+	toFirst                 // MAC_FR and MAC_IR (a first read)
+	toRepeat                // MAC_IR (a repeat read)
+	toWeight                // the layer's weight fold (the golden comparison)
+)
+
+// macFolds is what owed MACs fold into: a partial register bank, the
+// weight fold, how many MACs were hashed into them and how many reads
+// hashed none instead: they folded the MAC the memo recorded, or (a weight
+// read that fetched the host's bytes) owed nothing.
+type macFolds struct {
+	bank    mac.PartialBank
+	weights mac.Digest
+	hashed  int
+	reused  int
+}
+
+// hash folds the MAC of ref ‖ block, hashed with rowh, for n reads into to,
+// first recording it in rec — a final write's memo entry — if there is one.
+func (f *macFolds) hash(rowh *mac.RowHasher, ref mac.BlockRef, block []byte, to foldTo, n int, rec *keystream) {
+	d := rowh.Block(ref, block)
+	if rec != nil {
+		rec.mac, rec.hashed = d, true
+	}
+	f.add(to, d, n)
+	f.hashed++
+}
+
+// add folds d for n reads of one block: the first into to, the rest as
+// repeat reads (n > 1 only for ifmap reads).
+func (f *macFolds) add(to foldTo, d mac.Digest, n int) {
+	switch to {
+	case toWrite:
+		f.bank.OnWrite(d)
+	case toPartial:
+		f.bank.OnPartialRead(d)
+	case toFirst:
+		f.bank.OnFirstRead(d)
+	case toRepeat:
+		f.bank.OnRepeatRead(d)
+	case toWeight:
+		f.weights = f.weights.Xor(d)
+	default:
+		panic("protect: owed MAC with no register")
+	}
+	for ; n > 1; n-- {
+		f.bank.OnRepeatRead(d)
+	}
+}
+
+// owe hashes one block MAC the layer's registers are owed and folds it, n
+// times (n > 1 only for ifmap reads); rec is a final write's memo entry, nil
+// for every other MAC.
+func (s *SeculatorShard) owe(ref mac.BlockRef, block []byte, to foldTo, n int, rec *keystream) {
+	s.folds.hash(&s.rowh, ref, block, to, n, rec)
 }
 
 // oweUnless owes block's MAC, unless d — recorded's — is that MAC: then it
@@ -435,10 +487,8 @@ func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx u
 }
 
 // WriteFinalRow is WriteRow for the row's final version in its layer, the
-// one the next layer's first reads ask for: whoever hashes a block's owed
-// MAC — this shard, a drain, or the borrowed helper — also records it in the
-// line's memo entry. The caller writes these lines nowhere else until the
-// shard's next Merge, which publishes the records: one writer per entry.
+// one the next layer's first reads ask for: each block's MAC is also
+// recorded in its line's memo entry as it is hashed.
 func (s *SeculatorShard) WriteFinalRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
 	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, ctScratch, true)
 }

@@ -163,6 +163,9 @@ func TestShardedFoldsMatchSerial(t *testing.T) {
 		if got, want := pm.Keystreams(), (Keystreams{Computed: 2 * n, Reused: n + n/5}); got != want {
 			t.Fatalf("w=%d: pads %+v, want %+v", w, got, want)
 		}
+		if got, want := pm.Hashing(), (Hashing{Loop: 3*n + n/5}); got != want {
+			t.Fatalf("w=%d: MACs %+v, want each owed one hashed once: %+v", w, got, want)
+		}
 	}
 	sd := shardTestDRAM(t)
 	sm := NewSeculatorMemory(sd, 7, 9)
@@ -218,8 +221,7 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 // last plaintext block it MACed inside its SHA-256 state, so Recycle must
 // scrub it like the staging buffers (ReadInputRun's two and the pad included)
 // — and keep it, so a pooled run builds none; the memory's Recycle zeroes
-// every keystream memo entry, recorded ciphertext and MAC included; HandBack
-// does the same for a helper, memo pointers of queued final writes included.
+// every keystream memo entry, recorded ciphertext and MAC included.
 // The scrubbed state is the one mac.RowHasher.Scrub leaves on any used
 // hasher (mac's own tests decode it); reflect.DeepEqual follows the hasher
 // into that state.
@@ -302,32 +304,6 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 		t.Fatal("Recycle left the host plaintext staging behind")
 	}
 
-	// A borrowed helper keeps plaintext too — a copy of every block in its
-	// ring, a tail in its hasher — and outlives the run: handing it back
-	// scrubs both, so no slot survives into the next borrower's run.
-	hm, hs := borrowedShard(t, 16)
-	hm.ReserveKeystreams(16)
-	h := hs.helper
-	hm.BeginLayer(1)
-	for i := 0; i < batchJobs; i++ {
-		hs.WriteFinalRow(uint64(i), 2, 1, uint32(i), shardPattern(i), make([]byte, tensor.BlockBytes))
-	}
-	awaitHelper(t, h)
-	hm.Merge(hs)
-	if h.ring == ([ringJobs]macJob{}) || reflect.DeepEqual(h.rowh, scrubbed) ||
-		!slices.ContainsFunc(h.ring[:], func(j macJob) bool { return j.rec != nil }) {
-		t.Fatal("the helper's ring, its memo pointers or its hasher hold nothing before hand-back: the check below sees nothing")
-	}
-	if slices.ContainsFunc(hm.keys[:batchJobs], func(k keystream) bool { return !k.hashed }) {
-		t.Fatal("the helper hashed a final write's MAC without recording it")
-	}
-	hs.HandBack()
-	if h.ring != ([ringJobs]macJob{}) {
-		t.Fatal("HandBack left a ring slot behind")
-	}
-	if !reflect.DeepEqual(h.rowh, scrubbed) {
-		t.Fatal("HandBack left the helper's hasher unscrubbed")
-	}
 }
 
 // TestShardSealRowMatchesWriteRow: HostWriteRow is HostSealRow plus a store,

@@ -112,7 +112,8 @@ type Executor struct {
 	// bank accumulating layer `phase` right after that layer's event stream
 	// and verification close (phase i >= 0), and of the readout epoch's bank
 	// with phase == Layers. The serial/parallel equivalence oracle compares
-	// these snapshots across inline- and helper-hashed runs bit for bit.
+	// these snapshots across hooked and loader runs, at one P and at several,
+	// bit for bit.
 	OnLayerMACs func(phase int, regs protect.RegisterState)
 
 	// Injector, when non-nil, is installed on the DRAM read/write paths —
@@ -224,8 +225,9 @@ type Result struct {
 
 	// OutputMAC is the final layer's MAC_W register — the XOR-MAC a host
 	// consuming the outputs verifies against. Because the XOR fold is
-	// commutative, it is bit-identical whoever hashed the block MACs; the
-	// inline/helper equivalence tests assert exactly that.
+	// commutative, it is bit-identical in whatever order the block MACs
+	// fold, and whenever the loader stores the weights; the provisioning
+	// equivalence tests assert exactly that.
 	OutputMAC mac.Digest
 
 	// Counts is what the run moved, in 64-byte blocks per tensor class,
@@ -235,9 +237,8 @@ type Result struct {
 	// no shard moves.
 	Counts protect.BlockCounts
 
-	// Hashing says whether the run borrowed a MAC helper, how many of the
-	// block MACs its reads and writes owe were hashed there rather than on
-	// the layer loop, and how many reads took the MAC their line's last
+	// Hashing says how many of the block MACs its reads and writes owe the
+	// layer loop hashed, and how many reads took the MAC their line's last
 	// write recorded in the keystream memo instead (DESIGN.md §10). Like
 	// Recovery, it is also reported beside a detection error.
 	Hashing protect.Hashing
@@ -267,8 +268,6 @@ type Result struct {
 // escapes this method; ctx cancels between layers and between retries.
 func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tensor, weights []*nn.Weights) (res Result, err error) {
 	defer resilience.Recover(&err)
-	runsInFlight.Add(1)
-	defer runsInFlight.Add(-1)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -294,7 +293,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	defer rs.release()
 	if x.Injector != nil {
 		// Every fetch is the layer loop's, so the injector sees one
-		// goroutine; a helper only ever hashes copies.
+		// goroutine.
 		dram.SetInjector(x.Injector)
 	}
 
@@ -340,10 +339,6 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	}
 	rt.settle() // the host writes reach the traffic counters before the hook sees them
 	x.hook(-1, dram)
-
-	// Block MACs leave the layer loop: a borrowed helper hashes them beside
-	// it until each layer's check (DESIGN.md §10).
-	rt.sh.Borrow(int(runsInFlight.Load()))
 
 	var stats resilience.Stats
 	producer := inputLayout

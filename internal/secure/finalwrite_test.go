@@ -9,12 +9,12 @@ import (
 	"seculator/internal/workload"
 )
 
-// TestFinalVersionWrittenOncePerLine: a final write's MAC may be recorded in
-// its line's memo entry by the borrowed helper while the layer loop runs on,
-// which is sound only if no other write of the same layer attempt touches
-// that entry before the layer's settle. The final version is a line's last
-// write, so the one other write that could is a second final one. Every
-// activation line of every layer gets exactly one, across the networks of
+// TestFinalVersionWrittenOncePerLine: a final write records its MAC in its
+// line's memo entry, and the next layer's first reads take it from there, so
+// the record must be the line's last write of the layer attempt. The final
+// version is a line's last write, so the one other write that could follow
+// it is a second final one. Every activation line of every layer gets
+// exactly one, across the networks of
 // the conformance generator's seeded trials (those seculator-sim
 // -conformance 200 -seed 1 runs) and the shipped shapes, at the default
 // global buffer and at 2 KiB, 1 KiB and 512 B — where mappings that cannot

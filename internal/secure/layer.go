@@ -31,7 +31,6 @@ type layerRun struct {
 
 	inTouched []bool // per producer block: first-read seen
 	wTouched  []bool // per weight block: first-read seen
-	final     []bool // per output block: the final version of its tile written
 
 	// flatIn is the reusable flattened-input header FC compute visits view
 	// the producer volume through (same backing data, collapsed shape).
@@ -72,7 +71,7 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 		in:  rt.inputTensor(producer.chans, producer.rows, producer.cols),
 		out: rt.outputTensor(int(st.act.ownerID-1)&1, st.layer.K, st.layer.OutH(), st.layer.OutW()),
 	}
-	run.inTouched, run.final = rt.touchedInput(producer.blocks(), st.act.blocks())
+	run.inTouched = rt.touchedInput(producer.blocks())
 	if weights != nil {
 		if st.resident {
 			// Residency attach: compute straight from the pinned, verified
@@ -336,15 +335,6 @@ func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 	k0, k1, y0, y1 := r.ofmapRows(e)
 	pt, ct := r.rt.rowScratch(a.bpr)
 	final := r.finalWrite(vn)
-	// A tile's final write marks the tile's first block. Only a forged write
-	// triplet writes a tile again after that, while the memo records the
-	// final write owes may still be in flight on the helper: land them first
-	// (WriteFinalRow's contract).
-	head := (k0*a.rows + y0) * a.bpr
-	if r.final[head] {
-		r.rt.settle()
-	}
-	r.final[head] = r.final[head] || final
 	for k := k0; k < k1; k++ {
 		for y := y0; y < y1; y++ {
 			encodeRowInto(pt, rowOf(r.out, k, y))

@@ -23,8 +23,7 @@ import (
 // or the keystream. So the conformance harness runs the same request
 // sequence twice — once on fresh state per run (pooling off), once reusing
 // one pooled state across consecutive runs — and demands bit-identical
-// outputs AND bit-identical final MAC registers, hashed inline and by a
-// borrowed helper.
+// outputs AND bit-identical final MAC registers, at one P and at several.
 
 // conformanceCase is one request in the reuse sequence: deliberately
 // different networks and seeds back to back, so any stale geometry,
@@ -75,7 +74,8 @@ func runCase(t *testing.T, x *Executor, c conformanceCase) (*nn.Tensor, protect.
 // the whole sequence with pooling on (every run after the first rides the
 // recycled state) must match fresh-state baselines bit for bit — outputs
 // and all four XOR-MAC registers with their fold counts. Workers is
-// GOMAXPROCS: inline at one, a helper at four.
+// GOMAXPROCS: at one the weight loader runs only when the layer loop waits
+// for it, at four beside it.
 func TestPooledRuntimeConformance(t *testing.T) {
 	seq := conformanceSequence()
 	for _, workers := range []int{1, 4} {
@@ -135,11 +135,10 @@ func TestPooledRuntimeIdentityMismatch(t *testing.T) {
 }
 
 // TestRunPoolHammer floods the run-state pool from many goroutines with
-// mixed networks and seeds — the shape of a busy serving tier, where some
-// runs borrow a MAC helper and the rest, over GOMAXPROCS in flight, hash
-// inline. Under -race it is the data-race detector's view of the pool
-// (acquire/scrub/release, the preload hand-off, the helper borrow and
-// hand-back); functionally every result must match its golden reference.
+// mixed networks and seeds — the shape of a busy serving tier, with more
+// runs in flight than GOMAXPROCS. Under -race it is the data-race detector's
+// view of the pool (acquire/scrub/release, the preload hand-off);
+// functionally every result must match its golden reference.
 func TestRunPoolHammer(t *testing.T) {
 
 	seq := conformanceSequence()

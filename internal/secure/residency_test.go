@@ -37,53 +37,49 @@ func buildResidency(t *testing.T, net workload.Network, ws []*nn.Weights) *secur
 // matches, including the per-layer register snapshots the conformance
 // oracles compare.
 func TestResidencyMatchesNonResident(t *testing.T) {
-	for _, procs := range []int{1, 2} { // inline, then with a MAC helper
-		atProcs(procs, func() {
-			for _, net := range []workload.Network{pipeNet(), twoConvNet()} {
-				in, ws, golden := modelAndGolden(t, net, 17)
-				cfg := runner.DefaultConfig()
+	for _, net := range []workload.Network{pipeNet(), twoConvNet()} {
+		in, ws, golden := modelAndGolden(t, net, 17)
+		cfg := runner.DefaultConfig()
 
-				base := secure.NewExecutor()
-				base.NPU, base.DRAM = cfg.NPU, cfg.DRAM
-				var baseRegs []protect.RegisterState
-				base.OnLayerMACs = func(_ int, regs protect.RegisterState) { baseRegs = append(baseRegs, regs) }
-				want, err := base.Run(context.Background(), net, in, ws)
-				if err != nil {
-					t.Fatalf("%s procs=%d non-resident: %v", net.Name, procs, err)
-				}
-				if !want.Output.Equal(golden) {
-					t.Fatalf("%s procs=%d: non-resident run diverged from reference", net.Name, procs)
-				}
+		base := secure.NewExecutor()
+		base.NPU, base.DRAM = cfg.NPU, cfg.DRAM
+		var baseRegs []protect.RegisterState
+		base.OnLayerMACs = func(_ int, regs protect.RegisterState) { baseRegs = append(baseRegs, regs) }
+		want, err := base.Run(context.Background(), net, in, ws)
+		if err != nil {
+			t.Fatalf("%s non-resident: %v", net.Name, err)
+		}
+		if !want.Output.Equal(golden) {
+			t.Fatalf("%s: non-resident run diverged from reference", net.Name)
+		}
 
-				res := buildResidency(t, net, ws)
-				x := secure.NewExecutor()
-				x.NPU, x.DRAM = cfg.NPU, cfg.DRAM
-				x.Residency = res
-				var regs []protect.RegisterState
-				x.OnLayerMACs = func(_ int, r protect.RegisterState) { regs = append(regs, r) }
-				got, err := x.Run(context.Background(), net, in, ws)
-				if err != nil {
-					t.Fatalf("%s procs=%d resident: %v", net.Name, procs, err)
-				}
-				if !got.Output.Equal(want.Output) {
-					t.Fatalf("%s procs=%d: resident output differs", net.Name, procs)
-				}
-				if got.OutputMAC != want.OutputMAC {
-					t.Fatalf("%s procs=%d: resident OutputMAC %x, want %x", net.Name, procs, got.OutputMAC, want.OutputMAC)
-				}
-				if got.Blocks != want.Blocks {
-					t.Fatalf("%s procs=%d: resident %d blocks, want %d", net.Name, procs, got.Blocks, want.Blocks)
-				}
-				if len(regs) != len(baseRegs) {
-					t.Fatalf("%s procs=%d: %d register snapshots, want %d", net.Name, procs, len(regs), len(baseRegs))
-				}
-				for i := range regs {
-					if regs[i] != baseRegs[i] {
-						t.Fatalf("%s procs=%d: register snapshot %d differs under residency", net.Name, procs, i)
-					}
-				}
+		res := buildResidency(t, net, ws)
+		x := secure.NewExecutor()
+		x.NPU, x.DRAM = cfg.NPU, cfg.DRAM
+		x.Residency = res
+		var regs []protect.RegisterState
+		x.OnLayerMACs = func(_ int, r protect.RegisterState) { regs = append(regs, r) }
+		got, err := x.Run(context.Background(), net, in, ws)
+		if err != nil {
+			t.Fatalf("%s resident: %v", net.Name, err)
+		}
+		if !got.Output.Equal(want.Output) {
+			t.Fatalf("%s: resident output differs", net.Name)
+		}
+		if got.OutputMAC != want.OutputMAC {
+			t.Fatalf("%s: resident OutputMAC %x, want %x", net.Name, got.OutputMAC, want.OutputMAC)
+		}
+		if got.Blocks != want.Blocks {
+			t.Fatalf("%s: resident %d blocks, want %d", net.Name, got.Blocks, want.Blocks)
+		}
+		if len(regs) != len(baseRegs) {
+			t.Fatalf("%s: %d register snapshots, want %d", net.Name, len(regs), len(baseRegs))
+		}
+		for i := range regs {
+			if regs[i] != baseRegs[i] {
+				t.Fatalf("%s: register snapshot %d differs under residency", net.Name, i)
 			}
-		})
+		}
 	}
 }
 

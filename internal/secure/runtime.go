@@ -12,14 +12,9 @@ import (
 	"seculator/internal/vngen"
 )
 
-// runsInFlight counts the Executor.Runs executing in the process: a run
-// borrows a MAC helper only while fewer than GOMAXPROCS are (protect.Borrow),
-// so a busy server hashes inline instead of oversubscribing its CPUs.
-var runsInFlight atomic.Int32
-
 // inferRuntime is the per-Run execution state: the loop shard every block of
-// the layer loop moves through (the one producer of a borrowed MAC helper's
-// ring), its row staging, the weight loader, and the per-layer slabs.
+// the layer loop moves through (and whose block MACs it hashes), its row
+// staging, the weight loader, and the per-layer slabs.
 type inferRuntime struct {
 	sm *protect.SeculatorMemory
 	sh *protect.SeculatorShard
@@ -38,7 +33,7 @@ type inferRuntime struct {
 	// cap) so scrub's clear() reaches every byte it ever held.
 	lr        layerRun        // the per-layer execution context, reset per layer
 	unit      vngen.LayerUnit // the layer's VN generator, configured per layer
-	inTouched []bool          // producer-block first-read and output-block final-write bitmaps
+	inTouched []bool          // producer-block first-read bitmap
 	wTouched  []bool          // weight-block first-read bitmap
 	inData    []int32         // input-assembly tensor backing
 	inTensor  nn.Tensor
@@ -76,10 +71,10 @@ func (rt *inferRuntime) rowScratch(nblocks int) (pt, ct []byte) {
 	return rt.rowPT[:need], rt.rowCT[:need]
 }
 
-// settle merges the loop shard: every MAC it owes — queued on a borrowed
-// helper or not — lands in the current layer's registers and weight digest.
-// The executor settles before anything reads or resets them: each check,
-// OnLayerMACs, FinalOutputMAC, BeginLayer and RestartLayer.
+// settle merges the loop shard: every MAC it hashed lands in the current
+// layer's registers and weight digest. The executor settles before anything
+// reads or resets them: each check, OnLayerMACs, FinalOutputMAC, BeginLayer
+// and RestartLayer.
 func (rt *inferRuntime) settle() { rt.sm.Merge(rt.sh) }
 
 // preloadState is the run's weight loader: one goroutine that, layer by
@@ -175,13 +170,12 @@ func growBools(s []bool, n int) []bool {
 	return s[:cap(s)]
 }
 
-// touchedInput returns the producer first-read bitmap sized to in blocks and
-// the output final-write bitmap sized to out blocks, both cleared for a
-// fresh layer attempt; they share one slab.
-func (rt *inferRuntime) touchedInput(in, out int) (first, final []bool) {
-	rt.inTouched = growBools(rt.inTouched, in+out)
-	clear(rt.inTouched[:in+out])
-	return rt.inTouched[:in:in], rt.inTouched[in : in+out]
+// touchedInput returns the producer first-read bitmap sized to n blocks,
+// cleared for a fresh layer attempt.
+func (rt *inferRuntime) touchedInput(n int) []bool {
+	rt.inTouched = growBools(rt.inTouched, n)
+	clear(rt.inTouched[:n])
+	return rt.inTouched[:n]
 }
 
 // touchedWeights is touchedInput's first-read bitmap for the weight blocks.
@@ -246,10 +240,9 @@ func (rt *inferRuntime) preloadScratch(sliceBlocks int) (pt, ct []byte) {
 //
 // Scrub discipline (DESIGN.md §15): a state enters the pool only after
 // every plaintext byte of the run — activations, weights, DRAM ciphertext
-// — has been zeroed, and the MAC helper it borrowed has been handed back
-// scrubbed. The AES key schedule is retained, but only because the pool key
-// pins the exact (secret, random) identity: a run under any other identity
-// builds fresh state.
+// — has been zeroed. The AES key schedule is retained, but only because the
+// pool key pins the exact (secret, random) identity: a run under any other
+// identity builds fresh state.
 type runState struct {
 	dram *mem.DRAM
 	sm   *protect.SeculatorMemory
@@ -302,11 +295,9 @@ func (x *Executor) acquireRun() (*runState, error) {
 	}, nil
 }
 
-// release hands the run's MAC helper back, joins its weight loader and, when
-// the state is pool-eligible, scrubs and parks it for the next compatible
-// run.
+// release joins the run's weight loader and, when the state is
+// pool-eligible, scrubs and parks it for the next compatible run.
 func (rs *runState) release() {
-	rs.rt.sh.HandBack()
 	rs.rt.drain()
 	if !rs.poolable || runPoolingOff.Load() {
 		return
