@@ -6,6 +6,8 @@ package secure_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 
 	"seculator/internal/fault"
@@ -88,6 +90,45 @@ func TestSingleBitFlipRecovered(t *testing.T) {
 	if !res.Output.Equal(golden) {
 		t.Fatal("recovered output differs from the reference")
 	}
+}
+
+// TestParallelSingleBitFlipRecovered: layer-level detect-and-recover holds
+// with several runs in flight at once over several Ps — each run, with its
+// own executor and injector, re-executes its corrupted layer and returns the
+// reference output.
+func TestParallelSingleBitFlipRecovered(t *testing.T) {
+	net := twoConvNet()
+	in, ws, golden := modelAndGolden(t, net, 3)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+
+	const runs = 4
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			inj := &armedFlip{}
+			x := secure.NewExecutor()
+			x.Injector = inj
+			x.AfterPhase = func(phase int, _ *mem.DRAM) {
+				if phase == 0 {
+					inj.Arm()
+				}
+			}
+			res, err := x.Run(context.Background(), net, in, ws)
+			switch {
+			case err != nil:
+				t.Errorf("run %d: recoverable transient aborted the run: %v", i, err)
+			case !inj.fired:
+				t.Errorf("run %d: injector never fired; test exercised nothing", i)
+			case res.Recovery.Recovered != 1:
+				t.Errorf("run %d: recovery stats %+v, want one recovered layer", i, res.Recovery)
+			case !res.Output.Equal(golden):
+				t.Errorf("run %d: recovered output differs from the reference", i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // spliceServe persistently serves the ciphertext of the first activation
