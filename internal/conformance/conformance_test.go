@@ -3,6 +3,8 @@ package conformance
 import (
 	"strings"
 	"testing"
+
+	"seculator/internal/workload"
 )
 
 // TestSeededTrials is the in-repo slice of the CI conformance job: every
@@ -157,6 +159,28 @@ func TestTrialShrinksFailures(t *testing.T) {
 	if !strings.Contains(small.Mapping.Order, "K") {
 		t.Fatal("shrinker removed the failure-carrying loop")
 	}
+}
+
+// TestShrunkEmptyOutputSkips: the shrinker halves the first layer's plane,
+// which can take a valid-padded one below its kernel and leave it no
+// output. Such a network fails validation, so CheckSerialParallel skips the
+// candidate (nil) and the shrinker discards it, instead of the reference
+// model panicking on an empty tensor.
+func TestShrunkEmptyOutputSkips(t *testing.T) {
+	cfg := Generate(1)
+	cfg.Net = NetSpec{Layers: []LayerSpec{{Type: int(workload.Conv), C: 2, H: 4, W: 4, K: 2, R: 3, S: 3, Stride: 1, Valid: true}}}
+	if err := CheckSerialParallel(cfg); err != nil {
+		t.Fatalf("the unshrunk config fails: %v", err)
+	}
+	for _, c := range shrinkCandidates(cfg) {
+		if l := c.Net.Layers[0]; l.H < l.R {
+			if err := CheckSerialParallel(c); err != nil {
+				t.Fatalf("a %dx%d plane under a %dx%d kernel: %v", l.H, l.W, l.R, l.S, err)
+			}
+			return
+		}
+	}
+	t.Fatal("no shrink candidate halves the plane below the kernel: the check above saw nothing")
 }
 
 // TestRegressionPinnedConfigs replays, as fixed regression points, the

@@ -90,11 +90,6 @@ func TestDigestXorMatchesByteLoop(t *testing.T) {
 		if r.Value() != want || r.Folds() != 1 {
 			t.Fatalf("Fold: %x after %d folds, want %x", r.Value(), r.Folds(), want)
 		}
-		m := Register{value: a, folds: 2}
-		m.Merge(Register{value: b, folds: 3})
-		if m.Value() != want || m.Folds() != 5 {
-			t.Fatalf("Merge: %x after %d folds, want %x", m.Value(), m.Folds(), want)
-		}
 	}
 }
 

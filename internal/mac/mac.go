@@ -131,54 +131,6 @@ func (r *Register) Folds() uint64 { return r.folds }
 // Reset clears the register.
 func (r *Register) Reset() { *r = Register{} }
 
-// Merge folds another register's accumulated state into r — the reduction
-// step of a sharded XOR-MAC. Because XOR is commutative and associative,
-// merging per-shard partial registers in any order yields exactly the value
-// a single register folding every MAC serially would hold; the fold counts
-// add for the same reason.
-func (r *Register) Merge(o Register) {
-	xorWords(&r.value, &o.value)
-	r.folds += o.folds
-}
-
-// PartialBank is a private set of the four XOR-MAC accumulators. A shard
-// folds block MACs into its own partial bank —
-// no locks, no sharing — and the orchestrator reduces the partial banks
-// into the layer's real bank with LayerChecker.FoldBank once their writers
-// have quiesced. Soundness rests on the XOR-MAC itself: each folded
-// MAC binds a unique (layer, fmap, VN, index) position, so the fold order
-// across shards is immaterial (see Register.Merge).
-type PartialBank struct {
-	W  Register // writes
-	R  Register // in-layer partial reads
-	FR Register // first reads of the previous layer's outputs
-	IR Register // all ifmap reads (first + repeats)
-}
-
-// OnWrite folds the MAC of a block being written.
-func (p *PartialBank) OnWrite(m Digest) { p.W.Fold(m) }
-
-// OnPartialRead folds the MAC of a partial ofmap block read back in-layer.
-func (p *PartialBank) OnPartialRead(m Digest) { p.R.Fold(m) }
-
-// OnFirstRead folds the MAC of an ifmap block touched for the first time
-// this layer (FR and IR, mirroring LayerChecker.OnFirstRead).
-func (p *PartialBank) OnFirstRead(m Digest) {
-	p.FR.Fold(m)
-	p.IR.Fold(m)
-}
-
-// OnRepeatRead folds the MAC of an ifmap block re-read after its first touch.
-func (p *PartialBank) OnRepeatRead(m Digest) { p.IR.Fold(m) }
-
-// Folds returns the total number of MACs folded across the four registers.
-func (p *PartialBank) Folds() uint64 {
-	return p.W.folds + p.R.folds + p.FR.folds + p.IR.folds
-}
-
-// Reset clears the bank for reuse.
-func (p *PartialBank) Reset() { *p = PartialBank{} }
-
 // Bank is the register set for one layer in flight.
 type Bank struct {
 	W  Register // writes
@@ -298,18 +250,6 @@ func (c *LayerChecker) OnFirstRead(m Digest) {
 
 // OnRepeatRead folds the MAC of an ifmap block re-read after its first touch.
 func (c *LayerChecker) OnRepeatRead(m Digest) { c.Current().IR.Fold(m) }
-
-// FoldBank reduces a shard's partial bank into the current layer's bank —
-// the join step of the commutative XOR-fold tree. Reducing the partial
-// banks in any order produces registers bit-identical to the serial fold
-// (see PartialBank).
-func (c *LayerChecker) FoldBank(p *PartialBank) {
-	b := c.Current()
-	b.W.Merge(p.W)
-	b.R.Merge(p.R)
-	b.FR.Merge(p.FR)
-	b.IR.Merge(p.IR)
-}
 
 // VerifyPrevious runs Equation 1 for the previous layer, consuming its
 // bank: MAC_W(prev) must equal MAC_R(prev) ⊕ MAC_FR(current). external is

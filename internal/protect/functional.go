@@ -13,8 +13,9 @@ import (
 // (Section 6.3), really folds per-block SHA-256 MACs into the XOR-MAC
 // registers (Section 6.4), and really runs the Equation 1 layer check —
 // against a DRAM whose contents an attacker can mutate at will. Every block
-// goes through a SeculatorShard (shard.go): the executor's, or the memory's
-// own for the serial API below, which the attack and fault harnesses call.
+// goes through a SeculatorShard (shard.go): the memory's own (Own), which
+// the executor's layer loop and the serial API below — the one the attack
+// and fault harnesses call — share, or the executor's weight loader's.
 type SeculatorMemory struct {
 	dram    *mem.DRAM
 	engine  *crypto.CTREngine
@@ -25,18 +26,18 @@ type SeculatorMemory struct {
 	layer   uint32
 	started bool
 
-	// counts is what the merged shards moved, hashing how many MACs they hashed
-	// and ks their pads (Merge) — serial calls included, since each merges
-	// the memory's own shard.
+	// counts is what the merged shards moved and ks their pads (Merge) —
+	// serial calls included, since each merges the memory's own shard;
+	// hashing is how many MACs the shards hashed as they folded them.
 	counts  BlockCounts
 	hashing Hashing
 	ks      Keystreams
-	// weights is the current layer's fold of merged first-read weight MACs.
+	// weights is the current layer's fold of first-read weight MACs.
 	weights mac.Digest
 	keys    []keystream // the shards' keystream memo, one entry per line (shard.go)
 
-	// own is the serial API's shard, built on its first call: executor runs
-	// never build one. Like the shard, the serial API is single-goroutine.
+	// own is the memory's own shard (Own), built on first use. Like the
+	// shard, the serial API is single-goroutine.
 	own *SeculatorShard
 }
 
@@ -86,8 +87,7 @@ func (m *SeculatorMemory) BeginLayer(layerID uint32) {
 // keeping the previous layer's pending bank — the first step of a
 // layer-level recovery: the executor re-fetches the working set and
 // re-executes the layer, re-accumulating FR/R/W (and the weight digest) from
-// scratch. Merge the shards first, so no fold of the failed attempt is still
-// owed.
+// scratch.
 func (m *SeculatorMemory) RestartLayer() {
 	m.mustStart()
 	m.weights = mac.Digest{}
@@ -116,13 +116,10 @@ func (m *SeculatorMemory) refAt(c crypto.Counter) mac.BlockRef {
 	return m.ref(c.Layer, c.Fmap, int(c.VN), c.Block)
 }
 
-// serial returns the memory's own shard, building it on first use.
+// serial returns the memory's own shard for a serial call.
 func (m *SeculatorMemory) serial() *SeculatorShard {
 	m.mustStart()
-	if m.own == nil {
-		m.own = m.Shard()
-	}
-	return m.own
+	return m.Own()
 }
 
 // WriteBlock encrypts one 64-byte plaintext block under the current layer's

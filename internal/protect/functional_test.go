@@ -169,14 +169,27 @@ func TestSeculatorMemoryRereadCheck(t *testing.T) {
 	}
 }
 
+// TestSeculatorMemoryMustStart: a MAC folded before BeginLayer has no layer
+// to fold into, through the serial API or through a shard.
 func TestSeculatorMemoryMustStart(t *testing.T) {
-	sm, _ := newSecMem(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("use before BeginLayer should panic")
-		}
-	}()
-	sm.WriteBlock(0, 0, 1, 0, plainBlock(0))
+	for name, use := range map[string]func(sm *SeculatorMemory){
+		"WriteBlock": func(sm *SeculatorMemory) { sm.WriteBlock(0, 0, 1, 0, plainBlock(0)) },
+		"shard WriteRow": func(sm *SeculatorMemory) {
+			sh := sm.Shard()
+			sh.WriteRow(0, 0, 1, 0, plainBlock(0), make([]byte, tensor.BlockBytes))
+			sm.Merge(sh)
+		},
+	} {
+		sm, _ := newSecMem(t)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s before BeginLayer did not panic", name)
+				}
+			}()
+			use(sm)
+		}()
+	}
 }
 
 // TestRowsMustBeWholeBlocks: every write path takes whole 64-byte blocks and

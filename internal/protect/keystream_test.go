@@ -146,7 +146,7 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 		}
 		hit := written && addr < memoLines && w.ctr == ctr
 		ksBefore := [2]Keystreams{memo.sh.ks, ref.sh.ks}
-		reusedBefore, fetchedBefore := memo.sh.folds.reused, len(memo.tap.fetched)
+		reusedBefore, fetchedBefore := memo.m.Hashing().Reused, len(memo.tap.fetched)
 		refPads, ahead, wastedBefore := 0, 0, wasted
 		var got [2][]byte
 		switch op {
@@ -276,11 +276,11 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 				wantReused = 1
 			}
 		}
-		if d := memo.sh.folds.reused - reusedBefore; op < 6 && d != wantReused {
+		if d := memo.m.Hashing().Reused - reusedBefore; op < 6 && d != wantReused {
 			t.Fatalf("%s: %d reads hashed nothing, the model predicts %d", what, d, wantReused)
 		}
 		reused += wantReused
-		if ref.sh.folds.reused != 0 {
+		if ref.m.Hashing().Reused != 0 {
 			t.Fatalf("%s: a memory with no memo reused a MAC", what)
 		}
 		dm, dr := memo.sh.ks, ref.sh.ks

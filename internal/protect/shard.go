@@ -13,26 +13,28 @@ import (
 // SeculatorShard is a per-goroutine view of a SeculatorMemory. Each shard
 // owns a private clone of the CTR engine (the AES key schedule is shared and
 // immutable, the scratch is not), a private mac.RowHasher every block MAC of
-// the shard comes from, private partial folds, private ciphertext/plaintext
-// staging buffers, and local traffic counters — so shards may encrypt, MAC
-// and fold concurrently without touching shared mutable state, as long as
-// they operate on distinct lines inside the DRAM's reservation
-// (mem.DRAM.Reserve: there a line is a fixed 64-byte range of one slab, so a
-// quiet read or write shares nothing with its neighbours). The secure
-// executor runs two per inference: the layer loop's and the weight loader's.
+// the shard comes from, private ciphertext/plaintext staging buffers, and
+// local block and pad tallies — so two shards may encrypt and store
+// concurrently without touching shared mutable state, as long as they
+// operate on distinct lines inside the DRAM's reservation (mem.DRAM.Reserve:
+// there a line is a fixed 64-byte range of one slab, so a quiet read or
+// write shares nothing with its neighbours). The secure executor runs two
+// per inference: the memory's own (Own), which its layer loop and the
+// serial API share, and the weight loader's.
 //
 // Ownership rules (DESIGN.md §10): a shard is single-goroutine; plaintext
 // slices returned by its Read* methods alias the shard's scratch and are
-// valid only until the shard's next operation; nothing a shard accumulates
-// is visible to the checker until the orchestrator calls Merge on the main
-// goroutine after the shard has quiesced (the serial API merges its own
-// shard after every call). Every block MAC a shard's reads and writes owe
-// is hashed and folded by the shard itself, inline (owe): Seculator checks
-// integrity once per layer (Equation 1), and nothing needs a MAC before then.
+// valid only until the shard's next operation. Every block MAC a shard's
+// reads and writes owe is hashed by the shard and folded, as it is hashed,
+// straight into the memory's registers and weight fold (owe): so only one
+// goroutine at a time may move blocks that owe a MAC — the reads, WriteRow
+// and WriteFinalRow. HostWriteRow, HostStoreRow, HostSealRow and PadAhead
+// owe none. The block and pad tallies reach the memory, and the DRAM's
+// traffic counters, when the orchestrator calls Merge after the shard has
+// quiesced (the serial API merges its own shard after every call).
 type SeculatorShard struct {
 	parent *SeculatorMemory
 	engine *crypto.CTREngine
-	folds  macFolds // the MACs this shard owes, hashed and folded
 
 	n  BlockCounts // blocks moved, merged into the memory's counts and the DRAM traffic counters
 	ks Keystreams  // pads used, merged like n
@@ -142,8 +144,18 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 	return &SeculatorShard{parent: m, engine: m.engine.Clone()}
 }
 
+// Own returns the memory's own shard, building it on first use: the one the
+// serial API moves every block through, and the secure executor's layer
+// loop. Recycle scrubs it with the memory.
+func (m *SeculatorMemory) Own() *SeculatorShard {
+	if m.own == nil {
+		m.own = m.Shard()
+	}
+	return m.own
+}
+
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
-// memory: MAC partials, traffic and pad counts reset, the
+// memory: block and pad counts reset, the
 // plaintext/ciphertext/pad staging is zeroed so no block of the previous
 // run survives in pooled scratch, and the hasher is scrubbed in place (it
 // buffers the tail of the last plaintext block it hashed; see
@@ -151,7 +163,6 @@ func (m *SeculatorMemory) Shard() *SeculatorShard {
 // immutable key schedule, which Recycle on the parent guarantees is
 // unchanged.
 func (s *SeculatorShard) Recycle() {
-	s.folds = macFolds{}
 	s.n, s.ks = BlockCounts{}, Keystreams{}
 	clear(s.ct[:])
 	clear(s.pt[:])
@@ -162,12 +173,11 @@ func (s *SeculatorShard) Recycle() {
 	s.rowh.Scrub()
 }
 
-// Merge reduces shard state back into the memory: per-shard partial MAC
-// banks fold into the current layer's bank (commutative XOR, so the shard
-// order is immaterial), first-read weight MACs into the layer's weight
-// fold, and local transfer and pad counts into the DRAM traffic counters
-// and the memory's tallies. Must run on the orchestrating goroutine after every
-// merged shard has quiesced; it resets the shards for reuse.
+// Merge adds the shards' block and pad tallies to the memory's, and their
+// block moves to the DRAM's traffic counters, resetting the shards' — the
+// only shard state the memory does not already hold. Must run on the
+// orchestrating goroutine after every merged shard has quiesced; nil
+// shards are skipped.
 func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 	for _, s := range shards {
 		if s == nil {
@@ -178,16 +188,6 @@ func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
 		m.counts.add(s.n)
 		m.ks = Keystreams{m.ks.Computed + s.ks.Computed, m.ks.Reused + s.ks.Reused, m.ks.Ahead + s.ks.Ahead}
 		s.n, s.ks = BlockCounts{}, Keystreams{}
-		m.hashing.Loop += s.folds.hashed
-		m.hashing.Reused += s.folds.reused
-		s.folds.hashed, s.folds.reused = 0, 0
-		m.weights = m.weights.Xor(s.folds.weights)
-		s.folds.weights = mac.Digest{}
-		if s.folds.bank.Folds() > 0 {
-			m.mustStart()
-			m.checker.FoldBank(&s.folds.bank)
-			s.folds.bank.Reset()
-		}
 	}
 }
 
@@ -197,21 +197,20 @@ func (m *SeculatorMemory) BlockCounts() BlockCounts { return m.counts }
 
 // Hashing says how many block MACs the shards' reads and writes — the ones
 // the layer checks consume — hashed, and how many reads needed none hashed
-// (each took its MAC from the memo, or its weight term cancelled), over
-// every shard merged since the memory was built or recycled.
+// (each took its MAC from the memo, or its weight term cancelled), since the
+// memory was built or recycled.
 type Hashing struct {
-	Loop int // hashed by the shards themselves, inline
+	Loop int // hashed by the shard that owed them, inline
 	// Reused counts reads that hashed none: each took the MAC its line's
 	// last write recorded, or fetched a weight host store's bytes unchanged.
 	Reused int
 }
 
-// Hashing returns the split of every shard merged since the memory was built
-// or recycled.
+// Hashing returns the split since the memory was built or recycled.
 func (m *SeculatorMemory) Hashing() Hashing { return m.hashing }
 
-// WeightDigest returns the weight fold of the shards merged since the
-// current layer began: for each weight block first-read (ReadStatic), the
+// WeightDigest returns the weight fold since the current layer began (or
+// restarted): for each weight block first-read (ReadStatic), the
 // MAC of what the read fetched XOR the MAC of what the host stored there —
 // zero for a read that fetched the host's bytes unchanged. With the unread
 // blocks' terms (UnreadWeight) it is the layer's weight check, which passes
@@ -266,66 +265,51 @@ const (
 	toWeight                // the layer's weight fold (the golden comparison)
 )
 
-// macFolds is what owed MACs fold into: a partial register bank, the
-// weight fold, how many MACs were hashed into them and how many reads
-// hashed none instead: they folded the MAC the memo recorded, or (a weight
-// read that fetched the host's bytes) owed nothing.
-type macFolds struct {
-	bank    mac.PartialBank
-	weights mac.Digest
-	hashed  int
-	reused  int
-}
-
-// hash folds the MAC of ref ‖ block, hashed with rowh, for n reads into to,
-// first recording it in rec — a final write's memo entry — if there is one.
-func (f *macFolds) hash(rowh *mac.RowHasher, ref mac.BlockRef, block []byte, to foldTo, n int, rec *keystream) {
-	d := rowh.Block(ref, block)
-	if rec != nil {
-		rec.mac, rec.hashed = d, true
-	}
-	f.add(to, d, n)
-	f.hashed++
-}
-
-// add folds d for n reads of one block: the first into to, the rest as
-// repeat reads (n > 1 only for ifmap reads).
-func (f *macFolds) add(to foldTo, d mac.Digest, n int) {
+// fold folds d for n reads of one block into the current layer: the first
+// into to, the rest as repeat reads (n > 1 only for ifmap reads).
+func (m *SeculatorMemory) fold(to foldTo, d mac.Digest, n int) {
+	m.mustStart()
+	c := &m.checker
 	switch to {
 	case toWrite:
-		f.bank.OnWrite(d)
+		c.OnWrite(d)
 	case toPartial:
-		f.bank.OnPartialRead(d)
+		c.OnPartialRead(d)
 	case toFirst:
-		f.bank.OnFirstRead(d)
+		c.OnFirstRead(d)
 	case toRepeat:
-		f.bank.OnRepeatRead(d)
+		c.OnRepeatRead(d)
 	case toWeight:
-		f.weights = f.weights.Xor(d)
+		m.weights = m.weights.Xor(d)
 	default:
 		panic("protect: owed MAC with no register")
 	}
 	for ; n > 1; n-- {
-		f.bank.OnRepeatRead(d)
+		c.OnRepeatRead(d)
 	}
 }
 
 // owe hashes one block MAC the layer's registers are owed and folds it, n
-// times (n > 1 only for ifmap reads); rec is a final write's memo entry, nil
-// for every other MAC.
+// times (n > 1 only for ifmap reads), first recording it in rec — a final
+// write's memo entry — if there is one.
 func (s *SeculatorShard) owe(ref mac.BlockRef, block []byte, to foldTo, n int, rec *keystream) {
-	s.folds.hash(&s.rowh, ref, block, to, n, rec)
+	d := s.rowh.Block(ref, block)
+	if rec != nil {
+		rec.mac, rec.hashed = d, true
+	}
+	s.parent.fold(to, d, n)
+	s.parent.hashing.Loop++
 }
 
 // oweUnless owes block's MAC, unless d — recorded's — is that MAC: then it
-// folds d here, unhashed.
+// folds d, unhashed.
 func (s *SeculatorShard) oweUnless(d *mac.Digest, ref mac.BlockRef, block []byte, to foldTo, n int) {
 	if d == nil {
 		s.owe(ref, block, to, n, nil)
 		return
 	}
-	s.folds.add(to, *d, n)
-	s.folds.reused++
+	s.parent.fold(to, *d, n)
+	s.parent.hashing.Reused++
 }
 
 // ReadInput fetches and decrypts an ifmap block produced by prevLayer at
@@ -386,8 +370,8 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 
 // ReadStatic fetches and decrypts a read-only (weight) block: no register
 // folds. Only the caller knows whether this is the block's first read in
-// its layer: a first read owes the layer's weight fold (WeightDigest, after
-// Merge) the difference between what it fetched and what the line's weight
+// its layer: a first read owes the layer's weight fold (WeightDigest) the
+// difference between what it fetched and what the line's weight
 // host store stored — nothing when it fetched exactly those bytes under
 // exactly that counter, else the MAC of the fetched plaintext and, if a host
 // store wrote the line, the MAC of the host's. A repeat's MAC is bound to
@@ -406,7 +390,7 @@ func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn i
 	// Both compared lines are DRAM contents the adversary already owns, so
 	// the compare's timing leaks nothing.
 	if k.host && k.ctr == ctr && k.ct == s.ct {
-		s.folds.reused++
+		m.hashing.Reused++
 		return pt
 	}
 	s.owe(m.ref(ownerLayer, fmapID, vn, blockIdx), pt, toWeight, 1, nil)

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"seculator/internal/mac"
 	"seculator/internal/mem"
+	"seculator/internal/sim"
 	"seculator/internal/tensor"
 )
 
@@ -73,74 +73,104 @@ func runReferenceScript(t *testing.T, n int) (*mem.DRAM, *refMemory) {
 	return d, r
 }
 
-// runShardedScript drives the same workload through w shards running on w
-// real goroutines against pre-reserved DRAM, interleaving the work by
-// index so the fold order differs maximally from the per-block run.
+// runShardedScript drives the same workload through w shards of one memory
+// on one goroutine against pre-reserved DRAM, shard s taking every index
+// s mod w and the shards taking turns phase by phase, so the fold order
+// differs maximally from the per-block run.
 func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 	t.Helper()
 	d := shardTestDRAM(t)
 	d.Reserve(uint64(2 * n))
 	m := NewSeculatorMemory(d, 7, 9)
-	m.ReserveKeystreams(uint64(2 * n)) // shards fill and read distinct memo entries concurrently
+	m.ReserveKeystreams(uint64(2 * n)) // every read decrypts with the pad whichever shard wrote its line left
 	shards := make([]*SeculatorShard, w)
 	for s := range shards {
 		shards[s] = m.Shard()
 	}
-	fork := func(fn func(s int, sh *SeculatorShard)) {
-		var wg sync.WaitGroup
-		for s := range shards {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				fn(s, shards[s])
-			}(s)
+	phase := func(fn func(s int, sh *SeculatorShard)) {
+		for s, sh := range shards {
+			fn(s, sh)
 		}
-		wg.Wait()
 		m.Merge(shards...)
 	}
 
 	m.BeginLayer(1)
-	fork(func(s int, sh *SeculatorShard) {
-		ct := make([]byte, tensor.BlockBytes)
+	phase(func(s int, sh *SeculatorShard) {
 		for i := s; i < n; i += w {
-			sh.WriteRow(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i), ct)
+			sh.WriteRow(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i), sh.ct[:])
 		}
 	})
 	m.BeginLayer(2)
-	fork(func(s int, sh *SeculatorShard) {
+	phase(func(s int, sh *SeculatorShard) {
 		for i := s; i < n; i += w {
-			pt := sh.ReadInput(uint64(i), 1, uint32(i%3), 1, uint32(i), true)
-			if !bytes.Equal(pt, shardPattern(i)) {
-				t.Errorf("shard %d read %d decrypted wrong plaintext", s, i)
+			if pt := sh.ReadInput(uint64(i), 1, uint32(i%3), 1, uint32(i), true); !bytes.Equal(pt, shardPattern(i)) {
+				t.Fatalf("shard %d read %d decrypted wrong plaintext", s, i)
 			}
 		}
 		for i := s * 5; i < n; i += w * 5 {
 			sh.ReadInput(uint64(i), 1, uint32(i%3), 1, uint32(i), false)
 		}
 	})
-	fork(func(s int, sh *SeculatorShard) {
-		ct := make([]byte, tensor.BlockBytes)
+	phase(func(s int, sh *SeculatorShard) {
 		for i := s; i < n; i += w {
-			sh.WriteRow(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i), ct)
+			sh.WriteRow(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i), sh.ct[:])
 		}
 	})
 	return d, m
 }
 
+// loaderRows and loaderRowBlocks shape runLoaderBeside's weight loader.
+const loaderRows, loaderRowBlocks = 10, 4
+
+// runLoaderBeside runs the per-block workload through the memory's serial
+// API — its own shard, which folds every MAC — while a second goroutine
+// does what the secure executor's weight loader does beside its layer loop:
+// a shard that host-stores rows of weights (HostStoreRow) and computes
+// output pads ahead (PadAhead) on reserved lines [2n, 2n+2·rows·blocks),
+// which the workload never touches, and owes no MAC. The loader is joined
+// and merged before the memory is returned.
+func runLoaderBeside(t *testing.T, n int) (*mem.DRAM, *SeculatorMemory) {
+	t.Helper()
+	const lines = loaderRows * loaderRowBlocks
+	d := shardTestDRAM(t)
+	d.Reserve(uint64(2*n + 2*lines))
+	m := NewSeculatorMemory(d, 7, 9)
+	m.ReserveKeystreams(uint64(2*n + 2*lines))
+	loader := m.Shard()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ct := make([]byte, loaderRowBlocks*tensor.BlockBytes)
+		for r := 0; r < loaderRows; r++ {
+			base := uint64(2*n + r*loaderRowBlocks)
+			loader.HostStoreRow(base, 0x8001, uint32(r), 1, 0, fuzzRow(loaderRowBlocks, byte(r)), ct)
+			loader.PadAhead(base+lines, 3, uint32(r), 1, 0, loaderRowBlocks)
+		}
+	}()
+	runBlockScript(t, m, n)
+	<-done
+	m.Merge(loader)
+	return d, m
+}
+
 // TestShardedFoldsMatchSerial is the soundness test of the shard crypto
-// path: for worker counts 1, 2 and 8, and for the memory's serial API (its
-// own shard, merged per call), the four XOR-MAC registers and their fold
-// counts, every ciphertext byte in DRAM, and the traffic totals must be
-// bit-identical to the per-block reference model — commutativity of the XOR
-// fold makes the shard interleaving immaterial — and every sharded read,
-// whichever shard wrote its line, decrypts with the pad that write left in
-// the keystream memo.
+// path. Every arm must leave the four XOR-MAC registers and their fold
+// counts, every ciphertext byte of the workload in DRAM, and the traffic
+// totals bit-identical to the per-block reference model: w = 1, 2 and 8
+// shards interleaved by index on one goroutine (the XOR fold is
+// commutative, so the order is immaterial, and every read, whichever shard
+// wrote its line, decrypts with the pad that write left in the keystream
+// memo); the memory's serial API (its own shard, merged per call); and the
+// serial API beside a concurrent loader-shaped shard, which must fold
+// nothing, store the lines a host seal of its rows produces, and leave its
+// pads marked ahead — the contract the secure executor's two goroutines
+// rely on.
 func TestShardedFoldsMatchSerial(t *testing.T) {
 	const n = 100
 	rd, ref := runReferenceScript(t, n)
 	want := ref.RegisterSnapshot()
 
-	same := func(what string, d *mem.DRAM, m *SeculatorMemory) {
+	same := func(what string, d *mem.DRAM, m *SeculatorMemory, extraWrites uint64) {
 		t.Helper()
 		if got := m.RegisterSnapshot(); got != want {
 			t.Fatalf("%s: registers\n got %+v\nwant %+v", what, got, want)
@@ -150,36 +180,68 @@ func TestShardedFoldsMatchSerial(t *testing.T) {
 				t.Fatalf("%s: ciphertext mismatch at line %d", what, a)
 			}
 		}
-		if got, want := d.Traffic(), rd.Traffic(); got != want {
-			t.Fatalf("%s: traffic %+v, reference %+v", what, got, want)
+		wantTraffic := rd.Traffic()
+		wantTraffic.WriteBlocks[sim.DataTraffic] += extraWrites
+		if got := d.Traffic(); got != wantTraffic {
+			t.Fatalf("%s: traffic %+v, want %+v", what, got, wantTraffic)
 		}
-		if d.Lines() != rd.Lines() {
-			t.Fatalf("%s: %d lines, reference %d", what, d.Lines(), rd.Lines())
+		if got := m.Hashing(); got != (Hashing{Loop: 3*n + n/5}) {
+			t.Fatalf("%s: MACs %+v, want each owed one hashed once: %d", what, got, 3*n+n/5)
+		}
+		if got, want := d.Lines(), rd.Lines()+int(extraWrites); got != want {
+			t.Fatalf("%s: %d lines, want %d", what, got, want)
 		}
 	}
 	for _, w := range []int{1, 2, 8} {
 		pd, pm := runShardedScript(t, n, w)
-		same(fmt.Sprintf("w=%d", w), pd, pm)
+		same(fmt.Sprintf("w=%d", w), pd, pm, 0)
 		if got, want := pm.Keystreams(), (Keystreams{Computed: 2 * n, Reused: n + n/5}); got != want {
 			t.Fatalf("w=%d: pads %+v, want %+v", w, got, want)
-		}
-		if got, want := pm.Hashing(), (Hashing{Loop: 3*n + n/5}); got != want {
-			t.Fatalf("w=%d: MACs %+v, want each owed one hashed once: %+v", w, got, want)
 		}
 	}
 	sd := shardTestDRAM(t)
 	sm := NewSeculatorMemory(sd, 7, 9)
 	runBlockScript(t, sm, n)
-	same("serial", sd, sm)
+	same("serial", sd, sm, 0)
+
+	const lines = loaderRows * loaderRowBlocks
+	ld, lm := runLoaderBeside(t, n)
+	same("serial beside a loader", ld, lm, lines)
+	if got, want := lm.Keystreams(), (Keystreams{Computed: 2*n + 2*lines, Reused: n + n/5, Ahead: lines}); got != want {
+		t.Fatalf("beside a loader: pads %+v, want %+v", got, want)
+	}
+	if got, want := lm.BlockCounts().HostWrites, lines; got != want {
+		t.Fatalf("beside a loader: %d host writes counted, want %d", got, want)
+	}
+	sealed := make([]byte, loaderRowBlocks*tensor.BlockBytes)
+	for r := 0; r < loaderRows; r++ {
+		lm.Shard().HostSealRow(sealed, 0x8001, uint32(r), 1, 0, fuzzRow(loaderRowBlocks, byte(r)))
+		for b := 0; b < loaderRowBlocks; b++ {
+			a := uint64(2*n + r*loaderRowBlocks + b)
+			if !bytes.Equal(ld.Peek(a), sealed[b*tensor.BlockBytes:(b+1)*tensor.BlockBytes]) {
+				t.Fatalf("beside a loader: line %d is not the host's sealed weight block", a)
+			}
+			if k := lm.keys[a]; !k.host || k.hashed {
+				t.Fatalf("beside a loader: weight line %d's entry is marked host %v, hashed %v", a, k.host, k.hashed)
+			}
+			if k := lm.keys[a+lines]; !k.ahead || k.set {
+				t.Fatalf("beside a loader: output line %d's entry is marked ahead %v, set %v", a+lines, k.ahead, k.set)
+			}
+		}
+	}
 }
 
 // TestShardedEquationOneVerifies: layer 2 first-reads exactly layer 1's
 // writes, so Equation 1 must verify with a zero external digest on the
-// sharded path just as on the serial one.
+// interleaved shard path, and beside a concurrent loader, just as on the
+// serial one.
 func TestShardedEquationOneVerifies(t *testing.T) {
-	_, m := runShardedScript(t, 60, 4)
-	if err := m.VerifyPreviousLayer(mac.Digest{}); err != nil {
-		t.Fatalf("Equation 1 failed on the sharded path: %v", err)
+	_, sharded := runShardedScript(t, 60, 4)
+	_, beside := runLoaderBeside(t, 60)
+	for what, m := range map[string]*SeculatorMemory{"interleaved shards": sharded, "beside a loader": beside} {
+		if err := m.VerifyPreviousLayer(mac.Digest{}); err != nil {
+			t.Fatalf("Equation 1 failed on the %s path: %v", what, err)
+		}
 	}
 }
 

@@ -105,55 +105,14 @@ func (r Result) NormalizedTraffic(base Result) float64 {
 	return sim.Ratio(r.Traffic.Total(), base.Traffic.Total())
 }
 
-// Run simulates one network on one design. ctx cancels the simulation
-// between layers; a nil ctx means context.Background(). No panic escapes.
-func Run(ctx context.Context, n workload.Network, d protect.Design, cfg Config) (res Result, err error) {
-	defer resilience.Recover(&err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, &resilience.ConfigError{Err: err}
-	}
+// Run simulates one network on one design: RunLayers over its validated,
+// chained layers. ctx cancels the simulation between layers; a nil ctx
+// means context.Background(). No panic escapes.
+func Run(ctx context.Context, n workload.Network, d protect.Design, cfg Config) (Result, error) {
 	if err := n.Validate(); err != nil {
 		return Result{}, &resilience.ConfigError{Err: err}
 	}
-	choices, err := sched.MapNetwork(n, cfg.NPU, cfg.DRAM)
-	if err != nil {
-		return Result{}, err
-	}
-	engine, err := protect.New(d, cfg.Protect)
-	if err != nil {
-		return Result{}, &resilience.ConfigError{Err: err}
-	}
-	dram, err := mem.New(cfg.DRAM)
-	if err != nil {
-		return Result{}, &resilience.ConfigError{Err: err}
-	}
-
-	res = Result{Network: n.Name, Design: d, Layers: make([]LayerResult, 0, len(choices))}
-	var alloc addressAllocator
-	prevOfmapBase := alloc.reserve(4096) // layer-0 inputs written by the host
-
-	for i, choice := range choices {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		li := layerInfo(i, choice, &alloc, prevOfmapBase)
-		prevOfmapBase = li.OfmapBase
-
-		lr, err := runLayer(choice, li, engine, dram, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("runner: %s layer %d (%s): %w", n.Name, i, choice.Layer.Name, err)
-		}
-		res.Cycles = res.Cycles.Add(lr.Cycles)
-		res.Layers = append(res.Layers, lr)
-	}
-
-	res.Traffic = dram.Traffic()
-	res.MACCache, res.HasMACCache = engine.MACCacheStats()
-	res.CounterCache, res.HasCounterCache = engine.CounterCacheStats()
-	return res, nil
+	return RunLayers(ctx, n.Name, n.Layers, d, cfg)
 }
 
 // addressAllocator hands out non-overlapping block regions.
@@ -300,14 +259,14 @@ func RunLayers(ctx context.Context, name string, layers []workload.Layer, d prot
 		}
 		choice, err := sched.Map(l, cfg.NPU, cfg.DRAM)
 		if err != nil {
-			return Result{}, fmt.Errorf("runner: layer %d (%s): %w", i, l.Name, err)
+			return Result{}, fmt.Errorf("runner: %s layer %d (%s): %w", name, i, l.Name, err)
 		}
 		li := layerInfo(i, choice, &alloc, prevOfmapBase)
 		prevOfmapBase = li.OfmapBase
 
 		lr, err := runLayer(choice, li, engine, dram, cfg)
 		if err != nil {
-			return Result{}, fmt.Errorf("runner: layer %d (%s): %w", i, l.Name, err)
+			return Result{}, fmt.Errorf("runner: %s layer %d (%s): %w", name, i, l.Name, err)
 		}
 		res.Cycles = res.Cycles.Add(lr.Cycles)
 		res.Layers = append(res.Layers, lr)

@@ -337,8 +337,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	case !overlap:
 		x.loadAllWeights(rt, states, weights)
 	}
-	rt.settle() // the host writes reach the traffic counters before the hook sees them
-	x.hook(-1, dram)
+	x.hook(rt, -1, dram)
 
 	var stats resilience.Stats
 	producer := inputLayout
@@ -395,7 +394,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		if x.OnLayerMACs != nil {
 			x.OnLayerMACs(i, sm.RegisterSnapshot())
 		}
-		x.hook(i, dram)
+		x.hook(rt, i, dram)
 	}
 
 	// The final layer's W register is the output MAC the host verifies
@@ -419,7 +418,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	if x.OnLayerMACs != nil {
 		x.OnLayerMACs(len(states), sm.RegisterSnapshot())
 	}
-	rt.drain() // the loader's shard holds the run's weight host writes until merged
+	rt.drain() // joins the loader, then merges both shards' block and pad tallies
 	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states), Blocks: dram.Lines(),
 		Counts: sm.BlockCounts(), Hashing: sm.Hashing(), Keystream: sm.Keystreams(), Recovery: stats}, nil
 }
@@ -478,8 +477,11 @@ func (x *Executor) recoverLoop(ctx context.Context, attempt func(restart bool) e
 	}
 }
 
-func (x *Executor) hook(phase int, d *mem.DRAM) {
+// hook runs the attacker hook, if any, once the loop shard's block moves
+// have reached the DRAM's traffic counters it may read.
+func (x *Executor) hook(rt *inferRuntime, phase int, d *mem.DRAM) {
 	if x.AfterPhase != nil {
+		rt.sm.Merge(rt.sh)
 		x.AfterPhase(phase, d)
 	}
 }

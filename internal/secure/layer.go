@@ -15,8 +15,8 @@ import (
 
 // layerRun is the per-layer execution context: the decrypted working set
 // being assembled from DRAM reads and the first-touch bitmaps. Every block
-// moves through the runtime's loop shard on the orchestrator; the block MACs
-// those moves owe are settled (rt.settle) before the layer's checks.
+// moves through the runtime's loop shard on the orchestrator, which folds
+// the block MACs those moves owe into the layer's registers as it goes.
 type layerRun struct {
 	rt *inferRuntime
 	sm *protect.SeculatorMemory
@@ -48,9 +48,6 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 	producer actLayout, producerData *nn.Tensor, weights *nn.Weights, restart bool) (mac.Digest, error) {
 
 	sm := rt.sm
-	// A failed attempt may still owe MACs: they land in the bank RestartLayer
-	// is about to clear, never in the retry's.
-	rt.settle()
 	if restart {
 		sm.RestartLayer()
 		rt.unit.Reset()
@@ -97,7 +94,6 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 		return mac.Digest{}, err
 	}
 
-	rt.settle() // every block MAC of the layer, before any check reads one
 	if weights != nil && !st.resident {
 		fold := run.weightFold()
 		if x.weightFoldTap != nil {
@@ -351,8 +347,8 @@ func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 // lines' final version under the layer's write triplet: the one consumers read.
 func (r *layerRun) finalWrite(vn int) bool { return vn == vngen.FinalVN(r.st.write) }
 
-// weightFold is the layer's weight check, which passes on zero: the settled
-// fold of the first reads' terms (WeightDigest) with the terms of the
+// weightFold is the layer's weight check, which passes on zero: the fold of
+// the first reads' terms (WeightDigest) with the terms of the
 // blocks no read fetched. Either term is the difference between a block's
 // MAC and the MAC of what the host stored there, so the fold is the host's
 // golden XOR-MAC XOR the MACs of what the layer consumed.
@@ -413,7 +409,6 @@ func (x *Executor) readout(rt *inferRuntime, states []layerState,
 
 	sm := rt.sm
 	last := states[len(states)-1]
-	rt.settle()
 	if restart {
 		sm.RestartLayer()
 	} else {
@@ -431,7 +426,6 @@ func (x *Executor) readout(rt *inferRuntime, states []layerState,
 			}
 		}
 	}
-	rt.settle()
 	if err := sm.VerifyPreviousLayer(mac.Digest{}); err != nil {
 		return nil, fmt.Errorf("secure: verifying final layer %q: %w", last.layer.Name, err)
 	}

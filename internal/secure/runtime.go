@@ -13,11 +13,12 @@ import (
 )
 
 // inferRuntime is the per-Run execution state: the loop shard every block of
-// the layer loop moves through (and whose block MACs it hashes), its row
+// the layer loop moves through — the memory's own, which hashes each block
+// MAC and folds it into the memory's registers as it goes — its row
 // staging, the weight loader, and the per-layer slabs.
 type inferRuntime struct {
 	sm *protect.SeculatorMemory
-	sh *protect.SeculatorShard
+	sh *protect.SeculatorShard // sm.Own()
 
 	// Row staging for the batch encrypt paths (caller-owned scratch contract
 	// of protect's row APIs); grown on demand.
@@ -70,12 +71,6 @@ func (rt *inferRuntime) rowScratch(nblocks int) (pt, ct []byte) {
 	}
 	return rt.rowPT[:need], rt.rowCT[:need]
 }
-
-// settle merges the loop shard: every MAC it hashed lands in the current
-// layer's registers and weight digest. The executor settles before anything
-// reads or resets them: each check, OnLayerMACs, FinalOutputMAC, BeginLayer
-// and RestartLayer.
-func (rt *inferRuntime) settle() { rt.sm.Merge(rt.sh) }
 
 // preloadState is the run's weight loader: one goroutine that, layer by
 // layer in order, host-stores the layer's weights and computes ahead the
@@ -137,21 +132,20 @@ func (rt *inferRuntime) awaitLayer() {
 	}
 }
 
-// drain joins the loader — called on every exit from Run, so no goroutine
-// touches the run's DRAM after Run returns or after the state is parked —
-// and only then merges its shard: the loader counts writes for the whole
-// run, and Merge is orchestrator-only.
+// drain joins the loader, if one runs — called on every exit from Run, so
+// no goroutine touches the run's DRAM after Run returns or after the state
+// is parked — and only then merges both shards' block and pad tallies: the
+// loader counts writes for the whole run, and Merge is orchestrator-only.
 func (rt *inferRuntime) drain() {
 	p := &rt.preload
-	if p.ready == nil {
-		return
+	if p.ready != nil {
+		p.stop.Store(true)
+		for range p.ready {
+		}
+		p.ready, p.panicVal = nil, nil
+		p.stop.Store(false)
 	}
-	p.stop.Store(true)
-	for range p.ready {
-	}
-	p.ready, p.panicVal = nil, nil
-	p.stop.Store(false)
-	rt.sm.Merge(p.sh)
+	rt.sm.Merge(rt.sh, p.sh)
 }
 
 // ---- per-layer slab accessors ----
@@ -286,7 +280,7 @@ func (x *Executor) acquireRun() (*runState, error) {
 		return nil, err
 	}
 	sm := protect.NewSeculatorMemory(dram, x.Secret, x.Random)
-	rt := &inferRuntime{sm: sm, sh: sm.Shard()}
+	rt := &inferRuntime{sm: sm, sh: sm.Own()}
 	rt.onEvent, rt.onCompute = rt.lr.onEvent, rt.lr.onCompute
 	return &runState{
 		dram: dram, sm: sm, rt: rt,
@@ -311,13 +305,13 @@ func (rs *runState) release() {
 }
 
 // scrub wipes every byte of run-derived data from the runtime's pooled
-// scratch: both shards' staging, row buffers, decoded activations and
+// scratch — the loader shard's staging, row buffers, decoded activations and
 // weights, and the loader's staging (drain has already joined the loader and
-// reset its hand-off state). Bitmaps and the generator's tile bookkeeping
-// clear too, so a dirty reset cannot leak one run's protocol state into the
-// next; the bound callbacks stay, pointing at the zeroed layer context.
+// reset its hand-off state; the memory's Recycle has scrubbed the loop
+// shard). Bitmaps and the generator's tile bookkeeping clear too, so a dirty
+// reset cannot leak one run's protocol state into the next; the bound
+// callbacks stay, pointing at the zeroed layer context.
 func (rt *inferRuntime) scrub() {
-	rt.sh.Recycle()
 	if rt.preload.sh != nil {
 		rt.preload.sh.Recycle()
 	}

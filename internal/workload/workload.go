@@ -138,6 +138,12 @@ func (l Layer) Validate() error {
 	if (l.Type == Depthwise || l.Type == Upsample) && l.K != l.C {
 		return fmt.Errorf("workload: %s layer %q must have K == C", l.Type, l.Name)
 	}
+	// Without padding a kernel must fit its plane. OutH alone cannot tell:
+	// (H-R)/Stride+1 truncates toward zero, so it reads 1 when H-R > -Stride.
+	if l.Valid && (l.R > l.H || l.S > l.W) {
+		return fmt.Errorf("workload: layer %q: its %dx%d valid-padded kernel exceeds its %dx%d input",
+			l.Name, l.R, l.S, l.H, l.W)
+	}
 	return nil
 }
 

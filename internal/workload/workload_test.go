@@ -88,6 +88,22 @@ func TestLayerValidate(t *testing.T) {
 	if dw.Validate() == nil {
 		t.Fatal("depthwise with K != C accepted")
 	}
+	// A valid-padded kernel taller or wider than its plane is rejected,
+	// whether its output reads empty or, truncated, one row.
+	for _, l := range []Layer{
+		{Name: "short", Type: Conv, C: 3, H: 2, W: 8, K: 4, R: 3, S: 3, Stride: 1, Valid: true},
+		{Name: "narrow", Type: Conv, C: 3, H: 8, W: 1, K: 4, R: 3, S: 3, Stride: 1, Valid: true},
+		// (2-3)/2+1 truncates to 1.
+		{Name: "strided", Type: Conv, C: 3, H: 2, W: 8, K: 4, R: 3, S: 3, Stride: 2, Valid: true},
+	} {
+		if l.Validate() == nil {
+			t.Fatalf("layer %q: a %dx%d kernel over a %dx%d plane accepted", l.Name, l.R, l.S, l.H, l.W)
+		}
+	}
+	fits := Layer{Name: "fits", Type: Conv, C: 3, H: 3, W: 3, K: 4, R: 3, S: 3, Stride: 1, Valid: true}
+	if err := fits.Validate(); err != nil {
+		t.Fatalf("a kernel the size of its plane rejected: %v", err)
+	}
 }
 
 func TestNetworkValidateChaining(t *testing.T) {
