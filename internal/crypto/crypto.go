@@ -8,7 +8,11 @@
 // major counter concatenates the fmap ID and layer ID, and the minor
 // counter concatenates the block's version number and its index within the
 // fmap — so the same plaintext at the same address encrypts differently on
-// every version.
+// every version. A block's four AES lanes are the paper's four parallel
+// engines: where the CPU has AES-NI they are encrypted in one call that
+// applies each round to all four lanes (aesni_amd64.s), from round keys
+// expanded once per engine; elsewhere, and under the purego build tag,
+// crypto/aes encrypts them one after another. The pads are bit-identical.
 //
 // TNPU uses AES-XTS (Table 5), which derives its tweak from the block
 // address alone; we implement the standard XEX construction with GF(2^128)
@@ -47,50 +51,73 @@ func (c Counter) String() string {
 // every simulation, functional memory and secure executor owns a private
 // engine (the engine-per-worker contract; see DESIGN.md §8).
 type CTREngine struct {
+	// block is the portable path's cipher, nil when the AES-NI kernel
+	// (aesni_amd64.s) pads from rk, the round keys NewCTR expanded.
 	block cipher.Block
-	key   [16]byte
+	rk    roundKeys
 
 	// Scratch reused across EncryptBlock/DecryptBlock calls. Stack arrays
 	// would escape through the cipher.Block interface call and allocate
 	// per block; engine-owned buffers do not.
 	padBuf [tensor.BlockBytes]byte
-	ctrBuf [16]byte
+	ctrBuf [tensor.BlockBytes]byte // the four lane counters
 }
+
+// roundKeys is an AES-128 encryption key schedule: eleven 16-byte round keys.
+type roundKeys [11 * 16]byte
 
 // NewCTR builds the engine with the hardware-specific key: the
 // accelerator's embedded secret ID concatenated with a random number drawn
-// before execution, so the key changes every run.
+// before execution, so the key changes every run. Where the CPU has AES-NI
+// the engine pads with the four-lane kernel, else with crypto/aes.
 func NewCTR(secretID, bootRandom uint64) *CTREngine {
 	var key [16]byte
 	binary.BigEndian.PutUint64(key[0:8], secretID)
 	binary.BigEndian.PutUint64(key[8:16], bootRandom)
+	e := &CTREngine{}
+	if useAESNI {
+		expandKey128(&key, &e.rk)
+		return e
+	}
 	b, err := aes.NewCipher(key[:])
 	if err != nil {
 		// aes.NewCipher only fails on bad key sizes; 16 is always valid.
 		panic(fmt.Sprintf("crypto: %v", err))
 	}
-	return &CTREngine{block: b, key: key}
+	e.block = b
+	return e
 }
 
-// Clone returns an engine that shares the immutable AES key schedule but
-// owns private scratch buffers. cipher.Block is safe for concurrent use, so
-// clones of one engine may run on different goroutines simultaneously and
-// produce identical pads — the per-worker engine of the sharded secure
-// execution path (DESIGN.md §8, §10).
+// Clone returns an engine with the same key schedule — the immutable
+// cipher.Block, or a copy of the round keys, never expanded again — and
+// private scratch buffers, so clones of one engine may run on different
+// goroutines at once and produce identical pads: each shard of a secure
+// executor's memory pads with its own clone (DESIGN.md §8, §10).
 func (e *CTREngine) Clone() *CTREngine {
-	return &CTREngine{block: e.block, key: e.key}
+	return &CTREngine{block: e.block, rk: e.rk}
 }
 
 // Pad computes the 64-byte one-time pad for the counter into dst: four AES
-// blocks, one per 16-byte lane, distinguished by a 2-bit lane index.
+// blocks, one per 16-byte lane, distinguished by a 2-bit lane index. It
+// panics, having written nothing, when dst is shorter than 64 bytes.
 func (e *CTREngine) Pad(dst []byte, c Counter) {
+	if len(dst) < tensor.BlockBytes {
+		panic(fmt.Sprintf("crypto: CTR pad needs %d bytes, got %d", tensor.BlockBytes, len(dst)))
+	}
 	in := &e.ctrBuf
-	binary.BigEndian.PutUint32(in[0:4], c.Fmap)
-	binary.BigEndian.PutUint32(in[4:8], c.Layer)
-	binary.BigEndian.PutUint32(in[8:12], c.VN)
 	for lane := 0; lane < 4; lane++ {
-		binary.BigEndian.PutUint32(in[12:16], c.Block<<2|uint32(lane))
-		e.block.Encrypt(dst[lane*16:(lane+1)*16], in[:])
+		l := in[lane*16 : (lane+1)*16]
+		binary.BigEndian.PutUint32(l[0:4], c.Fmap)
+		binary.BigEndian.PutUint32(l[4:8], c.Layer)
+		binary.BigEndian.PutUint32(l[8:12], c.VN)
+		binary.BigEndian.PutUint32(l[12:16], c.Block<<2|uint32(lane))
+	}
+	if e.block == nil {
+		encrypt4(&e.rk, (*[tensor.BlockBytes]byte)(dst), in)
+		return
+	}
+	for lane := 0; lane < 4; lane++ {
+		e.block.Encrypt(dst[lane*16:(lane+1)*16], in[lane*16:(lane+1)*16])
 	}
 }
 

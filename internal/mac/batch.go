@@ -17,20 +17,24 @@ import (
 // allocations (the message buffer is caller-owned scratch inside the
 // hasher value, so one hasher amortizes across an entire model load).
 //
-// The hasher also keeps one SHA-256 state for its lifetime: sha256.Sum256
-// builds and resets a fresh digest on every call, which is a tenth of a
-// block MAC's cost. The shards of the secure layer loop therefore take
-// their single-block MACs from the same hasher (Block).
+// A whole 64-byte block is hashed by the SHA-NI kernel where the CPU has
+// it (sumPadded), straight from the hasher's buffer, which holds the
+// message and its padding. Elsewhere — or for a shorter block — the hasher
+// keeps one SHA-256 state for its lifetime: sha256.Sum256 builds and resets
+// a fresh digest on every call, which is a tenth of a block MAC's cost. The
+// shards of the secure layer loop take their single-block MACs from the
+// same hasher (Block).
 
-// RowHasher is caller-owned scratch for block MACs: the 88-byte message
-// buffer, a resident SHA-256 state and the sum it writes. The zero value is
-// ready to use; the first MAC allocates the state and no later one
-// allocates. Not safe for concurrent use — give each worker its own.
+// RowHasher is caller-owned scratch for block MACs: the message buffer, the
+// portable path's resident SHA-256 state and the sum it writes. The zero
+// value is ready to use; on the portable path the first MAC allocates the
+// state, and no later one allocates. Not safe for concurrent use — give
+// each worker its own.
 type RowHasher struct {
 	h   hash.Hash
-	buf [hdrSize + maxInlineData]byte
-	// sum receives h.Sum: a stack array would escape through the hash.Hash
-	// interface and allocate per block.
+	buf paddedBlock
+	// sum receives each MAC: a stack array would escape through the
+	// hash.Hash interface and allocate per block.
 	sum Digest
 }
 
@@ -44,10 +48,14 @@ func (h *RowHasher) Block(ref BlockRef, data []byte) Digest {
 // hashBlock hashes the header in buf followed by data (at most 64 bytes,
 // else the slice expression panics) into sum.
 func (h *RowHasher) hashBlock(data []byte) {
+	copy(h.buf[hdrSize:hdrSize+len(data)], data)
+	if useSHANI && len(data) == maxInlineData {
+		sumPadded(&h.sum, &h.buf)
+		return
+	}
 	if h.h == nil {
 		h.h = sha256.New()
 	}
-	copy(h.buf[hdrSize:hdrSize+len(data)], data)
 	h.h.Reset()
 	h.h.Write(h.buf[:hdrSize+len(data)])
 	h.h.Sum(h.sum[:0])
@@ -72,12 +80,14 @@ func (h *RowHasher) FoldRow(ref BlockRef, data []byte) (Digest, int) {
 }
 
 // Scrub wipes what a pooled hasher would otherwise carry into the next run
-// and keeps the SHA-256 state, so reuse allocates nothing. After an 88-byte
-// Write the state buffers the message's last 24 bytes — plaintext — and its
-// Reset zeroes the counters, not that buffer; a 64-byte Write would be
-// compressed straight from the caller's slice without touching it. So the
-// buffer is overwritten with 63 zero bytes and left that way: every MAC
-// begins with its own Reset.
+// — the message buffer, which holds the last block hashed, and the sum —
+// and keeps any SHA-256 state, so reuse allocates nothing. The kernel
+// hashes from the buffer and keeps nothing, so on its path that is all.
+// The portable state is another copy: after an 88-byte Write it buffers the
+// message's last 24 bytes — plaintext — and its Reset zeroes the counters,
+// not that buffer; a 64-byte Write would be compressed straight from the
+// caller's slice without touching it. So the buffer is overwritten with 63
+// zero bytes and left that way: every MAC begins with its own Reset.
 func (h *RowHasher) Scrub() {
 	clear(h.buf[:])
 	h.sum = Digest{}

@@ -135,49 +135,117 @@ func shaState(t *testing.T, h *RowHasher) (buffered []byte, length uint64) {
 	return x, binary.BigEndian.Uint64(state[4+sha256.Size+sha256.BlockSize:])
 }
 
-// TestRowHasherScrub shows both halves of the pool contract: a used hasher
-// holds plaintext (the last 24 bytes of the block it hashed, inside the
-// SHA-256 state), and Scrub leaves none anywhere in it.
-func TestRowHasherScrub(t *testing.T) {
-	data := make([]byte, tensor.BlockBytes)
-	for i := range data {
-		data[i] = byte(0x80 | i)
-	}
-	var h RowHasher
-	want := h.Block(BlockRef{Secret: 5, Index: 1}, data)
+// haveSHANI records whether this build and CPU run the SHA-NI kernel, so a
+// test that switches useSHANI can restore it.
+var haveSHANI = useSHANI
 
-	x, n := shaState(t, &h)
-	if n != hdrSize+tensor.BlockBytes {
-		t.Fatalf("after one block the state has hashed %d bytes, want %d", n, hdrSize+tensor.BlockBytes)
-	}
-	if tail := data[tensor.BlockBytes-hdrSize:]; !bytes.Equal(x[:hdrSize], tail) {
-		t.Fatalf("state buffers %x, want the block's last %d bytes %x", x[:hdrSize], hdrSize, tail)
-	}
-
-	h.Scrub()
-	x, n = shaState(t, &h)
-	if n != sha256.BlockSize-1 {
-		t.Fatalf("after Scrub the state has hashed %d bytes, want %d", n, sha256.BlockSize-1)
-	}
-	if !bytes.Equal(x, make([]byte, sha256.BlockSize)) {
-		t.Fatalf("after Scrub the state still buffers %x", x)
-	}
-	if h.buf != [hdrSize + maxInlineData]byte{} || !h.sum.IsZero() {
-		t.Fatal("after Scrub the message buffer or the sum is not zero")
-	}
-	if got := h.Block(BlockRef{Secret: 5, Index: 1}, data); got != want {
-		t.Fatalf("MAC after Scrub = %x, want %x", got, want)
-	}
-
-	var fresh RowHasher
-	fresh.Scrub() // no state yet: nothing to wipe, nothing built
-	if fresh.h != nil {
-		t.Fatal("Scrub built a SHA-256 state on an unused hasher")
+// macPaths runs f once per block-MAC path: the portable one and, where this
+// build and CPU have it, the SHA-NI kernel.
+func macPaths(t *testing.T, f func(t *testing.T)) {
+	t.Cleanup(func() { useSHANI = haveSHANI })
+	for _, kernel := range []bool{false, true} {
+		if kernel && !haveSHANI {
+			continue
+		}
+		useSHANI = kernel
+		t.Run(map[bool]string{false: "portable", true: "kernel"}[kernel], f)
 	}
 }
 
+// TestRowHasherScrub shows both halves of the pool contract on each path: a
+// used hasher holds plaintext — the block in its message buffer and, on the
+// portable path, the block's last 24 bytes inside the SHA-256 state — and
+// after Scrub no byte the hasher owns holds any, and the next MAC is right.
+// The kernel path builds no SHA-256 state at all.
+func TestRowHasherScrub(t *testing.T) {
+	macPaths(t, func(t *testing.T) {
+		data := make([]byte, tensor.BlockBytes)
+		for i := range data {
+			data[i] = byte(0x80 | i)
+		}
+		ref := BlockRef{Secret: 5, Index: 1}
+		var h RowHasher
+		want := h.Block(ref, data)
+		if want != Digest(sha256.Sum256(messageByHand(ref, data))) {
+			t.Fatalf("Block = %x, want SHA-256 of the message", want)
+		}
+		if !bytes.Equal(h.buf[hdrSize:hdrSize+tensor.BlockBytes], data) {
+			t.Fatal("the message buffer does not hold the block: the check below sees nothing")
+		}
+		if useSHANI {
+			if h.h != nil {
+				t.Fatal("the kernel path built a SHA-256 state")
+			}
+		} else {
+			x, n := shaState(t, &h)
+			if n != hdrSize+tensor.BlockBytes {
+				t.Fatalf("after one block the state has hashed %d bytes, want %d", n, hdrSize+tensor.BlockBytes)
+			}
+			if tail := data[tensor.BlockBytes-hdrSize:]; !bytes.Equal(x[:hdrSize], tail) {
+				t.Fatalf("state buffers %x, want the block's last %d bytes %x", x[:hdrSize], hdrSize, tail)
+			}
+		}
+
+		h.Scrub()
+		if h.buf != (paddedBlock{}) || !h.sum.IsZero() {
+			t.Fatal("after Scrub the message buffer or the sum is not zero")
+		}
+		if h.h != nil {
+			x, n := shaState(t, &h)
+			if n != sha256.BlockSize-1 {
+				t.Fatalf("after Scrub the state has hashed %d bytes, want %d", n, sha256.BlockSize-1)
+			}
+			if !bytes.Equal(x, make([]byte, sha256.BlockSize)) {
+				t.Fatalf("after Scrub the state still buffers %x", x)
+			}
+		}
+		if got := h.Block(ref, data); got != want {
+			t.Fatalf("MAC after Scrub = %x, want %x", got, want)
+		}
+
+		var fresh RowHasher
+		fresh.Scrub() // no state yet: nothing to wipe, nothing built
+		if fresh.h != nil {
+			t.Fatal("Scrub built a SHA-256 state on an unused hasher")
+		}
+	})
+}
+
+// FuzzBlockMAC holds every block-MAC entry point to the stored definition,
+// SHA-256 of the hand-written header‖data, for any position and 0 – 64
+// data bytes, on each path: BlockMAC, RowHasher.Block on a reused hasher,
+// and FoldRow (one block when data is a whole line, none otherwise).
+func FuzzBlockMAC(f *testing.F) {
+	f.Add(uint64(0), uint32(0), uint32(0), uint32(0), uint32(0), make([]byte, tensor.BlockBytes))
+	f.Add(^uint64(0), ^uint32(0), uint32(7), uint32(3), ^uint32(0), []byte{1, 2, 3})
+	f.Add(uint64(1), uint32(2), uint32(3), uint32(4), uint32(5), make([]byte, 31))
+	var h RowHasher
+	f.Fuzz(func(t *testing.T, secret uint64, layer, fmap, vn, index uint32, data []byte) {
+		defer func() { useSHANI = haveSHANI }()
+		if len(data) > tensor.BlockBytes {
+			data = data[:tensor.BlockBytes]
+		}
+		ref := BlockRef{Secret: secret, Layer: layer, Fmap: fmap, VN: vn, Index: index}
+		want := Digest(sha256.Sum256(messageByHand(ref, data)))
+		for _, kernel := range []bool{false, haveSHANI} {
+			useSHANI = kernel
+			if got := BlockMAC(ref, data); got != want {
+				t.Fatalf("kernel %v: BlockMAC(%+v, %d bytes) = %x, want %x", kernel, ref, len(data), got, want)
+			}
+			if got := h.Block(ref, data); got != want {
+				t.Fatalf("kernel %v: RowHasher.Block(%+v, %d bytes) = %x, want %x", kernel, ref, len(data), got, want)
+			}
+			fold, n := h.FoldRow(ref, data)
+			if whole := len(data) == tensor.BlockBytes; whole && (n != 1 || fold != want) || !whole && (n != 0 || !fold.IsZero()) {
+				t.Fatalf("kernel %v: FoldRow(%+v, %d bytes) = %x over %d blocks", kernel, ref, len(data), fold, n)
+			}
+		}
+	})
+}
+
 // BenchmarkRowHasherBlock measures the block MAC of the secure layer loop:
-// one MAC from a resident SHA-256 state plus the word-wide register fold.
+// one MAC from the hasher (the SHA-NI kernel, or its resident SHA-256
+// state) plus the word-wide register fold.
 // Compare BenchmarkXORMACFold, the stateless BlockMAC on the same work.
 func BenchmarkRowHasherBlock(b *testing.B) {
 	data := make([]byte, tensor.BlockBytes)

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkXORMACFold measures the per-block integrity path: SHA-256 block
-// MAC plus the XOR-MAC register fold. Blocks up to maxInlineData bytes take
-// the single-shot sha256.Sum256 fast path, which keeps the whole fold
-// allocation-free (see -benchmem).
+// MAC plus the XOR-MAC register fold. Blocks up to maxInlineData bytes are
+// assembled on the stack and hashed in one call (the SHA-NI kernel, or
+// sha256.Sum256), which keeps the whole fold allocation-free (see -benchmem).
 func BenchmarkXORMACFold(b *testing.B) {
 	data := make([]byte, tensor.BlockBytes)
 	var reg Register

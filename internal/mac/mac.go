@@ -5,8 +5,9 @@
 //
 // where P is the accelerator's secret ID, L the layer ID, F the fmap ID,
 // VN the version number, I the block index within the fmap, and B the block
-// contents — but instead of storing MACs, they are XOR-folded into four
-// on-chip 256-bit registers:
+// contents (where the CPU has SHA-NI, one kernel call per 64-byte block,
+// shani_amd64.s; elsewhere crypto/sha256, bit-identically) — but instead
+// of storing MACs, they are XOR-folded into four on-chip 256-bit registers:
 //
 //	MAC_W  — everything written this layer
 //	MAC_R  — every partial ofmap read back this layer
@@ -82,14 +83,20 @@ const maxInlineData = 64
 // BlockMAC computes SHA256(P || L || F || VN || I || B).
 //
 // For data up to 64 bytes — every caller in the simulator; blocks are
-// 64-byte DRAM lines — the message is assembled in a stack buffer and
-// hashed with sha256.Sum256, so the per-block MAC path performs zero heap
-// allocations. Longer data streams through a hash.Hash.
+// 64-byte DRAM lines — the message is assembled in a stack buffer, so the
+// per-block MAC path performs zero heap allocations. A whole 64-byte block
+// is hashed by the SHA-NI kernel where the CPU has it (sumPadded), any
+// other by sha256.Sum256. Longer data streams through a hash.Hash.
 func BlockMAC(ref BlockRef, data []byte) Digest {
 	if len(data) <= maxInlineData {
-		var buf [hdrSize + maxInlineData]byte
+		var buf paddedBlock
 		putHeader(buf[:hdrSize], ref)
 		copy(buf[hdrSize:], data)
+		if useSHANI && len(data) == maxInlineData {
+			var d Digest
+			sumPadded(&d, &buf)
+			return d
+		}
 		return Digest(sha256.Sum256(buf[:hdrSize+len(data)]))
 	}
 	h := sha256.New()
@@ -100,6 +107,20 @@ func BlockMAC(ref BlockRef, data []byte) Digest {
 	var d Digest
 	copy(d[:], h.Sum(nil))
 	return d
+}
+
+// paddedBlock is the MAC message of one whole 64-byte block, P‖L‖F‖VN‖I‖B
+// in its first 88 bytes, followed by the SHA-256 padding sumPadded writes:
+// 0x80, zeros, and the message's bit length 704 in the last eight bytes.
+type paddedBlock [2 * sha256.BlockSize]byte
+
+// sumPadded sets d to the MAC of the message in msg[:88] with the SHA-NI
+// kernel, after writing its padding. msg[89:126] must be zero: no writer of
+// a paddedBlock touches them.
+func sumPadded(d *Digest, msg *paddedBlock) {
+	msg[hdrSize+maxInlineData] = 0x80
+	binary.BigEndian.PutUint16(msg[len(msg)-2:], (hdrSize+maxInlineData)*8)
+	sum128(d, msg)
 }
 
 func putHeader(hdr []byte, ref BlockRef) {

@@ -279,8 +279,9 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 	}
 }
 
-// TestShardRecycleScrubsHasher: the shard's hasher buffers the tail of the
-// last plaintext block it MACed inside its SHA-256 state, so Recycle must
+// TestShardRecycleScrubsHasher: the shard's hasher holds the last plaintext
+// block it MACed (in its message buffer and, on the portable path, the
+// block's tail inside its SHA-256 state), so Recycle must
 // scrub it like the staging buffers (ReadInputRun's two and the pad included)
 // — and keep it, so a pooled run builds none; the memory's Recycle zeroes
 // every keystream memo entry, recorded ciphertext and MAC included.

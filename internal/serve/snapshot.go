@@ -115,12 +115,10 @@ func openSnapshot(key []byte, env SnapshotEnvelope) (snapshotPayload, error) {
 			Reason: "version", Err: fmt.Errorf("version %d, want %d", env.Version, snapshotVersion),
 		}
 	}
-	want, err := hex.DecodeString(env.MAC)
-	if err != nil || len(want) != sha256.Size {
-		return snapshotPayload{}, &resilience.SnapshotIntegrityError{Reason: "mac"}
-	}
+	// The MAC text must be the one sealSnapshot writes, lower-case hex:
+	// decoding it first would also accept its upper-case spellings.
 	got := snapshotMAC(key, env.Version, env.Payload)
-	if !hmac.Equal(want, got[:]) {
+	if !hmac.Equal([]byte(env.MAC), []byte(hex.EncodeToString(got[:]))) {
 		return snapshotPayload{}, &resilience.SnapshotIntegrityError{Reason: "mac"}
 	}
 	var p snapshotPayload
