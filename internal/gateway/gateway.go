@@ -48,6 +48,31 @@ const DefaultLoadFactor = 1.25
 // the request (all candidates dead, or the retry budget ran out).
 const ClassUpstream = "upstream"
 
+// refusal is an answer the gateway gives itself instead of relaying a
+// replica's: upstream when no replica could serve the request, and the
+// admin-key and reload refusals of its own /admin surface. serve.Refuse
+// writes it like every replica refusal.
+type refusal struct {
+	status     int
+	class, msg string
+}
+
+func (e *refusal) Error() string { return e.msg }
+
+// ErrorBody maps the refusal; only upstream carries a retry hint.
+func (e *refusal) ErrorBody() (int, serve.ErrorBody) {
+	body := serve.ErrorBody{Error: e.msg, Class: e.class}
+	if e.class == ClassUpstream {
+		body.RetryAfterMs = 1000
+	}
+	return e.status, body
+}
+
+// upstream refuses a request no replica could serve.
+func upstream(why string) error {
+	return &refusal{http.StatusBadGateway, ClassUpstream, "gateway: " + why}
+}
+
 const (
 	// forwardTimeout bounds one proxied request: the replica-side cap on a
 	// request's own deadline.
@@ -140,15 +165,15 @@ func New(opts Options) (*Gateway, error) {
 	g.routing.Store(g.buildRouting(cfg, nil))
 
 	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("POST /v1/infer", g.handleInfer)
-	g.mux.HandleFunc("POST /v1/sessions", g.handleSessionCreate)
-	g.mux.HandleFunc("DELETE /v1/sessions/{id}", g.handleSessionDelete)
-	g.mux.HandleFunc("GET /v1/sessions/{id}/snapshot", g.handleSnapshot)
-	g.mux.HandleFunc("POST /v1/sessions/restore", g.handleRestore)
-	g.mux.HandleFunc("GET /v1/designs", g.handleDesigns)
+	g.mux.HandleFunc("POST /v1/infer", g.counted(g.handleInfer))
+	g.mux.HandleFunc("POST /v1/sessions", g.counted(g.handleSessionCreate))
+	g.mux.HandleFunc("DELETE /v1/sessions/{id}", g.counted(g.handleSessionDelete))
+	g.mux.HandleFunc("GET /v1/sessions/{id}/snapshot", g.counted(g.handleSnapshot))
+	g.mux.HandleFunc("POST /v1/sessions/restore", g.counted(g.handleRestore))
+	g.mux.HandleFunc("GET /v1/designs", g.counted(g.handleDesigns))
 	g.mux.HandleFunc("GET /healthz", g.handleHealth)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
-	g.mux.HandleFunc("POST /admin/reload", g.handleReload)
+	g.mux.HandleFunc("POST /admin/reload", g.counted(g.handleReload))
 
 	g.wg.Add(1)
 	go g.runProber()
@@ -230,12 +255,12 @@ func (g *Gateway) ReloadFromFile() (int, error) {
 
 // ---- replica selection ----
 
-// available returns the replicas currently accepting forwarded traffic,
-// in the order of names.
-func available(rt *routing, names []string, now time.Time) []*replica {
+// available returns, in the order of names, the replicas whose prober
+// passes ok ((*prober).Available or .AcceptingSessions).
+func available(rt *routing, names []string, now time.Time, ok func(*prober, time.Time) bool) []*replica {
 	out := make([]*replica, 0, len(names))
 	for _, n := range names {
-		if rep := rt.replicas[n]; rep != nil && rep.hp.Available(now) {
+		if rep := rt.replicas[n]; rep != nil && ok(rep.hp, now) {
 			out = append(out, rep)
 		}
 	}
@@ -263,7 +288,7 @@ func sessionTarget(rt *routing, key, exclude string, now time.Time, ok func(*pro
 // bound yields to the next, so one hot tenant key cannot bury its
 // favourite replica while others idle.
 func statelessCandidates(rt *routing, tenantKey string, now time.Time) []*replica {
-	avail := available(rt, Rendezvous(rt.names, tenantKey), now)
+	avail := available(rt, Rendezvous(rt.names, tenantKey), now, (*prober).Available)
 	if len(avail) <= 1 {
 		return avail
 	}
@@ -383,25 +408,14 @@ func (g *Gateway) relay(w http.ResponseWriter, fr forwardResult) {
 	_, _ = w.Write(fr.body)
 }
 
-func (g *Gateway) writeError(w http.ResponseWriter, status int, body serve.ErrorBody) {
-	g.metrics.Request(status)
-	serve.WriteError(w, status, body)
-}
-
-func (g *Gateway) upstreamError(w http.ResponseWriter, why string) {
-	g.writeError(w, http.StatusBadGateway, serve.ErrorBody{
-		Error: "gateway: " + why, Class: ClassUpstream, RetryAfterMs: 1000,
-	})
-}
-
-// replicaAlive does one quick liveness check outside the prober cadence —
-// the guard before a session failover (restoring a vault snapshot away
-// from a replica that still holds newer state would fork the session's
-// sequence window, so the gateway only fails over when the source is
-// demonstrably gone).
-func (g *Gateway) replicaAlive(rep *replica) bool {
-	_, err := g.health(rep)
-	return err == nil
+// counted adapts a route's handler: serve.Refuse writes the refusal it
+// returns, counted in requests_total{code} as relay counts the rest.
+func (g *Gateway) counted(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := h(w, r); err != nil {
+			g.metrics.Request(serve.Refuse(w, err))
+		}
+	}
 }
 
 // health asks a replica for its /healthz, bounded by probeTimeout.
@@ -413,34 +427,31 @@ func (g *Gateway) health(rep *replica) (serve.HealthResponse, error) {
 
 // ---- handlers ----
 
-func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) error {
 	var req serve.InferRequest
 	if err := serve.DecodeJSON(r.Body, 8<<20, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + err.Error(), Class: serve.ClassBadRequest})
-		return
+		return err
 	}
 	rt := g.routing.Load()
 	if req.Session != "" {
-		g.sessionInfer(w, r, rt, &req)
-		return
+		return g.sessionInfer(w, r, rt, &req)
 	}
-	g.statelessInfer(w, r, rt, &req)
+	return g.statelessInfer(w, r, rt, &req)
 }
 
 // statelessInfer spreads seedful inference by rendezvous + bounded load,
 // moving on to the next candidate within the retry budget.
-func (g *Gateway) statelessInfer(w http.ResponseWriter, r *http.Request, rt *routing, req *serve.InferRequest) {
+func (g *Gateway) statelessInfer(w http.ResponseWriter, r *http.Request, rt *routing, req *serve.InferRequest) error {
 	candidates := statelessCandidates(rt, tenantKeyOf(r), time.Now())
 	if len(candidates) == 0 {
-		g.upstreamErrorStatic(w, preNoReplica)
-		return
+		return upstream("no available replica")
 	}
 	fr, rep, err := g.forwardFirst(r, candidates, "/v1/infer", req)
 	if err != nil {
-		g.upstreamError(w, fmt.Sprintf("all replicas failed: %v", err))
-		return
+		return upstream(fmt.Sprintf("all replicas failed: %v", err))
 	}
 	g.relayInfer(w, fr, rep.name, req.ReturnSnapshot, "")
+	return nil
 }
 
 // forwardFirst POSTs body to the first of candidates that answers, trying
@@ -478,7 +489,7 @@ func (g *Gateway) forwardFirst(r *http.Request, candidates []*replica, path stri
 // replica, write-through-vaulting the piggybacked snapshot. On a
 // transport failure with the home demonstrably dead, it restores the
 // vaulted snapshot at the next replica on the ring and retries once.
-func (g *Gateway) sessionInfer(w http.ResponseWriter, r *http.Request, rt *routing, req *serve.InferRequest) {
+func (g *Gateway) sessionInfer(w http.ResponseWriter, r *http.Request, rt *routing, req *serve.InferRequest) error {
 	id := req.Session
 	now := time.Now()
 	var rep *replica
@@ -493,8 +504,7 @@ func (g *Gateway) sessionInfer(w http.ResponseWriter, r *http.Request, rt *routi
 		rep = sessionTarget(rt, id, "", now, (*prober).Available)
 	}
 	if rep == nil {
-		g.upstreamError(w, "no available replica for session")
-		return
+		return upstream("no available replica for session")
 	}
 
 	wantSnapshot := req.ReturnSnapshot // the client's own wish
@@ -506,18 +516,17 @@ func (g *Gateway) sessionInfer(w http.ResponseWriter, r *http.Request, rt *routi
 			alt = g.sessionFailover(rt, id, rep, now)
 		}
 		if alt == nil {
-			g.upstreamError(w, fmt.Sprintf("session home %s unreachable: %v", rep.name, err))
-			return
+			return upstream(fmt.Sprintf("session home %s unreachable: %v", rep.name, err))
 		}
 		g.metrics.retries.Inc()
 		rep = alt
 		fr, err = g.forward(r.Context(), rep, http.MethodPost, "/v1/infer", r, req)
 		if err != nil {
-			g.upstreamError(w, fmt.Sprintf("failover replica %s unreachable: %v", rep.name, err))
-			return
+			return upstream(fmt.Sprintf("failover replica %s unreachable: %v", rep.name, err))
 		}
 	}
 	g.relayInfer(w, fr, rep.name, wantSnapshot, id)
+	return nil
 }
 
 // sessionFailover decides whether a failed session forward may move to an
@@ -525,7 +534,11 @@ func (g *Gateway) sessionInfer(w http.ResponseWriter, r *http.Request, rt *routi
 // snapshot. It returns nil when failing over would be unsafe (the home
 // may still hold live state) or impossible (no snapshot, no survivor).
 func (g *Gateway) sessionFailover(rt *routing, id string, failed *replica, now time.Time) *replica {
-	if g.replicaAlive(failed) {
+	// One quick liveness check outside the prober cadence: restoring a vault
+	// snapshot away from a replica that still holds newer state would fork
+	// the session's sequence window, so the gateway fails over only when the
+	// source is demonstrably gone.
+	if _, err := g.health(failed); err == nil {
 		return nil // transient transport blip; the home still owns the state
 	}
 	env := (*serve.SnapshotEnvelope)(nil)
@@ -589,42 +602,29 @@ func (g *Gateway) relayInfer(w http.ResponseWriter, fr forwardResult, replicaNam
 // snapshot → restore → evict path as every other migration, so routine
 // session creation continuously exercises the machinery failover depends
 // on.
-func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) error {
 	var req serve.SessionCreateRequest
 	if r.ContentLength != 0 {
 		if err := serve.DecodeJSON(r.Body, 1<<16, &req); err != nil {
-			g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + err.Error(), Class: serve.ClassBadRequest})
-			return
+			return err
 		}
 	}
 	rt := g.routing.Load()
 	now := time.Now()
-	accepting := make([]*replica, 0, len(rt.names))
-	for _, n := range Rendezvous(rt.names, tenantKeyOf(r)) {
-		if rep := rt.replicas[n]; rep != nil && rep.hp.AcceptingSessions(now) {
-			accepting = append(accepting, rep)
-		}
-	}
+	accepting := available(rt, Rendezvous(rt.names, tenantKeyOf(r)), now, (*prober).AcceptingSessions)
 	if len(accepting) == 0 {
-		g.upstreamErrorStatic(w, preNoSessionAccepting)
-		return
+		return upstream("no replica accepting sessions")
 	}
 	fr, src, err := g.forwardFirst(r, accepting, "/v1/sessions", &req)
 	if err != nil {
-		g.upstreamError(w, fmt.Sprintf("session create failed: %v", err))
-		return
-	}
-	if fr.status != http.StatusCreated {
-		g.relay(w, fr)
-		return
+		return upstream(fmt.Sprintf("session create failed: %v", err))
 	}
 	var created serve.SessionCreateResponse
-	if err := json.Unmarshal(fr.body, &created); err != nil || created.SessionID == "" {
-		g.relay(w, fr)
-		return
+	if fr.status == http.StatusCreated && json.Unmarshal(fr.body, &created) == nil && created.SessionID != "" {
+		g.placeSession(rt, src, created.SessionID, now)
 	}
-	g.placeSession(rt, src, created.SessionID, now)
 	g.relay(w, fr)
+	return nil
 }
 
 // placeSession vaults a newborn session and moves it to its ring owner
@@ -649,47 +649,49 @@ func (g *Gateway) placeSession(rt *routing, src *replica, id string, now time.Ti
 	}
 }
 
-func (g *Gateway) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	if fr, ok := g.forwardHome(w, r); ok {
-		if fr.status < 300 || fr.status == http.StatusNotFound {
-			g.vault.drop(r.PathValue("id"))
-		}
-		g.relay(w, fr)
+func (g *Gateway) handleSessionDelete(w http.ResponseWriter, r *http.Request) error {
+	fr, err := g.forwardHome(r)
+	if err != nil {
+		return err
 	}
+	if fr.status < 300 || fr.status == http.StatusNotFound {
+		g.vault.drop(r.PathValue("id"))
+	}
+	g.relay(w, fr)
+	return nil
 }
 
-func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if fr, ok := g.forwardHome(w, r); ok {
-		g.relay(w, fr)
+func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) error {
+	fr, err := g.forwardHome(r)
+	if err != nil {
+		return err
 	}
+	g.relay(w, fr)
+	return nil
 }
 
 // forwardHome forwards a /v1/sessions/{id} request as-is to the session's
-// home replica. When no home answers it writes the 502 itself and reports
-// false.
-func (g *Gateway) forwardHome(w http.ResponseWriter, r *http.Request) (forwardResult, bool) {
+// home replica, or refuses it as upstream when no home answers.
+func (g *Gateway) forwardHome(r *http.Request) (forwardResult, error) {
 	rep := g.homeOf(g.routing.Load(), r.PathValue("id"))
 	if rep == nil {
-		g.upstreamErrorStatic(w, preNoSessionReplica)
-		return forwardResult{}, false
+		return forwardResult{}, upstream("no available replica for session")
 	}
 	fr, err := g.forward(r.Context(), rep, r.Method, r.URL.Path, r, nil)
 	if err != nil {
-		g.upstreamError(w, err.Error())
-		return forwardResult{}, false
+		return forwardResult{}, upstream(err.Error())
 	}
-	return fr, true
+	return fr, nil
 }
 
 // handleRestore imports a tenant's sealed snapshot. The envelope payload
 // carries the session id in the clear (the seal is authentication, not
 // encryption), so the gateway can route the import straight to the ring
 // owner; the owner's MAC verification remains the integrity gate.
-func (g *Gateway) handleRestore(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleRestore(w http.ResponseWriter, r *http.Request) error {
 	var req serve.RestoreRequest
 	if err := serve.DecodeJSON(r.Body, 1<<20, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + err.Error(), Class: serve.ClassBadRequest})
-		return
+		return err
 	}
 	var peek struct {
 		ID string `json:"id"`
@@ -702,39 +704,35 @@ func (g *Gateway) handleRestore(w http.ResponseWriter, r *http.Request) {
 		rep = sessionTarget(rt, peek.ID, "", now, (*prober).AcceptingSessions)
 	}
 	if rep == nil {
-		for _, cand := range available(rt, rt.names, now) {
-			if cand.hp.AcceptingSessions(now) {
-				rep = cand
-				break
-			}
+		if accepting := available(rt, rt.names, now, (*prober).AcceptingSessions); len(accepting) > 0 {
+			rep = accepting[0]
 		}
 	}
 	if rep == nil {
-		g.upstreamErrorStatic(w, preNoSessionAccepting)
-		return
+		return upstream("no replica accepting sessions")
 	}
 	fr, err := g.forward(r.Context(), rep, http.MethodPost, "/v1/sessions/restore", r, &req)
 	if err != nil {
-		g.upstreamError(w, err.Error())
-		return
+		return upstream(err.Error())
 	}
 	if fr.status == http.StatusCreated && peek.ID != "" {
 		env := req.Snapshot
 		g.vault.put(peek.ID, rep.name, &env)
 	}
 	g.relay(w, fr)
+	return nil
 }
 
-func (g *Gateway) handleDesigns(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleDesigns(w http.ResponseWriter, r *http.Request) error {
 	rt := g.routing.Load()
-	for _, rep := range available(rt, rt.names, time.Now()) {
+	for _, rep := range available(rt, rt.names, time.Now(), (*prober).Available) {
 		fr, err := g.forward(r.Context(), rep, http.MethodGet, "/v1/designs", r, nil)
 		if err == nil {
 			g.relay(w, fr)
-			return
+			return nil
 		}
 	}
-	g.upstreamErrorStatic(w, preNoReplica)
+	return upstream("no available replica")
 }
 
 // homeOf resolves a session's current replica: the vault entry when the
@@ -760,7 +758,7 @@ type GatewayHealth struct {
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	rt := g.routing.Load()
-	avail := len(available(rt, rt.names, time.Now()))
+	avail := len(available(rt, rt.names, time.Now(), (*prober).Available))
 	resp := GatewayHealth{
 		Status: "ok", Replicas: len(rt.names), Available: avail,
 		Sessions: g.vault.size(), RingGen: rt.gen,
@@ -782,29 +780,27 @@ type ReloadResponse struct {
 	Migrated   int    `json:"migrated"`
 }
 
-func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleReload(w http.ResponseWriter, r *http.Request) error {
 	if g.opts.AdminKey != "" && !hmacEqual(r.Header.Get("X-Admin-Key"), g.opts.AdminKey) {
-		g.writeError(w, http.StatusUnauthorized, serve.ErrorBody{Error: "gateway: admin key required", Class: serve.ClassUnauthorized})
-		return
+		return &refusal{http.StatusUnauthorized, serve.ClassUnauthorized, "gateway: admin key required"}
 	}
 	var moved int
 	var err error
 	if r.ContentLength != 0 {
 		var cfg Config
-		if derr := serve.DecodeJSON(r.Body, 1<<20, &cfg); derr != nil {
-			g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed JSON: " + derr.Error(), Class: serve.ClassBadRequest})
-			return
+		if err := serve.DecodeJSON(r.Body, 1<<20, &cfg); err != nil {
+			return err
 		}
 		moved, err = g.Reload(cfg)
 	} else {
 		moved, err = g.ReloadFromFile()
 	}
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, serve.ErrorBody{Error: err.Error(), Class: serve.ClassConfig})
-		return
+		return &refusal{http.StatusBadRequest, serve.ClassConfig, err.Error()}
 	}
 	g.metrics.Request(http.StatusOK)
 	serve.WriteJSON(w, http.StatusOK, &ReloadResponse{Generation: g.Gen(), Migrated: moved})
+	return nil
 }
 
 // ---- active health probing ----

@@ -88,7 +88,7 @@ func PutJSON(s *JSONScratch) {
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	s, err := EncodeJSON(v)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		Refuse(w, err) // an ErrorBody always encodes
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -100,12 +100,15 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // DecodeJSON is the pooled-scratch counterpart of a one-shot
 // json.NewDecoder(...).Decode: read the limited body, unmarshal, release.
+// A body it cannot read or decode is a bad request, "malformed JSON: ".
 func DecodeJSON(body io.Reader, limit int64, v any) error {
 	buf, err := ReadBody(body, limit)
-	if err != nil {
-		return err
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+		PutBody(buf)
 	}
-	err = json.Unmarshal(buf.Bytes(), v)
-	PutBody(buf)
-	return err
+	if err != nil {
+		return badRequest("malformed JSON: " + err.Error())
+	}
+	return nil
 }

@@ -144,7 +144,6 @@ func New(opts Options) (*Server, error) {
 		tenants:     NewTenantRegistry(opts.Tenants, opts.Quarantine, nil),
 		sessions:    NewSessionManager(opts.SessionIdle),
 		snapshotKey: opts.SnapshotKey,
-		networks:    make(map[string]workload.Network),
 		closed:      make(chan struct{}),
 		janitor:     make(chan struct{}),
 	}
@@ -154,11 +153,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.residency = newResidencyManager(s.metrics)
 	s.sched = NewScheduler(opts.Scheduler)
-
-	s.register(workload.Mini())
-	for _, n := range workload.All() {
-		s.register(n)
-	}
+	s.networks, s.netNames = registry()
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/infer", s.handleInfer)
@@ -179,11 +174,18 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) register(n workload.Network) {
-	if _, dup := s.networks[n.Name]; !dup {
-		s.networks[n.Name] = n
-		s.netNames = append(s.netNames, n.Name)
+// registry returns the networks every server serves, by name and in
+// registry order: workload.Mini, then workload.All.
+func registry() (map[string]workload.Network, []string) {
+	byName := make(map[string]workload.Network)
+	var names []string
+	for _, n := range append([]workload.Network{workload.Mini()}, workload.All()...) {
+		if _, dup := byName[n.Name]; !dup {
+			byName[n.Name] = n
+			names = append(names, n.Name)
+		}
 	}
+	return byName, names
 }
 
 // resolveNetwork looks a request's network up: a registry name, or
@@ -197,25 +199,23 @@ func (s *Server) resolveNetwork(name string) (workload.Network, error) {
 		div, err := strconv.Atoi(divs)
 		if err == nil {
 			if n, ok := s.networks[base]; ok {
-				return workload.Shrink(n, div)
+				if n, err = workload.Shrink(n, div); err != nil {
+					return workload.Network{}, badRequest(err.Error())
+				}
+				return n, nil
 			}
 		}
 	}
-	return workload.Network{}, fmt.Errorf("serve: unknown network %q", name)
+	return workload.Network{}, badRequest(fmt.Sprintf("serve: unknown network %q", name))
 }
 
-// ResolveNetwork resolves a network name against the default registry
-// (workload.Mini plus workload.All, including the "Name/div" shrink form)
-// — the same set every server registers. Clients that need model geometry
-// without a round trip (the load generator building input overrides) use
-// this.
+// ResolveNetwork resolves a network name, the "Name/div" shrink form
+// included, against the registry every server serves. Clients that need
+// model geometry without a round trip (the load generator building input
+// overrides) use this.
 func ResolveNetwork(name string) (workload.Network, error) {
-	s := &Server{networks: make(map[string]workload.Network)}
-	s.register(workload.Mini())
-	for _, n := range workload.All() {
-		s.register(n)
-	}
-	return s.resolveNetwork(name)
+	networks, _ := registry()
+	return (&Server{networks: networks}).resolveNetwork(name)
 }
 
 // Handler returns the HTTP handler.
@@ -279,38 +279,26 @@ func (s *Server) runJanitor() {
 }
 
 // ---- handlers ----
-
-func (s *Server) writeError(w http.ResponseWriter, status int, body ErrorBody) {
-	s.metrics.Request(status)
-	WriteError(w, status, body)
-}
-
-// WriteError writes an error body, with a Retry-After header (whole
-// seconds, rounded up) when the body carries a retry hint. The gateway
-// tier writes its own errors through it too.
-func WriteError(w http.ResponseWriter, status int, body ErrorBody) {
-	if body.RetryAfterMs > 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt((body.RetryAfterMs+999)/1000, 10))
-	}
-	WriteJSON(w, status, body)
-}
+//
+// A handler's refusal is the error it returns, which Refuse writes: no
+// handler writes one itself.
 
 // sessionHandler serves one session operation on behalf of an acting
 // tenant: a tenant's name on the /v1 routes, "" on the /admin routes, where
 // the gateway acts for the platform — any tenant's session, no ownership
 // rule (a restored envelope's MAC still gates integrity).
-type sessionHandler func(w http.ResponseWriter, r *http.Request, tenant string)
+type sessionHandler func(w http.ResponseWriter, r *http.Request, tenant string) error
 
 // asTenant authenticates a /v1 session request and runs h as its tenant.
 func (s *Server) asTenant(h sessionHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t, err := s.tenants.Resolve(r)
-		if err != nil {
-			status, body := statusFor(err)
-			WriteJSON(w, status, body)
-			return
+		if err == nil {
+			err = h(w, r, t.Name())
 		}
-		h(w, r, t.Name())
+		if err != nil {
+			Refuse(w, err)
+		}
 	}
 }
 
@@ -319,11 +307,13 @@ func (s *Server) asTenant(h sessionHandler) http.HandlerFunc {
 // leaves the surface open for trusted listeners.
 func (s *Server) asAdmin(h sessionHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.opts.AdminKey != "" && !hmacEqualString(r.Header.Get("X-Admin-Key"), s.opts.AdminKey) {
-			WriteJSON(w, http.StatusUnauthorized, ErrorBody{Error: ErrUnauthorized.Error(), Class: ClassUnauthorized})
-			return
+		err := ErrUnauthorized
+		if s.opts.AdminKey == "" || hmacEqualString(r.Header.Get("X-Admin-Key"), s.opts.AdminKey) {
+			err = h(w, r, "")
 		}
-		h(w, r, "")
+		if err != nil {
+			Refuse(w, err)
+		}
 	}
 }
 
@@ -337,69 +327,63 @@ func clampMs(ms int64, max time.Duration) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, tenant string) {
+func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request, tenant string) error {
 	var req SessionCreateRequest
 	if r.ContentLength != 0 {
 		if err := DecodeJSON(r.Body, 1<<16, &req); err != nil {
-			WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
-			return
+			return err
 		}
 	}
 	if s.Draining() {
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
-		return
+		return ErrShuttingDown
 	}
 	resp, err := s.sessions.Create(tenant, clampMs(req.IdleTimeoutMs, s.opts.SessionIdle))
 	if err != nil {
-		WriteJSON(w, http.StatusInternalServerError, ErrorBody{Error: err.Error(), Class: ClassInternal})
-		return
+		return err
 	}
 	WriteJSON(w, http.StatusCreated, resp)
+	return nil
 }
 
 // handleSessionDelete closes a tenant's session; on the admin route it
 // removes any tenant's session — the source side of a completed migration,
 // counted as a migrate eviction rather than a close.
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request, tenant string) {
+func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request, tenant string) error {
 	reason := EvictClose
 	if tenant == "" {
 		reason = EvictMigrate
 	}
-	if s.sessions.Evict(r.PathValue("id"), tenant, reason) {
-		w.WriteHeader(http.StatusNoContent)
-		return
+	if !s.sessions.Evict(r.PathValue("id"), tenant, reason) {
+		return ErrSessionUnknown
 	}
-	WriteJSON(w, http.StatusNotFound, ErrorBody{Error: ErrSessionUnknown.Error(), Class: ClassUnknownSession})
+	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, tenant string) {
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, tenant string) error {
 	id := r.PathValue("id")
 	env, err := s.SnapshotSession(id, tenant)
 	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
+		return err
 	}
 	WriteJSON(w, http.StatusOK, SnapshotResponse{SessionID: id, Snapshot: env})
+	return nil
 }
 
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, tenant string) {
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, tenant string) error {
 	if s.Draining() {
-		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: ErrShuttingDown.Error(), Class: ClassShutdown, RetryAfterMs: retryAfter.Milliseconds()})
-		return
+		return ErrShuttingDown
 	}
 	var req RestoreRequest
 	if err := DecodeJSON(r.Body, 1<<20, &req); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
-		return
+		return err
 	}
 	resp, err := s.RestoreSession(req.Snapshot, tenant)
 	if err != nil {
-		status, body := statusFor(err)
-		WriteJSON(w, status, body)
-		return
+		return err
 	}
 	WriteJSON(w, http.StatusCreated, resp)
+	return nil
 }
 
 func (s *Server) handleDesigns(w http.ResponseWriter, _ *http.Request) {
@@ -433,9 +417,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // ---- admin surface (gateway migration hooks) ----
 
-func (s *Server) handleAdminDrain(w http.ResponseWriter, _ *http.Request, _ string) {
+func (s *Server) handleAdminDrain(w http.ResponseWriter, _ *http.Request, _ string) error {
 	s.BeginDrain()
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -459,98 +444,75 @@ type inferOutcome struct {
 	residencyHit bool // rode an already-resident weight cache entry
 }
 
+// handleInfer serves POST /v1/infer and counts its answer, refusal or not,
+// once in requests_total{code}.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
+	if err := s.infer(w, r); err != nil {
+		s.metrics.Request(Refuse(w, err))
+	}
+}
+
+// infer authenticates and decodes a request, then runs it through the
+// admission gates in trust order: drain, quarantine (a quarantined tenant
+// gets no rate tokens back), rate, network, input, session, admission. A
+// gate refuses by returning its error, and counts its shed reason, if it
+// has one, where it refuses.
+func (s *Server) infer(w http.ResponseWriter, r *http.Request) error {
 	admitted := time.Now()
 	tenant, err := s.tenants.Resolve(r)
 	if err != nil {
-		status, body := statusFor(err)
-		s.writeError(w, status, body)
-		return
+		return err
 	}
 	var req InferRequest
 	if err := DecodeJSON(r.Body, 8<<20, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorBody{Error: "malformed JSON: " + err.Error(), Class: ClassBadRequest})
-		return
+		return err
 	}
 	if s.draining.Load() {
-		status, body := statusFor(ErrShuttingDown)
-		s.writeError(w, status, body)
-		return
+		return ErrShuttingDown
 	}
 
-	// Tenant gates, in trust order: quarantine first (a quarantined tenant
-	// gets no rate tokens back), then the rate bucket.
 	br := tenant.Breaker()
 	probe := false
 	if br != nil {
 		var qerr error
-		probe, qerr = br.Allow(tenant.Name(), s.tenants.Now())
-		if qerr != nil {
+		if probe, qerr = br.Allow(tenant.Name(), s.tenants.Now()); qerr != nil {
 			s.metrics.tenantShed.Inc(tenant.Name(), ShedQuarantine)
-			status, body := statusFor(qerr)
-			s.writeError(w, status, body)
-			return
+			return qerr
 		}
 	}
 	// From here on every exit on which no inference completed — rate limit,
 	// validation, unknown session, admission shed, deadline, cancel — frees
 	// an unused half-open probe slot at this one point; a completed or
 	// breached request feeds its result back to the quarantine breaker
-	// through outcome instead.
+	// after admission instead.
 	recorded := false
 	defer func() {
 		if probe && !recorded {
 			br.Release(probe)
 		}
 	}()
-	outcome := func(breach bool) {
-		recorded = true
-		if br != nil {
-			br.Record(breach, probe, s.tenants.Now())
-		}
-		if breach {
-			s.metrics.tenantBreaches.Inc(tenant.Name())
-			// A breached tenant never rides a stale trust decision: its
-			// pinned residency epochs re-verify before the next attach.
-			s.residency.InvalidateTenant(tenant.Name())
-		}
-	}
 	if ok, wait := tenant.TakeToken(s.tenants.Now()); !ok {
 		s.metrics.tenantShed.Inc(tenant.Name(), ShedRate)
-		status, body := statusFor(ErrRateLimited)
-		if ms := wait.Milliseconds(); ms > 0 {
-			body.RetryAfterMs = ms
-		}
-		s.writeError(w, status, body)
-		return
+		return rateLimited{wait}
 	}
 
 	net, err := s.resolveNetwork(req.Network)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Class: ClassBadRequest})
-		return
+		return err
 	}
 	first := net.Layers[0]
-	if len(req.Input) > 0 {
-		if len(req.Input) > maxInputLen {
-			s.writeError(w, http.StatusBadRequest, ErrorBody{
-				Error: fmt.Sprintf("serve: input too large (%d > %d)", len(req.Input), maxInputLen), Class: ClassBadRequest})
-			return
-		}
-		if want := first.C * first.H * first.W; len(req.Input) != want {
-			s.writeError(w, http.StatusBadRequest, ErrorBody{
-				Error: fmt.Sprintf("serve: input length %d, network %s wants %d", len(req.Input), net.Name, want), Class: ClassBadRequest})
-			return
-		}
+	if len(req.Input) > maxInputLen {
+		return badRequest(fmt.Sprintf("serve: input too large (%d > %d)", len(req.Input), maxInputLen))
+	}
+	if want := first.C * first.H * first.W; len(req.Input) > 0 && len(req.Input) != want {
+		return badRequest(fmt.Sprintf("serve: input length %d, network %s wants %d", len(req.Input), net.Name, want))
 	}
 
 	var grant *SessionGrant
 	if req.Session != "" {
 		g, err := s.sessions.Acquire(req.Session, tenant.Name())
 		if err != nil {
-			status, body := statusFor(err)
-			s.writeError(w, status, body)
-			return
+			return err
 		}
 		grant = &g
 	}
@@ -565,29 +527,35 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	res, queued, err := s.sched.Submit(ctx, tenant, func(ctx context.Context) (any, error) {
 		return s.runInference(ctx, net, &req, grant, tenant.Name())
 	})
-	if err != nil {
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQueueFull) || errors.Is(err, ErrShuttingDown) {
-			// Shed at admission: the request never executed.
-			s.metrics.tenantShed.Inc(tenant.Name(), ShedQueue)
-		} else {
-			s.metrics.tenantAdmitted.Inc(tenant.Name())
-			// Only a breach is an observation about the tenant. A deadline
-			// (the client picks it), a cancel or any other failure never
-			// completed an inference: it must not count as a clean probe,
-			// so it frees the probe slot at the deferred release instead.
-			if breachError(err) {
-				outcome(true)
-			}
-		}
-		status, body := statusFor(err)
-		if req.Session != "" && breachError(err) {
-			body.SessionEvicted = s.sessions.Evict(req.Session, tenant.Name(), EvictBreach)
-		}
-		s.writeError(w, status, body)
-		return
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQueueFull) || errors.Is(err, ErrShuttingDown) {
+		// Shed at admission: the request never executed.
+		s.metrics.tenantShed.Inc(tenant.Name(), ShedQueue)
+		return err
 	}
 	s.metrics.tenantAdmitted.Inc(tenant.Name())
-	outcome(false)
+	// Only a completed inference or a breach is an observation about the
+	// tenant. A deadline (the client picks it), a cancel or any other
+	// failure never completed an inference: it must not count as a clean
+	// probe, so it frees the probe slot at the deferred release instead.
+	breach := err != nil && breachError(err)
+	if err == nil || breach {
+		recorded = true
+		if br != nil {
+			br.Record(breach, probe, s.tenants.Now())
+		}
+	}
+	if breach {
+		s.metrics.tenantBreaches.Inc(tenant.Name())
+		// A breached tenant never rides a stale trust decision: its pinned
+		// residency epochs re-verify before the next attach.
+		s.residency.InvalidateTenant(tenant.Name())
+		if req.Session != "" && s.sessions.Evict(req.Session, tenant.Name(), EvictBreach) {
+			return evicted{err}
+		}
+	}
+	if err != nil {
+		return err
+	}
 
 	oc := res.(*inferOutcome)
 	var piggyback *SnapshotEnvelope
@@ -628,6 +596,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.metrics.queue.Add(int64(queued))
 	s.metrics.Request(http.StatusOK)
 	WriteJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // interceptFor resolves the command-channel attack instrumentation for a

@@ -173,20 +173,16 @@ func (s *Server) SnapshotSession(id, tenant string) (SnapshotEnvelope, error) {
 // integrity violation rather than leaking whose snapshot it was).
 func (s *Server) RestoreSession(env SnapshotEnvelope, tenant string) (SessionCreateResponse, error) {
 	p, err := openSnapshot(s.snapshotKey, env)
+	if err == nil && tenant != "" && p.Tenant != tenant {
+		err = &resilience.SnapshotIntegrityError{Reason: "tenant", Err: fmt.Errorf("snapshot owner mismatch")}
+	}
+	var resp SessionCreateResponse
+	if err == nil {
+		resp, err = s.sessions.importPayload(p)
+	}
 	if err != nil {
 		s.metrics.restoreRejected.Inc()
 		return SessionCreateResponse{}, err
-	}
-	if tenant != "" && p.Tenant != tenant {
-		s.metrics.restoreRejected.Inc()
-		return SessionCreateResponse{}, &resilience.SnapshotIntegrityError{
-			Reason: "tenant", Err: fmt.Errorf("snapshot owner mismatch"),
-		}
-	}
-	resp, err := s.sessions.importPayload(p)
-	if err != nil {
-		s.metrics.restoreRejected.Inc()
-		return resp, err
 	}
 	s.metrics.restoreOK.Inc()
 	return resp, nil

@@ -4,14 +4,15 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
 
 	"seculator/internal/resilience"
 )
 
 // Error classes carried in ErrorBody.Class. They are the wire names of the
-// resilience taxonomy plus the serving layer's own admission classes; the
-// full error→status table lives in DESIGN.md §9.
+// resilience taxonomy plus the serving layer's own admission classes;
+// statusFor below is the error→status table (DESIGN.md §9 renders it).
 const (
 	ClassBadRequest     = "bad_request"
 	ClassConfig         = "config"
@@ -33,9 +34,48 @@ const (
 // retryAfter is the hint sent with 429/503 backpressure responses.
 const retryAfter = 1 * time.Second
 
-// statusFor maps an inference error to its HTTP status and JSON body —
-// the serving-layer rendering of the resilience taxonomy:
+// badRequest is a body that is not JSON of its type, an unknown network or
+// an input of the wrong length. Its message is the whole error.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+// rateLimited is ErrRateLimited with the wait its tenant's bucket names.
+type rateLimited struct{ wait time.Duration }
+
+func (e rateLimited) Error() string { return ErrRateLimited.Error() }
+func (e rateLimited) Unwrap() error { return ErrRateLimited }
+
+// evicted is a breach whose session the server evicted for it.
+type evicted struct{ error }
+
+func (e evicted) Unwrap() error { return e.error }
+
+// A refusal is an error that maps itself: the gateway's own refusals.
+type refusal interface{ ErrorBody() (int, ErrorBody) }
+
+// Refuse writes the status and body statusFor maps err to and returns the
+// status: every refusal of this package and of the gateway tier.
+func Refuse(w http.ResponseWriter, err error) int {
+	status, body := statusFor(err)
+	WriteError(w, status, body)
+	return status
+}
+
+// WriteError writes an error body, with a Retry-After header (whole
+// seconds, rounded up) when the body carries a retry hint.
+func WriteError(w http.ResponseWriter, status int, body ErrorBody) {
+	if body.RetryAfterMs > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt((body.RetryAfterMs+999)/1000, 10))
+	}
+	WriteJSON(w, status, body)
+}
+
+// statusFor maps an error to its HTTP status and JSON body — the
+// serving-layer rendering of the resilience taxonomy and the single source
+// of DESIGN.md §9's error→status table:
 //
+//	badRequest                → 400 (unparseable body, unknown network, bad input)
 //	ConfigError               → 400 (the request described an invalid run)
 //	ErrSessionUnknown         → 404 (expired, evicted, or never issued)
 //	FreshnessError            → 409 (replay/splice breach; session evicted)
@@ -50,6 +90,7 @@ const retryAfter = 1 * time.Second
 //	SnapshotIntegrityError    → 422 (tampered or malformed snapshot)
 //	deadline/cancel           → 503 + Retry-After (the request ran out of time)
 //	ErrShuttingDown           → 503 + Retry-After (drain in progress)
+//	a refusal                 → its own (the gateway's 502 upstream)
 //	InternalError, everything else → 500
 //
 // 409 Conflict is deliberate for the breach classes: the request conflicted
@@ -57,89 +98,77 @@ const retryAfter = 1 * time.Second
 // unchanged can never succeed, and the body says what to do instead (open
 // a new session).
 func statusFor(err error) (int, ErrorBody) {
-	body := ErrorBody{Error: err.Error()}
-
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		body.Class = ClassQueueFull
-		body.RetryAfterMs = retryAfter.Milliseconds()
-		return http.StatusTooManyRequests, body
-	case errors.Is(err, ErrTenantQueueFull):
-		body.Class = ClassQueueFull
-		body.RetryAfterMs = retryAfter.Milliseconds()
-		return http.StatusTooManyRequests, body
-	case errors.Is(err, ErrRateLimited):
-		body.Class = ClassRateLimited
-		body.RetryAfterMs = retryAfter.Milliseconds()
-		return http.StatusTooManyRequests, body
-	case errors.Is(err, ErrUnauthorized):
-		body.Class = ClassUnauthorized
-		return http.StatusUnauthorized, body
-	case errors.Is(err, ErrSessionExists):
-		body.Class = ClassSessionExists
-		return http.StatusConflict, body
-	case errors.Is(err, ErrShuttingDown):
-		body.Class = ClassShutdown
-		body.RetryAfterMs = retryAfter.Milliseconds()
-		return http.StatusServiceUnavailable, body
-	case errors.Is(err, ErrSessionUnknown):
-		body.Class = ClassUnknownSession
-		return http.StatusNotFound, body
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		body.Class = ClassDeadline
-		body.RetryAfterMs = retryAfter.Milliseconds()
-		return http.StatusServiceUnavailable, body
+	var own refusal
+	if errors.As(err, &own) {
+		return own.ErrorBody()
 	}
-
-	var qe *resilience.QuarantineError
-	if errors.As(err, &qe) {
-		body.Class = ClassQuarantined
-		body.RetryAfterMs = qe.RetryAfter.Milliseconds()
-		if body.RetryAfterMs < 1 {
-			body.RetryAfterMs = 1
+	var (
+		ev  evicted
+		br  badRequest
+		rl  rateLimited
+		qe  *resilience.QuarantineError
+		se  *resilience.SnapshotIntegrityError
+		fe  *resilience.FreshnessError
+		ce  *resilience.ChannelError
+		ie  *resilience.IntegrityError
+		cfg *resilience.ConfigError
+	)
+	b := ErrorBody{Error: err.Error(), SessionEvicted: errors.As(err, &ev)}
+	retry := retryAfter.Milliseconds()
+	switch {
+	case errors.As(err, &br):
+		return http.StatusBadRequest, b.of(ClassBadRequest, 0)
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantQueueFull):
+		return http.StatusTooManyRequests, b.of(ClassQueueFull, retry)
+	case errors.Is(err, ErrRateLimited):
+		if errors.As(err, &rl) && rl.wait.Milliseconds() > 0 {
+			retry = rl.wait.Milliseconds()
 		}
+		return http.StatusTooManyRequests, b.of(ClassRateLimited, retry)
+	case errors.Is(err, ErrUnauthorized):
+		return http.StatusUnauthorized, b.of(ClassUnauthorized, 0)
+	case errors.Is(err, ErrSessionExists):
+		return http.StatusConflict, b.of(ClassSessionExists, 0)
+	case errors.Is(err, ErrShuttingDown):
+		return http.StatusServiceUnavailable, b.of(ClassShutdown, retry)
+	case errors.Is(err, ErrSessionUnknown):
+		return http.StatusNotFound, b.of(ClassUnknownSession, 0)
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, b.of(ClassDeadline, retry)
+	case errors.As(err, &qe):
+		b = b.of(ClassQuarantined, max(qe.RetryAfter.Milliseconds(), 1))
 		if qe.State == BreakerThrottled.String() {
 			// Throttled is ordinary backpressure: retry slower.
-			return http.StatusTooManyRequests, body
+			return http.StatusTooManyRequests, b
 		}
 		// Open/half-open refusal: the tenant is quarantined for what its own
 		// traffic did, not for load — 451 keeps it distinguishable from 429
 		// so clients don't treat a security quarantine as a congestion hint.
-		return http.StatusUnavailableForLegalReasons, body
+		return http.StatusUnavailableForLegalReasons, b
+	case errors.As(err, &se):
+		return http.StatusUnprocessableEntity, b.of(ClassSnapshot, 0)
+	case errors.As(err, &fe):
+		return http.StatusConflict, b.at(ClassFreshness, fe.Layer)
+	case errors.As(err, &ce):
+		return http.StatusConflict, b.at(ClassChannel, ce.Layer)
+	case errors.As(err, &ie):
+		return http.StatusConflict, b.at(ClassIntegrity, ie.Layer)
+	case errors.As(err, &cfg):
+		return http.StatusBadRequest, b.of(ClassConfig, 0)
 	}
-	var se *resilience.SnapshotIntegrityError
-	if errors.As(err, &se) {
-		body.Class = ClassSnapshot
-		return http.StatusUnprocessableEntity, body
-	}
-	var fe *resilience.FreshnessError
-	if errors.As(err, &fe) {
-		body.Class = ClassFreshness
-		layer := fe.Layer
-		body.Layer = &layer
-		return http.StatusConflict, body
-	}
-	var ce *resilience.ChannelError
-	if errors.As(err, &ce) {
-		body.Class = ClassChannel
-		layer := ce.Layer
-		body.Layer = &layer
-		return http.StatusConflict, body
-	}
-	var ie *resilience.IntegrityError
-	if errors.As(err, &ie) {
-		body.Class = ClassIntegrity
-		layer := ie.Layer
-		body.Layer = &layer
-		return http.StatusConflict, body
-	}
-	var cfge *resilience.ConfigError
-	if errors.As(err, &cfge) {
-		body.Class = ClassConfig
-		return http.StatusBadRequest, body
-	}
-	body.Class = ClassInternal
-	return http.StatusInternalServerError, body
+	return http.StatusInternalServerError, b.of(ClassInternal, 0)
+}
+
+// of sets the body's class and retry hint (0 for none).
+func (b ErrorBody) of(class string, retryMs int64) ErrorBody {
+	b.Class, b.RetryAfterMs = class, retryMs
+	return b
+}
+
+// at sets the body's class and the layer a security violation names.
+func (b ErrorBody) at(class string, layer int) ErrorBody {
+	b.Class, b.Layer = class, &layer
+	return b
 }
 
 // breachError reports whether err is a security breach that must evict the

@@ -33,6 +33,10 @@
 # nn's one-tap, 3×3 border-row and 2×2 pool paths came with a pool oracle,
 # a wider conv oracle, a math/rand oracle and an allocation test: nn reads
 # 94.2% (91.6% before), so its floor rises from 89.0 to 93.7.
+# The error-path matrices (one per tier) and the session-body and resolver
+# fuzz targets came with the one refusal renderer: serve reads 92.3% (91.3%
+# before) and the gateway 90.2 - 90.3% (87.3%), so their floors rise from
+# 85.0 and 84.5 to 91.8 and 89.7.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,8 +49,8 @@ declare -A floor=(
   [seculator/internal/crypto]=95.0
   [seculator/internal/nn]=93.7
   [seculator/internal/vngen]=97.0
-  [seculator/internal/serve]=85.0
-  [seculator/internal/gateway]=84.5
+  [seculator/internal/serve]=91.8
+  [seculator/internal/gateway]=89.7
   [seculator/internal/workload]=93.0
   [seculator/internal/dataflow]=94.5
   [seculator/internal/host]=94.0
