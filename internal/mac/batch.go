@@ -3,96 +3,166 @@ package mac
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash"
 )
 
-// batch.go — batched XOR-MAC folding over rows of consecutive blocks.
+// batch.go — the block-MAC hasher: one message at a time (Block), or a
+// batch of up to LaneCount independent messages hashed together (Add, Sum).
 //
-// The per-block path (BlockMAC) rebuilds the full 24-byte header for every
-// 64-byte block. But the bulk producers — host weight load, residency
-// build, residency epoch re-verification — always MAC *rows*: runs of
-// blocks that share Secret/Layer/Fmap/VN and differ only in the block
-// index. RowHasher assembles the header once per row and patches only the
-// index field per block, hashing many blocks per call with zero heap
-// allocations (the message buffer is caller-owned scratch inside the
-// hasher value, so one hasher amortizes across an entire model load).
-//
-// A whole 64-byte block is hashed by the SHA-NI kernel where the CPU has
-// it (sumPadded), straight from the hasher's buffer, which holds the
-// message and its padding. Elsewhere — or for a shorter block — the hasher
-// keeps one SHA-256 state for its lifetime: sha256.Sum256 builds and resets
-// a fresh digest on every call, which is a tenth of a block MAC's cost. The
-// shards of the secure layer loop take their single-block MACs from the
-// same hasher (Block).
+// Every producer that owes many MACs at once — an ofmap tile's writes, the
+// layer-0 input load, a residency build and its epoch re-verification, any
+// row FoldRow folds — queues each block's message, its own P‖L‖F‖VN‖I‖B
+// header and all, in the next free lane, and takes the batch's digests with
+// Sum whenever Add reports it full and once at the end. Sum hashes a batch
+// of at least minLanes16 messages with the 16-lane AVX-512 kernel where the
+// CPU has it; a smaller batch, or a CPU without AVX-512, hashes each lane
+// with the SHA-NI kernel, and a CPU without SHA-NI (or a purego build) with
+// the portable SHA-256 state the hasher keeps for its lifetime. A digest is
+// bit-equal on every path, and the XOR fold is order-free, so batching
+// moves no MAC, register or verdict.
 
-// RowHasher is caller-owned scratch for block MACs: the message buffer, the
-// portable path's resident SHA-256 state and the sum it writes. The zero
-// value is ready to use; on the portable path the first MAC allocates the
-// state, and no later one allocates. Not safe for concurrent use — give
-// each worker its own.
+// LaneCount is how many messages one batch holds: one per 32-bit lane of
+// the AVX-512 kernel.
+const LaneCount = 16
+
+// minLanes16 is the smallest batch the 16-lane kernel hashes. The kernel
+// costs about the same for any number of lanes — a batch of 6 to 11 whole
+// blocks, Add included, takes 0.87–0.96 µs on a Sapphire Rapids Xeon —
+// while per-lane SHA-NI costs about 105 ns a lane (BenchmarkLanes,
+// EXPERIMENTS.md E45): they cross between 8 and 9 lanes, so below nine
+// per-lane SHA-NI is the cheaper kernel.
+const minLanes16 = 9
+
+// RowHasher is caller-owned scratch for block MACs: the lanes' messages
+// (plaintext, which Scrub wipes), their digests and the portable path's
+// SHA-256 state. The zero value is ready to use; on the portable path the
+// first MAC allocates the state, and no later one allocates. Not safe for
+// concurrent use — give each worker its own.
 type RowHasher struct {
-	h   hash.Hash
-	buf paddedBlock
-	// sum receives each MAC: a stack array would escape through the
-	// hash.Hash interface and allocate per block.
-	sum Digest
+	n     int // messages queued
+	lanes [LaneCount]paddedBlock
+	sums  [LaneCount]Digest
+	h     hash.Hash
 }
 
-// Block returns BlockMAC(ref, data) for one block of at most 64 bytes.
-func (h *RowHasher) Block(ref BlockRef, data []byte) Digest {
-	putHeader(h.buf[:hdrSize], ref)
-	h.hashBlock(data)
-	return h.sum
-}
-
-// hashBlock hashes the header in buf followed by data (at most 64 bytes,
-// else the slice expression panics) into sum.
-func (h *RowHasher) hashBlock(data []byte) {
-	copy(h.buf[hdrSize:hdrSize+len(data)], data)
-	if useSHANI && len(data) == maxInlineData {
-		sumPadded(&h.sum, &h.buf)
-		return
+// Add queues the MAC message of one whole 64-byte block in the next free
+// lane and returns how many messages the batch now holds. At LaneCount the
+// batch is full: take Sum before the next Add. block is copied, so the
+// caller may reuse it at once.
+func (h *RowHasher) Add(ref BlockRef, block []byte) int {
+	if len(block) != maxInlineData {
+		panic(fmt.Sprintf("mac: a lane holds a whole %d-byte block, got %d bytes", maxInlineData, len(block)))
 	}
+	msg := &h.lanes[h.n]
+	putHeader(msg[:hdrSize], ref)
+	*(*[maxInlineData]byte)(msg[hdrSize:]) = [maxInlineData]byte(block)
+	msg[hdrSize+maxInlineData] = 0x80
+	binary.BigEndian.PutUint16(msg[len(msg)-2:], (hdrSize+maxInlineData)*8)
+	h.n++
+	return h.n
+}
+
+// Sum hashes the queued messages and empties the batch. It returns their
+// digests in the order Add queued them, valid until the hasher's next Sum
+// or Block.
+func (h *RowHasher) Sum() []Digest {
+	n := h.n
+	h.n = 0
+	switch {
+	case n == 0:
+	case useAVX512 && n >= minLanes16:
+		sum16(&h.sums, &h.lanes)
+	case useSHANI:
+		for i := 0; i < n; i++ {
+			sum128(&h.sums[i], &h.lanes[i])
+		}
+	default:
+		for i := 0; i < n; i++ {
+			h.portable(&h.sums[i], h.lanes[i][:hdrSize+maxInlineData])
+		}
+	}
+	return h.sums[:n]
+}
+
+// Block returns BlockMAC(ref, data) for one block of at most 64 bytes — a
+// whole one as a batch of one lane. The batch must be empty.
+func (h *RowHasher) Block(ref BlockRef, data []byte) Digest {
+	h.mustBeEmpty("Block")
+	if len(data) == maxInlineData {
+		h.Add(ref, data)
+		return h.Sum()[0]
+	}
+	msg := h.lanes[0][:hdrSize+len(data)] // panics past 64 bytes
+	putHeader(msg, ref)
+	copy(msg[hdrSize:], data)
+	h.portable(&h.sums[0], msg)
+	return h.sums[0]
+}
+
+// portable sets d to SHA-256(msg) with the hasher's resident state:
+// sha256.Sum256 builds and resets a fresh digest on every call, which is a
+// tenth of a block MAC's cost.
+func (h *RowHasher) portable(d *Digest, msg []byte) {
 	if h.h == nil {
 		h.h = sha256.New()
 	}
 	h.h.Reset()
-	h.h.Write(h.buf[:hdrSize+len(data)])
-	h.h.Sum(h.sum[:0])
+	h.h.Write(msg)
+	h.h.Sum(d[:0])
 }
 
 // FoldRow returns the XOR of BlockMAC(ref with Index+i, block i) over all
-// len(data)/64 consecutive 64-byte blocks in data, plus the block count.
-// data must be a whole number of 64-byte blocks. The result is bit-equal
-// to folding each BlockMAC individually (XOR is commutative), so callers
-// can swap per-block loops for one FoldRow call without changing any
-// golden digest.
+// len(data)/64 consecutive 64-byte blocks in data, plus the block count,
+// hashing them in batches. data must be a whole number of 64-byte blocks,
+// and the batch empty. The result is bit-equal to folding each BlockMAC
+// individually (XOR is commutative), so callers can swap per-block loops
+// for one FoldRow call without changing any golden digest.
 func (h *RowHasher) FoldRow(ref BlockRef, data []byte) (Digest, int) {
+	h.mustBeEmpty("FoldRow")
 	n := len(data) / maxInlineData
-	putHeader(h.buf[:hdrSize], ref)
 	var acc Digest
 	for b := 0; b < n; b++ {
-		binary.BigEndian.PutUint32(h.buf[20:24], ref.Index+uint32(b))
-		h.hashBlock(data[b*maxInlineData : (b+1)*maxInlineData])
-		xorWords(&acc, &h.sum)
+		if h.Add(ref, data[b*maxInlineData:(b+1)*maxInlineData]) == LaneCount {
+			acc = acc.Xor(XorAll(h.Sum()))
+		}
+		ref.Index++
 	}
-	return acc, n
+	return acc.Xor(XorAll(h.Sum())), n
+}
+
+func (h *RowHasher) mustBeEmpty(op string) {
+	if h.n != 0 {
+		panic(fmt.Sprintf("mac: %s with %d messages queued", op, h.n))
+	}
+}
+
+// XorAll returns the XOR of ds: the fold of a batch's digests.
+func XorAll(ds []Digest) Digest {
+	var acc Digest
+	for i := range ds {
+		xorWords(&acc, &ds[i])
+	}
+	return acc
 }
 
 // Scrub wipes what a pooled hasher would otherwise carry into the next run
-// — the message buffer, which holds the last block hashed, and the sum —
-// and keeps any SHA-256 state, so reuse allocates nothing. The kernel
-// hashes from the buffer and keeps nothing, so on its path that is all.
-// The portable state is another copy: after an 88-byte Write it buffers the
-// message's last 24 bytes — plaintext — and its Reset zeroes the counters,
-// not that buffer; a 64-byte Write would be compressed straight from the
-// caller's slice without touching it. So the buffer is overwritten with 63
-// zero bytes and left that way: every MAC begins with its own Reset.
+// — the lanes, which hold the messages last queued (plaintext), the digests
+// and any queued batch — and keeps any SHA-256 state, so reuse allocates
+// nothing. The kernels hash from the lanes and keep nothing (their message
+// schedule lives in registers, their chaining state on their own frame),
+// so on their paths that is all. The portable state is another copy: after
+// an 88-byte Write it buffers the message's last 24 bytes — plaintext — and
+// its Reset zeroes the counters, not that buffer; a 64-byte Write would be
+// compressed straight from the caller's slice without touching it. So the
+// buffer is overwritten with 63 zero bytes and left that way: every MAC
+// begins with its own Reset.
 func (h *RowHasher) Scrub() {
-	clear(h.buf[:])
-	h.sum = Digest{}
+	h.n = 0
+	h.lanes = [LaneCount]paddedBlock{}
+	h.sums = [LaneCount]Digest{}
 	if h.h != nil {
 		h.h.Reset()
-		h.h.Write(h.buf[:sha256.BlockSize-1])
+		h.h.Write(h.lanes[0][:sha256.BlockSize-1])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,15 +28,20 @@ func messageByHand(ref BlockRef, data []byte) []byte {
 
 // TestBlockMACDefinitionPinned: the hasher's one-block entry, the stateless
 // BlockMAC and SHA-256 of the hand-written message agree, and FoldRow is the
-// XOR of those digests — over random positions and data, on one hasher so
-// every MAC after the first runs on a reused state.
+// XOR of those digests — over random positions and data, rows of up to two
+// full batches and more, on each path, on one hasher so every MAC after the
+// first runs on a reused state.
 func TestBlockMACDefinitionPinned(t *testing.T) {
+	macPaths(t, testBlockMACDefinition)
+}
+
+func testBlockMACDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var h RowHasher
 	for trial := 0; trial < 200; trial++ {
 		ref := BlockRef{Secret: rng.Uint64(), Layer: rng.Uint32(), Fmap: rng.Uint32(),
 			VN: rng.Uint32(), Index: rng.Uint32()}
-		blocks := 1 + rng.Intn(5)
+		blocks := 1 + rng.Intn(2*LaneCount+3)
 		data := make([]byte, blocks*tensor.BlockBytes)
 		rng.Read(data)
 
@@ -135,60 +141,84 @@ func shaState(t *testing.T, h *RowHasher) (buffered []byte, length uint64) {
 	return x, binary.BigEndian.Uint64(state[4+sha256.Size+sha256.BlockSize:])
 }
 
-// haveSHANI records whether this build and CPU run the SHA-NI kernel, so a
-// test that switches useSHANI can restore it.
-var haveSHANI = useSHANI
+// haveSHANI and haveAVX512 record whether this build and CPU run the SHA-NI
+// and 16-lane kernels, so a test that switches useSHANI or useAVX512 can
+// restore them.
+var haveSHANI, haveAVX512 = useSHANI, useAVX512
 
-// macPaths runs f once per block-MAC path: the portable one and, where this
-// build and CPU have it, the SHA-NI kernel.
+// macPath is one way the hasher hashes a batch: "lanes16", the 16-lane
+// kernel (with per-lane SHA-NI below minLanes16); "kernel", the SHA-NI
+// kernel one call a lane; or "portable", the resident SHA-256 state.
+type macPath struct {
+	name          string
+	avx512, shani bool
+	have          bool
+}
+
+var macPaths3 = []macPath{
+	{"lanes16", true, haveSHANI, haveAVX512},
+	{"kernel", false, true, haveSHANI},
+	{"portable", false, false, true},
+}
+
+// usePath switches the kernels to p's, until restoreKernels.
+func usePath(p macPath) { useAVX512, useSHANI = p.avx512, p.shani }
+
+func restoreKernels() { useAVX512, useSHANI = haveAVX512, haveSHANI }
+
+// macPaths runs f once per block-MAC path this build and CPU have.
 func macPaths(t *testing.T, f func(t *testing.T)) {
-	t.Cleanup(func() { useSHANI = haveSHANI })
-	for _, kernel := range []bool{false, true} {
-		if kernel && !haveSHANI {
+	t.Cleanup(restoreKernels)
+	for _, p := range macPaths3 {
+		if !p.have {
 			continue
 		}
-		useSHANI = kernel
-		t.Run(map[bool]string{false: "portable", true: "kernel"}[kernel], f)
+		usePath(p)
+		t.Run(p.name, f)
 	}
 }
 
 // TestRowHasherScrub shows both halves of the pool contract on each path: a
-// used hasher holds plaintext — the block in its message buffer and, on the
-// portable path, the block's last 24 bytes inside the SHA-256 state — and
-// after Scrub no byte the hasher owns holds any, and the next MAC is right.
-// The kernel path builds no SHA-256 state at all.
+// used hasher holds plaintext — every block of its last batch in its lanes
+// and, on the portable path, the last block's final 24 bytes inside the
+// SHA-256 state — and after Scrub no byte the hasher owns holds any, and
+// the next MACs are right. The kernel paths build no SHA-256 state at all.
 func TestRowHasherScrub(t *testing.T) {
 	macPaths(t, func(t *testing.T) {
-		data := make([]byte, tensor.BlockBytes)
+		data := make([]byte, LaneCount*tensor.BlockBytes)
 		for i := range data {
 			data[i] = byte(0x80 | i)
 		}
 		ref := BlockRef{Secret: 5, Index: 1}
 		var h RowHasher
-		want := h.Block(ref, data)
-		if want != Digest(sha256.Sum256(messageByHand(ref, data))) {
-			t.Fatalf("Block = %x, want SHA-256 of the message", want)
+		want, n := h.FoldRow(ref, data)
+		if n != LaneCount {
+			t.Fatalf("FoldRow hashed %d blocks, want %d", n, LaneCount)
 		}
-		if !bytes.Equal(h.buf[hdrSize:hdrSize+tensor.BlockBytes], data) {
-			t.Fatal("the message buffer does not hold the block: the check below sees nothing")
+		for i := 0; i < LaneCount; i++ {
+			blk := data[i*tensor.BlockBytes : (i+1)*tensor.BlockBytes]
+			if !bytes.Equal(h.lanes[i][hdrSize:hdrSize+tensor.BlockBytes], blk) {
+				t.Fatalf("lane %d does not hold its block: the check below sees nothing", i)
+			}
 		}
+		last := data[len(data)-tensor.BlockBytes:]
 		if useSHANI {
 			if h.h != nil {
-				t.Fatal("the kernel path built a SHA-256 state")
+				t.Fatal("a kernel path built a SHA-256 state")
 			}
 		} else {
 			x, n := shaState(t, &h)
 			if n != hdrSize+tensor.BlockBytes {
-				t.Fatalf("after one block the state has hashed %d bytes, want %d", n, hdrSize+tensor.BlockBytes)
+				t.Fatalf("after a block the state has hashed %d bytes, want %d", n, hdrSize+tensor.BlockBytes)
 			}
-			if tail := data[tensor.BlockBytes-hdrSize:]; !bytes.Equal(x[:hdrSize], tail) {
+			if tail := last[tensor.BlockBytes-hdrSize:]; !bytes.Equal(x[:hdrSize], tail) {
 				t.Fatalf("state buffers %x, want the block's last %d bytes %x", x[:hdrSize], hdrSize, tail)
 			}
 		}
 
 		h.Scrub()
-		if h.buf != (paddedBlock{}) || !h.sum.IsZero() {
-			t.Fatal("after Scrub the message buffer or the sum is not zero")
+		if h.lanes != [LaneCount]paddedBlock{} || h.sums != [LaneCount]Digest{} || h.n != 0 {
+			t.Fatal("after Scrub the lanes, the digests or the batch are not empty")
 		}
 		if h.h != nil {
 			x, n := shaState(t, &h)
@@ -199,7 +229,10 @@ func TestRowHasherScrub(t *testing.T) {
 				t.Fatalf("after Scrub the state still buffers %x", x)
 			}
 		}
-		if got := h.Block(ref, data); got != want {
+		if got, _ := h.FoldRow(ref, data); got != want {
+			t.Fatalf("fold after Scrub = %x, want %x", got, want)
+		}
+		if got, want := h.Block(ref, last), Digest(sha256.Sum256(messageByHand(ref, last))); got != want {
 			t.Fatalf("MAC after Scrub = %x, want %x", got, want)
 		}
 
@@ -209,6 +242,28 @@ func TestRowHasherScrub(t *testing.T) {
 			t.Fatal("Scrub built a SHA-256 state on an unused hasher")
 		}
 	})
+}
+
+// TestSingleShotNeedsEmptyBatch: Block and FoldRow hash from the first lane
+// and return with the batch empty, so a call with messages queued — whose
+// digests it would drop or mix into its own — is a bug and panics.
+func TestSingleShotNeedsEmptyBatch(t *testing.T) {
+	blk := make([]byte, tensor.BlockBytes)
+	for name, call := range map[string]func(h *RowHasher){
+		"Block":   func(h *RowHasher) { h.Block(BlockRef{}, blk) },
+		"FoldRow": func(h *RowHasher) { h.FoldRow(BlockRef{}, blk) },
+	} {
+		var h RowHasher
+		h.Add(BlockRef{}, blk)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			call(&h)
+			return false
+		}()
+		if !panicked {
+			t.Errorf("%s with a message queued did not panic", name)
+		}
+	}
 }
 
 // FuzzBlockMAC holds every block-MAC entry point to the stored definition,
@@ -221,7 +276,7 @@ func FuzzBlockMAC(f *testing.F) {
 	f.Add(uint64(1), uint32(2), uint32(3), uint32(4), uint32(5), make([]byte, 31))
 	var h RowHasher
 	f.Fuzz(func(t *testing.T, secret uint64, layer, fmap, vn, index uint32, data []byte) {
-		defer func() { useSHANI = haveSHANI }()
+		defer restoreKernels()
 		if len(data) > tensor.BlockBytes {
 			data = data[:tensor.BlockBytes]
 		}
@@ -243,9 +298,70 @@ func FuzzBlockMAC(f *testing.F) {
 	})
 }
 
-// BenchmarkRowHasherBlock measures the block MAC of the secure layer loop:
-// one MAC from the hasher (the SHA-NI kernel, or its resident SHA-256
-// state) plus the word-wide register fold.
+// FuzzLanes holds the batched entry point to the stored definition on each
+// path — the 16-lane kernel, per-lane SHA-NI and the portable state: for 1
+// to 17 messages (17 crosses a batch) at mixed fmaps, versions and indices,
+// every digest Sum returns, in the order Add queued them, is SHA-256 of the
+// hand-written header‖data; and FoldRow over the same blocks as one row is
+// the XOR of the row's MACs. The committed seeds cover 1, 6, 7, 8, 9, 15,
+// 16 and 17 messages: either side of minLanes16 and of a full batch.
+func FuzzLanes(f *testing.F) {
+	f.Add(uint8(1), uint64(1), uint32(2), int64(3), []byte{1, 2, 3})
+	f.Add(uint8(16), ^uint64(0), ^uint32(0), int64(-1), []byte{})
+	f.Fuzz(func(t *testing.T, lanes uint8, secret uint64, layer uint32, mix int64, data []byte) {
+		defer restoreKernels()
+		n := 1 + int(lanes)%(LaneCount+1)
+		rng := rand.New(rand.NewSource(mix))
+		refs := make([]BlockRef, n)
+		row := make([]byte, n*tensor.BlockBytes)
+		want := make([]Digest, n)
+		var wantRow Digest
+		for i := range refs {
+			refs[i] = BlockRef{Secret: secret, Layer: layer, Fmap: rng.Uint32() % 4,
+				VN: rng.Uint32() % 3, Index: rng.Uint32()}
+			blk := row[i*tensor.BlockBytes : (i+1)*tensor.BlockBytes]
+			for j := range blk {
+				blk[j] = byte(i)
+				if len(data) > 0 {
+					blk[j] ^= data[(i*tensor.BlockBytes+j)%len(data)]
+				}
+			}
+			want[i] = Digest(sha256.Sum256(messageByHand(refs[i], blk)))
+			r := refs[0]
+			r.Index += uint32(i)
+			wantRow = wantRow.Xor(Digest(sha256.Sum256(messageByHand(r, blk))))
+		}
+		for _, p := range macPaths3 {
+			if !p.have {
+				continue
+			}
+			usePath(p)
+			var h RowHasher
+			got := make([]Digest, 0, n)
+			for i, ref := range refs {
+				if h.Add(ref, row[i*tensor.BlockBytes:(i+1)*tensor.BlockBytes]) == LaneCount {
+					got = append(got, h.Sum()...)
+				}
+			}
+			got = append(got, h.Sum()...)
+			if len(got) != n {
+				t.Fatalf("%s: %d digests for %d messages", p.name, len(got), n)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %d messages: lane %d (%+v) = %x, want %x", p.name, n, i, refs[i], got[i], want[i])
+				}
+			}
+			if fold, blocks := h.FoldRow(refs[0], row); blocks != n || fold != wantRow {
+				t.Fatalf("%s: FoldRow over %d blocks = %x (n=%d), want %x", p.name, n, fold, blocks, wantRow)
+			}
+		}
+	})
+}
+
+// BenchmarkRowHasherBlock measures the block MAC of the secure layer loop's
+// reads: one MAC from the hasher (the SHA-NI kernel, or its resident
+// SHA-256 state) plus the word-wide register fold.
 // Compare BenchmarkXORMACFold, the stateless BlockMAC on the same work.
 func BenchmarkRowHasherBlock(b *testing.B) {
 	data := make([]byte, tensor.BlockBytes)
@@ -258,3 +374,37 @@ func BenchmarkRowHasherBlock(b *testing.B) {
 		reg.Fold(h.Block(BlockRef{Layer: 1, Index: uint32(i)}, data))
 	}
 }
+
+// BenchmarkLanes measures one batch — Add of every message, then Sum — at
+// a few batch sizes on each path, reporting ns per MAC; the 16-lane
+// kernel's fixed cost per call against per-lane SHA-NI is what sets
+// minLanes16.
+func BenchmarkLanes(b *testing.B) {
+	data := make([]byte, tensor.BlockBytes)
+	b.Cleanup(restoreKernels)
+	for _, p := range macPaths3 {
+		if !p.have {
+			continue
+		}
+		for _, n := range []int{1, 8, 9, 16} {
+			b.Run(fmt.Sprintf("%s/%d", p.name, n), func(b *testing.B) {
+				usePath(p)
+				defer restoreKernels()
+				var h RowHasher
+				var acc Digest
+				b.SetBytes(int64(n * tensor.BlockBytes))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < n; j++ {
+						h.Add(BlockRef{Layer: 1, Index: uint32(j)}, data)
+					}
+					acc = acc.Xor(XorAll(h.Sum()))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/mac")
+				sinkDigest = acc
+			})
+		}
+	}
+}
+
+var sinkDigest Digest

@@ -5,9 +5,10 @@
 //
 // where P is the accelerator's secret ID, L the layer ID, F the fmap ID,
 // VN the version number, I the block index within the fmap, and B the block
-// contents (where the CPU has SHA-NI, one kernel call per 64-byte block,
-// shani_amd64.s; elsewhere crypto/sha256, bit-identically) — but instead
-// of storing MACs, they are XOR-folded into four on-chip 256-bit registers:
+// contents (where the CPU has AVX-512, up to 16 MACs per kernel call, and
+// where it has SHA-NI, one per call, both in sha256_amd64.s; elsewhere
+// crypto/sha256, bit-identically) — but instead of storing MACs, they are
+// XOR-folded into four on-chip 256-bit registers:
 //
 //	MAC_W  — everything written this layer
 //	MAC_R  — every partial ofmap read back this layer
@@ -110,8 +111,9 @@ func BlockMAC(ref BlockRef, data []byte) Digest {
 }
 
 // paddedBlock is the MAC message of one whole 64-byte block, P‖L‖F‖VN‖I‖B
-// in its first 88 bytes, followed by the SHA-256 padding sumPadded writes:
-// 0x80, zeros, and the message's bit length 704 in the last eight bytes.
+// in its first 88 bytes, followed by the SHA-256 padding sumPadded (or
+// RowHasher.Add) writes: 0x80, zeros, and the message's bit length 704 in
+// the last eight bytes.
 type paddedBlock [2 * sha256.BlockSize]byte
 
 // sumPadded sets d to the MAC of the message in msg[:88] with the SHA-NI

@@ -13,7 +13,8 @@ import (
 // SeculatorShard is a per-goroutine view of a SeculatorMemory. Each shard
 // owns a private clone of the CTR engine (the AES key schedule is shared and
 // immutable, the scratch is not), a private mac.RowHasher every block MAC of
-// the shard comes from, private ciphertext/plaintext staging buffers, and
+// the shard comes from — one at a time for a read, batched across a call's
+// lanes for a write — private ciphertext/plaintext staging buffers, and
 // local block and pad tallies — so two shards may encrypt and store
 // concurrently without touching shared mutable state, as long as they
 // operate on distinct lines inside the DRAM's reservation (mem.DRAM.Reserve:
@@ -26,12 +27,17 @@ import (
 // slices returned by its Read* methods alias the shard's scratch and are
 // valid only until the shard's next operation. Every block MAC a shard's
 // reads and writes owe is hashed by the shard and folded, as it is hashed,
-// straight into the memory's registers and weight fold (owe): so only one
-// goroutine at a time may move blocks that owe a MAC — the reads, WriteRow
-// and WriteFinalRow. HostWriteRow, HostStoreRow, HostSealRow and PadAhead
-// owe none. The block and pad tallies reach the memory, and the DRAM's
-// traffic counters, when the orchestrator calls Merge after the shard has
-// quiesced (the serial API merges its own shard after every call).
+// straight into the memory's registers and weight fold (owe, settle): so
+// only one goroutine at a time may move blocks that owe a MAC — the reads,
+// WriteRow, WriteFinalRow and WriteTile. A write queues its blocks' MACs in
+// the hasher's lanes and hashes, records and folds every one of them before
+// it returns: no batch outlives the call that filled it. The host writes
+// and seals (HostWriteRow, HostWriteTile, HostSealRow, HostSealTile), which
+// batch their MACs the same way into the golden digest they return, and
+// HostStoreRow and PadAhead owe none. The block and pad tallies reach the
+// memory, and the DRAM's traffic counters, when the orchestrator calls
+// Merge after the shard has quiesced (the serial API merges its own shard
+// after every call).
 type SeculatorShard struct {
 	parent *SeculatorMemory
 	engine *crypto.CTREngine
@@ -43,6 +49,9 @@ type SeculatorShard struct {
 	pt   [tensor.BlockBytes]byte
 	pad  [tensor.BlockBytes]byte // a pad with no memo entry to live in
 	rowh mac.RowHasher
+	// recs[i] is the memo entry the MAC queued in lane i of rowh is recorded
+	// in once hashed (a final or host write's), or nil.
+	recs [mac.LaneCount]*keystream
 
 	// ReadInputRun's staging: the line a re-read fetches, compared against
 	// ct, and the plaintext of one that differs, decrypted aside so pt keeps
@@ -157,9 +166,9 @@ func (m *SeculatorMemory) Own() *SeculatorShard {
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
 // memory: block and pad counts reset, the
 // plaintext/ciphertext/pad staging is zeroed so no block of the previous
-// run survives in pooled scratch, and the hasher is scrubbed in place (it
-// buffers the tail of the last plaintext block it hashed; see
-// mac.RowHasher.Scrub). The engine clone is kept — it shares the parent's
+// run survives in pooled scratch, and the hasher is scrubbed in place (its
+// lanes hold the last plaintext blocks it hashed; see mac.RowHasher.Scrub).
+// The engine clone is kept — it shares the parent's
 // immutable key schedule, which Recycle on the parent guarantees is
 // unchanged.
 func (s *SeculatorShard) Recycle() {
@@ -171,6 +180,7 @@ func (s *SeculatorShard) Recycle() {
 	clear(s.runPT[:])
 	clear(s.hostPT[:])
 	s.rowh.Scrub()
+	clear(s.recs[:])
 }
 
 // Merge adds the shards' block and pad tallies to the memory's, and their
@@ -463,11 +473,73 @@ func (s *SeculatorShard) storeRow(addr uint64, ctr crypto.Counter, plaintext, ct
 	return n
 }
 
+// Tile is a rectangle of an activation stored fmap by fmap from line Base,
+// Rows rows of BPR blocks per fmap: rows [Y0, Y1) of fmaps [K0, K1). Row
+// (k, y) is blocks y·BPR, y·BPR+1, … of fmap k, at lines
+// Base + (k·Rows+y)·BPR, …. A tile's plaintext packs its rows in that
+// order, fmap by fmap.
+type Tile struct {
+	Base           uint64
+	Rows, BPR      int
+	K0, K1, Y0, Y1 int
+}
+
+// Blocks is the number of blocks in the tile.
+func (t Tile) Blocks() int { return t.rows() * t.BPR }
+
+func (t Tile) rows() int { return (t.K1 - t.K0) * (t.Y1 - t.Y0) }
+
+// row returns the first line, the fmap and the first block index of the
+// tile's row i, counting fmap by fmap.
+func (t Tile) row(i int) (addr uint64, fmapID, blockIdx uint32) {
+	k, y := t.K0+i/(t.Y1-t.Y0), t.Y0+i%(t.Y1-t.Y0)
+	return t.Base + uint64((k*t.Rows+y)*t.BPR), uint32(k), uint32(y * t.BPR)
+}
+
+// rowBytes returns the bytes of one of the tile's rows, panicking when
+// plaintext does not pack exactly the tile's blocks.
+func (t Tile) rowBytes(plaintext []byte) int {
+	if t.Blocks()*tensor.BlockBytes != len(plaintext) {
+		panic(fmt.Sprintf("protect: tile of %d blocks with %d bytes of plaintext", t.Blocks(), len(plaintext)))
+	}
+	return t.BPR * tensor.BlockBytes
+}
+
+// queue queues the MAC of block — ref's, a block a write just stored — in
+// the hasher's next lane, to be recorded in rec, if any, once hashed; a
+// batch it fills settles at once, into golden as settle says.
+func (s *SeculatorShard) queue(ref mac.BlockRef, block []byte, rec *keystream, golden *mac.Digest) {
+	n := s.rowh.Add(ref, block)
+	s.recs[n-1] = rec
+	if n == mac.LaneCount {
+		s.settle(golden)
+	}
+}
+
+// settle hashes the MACs queued in the hasher's lanes, records each in its
+// memo entry, if any, and folds them: into *golden for a host write, which
+// owes no register; else into MAC_W, each counted as hashed by the loop.
+func (s *SeculatorShard) settle(golden *mac.Digest) {
+	m := s.parent
+	for i, d := range s.rowh.Sum() {
+		if k := s.recs[i]; k != nil {
+			k.mac, k.hashed = d, true
+		}
+		if golden != nil {
+			*golden = golden.Xor(d)
+			continue
+		}
+		m.fold(toWrite, d, 1)
+		m.hashing.Loop++
+	}
+}
+
 // WriteRow encrypts and stores n consecutive blocks of one fmap row —
 // block indices blockIdx, blockIdx+1, … at line addresses addr, addr+1, …
 // — owing each block's MAC to MAC_W (storeRow's contract).
 func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
 	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, ctScratch, false)
+	s.settle(nil)
 }
 
 // WriteFinalRow is WriteRow for the row's final version in its layer, the
@@ -475,18 +547,35 @@ func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx u
 // recorded in its line's memo entry as it is hashed.
 func (s *SeculatorShard) WriteFinalRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
 	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, ctScratch, true)
+	s.settle(nil)
 }
 
+// WriteTile is WriteRow, or WriteFinalRow when final, for every row of a
+// tile of the current layer's output, its plaintext packed as Tile says;
+// ctScratch must hold a row. The tile's block MACs are hashed in batches
+// across its rows.
+func (s *SeculatorShard) WriteTile(t Tile, vn int, final bool, plaintext, ctScratch []byte) {
+	rb := t.rowBytes(plaintext)
+	for i := 0; i < t.rows(); i++ {
+		addr, fmapID, blockIdx := t.row(i)
+		s.writeRow(addr, fmapID, vn, blockIdx, plaintext[i*rb:(i+1)*rb], ctScratch, final)
+	}
+	s.settle(nil)
+}
+
+// writeRow stores a row and queues its blocks' MACs; the caller settles.
 func (s *SeculatorShard) writeRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte, final bool) {
 	m := s.parent
 	n := s.storeRow(addr, m.counter(m.layer, fmapID, vn, blockIdx), plaintext, ctScratch)
+	ref := m.ref(m.layer, fmapID, vn, blockIdx)
 	for b := 0; b < n; b++ {
 		var rec *keystream
 		if final {
 			rec = m.entry(addr + uint64(b))
 		}
 		o := b * tensor.BlockBytes
-		s.owe(m.ref(m.layer, fmapID, vn, blockIdx+uint32(b)), plaintext[o:o+tensor.BlockBytes], toWrite, 1, rec)
+		s.queue(ref, plaintext[o:o+tensor.BlockBytes], rec, nil)
+		ref.Index++
 	}
 	s.n.OfmapWrites += n
 }
@@ -494,35 +583,81 @@ func (s *SeculatorShard) writeRow(addr uint64, fmapID uint32, vn int, blockIdx u
 // HostSealRow encrypts n consecutive host-owned blocks (model load) into
 // dst — at least len(plaintext) bytes, caller-owned like WriteRow's scratch —
 // and returns the XOR of their MACs for the caller's golden digest. It
-// stores nothing: the residency build seals straight into its pinned image.
+// stores nothing.
 func (s *SeculatorShard) HostSealRow(dst []byte, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
-	m := s.parent
-	s.engine.EncryptBlocks(dst, plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx), rowBlocks(plaintext, dst))
-	g, _ := s.rowh.FoldRow(m.ref(ownerLayer, fmapID, vn, blockIdx), plaintext)
+	var g mac.Digest
+	s.hostSealRow(dst, ownerLayer, fmapID, vn, blockIdx, plaintext, &g)
+	s.settle(&g)
 	return g
+}
+
+// HostSealTile is HostSealRow for every row of a tile, its plaintext and
+// dst packed as Tile says, hashed in batches across the rows. It stores
+// nothing, so t.Base names no line: the residency build seals a layer's
+// weights straight into its pinned image.
+func (s *SeculatorShard) HostSealTile(dst []byte, t Tile, ownerLayer uint32, vn int, plaintext []byte) mac.Digest {
+	rb := t.rowBytes(plaintext)
+	var g mac.Digest
+	for i := 0; i < t.rows(); i++ {
+		_, fmapID, blockIdx := t.row(i)
+		s.hostSealRow(dst[i*rb:], ownerLayer, fmapID, vn, blockIdx, plaintext[i*rb:(i+1)*rb], &g)
+	}
+	s.settle(&g)
+	return g
+}
+
+// hostSealRow encrypts a host row into dst and queues its blocks' MACs, to
+// be folded into *golden; the caller settles.
+func (s *SeculatorShard) hostSealRow(dst []byte, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte, golden *mac.Digest) {
+	m := s.parent
+	n := rowBlocks(plaintext, dst)
+	s.engine.EncryptBlocks(dst, plaintext, m.counter(ownerLayer, fmapID, vn, blockIdx), n)
+	ref := m.ref(ownerLayer, fmapID, vn, blockIdx)
+	for b := 0; b < n; b++ {
+		o := b * tensor.BlockBytes
+		s.queue(ref, plaintext[o:o+tensor.BlockBytes], nil, golden)
+		ref.Index++
+	}
 }
 
 // HostWriteRow seals a row as HostSealRow does, through storeRow — so each
 // line's pad lands in its memo entry, and so does each block's MAC as it
-// folds into the digest — and stores it at addr, addr+1, …. The layer-0
-// input load uses it: its first reads fold their MACs into MAC_FR, an
-// observable register, so they take the recorded ones.
+// folds into the digest — and stores it at addr, addr+1, ….
 func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) mac.Digest {
+	var g mac.Digest
+	s.hostWriteRow(addr, ownerLayer, fmapID, vn, blockIdx, plaintext, ctScratch, &g)
+	s.settle(&g)
+	return g
+}
+
+// HostWriteTile is HostWriteRow for every row of a tile, its plaintext
+// packed as Tile says, hashed in batches across the rows; ctScratch must
+// hold a row. The layer-0 input load uses it: its first reads fold their
+// MACs into MAC_FR, an observable register, so they take the recorded ones.
+func (s *SeculatorShard) HostWriteTile(t Tile, ownerLayer uint32, vn int, plaintext, ctScratch []byte) mac.Digest {
+	rb := t.rowBytes(plaintext)
+	var g mac.Digest
+	for i := 0; i < t.rows(); i++ {
+		addr, fmapID, blockIdx := t.row(i)
+		s.hostWriteRow(addr, ownerLayer, fmapID, vn, blockIdx, plaintext[i*rb:(i+1)*rb], ctScratch, &g)
+	}
+	s.settle(&g)
+	return g
+}
+
+// hostWriteRow stores a host row and queues its blocks' MACs, each to be
+// recorded in its line's memo entry and folded into *golden; the caller
+// settles.
+func (s *SeculatorShard) hostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte, golden *mac.Digest) {
 	m := s.parent
 	n := s.storeRow(addr, m.counter(ownerLayer, fmapID, vn, blockIdx), plaintext, ctScratch)
 	s.n.HostWrites += n
-	var g mac.Digest
 	ref := m.ref(ownerLayer, fmapID, vn, blockIdx)
 	for b := 0; b < n; b++ {
 		o := b * tensor.BlockBytes
-		d := s.rowh.Block(ref, plaintext[o:o+tensor.BlockBytes])
-		if k := m.entry(addr + uint64(b)); k != nil {
-			k.mac, k.hashed = d, true
-		}
-		g = g.Xor(d)
+		s.queue(ref, plaintext[o:o+tensor.BlockBytes], m.entry(addr+uint64(b)), golden)
 		ref.Index++
 	}
-	return g
 }
 
 // HostStoreRow is the weight host store: it encrypts and stores a row as

@@ -1,0 +1,221 @@
+package protect
+
+import (
+	"bytes"
+	"testing"
+	"unsafe"
+
+	"seculator/internal/mac"
+	"seculator/internal/tensor"
+)
+
+// tilePlaintext packs a tile's rows with index-unique blocks.
+func tilePlaintext(t Tile) []byte {
+	pt := make([]byte, 0, t.Blocks()*tensor.BlockBytes)
+	for i := 0; i < t.Blocks(); i++ {
+		pt = append(pt, shardPattern(i+1)...)
+	}
+	return pt
+}
+
+// TestTileCallsMatchRows: a tile call stores, counts, records and folds
+// exactly what the same rows do one call each — the tile's MACs are only
+// hashed in batches across its rows. The tiles cover batches that fill
+// exactly, ones that end part-full on either side of the 16-lane kernel's
+// threshold, and rows of several blocks.
+func TestTileCallsMatchRows(t *testing.T) {
+	for _, tile := range []Tile{
+		{Base: 0, Rows: 4, BPR: 1, K0: 0, K1: 4, Y0: 0, Y1: 4},  // 16: one full batch
+		{Base: 3, Rows: 5, BPR: 1, K0: 1, K1: 6, Y0: 0, Y1: 5},  // 25: full, then 9 lanes
+		{Base: 0, Rows: 7, BPR: 1, K0: 2, K1: 5, Y0: 2, Y1: 7},  // 15: one part-full batch
+		{Base: 8, Rows: 3, BPR: 3, K0: 0, K1: 3, Y0: 1, Y1: 3},  // 18 in rows of 3: full, then 2
+		{Base: 0, Rows: 1, BPR: 20, K0: 0, K1: 2, Y0: 0, Y1: 1}, // 40 in rows of 20: two full, then 8
+	} {
+		pt := tilePlaintext(tile)
+		rb := tile.BPR * tensor.BlockBytes
+		lines := tile.Base + uint64(tile.K1*tile.Rows*tile.BPR)
+		build := func() *SeculatorMemory {
+			d := shardTestDRAM(t)
+			d.Reserve(lines)
+			m := NewSeculatorMemory(d, 3, 4)
+			m.ReserveKeystreams(lines)
+			m.BeginLayer(1)
+			return m
+		}
+		// compare runs the tile call and the row calls on a fresh memory each.
+		rows := func(fn func(addr uint64, k, y int, row []byte)) {
+			o := 0
+			for k := tile.K0; k < tile.K1; k++ {
+				for y := tile.Y0; y < tile.Y1; y++ {
+					fn(tile.Base+uint64((k*tile.Rows+y)*tile.BPR), k, y, pt[o:o+rb])
+					o += rb
+				}
+			}
+		}
+		// A final or host write records each line's MAC in its memo entry.
+		recorded := func(name string, m *SeculatorMemory, layer uint32, vn int) {
+			rows(func(addr uint64, k, y int, row []byte) {
+				for b := 0; b < tile.BPR; b++ {
+					ref := m.ref(layer, uint32(k), vn, uint32(y*tile.BPR+b))
+					if e := m.keys[addr+uint64(b)]; !e.hashed || e.mac != mac.BlockMAC(ref, row[b*tensor.BlockBytes:(b+1)*tensor.BlockBytes]) {
+						t.Fatalf("%+v %s: line %d's memo entry does not record its block's MAC", tile, name, addr+uint64(b))
+					}
+				}
+			})
+		}
+		compare := func(name string, tiled, rowed func(m *SeculatorMemory, sh *SeculatorShard) mac.Digest) {
+			a, b := build(), build()
+			sa, sb := a.Shard(), b.Shard()
+			ga, gb := tiled(a, sa), rowed(b, sb)
+			a.Merge(sa)
+			b.Merge(sb)
+			if ga != gb {
+				t.Fatalf("%+v %s: golden %x tiled, %x row by row", tile, name, ga, gb)
+			}
+			if ra, rb := a.RegisterSnapshot(), b.RegisterSnapshot(); ra != rb {
+				t.Fatalf("%+v %s: registers %+v tiled, %+v row by row", tile, name, ra, rb)
+			}
+			if a.BlockCounts() != b.BlockCounts() || a.Hashing() != b.Hashing() || a.Keystreams() != b.Keystreams() {
+				t.Fatalf("%+v %s: tallies %+v %+v %+v tiled, %+v %+v %+v row by row", tile, name,
+					a.BlockCounts(), a.Hashing(), a.Keystreams(), b.BlockCounts(), b.Hashing(), b.Keystreams())
+			}
+			for l := uint64(0); l < lines; l++ {
+				if !bytes.Equal(a.dram.Peek(l), b.dram.Peek(l)) || a.keys[l] != b.keys[l] {
+					t.Fatalf("%+v %s: line %d or its memo entry differs", tile, name, l)
+				}
+			}
+			if n := len(sa.rowh.Sum()); n != 0 {
+				t.Fatalf("%+v %s: the tile call left %d MACs queued", tile, name, n)
+			}
+		}
+		ct := make([]byte, rb)
+		for _, final := range []bool{false, true} {
+			compare(map[bool]string{false: "WriteTile", true: "WriteTile final"}[final],
+				func(m *SeculatorMemory, sh *SeculatorShard) mac.Digest {
+					sh.WriteTile(tile, 2, final, pt, ct)
+					if final {
+						recorded("WriteTile final", m, 1, 2)
+					}
+					return mac.Digest{}
+				},
+				func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
+					rows(func(addr uint64, k, y int, row []byte) {
+						if final {
+							sh.WriteFinalRow(addr, uint32(k), 2, uint32(y*tile.BPR), row, ct)
+						} else {
+							sh.WriteRow(addr, uint32(k), 2, uint32(y*tile.BPR), row, ct)
+						}
+					})
+					return mac.Digest{}
+				})
+		}
+		compare("HostWriteTile",
+			func(m *SeculatorMemory, sh *SeculatorShard) mac.Digest {
+				g := sh.HostWriteTile(tile, 0, 1, pt, ct)
+				recorded("HostWriteTile", m, 0, 1)
+				return g
+			},
+			func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
+				var g mac.Digest
+				rows(func(addr uint64, k, y int, row []byte) {
+					g = g.Xor(sh.HostWriteRow(addr, 0, uint32(k), 1, uint32(y*tile.BPR), row, ct))
+				})
+				return g
+			})
+		sealedTile, sealedRows := make([]byte, len(pt)), make([]byte, len(pt))
+		compare("HostSealTile",
+			func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
+				return sh.HostSealTile(sealedTile, tile, 0x8001, 1, pt)
+			},
+			func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
+				var g mac.Digest
+				o := 0
+				rows(func(_ uint64, k, y int, row []byte) {
+					g = g.Xor(sh.HostSealRow(sealedRows[o:], 0x8001, uint32(k), 1, uint32(y*tile.BPR), row))
+					o += rb
+				})
+				return g
+			})
+		if !bytes.Equal(sealedTile, sealedRows) {
+			t.Fatalf("%+v: HostSealTile's ciphertext differs from HostSealRow's", tile)
+		}
+	}
+}
+
+// TestTileNeedsItsBlocks: a tile call whose plaintext does not pack exactly
+// the tile's blocks panics before it stores or hashes anything.
+func TestTileNeedsItsBlocks(t *testing.T) {
+	tile := Tile{Rows: 2, BPR: 1, K0: 0, K1: 2, Y0: 0, Y1: 2}
+	for _, n := range []int{3, 5} {
+		m, d := newSecMem(t)
+		m.BeginLayer(1)
+		sh := m.Shard()
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			sh.WriteTile(tile, 1, false, make([]byte, n*tensor.BlockBytes), make([]byte, tensor.BlockBytes))
+			return false
+		}()
+		if !panicked || d.Lines() != 0 || sh.n != (BlockCounts{}) {
+			t.Fatalf("%d blocks for a tile of 4: panicked %v, %d lines stored, counts %+v", n, panicked, d.Lines(), sh.n)
+		}
+	}
+}
+
+// hasherBytes is the memory of a hasher value: its lanes, digests and
+// batch count (and the portable state's pointer, not what it points to).
+func hasherBytes(h *mac.RowHasher) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(h)), unsafe.Sizeof(*h))
+}
+
+// holdsPlaintext reports whether any aligned 8-byte word of any block of
+// pt occurs anywhere in raw.
+func holdsPlaintext(raw, pt []byte) bool {
+	for o := 0; o+8 <= len(pt); o += 8 {
+		if bytes.Contains(raw, pt[o:o+8]) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRecycleScrubsLanes: a tile write leaves every lane of the writing
+// shard's hasher holding a block of its plaintext; the shard's Recycle —
+// and, for the memory's own shard, the memory's — leaves no word of that
+// plaintext anywhere in the hasher.
+func TestRecycleScrubsLanes(t *testing.T) {
+	tile := Tile{Rows: 5, BPR: 1, K0: 0, K1: 5, Y0: 0, Y1: 5} // 25 blocks: every lane written
+	pt := tilePlaintext(tile)
+	for _, how := range []string{"shard", "memory"} {
+		m, d := newSecMem(t)
+		d.Reserve(uint64(tile.Blocks()))
+		m.BeginLayer(1)
+		sh := m.Shard()
+		if how == "memory" {
+			sh = m.Own()
+		}
+		sh.WriteTile(tile, 1, true, pt, make([]byte, tensor.BlockBytes))
+		for lane := 0; lane < mac.LaneCount; lane++ {
+			// Lane i holds block 16+i, or block i where the last batch
+			// did not reach it.
+			blk := lane + mac.LaneCount
+			if blk >= tile.Blocks() {
+				blk = lane
+			}
+			if !bytes.Contains(hasherBytes(&sh.rowh), pt[blk*tensor.BlockBytes:(blk+1)*tensor.BlockBytes]) {
+				t.Fatalf("%s: lane %d does not hold block %d: the check below sees nothing", how, lane, blk)
+			}
+		}
+		m.Merge(sh)
+		if how == "shard" {
+			sh.Recycle()
+		} else if !m.Recycle(d, 0xabc, 0xdef) {
+			t.Fatal("Recycle refused the memory's own identity")
+		}
+		if holdsPlaintext(hasherBytes(&sh.rowh), pt) {
+			t.Fatalf("after the %s's Recycle the hasher still holds plaintext", how)
+		}
+		if sh.recs != [mac.LaneCount]*keystream{} {
+			t.Fatalf("after the %s's Recycle the lanes still point at memo entries", how)
+		}
+	}
+}

@@ -200,6 +200,12 @@ type weightLayout struct {
 
 func (w weightLayout) blocks() int { return w.k * w.cGroups * w.sliceBlocks }
 
+// tile is the layer's weight region as one tile: fmap k is one row, the
+// slices of its c-groups in order, at lines base + k·cGroups·sliceBlocks ….
+func (w weightLayout) tile() protect.Tile {
+	return protect.Tile{Base: w.base, Rows: 1, BPR: w.cGroups * w.sliceBlocks, K0: 0, K1: w.k, Y0: 0, Y1: 1}
+}
+
 func (w weightLayout) addr(k, cg, blk int) uint64 {
 	return w.base + uint64((k*w.cGroups+cg)*w.sliceBlocks+blk)
 }
@@ -301,6 +307,9 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	if err != nil {
 		return Result{}, err
 	}
+	// The loop shard's staging holds a whole tile: size it once, to the
+	// run's largest, so no layer regrows it.
+	rt.rowScratch(stagingBlocks(states, inputLayout))
 	if x.OnPlan != nil {
 		x.OnPlan(planInfo(states, inputLayout))
 	}
@@ -575,18 +584,30 @@ func planInfo(states []layerState, input actLayout) PlanInfo {
 	return p
 }
 
-// loadInput host-writes the encrypted layer-0 input through the loop shard
-// and returns the host's golden XOR-MAC over all its blocks.
+// stagingBlocks is the most blocks the loop shard's staging holds at once in
+// a run of states: the input tile, a layer's output tile (at most its whole
+// output) or a weight slice.
+func stagingBlocks(states []layerState, input actLayout) int {
+	n := input.blocks()
+	for i := range states {
+		n = max(n, states[i].act.blocks(), states[i].wl.sliceBlocks)
+	}
+	return n
+}
+
+// loadInput host-writes the encrypted layer-0 input through the loop shard,
+// as one tile, and returns the host's golden XOR-MAC over all its blocks.
 func (x *Executor) loadInput(rt *inferRuntime, input *nn.Tensor, il actLayout) mac.Digest {
-	var golden mac.Digest
-	pt, ct := rt.rowScratch(il.bpr)
-	for c := 0; c < input.Chans; c++ {
+	t := protect.Tile{Base: il.base, Rows: il.rows, BPR: il.bpr, K0: 0, K1: input.Chans, Y0: 0, Y1: input.H}
+	pt, ct := rt.rowScratch(t.Blocks())
+	rb := il.bpr * tensor.BlockBytes
+	for c, o := 0, 0; c < input.Chans; c++ {
 		for y := 0; y < input.H; y++ {
-			encodeRowInto(pt, rowOf(input, c, y))
-			golden = golden.Xor(rt.sh.HostWriteRow(il.addr(c, y, 0), 0, uint32(c), 1, uint32(y*il.bpr), pt, ct))
+			encodeRowInto(pt[o:o+rb], rowOf(input, c, y))
+			o += rb
 		}
 	}
-	return golden
+	return rt.sh.HostWriteTile(t, 0, 1, pt, ct[:rb])
 }
 
 // loadLayerWeights host-stores one layer's weights through a shard, slice

@@ -321,26 +321,25 @@ func (r *layerRun) readPartialTile(e dataflow.Event) {
 
 // writeOfmapTile encrypts the tile's current accumulation under the next VN
 // of the layer's write sequence (VN 0, which no read asks for, once it is
-// outrun) through the row-batch path, owing its MACs to MAC_W. The write of
-// the final version — on an honest run each line's only one per layer
-// attempt and its last, and the one the next layer reads — records its MACs
-// in the keystream memo.
+// outrun) and hands the whole tile to the shard in one call, which owes its
+// MACs to MAC_W, hashed in batches across the tile's rows. The write of the
+// final version — on an honest run each line's only one per layer attempt
+// and its last, and the one the next layer reads — records its MACs in the
+// keystream memo.
 func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 	vn, _ := r.rt.unit.WriteVN()
 	a := r.st.act
 	k0, k1, y0, y1 := r.ofmapRows(e)
-	pt, ct := r.rt.rowScratch(a.bpr)
-	final := r.finalWrite(vn)
-	for k := k0; k < k1; k++ {
+	t := protect.Tile{Base: a.base, Rows: a.rows, BPR: a.bpr, K0: k0, K1: k1, Y0: y0, Y1: y1}
+	pt, ct := r.rt.rowScratch(t.Blocks())
+	rb := a.bpr * tensor.BlockBytes
+	for k, o := k0, 0; k < k1; k++ {
 		for y := y0; y < y1; y++ {
-			encodeRowInto(pt, rowOf(r.out, k, y))
-			if final {
-				r.rt.sh.WriteFinalRow(a.addr(k, y, 0), uint32(k), vn, uint32(y*a.bpr), pt, ct)
-			} else {
-				r.rt.sh.WriteRow(a.addr(k, y, 0), uint32(k), vn, uint32(y*a.bpr), pt, ct)
-			}
+			encodeRowInto(pt[o:o+rb], rowOf(r.out, k, y))
+			o += rb
 		}
 	}
+	r.rt.sh.WriteTile(t, vn, r.finalWrite(vn), pt, ct[:rb])
 }
 
 // finalWrite reports whether an ofmap write under version vn stores its

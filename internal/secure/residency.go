@@ -126,19 +126,18 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 		rowBytes := wl.sliceBlocks * tensor.BlockBytes
 		rl.ct = make([]byte, rl.blocks()*tensor.BlockBytes)
 		rl.pads = make([]byte, len(rl.ct))
-		pt := make([]byte, rowBytes)
+		// The pad bank stages the layer's plaintext: the layer is sealed
+		// as one tile, fmap k one row of its c-groups' slices, then
+		// pad = plaintext ⊕ ciphertext — the CTR keystream, pinned so
+		// epoch verification decrypts without an AES pass.
 		for k := 0; k < wl.k; k++ {
 			for cg := 0; cg < wl.cGroups; cg++ {
-				encodeRowInto(pt, weightRun(st.layer, weights[i], k, cg, wl.sliceInts))
 				off := (k*wl.cGroups + cg) * rowBytes
-				ct := rl.ct[off : off+rowBytes]
-				rl.golden = rl.golden.Xor(sh.HostSealRow(ct, wl.ownerID,
-					uint32(k), 1, uint32(cg*wl.sliceBlocks), pt))
-				// pad = plaintext ⊕ ciphertext: the CTR keystream, pinned so
-				// epoch verification decrypts without an AES pass.
-				subtle.XORBytes(rl.pads[off:], pt, ct)
+				encodeRowInto(rl.pads[off:off+rowBytes], weightRun(st.layer, weights[i], k, cg, wl.sliceInts))
 			}
 		}
+		rl.golden = sh.HostSealTile(rl.ct, wl.tile(), wl.ownerID, 1, rl.pads)
+		subtle.XORBytes(rl.pads, rl.pads, rl.ct)
 		res.bytes += int64(len(rl.ct) + len(rl.pads))
 	}
 	if err := res.Verify(); err != nil {
@@ -149,34 +148,32 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 
 // Verify re-establishes the residency's integrity from the pinned state
 // alone: every resident ciphertext block is decrypted through the pad bank
-// and its MAC re-folded (batched row hashing, zero allocations per row)
-// into a digest that must equal the pinned golden value. A mismatch means
-// the resident ciphertext (or pad bank) was corrupted since the last
-// check; callers must drop the residency and re-provision from scratch.
+// and its MAC re-folded — hashed in batches of lanes across the layer's
+// rows, with zero allocations per row — into a digest that must equal the
+// pinned golden value. A mismatch means the resident ciphertext (or pad
+// bank) was corrupted since the last check; callers must drop the
+// residency and re-provision from scratch.
 func (res *WeightResidency) Verify() error {
 	var rowh mac.RowHasher
-	var pt [tensor.BlockBytes * 16]byte
+	var pt [mac.LaneCount * tensor.BlockBytes]byte
 	for i := range res.layers {
 		rl := &res.layers[i]
 		if len(rl.ct) == 0 {
 			continue
 		}
-		wl := rl.wl
+		// Block b of the layer is block b mod perFmap of fmap b / perFmap.
+		perFmap := rl.wl.cGroups * rl.wl.sliceBlocks
 		var got mac.Digest
-		rowBytes := wl.sliceBlocks * tensor.BlockBytes
-		scratch := pt[:]
-		if rowBytes > len(scratch) {
-			scratch = make([]byte, rowBytes)
-		}
-		for k := 0; k < wl.k; k++ {
-			for cg := 0; cg < wl.cGroups; cg++ {
-				off := ((k*wl.cGroups + cg) * wl.sliceBlocks) * tensor.BlockBytes
-				subtle.XORBytes(scratch, rl.ct[off:off+rowBytes], rl.pads[off:off+rowBytes])
-				ref := mac.BlockRef{Secret: res.secret, Layer: wl.ownerID, Fmap: uint32(k),
-					VN: 1, Index: uint32(cg * wl.sliceBlocks)}
-				d, _ := rowh.FoldRow(ref, scratch[:rowBytes])
-				got = got.Xor(d)
+		for b0 := 0; b0 < rl.blocks(); b0 += mac.LaneCount {
+			n := min(mac.LaneCount, rl.blocks()-b0)
+			off, end := b0*tensor.BlockBytes, (b0+n)*tensor.BlockBytes
+			subtle.XORBytes(pt[:], rl.ct[off:end], rl.pads[off:end])
+			for j := 0; j < n; j++ {
+				b := b0 + j
+				rowh.Add(mac.BlockRef{Secret: res.secret, Layer: rl.wl.ownerID, Fmap: uint32(b / perFmap),
+					VN: 1, Index: uint32(b % perFmap)}, pt[j*tensor.BlockBytes:(j+1)*tensor.BlockBytes])
 			}
+			got = got.Xor(mac.XorAll(rowh.Sum()))
 		}
 		if got != rl.golden {
 			return fmt.Errorf("%w: resident layer %q weights: digest mismatch",

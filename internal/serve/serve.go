@@ -630,10 +630,11 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 	// for (network, seed). Attack-instrumented tenants keep the
 	// per-request provisioning path — the residency cache never hides a
 	// hook's attack surface — and any attach error falls back silently.
+	hook := s.hookFor(tenant)
 	var in *nn.Tensor
 	var ws []*nn.Weights
 	var resident *secure.WeightResidency
-	if s.hookFor(tenant) == nil {
+	if hook == nil {
 		r, hit, err := s.residency.attach(tenant, req.Network, req.Seed, func() (*secure.WeightResidency, error) {
 			return secure.BuildWeightResidency(ctx, net, s.cfg.NPU, s.cfg.DRAM, secure.DefaultSecret, secure.DefaultRandom, nn.RandomWeights(net, req.Seed))
 		})
@@ -657,7 +658,7 @@ func (s *Server) runInference(ctx context.Context, net workload.Network, req *In
 	// One executor on both paths: a session only adds its command channel.
 	x := secure.NewExecutor()
 	x.NPU, x.DRAM = s.cfg.NPU, s.cfg.DRAM
-	x.AfterPhase = s.hookFor(tenant)
+	x.AfterPhase = hook
 	x.Residency = resident
 	x.OnLayerMACs = func(_ int, regs protect.RegisterState) { oc.regs, oc.haveRegs = regs, true }
 	var ch *host.Channel

@@ -78,6 +78,45 @@ func TestInferRoundTrip(t *testing.T) {
 	}
 }
 
+// An Options.HookFor factory is resolved once per inference, whether it
+// attaches a hook (the per-request provisioning path) or returns nil (the
+// residency path): a stateful factory sees one call per request.
+func TestHookForResolvedOncePerInference(t *testing.T) {
+	for _, attach := range []bool{true, false} {
+		t.Run(map[bool]string{true: "hooked", false: "nil"}[attach], func(t *testing.T) {
+			var mu sync.Mutex
+			calls := map[string]int{}
+			_, c := newTestServer(t, serve.Options{
+				HookFor: func(tenant string) secure.Hook {
+					mu.Lock()
+					calls[tenant]++
+					mu.Unlock()
+					if !attach {
+						return nil
+					}
+					return func(int, *mem.DRAM) {}
+				},
+			})
+			ctx := ctxT(t)
+			const inferences = 3
+			for seed := int64(0); seed < inferences; seed++ {
+				if _, err := c.Infer(ctx, serve.InferRequest{Network: "Mini", Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			total := 0
+			for _, n := range calls {
+				total += n
+			}
+			if total != inferences {
+				t.Fatalf("HookFor ran %d times for %d inferences (%v), want once each", total, inferences, calls)
+			}
+		})
+	}
+}
+
 // A session-bound inference runs the authenticated command channel and the
 // ReturnOutput flag round-trips the full tensor.
 func TestSessionInferRoundTrip(t *testing.T) {
