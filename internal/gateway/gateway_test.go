@@ -141,9 +141,14 @@ func TestGatewayDrainEvacuates(t *testing.T) {
 	c, gc := startCluster(t, 2)
 	ctx := ctxT(t)
 
-	// Create sessions until at least one lives on each replica.
+	// Create eight sessions, and more until at least one lives on each
+	// replica: the evacuation must pass over the survivor's sessions.
 	homes := map[string]string{}
-	for i := 0; i < 8; i++ {
+	used := map[string]bool{}
+	for i := 0; i < 8 || len(used) < len(c.Replicas); i++ {
+		if i == 64 {
+			t.Fatalf("64 sessions all homed on %v", used)
+		}
 		sess, err := gc.CreateSession(ctx, serve.SessionCreateRequest{})
 		if err != nil {
 			t.Fatal(err)
@@ -152,6 +157,7 @@ func TestGatewayDrainEvacuates(t *testing.T) {
 			t.Fatal(err)
 		}
 		homes[sess.SessionID] = c.Gateway.Locations()[sess.SessionID]
+		used[homes[sess.SessionID]] = true
 	}
 	victim := c.Replicas[0].Name
 	c.Drain(victim)
@@ -195,11 +201,14 @@ func TestGatewayHotReload(t *testing.T) {
 	before := c.Gateway.Locations()
 	gen := c.Gateway.Gen()
 
-	// Shrink to two replicas: sessions on the removed replica must re-home.
+	// Shrink to two replicas, removing the first session's home, so at
+	// least one session must re-home from the vault on every run.
 	cfg := gateway.Config{}
-	removed := c.Replicas[2].Name
-	for _, r := range c.Replicas[:2] {
-		cfg.Replicas = append(cfg.Replicas, gateway.ReplicaConfig{Name: r.Name, URL: r.URL})
+	removed := before[ids[0]]
+	for _, r := range c.Replicas {
+		if r.Name != removed {
+			cfg.Replicas = append(cfg.Replicas, gateway.ReplicaConfig{Name: r.Name, URL: r.URL})
+		}
 	}
 	if _, err := c.Gateway.Reload(cfg); err != nil {
 		t.Fatal(err)

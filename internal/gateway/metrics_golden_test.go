@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,5 +120,51 @@ func TestGatewayReplicaQuantilesNearestRank(t *testing.T) {
 				t.Errorf("n=%d: scrape lacks %q:\n%s", n, line, got)
 			}
 		}
+	}
+}
+
+// TestStatelessCandidatesBoundedLoad pins the bounded-load overflow with
+// in-flight counts set directly: a replica at or past the bound (LoadFactor
+// × (fleet in-flight + 1) / available, plus one) yields to every replica
+// under it, and each side keeps its rendezvous order. The forwarding tests
+// reach the overflow only when concurrent requests happen to pile up.
+func TestStatelessCandidatesBoundedLoad(t *testing.T) {
+	g, _ := quietGateway(t, "r-a", "r-b", "r-c")
+	rt := g.routing.Load()
+	pref := Rendezvous(rt.names, "tenant")
+	order := func(inflight ...int64) []string {
+		t.Helper()
+		for i, n := range inflight {
+			rep := rt.replicas[pref[i]]
+			rep.inflight.Add(n - rep.inflight.Load())
+		}
+		var got []string
+		for _, rep := range statelessCandidates(rt, "tenant", time.Now()) {
+			got = append(got, rep.name)
+		}
+		return got
+	}
+	for _, c := range []struct {
+		inflight []int64
+		want     []int // indices into pref
+	}{
+		{[]int64{0, 0, 0}, []int{0, 1, 2}}, // bound 1: nobody is at it
+		{[]int64{2, 0, 0}, []int{1, 2, 0}}, // bound int(1.25·3/3)+1 = 2: the favourite yields
+		{[]int64{6, 6, 0}, []int{2, 0, 1}}, // bound 6: both yield, in rendezvous order
+		{[]int64{1, 1, 1}, []int{0, 1, 2}}, // bound int(1.25·4/3)+1 = 2: an even spread keeps the order
+	} {
+		want := make([]string, len(c.want))
+		for i, j := range c.want {
+			want[i] = pref[j]
+		}
+		if got := order(c.inflight...); !slices.Equal(got, want) {
+			t.Errorf("in-flight %v on %v: candidates %v, want %v", c.inflight, pref, got, want)
+		}
+	}
+	rt.replicas[pref[1]].hp.SetDraining(true) // draining still serves stateless requests
+	rt.replicas[pref[2]].hp.ObserveFailure(time.Now())
+	rt.replicas[pref[2]].hp.ObserveFailure(time.Now()) // FailAfter 2: ejected
+	if got := order(9, 0, 0); !slices.Equal(got, []string{pref[1], pref[0]}) {
+		t.Errorf("with %s ejected: candidates %v, want %v", pref[2], got, []string{pref[1], pref[0]})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"seculator/internal/crypto"
 	"seculator/internal/mac"
 	"seculator/internal/mem"
+	"seculator/internal/sim"
 )
 
 // SeculatorMemory is the functional counterpart of the Seculator timing
@@ -26,9 +27,9 @@ type SeculatorMemory struct {
 	layer   uint32
 	started bool
 
-	// counts is what the merged shards moved and ks their pads (Merge) —
-	// serial calls included, since each merges the memory's own shard;
-	// hashing is how many MACs the shards hashed as they folded them.
+	// counts is what the shards moved and ks their pads: the own shard's
+	// (serial calls included) as it moves them, another's at Merge; hashing
+	// is how many MACs the shards hashed as they folded them.
 	counts  BlockCounts
 	hashing Hashing
 	ks      Keystreams
@@ -127,28 +128,23 @@ func (m *SeculatorMemory) serial() *SeculatorShard {
 // folds its MAC into MAC_W.
 func (m *SeculatorMemory) WriteBlock(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) {
 	s := m.serial()
-	s.WriteRow(addr, fmapID, vn, blockIdx, plaintext, s.ct[:])
-	m.Merge(s)
+	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, s.ct[:], false)
+	s.settle(nil)
+	s.record(sim.Write, 1)
 }
 
 // ReadPartial fetches and decrypts a partial ofmap block written earlier in
 // this layer, folding its MAC into MAC_R. The returned slice is the own
 // shard's scratch, valid until the memory's next call.
 func (m *SeculatorMemory) ReadPartial(addr uint64, fmapID uint32, vn int, blockIdx uint32) []byte {
-	s := m.serial()
-	pt := s.ReadPartial(addr, fmapID, vn, blockIdx)
-	m.Merge(s)
-	return pt
+	return m.serial().ReadPartial(addr, fmapID, vn, blockIdx)
 }
 
 // ReadInput fetches and decrypts an ifmap block produced by prevLayer at
 // version vn. first marks the block's first touch this layer (MAC_FR);
 // repeats fold into MAC_IR only. The slice is valid as ReadPartial's.
 func (m *SeculatorMemory) ReadInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool) []byte {
-	s := m.serial()
-	pt := s.ReadInput(addr, prevLayer, fmapID, vn, blockIdx, first)
-	m.Merge(s)
-	return pt
+	return m.serial().ReadInput(addr, prevLayer, fmapID, vn, blockIdx, first)
 }
 
 // BlockDigest computes the MAC of a plaintext block at a position — the

@@ -101,8 +101,8 @@ func TestSeculatorMemoryGoldenHelpers(t *testing.T) {
 	}
 	sh := sm.Shard()
 	row := slices.Concat(blocks...)
-	if g := sh.HostWriteRow(200, 0, 5, 1, 0, row, make([]byte, len(row))); g != want {
-		t.Fatal("HostWriteRow's golden digest is not the fold of BlockDigest")
+	if g := sh.HostWriteTile(rowTile(200, 5, 0, 2), 0, 1, row, make([]byte, len(row))); g != want {
+		t.Fatal("HostWriteTile's golden digest is not the fold of BlockDigest")
 	}
 	sm.BeginLayer(1)
 	sm.ReadInput(200, 0, 5, 1, 0, true)
@@ -174,10 +174,8 @@ func TestSeculatorMemoryRereadCheck(t *testing.T) {
 func TestSeculatorMemoryMustStart(t *testing.T) {
 	for name, use := range map[string]func(sm *SeculatorMemory){
 		"WriteBlock": func(sm *SeculatorMemory) { sm.WriteBlock(0, 0, 1, 0, plainBlock(0)) },
-		"shard WriteRow": func(sm *SeculatorMemory) {
-			sh := sm.Shard()
-			sh.WriteRow(0, 0, 1, 0, plainBlock(0), make([]byte, tensor.BlockBytes))
-			sm.Merge(sh)
+		"shard WriteTile": func(sm *SeculatorMemory) {
+			sm.Shard().WriteTile(rowTile(0, 0, 0, 1), 1, false, plainBlock(0), make([]byte, tensor.BlockBytes))
 		},
 	} {
 		sm, _ := newSecMem(t)
@@ -194,18 +192,20 @@ func TestSeculatorMemoryMustStart(t *testing.T) {
 
 // TestRowsMustBeWholeBlocks: every write path takes whole 64-byte blocks and
 // panics on anything else, rather than storing and MACing the whole blocks
-// of a short row and dropping its tail; WriteBlock takes exactly one.
+// of a short row and dropping its tail; WriteBlock takes exactly one. Each
+// tile call is given the one-row tile of as many whole blocks as pt holds.
 func TestRowsMustBeWholeBlocks(t *testing.T) {
+	row := func(pt []byte) Tile { return Tile{Rows: 1, BPR: len(pt) / tensor.BlockBytes, K1: 1, Y1: 1} }
 	writes := map[string]func(sm *SeculatorMemory, sh *SeculatorShard, pt []byte){
 		"WriteBlock": func(sm *SeculatorMemory, _ *SeculatorShard, pt []byte) { sm.WriteBlock(0, 0, 1, 0, pt) },
-		"WriteRow": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
-			sh.WriteRow(0, 0, 1, 0, pt, make([]byte, 2*tensor.BlockBytes))
+		"WriteTile": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
+			sh.WriteTile(row(pt), 1, false, pt, make([]byte, 2*tensor.BlockBytes))
 		},
-		"HostWriteRow": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
-			sh.HostWriteRow(0, 0, 0, 1, 0, pt, make([]byte, 2*tensor.BlockBytes))
+		"HostWriteTile": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
+			sh.HostWriteTile(row(pt), 0, 1, pt, make([]byte, 2*tensor.BlockBytes))
 		},
-		"HostSealRow": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
-			sh.HostSealRow(make([]byte, 2*tensor.BlockBytes), 0, 0, 1, 0, pt)
+		"HostSealTile": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
+			sh.HostSealTile(make([]byte, 2*tensor.BlockBytes), row(pt), 0, 1, pt)
 		},
 	}
 	for name, write := range writes {
@@ -230,8 +230,8 @@ func TestRowsMustBeWholeBlocks(t *testing.T) {
 	}
 }
 
-// TestSerialCallsAreCounted: each serial call merges the memory's own shard,
-// so the attack scenario's shape — every tile written Versions times, each
+// TestSerialCallsAreCounted: the memory's own shard tallies each serial call
+// into the memory as it moves the blocks, so the attack scenario's shape — every tile written Versions times, each
 // non-final version read back as a partial, the finals first-read by the
 // next layer — shows up block for block in BlockCounts, the pad and hashing
 // tallies, and the DRAM's data traffic.

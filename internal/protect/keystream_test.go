@@ -93,12 +93,12 @@ type lineWrite struct {
 // checkKeystreamMemo runs the op sequence on both arms. An op is five bytes
 // (op, addr, a, b, c):
 //
-//	0 WriteRow      of 1+a%3 blocks under counter b (current layer), pattern
-//	                c; WriteFinalRow if a&4; with a&16 the memo arm first pads
-//	                the row's lines inside the memo ahead (PadAhead), under
-//	                the row's counter, or with a&32 under counter c
-//	1 HostWriteRow  of 1+a%3 blocks under counter b, pattern c; with a&4
-//	                HostStoreRow, its row moved inside the memo
+//	0 WriteTile     of 1+a%3 blocks from counter b (current layer), pattern
+//	                c (rowTile); final if a&4; with a&16 the memo arm first
+//	                pads the blocks' lines inside the memo ahead (PadAhead),
+//	                under their counters, or with a&32 under counter c
+//	1 HostWriteTile of 1+a%3 blocks from counter b, pattern c (rowTile);
+//	                with a&4 HostStoreRow, its row moved inside the memo
 //	2 ReadInputRun  counter: the line's last write's if a%4 != 0, else b;
 //	                first = c&1, run length 1+(c>>1)%4
 //	3 ReadPartial   counter as 2, in the current layer
@@ -145,7 +145,7 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 			ctr.Layer = layer
 		}
 		hit := written && addr < memoLines && w.ctr == ctr
-		ksBefore := [2]Keystreams{memo.sh.ks, ref.sh.ks}
+		ksBefore := [2]Keystreams{*memo.sh.ks, *ref.sh.ks}
 		reusedBefore, fetchedBefore := memo.m.Hashing().Reused, len(memo.tap.fetched)
 		refPads, ahead, wastedBefore := 0, 0, wasted
 		var got [2][]byte
@@ -181,17 +181,15 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 				case host:
 					arm.sh.HostStoreRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, row, ct)
 				case op == 1:
-					g := arm.sh.HostWriteRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, row, ct)
+					g := arm.sh.HostWriteTile(rowTile(addr, wc.Fmap, wc.Block, k), wc.Layer, int(wc.VN), row, ct)
 					got[i] = g[:]
-				case a&4 != 0:
-					arm.sh.WriteFinalRow(addr, wc.Fmap, int(wc.VN), wc.Block, row, ct)
 				default:
-					arm.sh.WriteRow(addr, wc.Fmap, int(wc.VN), wc.Block, row, ct)
+					arm.sh.WriteTile(rowTile(addr, wc.Fmap, wc.Block, k), int(wc.VN), a&4 != 0, row, ct)
 				}
 			}
 			for i := 0; i < k; i++ {
 				lw := lineWrite{ctr: wc, recorded: op == 1 && !host || op == 0 && a&4 != 0}
-				copy(lw.ct[:], memo.ct[i*tensor.BlockBytes:])
+				copy(lw.ct[:], memo.d.Peek(addr+uint64(i))) // a tile's staging holds one row
 				if host {
 					lw.host = (*[tensor.BlockBytes]byte)(row[i*tensor.BlockBytes:])
 				}
@@ -283,7 +281,7 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 		if ref.m.Hashing().Reused != 0 {
 			t.Fatalf("%s: a memory with no memo reused a MAC", what)
 		}
-		dm, dr := memo.sh.ks, ref.sh.ks
+		dm, dr := *memo.sh.ks, *ref.sh.ks
 		dm.Computed -= ksBefore[0].Computed
 		dm.Reused -= ksBefore[0].Reused
 		dm.Ahead -= ksBefore[0].Ahead
@@ -358,7 +356,7 @@ func FuzzKeystreamMemo(f *testing.F) {
 // computes one pad per written block and the reference one per pad used.
 func TestKeystreamMemoReusesWrites(t *testing.T) {
 	arm := newMemoArm(t, true, nil)
-	arm.sh.WriteRow(0, 2, 1, 0, fuzzRow(3, 9), arm.ct)
+	arm.sh.WriteTile(rowTile(0, 2, 0, 3), 1, false, fuzzRow(3, 9), arm.ct)
 	for i := uint64(0); i < 3; i++ {
 		arm.sh.ReadStatic(i, 1, 2, 1, uint32(i), true)
 		arm.sh.ReadPartial(i, 2, 1, uint32(i))
@@ -381,14 +379,14 @@ func TestKeystreamMemoReusesWrites(t *testing.T) {
 // host input write is no weight store.
 func TestMACMemoReusesRecordingWrites(t *testing.T) {
 	ops := []byte{
-		0, 2, 4, 0x21, 5, // final WriteRow of lines 2, 3
+		0, 2, 4, 0x21, 5, // final WriteTile of lines 2, 3
 		6, 0, 0, 0, 0, // next layer
 		2, 2, 1, 0, 1, // first read of line 2: reused
 		2, 3, 1, 0, 6, // a run of four repeat reads of line 3: the first fetch reused
-		0, 5, 0, 0x21, 7, // non-final WriteRow of line 5
+		0, 5, 0, 0x21, 7, // non-final WriteTile of line 5
 		6, 0, 0, 0, 0,
 		2, 5, 1, 0, 1, // hashed: nothing recorded
-		1, 8, 1, 0x05, 9, // HostWriteRow of lines 8, 9
+		1, 8, 1, 0x05, 9, // HostWriteTile of lines 8, 9
 		2, 8, 1, 0, 1, // first input read of line 8: reused
 		4, 9, 1, 0, 1, // first weight read of line 9: hashed, no weight store wrote it
 		1, 8, 5, 0x05, 9, // HostStoreRow of lines 8, 9, 10
@@ -398,11 +396,11 @@ func TestMACMemoReusesRecordingWrites(t *testing.T) {
 		4, 9, 1, 0, 1, // both MACs: the bytes differ
 		4, 10, 0, 0x7f, 1, // line 10 under another counter: both MACs
 		2, 8, 0, 0x7f, 1, // an input read of line 8 under another counter: hashed
-		1, 11, 0, 0x05, 3, // HostWriteRow of line 11 ...
-		0, 11, 0, 0x22, 4, // ... overwritten by a non-final WriteRow
+		1, 11, 0, 0x05, 3, // HostWriteTile of line 11 ...
+		0, 11, 0, 0x22, 4, // ... overwritten by a non-final WriteTile
 		6, 0, 0, 0, 0,
 		2, 11, 1, 0, 1, // hashed: the later write dropped the record
-		0, 13, 12, 0x40, 11, // final WriteRow of line 13
+		0, 13, 12, 0x40, 11, // final WriteTile of line 13
 		6, 0, 0, 0, 0,
 		2, 13, 1, 0, 1, // reused
 		7, 0, 0, 0, 0, // Recycle

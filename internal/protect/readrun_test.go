@@ -64,7 +64,7 @@ func readRunOutcome(t *testing.T, n int, first bool, sched []byte, asRun bool) (
 	m := NewSeculatorMemory(d, 7, 9)
 	sh := m.Shard()
 	m.BeginLayer(1)
-	sh.WriteRow(addr, fmap, vn, idx, shardPattern(11), make([]byte, tensor.BlockBytes))
+	sh.WriteTile(rowTile(addr, fmap, idx, 1), vn, false, shardPattern(11), make([]byte, tensor.BlockBytes))
 	m.Merge(sh)
 	m.BeginLayer(2)
 	tap := &runTamper{d: d, n: n, sched: sched}

@@ -14,36 +14,45 @@ import (
 // owns a private clone of the CTR engine (the AES key schedule is shared and
 // immutable, the scratch is not), a private mac.RowHasher every block MAC of
 // the shard comes from — one at a time for a read, batched across a call's
-// lanes for a write — private ciphertext/plaintext staging buffers, and
-// local block and pad tallies — so two shards may encrypt and store
-// concurrently without touching shared mutable state, as long as they
-// operate on distinct lines inside the DRAM's reservation (mem.DRAM.Reserve:
-// there a line is a fixed 64-byte range of one slab, so a quiet read or
-// write shares nothing with its neighbours). The secure executor runs two
-// per inference: the memory's own (Own), which its layer loop and the
-// serial API share, and the weight loader's.
+// lanes for a write — and private ciphertext/plaintext staging buffers — so
+// two shards may encrypt and store concurrently without touching shared
+// mutable state, as long as they operate on distinct lines inside the
+// DRAM's reservation (mem.DRAM.Reserve: there a line is a fixed 64-byte
+// range of one slab, so a quiet read or write shares nothing with its
+// neighbours). The secure executor runs two per inference: the memory's own
+// (Own), which its layer loop and the serial API share, and the weight
+// loader's.
 //
 // Ownership rules (DESIGN.md §10): a shard is single-goroutine; plaintext
 // slices returned by its Read* methods alias the shard's scratch and are
 // valid only until the shard's next operation. Every block MAC a shard's
 // reads and writes owe is hashed by the shard and folded, as it is hashed,
 // straight into the memory's registers and weight fold (owe, settle): so
-// only one goroutine at a time may move blocks that owe a MAC — the reads,
-// WriteRow, WriteFinalRow and WriteTile. A write queues its blocks' MACs in
-// the hasher's lanes and hashes, records and folds every one of them before
-// it returns: no batch outlives the call that filled it. The host writes
-// and seals (HostWriteRow, HostWriteTile, HostSealRow, HostSealTile), which
-// batch their MACs the same way into the golden digest they return, and
-// HostStoreRow and PadAhead owe none. The block and pad tallies reach the
-// memory, and the DRAM's traffic counters, when the orchestrator calls
-// Merge after the shard has quiesced (the serial API merges its own shard
-// after every call).
+// only one goroutine at a time may move blocks that owe a MAC — the reads
+// and WriteTile. A tile write queues its blocks' MACs in the hasher's lanes
+// and hashes, records and folds every one of them before it returns: no
+// batch outlives the call that filled it. The host tile calls
+// (HostWriteTile, HostSealTile) batch their MACs the same way into the
+// golden digest they return, and HostStoreRow and PadAhead owe none. The
+// memory's own shard tallies its blocks and pads straight into the
+// memory's, and records each call's block moves in the DRAM's traffic
+// counters (record): it runs on the orchestrating goroutine, the only one
+// that may. Any other shard keeps its tallies, which reach the memory and
+// the traffic counters when the orchestrator calls Merge after the shard
+// has quiesced.
 type SeculatorShard struct {
 	parent *SeculatorMemory
 	engine *crypto.CTREngine
 
-	n  BlockCounts // blocks moved, merged into the memory's counts and the DRAM traffic counters
-	ks Keystreams  // pads used, merged like n
+	// n and ks are where the shard tallies the blocks it moves and the pads
+	// it uses: the memory's counts and ks for its own shard (Own), else
+	// tally, which Merge adds to the memory's.
+	n     *BlockCounts
+	ks    *Keystreams
+	tally struct {
+		n  BlockCounts
+		ks Keystreams
+	}
 
 	ct   [tensor.BlockBytes]byte
 	pt   [tensor.BlockBytes]byte
@@ -144,27 +153,32 @@ func (m *SeculatorMemory) ReserveKeystreams(n uint64) {
 	}
 }
 
-// Keystreams returns the pad tallies of every shard merged since New or Recycle.
+// Keystreams returns the pad tallies of the memory's own shard and every
+// shard merged since New or Recycle.
 func (m *SeculatorMemory) Keystreams() Keystreams { return m.ks }
 
 // Shard creates a view of the memory for one goroutine. Shards are cheap; the
 // secure executor keeps its two for the whole run.
 func (m *SeculatorMemory) Shard() *SeculatorShard {
-	return &SeculatorShard{parent: m, engine: m.engine.Clone()}
+	s := &SeculatorShard{parent: m, engine: m.engine.Clone()}
+	s.n, s.ks = &s.tally.n, &s.tally.ks
+	return s
 }
 
 // Own returns the memory's own shard, building it on first use: the one the
 // serial API moves every block through, and the secure executor's layer
-// loop. Recycle scrubs it with the memory.
+// loop. It tallies into the memory as it goes, so it has nothing to Merge.
+// Recycle scrubs it with the memory.
 func (m *SeculatorMemory) Own() *SeculatorShard {
 	if m.own == nil {
 		m.own = m.Shard()
+		m.own.n, m.own.ks = &m.counts, &m.ks
 	}
 	return m.own
 }
 
 // Recycle scrubs a shard for reuse across runs of its (recycled) parent
-// memory: block and pad counts reset, the
+// memory: its block and pad tallies reset, the
 // plaintext/ciphertext/pad staging is zeroed so no block of the previous
 // run survives in pooled scratch, and the hasher is scrubbed in place (its
 // lanes hold the last plaintext blocks it hashed; see mac.RowHasher.Scrub).
@@ -172,7 +186,7 @@ func (m *SeculatorMemory) Own() *SeculatorShard {
 // immutable key schedule, which Recycle on the parent guarantees is
 // unchanged.
 func (s *SeculatorShard) Recycle() {
-	s.n, s.ks = BlockCounts{}, Keystreams{}
+	s.tally.n, s.tally.ks = BlockCounts{}, Keystreams{}
 	clear(s.ct[:])
 	clear(s.pt[:])
 	clear(s.pad[:])
@@ -183,26 +197,35 @@ func (s *SeculatorShard) Recycle() {
 	clear(s.recs[:])
 }
 
-// Merge adds the shards' block and pad tallies to the memory's, and their
-// block moves to the DRAM's traffic counters, resetting the shards' — the
+// Merge adds a shard's block and pad tallies to the memory's, and its
+// block moves to the DRAM's traffic counters, resetting the shard's — the
 // only shard state the memory does not already hold. Must run on the
-// orchestrating goroutine after every merged shard has quiesced; nil
-// shards are skipped.
-func (m *SeculatorMemory) Merge(shards ...*SeculatorShard) {
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		m.dram.Record(sim.Read, sim.DataTraffic, s.n.Reads())
-		m.dram.Record(sim.Write, sim.DataTraffic, s.n.Writes())
-		m.counts.add(s.n)
-		m.ks = Keystreams{m.ks.Computed + s.ks.Computed, m.ks.Reused + s.ks.Reused, m.ks.Ahead + s.ks.Ahead}
-		s.n, s.ks = BlockCounts{}, Keystreams{}
+// orchestrating goroutine after the shard has quiesced; a nil shard is
+// skipped, and the memory's own has nothing to merge.
+func (m *SeculatorMemory) Merge(s *SeculatorShard) {
+	if s == nil {
+		return
+	}
+	n, ks := &s.tally.n, &s.tally.ks
+	m.dram.Record(sim.Read, sim.DataTraffic, n.Reads())
+	m.dram.Record(sim.Write, sim.DataTraffic, n.Writes())
+	m.counts.add(*n)
+	m.ks = Keystreams{m.ks.Computed + ks.Computed, m.ks.Reused + ks.Reused, m.ks.Ahead + ks.Ahead}
+	*n, *ks = BlockCounts{}, Keystreams{}
+}
+
+// record adds n blocks a call of the memory's own shard — the one that
+// tallies into the memory — moved to the DRAM's traffic counters; another
+// shard's reach them when Merge adds its tallies. It reads only the shard's
+// own fields, so a shard beside the own one shares nothing with it.
+func (s *SeculatorShard) record(kind sim.AccessKind, n int) {
+	if s.n != &s.tally.n {
+		s.parent.dram.Record(kind, sim.DataTraffic, n)
 	}
 }
 
-// BlockCounts returns the per-tensor-class block totals of every shard
-// merged since the memory was built or recycled.
+// BlockCounts returns the per-tensor-class block totals of the memory's own
+// shard and every shard merged since the memory was built or recycled.
 func (m *SeculatorMemory) BlockCounts() BlockCounts { return m.counts }
 
 // Hashing says how many block MACs the shards' reads and writes — the ones
@@ -366,6 +389,7 @@ func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn 
 		reads++
 	}
 	s.oweUnless(memo, ref, block, to, reads)
+	s.record(sim.Read, n)
 	return pt
 }
 
@@ -374,6 +398,7 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 	m := s.parent
 	pt := s.fetch(addr, m.counter(m.layer, fmapID, vn, blockIdx))
 	s.n.PartialReads++
+	s.record(sim.Read, 1)
 	s.owe(m.ref(m.layer, fmapID, vn, blockIdx), pt, toPartial, 1, nil)
 	return pt
 }
@@ -392,6 +417,7 @@ func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn i
 	k := &m.entries(addr, 1)[0]
 	ctr := m.counter(ownerLayer, fmapID, vn, blockIdx)
 	pt := s.fetch(addr, ctr)
+	s.record(sim.Read, 1)
 	if !first {
 		s.n.WeightRepeat++
 		return pt
@@ -534,26 +560,13 @@ func (s *SeculatorShard) settle(golden *mac.Digest) {
 	}
 }
 
-// WriteRow encrypts and stores n consecutive blocks of one fmap row —
-// block indices blockIdx, blockIdx+1, … at line addresses addr, addr+1, …
-// — owing each block's MAC to MAC_W (storeRow's contract).
-func (s *SeculatorShard) WriteRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
-	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, ctScratch, false)
-	s.settle(nil)
-}
-
-// WriteFinalRow is WriteRow for the row's final version in its layer, the
-// one the next layer's first reads ask for: each block's MAC is also
-// recorded in its line's memo entry as it is hashed.
-func (s *SeculatorShard) WriteFinalRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) {
-	s.writeRow(addr, fmapID, vn, blockIdx, plaintext, ctScratch, true)
-	s.settle(nil)
-}
-
-// WriteTile is WriteRow, or WriteFinalRow when final, for every row of a
-// tile of the current layer's output, its plaintext packed as Tile says;
-// ctScratch must hold a row. The tile's block MACs are hashed in batches
-// across its rows.
+// WriteTile encrypts and stores every row of a tile of the current layer's
+// output, its plaintext packed as Tile says, owing each block's MAC to MAC_W
+// (storeRow's contract); ctScratch must hold a row. The tile's block MACs
+// are hashed in batches across its rows. final marks the rows' final
+// version in their layer, the one the next layer's first reads ask for:
+// each block's MAC is then also recorded in its line's memo entry as it is
+// hashed.
 func (s *SeculatorShard) WriteTile(t Tile, vn int, final bool, plaintext, ctScratch []byte) {
 	rb := t.rowBytes(plaintext)
 	for i := 0; i < t.rows(); i++ {
@@ -561,9 +574,13 @@ func (s *SeculatorShard) WriteTile(t Tile, vn int, final bool, plaintext, ctScra
 		s.writeRow(addr, fmapID, vn, blockIdx, plaintext[i*rb:(i+1)*rb], ctScratch, final)
 	}
 	s.settle(nil)
+	s.record(sim.Write, t.Blocks())
 }
 
-// writeRow stores a row and queues its blocks' MACs; the caller settles.
+// writeRow stores a row of the current layer's output — blocks blockIdx,
+// blockIdx+1, … at lines addr, addr+1, … — and queues its blocks' MACs,
+// each to be recorded in its line's memo entry when final; the caller
+// settles and records the traffic.
 func (s *SeculatorShard) writeRow(addr uint64, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte, final bool) {
 	m := s.parent
 	n := s.storeRow(addr, m.counter(m.layer, fmapID, vn, blockIdx), plaintext, ctScratch)
@@ -580,21 +597,11 @@ func (s *SeculatorShard) writeRow(addr uint64, fmapID uint32, vn int, blockIdx u
 	s.n.OfmapWrites += n
 }
 
-// HostSealRow encrypts n consecutive host-owned blocks (model load) into
-// dst — at least len(plaintext) bytes, caller-owned like WriteRow's scratch —
-// and returns the XOR of their MACs for the caller's golden digest. It
-// stores nothing.
-func (s *SeculatorShard) HostSealRow(dst []byte, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext []byte) mac.Digest {
-	var g mac.Digest
-	s.hostSealRow(dst, ownerLayer, fmapID, vn, blockIdx, plaintext, &g)
-	s.settle(&g)
-	return g
-}
-
-// HostSealTile is HostSealRow for every row of a tile, its plaintext and
-// dst packed as Tile says, hashed in batches across the rows. It stores
-// nothing, so t.Base names no line: the residency build seals a layer's
-// weights straight into its pinned image.
+// HostSealTile encrypts every row of a tile of host-owned blocks (model
+// load) into dst, its plaintext and dst packed as Tile says, and returns
+// the XOR of their MACs, hashed in batches across the rows, for the
+// caller's golden digest. It stores nothing, so t.Base names no line: the
+// residency build seals a layer's weights straight into its pinned image.
 func (s *SeculatorShard) HostSealTile(dst []byte, t Tile, ownerLayer uint32, vn int, plaintext []byte) mac.Digest {
 	rb := t.rowBytes(plaintext)
 	var g mac.Digest
@@ -620,20 +627,12 @@ func (s *SeculatorShard) hostSealRow(dst []byte, ownerLayer, fmapID uint32, vn i
 	}
 }
 
-// HostWriteRow seals a row as HostSealRow does, through storeRow — so each
-// line's pad lands in its memo entry, and so does each block's MAC as it
-// folds into the digest — and stores it at addr, addr+1, ….
-func (s *SeculatorShard) HostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn int, blockIdx uint32, plaintext, ctScratch []byte) mac.Digest {
-	var g mac.Digest
-	s.hostWriteRow(addr, ownerLayer, fmapID, vn, blockIdx, plaintext, ctScratch, &g)
-	s.settle(&g)
-	return g
-}
-
-// HostWriteTile is HostWriteRow for every row of a tile, its plaintext
-// packed as Tile says, hashed in batches across the rows; ctScratch must
-// hold a row. The layer-0 input load uses it: its first reads fold their
-// MACs into MAC_FR, an observable register, so they take the recorded ones.
+// HostWriteTile seals a tile as HostSealTile does, through storeRow — so
+// each line's pad lands in its memo entry, and so does each block's MAC as
+// it folds into the digest — and stores it at the tile's lines; ctScratch
+// must hold a row. The layer-0 input load uses it: its first reads fold
+// their MACs into MAC_FR, an observable register, so they take the recorded
+// ones.
 func (s *SeculatorShard) HostWriteTile(t Tile, ownerLayer uint32, vn int, plaintext, ctScratch []byte) mac.Digest {
 	rb := t.rowBytes(plaintext)
 	var g mac.Digest
@@ -642,6 +641,7 @@ func (s *SeculatorShard) HostWriteTile(t Tile, ownerLayer uint32, vn int, plaint
 		s.hostWriteRow(addr, ownerLayer, fmapID, vn, blockIdx, plaintext[i*rb:(i+1)*rb], ctScratch, &g)
 	}
 	s.settle(&g)
+	s.record(sim.Write, t.Blocks())
 	return g
 }
 
@@ -660,9 +660,10 @@ func (s *SeculatorShard) hostWriteRow(addr uint64, ownerLayer, fmapID uint32, vn
 	}
 }
 
-// HostStoreRow is the weight host store: it encrypts and stores a row as
-// HostWriteRow does but hashes nothing. Each line's memo entry keeps the
-// pad, counter and ciphertext storeRow records, marked host, which is all
+// HostStoreRow is the weight host store: it encrypts and stores a row —
+// blocks blockIdx, blockIdx+1, … at lines addr, addr+1, … — as HostWriteTile
+// stores one, but hashes nothing. Each line's memo entry keeps the pad,
+// counter and ciphertext storeRow records, marked host, which is all
 // the weight check needs: a first read (ReadStatic) or the unread pass
 // (UnreadWeight) that meets these bytes under this counter owes nothing,
 // and one that does not recovers the host's plaintext from the entry. The
@@ -672,6 +673,7 @@ func (s *SeculatorShard) HostStoreRow(addr uint64, ownerLayer, fmapID uint32, vn
 	m := s.parent
 	ks := m.entries(addr, rowBlocks(plaintext, ctScratch))
 	s.n.HostWrites += s.storeRow(addr, m.counter(ownerLayer, fmapID, vn, blockIdx), plaintext, ctScratch)
+	s.record(sim.Write, len(ks))
 	for i := range ks {
 		ks[i].host = true
 	}

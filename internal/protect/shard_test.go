@@ -91,13 +91,15 @@ func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 		for s, sh := range shards {
 			fn(s, sh)
 		}
-		m.Merge(shards...)
+		for _, sh := range shards {
+			m.Merge(sh)
+		}
 	}
 
 	m.BeginLayer(1)
 	phase(func(s int, sh *SeculatorShard) {
 		for i := s; i < n; i += w {
-			sh.WriteRow(uint64(i), uint32(i%3), 1, uint32(i), shardPattern(i), sh.ct[:])
+			sh.WriteTile(rowTile(uint64(i), uint32(i%3), uint32(i), 1), 1, false, shardPattern(i), sh.ct[:])
 		}
 	})
 	m.BeginLayer(2)
@@ -113,7 +115,7 @@ func runShardedScript(t *testing.T, n, w int) (*mem.DRAM, *SeculatorMemory) {
 	})
 	phase(func(s int, sh *SeculatorShard) {
 		for i := s; i < n; i += w {
-			sh.WriteRow(uint64(n+i), 0, 2, uint32(i), shardPattern(n+i), sh.ct[:])
+			sh.WriteTile(rowTile(uint64(n+i), 0, uint32(i), 1), 2, false, shardPattern(n+i), sh.ct[:])
 		}
 	})
 	return d, m
@@ -160,7 +162,8 @@ func runLoaderBeside(t *testing.T, n int) (*mem.DRAM, *SeculatorMemory) {
 // shards interleaved by index on one goroutine (the XOR fold is
 // commutative, so the order is immaterial, and every read, whichever shard
 // wrote its line, decrypts with the pad that write left in the keystream
-// memo); the memory's serial API (its own shard, merged per call); and the
+// memo); the memory's serial API (its own shard, which tallies into the
+// memory and records its traffic per call); and the
 // serial API beside a concurrent loader-shaped shard, which must fold
 // nothing, store the lines a host seal of its rows produces, and leave its
 // pads marked ahead — the contract the secure executor's two goroutines
@@ -215,7 +218,7 @@ func TestShardedFoldsMatchSerial(t *testing.T) {
 	}
 	sealed := make([]byte, loaderRowBlocks*tensor.BlockBytes)
 	for r := 0; r < loaderRows; r++ {
-		lm.Shard().HostSealRow(sealed, 0x8001, uint32(r), 1, 0, fuzzRow(loaderRowBlocks, byte(r)))
+		lm.Shard().HostSealTile(sealed, rowTile(0, uint32(r), 0, loaderRowBlocks), 0x8001, 1, fuzzRow(loaderRowBlocks, byte(r)))
 		for b := 0; b < loaderRowBlocks; b++ {
 			a := uint64(2*n + r*loaderRowBlocks + b)
 			if !bytes.Equal(ld.Peek(a), sealed[b*tensor.BlockBytes:(b+1)*tensor.BlockBytes]) {
@@ -245,8 +248,9 @@ func TestShardedEquationOneVerifies(t *testing.T) {
 	}
 }
 
-// TestShardBatchRowMatchesBlocks: the batch WriteRow path must produce the
-// same ciphertext and the same MAC folds as per-block reference writes.
+// TestShardBatchRowMatchesBlocks: a tile of one row of several blocks must
+// produce the same ciphertext and the same MAC folds as per-block reference
+// writes.
 func TestShardBatchRowMatchesBlocks(t *testing.T) {
 	const n = 8
 	row := make([]byte, n*tensor.BlockBytes)
@@ -259,7 +263,7 @@ func TestShardBatchRowMatchesBlocks(t *testing.T) {
 	ma.BeginLayer(1)
 	sa := ma.Shard()
 	ct := make([]byte, n*tensor.BlockBytes)
-	sa.WriteRow(0, 2, 1, 0, row, ct)
+	sa.WriteTile(rowTile(0, 2, 0, n), 1, false, row, ct)
 	ma.Merge(sa)
 
 	db := shardTestDRAM(t)
@@ -298,7 +302,7 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	m := NewSeculatorMemory(d, 3, 4)
 	m.BeginLayer(1)
 	sh := m.Shard()
-	sh.WriteRow(0, 2, 1, 0, shardPattern(1), make([]byte, tensor.BlockBytes))
+	sh.WriteTile(rowTile(0, 2, 0, 1), 1, false, shardPattern(1), make([]byte, tensor.BlockBytes))
 	if reflect.DeepEqual(sh.rowh, scrubbed) {
 		t.Fatal("a used hasher compares equal to a scrubbed one: the comparison sees nothing")
 	}
@@ -320,8 +324,8 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	if sh.ct != zero || sh.pt != zero || sh.runCT != zero || sh.runPT != zero || sh.pad != zero {
 		t.Fatal("Recycle left block staging behind")
 	}
-	if sh.n != (BlockCounts{}) || sh.ks != (Keystreams{}) {
-		t.Fatalf("Recycle left block or pad counts behind: %+v, %+v", sh.n, sh.ks)
+	if *sh.n != (BlockCounts{}) || *sh.ks != (Keystreams{}) {
+		t.Fatalf("Recycle left block or pad counts behind: %+v, %+v", *sh.n, *sh.ks)
 	}
 
 	// The keystream memo holds a pad, a counter and a ciphertext per written
@@ -330,7 +334,7 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	// and keeps the capacity, and the pad tallies, the ahead share included.
 	const memoLen = 6
 	m.ReserveKeystreams(memoLen)
-	sh.WriteFinalRow(0, 2, 3, 0, make([]byte, 3*tensor.BlockBytes), make([]byte, 3*tensor.BlockBytes))
+	sh.WriteTile(rowTile(0, 2, 0, 3), 3, true, make([]byte, 3*tensor.BlockBytes), make([]byte, 3*tensor.BlockBytes))
 	if slices.ContainsFunc(m.keys[:3], func(k keystream) bool {
 		return k.pad == zero || k.ct == zero || !k.hashed || k.mac == (mac.Digest{})
 	}) {
@@ -369,12 +373,13 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 
 }
 
-// TestShardSealRowMatchesWriteRow: HostWriteRow is HostSealRow plus a store,
-// so sealing a row into a buffer yields the lines HostWriteRow puts in DRAM
-// and the same golden digest — and only the store counts as write traffic.
-// HostStoreRow, the weight load, stores the same lines and hashes nothing.
+// TestShardSealRowMatchesWriteRow: on a one-row tile, HostWriteTile is
+// HostSealTile plus a store, so sealing the row into a buffer yields the
+// lines HostWriteTile puts in DRAM and the same golden digest — and only the
+// store counts as write traffic. HostStoreRow, the weight load, stores the
+// same lines and hashes nothing.
 func TestShardSealRowMatchesWriteRow(t *testing.T) {
-	const n = 5
+	const n, idx = 5, 5
 	row := make([]byte, n*tensor.BlockBytes)
 	for i := 0; i < n; i++ {
 		copy(row[i*tensor.BlockBytes:], shardPattern(i))
@@ -385,20 +390,20 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 	sh := m.Shard()
 
 	sealed := make([]byte, len(row))
-	gs := sh.HostSealRow(sealed, 0x8001, 2, 1, 6, row)
+	gs := sh.HostSealTile(sealed, rowTile(0, 2, idx, n), 0x8001, 1, row)
 	if sh.n.Writes() != 0 || d.Lines() != 0 {
-		t.Fatalf("HostSealRow stored something: %d writes counted, %d lines in DRAM", sh.n.Writes(), d.Lines())
+		t.Fatalf("HostSealTile stored something: %d writes counted, %d lines in DRAM", sh.n.Writes(), d.Lines())
 	}
 	if bytes.Equal(sealed, row) {
-		t.Fatal("HostSealRow left plaintext in dst")
+		t.Fatal("HostSealTile left plaintext in dst")
 	}
 
-	gw := sh.HostWriteRow(4, 0x8001, 2, 1, 6, row, make([]byte, len(row)))
+	gw := sh.HostWriteTile(rowTile(4, 2, idx, n), 0x8001, 1, row, make([]byte, len(row)))
 	if gw != gs {
 		t.Fatalf("golden digest: write %x, seal %x", gw, gs)
 	}
 	if sh.n.HostWrites != n || d.Lines() != n {
-		t.Fatalf("HostWriteRow: %d writes counted, %d lines stored, want %d", sh.n.HostWrites, d.Lines(), n)
+		t.Fatalf("HostWriteTile: %d writes counted, %d lines stored, want %d", sh.n.HostWrites, d.Lines(), n)
 	}
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(d.Peek(uint64(4+i)), sealed[i*tensor.BlockBytes:(i+1)*tensor.BlockBytes]) {
@@ -408,7 +413,7 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 	// And both are the one-block host write, block for block.
 	var gb mac.Digest
 	for i := 0; i < n; i++ {
-		gb = gb.Xor(sh.HostWriteRow(uint64(10+i), 0x8001, 2, 1, uint32(6+i), shardPattern(i), make([]byte, tensor.BlockBytes)))
+		gb = gb.Xor(sh.HostWriteTile(rowTile(uint64(10+i), 2, uint32(idx+i), 1), 0x8001, 1, shardPattern(i), make([]byte, tensor.BlockBytes)))
 		if !bytes.Equal(d.Peek(uint64(10+i)), d.Peek(uint64(4+i))) {
 			t.Fatalf("line %d: row and per-block host writes differ", i)
 		}
@@ -417,7 +422,7 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 		t.Fatalf("golden digest: per-block %x, row %x", gb, gs)
 	}
 	m.ReserveKeystreams(32)
-	sh.HostStoreRow(20, 0x8001, 2, 1, 6, row, make([]byte, len(row)))
+	sh.HostStoreRow(20, 0x8001, 2, 1, idx, row, make([]byte, len(row)))
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(d.Peek(uint64(20+i)), d.Peek(uint64(4+i))) {
 			t.Fatalf("line %d: the weight store and the host write differ", i)

@@ -6,8 +6,23 @@ import (
 	"unsafe"
 
 	"seculator/internal/mac"
+	"seculator/internal/mem"
+	"seculator/internal/sim"
 	"seculator/internal/tensor"
 )
+
+// rowTile is the tile of k consecutive blocks of fmap f — block indices
+// idx, idx+1, … at lines addr, addr+1, … — as one row of k blocks when idx
+// is a multiple of k, else as k rows of one. Its fmap holds no other row it
+// could place, so Rows is 0 and Base is addr less the first row's offset.
+func rowTile(addr uint64, f, idx uint32, k int) Tile {
+	bpr := k
+	if int(idx)%k != 0 {
+		bpr = 1
+	}
+	y := int(idx) / bpr
+	return Tile{Base: addr - uint64(idx), BPR: bpr, K0: int(f), K1: int(f) + 1, Y0: y, Y1: y + k/bpr}
+}
 
 // tilePlaintext packs a tile's rows with index-unique blocks.
 func tilePlaintext(t Tile) []byte {
@@ -19,10 +34,11 @@ func tilePlaintext(t Tile) []byte {
 }
 
 // TestTileCallsMatchRows: a tile call stores, counts, records and folds
-// exactly what the same rows do one call each — the tile's MACs are only
-// hashed in batches across its rows. The tiles cover batches that fill
-// exactly, ones that end part-full on either side of the 16-lane kernel's
-// threshold, and rows of several blocks.
+// exactly what the same rows do as one-row tiles, one call each — the
+// tile's MACs are only hashed in batches across its rows. The tiles cover
+// batches that fill exactly, ones that end part-full on either side of the
+// 16-lane kernel's threshold, and rows of several blocks. A non-final tile
+// of one-block rows is also the serial WriteBlock, block by block.
 func TestTileCallsMatchRows(t *testing.T) {
 	for _, tile := range []Tile{
 		{Base: 0, Rows: 4, BPR: 1, K0: 0, K1: 4, Y0: 0, Y1: 4},  // 16: one full batch
@@ -42,19 +58,21 @@ func TestTileCallsMatchRows(t *testing.T) {
 			m.BeginLayer(1)
 			return m
 		}
-		// compare runs the tile call and the row calls on a fresh memory each.
-		rows := func(fn func(addr uint64, k, y int, row []byte)) {
+		// rows calls fn with each row of the tile as a one-row tile.
+		rows := func(fn func(addr uint64, k, y int, sub Tile, row []byte)) {
 			o := 0
 			for k := tile.K0; k < tile.K1; k++ {
 				for y := tile.Y0; y < tile.Y1; y++ {
-					fn(tile.Base+uint64((k*tile.Rows+y)*tile.BPR), k, y, pt[o:o+rb])
+					sub := tile
+					sub.K0, sub.K1, sub.Y0, sub.Y1 = k, k+1, y, y+1
+					fn(tile.Base+uint64((k*tile.Rows+y)*tile.BPR), k, y, sub, pt[o:o+rb])
 					o += rb
 				}
 			}
 		}
 		// A final or host write records each line's MAC in its memo entry.
 		recorded := func(name string, m *SeculatorMemory, layer uint32, vn int) {
-			rows(func(addr uint64, k, y int, row []byte) {
+			rows(func(addr uint64, k, y int, _ Tile, row []byte) {
 				for b := 0; b < tile.BPR; b++ {
 					ref := m.ref(layer, uint32(k), vn, uint32(y*tile.BPR+b))
 					if e := m.keys[addr+uint64(b)]; !e.hashed || e.mac != mac.BlockMAC(ref, row[b*tensor.BlockBytes:(b+1)*tensor.BlockBytes]) {
@@ -63,6 +81,7 @@ func TestTileCallsMatchRows(t *testing.T) {
 				}
 			})
 		}
+		// compare runs the tile call and the row calls on a fresh memory each.
 		compare := func(name string, tiled, rowed func(m *SeculatorMemory, sh *SeculatorShard) mac.Digest) {
 			a, b := build(), build()
 			sa, sb := a.Shard(), b.Shard()
@@ -78,6 +97,9 @@ func TestTileCallsMatchRows(t *testing.T) {
 			if a.BlockCounts() != b.BlockCounts() || a.Hashing() != b.Hashing() || a.Keystreams() != b.Keystreams() {
 				t.Fatalf("%+v %s: tallies %+v %+v %+v tiled, %+v %+v %+v row by row", tile, name,
 					a.BlockCounts(), a.Hashing(), a.Keystreams(), b.BlockCounts(), b.Hashing(), b.Keystreams())
+			}
+			if ta, tb := a.dram.Traffic(), b.dram.Traffic(); ta != tb {
+				t.Fatalf("%+v %s: traffic %+v tiled, %+v row by row", tile, name, ta, tb)
 			}
 			for l := uint64(0); l < lines; l++ {
 				if !bytes.Equal(a.dram.Peek(l), b.dram.Peek(l)) || a.keys[l] != b.keys[l] {
@@ -99,12 +121,21 @@ func TestTileCallsMatchRows(t *testing.T) {
 					return mac.Digest{}
 				},
 				func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
-					rows(func(addr uint64, k, y int, row []byte) {
-						if final {
-							sh.WriteFinalRow(addr, uint32(k), 2, uint32(y*tile.BPR), row, ct)
-						} else {
-							sh.WriteRow(addr, uint32(k), 2, uint32(y*tile.BPR), row, ct)
-						}
+					rows(func(_ uint64, _, _ int, sub Tile, row []byte) {
+						sh.WriteTile(sub, 2, final, row, ct)
+					})
+					return mac.Digest{}
+				})
+		}
+		if tile.BPR == 1 {
+			compare("WriteTile against WriteBlock",
+				func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
+					sh.WriteTile(tile, 2, false, pt, ct)
+					return mac.Digest{}
+				},
+				func(m *SeculatorMemory, _ *SeculatorShard) mac.Digest {
+					rows(func(addr uint64, k, y int, _ Tile, row []byte) {
+						m.WriteBlock(addr, uint32(k), 2, uint32(y), row)
 					})
 					return mac.Digest{}
 				})
@@ -117,8 +148,8 @@ func TestTileCallsMatchRows(t *testing.T) {
 			},
 			func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
 				var g mac.Digest
-				rows(func(addr uint64, k, y int, row []byte) {
-					g = g.Xor(sh.HostWriteRow(addr, 0, uint32(k), 1, uint32(y*tile.BPR), row, ct))
+				rows(func(_ uint64, _, _ int, sub Tile, row []byte) {
+					g = g.Xor(sh.HostWriteTile(sub, 0, 1, row, ct))
 				})
 				return g
 			})
@@ -130,14 +161,14 @@ func TestTileCallsMatchRows(t *testing.T) {
 			func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
 				var g mac.Digest
 				o := 0
-				rows(func(_ uint64, k, y int, row []byte) {
-					g = g.Xor(sh.HostSealRow(sealedRows[o:], 0x8001, uint32(k), 1, uint32(y*tile.BPR), row))
+				rows(func(_ uint64, _, _ int, sub Tile, row []byte) {
+					g = g.Xor(sh.HostSealTile(sealedRows[o:o+rb], sub, 0x8001, 1, row))
 					o += rb
 				})
 				return g
 			})
 		if !bytes.Equal(sealedTile, sealedRows) {
-			t.Fatalf("%+v: HostSealTile's ciphertext differs from HostSealRow's", tile)
+			t.Fatalf("%+v: HostSealTile's ciphertext differs from its rows'", tile)
 		}
 	}
 }
@@ -155,8 +186,8 @@ func TestTileNeedsItsBlocks(t *testing.T) {
 			sh.WriteTile(tile, 1, false, make([]byte, n*tensor.BlockBytes), make([]byte, tensor.BlockBytes))
 			return false
 		}()
-		if !panicked || d.Lines() != 0 || sh.n != (BlockCounts{}) {
-			t.Fatalf("%d blocks for a tile of 4: panicked %v, %d lines stored, counts %+v", n, panicked, d.Lines(), sh.n)
+		if !panicked || d.Lines() != 0 || *sh.n != (BlockCounts{}) {
+			t.Fatalf("%d blocks for a tile of 4: panicked %v, %d lines stored, counts %+v", n, panicked, d.Lines(), *sh.n)
 		}
 	}
 }
@@ -181,7 +212,8 @@ func holdsPlaintext(raw, pt []byte) bool {
 // TestRecycleScrubsLanes: a tile write leaves every lane of the writing
 // shard's hasher holding a block of its plaintext; the shard's Recycle —
 // and, for the memory's own shard, the memory's — leaves no word of that
-// plaintext anywhere in the hasher.
+// plaintext anywhere in the hasher. The memory's Recycle also zeroes the
+// block, pad and hashing tallies its own shard made.
 func TestRecycleScrubsLanes(t *testing.T) {
 	tile := Tile{Rows: 5, BPR: 1, K0: 0, K1: 5, Y0: 0, Y1: 5} // 25 blocks: every lane written
 	pt := tilePlaintext(tile)
@@ -206,10 +238,15 @@ func TestRecycleScrubsLanes(t *testing.T) {
 			}
 		}
 		m.Merge(sh)
+		if m.BlockCounts().OfmapWrites != tile.Blocks() || m.Keystreams().Computed != tile.Blocks() || m.Hashing().Loop != tile.Blocks() {
+			t.Fatalf("%s: tallies %+v %+v %+v before Recycle: the check below sees nothing", how, m.BlockCounts(), m.Keystreams(), m.Hashing())
+		}
 		if how == "shard" {
 			sh.Recycle()
 		} else if !m.Recycle(d, 0xabc, 0xdef) {
 			t.Fatal("Recycle refused the memory's own identity")
+		} else if m.BlockCounts() != (BlockCounts{}) || m.Keystreams() != (Keystreams{}) || m.Hashing() != (Hashing{}) {
+			t.Fatalf("after the memory's Recycle its tallies are %+v %+v %+v", m.BlockCounts(), m.Keystreams(), m.Hashing())
 		}
 		if holdsPlaintext(hasherBytes(&sh.rowh), pt) {
 			t.Fatalf("after the %s's Recycle the hasher still holds plaintext", how)
@@ -218,4 +255,51 @@ func TestRecycleScrubsLanes(t *testing.T) {
 			t.Fatalf("after the %s's Recycle the lanes still point at memo entries", how)
 		}
 	}
+}
+
+// TestOwnShardTalliesIntoMemory: the memory's own shard counts the blocks it
+// moves and the pads it uses straight into the memory, and records its
+// traffic in the DRAM's counters, as it moves them — no Merge stands between
+// a call and what the memory reports. Another shard's tallies wait for Merge.
+func TestOwnShardTalliesIntoMemory(t *testing.T) {
+	tile := Tile{Rows: 3, BPR: 2, K0: 0, K1: 2, Y0: 0, Y1: 3} // 12 blocks at lines 0–11
+	const lines = 16
+	m, d := newSecMem(t)
+	d.Reserve(lines)
+	m.ReserveKeystreams(lines)
+	m.BeginLayer(1)
+	sh := m.Own()
+	sh.WriteTile(tile, 1, true, tilePlaintext(tile), make([]byte, 2*tensor.BlockBytes))
+	m.BeginLayer(2)
+	sh.ReadInputRun(0, 1, 0, 1, 0, true, 3) // one pad, reused; three reads
+	sh.ReadInput(1, 1, 0, 1, 1, true)
+
+	moved := BlockCounts{OfmapWrites: 12, IfmapFirst: 2, IfmapRepeat: 2}
+	var traffic mem.TrafficStats
+	traffic.ReadBlocks[sim.DataTraffic], traffic.WriteBlocks[sim.DataTraffic] = 4, 12
+	pads := Keystreams{Computed: 12, Reused: 2}
+	check := func(when string) {
+		t.Helper()
+		if got := m.BlockCounts(); got != moved {
+			t.Fatalf("%s: block counts %+v, want %+v", when, got, moved)
+		}
+		if got := m.Keystreams(); got != pads {
+			t.Fatalf("%s: pads %+v, want %+v", when, got, pads)
+		}
+		if got := d.Traffic(); got != traffic {
+			t.Fatalf("%s: traffic %+v, want %+v", when, got, traffic)
+		}
+	}
+	check("the own shard, unmerged")
+
+	other := m.Shard()
+	other.HostWriteTile(rowTile(12, 0, 0, 4), 0, 1, tilePlaintext(rowTile(12, 0, 0, 4)), make([]byte, 4*tensor.BlockBytes))
+	check("another shard, unmerged")
+	m.Merge(other)
+	moved.HostWrites += 4
+	traffic.WriteBlocks[sim.DataTraffic] += 4
+	pads.Computed += 4
+	check("another shard, merged")
+	m.Merge(m.Own())
+	check("the own shard, merged")
 }

@@ -346,7 +346,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	case !overlap:
 		x.loadAllWeights(rt, states, weights)
 	}
-	x.hook(rt, -1, dram)
+	x.hook(-1, dram)
 
 	var stats resilience.Stats
 	producer := inputLayout
@@ -403,7 +403,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		if x.OnLayerMACs != nil {
 			x.OnLayerMACs(i, sm.RegisterSnapshot())
 		}
-		x.hook(rt, i, dram)
+		x.hook(i, dram)
 	}
 
 	// The final layer's W register is the output MAC the host verifies
@@ -427,7 +427,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	if x.OnLayerMACs != nil {
 		x.OnLayerMACs(len(states), sm.RegisterSnapshot())
 	}
-	rt.drain() // joins the loader, then merges both shards' block and pad tallies
+	rt.drain() // joins the loader, then merges its shard's block and pad tallies
 	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states), Blocks: dram.Lines(),
 		Counts: sm.BlockCounts(), Hashing: sm.Hashing(), Keystream: sm.Keystreams(), Recovery: stats}, nil
 }
@@ -486,11 +486,10 @@ func (x *Executor) recoverLoop(ctx context.Context, attempt func(restart bool) e
 	}
 }
 
-// hook runs the attacker hook, if any, once the loop shard's block moves
-// have reached the DRAM's traffic counters it may read.
-func (x *Executor) hook(rt *inferRuntime, phase int, d *mem.DRAM) {
+// hook runs the attacker hook, if any; the loop shard has recorded its
+// block moves in the DRAM's traffic counters as it made them.
+func (x *Executor) hook(phase int, d *mem.DRAM) {
 	if x.AfterPhase != nil {
-		rt.sm.Merge(rt.sh)
 		x.AfterPhase(phase, d)
 	}
 }

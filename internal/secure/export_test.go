@@ -83,7 +83,7 @@ func UnitVNs(x *Executor, net workload.Network) (writes, partials int, err error
 // FinalWrites returns, per layer of net as x maps and lays it out, how many
 // writes each line of the layer's output activation region gets from one
 // pass of the layer's tile-event stream — all, and the final-version ones
-// writeOfmapTile makes through WriteFinalRow, by the same VN draw,
+// writeOfmapTile makes as WriteTile's final rows, by the same VN draw,
 // finalWrite and ofmapRows. A layer attempt is one such pass.
 func FinalWrites(x *Executor, net workload.Network) (final, all [][]int, err error) {
 	err = walkLayers(x, net, func(i int, r *layerRun, e dataflow.Event, vn int) {

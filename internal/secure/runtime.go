@@ -134,7 +134,7 @@ func (rt *inferRuntime) awaitLayer() {
 
 // drain joins the loader, if one runs — called on every exit from Run, so
 // no goroutine touches the run's DRAM after Run returns or after the state
-// is parked — and only then merges both shards' block and pad tallies: the
+// is parked — and only then merges its shard's block and pad tallies: the
 // loader counts writes for the whole run, and Merge is orchestrator-only.
 func (rt *inferRuntime) drain() {
 	p := &rt.preload
@@ -145,7 +145,7 @@ func (rt *inferRuntime) drain() {
 		p.ready, p.panicVal = nil, nil
 		p.stop.Store(false)
 	}
-	rt.sm.Merge(rt.sh, p.sh)
+	rt.sm.Merge(p.sh)
 }
 
 // ---- per-layer slab accessors ----

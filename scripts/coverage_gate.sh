@@ -37,6 +37,7 @@
 # fuzz targets came with the one refusal renderer: serve reads 92.3% (91.3%
 # before) and the gateway 90.2 - 90.3% (87.3%), so their floors rise from
 # 85.0 and 84.5 to 91.8 and 89.7.
+# To find the blocks that make a package's reading vary: scripts/coverdiff.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
