@@ -47,7 +47,7 @@ type InferenceOptions struct {
 	// functional read/write paths.
 	Injector FaultInjector
 	// Retry overrides the layer-level recovery policy; the zero value uses
-	// DefaultRetryPolicy().
+	// DefaultRetryPolicy() and NoRetryPolicy() disables recovery.
 	Retry RetryPolicy
 }
 

@@ -103,7 +103,7 @@ type Campaign struct {
 	Designs []protect.Design
 	Trials  int // independent seeded trials per point
 	Seed    int64
-	Retry   resilience.Policy // Seculator's recovery policy
+	Retry   resilience.Policy // Seculator's recovery policy; zero means resilience.DefaultPolicy()
 
 	// Network and model seed for the Seculator executor trials; the zero
 	// value uses a small two-conv network.

@@ -78,7 +78,8 @@ type SessionOptions struct {
 	Weights []*nn.Weights
 
 	// Retry is the recovery policy of the functional execution; the zero
-	// policy uses resilience.DefaultPolicy().
+	// policy uses resilience.DefaultPolicy() and resilience.Disabled()
+	// disables recovery.
 	Retry resilience.Policy
 
 	// Injector, when non-nil, attaches a fault injector to the functional

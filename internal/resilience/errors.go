@@ -24,6 +24,10 @@
 //     Recover: a programmer error surfaced as an error instead of taking
 //     down the host process. Never retryable.
 //
+// Policy bounds how many times the loop re-executes a failed layer; the
+// retries run back to back. Backoff is the exponential schedule the
+// serving tier paces its breakers and clients by.
+//
 // Error classification rule: errors.Is/As work through every type here, so
 // callers match either the concrete class (resilience.IntegrityError) or the
 // wrapped sentinel (mac.ErrIntegrity, host channel errors).

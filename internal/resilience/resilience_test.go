@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -68,39 +67,28 @@ func TestRetryable(t *testing.T) {
 }
 
 func TestPolicyBackoff(t *testing.T) {
-	p := Policy{MaxRetries: 5, Base: time.Millisecond, Max: 4 * time.Millisecond}
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond}
 	for i, w := range want {
-		if got := p.BackoffFor(i + 1); got != w {
-			t.Errorf("BackoffFor(%d) = %v, want %v", i+1, got, w)
+		if got := Backoff(time.Millisecond, 4*time.Millisecond, i+1); got != w {
+			t.Errorf("Backoff(1ms, 4ms, %d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if Disabled().BackoffFor(1) != 0 {
-		t.Fatal("disabled policy must not back off")
+	if Backoff(0, 0, 1) != 0 {
+		t.Fatal("a zero base must not back off")
 	}
 }
 
 // TestPolicyBackoffUncappedSaturates: with no cap the doubling must stop at
-// the longest wait, not wrap — 100 µs doubled 47 times overflows an int64 of
-// nanoseconds, and a zero or negative backoff makes Wait not wait at all.
+// the longest wait, not wrap — 100 µs doubled 47 times overflows an int64
+// of nanoseconds.
 func TestPolicyBackoffUncappedSaturates(t *testing.T) {
-	p := Policy{MaxRetries: 1000, Base: 100 * time.Microsecond}
 	var prev time.Duration
 	for _, attempt := range []int{1, 47, 48, 64, 1000} {
-		got := p.BackoffFor(attempt)
+		got := Backoff(100*time.Microsecond, 0, attempt)
 		if got <= 0 || got < prev {
-			t.Fatalf("BackoffFor(%d) = %v after %v: want a positive, non-decreasing wait", attempt, got, prev)
+			t.Fatalf("Backoff(100µs, 0, %d) = %v after %v: want a positive, non-decreasing wait", attempt, got, prev)
 		}
 		prev = got
-	}
-}
-
-func TestPolicyWaitCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := Policy{MaxRetries: 1, Base: time.Hour}
-	if err := p.Wait(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait on cancelled context = %v, want context.Canceled", err)
 	}
 }
 

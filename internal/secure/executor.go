@@ -123,8 +123,8 @@ type Executor struct {
 	// Retry bounds the layer-level detect-and-recover loop: on an
 	// integrity-check failure the executor re-fetches the layer's working
 	// set, re-derives its VN sequence, and re-executes the layer up to
-	// MaxRetries times with exponential backoff. The zero policy disables
-	// recovery (every detection is terminal).
+	// MaxRetries times, back to back. The zero policy disables recovery
+	// (every detection is terminal).
 	Retry resilience.Policy
 
 	// Residency, when non-nil, attaches the run to a pinned
@@ -451,10 +451,11 @@ func classify(err error, layer int, class resilience.TensorClass) error {
 }
 
 // recoverLoop drives one layer (or the readout epoch) through the bounded
-// detect-and-recover policy: retry transient integrity failures with
-// backoff; classify survivors as persistent, latch the breach, and — on the
-// versioned activation/output path — promote them to freshness violations,
-// the signature of replay or splice tampering that re-fetching cannot fix.
+// detect-and-recover policy: retry transient integrity failures at once,
+// unless ctx is done; classify survivors as persistent, latch the breach,
+// and — on the versioned activation/output path — promote them to
+// freshness violations, the signature of replay or splice tampering that
+// re-fetching cannot fix.
 func (x *Executor) recoverLoop(ctx context.Context, attempt func(restart bool) error, stats *resilience.Stats) error {
 	for try := 0; ; try++ {
 		err := attempt(try > 0)
@@ -479,10 +480,10 @@ func (x *Executor) recoverLoop(ctx context.Context, attempt func(restart bool) e
 			}
 			return err
 		}
-		stats.Retries++
-		if werr := x.Retry.Wait(ctx, try+1); werr != nil {
-			return werr
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
+		stats.Retries++
 	}
 }
 

@@ -300,3 +300,34 @@ func TestRunCancelled(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
+
+// TestRunCancelledDuringRecovery: retries run back to back, so ctx is the
+// only thing that can stop a recovery short. A hook that flips a bit of the
+// final output after the last layer and cancels the run makes the readout's
+// check fail; the run must return the context's error instead of
+// re-reading, and latch no breach.
+func TestRunCancelledDuringRecovery(t *testing.T) {
+	net := twoConvNet()
+	in, ws := nn.RandomModel(net, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var final secure.Region
+	x := secure.NewExecutor()
+	x.OnPlan = func(pi secure.PlanInfo) { final = pi.Final() }
+	x.AfterPhase = func(phase int, d *mem.DRAM) {
+		if phase == len(net.Layers)-1 {
+			if !d.Tamper(final.Base, 0, 0x01) {
+				t.Error("final output block not written")
+			}
+			cancel()
+		}
+	}
+	res, err := x.Run(ctx, net, in, ws)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if res.Recovery.Retries > 1 || res.Recovery.Persistent != 0 || res.Recovery.Breached {
+		t.Fatalf("recovery stats %+v: want the run stopped before a further attempt", res.Recovery)
+	}
+}

@@ -242,7 +242,7 @@ func (b *Breaker) Release(probe bool) {
 
 // open transitions to Open with the escalated hold. Caller holds b.mu.
 func (b *Breaker) open(now time.Time) {
-	hold := resilience.Policy{Base: b.cfg.OpenFor, Max: b.cfg.MaxOpenFor}.BackoffFor(int(b.opensRow) + 1)
+	hold := resilience.Backoff(b.cfg.OpenFor, b.cfg.MaxOpenFor, int(b.opensRow)+1)
 	b.state = BreakerOpen
 	b.until = now.Add(hold)
 	b.opens++

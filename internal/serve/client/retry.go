@@ -112,7 +112,7 @@ func retryAfterHint(err error) time.Duration {
 // delay computes the attempt's backoff: doubled base capped at max,
 // jittered, floored at the server hint.
 func (r retrier) delay(attempt int, hint time.Duration) time.Duration {
-	d := resilience.Policy{Base: r.policy.BaseDelay, Max: r.policy.MaxDelay}.BackoffFor(attempt + 1)
+	d := resilience.Backoff(r.policy.BaseDelay, r.policy.MaxDelay, attempt+1)
 	r.mu.Lock()
 	f := 1 + r.policy.Jitter*(2*r.rng.Float64()-1)
 	r.mu.Unlock()

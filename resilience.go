@@ -43,11 +43,11 @@ const (
 func Retryable(err error) bool { return resilience.Retryable(err) }
 
 // RetryPolicy bounds the layer-level detect-and-recover loop: maximum
-// re-executions per layer and the exponential backoff between them.
+// re-executions per layer. Retries run back to back; none waits on a clock.
 type RetryPolicy = resilience.Policy
 
 // DefaultRetryPolicy returns the executor's default recovery policy
-// (3 retries, 100µs base backoff, 5ms cap).
+// (3 retries).
 func DefaultRetryPolicy() RetryPolicy { return resilience.DefaultPolicy() }
 
 // NoRetryPolicy disables layer-level recovery: the first violation aborts.
