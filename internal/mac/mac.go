@@ -112,7 +112,7 @@ func BlockMAC(ref BlockRef, data []byte) Digest {
 
 // paddedBlock is the MAC message of one whole 64-byte block, P‖L‖F‖VN‖I‖B
 // in its first 88 bytes, followed by the SHA-256 padding sumPadded (or
-// RowHasher.Add) writes: 0x80, zeros, and the message's bit length 704 in
+// RowHasher.Slot) writes: 0x80, zeros, and the message's bit length 704 in
 // the last eight bytes.
 type paddedBlock [2 * sha256.BlockSize]byte
 

@@ -101,7 +101,7 @@ func TestSeculatorMemoryGoldenHelpers(t *testing.T) {
 	}
 	sh := sm.Shard()
 	row := slices.Concat(blocks...)
-	if g := sh.HostWriteTile(rowTile(200, 5, 0, 2), 0, 1, row, make([]byte, len(row))); g != want {
+	if g := sh.HostWriteTile(rowTile(200, 5, 0, 2), 0, 1, packed(rowTile(200, 5, 0, 2), row)); g != want {
 		t.Fatal("HostWriteTile's golden digest is not the fold of BlockDigest")
 	}
 	sm.BeginLayer(1)
@@ -112,9 +112,9 @@ func TestSeculatorMemoryGoldenHelpers(t *testing.T) {
 	}
 
 	for name, op := range map[string]func(){
-		"HostStoreRow": func() { sh.HostStoreRow(100, 0x8001, 5, 1, 0, row, make([]byte, len(row))) },
-		"ReadStatic":   func() { sh.ReadStatic(100, 0x8001, 5, 1, 0, true) },
-		"UnreadWeight": func() { sm.UnreadWeight(100, 0x8001, 5, 1, 0, blocks[0]) },
+		"HostStoreRow": func() { sh.HostStoreRow(100, 0x8001, 5, 1, 0, 2, ints(row)) },
+		"ReadStatic":   func() { sh.ReadStatic(100, 0x8001, 5, 1, 0, true, nil) },
+		"UnreadWeight": func() { sm.UnreadWeight(100, 0x8001, 5, 1, 0, ints(blocks[0])) },
 	} {
 		func() {
 			defer func() {
@@ -127,30 +127,30 @@ func TestSeculatorMemoryGoldenHelpers(t *testing.T) {
 	}
 
 	sm.ReserveKeystreams(128)
-	sh.HostStoreRow(100, 0x8001, 5, 1, 0, row, make([]byte, len(row)))
-	if pt := sh.ReadStatic(100, 0x8001, 5, 1, 0, true); !bytes.Equal(pt, blocks[0]) {
+	sh.HostStoreRow(100, 0x8001, 5, 1, 0, 2, ints(row))
+	if pt := readStatic(sh, 100, 0x8001, 5, 1, 0); !bytes.Equal(pt, blocks[0]) {
 		t.Fatal("ReadStatic plaintext mismatch")
 	}
 	sm.Merge(sh)
 	if sm.WeightDigest() != (mac.Digest{}) || sm.Hashing().Reused != 1 {
 		t.Fatalf("a first weight read of the host's bytes folded %v, %d reused", sm.WeightDigest(), sm.Hashing().Reused)
 	}
-	if g := sm.UnreadWeight(101, 0x8001, 5, 1, 1, blocks[1]); g != (mac.Digest{}) {
+	if g := sm.UnreadWeight(101, 0x8001, 5, 1, 1, ints(blocks[1])); g != (mac.Digest{}) {
 		t.Fatal("the unread pass owes a term for the host's own plaintext")
 	}
 	other := plainBlock(9)
 	host, fake := sm.BlockDigest(0x8001, 5, 1, 1, blocks[1]), sm.BlockDigest(0x8001, 5, 1, 1, other)
-	if g := sm.UnreadWeight(101, 0x8001, 5, 1, 1, other); g != host.Xor(fake) {
+	if g := sm.UnreadWeight(101, 0x8001, 5, 1, 1, ints(other)); g != host.Xor(fake) {
 		t.Fatal("the unread pass's term for another plaintext is not the difference of the two BlockDigests")
 	}
 	// A line no weight host store wrote owes the stand-in's MAC alone.
 	sm.BeginLayer(2)
 	sm.WriteBlock(102, 5, 1, 2, other)
-	if g := sm.UnreadWeight(102, 0x8001, 5, 1, 2, other); g != sm.BlockDigest(0x8001, 5, 1, 2, other) {
+	if g := sm.UnreadWeight(102, 0x8001, 5, 1, 2, ints(other)); g != sm.BlockDigest(0x8001, 5, 1, 2, other) {
 		t.Fatal("the unread pass owes a host term for a line no weight host store wrote")
 	}
 	d.Tamper(101, 3, 0x10)
-	pt := bytes.Clone(sh.ReadStatic(101, 0x8001, 5, 1, 1, true))
+	pt := readStatic(sh, 101, 0x8001, 5, 1, 1)
 	sm.Merge(sh)
 	if sm.WeightDigest() != host.Xor(sm.BlockDigest(0x8001, 5, 1, 1, pt)) {
 		t.Fatal("a tampered first weight read folded something other than the difference of the two BlockDigests")
@@ -175,7 +175,7 @@ func TestSeculatorMemoryMustStart(t *testing.T) {
 	for name, use := range map[string]func(sm *SeculatorMemory){
 		"WriteBlock": func(sm *SeculatorMemory) { sm.WriteBlock(0, 0, 1, 0, plainBlock(0)) },
 		"shard WriteTile": func(sm *SeculatorMemory) {
-			sm.Shard().WriteTile(rowTile(0, 0, 0, 1), 1, false, plainBlock(0), make([]byte, tensor.BlockBytes))
+			sm.Shard().WriteTile(rowTile(0, 0, 0, 1), 1, false, packed(rowTile(0, 0, 0, 1), plainBlock(0)))
 		},
 	} {
 		sm, _ := newSecMem(t)
@@ -190,41 +190,51 @@ func TestSeculatorMemoryMustStart(t *testing.T) {
 	}
 }
 
-// TestRowsMustBeWholeBlocks: every write path takes whole 64-byte blocks and
-// panics on anything else, rather than storing and MACing the whole blocks
-// of a short row and dropping its tail; WriteBlock takes exactly one. Each
-// tile call is given the one-row tile of as many whole blocks as pt holds.
+// TestRowsMustBeWholeBlocks: every write path stores whole 64-byte blocks.
+// A tile call packs each row's values sixteen a block, zero-padding the
+// last, and panics on a row of more values than its blocks hold, rather
+// than storing and MACing the blocks and dropping the row's tail; so does
+// the weight store. WriteBlock, the byte API, takes exactly one block. Each
+// call is given a row of two blocks.
 func TestRowsMustBeWholeBlocks(t *testing.T) {
-	row := func(pt []byte) Tile { return Tile{Rows: 1, BPR: len(pt) / tensor.BlockBytes, K1: 1, Y1: 1} }
-	writes := map[string]func(sm *SeculatorMemory, sh *SeculatorShard, pt []byte){
-		"WriteBlock": func(sm *SeculatorMemory, _ *SeculatorShard, pt []byte) { sm.WriteBlock(0, 0, 1, 0, pt) },
-		"WriteTile": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
-			sh.WriteTile(row(pt), 1, false, pt, make([]byte, 2*tensor.BlockBytes))
+	row := Tile{Rows: 1, BPR: 2, K1: 1, Y1: 1}
+	values := func(n int) RowValues { return func(int, int) []int32 { return make([]int32, n) } }
+	writes := map[string]func(sm *SeculatorMemory, sh *SeculatorShard, n int){
+		"WriteBlock": func(sm *SeculatorMemory, _ *SeculatorShard, n int) { sm.WriteBlock(0, 0, 1, 0, make([]byte, 4*n)) },
+		"WriteTile": func(_ *SeculatorMemory, sh *SeculatorShard, n int) {
+			sh.WriteTile(row, 1, false, values(n))
 		},
-		"HostWriteTile": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
-			sh.HostWriteTile(row(pt), 0, 1, pt, make([]byte, 2*tensor.BlockBytes))
+		"HostWriteTile": func(_ *SeculatorMemory, sh *SeculatorShard, n int) {
+			sh.HostWriteTile(row, 0, 1, values(n))
 		},
-		"HostSealTile": func(_ *SeculatorMemory, sh *SeculatorShard, pt []byte) {
-			sh.HostSealTile(make([]byte, 2*tensor.BlockBytes), row(pt), 0, 1, pt)
+		"HostSealTile": func(_ *SeculatorMemory, sh *SeculatorShard, n int) {
+			sh.HostSealTile(make([]byte, 2*tensor.BlockBytes), make([]byte, 2*tensor.BlockBytes), row, 0, 1, values(n))
+		},
+		"HostStoreRow": func(sm *SeculatorMemory, sh *SeculatorShard, n int) {
+			sm.ReserveKeystreams(4)
+			sh.HostStoreRow(0, 0x8001, 0, 1, 0, 2, make([]int32, n))
 		},
 	}
 	for name, write := range writes {
-		for _, n := range []int{0, 63, 100, 64, 128} {
+		for _, n := range []int{0, 15, 16, 25, 32, 33} {
 			sm, d := newSecMem(t)
 			sm.BeginLayer(1)
 			sh := sm.Shard()
 			panicked := func() (p bool) {
 				defer func() { p = recover() != nil }()
-				write(sm, sh, make([]byte, n))
+				write(sm, sh, n)
 				return false
 			}()
-			// WriteBlock takes one block: its ciphertext room is one line.
-			want := n == 0 || n%tensor.BlockBytes != 0 || (name == "WriteBlock" && n != tensor.BlockBytes)
+			// Two blocks take up to 32 values; WriteBlock takes 16 values' bytes.
+			want := n > 2*intsPerBlock
+			if name == "WriteBlock" {
+				want = n != intsPerBlock
+			}
 			if panicked != want {
-				t.Errorf("%s of %d bytes: panicked %v, want %v", name, n, panicked, want)
+				t.Errorf("%s of %d values: panicked %v, want %v", name, n, panicked, want)
 			}
 			if sm.Merge(sh); panicked && (d.Lines() != 0 || sm.BlockCounts() != (BlockCounts{}) || sm.RegisterSnapshot() != (RegisterState{})) {
-				t.Errorf("%s of %d bytes stored, counted or folded something before panicking", name, n)
+				t.Errorf("%s of %d values stored, counted or folded something before panicking", name, n)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ const (
 )
 
 // memoArm is one side of the differential: a memory, its one shard, its DRAM
-// and injector, row staging, and the line its last Snapshot op captured. The
+// and injector, and the line its last Snapshot op captured. The
 // reference arm also runs the weight ops through rm and keeps the model's
 // tallies of them, since the last Recycle (weights since the last layer
 // began): the weight fold, the block counts and pads they add and the MACs
@@ -40,7 +40,6 @@ type memoArm struct {
 	m    *SeculatorMemory
 	sh   *SeculatorShard
 	tap  *runTamper
-	ct   []byte
 	snap []byte
 
 	rm      *refMemory
@@ -59,7 +58,7 @@ func newMemoArm(t *testing.T, memo bool, sched []byte) *memoArm {
 		m.ReserveKeystreams(memoLines)
 	}
 	a := &memoArm{d: d, m: m, sh: m.Shard(), tap: &runTamper{d: d, n: 256, sched: sched},
-		ct: make([]byte, 3*tensor.BlockBytes), rm: newRefMemory(d, 7, 9)}
+		rm: newRefMemory(d, 7, 9)}
 	d.SetInjector(a.tap)
 	m.BeginLayer(1)
 	return a
@@ -168,8 +167,8 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 					wasted += ahead
 				}
 			}
+			tile := rowTile(addr, wc.Fmap, wc.Block, k)
 			for i, arm := range arms {
-				ct := arm.ct[:k*tensor.BlockBytes]
 				switch {
 				case host && i == 1:
 					for j := 0; j < k; j++ {
@@ -179,17 +178,17 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 					arm.extra.HostWrites += k
 					refPads = k
 				case host:
-					arm.sh.HostStoreRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, row, ct)
+					arm.sh.HostStoreRow(addr, wc.Layer, wc.Fmap, int(wc.VN), wc.Block, k, ints(row))
 				case op == 1:
-					g := arm.sh.HostWriteTile(rowTile(addr, wc.Fmap, wc.Block, k), wc.Layer, int(wc.VN), row, ct)
+					g := arm.sh.HostWriteTile(tile, wc.Layer, int(wc.VN), packed(tile, row))
 					got[i] = g[:]
 				default:
-					arm.sh.WriteTile(rowTile(addr, wc.Fmap, wc.Block, k), int(wc.VN), a&4 != 0, row, ct)
+					arm.sh.WriteTile(tile, int(wc.VN), a&4 != 0, packed(tile, row))
 				}
 			}
 			for i := 0; i < k; i++ {
 				lw := lineWrite{ctr: wc, recorded: op == 1 && !host || op == 0 && a&4 != 0}
-				copy(lw.ct[:], memo.d.Peek(addr+uint64(i))) // a tile's staging holds one row
+				copy(lw.ct[:], memo.d.Peek(addr+uint64(i)))
 				if host {
 					lw.host = (*[tensor.BlockBytes]byte)(row[i*tensor.BlockBytes:])
 				}
@@ -198,20 +197,25 @@ func checkKeystreamMemo(t *testing.T, ops, sched []byte) (reused int) {
 			}
 		case 2:
 			for i, arm := range arms {
-				got[i] = bytes.Clone(arm.sh.ReadInputRun(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, c&1 != 0, 1+int(c>>1)%4))
+				got[i] = readRun(arm.sh, addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, c&1 != 0, 1+int(c>>1)%4)
 			}
 		case 3:
 			for i, arm := range arms {
-				got[i] = bytes.Clone(arm.sh.ReadPartial(addr, ctr.Fmap, int(ctr.VN), ctr.Block))
+				got[i] = readPartial(arm.sh, addr, ctr.Fmap, int(ctr.VN), ctr.Block)
 			}
 		case 4:
-			got[0] = bytes.Clone(memo.sh.ReadStatic(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, c&1 != 0))
 			pt, d := ref.rm.read(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block)
 			got[1], refPads = pt, 1
 			if c&1 == 0 {
+				// A repeat decodes nothing: it reports whether the line decodes
+				// to the values it is given, here the reference's.
+				if memo.sh.ReadStatic(addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block, false, ints(pt)) {
+					got[0] = pt
+				}
 				ref.extra.WeightRepeat++
 				break
 			}
+			got[0] = readStatic(memo.sh, addr, ctr.Layer, ctr.Fmap, int(ctr.VN), ctr.Block)
 			ref.extra.WeightFirst++
 			ref.macs++
 			if written && w.host != nil {
@@ -356,13 +360,13 @@ func FuzzKeystreamMemo(f *testing.F) {
 // computes one pad per written block and the reference one per pad used.
 func TestKeystreamMemoReusesWrites(t *testing.T) {
 	arm := newMemoArm(t, true, nil)
-	arm.sh.WriteTile(rowTile(0, 2, 0, 3), 1, false, fuzzRow(3, 9), arm.ct)
+	arm.sh.WriteTile(rowTile(0, 2, 0, 3), 1, false, packed(rowTile(0, 2, 0, 3), fuzzRow(3, 9)))
 	for i := uint64(0); i < 3; i++ {
-		arm.sh.ReadStatic(i, 1, 2, 1, uint32(i), true)
-		arm.sh.ReadPartial(i, 2, 1, uint32(i))
+		arm.sh.ReadStatic(i, 1, 2, 1, uint32(i), true, nil)
+		arm.sh.ReadPartial(i, 2, 1, uint32(i), nil)
 	}
-	arm.sh.ReadInputRun(1, 1, 2, 1, 1, true, 4)
-	arm.sh.ReadStatic(1, 1, 2, 2, 1, false) // another VN: computed
+	arm.sh.ReadInputRun(1, 1, 2, 1, 1, true, 4, nil)
+	arm.sh.ReadStatic(1, 1, 2, 2, 1, false, nil) // another VN: computed
 	arm.m.Merge(arm.sh)
 	if got, want := arm.m.Keystreams(), (Keystreams{Computed: 4, Reused: 7}); got != want {
 		t.Fatalf("pads %+v, want %+v", got, want)

@@ -43,13 +43,15 @@ func (p *runTamper) OnRead(addr uint64, data []byte) {
 func (p *runTamper) OnWrite(uint64, []byte) {}
 
 // runOutcome is everything a run of reads leaves behind that anything can
-// observe.
+// observe, and what it cost.
 type runOutcome struct {
 	regs    RegisterState
 	counts  BlockCounts
 	traffic mem.TrafficStats
 	pt      []byte // the first read's plaintext
 	log     [][2]uint64
+	hashing Hashing
+	pads    Keystreams
 }
 
 // readRunOutcome writes one block as layer 1, then reads it n times as layer
@@ -64,7 +66,7 @@ func readRunOutcome(t *testing.T, n int, first bool, sched []byte, asRun bool) (
 	m := NewSeculatorMemory(d, 7, 9)
 	sh := m.Shard()
 	m.BeginLayer(1)
-	sh.WriteTile(rowTile(addr, fmap, idx, 1), vn, false, shardPattern(11), make([]byte, tensor.BlockBytes))
+	sh.WriteTile(rowTile(addr, fmap, idx, 1), vn, false, packed(rowTile(addr, fmap, idx, 1), shardPattern(11)))
 	m.Merge(sh)
 	m.BeginLayer(2)
 	tap := &runTamper{d: d, n: n, sched: sched}
@@ -72,17 +74,17 @@ func readRunOutcome(t *testing.T, n int, first bool, sched []byte, asRun bool) (
 
 	var pt []byte
 	if asRun {
-		pt = slices.Clone(sh.ReadInputRun(addr, 1, fmap, vn, idx, first, n))
+		pt = readRun(sh, addr, 1, fmap, vn, idx, first, n)
 	} else {
 		for i := 0; i < n; i++ {
-			got := sh.ReadInput(addr, 1, fmap, vn, idx, first && i == 0)
+			got := readRun(sh, addr, 1, fmap, vn, idx, first && i == 0, 1)
 			if i == 0 {
-				pt = slices.Clone(got)
+				pt = got
 			}
 		}
 	}
 	m.Merge(sh)
-	return runOutcome{m.RegisterSnapshot(), m.BlockCounts(), d.Traffic(), pt, tap.log}, sh
+	return runOutcome{m.RegisterSnapshot(), m.BlockCounts(), d.Traffic(), pt, tap.log, m.Hashing(), m.Keystreams()}, sh
 }
 
 // checkReadInputRun is the differential: ReadInputRun(…, first, n) and n
@@ -134,16 +136,18 @@ func TestReadInputRunMatchesReads(t *testing.T) {
 }
 
 // TestReadInputRunSkipsUnchangedLines is the other half: the run is cheaper
-// only because an unchanged line is not decrypted again. The aside plaintext
-// is written exactly when a re-read differs, so it shows which path ran.
+// only because an unchanged line is not decrypted again. With no memo, a
+// re-read that differs from the read before it costs a pad and a MAC, and
+// one that does not costs neither, so the tallies show which path ran.
 func TestReadInputRunSkipsUnchangedLines(t *testing.T) {
-	_, sh := readRunOutcome(t, 6, true, nil, true)
-	if sh.runPT != [tensor.BlockBytes]byte{} {
-		t.Fatal("six reads of an untouched line decrypted a re-read")
+	// The write before the reads computed one pad and hashed one MAC.
+	clean, _ := readRunOutcome(t, 6, true, nil, true)
+	if clean.hashing.Loop != 1+1 || clean.pads.Computed != 1+1 {
+		t.Fatalf("six reads of an untouched line: %+v, %+v; a re-read was decrypted", clean.hashing, clean.pads)
 	}
-	_, sh = readRunOutcome(t, 6, true, []byte{0, 3, 0x40}, true)
-	if sh.runPT == [tensor.BlockBytes]byte{} {
-		t.Fatal("a re-read that differs from the read before it was not decrypted")
+	flipped, _ := readRunOutcome(t, 6, true, []byte{0, 3, 0x40}, true)
+	if flipped.hashing.Loop != 1+2 || flipped.pads.Computed != 1+2 {
+		t.Fatalf("a flipped first read: %+v, %+v; the re-read that differs was not decrypted", flipped.hashing, flipped.pads)
 	}
 }
 

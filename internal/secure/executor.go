@@ -24,7 +24,6 @@ package secure
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -41,9 +40,6 @@ import (
 	"seculator/internal/vngen"
 	"seculator/internal/workload"
 )
-
-// intsPerBlock is how many int32 activations one 64-byte block holds.
-const intsPerBlock = tensor.BlockBytes / 4
 
 // Hook lets tests interpose an attacker between execution phases.
 // phase -1 runs after model load; phase i >= 0 runs after layer i completes
@@ -200,10 +196,10 @@ type weightLayout struct {
 
 func (w weightLayout) blocks() int { return w.k * w.cGroups * w.sliceBlocks }
 
-// tile is the layer's weight region as one tile: fmap k is one row, the
-// slices of its c-groups in order, at lines base + k·cGroups·sliceBlocks ….
+// tile is the layer's weight region as one tile: fmap k holds a row per
+// c-group, its slice, at lines base + (k·cGroups+cg)·sliceBlocks ….
 func (w weightLayout) tile() protect.Tile {
-	return protect.Tile{Base: w.base, Rows: 1, BPR: w.cGroups * w.sliceBlocks, K0: 0, K1: w.k, Y0: 0, Y1: 1}
+	return protect.Tile{Base: w.base, Rows: w.cGroups, BPR: w.sliceBlocks, K0: 0, K1: w.k, Y0: 0, Y1: w.cGroups}
 }
 
 func (w weightLayout) addr(k, cg, blk int) uint64 {
@@ -307,9 +303,6 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	if err != nil {
 		return Result{}, err
 	}
-	// The loop shard's staging holds a whole tile: size it once, to the
-	// run's largest, so no layer regrows it.
-	rt.rowScratch(stagingBlocks(states, inputLayout))
 	if x.OnPlan != nil {
 		x.OnPlan(planInfo(states, inputLayout))
 	}
@@ -584,45 +577,24 @@ func planInfo(states []layerState, input actLayout) PlanInfo {
 	return p
 }
 
-// stagingBlocks is the most blocks the loop shard's staging holds at once in
-// a run of states: the input tile, a layer's output tile (at most its whole
-// output) or a weight slice.
-func stagingBlocks(states []layerState, input actLayout) int {
-	n := input.blocks()
-	for i := range states {
-		n = max(n, states[i].act.blocks(), states[i].wl.sliceBlocks)
-	}
-	return n
-}
-
 // loadInput host-writes the encrypted layer-0 input through the loop shard,
-// as one tile, and returns the host's golden XOR-MAC over all its blocks.
+// as one tile encoded straight from the input tensor's rows, and returns the
+// host's golden XOR-MAC over all its blocks.
 func (x *Executor) loadInput(rt *inferRuntime, input *nn.Tensor, il actLayout) mac.Digest {
 	t := protect.Tile{Base: il.base, Rows: il.rows, BPR: il.bpr, K0: 0, K1: input.Chans, Y0: 0, Y1: input.H}
-	pt, ct := rt.rowScratch(t.Blocks())
-	rb := il.bpr * tensor.BlockBytes
-	for c, o := 0, 0; c < input.Chans; c++ {
-		for y := 0; y < input.H; y++ {
-			encodeRowInto(pt[o:o+rb], rowOf(input, c, y))
-			o += rb
-		}
-	}
-	return rt.sh.HostWriteTile(t, 0, 1, pt, ct[:rb])
+	return rt.sh.HostWriteTile(t, 0, 1, func(c, y int) []int32 { return rowOf(input, c, y) })
 }
 
 // loadLayerWeights host-stores one layer's weights through a shard, slice
-// by slice (HostStoreRow: no MAC is hashed; the layer's weight check
-// compares its reads with what the memo says was stored). The caller
-// supplies the staging (pt/ct of wl.sliceBlocks blocks): the up-front load
-// passes the loop shard's rowScratch and the loader its private
-// preloadScratch — so no path shares staging with a concurrently executing
-// layer.
-func loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights, pt, ct []byte) {
+// by slice, each encoded straight from its run of the weight tensor
+// (HostStoreRow: no MAC is hashed; the layer's weight check compares its
+// reads with what the memo says was stored).
+func loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights) {
 	wl := st.wl
 	for k := 0; k < wl.k; k++ {
 		for cg := 0; cg < wl.cGroups; cg++ {
-			encodeRowInto(pt, weightRun(st.layer, w, k, cg, wl.sliceInts))
-			sh.HostStoreRow(wl.addr(k, cg, 0), wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks), pt, ct)
+			sh.HostStoreRow(wl.addr(k, cg, 0), wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks),
+				wl.sliceBlocks, weightRun(st.layer, w, k, cg, wl.sliceInts))
 		}
 	}
 }
@@ -631,11 +603,9 @@ func loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights,
 // injected runs) through the loop shard.
 func (x *Executor) loadAllWeights(rt *inferRuntime, states []layerState, weights []*nn.Weights) {
 	for i := range states {
-		if weights[i] == nil {
-			continue
+		if weights[i] != nil {
+			loadLayerWeights(rt.sh, &states[i], weights[i])
 		}
-		pt, ct := rt.rowScratch(states[i].wl.sliceBlocks)
-		loadLayerWeights(rt.sh, &states[i], weights[i], pt, ct)
 	}
 }
 
@@ -654,8 +624,9 @@ func padOutputsAhead(sh *protect.SeculatorShard, a actLayout) {
 // (k, c, r, s) layout stores a group of sliceInts/(R·S) channels as one
 // contiguous run of the tensor, clipped at the last real channel. The run
 // needs no staging copy: a padded channel group is a run shorter than
-// sliceInts (or empty), and the block codecs zero-pad on encode and clip on
-// decode. A depthwise filter has one channel, which every c-group sees.
+// sliceInts (or empty), and protect's block codec zero-pads on encode and
+// clips on decode. A depthwise filter has one channel, which every c-group
+// sees.
 func weightRun(l workload.Layer, w *nn.Weights, k, cg, sliceInts int) []int32 {
 	filter := w.R * w.S
 	ct := sliceInts / filter
@@ -668,54 +639,4 @@ func weightRun(l workload.Layer, w *nn.Weights, k, cg, sliceInts int) []int32 {
 
 func rowOf(t *nn.Tensor, c, y int) []int32 {
 	return t.Data[(c*t.H+y)*t.W : (c*t.H+y)*t.W+t.W]
-}
-
-// encodeBlockInto packs block j of a value row into dst (one zero-padded
-// 64-byte block) without allocating — the per-block counterpart of
-// encodeRowInto for paths that re-derive single blocks (golden re-MACs of
-// unread weights, external folds of unconsumed outputs).
-func encodeBlockInto(dst []byte, vals []int32, j int) {
-	clear(dst)
-	for i := 0; i < intsPerBlock; i++ {
-		idx := j*intsPerBlock + i
-		if idx >= len(vals) {
-			return
-		}
-		binary.BigEndian.PutUint32(dst[i*4:], uint32(vals[idx]))
-	}
-}
-
-// encodeRowInto packs vals into dst — a whole number of zero-padded
-// 64-byte blocks — without allocating: the flat-buffer counterpart of
-// encodeRow for the batch write path. Values beyond dst's capacity are
-// dropped, matching encodeRow's clipping.
-func encodeRowInto(dst []byte, vals []int32) {
-	clear(dst)
-	n := min(len(vals), len(dst)/4)
-	for i := 0; i < n; i++ {
-		binary.BigEndian.PutUint32(dst[i*4:], uint32(vals[i]))
-	}
-}
-
-// decodeBlock unpacks a 64-byte block into up to n int32 values appended to
-// dst starting at offset off (clipped to len(dst)).
-func decodeBlock(dst []int32, off int, blk []byte) {
-	for i := 0; i < intsPerBlock; i++ {
-		idx := off + i
-		if idx >= len(dst) {
-			return
-		}
-		dst[idx] = int32(binary.BigEndian.Uint32(blk[i*4:]))
-	}
-}
-
-// blockDecodesTo reports whether decodeBlock(dst, off, blk) would leave dst
-// unchanged: the values a repeat weight read must match.
-func blockDecodesTo(dst []int32, off int, blk []byte) bool {
-	for i := 0; i < intsPerBlock && off+i < len(dst); i++ {
-		if dst[off+i] != int32(binary.BigEndian.Uint32(blk[i*4:])) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,16 +1,17 @@
 package secure
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
+	"seculator/internal/protect"
 	"seculator/internal/tensor"
 	"seculator/internal/workload"
 )
@@ -181,31 +182,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	vals := []int32{1, -2, 3, -4, 5, 1 << 30, -(1 << 30)}
-	var blk [tensor.BlockBytes]byte
-	encodeBlockInto(blk[:], vals, 0)
-	got := make([]int32, len(vals))
-	decodeBlock(got, 0, blk[:])
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("round trip at %d: %d != %d", i, got[i], vals[i])
-		}
-	}
-	// Multi-block rows pad with zeros, and encodeBlockInto scrubs stale
-	// bytes left in the destination by a previous block.
-	long := make([]int32, 20)
-	long[19] = 7
-	got = make([]int32, 20)
-	encodeBlockInto(blk[:], long, 0)
-	decodeBlock(got, 0, blk[:])
-	encodeBlockInto(blk[:], long, 1)
-	decodeBlock(got, 16, blk[:])
-	if got[19] != 7 || got[15] != 0 || got[0] != 0 {
-		t.Fatal("multi-block round trip failed")
-	}
-}
-
 // weightSliceRef is the element-wise (k, c-group) slice extraction that
 // weightRun replaced, kept as its oracle: every element through
 // Weights.At, padded channels written as explicit zeros.
@@ -235,11 +211,12 @@ func weightSliceRef(l workload.Layer, w *nn.Weights, k, cg, sliceInts int) []int
 }
 
 // TestWeightRunMatchesReference: encoding a (k, c-group) slice straight
-// from its run of the weight tensor stores the same bytes as encoding the
-// staged element-wise copy, and decoding those bytes straight into the run
-// of an empty tensor restores exactly the slice's real channels — over
-// conv and depthwise shapes, channel groups that divide C, that straddle
-// its end, and that lie wholly past it.
+// from its run of the weight tensor, block by block (protect.BlockOf, as
+// the host store and the residency seal do), stores the same bytes as
+// encoding the staged element-wise copy, and decoding those bytes straight
+// into the run of an empty tensor restores exactly the slice's real
+// channels — over conv and depthwise shapes, channel groups that divide C,
+// that straddle its end, and that lie wholly past it.
 func TestWeightRunMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
@@ -256,19 +233,22 @@ func TestWeightRunMatchesReference(t *testing.T) {
 		}
 		sliceInts := ct * l.R * l.S
 		sliceBlocks := tensor.CeilDiv(sliceInts*4, tensor.BlockBytes)
-		got := make([]byte, sliceBlocks*tensor.BlockBytes)
-		want := make([]byte, len(got))
+		got := make([][tensor.BlockBytes]byte, sliceBlocks)
+		want := make([][tensor.BlockBytes]byte, sliceBlocks)
 		back := nn.WeightsFor(l)
 		for k := 0; k < l.K; k++ {
 			for cg := 0; cg < cGroups; cg++ {
-				encodeRowInto(got, weightRun(l, w, k, cg, sliceInts))
-				encodeRowInto(want, weightSliceRef(l, w, k, cg, sliceInts))
-				if !bytes.Equal(got, want) {
+				run, ref := weightRun(l, w, k, cg, sliceInts), weightSliceRef(l, w, k, cg, sliceInts)
+				for j := range got {
+					protect.EncodeBlock(&got[j], protect.BlockOf(run, j))
+					protect.EncodeBlock(&want[j], protect.BlockOf(ref, j))
+				}
+				if !slices.Equal(got, want) {
 					t.Fatalf("layer %+v ct=%d k=%d cg=%d: encoded slice differs from the element-wise reference", l, ct, k, cg)
 				}
-				run := weightRun(l, back, k, cg, sliceInts)
-				for j := 0; j < sliceBlocks; j++ {
-					decodeBlock(run, j*intsPerBlock, got[j*tensor.BlockBytes:(j+1)*tensor.BlockBytes])
+				run = weightRun(l, back, k, cg, sliceInts)
+				for j := range got {
+					protect.DecodeBlock(protect.BlockOf(run, j), &got[j])
 				}
 			}
 		}

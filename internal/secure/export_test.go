@@ -8,6 +8,7 @@ import (
 	"seculator/internal/mac"
 	"seculator/internal/nn"
 	"seculator/internal/pattern"
+	"seculator/internal/protect"
 	"seculator/internal/sched"
 	"seculator/internal/sim"
 	"seculator/internal/tensor"
@@ -161,7 +162,7 @@ func WeightLines(x *Executor, net workload.Network, weights []*nn.Weights) ([][]
 					ln := WeightLine{Addr: wl.addr(k, cg, j),
 						Ctr: crypto.Counter{Fmap: uint32(k), Layer: wl.ownerID, VN: 1, Block: idx},
 						Ref: mac.BlockRef{Secret: x.Secret, Layer: wl.ownerID, Fmap: uint32(k), VN: 1, Index: idx}}
-					encodeBlockInto(ln.Plain[:], run, j)
+					protect.EncodeBlock(&ln.Plain, protect.BlockOf(run, j))
 					lines[i] = append(lines[i], ln)
 					at[i][ln.Addr] = pos{k, cg, j}
 				}
@@ -178,12 +179,12 @@ func WeightLines(x *Executor, net workload.Network, weights []*nn.Weights) ([][]
 		w := &nn.Weights{K: l.K, C: c, R: l.R, S: l.S, Data: make([]int32, l.K*c*l.R*l.S)}
 		for _, f := range firsts {
 			p := at[i][f.Addr]
-			decodeBlock(weightRun(l, w, p.k, p.cg, wl.sliceInts), p.j*intsPerBlock, f.Bytes[:])
+			protect.DecodeBlock(protect.BlockOf(weightRun(l, w, p.k, p.cg, wl.sliceInts), p.j), &f.Bytes)
 		}
 		out := map[uint64][tensor.BlockBytes]byte{}
 		var blk [tensor.BlockBytes]byte
 		for addr, p := range at[i] {
-			encodeBlockInto(blk[:], weightRun(l, w, p.k, p.cg, wl.sliceInts), p.j)
+			protect.EncodeBlock(&blk, protect.BlockOf(weightRun(l, w, p.k, p.cg, wl.sliceInts), p.j))
 			out[addr] = blk
 		}
 		return out

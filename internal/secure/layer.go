@@ -240,20 +240,18 @@ func (r *layerRun) readFlatRange(f0, f1 int) {
 
 // readProducerBlock performs n back-to-back decrypted reads of one block of
 // the producer region, owing the first read's MAC to MAC_FR on first touch
-// and everything else to MAC_IR, and assembling the first-touch plaintext
-// into the layer's input tensor.
+// and everything else to MAC_IR, and decoding the first-touch values
+// straight into the layer's input tensor.
 func (r *layerRun) readProducerBlock(ch, row, j, n int) {
 	p := r.producer
 	flat := (ch*p.rows+row)*p.bpr + j
 	first := !r.inTouched[flat]
 	r.inTouched[flat] = true
-	blockIdx := uint32(row*p.bpr + j)
-	pt := r.rt.sh.ReadInputRun(p.addr(ch, row, j), p.ownerID, uint32(ch), r.rt.unit.IfmapVN(), blockIdx, first, n)
+	var dst []int32
 	if first {
-		off := (ch*p.rows+row)*p.cols + j*intsPerBlock
-		end := min(len(r.in.Data), (ch*p.rows+row)*p.cols+p.cols)
-		decodeBlock(r.in.Data[:end], off, pt)
+		dst = protect.BlockOf(rowOf(r.in, ch, row), j)
 	}
+	r.rt.sh.ReadInputRun(p.addr(ch, row, j), p.ownerID, uint32(ch), r.rt.unit.IfmapVN(), uint32(row*p.bpr+j), first, n, dst)
 }
 
 // readWeightTile fetches the (k-group x c-group) weight slices of a tile
@@ -275,12 +273,9 @@ func (r *layerRun) readWeightTile(e dataflow.Event) {
 		for j := 0; j < wl.sliceBlocks; j++ {
 			flat := (k*wl.cGroups+cg)*wl.sliceBlocks + j
 			first := !r.wTouched[flat]
-			pt := r.rt.sh.ReadStatic(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1,
-				uint32(cg*wl.sliceBlocks+j), first)
-			if first {
-				r.wTouched[flat] = true
-				decodeBlock(run, j*intsPerBlock, pt)
-			} else if !blockDecodesTo(run, j*intsPerBlock, pt) {
+			r.wTouched[flat] = true
+			if !r.rt.sh.ReadStatic(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1,
+				uint32(cg*wl.sliceBlocks+j), first, protect.BlockOf(run, j)) {
 				stale = true
 			}
 		}
@@ -303,7 +298,7 @@ func (r *layerRun) ofmapRows(e dataflow.Event) (k0, k1, y0, y1 int) {
 
 // readPartialTile decrypts a partial-sum tile back into the output tensor
 // under the next VN of the layer's read sequence (VN 0 once it is outrun),
-// owing its MACs to MAC_R; each row decodes straight into its slice.
+// owing its MACs to MAC_R; each block decodes straight into its row.
 func (r *layerRun) readPartialTile(e dataflow.Event) {
 	vn, _ := r.rt.unit.ReadVN()
 	a := r.st.act
@@ -312,8 +307,7 @@ func (r *layerRun) readPartialTile(e dataflow.Event) {
 		for y := y0; y < y1; y++ {
 			dst := rowOf(r.out, k, y)
 			for j := 0; j < a.bpr; j++ {
-				pt := r.rt.sh.ReadPartial(a.addr(k, y, j), uint32(k), vn, uint32(y*a.bpr+j))
-				decodeBlock(dst, j*intsPerBlock, pt)
+				r.rt.sh.ReadPartial(a.addr(k, y, j), uint32(k), vn, uint32(y*a.bpr+j), protect.BlockOf(dst, j))
 			}
 		}
 	}
@@ -321,25 +315,18 @@ func (r *layerRun) readPartialTile(e dataflow.Event) {
 
 // writeOfmapTile encrypts the tile's current accumulation under the next VN
 // of the layer's write sequence (VN 0, which no read asks for, once it is
-// outrun) and hands the whole tile to the shard in one call, which owes its
-// MACs to MAC_W, hashed in batches across the tile's rows. The write of the
-// final version — on an honest run each line's only one per layer attempt
-// and its last, and the one the next layer reads — records its MACs in the
-// keystream memo.
+// outrun) and hands the whole tile to the shard in one call, which encodes
+// each row of the output tensor straight into its blocks' MAC lanes and owes
+// their MACs to MAC_W, hashed in batches across the tile's rows. The write
+// of the final version — on an honest run each line's only one per layer
+// attempt and its last, and the one the next layer reads — records its MACs
+// in the keystream memo.
 func (r *layerRun) writeOfmapTile(e dataflow.Event) {
 	vn, _ := r.rt.unit.WriteVN()
 	a := r.st.act
 	k0, k1, y0, y1 := r.ofmapRows(e)
 	t := protect.Tile{Base: a.base, Rows: a.rows, BPR: a.bpr, K0: k0, K1: k1, Y0: y0, Y1: y1}
-	pt, ct := r.rt.rowScratch(t.Blocks())
-	rb := a.bpr * tensor.BlockBytes
-	for k, o := k0, 0; k < k1; k++ {
-		for y := y0; y < y1; y++ {
-			encodeRowInto(pt[o:o+rb], rowOf(r.out, k, y))
-			o += rb
-		}
-	}
-	r.rt.sh.WriteTile(t, vn, r.finalWrite(vn), pt, ct[:rb])
+	r.rt.sh.WriteTile(t, vn, r.finalWrite(vn), func(k, y int) []int32 { return rowOf(r.out, k, y) })
 }
 
 // finalWrite reports whether an ofmap write under version vn stores its
@@ -359,7 +346,6 @@ func (r *layerRun) weightFold() mac.Digest {
 	// them.
 	wl := r.st.wl
 	l := r.st.layer
-	blk := r.rt.blockBuf[:]
 	for k := 0; k < wl.k; k++ {
 		for cg := 0; cg < wl.cGroups; cg++ {
 			run := weightRun(l, r.w, k, cg, wl.sliceInts)
@@ -368,8 +354,7 @@ func (r *layerRun) weightFold() mac.Digest {
 				if r.wTouched[flat] {
 					continue
 				}
-				encodeBlockInto(blk, run, j)
-				got = got.Xor(r.sm.UnreadWeight(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks+j), blk))
+				got = got.Xor(r.sm.UnreadWeight(wl.addr(k, cg, j), wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks+j), protect.BlockOf(run, j)))
 			}
 		}
 	}
@@ -380,8 +365,8 @@ func (r *layerRun) weightFold() mac.Digest {
 // the host-assisted external term of the producer's Equation 1 check.
 func (r *layerRun) unreadExternal() mac.Digest {
 	var d mac.Digest
+	var blk [tensor.BlockBytes]byte
 	p := r.producer
-	blk := r.rt.blockBuf[:]
 	for ch := 0; ch < p.chans; ch++ {
 		for row := 0; row < p.rows; row++ {
 			vals := rowOf(r.producerData, ch, row)
@@ -390,8 +375,8 @@ func (r *layerRun) unreadExternal() mac.Digest {
 				if r.inTouched[flat] {
 					continue
 				}
-				encodeBlockInto(blk, vals, j)
-				d = d.Xor(r.sm.BlockDigest(p.ownerID, uint32(ch), p.vn, uint32(row*p.bpr+j), blk))
+				protect.EncodeBlock(&blk, protect.BlockOf(vals, j))
+				d = d.Xor(r.sm.BlockDigest(p.ownerID, uint32(ch), p.vn, uint32(row*p.bpr+j), blk[:]))
 			}
 		}
 	}
@@ -419,9 +404,8 @@ func (x *Executor) readout(rt *inferRuntime, states []layerState,
 		for row := 0; row < final.rows; row++ {
 			dst := rowOf(out, ch, row)
 			for j := 0; j < final.bpr; j++ {
-				pt := rt.sh.ReadInput(final.addr(ch, row, j), final.ownerID, uint32(ch),
-					vn, uint32(row*final.bpr+j), true)
-				decodeBlock(dst, j*intsPerBlock, pt)
+				rt.sh.ReadInputRun(final.addr(ch, row, j), final.ownerID, uint32(ch),
+					vn, uint32(row*final.bpr+j), true, 1, protect.BlockOf(dst, j))
 			}
 		}
 	}

@@ -257,6 +257,97 @@ func TestScrubClearsGenerator(t *testing.T) {
 	t.Fatal("no run state was parked in 10 runs")
 }
 
+// runBuffers names the inferRuntime fields that hold a run's values: the
+// decoded input, output and weight tensors and the first-read bitmaps. No
+// other field may: the shards encode from and decode into these, so the
+// runtime stages no block.
+var runBuffers = []string{"inTouched", "wTouched", "inData", "outData", "wData"}
+
+// nonZeroArray returns the path of the first array field under v, following
+// no pointer, that is not all zero, or "".
+func nonZeroArray(v reflect.Value, path string) string {
+	switch v.Kind() {
+	case reflect.Array:
+		if !v.IsZero() {
+			return path
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := nonZeroArray(v.Field(i), path+"."+v.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestScrubLeavesNoRunBuffer: a parked runtime holds no run data. Every
+// field of inferRuntime that can hold a slab of values is one of
+// runBuffers, and scrub leaves each zero to its capacity; and the weight
+// loader's shard, which encodes every weight block of the run, leaves no
+// scratch line, lane or digest set.
+func TestScrubLeavesNoRunBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled run states at random under the race detector")
+	}
+	net, err := workload.ResolveShape("MobileNet/8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, ws := nn.RandomModel(net, 1)
+	for try := 0; try < 10; try++ {
+		if _, err := NewExecutor().Run(context.Background(), net, in, ws); err != nil {
+			t.Fatal(err)
+		}
+		v := runPool.Get()
+		if v == nil {
+			continue // dropped by a GC between park and take
+		}
+		rt := v.(*runState).rt
+		r := reflect.ValueOf(rt).Elem()
+		var buffers []string
+		held := 0
+		for i := 0; i < r.NumField(); i++ {
+			f, name := r.Field(i), r.Type().Field(i).Name
+			var slabs []reflect.Value
+			switch {
+			case f.Kind() == reflect.Slice:
+				slabs = []reflect.Value{f}
+			case f.Kind() == reflect.Array && f.Type().Elem().Kind() == reflect.Slice:
+				for j := 0; j < f.Len(); j++ {
+					slabs = append(slabs, f.Index(j))
+				}
+			case f.Kind() == reflect.Array && f.Type().Elem().Kind() <= reflect.Complex128:
+				t.Fatalf("runtime field %s is an array of values: a run buffer scrub does not know", name)
+			}
+			if slabs == nil {
+				continue
+			}
+			buffers = append(buffers, name)
+			for _, sl := range slabs {
+				all := sl.Slice(0, sl.Cap())
+				held += all.Len()
+				for j := 0; j < all.Len(); j++ {
+					if !all.Index(j).IsZero() {
+						t.Fatalf("parked runtime field %s[%d] is not zero", name, j)
+					}
+				}
+			}
+		}
+		if !slices.Equal(buffers, runBuffers) {
+			t.Fatalf("the runtime's slab fields are %v, want only %v", buffers, runBuffers)
+		}
+		if held == 0 {
+			t.Fatal("the parked runtime holds no slab: the run did not use it")
+		}
+		if p := nonZeroArray(reflect.ValueOf(rt.preload.sh).Elem(), "loader shard"); p != "" {
+			t.Fatalf("scrub left %s set", p)
+		}
+		return
+	}
+	t.Fatal("no run state was parked in 10 runs")
+}
+
 // TestPooledRunByteBudget holds the steady state to its memory budget: once
 // a pooled run state has been through the deep benchmark model, another
 // serial run allocates bookkeeping only (< 64 KiB), never a DRAM image — the

@@ -76,9 +76,9 @@ type WeightResidency struct {
 // the network (memoized), lays out the address space exactly as a run's
 // plan would, encrypts every weight slice under the host-load counters,
 // folds the per-layer golden XOR-MACs with the batched row hasher, and
-// derives the pad bank as plaintext ⊕ ciphertext (the CTR keystream, by
-// construction). The returned object is self-consistent by construction;
-// Verify re-establishes that from the pinned state alone.
+// pins each block's CTR pad as it seals it. The returned object is
+// self-consistent by construction; Verify re-establishes that from the
+// pinned state alone.
 func BuildWeightResidency(ctx context.Context, net workload.Network,
 	npuCfg npu.Config, dramCfg mem.Config, secret, random uint64,
 	weights []*nn.Weights) (*WeightResidency, error) {
@@ -123,21 +123,17 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 		wl := st.wl
 		rl := &res.layers[i]
 		rl.wl = wl
-		rowBytes := wl.sliceBlocks * tensor.BlockBytes
 		rl.ct = make([]byte, rl.blocks()*tensor.BlockBytes)
 		rl.pads = make([]byte, len(rl.ct))
-		// The pad bank stages the layer's plaintext: the layer is sealed
-		// as one tile, fmap k one row of its c-groups' slices, then
-		// pad = plaintext ⊕ ciphertext — the CTR keystream, pinned so
-		// epoch verification decrypts without an AES pass.
-		for k := 0; k < wl.k; k++ {
-			for cg := 0; cg < wl.cGroups; cg++ {
-				off := (k*wl.cGroups + cg) * rowBytes
-				encodeRowInto(rl.pads[off:off+rowBytes], weightRun(st.layer, weights[i], k, cg, wl.sliceInts))
-			}
-		}
-		rl.golden = sh.HostSealTile(rl.ct, wl.tile(), wl.ownerID, 1, rl.pads)
-		subtle.XORBytes(rl.pads, rl.pads, rl.ct)
+		// The layer is sealed as one tile, each (k, c-group) slice encoded
+		// straight from its run of the weights into its MAC lane; the seal
+		// writes each block's pad — the CTR keystream — into the pad bank
+		// as it goes, pinned so epoch verification decrypts without an AES
+		// pass.
+		w := weights[i]
+		rl.golden = sh.HostSealTile(rl.ct, rl.pads, wl.tile(), wl.ownerID, 1, func(k, cg int) []int32 {
+			return weightRun(st.layer, w, k, cg, wl.sliceInts)
+		})
 		res.bytes += int64(len(rl.ct) + len(rl.pads))
 	}
 	if err := res.Verify(); err != nil {
@@ -148,14 +144,13 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 
 // Verify re-establishes the residency's integrity from the pinned state
 // alone: every resident ciphertext block is decrypted through the pad bank
-// and its MAC re-folded — hashed in batches of lanes across the layer's
-// rows, with zero allocations per row — into a digest that must equal the
-// pinned golden value. A mismatch means the resident ciphertext (or pad
-// bank) was corrupted since the last check; callers must drop the
-// residency and re-provision from scratch.
+// straight into a MAC lane and its MAC re-folded — hashed in batches of
+// lanes across the layer's rows, with zero allocations per row — into a
+// digest that must equal the pinned golden value. A mismatch means the
+// resident ciphertext (or pad bank) was corrupted since the last check;
+// callers must drop the residency and re-provision from scratch.
 func (res *WeightResidency) Verify() error {
 	var rowh mac.RowHasher
-	var pt [mac.LaneCount * tensor.BlockBytes]byte
 	for i := range res.layers {
 		rl := &res.layers[i]
 		if len(rl.ct) == 0 {
@@ -164,17 +159,16 @@ func (res *WeightResidency) Verify() error {
 		// Block b of the layer is block b mod perFmap of fmap b / perFmap.
 		perFmap := rl.wl.cGroups * rl.wl.sliceBlocks
 		var got mac.Digest
-		for b0 := 0; b0 < rl.blocks(); b0 += mac.LaneCount {
-			n := min(mac.LaneCount, rl.blocks()-b0)
-			off, end := b0*tensor.BlockBytes, (b0+n)*tensor.BlockBytes
-			subtle.XORBytes(pt[:], rl.ct[off:end], rl.pads[off:end])
-			for j := 0; j < n; j++ {
-				b := b0 + j
-				rowh.Add(mac.BlockRef{Secret: res.secret, Layer: rl.wl.ownerID, Fmap: uint32(b / perFmap),
-					VN: 1, Index: uint32(b % perFmap)}, pt[j*tensor.BlockBytes:(j+1)*tensor.BlockBytes])
+		for b := 0; b < rl.blocks(); b++ {
+			o := b * tensor.BlockBytes
+			lane, n := rowh.Slot(mac.BlockRef{Secret: res.secret, Layer: rl.wl.ownerID, Fmap: uint32(b / perFmap),
+				VN: 1, Index: uint32(b % perFmap)})
+			subtle.XORBytes(lane[:], rl.ct[o:o+tensor.BlockBytes], rl.pads[o:o+tensor.BlockBytes])
+			if n == mac.LaneCount {
+				got = got.Xor(mac.XorAll(rowh.Sum()))
 			}
-			got = got.Xor(mac.XorAll(rowh.Sum()))
 		}
+		got = got.Xor(mac.XorAll(rowh.Sum()))
 		if got != rl.golden {
 			return fmt.Errorf("%w: resident layer %q weights: digest mismatch",
 				mac.ErrIntegrity, res.net.Layers[i].Name)

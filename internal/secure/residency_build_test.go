@@ -8,6 +8,7 @@ import (
 	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
+	"seculator/internal/protect"
 	"seculator/internal/tensor"
 	"seculator/internal/workload"
 )
@@ -69,7 +70,7 @@ func TestResidencyCiphertextIsHostLoadImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk := make([]byte, tensor.BlockBytes)
+		var blk [tensor.BlockBytes]byte
 		for i := range states {
 			var want mac.Digest
 			if wl := states[i].wl; ws[i] != nil {
@@ -77,9 +78,9 @@ func TestResidencyCiphertextIsHostLoadImage(t *testing.T) {
 					for cg := 0; cg < wl.cGroups; cg++ {
 						run := weightRun(states[i].layer, ws[i], k, cg, wl.sliceInts)
 						for j := 0; j < wl.sliceBlocks; j++ {
-							encodeBlockInto(blk, run, j)
+							protect.EncodeBlock(&blk, protect.BlockOf(run, j))
 							want = want.Xor(mac.BlockMAC(mac.BlockRef{Secret: x.Secret, Layer: wl.ownerID,
-								Fmap: uint32(k), VN: 1, Index: uint32(cg*wl.sliceBlocks + j)}, blk))
+								Fmap: uint32(k), VN: 1, Index: uint32(cg*wl.sliceBlocks + j)}, blk[:]))
 						}
 					}
 				}

@@ -8,22 +8,17 @@ import (
 	"seculator/internal/mem"
 	"seculator/internal/nn"
 	"seculator/internal/protect"
-	"seculator/internal/tensor"
 	"seculator/internal/vngen"
 )
 
 // inferRuntime is the per-Run execution state: the loop shard every block of
 // the layer loop moves through — the memory's own, which hashes each block
-// MAC and folds it into the memory's registers as it goes — its row
-// staging, the weight loader, and the per-layer slabs.
+// MAC and folds it into the memory's registers as it goes — the weight
+// loader, and the per-layer slabs. No block is staged: the shards encode
+// from and decode into the tensors below.
 type inferRuntime struct {
 	sm *protect.SeculatorMemory
 	sh *protect.SeculatorShard // sm.Own()
-
-	// Row staging for the batch encrypt paths (caller-owned scratch contract
-	// of protect's row APIs); grown on demand.
-	rowPT []byte
-	rowCT []byte
 
 	preload preloadState
 
@@ -46,7 +41,6 @@ type inferRuntime struct {
 	outTensor [2]nn.Tensor
 	wData     []int32 // decoded-weight tensor backing
 	wTensor   nn.Weights
-	blockBuf  [tensor.BlockBytes]byte
 
 	// gen walks each layer's tile-event stream into lr's callbacks, which
 	// are bound once, when the runtime is built: lr keeps one address for
@@ -54,28 +48,12 @@ type inferRuntime struct {
 	gen       dataflow.Generator
 	onEvent   dataflow.Visitor
 	onCompute func(dataflow.LoopIdx) bool
-
-	// The loader's private staging: it runs concurrently with the layer loop,
-	// so it must never share rowScratch with it.
-	preloadPT []byte
-	preloadCT []byte
-}
-
-// rowScratch returns the loop shard's plaintext and ciphertext staging for a
-// row of nblocks blocks, growing it if needed.
-func (rt *inferRuntime) rowScratch(nblocks int) (pt, ct []byte) {
-	need := nblocks * tensor.BlockBytes
-	if cap(rt.rowPT) < need {
-		rt.rowPT = make([]byte, need)
-		rt.rowCT = make([]byte, need)
-	}
-	return rt.rowPT[:need], rt.rowCT[:need]
 }
 
 // preloadState is the run's weight loader: one goroutine that, layer by
 // layer in order, host-stores the layer's weights and computes ahead the
-// pads of the output lines the layer writes once, through its own shard and
-// staging, while the layer loop runs — so only layer 0's share is on the
+// pads of the output lines the layer writes once, through its own shard,
+// while the layer loop runs — so only layer 0's share is on the
 // critical path.
 type preloadState struct {
 	sh *protect.SeculatorShard
@@ -110,8 +88,7 @@ func (rt *inferRuntime) startLoader(states []layerState, weights []*nn.Weights) 
 			}
 			st := &states[i]
 			if weights[i] != nil {
-				pt, ct := rt.preloadScratch(st.wl.sliceBlocks)
-				loadLayerWeights(p.sh, st, weights[i], pt, ct)
+				loadLayerWeights(p.sh, st, weights[i])
 			}
 			// The loop stores to these entries only after it takes this
 			// token, and the loader touches them no more: one writer each.
@@ -211,17 +188,6 @@ func (rt *inferRuntime) weightsTensor(k, c, r, s int) *nn.Weights {
 	return &rt.wTensor
 }
 
-// preloadScratch is rowScratch for the weight loader, backed by slabs the
-// layer loop never touches.
-func (rt *inferRuntime) preloadScratch(sliceBlocks int) (pt, ct []byte) {
-	need := sliceBlocks * tensor.BlockBytes
-	if cap(rt.preloadPT) < need {
-		rt.preloadPT = make([]byte, need)
-		rt.preloadCT = make([]byte, need)
-	}
-	return rt.preloadPT[:need], rt.preloadCT[:need]
-}
-
 // ---- pooled run state ----
 
 // runState bundles everything one Executor.Run builds before executing:
@@ -305,25 +271,20 @@ func (rs *runState) release() {
 }
 
 // scrub wipes every byte of run-derived data from the runtime's pooled
-// scratch — the loader shard's staging, row buffers, decoded activations and
-// weights, and the loader's staging (drain has already joined the loader and
-// reset its hand-off state; the memory's Recycle has scrubbed the loop
-// shard). Bitmaps and the generator's tile bookkeeping clear too, so a dirty
+// scratch — the loader shard's scratch and lanes, and the decoded
+// activations and weights, the only run buffers (drain has already joined
+// the loader and reset its hand-off state; the memory's Recycle has
+// scrubbed the loop shard). Bitmaps and the generator's tile bookkeeping clear too, so a dirty
 // reset cannot leak one run's protocol state into the next; the bound
 // callbacks stay, pointing at the zeroed layer context.
 func (rt *inferRuntime) scrub() {
 	if rt.preload.sh != nil {
 		rt.preload.sh.Recycle()
 	}
-	clear(rt.rowPT)
-	clear(rt.rowCT)
 	clear(rt.inData)
 	clear(rt.outData[0])
 	clear(rt.outData[1])
 	clear(rt.wData)
-	clear(rt.preloadPT)
-	clear(rt.preloadCT)
-	clear(rt.blockBuf[:])
 	clear(rt.inTouched)
 	clear(rt.wTouched)
 	rt.gen.Clear()
