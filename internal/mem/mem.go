@@ -249,24 +249,6 @@ func (d *DRAM) WriteBlockQuiet(lineAddr uint64, payload []byte) {
 	}
 }
 
-// WriteRangeQuiet stores len(payload)/BlockBytes consecutive lines starting
-// at lineAddr, like that many WriteBlockQuiet calls in address order. Inside
-// the reservation and with no injector installed it is one copy.
-func (d *DRAM) WriteRangeQuiet(lineAddr uint64, payload []byte) {
-	n := uint64(len(payload) / tensor.BlockBytes)
-	if end := lineAddr + n; d.injector == nil && end >= lineAddr && end <= uint64(len(d.written)) {
-		copy(d.slab[lineAddr*blockBytes:], payload[:n*blockBytes])
-		w := d.written[lineAddr:end]
-		for i := range w {
-			w[i] = true
-		}
-		return
-	}
-	for i := uint64(0); i < n; i++ {
-		d.WriteBlockQuiet(lineAddr+i, payload[i*blockBytes:(i+1)*blockBytes])
-	}
-}
-
 // ReadBlockQuiet is ReadBlock without traffic accounting (see
 // WriteBlockQuiet for the sharding contract).
 func (d *DRAM) ReadBlockQuiet(lineAddr uint64, dst []byte) {

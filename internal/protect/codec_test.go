@@ -108,8 +108,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // XOR the pad, mac.BlockMAC of the plaintext; a read is XOR the pad, then
 // decode. A tile of fmaps × rows rows of cols values drawn from data —
 // negative ones too, and a partial last block when cols % 16 ≠ 0 — is
-// written as its final version (WriteTile), sealed (HostSealTile), stored
-// as weights (HostStoreRow) and written block by block through the serial
+// written as its final version (WriteTile), host-written beside it
+// (HostWriteTile), stored as weights (HostStoreRow) and written block by block through the serial
 // byte API (WriteBlock). Every line, memo entry, pad, MAC and register must
 // be the composition's. Then every block is read back: partial reads,
 // ReadInputRun runs of n reads decoded into their row — the first block of
@@ -172,8 +172,9 @@ func FuzzBlockCodec(f *testing.F) {
 				m.BeginLayer(1)
 				sh := m.Own()
 				sh.WriteTile(tile, 1, true, row)
-				seal, pads := make([]byte, blocks*tensor.BlockBytes), make([]byte, blocks*tensor.BlockBytes)
-				golden := m.Shard().HostSealTile(seal, pads, tile, 1, 1, row)
+				host := tile
+				host.Base = uint64(blocks)
+				golden := m.Shard().HostWriteTile(host, 1, 1, row)
 				var wantW mac.Digest
 				want(1, func(line uint64, _, _, _ int, ctr crypto.Counter, pad, pt, ct block) {
 					dg := macOf(ctr, pt)
@@ -181,13 +182,13 @@ func FuzzBlockCodec(f *testing.F) {
 					if e := m.keys[line]; !slices.Equal(d.Peek(line), ct[:]) || e.ct != ct || e.pad != pad || !e.hashed || e.mac != dg {
 						t.Fatalf("%s: WriteTile line %d or its memo entry is not encode, XOR the pad, BlockMAC", what, line)
 					}
-					o := int(line) * tensor.BlockBytes
-					if block(seal[o:]) != ct || block(pads[o:]) != pad {
-						t.Fatalf("%s: HostSealTile block %d's ciphertext or pad is not the composition's", what, line)
+					h := uint64(blocks) + line
+					if e := m.keys[h]; !slices.Equal(d.Peek(h), ct[:]) || e.ct != ct || e.pad != pad || !e.hashed || e.mac != dg {
+						t.Fatalf("%s: HostWriteTile line %d or its memo entry is not encode, XOR the pad, BlockMAC", what, h)
 					}
 				})
 				if got := m.RegisterSnapshot(); got.W != wantW || golden != wantW {
-					t.Fatalf("%s: MAC_W %v, sealed golden %v, want the fold of BlockMAC %v", what, got.W, golden, wantW)
+					t.Fatalf("%s: MAC_W %v, host golden %v, want the fold of BlockMAC %v", what, got.W, golden, wantW)
 				}
 
 				// The serial byte API writes the same lines and folds the same
@@ -270,8 +271,8 @@ func FuzzBlockCodec(f *testing.F) {
 					t.Fatalf("%s: Equation 1 on the serial memory says %v with line %d tampered", what, err, bad)
 				}
 
-				// Weights: the host store seals what HostSealTile does under the
-				// weight counters, a first read of it decodes the values and owes
+				// Weights: the host store seals what HostWriteTile does, under
+				// the weight counters, a first read of it decodes the values and owes
 				// nothing, and a repeat compares instead of decoding.
 				base := uint64(blocks)
 				for k := 0; k < fmaps; k++ {
@@ -330,26 +331,18 @@ func benchMemory(b *testing.B) (*SeculatorMemory, RowValues) {
 // BenchmarkTileWrite prices the fused write per block: "final" is the layer
 // loop's ofmap write of a final version — pad computed into the memo entry,
 // the values encoded straight into the MAC lane and sealed in the same pass,
-// the line stored, the MAC hashed in a batch, recorded and folded; "seal" is
-// the residency build's HostSealTile, into a ciphertext and a pad bank.
+// the line stored, the MAC hashed in a batch, recorded and folded.
 func BenchmarkTileWrite(b *testing.B) {
 	m, rows := benchMemory(b)
 	n := benchTile.Blocks()
-	ct, pads := make([]byte, n*tensor.BlockBytes), make([]byte, n*tensor.BlockBytes)
-	for _, arm := range []string{"final", "seal"} {
-		b.Run(arm, func(b *testing.B) {
-			sh := m.Own()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if arm == "final" {
-					sh.WriteTile(benchTile, 1, true, rows)
-				} else {
-					sh.HostSealTile(ct, pads, benchTile, 1, 1, rows)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/block")
-		})
-	}
+	b.Run("final", func(b *testing.B) {
+		sh := m.Own()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sh.WriteTile(benchTile, 1, true, rows)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/block")
+	})
 }
 
 // BenchmarkReadDecode prices the fused read per block: a first ReadInputRun

@@ -135,7 +135,7 @@ func (m *SeculatorMemory) WriteBlock(addr uint64, fmapID uint32, vn int, blockId
 	}
 	s := m.serial()
 	ctr := m.counter(m.layer, fmapID, vn, blockIdx)
-	s.put(&tileCall{}, 0, addr, ctr, nil, plaintext, nil)
+	s.put(&tileCall{}, addr, ctr, nil, plaintext, nil)
 	s.settle(nil)
 	s.n.OfmapWrites++
 	s.record(sim.Write, 1)

@@ -207,9 +207,6 @@ func TestRowsMustBeWholeBlocks(t *testing.T) {
 		"HostWriteTile": func(_ *SeculatorMemory, sh *SeculatorShard, n int) {
 			sh.HostWriteTile(row, 0, 1, values(n))
 		},
-		"HostSealTile": func(_ *SeculatorMemory, sh *SeculatorShard, n int) {
-			sh.HostSealTile(make([]byte, 2*tensor.BlockBytes), make([]byte, 2*tensor.BlockBytes), row, 0, 1, values(n))
-		},
 		"HostStoreRow": func(sm *SeculatorMemory, sh *SeculatorShard, n int) {
 			sm.ReserveKeystreams(4)
 			sh.HostStoreRow(0, 0x8001, 0, 1, 0, 2, make([]int32, n))

@@ -32,15 +32,14 @@ import (
 // only one goroutine at a time may move blocks that owe a MAC — the reads
 // and WriteTile. A tile write queues its blocks' MACs in the hasher's lanes
 // and hashes, records and folds every one of them before it returns: no
-// batch outlives the call that filled it. The host tile calls
-// (HostWriteTile, HostSealTile) batch their MACs the same way into the
-// golden digest they return, and HostStoreRow and PadAhead owe none. The
-// memory's own shard tallies its blocks and pads straight into the
-// memory's, and records each call's block moves in the DRAM's traffic
-// counters (record): it runs on the orchestrating goroutine, the only one
-// that may. Any other shard keeps its tallies, which reach the memory and
-// the traffic counters when the orchestrator calls Merge after the shard
-// has quiesced.
+// batch outlives the call that filled it. The host tile write
+// (HostWriteTile) batches its MACs the same way into the golden digest it
+// returns, and HostStoreRow and PadAhead owe none. The memory's own shard
+// tallies its blocks and pads straight into the memory's, and records each
+// call's block moves in the DRAM's traffic counters (record): it runs on
+// the orchestrating goroutine, the only one that may. Any other shard
+// keeps its tallies, which reach the memory and the traffic counters when
+// the orchestrator calls Merge after the shard has quiesced.
 type SeculatorShard struct {
 	parent *SeculatorMemory
 	engine *crypto.CTREngine
@@ -246,11 +245,12 @@ func (m *SeculatorMemory) Hashing() Hashing { return m.hashing }
 // the two share.
 func (m *SeculatorMemory) WeightDigest() mac.Digest { return m.weights }
 
-// readPad returns the pad a read of line addr decrypts with under ctr: the
-// memo's when the line's last write computed it for this very counter (on a
-// clean run, every read's), else one computed into the shard's scratch.
-func (s *SeculatorShard) readPad(addr uint64, ctr crypto.Counter) *block {
-	if k := s.parent.entry(addr); k != nil && k.set && k.ctr == ctr {
+// readPad returns the pad a read of a line whose memo entry is k (nil
+// outside the memo) decrypts with under ctr: the entry's when the line's
+// last write computed it for this very counter (on a clean run, every
+// read's), else one computed into the shard's scratch.
+func (s *SeculatorShard) readPad(k *keystream, ctr crypto.Counter) *block {
+	if k != nil && k.set && k.ctr == ctr {
 		s.ks.Reused++
 		return &k.pad
 	}
@@ -259,11 +259,12 @@ func (s *SeculatorShard) readPad(addr uint64, ctr crypto.Counter) *block {
 	return &s.pad
 }
 
-// fetch reads line addr into the shard's ciphertext scratch and returns the
-// pad it decrypts with under ctr; the caller counts it in its tensor class.
-func (s *SeculatorShard) fetch(addr uint64, ctr crypto.Counter) *block {
+// fetch reads line addr, whose memo entry is k (nil outside the memo), into
+// the shard's ciphertext scratch and returns the pad it decrypts with under
+// ctr; the caller looks k up once and counts the read in its tensor class.
+func (s *SeculatorShard) fetch(addr uint64, k *keystream, ctr crypto.Counter) *block {
 	s.parent.dram.ReadBlockQuiet(addr, s.ct[:])
-	return s.readPad(addr, ctr)
+	return s.readPad(k, ctr)
 }
 
 // open hands the reader the plaintext ct ⊕ pad of the line just fetched, in
@@ -277,15 +278,15 @@ func open(dst []int32, raw []byte, ct, pad *block) {
 	openBlock(dst, ct, pad)
 }
 
-// recorded returns the MAC line addr's memo entry holds when it is the MAC
-// of the line just fetched into the shard's ciphertext scratch under ctr:
-// the line's last write stored exactly these bytes under exactly this
-// counter and recorded its MAC. Else nil. Plaintext and MAC are pure
+// recorded returns the MAC memo entry k (nil outside the memo) holds when it
+// is the MAC of its line just fetched into the shard's ciphertext scratch
+// under ctr: the line's last write stored exactly these bytes under exactly
+// this counter and recorded its MAC. Else nil. Plaintext and MAC are pure
 // functions of (ciphertext, counter), so it is the digest hashing would
 // produce. Both compared lines are DRAM contents the adversary already owns,
 // so the compare's timing leaks nothing.
-func (s *SeculatorShard) recorded(addr uint64, ctr crypto.Counter) *mac.Digest {
-	if k := s.parent.entry(addr); k != nil && k.hashed && k.ctr == ctr && k.ct == s.ct {
+func (s *SeculatorShard) recorded(k *keystream, ctr crypto.Counter) *mac.Digest {
+	if k != nil && k.hashed && k.ctr == ctr && k.ct == s.ct {
 		return &k.mac
 	}
 	return nil
@@ -367,9 +368,10 @@ func (s *SeculatorShard) ReadInputRun(addr uint64, prevLayer, fmapID uint32, vn 
 func (s *SeculatorShard) readInput(addr uint64, prevLayer, fmapID uint32, vn int, blockIdx uint32, first bool, n int, dst []int32, raw []byte) {
 	m := s.parent
 	ref, ctr := m.ref(prevLayer, fmapID, vn, blockIdx), m.counter(prevLayer, fmapID, vn, blockIdx)
-	pad := s.fetch(addr, ctr)
+	k := m.entry(addr)
+	pad := s.fetch(addr, k, ctr)
 	open(dst, raw, &s.ct, pad)
-	memo := s.recorded(addr, ctr)
+	memo := s.recorded(k, ctr)
 	to := toRepeat
 	if first {
 		to = toFirst
@@ -386,7 +388,7 @@ func (s *SeculatorShard) readInput(addr uint64, prevLayer, fmapID uint32, vn int
 		if s.runCT != s.ct {
 			s.oweUnless(memo, ref, &s.ct, pad, to, reads)
 			s.ct = s.runCT
-			pad = s.readPad(addr, ctr)
+			pad = s.readPad(k, ctr)
 			to, reads, memo = toRepeat, 0, nil
 		}
 		reads++
@@ -404,7 +406,7 @@ func (s *SeculatorShard) ReadPartial(addr uint64, fmapID uint32, vn int, blockId
 // readPartial is ReadPartial, handing over the plaintext as open does.
 func (s *SeculatorShard) readPartial(addr uint64, fmapID uint32, vn int, blockIdx uint32, dst []int32, raw []byte) {
 	m := s.parent
-	pad := s.fetch(addr, m.counter(m.layer, fmapID, vn, blockIdx))
+	pad := s.fetch(addr, m.entry(addr), m.counter(m.layer, fmapID, vn, blockIdx))
 	open(dst, raw, &s.ct, pad)
 	s.n.PartialReads++
 	s.record(sim.Read, 1)
@@ -426,7 +428,7 @@ func (s *SeculatorShard) ReadStatic(addr uint64, ownerLayer, fmapID uint32, vn i
 	m := s.parent
 	k := &m.entries(addr, 1)[0]
 	ctr := m.counter(ownerLayer, fmapID, vn, blockIdx)
-	pad := s.fetch(addr, ctr)
+	pad := s.fetch(addr, k, ctr)
 	s.record(sim.Read, 1)
 	if !first {
 		s.n.WeightRepeat++
@@ -535,15 +537,13 @@ type RowValues func(k, y int) []int32
 
 // tileCall is what a tile call does with the blocks it seals: the layer
 // whose counters and MAC positions they take at version vn; whether each
-// block's MAC is recorded in its line's memo entry; whether the MACs fold
-// into the golden digest the call returns (a host write, which owes no
-// register) or into MAC_W; and, for HostSealTile, the banks that take the
-// ciphertext and the pads instead of the tile's lines.
+// block's MAC is recorded in its line's memo entry; and whether the MACs
+// fold into the golden digest the call returns (a host write, which owes no
+// register) or into MAC_W.
 type tileCall struct {
 	layer        uint32
 	vn           int
 	record, host bool
-	ct, pads     []byte
 }
 
 // tile seals every block of t, rows(k, y) block by block (put), and
@@ -567,7 +567,7 @@ func (s *SeculatorShard) tile(t Tile, c tileCall, rows RowValues) mac.Digest {
 		vals := rows(k, y)
 		ctr := m.counter(c.layer, uint32(k), c.vn, uint32(y*t.BPR))
 		for b := 0; b < t.BPR; b++ {
-			s.put(&c, (i*t.BPR+b)*tensor.BlockBytes, addr+uint64(b), ctr, BlockOf(vals, b), nil, golden)
+			s.put(&c, addr+uint64(b), ctr, BlockOf(vals, b), nil, golden)
 			ctr.Block++
 		}
 	}
@@ -577,18 +577,13 @@ func (s *SeculatorShard) tile(t Tile, c tileCall, rows RowValues) mac.Digest {
 
 // put is the write sequence of one block: it seals the block — its values
 // vals, or raw's 64 bytes — at line addr under ctr straight into the
-// hasher's next lane, or, for a call with banks, into the banks at byte o,
-// and queues its MAC, to be recorded in the line's memo entry when the call
-// records. A batch it fills settles at once, folding as settle(golden)
-// does; the caller settles the last.
-func (s *SeculatorShard) put(c *tileCall, o int, addr uint64, ctr crypto.Counter, vals []int32, raw []byte, golden *mac.Digest) {
+// hasher's next lane, and queues its MAC, to be recorded in the line's memo
+// entry when the call records. A batch it fills settles at once, folding as
+// settle(golden) does; the caller settles the last.
+func (s *SeculatorShard) put(c *tileCall, addr uint64, ctr crypto.Counter, vals []int32, raw []byte, golden *mac.Digest) {
 	lane, n := s.rowh.Slot(s.parent.refAt(ctr))
 	var rec *keystream
-	if c.pads != nil {
-		pad := (*block)(c.pads[o:])
-		s.engine.Pad(pad[:], ctr)
-		sealBlock(lane, (*block)(c.ct[o:]), pad, vals)
-	} else if e := s.seal(addr, ctr, lane, vals, raw); c.record {
+	if e := s.seal(addr, ctr, lane, vals, raw); c.record {
 		rec = e
 	}
 	s.recs[n-1] = rec
@@ -628,25 +623,13 @@ func (s *SeculatorShard) WriteTile(t Tile, vn int, final bool, rows RowValues) {
 	s.record(sim.Write, t.Blocks())
 }
 
-// HostSealTile encrypts every block of a tile of host-owned blocks (model
-// load), rows(k, y) its values, into ct and each block's pad into pads —
-// both packed as the tile's blocks, row after row, and at least that long —
-// and returns the XOR of their MACs, hashed in batches across the rows, for
-// the caller's golden digest. It stores nothing, so t.Base names no line:
-// the residency build seals a layer's weights straight into its pinned
-// image and pad bank.
-func (s *SeculatorShard) HostSealTile(ct, pads []byte, t Tile, ownerLayer uint32, vn int, rows RowValues) mac.Digest {
-	if n := t.Blocks() * tensor.BlockBytes; len(ct) < n || len(pads) < n {
-		panic(fmt.Sprintf("protect: sealing %d blocks into %d bytes of ciphertext and %d of pads", t.Blocks(), len(ct), len(pads)))
-	}
-	return s.tile(t, tileCall{layer: ownerLayer, vn: vn, host: true, ct: ct, pads: pads}, rows)
-}
-
-// HostWriteTile seals a tile as HostSealTile does, but through seal — so
-// each line's pad and ciphertext land in its memo entry, and so does each
-// block's MAC as it folds into the digest — and stores it at the tile's
-// lines. The layer-0 input load uses it: its first reads fold their MACs
-// into MAC_FR, an observable register, so they take the recorded ones.
+// HostWriteTile encrypts and stores every block of a tile of host-owned
+// blocks, rows(k, y) its values, through seal — so each line's pad and
+// ciphertext land in its memo entry, and so does each block's MAC — and
+// returns the XOR of their MACs, hashed in batches across the rows, for the
+// caller's golden digest. The layer-0 input load uses it: its first reads
+// fold their MACs into MAC_FR, an observable register, so they take the
+// recorded ones.
 func (s *SeculatorShard) HostWriteTile(t Tile, ownerLayer uint32, vn int, rows RowValues) mac.Digest {
 	g := s.tile(t, tileCall{layer: ownerLayer, vn: vn, record: true, host: true}, rows)
 	s.n.HostWrites += t.Blocks()

@@ -2,11 +2,13 @@ package protect
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
+	"seculator/internal/crypto"
 	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/sim"
@@ -166,7 +168,7 @@ func runLoaderBeside(t *testing.T, n int) (*mem.DRAM, *SeculatorMemory) {
 // memo); the memory's serial API (its own shard, which tallies into the
 // memory and records its traffic per call); and the
 // serial API beside a concurrent loader-shaped shard, which must fold
-// nothing, store the lines a host seal of its rows produces, and leave its
+// nothing, store the lines a host write of its rows produces, and leave its
 // pads marked ahead — the contract the secure executor's two goroutines
 // rely on.
 func TestShardedFoldsMatchSerial(t *testing.T) {
@@ -217,13 +219,15 @@ func TestShardedFoldsMatchSerial(t *testing.T) {
 	if got, want := lm.BlockCounts().HostWrites, lines; got != want {
 		t.Fatalf("beside a loader: %d host writes counted, want %d", got, want)
 	}
-	sealed, pads := make([]byte, loaderRowBlocks*tensor.BlockBytes), make([]byte, loaderRowBlocks*tensor.BlockBytes)
+	// The reference: the same rows host-written into a memory of their own.
+	hd := shardTestDRAM(t)
+	hm := NewSeculatorMemory(hd, 7, 9)
 	for r := 0; r < loaderRows; r++ {
 		tile := rowTile(0, uint32(r), 0, loaderRowBlocks)
-		lm.Shard().HostSealTile(sealed, pads, tile, 0x8001, 1, packed(tile, fuzzRow(loaderRowBlocks, byte(r))))
+		hm.Shard().HostWriteTile(tile, 0x8001, 1, packed(tile, fuzzRow(loaderRowBlocks, byte(r))))
 		for b := 0; b < loaderRowBlocks; b++ {
 			a := uint64(2*n + r*loaderRowBlocks + b)
-			if !bytes.Equal(ld.Peek(a), sealed[b*tensor.BlockBytes:(b+1)*tensor.BlockBytes]) {
+			if !bytes.Equal(ld.Peek(a), hd.Peek(uint64(b))) {
 				t.Fatalf("beside a loader: line %d is not the host's sealed weight block", a)
 			}
 			if k := lm.keys[a]; !k.host || k.hashed {
@@ -374,11 +378,12 @@ func TestShardRecycleScrubsHasher(t *testing.T) {
 	}
 }
 
-// TestShardSealRowMatchesWriteRow: on a one-row tile, HostWriteTile is
-// HostSealTile plus a store, so sealing the row into a buffer yields the
-// lines HostWriteTile puts in DRAM and the same golden digest — and only the
-// store counts as write traffic. HostStoreRow, the weight load, stores the
-// same lines and hashes nothing.
+// TestShardSealRowMatchesWriteRow: on a one-row tile, HostWriteTile seals
+// each block as the composition does — encode, XOR the block's CTR pad —
+// stores it, and returns the XOR of mac.BlockMAC over the plaintext blocks
+// as the golden digest. The one-block host writes store the same lines and
+// fold the same digest, and HostStoreRow, the weight load, stores the same
+// lines and hashes nothing.
 func TestShardSealRowMatchesWriteRow(t *testing.T) {
 	const n, idx = 5, 5
 	row := make([]byte, n*tensor.BlockBytes)
@@ -390,18 +395,20 @@ func TestShardSealRowMatchesWriteRow(t *testing.T) {
 	m := NewSeculatorMemory(d, 3, 4)
 	sh := m.Shard()
 
-	sealed, pads := make([]byte, len(row)), make([]byte, len(row))
-	gs := sh.HostSealTile(sealed, pads, rowTile(0, 2, idx, n), 0x8001, 1, packed(rowTile(0, 2, idx, n), row))
-	if sh.n.Writes() != 0 || d.Lines() != 0 {
-		t.Fatalf("HostSealTile stored something: %d writes counted, %d lines in DRAM", sh.n.Writes(), d.Lines())
-	}
-	if bytes.Equal(sealed, row) {
-		t.Fatal("HostSealTile left plaintext in dst")
+	eng := crypto.NewCTR(3, 4)
+	var gs mac.Digest
+	sealed := make([]byte, len(row))
+	for i := 0; i < n; i++ {
+		ctr := crypto.Counter{Fmap: 2, Layer: 0x8001, VN: 1, Block: uint32(idx + i)}
+		o := i * tensor.BlockBytes
+		eng.Pad(sealed[o:o+tensor.BlockBytes], ctr)
+		subtle.XORBytes(sealed[o:o+tensor.BlockBytes], sealed[o:o+tensor.BlockBytes], row[o:o+tensor.BlockBytes])
+		gs = gs.Xor(mac.BlockMAC(mac.BlockRef{Secret: 3, Layer: 0x8001, Fmap: 2, VN: 1, Index: uint32(idx + i)}, row[o:o+tensor.BlockBytes]))
 	}
 
 	gw := sh.HostWriteTile(rowTile(4, 2, idx, n), 0x8001, 1, packed(rowTile(4, 2, idx, n), row))
 	if gw != gs {
-		t.Fatalf("golden digest: write %x, seal %x", gw, gs)
+		t.Fatalf("golden digest: write %x, composition %x", gw, gs)
 	}
 	if sh.n.HostWrites != n || d.Lines() != n {
 		t.Fatalf("HostWriteTile: %d writes counted, %d lines stored, want %d", sh.n.HostWrites, d.Lines(), n)

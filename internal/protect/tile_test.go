@@ -155,24 +155,6 @@ func TestTileCallsMatchRows(t *testing.T) {
 				})
 				return g
 			})
-		sealedTile, sealedRows := make([]byte, len(pt)), make([]byte, len(pt))
-		padsTile, padsRows := make([]byte, len(pt)), make([]byte, len(pt))
-		compare("HostSealTile",
-			func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
-				return sh.HostSealTile(sealedTile, padsTile, tile, 0x8001, 1, vals)
-			},
-			func(_ *SeculatorMemory, sh *SeculatorShard) mac.Digest {
-				var g mac.Digest
-				o := 0
-				rows(func(_ uint64, _, _ int, sub Tile, row []byte) {
-					g = g.Xor(sh.HostSealTile(sealedRows[o:o+rb], padsRows[o:o+rb], sub, 0x8001, 1, packed(sub, row)))
-					o += rb
-				})
-				return g
-			})
-		if !bytes.Equal(sealedTile, sealedRows) || !bytes.Equal(padsTile, padsRows) {
-			t.Fatalf("%+v: HostSealTile's ciphertext or pads differ from its rows'", tile)
-		}
 	}
 }
 

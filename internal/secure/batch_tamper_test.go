@@ -10,6 +10,7 @@ import (
 	"seculator/internal/mac"
 	"seculator/internal/mem"
 	"seculator/internal/nn"
+	"seculator/internal/protect"
 	"seculator/internal/resilience"
 	"seculator/internal/workload"
 )
@@ -83,10 +84,10 @@ func TestTamperInPartialBatchDetected(t *testing.T) {
 	}
 }
 
-// TestResidencyTamperInPartialBatchDetected flips one seeded bit in the
-// last, part-full batch of a resident layer's weight blocks, for every layer
-// that has one: Verify must name that layer, and pass again once the bit is
-// flipped back.
+// TestResidencyTamperInPartialBatchDetected flips one seeded bit of a
+// weight value that lies in the last, part-full batch of a resident layer's
+// weight blocks, for every layer that has one: Verify must name that layer,
+// and pass again once the bit is flipped back.
 func TestResidencyTamperInPartialBatchDetected(t *testing.T) {
 	for _, shape := range []string{"Mini", "MobileNet/8"} {
 		net := resolveShape(t, shape)
@@ -94,19 +95,33 @@ func TestResidencyTamperInPartialBatchDetected(t *testing.T) {
 		res := buildDefaultResidency(t, net, ws)
 		rng := rand.New(rand.NewSource(45))
 		tampered := 0
-		for i := range res.layers {
-			blocks := res.layers[i].blocks()
-			tail := blocks % mac.LaneCount
-			if len(res.layers[i].ct) == 0 || tail == 0 {
+		for i, rl := range res.layers {
+			wl := rl.wl
+			tail := wl.blocks() % mac.LaneCount
+			if ws[i] == nil || tail == 0 {
 				continue
 			}
-			offset := (blocks-tail+rng.Intn(tail))*64 + rng.Intn(64)
-			res.TamperCiphertext(i, offset)
+			// The tail's blocks that hold values (a padded channel group's
+			// hold none); block b is block b mod perFmap of filter b / perFmap.
+			perFmap := wl.cGroups * wl.sliceBlocks
+			var vals [][]int32
+			for b := wl.blocks() - tail; b < wl.blocks(); b++ {
+				k, cg, j := b/perFmap, b%perFmap/wl.sliceBlocks, b%wl.sliceBlocks
+				if v := protect.BlockOf(weightRun(net.Layers[i], ws[i], k, cg, wl.sliceInts), j); len(v) > 0 {
+					vals = append(vals, v)
+				}
+			}
+			if len(vals) == 0 {
+				continue
+			}
+			v := vals[rng.Intn(len(vals))]
+			at, bit := rng.Intn(len(v)), int32(1)<<rng.Intn(32)
+			v[at] ^= bit
 			err := res.Verify()
 			if !errors.Is(err, mac.ErrIntegrity) || !strings.Contains(err.Error(), "\""+net.Layers[i].Name+"\"") {
-				t.Fatalf("%s layer %s: a flipped bit in its last batch of %d gave %v", shape, net.Layers[i].Name, tail, err)
+				t.Fatalf("%s layer %s: a flipped weight bit in its last batch of %d gave %v", shape, net.Layers[i].Name, tail, err)
 			}
-			res.TamperCiphertext(i, offset)
+			v[at] ^= bit
 			if err := res.Verify(); err != nil {
 				t.Fatalf("%s layer %s: restored residency failed its check: %v", shape, net.Layers[i].Name, err)
 			}

@@ -124,12 +124,12 @@ type Executor struct {
 	Retry resilience.Policy
 
 	// Residency, when non-nil, attaches the run to a pinned
-	// verify-once-then-resident weight cache (see residency.go): the
-	// pinned ciphertext is installed by memcpy, the per-request host
-	// encrypt + golden-MAC pass and the per-tile weight fetch/decrypt are
-	// skipped, and compute reads the residency's verified plaintext. The
-	// attach is refused — the run silently takes the full path — unless
-	// the residency matches this executor's config exactly, the caller's
+	// verify-once-then-resident weight cache (see residency.go): the run
+	// writes no weight to DRAM and fetches, decrypts and checks none, and
+	// computes straight from the residency's verified tensors, whose
+	// values the residency's epoch check (Verify) covers. The attach is
+	// refused — the run silently takes the full path — unless the
+	// residency matches this executor's config exactly, the caller's
 	// weights ARE the residency's verified tensors, and no attacker hook
 	// or fault injector is installed.
 	Residency *WeightResidency
@@ -196,12 +196,6 @@ type weightLayout struct {
 
 func (w weightLayout) blocks() int { return w.k * w.cGroups * w.sliceBlocks }
 
-// tile is the layer's weight region as one tile: fmap k holds a row per
-// c-group, its slice, at lines base + (k·cGroups+cg)·sliceBlocks ….
-func (w weightLayout) tile() protect.Tile {
-	return protect.Tile{Base: w.base, Rows: w.cGroups, BPR: w.sliceBlocks, K0: 0, K1: w.k, Y0: 0, Y1: w.cGroups}
-}
-
 func (w weightLayout) addr(k, cg, blk int) uint64 {
 	return w.base + uint64((k*w.cGroups+cg)*w.sliceBlocks+blk)
 }
@@ -223,7 +217,10 @@ type layerState struct {
 type Result struct {
 	Output *nn.Tensor
 	Layers int
-	Blocks int // DRAM lines holding the encrypted model + activations
+	// Blocks is the run's planned address space in DRAM lines: the
+	// layer-0 input, then every layer's output activations and weights.
+	// A resident run plans its weight regions but never writes them.
+	Blocks int
 
 	// OutputMAC is the final layer's MAC_W register — the XOR-MAC a host
 	// consuming the outputs verifies against. Because the XOR fold is
@@ -234,9 +231,7 @@ type Result struct {
 
 	// Counts is what the run moved, in 64-byte blocks per tensor class,
 	// summed from the shards' own tallies, retried layers included. Its
-	// Reads and Writes are what the run's DRAM recorded as data traffic —
-	// less, on a resident run, the weight image installed by memcpy, which
-	// no shard moves.
+	// Reads and Writes are what the run's DRAM recorded as data traffic.
 	Counts protect.BlockCounts
 
 	// Hashing says how many of the block MACs its reads and writes owe the
@@ -316,10 +311,9 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	dram.Reserve(total)
 	sm.ReserveKeystreams(total)
 
-	// Provisioning. A residency attach installs the pinned, pre-verified
-	// ciphertext by memcpy and marks every layer trusted — no host encrypt,
-	// no per-tile weight fetch. Otherwise the host load leaves the critical
-	// path: one loader goroutine writes the model, layer by layer, while the
+	// Provisioning. A residency attach marks every layer trusted: the run
+	// stores no weight and fetches none. Otherwise the host load leaves the
+	// critical path: one loader goroutine writes the model, layer by layer, while the
 	// layer loop runs, and computes ahead the pads of the output lines each
 	// layer writes once (startLoader) — unless an attacker hook or injector
 	// is installed; both observe load/execute ordering that overlapping
@@ -332,7 +326,6 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 	goldenInput := x.loadInput(rt, input, inputLayout)
 	switch {
 	case resident:
-		x.Residency.install(dram)
 		for i := range states {
 			states[i].resident = true
 		}
@@ -421,7 +414,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		x.OnLayerMACs(len(states), sm.RegisterSnapshot())
 	}
 	rt.drain() // joins the loader, then merges its shard's block and pad tallies
-	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states), Blocks: dram.Lines(),
+	return Result{Output: out, OutputMAC: outputMAC, Layers: len(states), Blocks: int(total),
 		Counts: sm.BlockCounts(), Hashing: sm.Hashing(), Keystream: sm.Keystreams(), Recovery: stats}, nil
 }
 
@@ -555,7 +548,7 @@ func planLayout(net workload.Network, weights []*nn.Weights, choices []sched.Cho
 				sliceBlocks: tensor.CeilDiv(ct*l.R*l.S*4, tensor.BlockBytes),
 				ownerID:     uint32(0x8000 + i),
 			}
-			next += uint64(st.wl.k * st.wl.cGroups * st.wl.sliceBlocks)
+			next += uint64(st.wl.blocks())
 		}
 		states[i] = st
 	}
@@ -570,7 +563,7 @@ func planInfo(states []layerState, input actLayout) PlanInfo {
 		p.Acts = append(p.Acts, Region{Base: st.act.base, Blocks: st.act.blocks()})
 		var w Region
 		if st.wl.sliceBlocks > 0 {
-			w = Region{Base: st.wl.base, Blocks: st.wl.k * st.wl.cGroups * st.wl.sliceBlocks}
+			w = Region{Base: st.wl.base, Blocks: st.wl.blocks()}
 		}
 		p.Weights = append(p.Weights, w)
 	}

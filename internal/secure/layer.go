@@ -72,9 +72,9 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 	if weights != nil {
 		if st.resident {
 			// Residency attach: compute straight from the pinned, verified
-			// plaintext; the weight region's tile events are skipped (see
-			// onEvent) and so is the golden comparison — both happened when
-			// the residency was built / last epoch-checked.
+			// tensor; the weight region's tile events are skipped (see
+			// onEvent) and so is the golden comparison, which the
+			// residency's epoch check (Verify) makes over this very tensor.
 			run.w = weights
 		} else {
 			if st.layer.Type == workload.Depthwise {
@@ -82,7 +82,7 @@ func (x *Executor) runLayer(rt *inferRuntime, st *layerState,
 			} else {
 				run.w = rt.weightsTensor(st.layer.K, st.layer.C, st.layer.R, st.layer.S)
 			}
-			run.wTouched = rt.touchedWeights(st.wl.k * st.wl.cGroups * st.wl.sliceBlocks)
+			run.wTouched = rt.touchedWeights(st.wl.blocks())
 		}
 	}
 
@@ -118,8 +118,8 @@ func (r *layerRun) onEvent(e dataflow.Event) bool {
 		r.readIfmapTile(e)
 	case e.Tensor == tensor.Weight && e.Kind == sim.Read:
 		if r.st.resident {
-			// Weights were verified when the residency was built; the
-			// fetch/decrypt/golden-fold pass would only reproduce r.w.
+			// A resident run stored no weight: r.w is the residency's
+			// verified tensor, which its epoch check covers.
 			return true
 		}
 		r.readWeightTile(e)

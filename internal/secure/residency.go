@@ -3,24 +3,28 @@
 // GuardNN and MGX both observe that DNN weights are read-only at inference
 // time: their integrity can be verified once and then trusted for an
 // epoch, instead of being re-proven on every access. The serving tier
-// applies that insight at the request level. A WeightResidency pins one
-// model's provisioned state — the encrypted weight ciphertext exactly as
-// the host load would write it to DRAM, the per-layer golden XOR-MACs, the
-// AES-CTR pads (keystream) covering every weight block, the verified
-// plaintext weights, and the pinned mapping choices — as an immutable
-// object shared across requests. A resident run installs the ciphertext
-// into its DRAM image by memcpy, skips the per-request host encrypt +
-// golden-MAC pass entirely, and computes from the verified plaintext
-// without the per-tile weight fetch/decrypt/fold, because the weight
-// region's integrity was established when the residency was built (and is
-// re-established once per epoch by Verify).
+// applies that insight at the request level. A WeightResidency pins what a
+// resident run reads of one model — the mapping choices, the verified
+// plaintext weight tensors and one golden digest per weighted layer — as an
+// immutable object shared across requests. A resident run skips the host
+// weight load and every weight tile's fetch, decrypt and check, and
+// computes straight from the pinned tensors: its weight region is planned
+// but never written.
 //
-// Security argument. The weight-read path (ReadStatic) never folds into
-// the four XOR-MAC registers — weight integrity is a private golden-digest
-// comparison, not part of the Equation 1 chain. Skipping it therefore
-// leaves every register, every activation MAC, and the final output MAC
-// bit-identical to the non-resident run; only the *moment* of weight
-// verification moves, from per-request to per-epoch. The trust is refused
+// Security argument. A layer's golden digest is the XOR of mac.BlockMAC over
+// the plaintext of each of its weight blocks at its host-load position —
+// the host's owner tag for the layer, fmap k, the block's index, version 1,
+// under the accelerator secret — which is what a non-resident run's weight
+// check holds its reads to. Verify folds it again from the pinned tensors
+// themselves, so the epoch check covers exactly the values a resident run
+// computes from: a weight value changed since the build fails it, naming
+// its layer. Between checks such a change is served; the epoch bounds that
+// trust window. The weight-read path (ReadStatic) never folds into the four
+// XOR-MAC registers — weight integrity is a private golden-digest
+// comparison, not part of the Equation 1 chain — so skipping it leaves
+// every register, every activation MAC and the final output MAC
+// bit-identical to the non-resident run; only the moment of weight
+// verification moves, from per-request to per-epoch. The attach is refused
 // outright when an attacker hook or fault injector is installed (those
 // observe or mutate the DRAM image mid-run, and the per-request
 // verification is exactly what detects them) and when the caller's weights
@@ -29,7 +33,6 @@ package secure
 
 import (
 	"context"
-	"crypto/subtle"
 	"fmt"
 
 	"seculator/internal/mac"
@@ -38,22 +41,15 @@ import (
 	"seculator/internal/npu"
 	"seculator/internal/protect"
 	"seculator/internal/sched"
-	"seculator/internal/sim"
-	"seculator/internal/tensor"
 	"seculator/internal/workload"
 )
 
-// residentLayer is one layer's pinned weight state. Pool/upsample layers
+// residentLayer is one layer's pinned weight state: where a run plans its
+// weight region and the golden digest of its weights. Pool/upsample layers
 // (no weights) pin nothing.
 type residentLayer struct {
 	wl     weightLayout
 	golden mac.Digest
-	ct     []byte // encrypted region, wl block count × 64 bytes
-	pads   []byte // AES-CTR keystream per block, same extent as ct
-}
-
-func (rl *residentLayer) blocks() int {
-	return rl.wl.k * rl.wl.cGroups * rl.wl.sliceBlocks
 }
 
 // WeightResidency is the immutable pinned state of one verified model.
@@ -72,13 +68,11 @@ type WeightResidency struct {
 	bytes   int64
 }
 
-// BuildWeightResidency provisions and verifies the weights once: it maps
-// the network (memoized), lays out the address space exactly as a run's
-// plan would, encrypts every weight slice under the host-load counters,
-// folds the per-layer golden XOR-MACs with the batched row hasher, and
-// pins each block's CTR pad as it seals it. The returned object is
-// self-consistent by construction; Verify re-establishes that from the
-// pinned state alone.
+// BuildWeightResidency provisions the weights once: it maps the network
+// (memoized), lays out the address space exactly as a run's plan would,
+// and folds each weighted layer's golden digest from the given tensors
+// (weightGolden), which it pins as the verified weights. It writes no
+// DRAM and encrypts nothing: a resident run reads neither.
 func BuildWeightResidency(ctx context.Context, net workload.Network,
 	npuCfg npu.Config, dramCfg mem.Config, secret, random uint64,
 	weights []*nn.Weights) (*WeightResidency, error) {
@@ -104,14 +98,7 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 		choices: choices, weights: weights,
 		layers: make([]residentLayer, len(states)),
 	}
-	// A throwaway memory supplies the exact host-load crypto — same engine
-	// construction, same counters, same block MAC positions — and stores
-	// nothing: each row is sealed straight into the layer's pinned image.
-	dram, err := mem.New(dramCfg)
-	if err != nil {
-		return nil, err
-	}
-	sh := protect.NewSeculatorMemory(dram, secret, random).Shard()
+	var rowh mac.RowHasher
 	for i := range states {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -119,57 +106,49 @@ func BuildWeightResidency(ctx context.Context, net workload.Network,
 		if weights[i] == nil {
 			continue
 		}
-		st := &states[i]
-		wl := st.wl
 		rl := &res.layers[i]
-		rl.wl = wl
-		rl.ct = make([]byte, rl.blocks()*tensor.BlockBytes)
-		rl.pads = make([]byte, len(rl.ct))
-		// The layer is sealed as one tile, each (k, c-group) slice encoded
-		// straight from its run of the weights into its MAC lane; the seal
-		// writes each block's pad — the CTR keystream — into the pad bank
-		// as it goes, pinned so epoch verification decrypts without an AES
-		// pass.
-		w := weights[i]
-		rl.golden = sh.HostSealTile(rl.ct, rl.pads, wl.tile(), wl.ownerID, 1, func(k, cg int) []int32 {
-			return weightRun(st.layer, w, k, cg, wl.sliceInts)
-		})
-		res.bytes += int64(len(rl.ct) + len(rl.pads))
-	}
-	if err := res.Verify(); err != nil {
-		return nil, err
+		rl.wl = states[i].wl
+		rl.golden = weightGolden(&rowh, secret, net.Layers[i], rl.wl, weights[i])
+		res.bytes += int64(len(weights[i].Data)) * 4
 	}
 	return res, nil
 }
 
-// Verify re-establishes the residency's integrity from the pinned state
-// alone: every resident ciphertext block is decrypted through the pad bank
-// straight into a MAC lane and its MAC re-folded — hashed in batches of
-// lanes across the layer's rows, with zero allocations per row — into a
-// digest that must equal the pinned golden value. A mismatch means the
-// resident ciphertext (or pad bank) was corrupted since the last check;
-// callers must drop the residency and re-provision from scratch.
+// weightGolden folds one layer's golden digest from its weight tensor: the
+// XOR of mac.BlockMAC over every weight block's plaintext at its host-load
+// position. Each (k, c-group) slice is encoded block by block straight into
+// a lane of rowh, and the lanes are hashed sixteen at a time.
+func weightGolden(rowh *mac.RowHasher, secret uint64, l workload.Layer, wl weightLayout, w *nn.Weights) mac.Digest {
+	var d mac.Digest
+	for k := 0; k < wl.k; k++ {
+		for cg := 0; cg < wl.cGroups; cg++ {
+			run := weightRun(l, w, k, cg, wl.sliceInts)
+			for j := 0; j < wl.sliceBlocks; j++ {
+				lane, n := rowh.Slot(mac.BlockRef{Secret: secret, Layer: wl.ownerID, Fmap: uint32(k),
+					VN: 1, Index: uint32(cg*wl.sliceBlocks + j)})
+				protect.EncodeBlock(lane, protect.BlockOf(run, j))
+				if n == mac.LaneCount {
+					d = d.Xor(mac.XorAll(rowh.Sum()))
+				}
+			}
+		}
+	}
+	return d.Xor(mac.XorAll(rowh.Sum()))
+}
+
+// Verify re-establishes the residency's integrity: it folds every weighted
+// layer's golden digest again from the pinned tensors (weightGolden) and
+// compares it with the pinned one. A mismatch means a weight value a
+// resident run computes from changed since the build; callers must drop
+// the residency and re-provision from scratch.
 func (res *WeightResidency) Verify() error {
 	var rowh mac.RowHasher
 	for i := range res.layers {
 		rl := &res.layers[i]
-		if len(rl.ct) == 0 {
+		if res.weights[i] == nil {
 			continue
 		}
-		// Block b of the layer is block b mod perFmap of fmap b / perFmap.
-		perFmap := rl.wl.cGroups * rl.wl.sliceBlocks
-		var got mac.Digest
-		for b := 0; b < rl.blocks(); b++ {
-			o := b * tensor.BlockBytes
-			lane, n := rowh.Slot(mac.BlockRef{Secret: res.secret, Layer: rl.wl.ownerID, Fmap: uint32(b / perFmap),
-				VN: 1, Index: uint32(b % perFmap)})
-			subtle.XORBytes(lane[:], rl.ct[o:o+tensor.BlockBytes], rl.pads[o:o+tensor.BlockBytes])
-			if n == mac.LaneCount {
-				got = got.Xor(mac.XorAll(rowh.Sum()))
-			}
-		}
-		got = got.Xor(mac.XorAll(rowh.Sum()))
-		if got != rl.golden {
+		if weightGolden(&rowh, res.secret, res.net.Layers[i], rl.wl, res.weights[i]) != rl.golden {
 			return fmt.Errorf("%w: resident layer %q weights: digest mismatch",
 				mac.ErrIntegrity, res.net.Layers[i].Name)
 		}
@@ -178,34 +157,21 @@ func (res *WeightResidency) Verify() error {
 }
 
 // Weights returns the verified plaintext weight tensors. Treat them as
-// immutable: they are shared by every attached run.
+// immutable: they are shared by every attached run, and Verify fails on
+// any value changed since the build.
 func (res *WeightResidency) Weights() []*nn.Weights { return res.weights }
 
 // Network returns the residency's network.
 func (res *WeightResidency) Network() workload.Network { return res.net }
 
-// Bytes reports the pinned footprint (ciphertext + pad bank).
+// Bytes reports the pinned footprint: the verified weight tensors' values.
 func (res *WeightResidency) Bytes() int64 { return res.bytes }
 
-// TamperCiphertext flips one bit of a resident weight ciphertext block —
-// the test primitive behind the "tampered residency is detected on epoch
-// check" coverage. It returns false if the layer pins no weights.
-func (res *WeightResidency) TamperCiphertext(layer, offset int) bool {
-	if layer < 0 || layer >= len(res.layers) {
-		return false
-	}
-	rl := &res.layers[layer]
-	if len(rl.ct) == 0 {
-		return false
-	}
-	rl.ct[offset%len(rl.ct)] ^= 0x01
-	return true
-}
-
 // matches reports whether an executor configured with (npu, dram, secret,
-// random) running net with the given weight tensors can attach: everything
-// that determines ciphertext, counters, MAC positions, and mapping choices
-// must be identical, and the weights must be the residency's own verified
+// random) running net with the given weight tensors can attach: the
+// configuration must be the one the residency was built under — it fixes
+// the mapping choices, the planned layout and the MAC positions the
+// digests fold at — and the weights must be the residency's own verified
 // tensors (pointer identity — trusting lookalike tensors would bypass
 // verification).
 func (res *WeightResidency) matches(net workload.Network, npuCfg npu.Config,
@@ -226,18 +192,4 @@ func (res *WeightResidency) matches(net workload.Network, npuCfg npu.Config,
 		}
 	}
 	return true
-}
-
-// install copies the resident ciphertext into a run's DRAM image — one
-// range write per layer at its pinned base address — and accounts the same
-// write traffic the host load would have recorded, so the run's DRAM line
-// count and traffic counters match the non-resident run block for block.
-func (res *WeightResidency) install(dram *mem.DRAM) {
-	total := 0
-	for i := range res.layers {
-		rl := &res.layers[i]
-		dram.WriteRangeQuiet(rl.wl.base, rl.ct)
-		total += rl.blocks()
-	}
-	dram.Record(sim.Write, sim.DataTraffic, total)
 }

@@ -1,21 +1,19 @@
 package secure
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
 	"seculator/internal/mac"
-	"seculator/internal/mem"
 	"seculator/internal/nn"
 	"seculator/internal/protect"
 	"seculator/internal/tensor"
 	"seculator/internal/workload"
 )
 
-// The residency build and the per-run host load are two provisioning loops
-// over the same weights; these tests tie them together byte for byte and
-// hold the build to its allocation budget.
+// A residency pins the golden digest a run's weight check holds its reads
+// to; these tests tie the pinned digest and layout to a run's plan and hold
+// the build to its allocation budget.
 
 func buildDefaultResidency(tb testing.TB, net workload.Network, ws []*nn.Weights) *WeightResidency {
 	tb.Helper()
@@ -27,51 +25,28 @@ func buildDefaultResidency(tb testing.TB, net workload.Network, ws []*nn.Weights
 	return res
 }
 
-// TestResidencyCiphertextIsHostLoadImage: every layer's pinned ciphertext
-// equals the weight region a hooked run's DRAM holds right after model load
-// (phase -1) — install() works because of this, and nothing else asserted
-// it — and its pinned golden digest is the XOR of mac.BlockMAC over the
-// host's plaintext blocks at their positions, folded here block by block
-// rather than by the build's row hasher. (Runs no longer fold a golden
-// digest: the host load hashes nothing, so the pinned one is checked
-// against the definition instead.)
-func TestResidencyCiphertextIsHostLoadImage(t *testing.T) {
+// TestResidencyGoldenIsHostPlaintextFold: every layer's pinned weight
+// layout is the one a run plans, and its pinned golden digest is the XOR of
+// mac.BlockMAC over the host's plaintext blocks at their positions, folded
+// here block by block rather than by the build's row hasher — the value a
+// non-resident run's weight check holds its reads to.
+func TestResidencyGoldenIsHostPlaintextFold(t *testing.T) {
 	for _, net := range []workload.Network{miniNet(), resolveShape(t, "Mini"), resolveShape(t, "MobileNet/8")} {
-		in, ws := nn.RandomModel(net, 3)
+		_, ws := nn.RandomModel(net, 3)
 		res := buildDefaultResidency(t, net, ws)
-
-		var plan PlanInfo
 		x := NewExecutor()
-		x.OnPlan = func(pi PlanInfo) { plan = pi }
-		x.AfterPhase = func(phase int, d *mem.DRAM) {
-			if phase != -1 {
-				return
-			}
-			for i, w := range plan.Weights {
-				ct := res.layers[i].ct
-				if len(ct) != w.Blocks*tensor.BlockBytes {
-					t.Fatalf("%s layer %d: %d pinned bytes for a %d-line region", net.Name, i, len(ct), w.Blocks)
-				}
-				for b := 0; b < w.Blocks; b++ {
-					if !bytes.Equal(d.Peek(w.Base+uint64(b)), ct[b*tensor.BlockBytes:(b+1)*tensor.BlockBytes]) {
-						t.Fatalf("%s layer %d: pinned line %d differs from the host load's", net.Name, i, b)
-					}
-				}
-			}
-		}
-		if _, err := x.Run(context.Background(), net, in, ws); err != nil {
-			t.Fatal(err)
-		}
-		if len(plan.Weights) != len(res.layers) {
-			t.Fatalf("%s: hook saw %d weight regions, residency pins %d", net.Name, len(plan.Weights), len(res.layers))
-		}
-
 		states, _, _, err := x.plan(net, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(states) != len(res.layers) {
+			t.Fatalf("%s: %d planned layers, residency pins %d", net.Name, len(states), len(res.layers))
+		}
 		var blk [tensor.BlockBytes]byte
 		for i := range states {
+			if ws[i] != nil && res.layers[i].wl != states[i].wl {
+				t.Fatalf("%s layer %d: pinned weight layout %+v, a run plans %+v", net.Name, i, res.layers[i].wl, states[i].wl)
+			}
 			var want mac.Digest
 			if wl := states[i].wl; ws[i] != nil {
 				for k := 0; k < wl.k; k++ {
@@ -92,18 +67,17 @@ func TestResidencyCiphertextIsHostLoadImage(t *testing.T) {
 	}
 }
 
-// TestResidencyBuildAllocBudget: rows are sealed straight into the pinned
-// image, so a build allocates per layer, not per line. Through PR 18 every
-// line went through a DRAM that never Reserved — a make and a map insert
-// each, over 400 for Mini.
+// TestResidencyBuildAllocBudget: the build pins the caller's tensors and
+// folds one digest per layer, so it allocates per build, not per layer or
+// line, and pins exactly the weight values a run computes from.
 func TestResidencyBuildAllocBudget(t *testing.T) {
 	net := resolveShape(t, "Mini")
 	_, ws := nn.RandomModel(net, 1)
-	if got := buildDefaultResidency(t, net, ws).Bytes(); got != 2*400*tensor.BlockBytes {
-		t.Fatalf("Mini pins %d bytes, want 400 lines of ciphertext and of pads", got)
+	if got := buildDefaultResidency(t, net, ws).Bytes(); got != 24704 {
+		t.Fatalf("Mini pins %d bytes, want its 6,176 weight values' 24,704", got)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { buildDefaultResidency(t, net, ws) }); allocs > 64 {
-		t.Fatalf("BuildWeightResidency(Mini) makes %.0f allocations, budget is 64", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { buildDefaultResidency(t, net, ws) }); allocs > 8 {
+		t.Fatalf("BuildWeightResidency(Mini) makes %.0f allocations, budget is 8", allocs)
 	}
 }
 
@@ -118,6 +92,28 @@ func BenchmarkBuildWeightResidency(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buildDefaultResidency(b, net, ws)
+			}
+		})
+	}
+}
+
+// BenchmarkResidencyVerify prices the epoch check: every weighted layer's
+// golden digest folded again from the pinned tensors.
+func BenchmarkResidencyVerify(b *testing.B) {
+	for _, tc := range []struct{ name, shape string }{{"mini", "Mini"}, {"deep", "MobileNet/8"}} {
+		b.Run(tc.name, func(b *testing.B) {
+			net, err := workload.ResolveShape(tc.shape)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, ws := nn.RandomModel(net, 1)
+			res := buildDefaultResidency(b, net, ws)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := res.Verify(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -9,6 +9,9 @@ package secure_test
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"seculator/internal/mac"
@@ -84,8 +87,7 @@ func TestResidencyMatchesNonResident(t *testing.T) {
 }
 
 // TestResidencyVerify: a clean pin passes its epoch check; a single flipped
-// ciphertext bit fails it with the integrity class, and the executor
-// refuses to consume state the check rejected.
+// bit of a pinned weight value fails it with the integrity class.
 func TestResidencyVerify(t *testing.T) {
 	net := pipeNet()
 	_, ws := nn.RandomModel(net, 5)
@@ -93,11 +95,92 @@ func TestResidencyVerify(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatalf("clean residency failed its epoch check: %v", err)
 	}
-	if !res.TamperCiphertext(0, 7) {
-		t.Fatal("TamperCiphertext found no layer-0 ciphertext")
-	}
+	res.Weights()[0].Data[7] ^= 1
 	if err := res.Verify(); !errors.Is(err, mac.ErrIntegrity) {
 		t.Fatalf("tampered residency passed the epoch check: %v", err)
+	}
+}
+
+// TestResidencyVerifyCoversWeightValues: the epoch check covers the values
+// a resident run computes from. For every weighted layer of Mini and
+// MobileNet/8, one flipped value of the pinned tensor fails Verify with the
+// integrity class, naming that layer, and flipping it back passes again.
+func TestResidencyVerifyCoversWeightValues(t *testing.T) {
+	for _, shape := range []string{"Mini", "MobileNet/8"} {
+		net, err := workload.ResolveShape(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ws := nn.RandomModel(net, 2)
+		res := buildResidency(t, net, ws)
+		rng := rand.New(rand.NewSource(49))
+		layers := 0
+		for i, w := range res.Weights() {
+			if w == nil {
+				continue
+			}
+			at, bit := rng.Intn(len(w.Data)), int32(1)<<rng.Intn(32)
+			w.Data[at] ^= bit
+			err := res.Verify()
+			if !errors.Is(err, mac.ErrIntegrity) || !strings.Contains(err.Error(), "\""+net.Layers[i].Name+"\"") {
+				t.Fatalf("%s layer %s: weight %d flipped, Verify gave %v", shape, net.Layers[i].Name, at, err)
+			}
+			w.Data[at] ^= bit
+			if err := res.Verify(); err != nil {
+				t.Fatalf("%s layer %s: restored weights failed the check: %v", shape, net.Layers[i].Name, err)
+			}
+			layers++
+		}
+		if layers == 0 {
+			t.Fatalf("%s: no weighted layer: the test checks nothing", shape)
+		}
+	}
+}
+
+// TestResidencyVerifyBesideResidentRuns: resident runs and the epoch check
+// share the pinned tensors and only read them, so a check may run beside
+// any number of attached runs — under -race this shows neither writes what
+// the other reads. Every run matches the reference and every check passes.
+func TestResidencyVerifyBesideResidentRuns(t *testing.T) {
+	net := pipeNet()
+	in, ws, golden := modelAndGolden(t, net, 31)
+	res := buildResidency(t, net, ws)
+	cfg := runner.DefaultConfig()
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := secure.NewExecutor()
+			x.NPU, x.DRAM = cfg.NPU, cfg.DRAM
+			x.Residency = res
+			for r := 0; r < 3; r++ {
+				got, err := x.Run(context.Background(), net, in, res.Weights())
+				if err == nil && !got.Output.Equal(golden) {
+					err = errors.New("resident run diverged from reference")
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 5; r++ {
+			if err := res.Verify(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -35,7 +35,7 @@ type Metrics struct {
 	// (first touch, or rebuild after a failed epoch check), reverifies are
 	// epoch re-checks and verifyFails those that found the pinned state
 	// corrupted, evictions are by capacity or corruption, residentBytes is
-	// the pinned ciphertext + pad bank footprint.
+	// the pinned weight tensors' footprint.
 	residencyHits, residencyMisses, residencyReverifies metrics.Counter
 	residencyVerifyFails, residencyEvictions            metrics.Counter
 	residentBytes                                       metrics.Gauge

@@ -9,16 +9,20 @@ import (
 
 // residency.go — the serving tier's verified-weight residency cache.
 //
-// Every admitted request used to re-encrypt and re-MAC the same model
-// weights. Because weights are read-only at inference time (the GuardNN /
-// MGX observation), the server instead provisions them once per
-// (network, model seed) into a secure.WeightResidency — verified
-// ciphertext, golden XOR-MACs, pad bank, pinned mapping — and attaches
-// every later request to the shared pin. Invalidation rules:
+// Weights are read-only at inference time (the GuardNN / MGX observation),
+// so the server provisions them once per (network, model seed) into a
+// secure.WeightResidency — the verified weight tensors, one golden digest
+// per weighted layer and the pinned mapping — and attaches every request for
+// that model to the shared pin: a resident run computes straight from the
+// pinned tensors and neither stores nor fetches a weight. The epoch check
+// (WeightResidency.Verify) folds every layer's digest again from those
+// tensors, so it covers exactly the values the runs compute from.
+// Invalidation rules:
 //
 //   - epoch expiry: entries older than residencyEpoch are
-//     re-verified (WeightResidency.Verify) before the next attach; a
-//     failed check evicts the entry and re-provisions from scratch;
+//     re-verified before the next attach; a failed check evicts the entry
+//     and re-provisions from scratch, with weights derived afresh from the
+//     seed;
 //   - tenant breach: a quarantined tenant's verification floor moves to
 //     "now", so that tenant's next attach forces a re-verify regardless of
 //     epoch age — a breached tenant never rides a stale trust decision;
@@ -26,9 +30,10 @@ import (
 //     residencyMaxModels.
 //
 // The cache is shared across tenants by design: the pinned state is
-// content-addressed (network + seed fully determine the ciphertext under
-// the process DRAM identity), so there is nothing tenant-private in it —
-// what is per-tenant is only the *trust freshness* floor above.
+// content-addressed (network + seed fully determine the weights and their
+// digests under the process DRAM identity), so there is nothing
+// tenant-private in it — what is per-tenant is only the *trust freshness*
+// floor above.
 
 const (
 	// residencyEpoch is how long a verified entry is trusted before the
