@@ -359,11 +359,13 @@ func dramDigest(d *mem.DRAM) uint64 {
 // registers (values and fold counts), and, between the two hooked runs,
 // bit-identical DRAM ciphertext at every phase boundary. A hooked run (an
 // AfterPhase hook) loads the whole model up front on fresh state; a loader
-// run is the default, its weights host-written beside the layer loop, which
-// at one P (GOMAXPROCS=1) runs only when the loop waits for it. The layer
-// loop hashes every block MAC itself: at every layer's register snapshot a
-// run has started no goroutine but the loader (none when hooked), and after
-// Run none is left. The oracle keeps its name for its repro corpora.
+// run is the default, each layer provisioned by whichever of the loader and
+// the layer loop claims it first — at one P (GOMAXPROCS=1) the loop, which
+// never waits for a loader that has not claimed its layer, provisions them
+// all itself. The layer loop hashes every block MAC itself: at every
+// layer's register snapshot a run has started no goroutine but the loader
+// (none when hooked), and after Run none is left. The oracle keeps its name
+// for its repro corpora.
 func CheckSerialParallel(cfg Config) error {
 	net := cfg.Net.Network()
 	if err := net.Validate(); err != nil {

@@ -39,13 +39,25 @@ const minLanes16 = 9
 // RowHasher is caller-owned scratch for block MACs: the lanes' messages
 // (plaintext, which Scrub wipes), their digests and the portable path's
 // SHA-256 state. The zero value is ready to use; on the portable path the
-// first MAC allocates the state, and no later one allocates. Not safe for
-// concurrent use — give each worker its own.
+// first MAC allocates the state, and no later one allocates. A hasher
+// declared on its caller's stack stays there: nothing of it reaches an
+// interface call (portableState). Not safe for concurrent use — give each
+// worker its own.
 type RowHasher struct {
 	n     int // messages queued
 	lanes [LaneCount]paddedBlock
 	sums  [LaneCount]Digest
-	h     hash.Hash
+	p     *portableState
+}
+
+// portableState is the portable path's SHA-256 state with the message it
+// hashes and the digest it sums into: copies of a lane and a digest that
+// live beside the state, so the hasher's own lanes and digests never reach
+// hash.Hash's Write and Sum, whose arguments escape.
+type portableState struct {
+	h   hash.Hash
+	msg [hdrSize + maxInlineData]byte
+	sum Digest
 }
 
 // Slot queues the MAC message of one whole 64-byte block under ref in the
@@ -92,22 +104,25 @@ func (h *RowHasher) Sum() []Digest {
 		}
 	default:
 		for i := 0; i < n; i++ {
-			h.portable(&h.sums[i], h.lanes[i][:hdrSize+maxInlineData])
+			h.sums[i] = h.portable(&h.lanes[i])
 		}
 	}
 	return h.sums[:n]
 }
 
-// portable sets d to SHA-256(msg) with the hasher's resident state:
-// sha256.Sum256 builds and resets a fresh digest on every call, which is a
-// tenth of a block MAC's cost.
-func (h *RowHasher) portable(d *Digest, msg []byte) {
-	if h.h == nil {
-		h.h = sha256.New()
+// portable returns the MAC of a lane's message with the hasher's resident
+// state: sha256.Sum256 builds and resets a fresh digest on every call,
+// which is a tenth of a block MAC's cost.
+func (h *RowHasher) portable(lane *paddedBlock) Digest {
+	if h.p == nil {
+		h.p = &portableState{h: sha256.New()}
 	}
-	h.h.Reset()
-	h.h.Write(msg)
-	h.h.Sum(d[:0])
+	p := h.p
+	p.msg = [hdrSize + maxInlineData]byte(lane[:hdrSize+maxInlineData])
+	p.h.Reset()
+	p.h.Write(p.msg[:])
+	p.h.Sum(p.sum[:0])
+	return p.sum
 }
 
 // FoldRow returns the XOR of BlockMAC(ref with Index+i, block i) over all
@@ -187,13 +202,15 @@ func XorAll(ds []Digest) Digest {
 // its Reset zeroes the counters, not that buffer; a 64-byte Write would be
 // compressed straight from the caller's slice without touching it. So the
 // buffer is overwritten with 63 zero bytes and left that way: every MAC
-// begins with its own Reset.
+// begins with its own Reset. The state's copies of the last message and
+// digest are zeroed too.
 func (h *RowHasher) Scrub() {
 	h.n = 0
 	h.lanes = [LaneCount]paddedBlock{}
 	h.sums = [LaneCount]Digest{}
-	if h.h != nil {
-		h.h.Reset()
-		h.h.Write(h.lanes[0][:sha256.BlockSize-1])
+	if p := h.p; p != nil {
+		p.msg, p.sum = [hdrSize + maxInlineData]byte{}, Digest{}
+		p.h.Reset()
+		p.h.Write(p.msg[:sha256.BlockSize-1])
 	}
 }

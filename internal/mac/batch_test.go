@@ -136,7 +136,7 @@ func TestRowHasherAllocFree(t *testing.T) {
 // first len%64 bytes of x are emitted (the rest is written as zeros).
 func shaState(t *testing.T, h *RowHasher) (buffered []byte, length uint64) {
 	t.Helper()
-	state, err := h.h.(encoding.BinaryMarshaler).MarshalBinary()
+	state, err := h.p.h.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,8 @@ func TestPathsAreTheOnesThisCPUHas(t *testing.T) {
 
 // TestRowHasherScrub shows both halves of the pool contract on each path: a
 // used hasher holds plaintext — every block of its last batch in its lanes
-// and, on the portable path, the last block's final 24 bytes inside the
-// SHA-256 state — and after Scrub no byte the hasher owns holds any, and
+// and, on the portable path, the last block in the state's message copy
+// and its final 24 bytes inside the SHA-256 state — and after Scrub no byte the hasher owns holds any, and
 // the next MACs are right. The kernel paths build no SHA-256 state at all.
 func TestRowHasherScrub(t *testing.T) {
 	macPaths(t, func(t *testing.T) {
@@ -213,10 +213,13 @@ func TestRowHasherScrub(t *testing.T) {
 		}
 		last := data[len(data)-tensor.BlockBytes:]
 		if useSHANI {
-			if h.h != nil {
+			if h.p != nil {
 				t.Fatal("a kernel path built a SHA-256 state")
 			}
 		} else {
+			if !bytes.Equal(h.p.msg[hdrSize:], last) {
+				t.Fatal("the portable state's message copy does not hold the last block: the check below sees nothing")
+			}
 			x, n := shaState(t, &h)
 			if n != hdrSize+tensor.BlockBytes {
 				t.Fatalf("after a block the state has hashed %d bytes, want %d", n, hdrSize+tensor.BlockBytes)
@@ -230,7 +233,10 @@ func TestRowHasherScrub(t *testing.T) {
 		if h.lanes != [LaneCount]paddedBlock{} || h.sums != [LaneCount]Digest{} || h.n != 0 {
 			t.Fatal("after Scrub the lanes, the digests or the batch are not empty")
 		}
-		if h.h != nil {
+		if h.p != nil {
+			if h.p.msg != [hdrSize + tensor.BlockBytes]byte{} || h.p.sum != (Digest{}) {
+				t.Fatal("after Scrub the portable state's message or digest copy is not zero")
+			}
 			x, n := shaState(t, &h)
 			if n != sha256.BlockSize-1 {
 				t.Fatalf("after Scrub the state has hashed %d bytes, want %d", n, sha256.BlockSize-1)
@@ -248,7 +254,7 @@ func TestRowHasherScrub(t *testing.T) {
 
 		var fresh RowHasher
 		fresh.Scrub() // no state yet: nothing to wipe, nothing built
-		if fresh.h != nil {
+		if fresh.p != nil {
 			t.Fatal("Scrub built a SHA-256 state on an unused hasher")
 		}
 	})

@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"seculator/internal/dataflow"
 	"seculator/internal/mac"
@@ -138,6 +139,12 @@ type Executor struct {
 	// weight fold before its check: the in-package oracle holds it to a
 	// reference's golden ⊕ reads ⊕ unread arithmetic.
 	weightFoldTap func(layer int, fold mac.Digest)
+
+	// claimTap, when non-nil, runs on the side about to try a layer's
+	// claim (the layer loop with loop set, else the weight loader), with
+	// the claim counter: in-package tests use it to force which side
+	// provisions which layer.
+	claimTap func(loop bool, layer int, next *atomic.Int32)
 }
 
 // DefaultSecret and DefaultRandom are the process's DRAM crypto identity:
@@ -225,8 +232,8 @@ type Result struct {
 	// OutputMAC is the final layer's MAC_W register — the XOR-MAC a host
 	// consuming the outputs verifies against. Because the XOR fold is
 	// commutative, it is bit-identical in whatever order the block MACs
-	// fold, and whenever the loader stores the weights; the provisioning
-	// equivalence tests assert exactly that.
+	// fold, and whichever side stores the weights, whenever; the
+	// provisioning equivalence tests assert exactly that.
 	OutputMAC mac.Digest
 
 	// Counts is what the run moved, in 64-byte blocks per tensor class,
@@ -313,15 +320,17 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 
 	// Provisioning. A residency attach marks every layer trusted: the run
 	// stores no weight and fetches none. Otherwise the host load leaves the
-	// critical path: one loader goroutine writes the model, layer by layer, while the
-	// layer loop runs, and computes ahead the pads of the output lines each
-	// layer writes once (startLoader) — unless an attacker hook or injector
-	// is installed; both observe load/execute ordering that overlapping
-	// would change, so those runs load everything up front.
+	// critical path: a loader goroutine writes the model, layer by layer, while
+	// the layer loop runs, and computes ahead the pads of the output lines
+	// each layer writes once (startLoader); the loop provisions any layer it
+	// reaches before the loader has claimed it (awaitLayer) — unless an
+	// attacker hook or injector is installed; both observe load/execute
+	// ordering that overlapping would change, so those runs load everything
+	// up front.
 	resident := x.residentFor(net, weights)
 	overlap := !resident && x.AfterPhase == nil && x.Injector == nil
 	if overlap {
-		rt.startLoader(states, weights)
+		rt.startLoader(states, weights, x.claimTap)
 	}
 	goldenInput := x.loadInput(rt, input, inputLayout)
 	switch {
@@ -352,7 +361,7 @@ func (x *Executor) Run(ctx context.Context, net workload.Network, input *nn.Tens
 		rt.unit.Configure(st.act.ownerID, st.write, dataflow.DeriveRead(st.choice.Mapping), prevWrite)
 		prevWrite = st.write
 		if overlap {
-			rt.awaitLayer() // this layer's weights are stored, its output pads computed
+			rt.awaitLayer(i, st, weights[i]) // this layer's weights are stored, its output pads computed
 		}
 		// One attempt = re-fetch + re-execute the layer's event stream,
 		// then close the pending verification (layer-0 golden inputs, or
@@ -589,6 +598,18 @@ func loadLayerWeights(sh *protect.SeculatorShard, st *layerState, w *nn.Weights)
 			sh.HostStoreRow(wl.addr(k, cg, 0), wl.ownerID, uint32(k), 1, uint32(cg*wl.sliceBlocks),
 				wl.sliceBlocks, weightRun(st.layer, w, k, cg, wl.sliceInts))
 		}
+	}
+}
+
+// provisionLayer readies one layer of a loader run through a shard, the
+// loop's or the loader's: it stores the layer's weights and, when the
+// layer's final VN is 1, computes its output lines' pads ahead.
+func provisionLayer(sh *protect.SeculatorShard, st *layerState, w *nn.Weights) {
+	if w != nil {
+		loadLayerWeights(sh, st, w)
+	}
+	if st.act.vn == 1 {
+		padOutputsAhead(sh, st.act)
 	}
 }
 

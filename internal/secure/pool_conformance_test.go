@@ -74,8 +74,8 @@ func runCase(t *testing.T, x *Executor, c conformanceCase) (*nn.Tensor, protect.
 // the whole sequence with pooling on (every run after the first rides the
 // recycled state) must match fresh-state baselines bit for bit — outputs
 // and all four XOR-MAC registers with their fold counts. Workers is
-// GOMAXPROCS: at one the weight loader runs only when the layer loop waits
-// for it, at four beside it.
+// GOMAXPROCS: at one the layer loop claims and provisions every layer
+// itself, at four the weight loader claims layers beside it.
 func TestPooledRuntimeConformance(t *testing.T) {
 	seq := conformanceSequence()
 	for _, workers := range []int{1, 4} {

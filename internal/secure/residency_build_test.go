@@ -67,17 +67,54 @@ func TestResidencyGoldenIsHostPlaintextFold(t *testing.T) {
 	}
 }
 
+// portableAllocs is what a stack mac.RowHasher allocates on path p: on the
+// portable one, its SHA-256 state and crypto/sha256's digest, once per
+// hasher; on a kernel path, nothing.
+func portableAllocs(p mac.Path) float64 {
+	if p.Name == "portable" {
+		return 2
+	}
+	return 0
+}
+
 // TestResidencyBuildAllocBudget: the build pins the caller's tensors and
 // folds one digest per layer, so it allocates per build, not per layer or
-// line, and pins exactly the weight values a run computes from.
+// line — its row hasher on the stack — and pins exactly the weight values
+// a run computes from.
 func TestResidencyBuildAllocBudget(t *testing.T) {
 	net := resolveShape(t, "Mini")
 	_, ws := nn.RandomModel(net, 1)
 	if got := buildDefaultResidency(t, net, ws).Bytes(); got != 24704 {
 		t.Fatalf("Mini pins %d bytes, want its 6,176 weight values' 24,704", got)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { buildDefaultResidency(t, net, ws) }); allocs > 8 {
-		t.Fatalf("BuildWeightResidency(Mini) makes %.0f allocations, budget is 8", allocs)
+	for _, p := range mac.Paths() {
+		restore := mac.UsePath(p)
+		budget := 4 + portableAllocs(p)
+		if allocs := testing.AllocsPerRun(20, func() { buildDefaultResidency(t, net, ws) }); allocs > budget {
+			t.Errorf("%s: BuildWeightResidency(Mini) makes %.0f allocations, budget is %.0f", p.Name, allocs, budget)
+		}
+		restore()
+	}
+}
+
+// TestResidencyVerifyAllocatesNothing: the epoch check folds every layer's
+// digest again with a row hasher on its own stack, so on a kernel path it
+// allocates nothing.
+func TestResidencyVerifyAllocatesNothing(t *testing.T) {
+	net := resolveShape(t, "MobileNet/8")
+	_, ws := nn.RandomModel(net, 1)
+	res := buildDefaultResidency(t, net, ws)
+	for _, p := range mac.Paths() {
+		restore := mac.UsePath(p)
+		budget := portableAllocs(p)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := res.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > budget {
+			t.Errorf("%s: Verify makes %.0f allocations, budget is %.0f", p.Name, allocs, budget)
+		}
+		restore()
 	}
 }
 

@@ -1,6 +1,7 @@
 package secure
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -50,62 +51,96 @@ type inferRuntime struct {
 	onCompute func(dataflow.LoopIdx) bool
 }
 
-// preloadState is the run's weight loader: one goroutine that, layer by
-// layer in order, host-stores the layer's weights and computes ahead the
-// pads of the output lines the layer writes once, through its own shard,
-// while the layer loop runs — so only layer 0's share is on the
-// critical path.
+// preloadState is the run's weight loader and the claim that splits the
+// model's provisioning between it and the layer loop. A layer is
+// provisioned (provisionLayer: its weights stored, its output pads computed
+// ahead) by whichever side first moves next past it. The loader is one
+// goroutine that claims layers in order and provisions them through its own
+// shard while the loop runs; the loop provisions inline, on its own shard,
+// each layer it reaches unclaimed. So the loop never waits for a loader
+// that has not started, only for one still provisioning the very layer the
+// loop has reached.
 type preloadState struct {
 	sh *protect.SeculatorShard
 
-	// ready carries one token per layer, pool layers included, sent once
-	// that layer's weight region is stored and its output pads are computed;
-	// the loader closes it on exit. nil when no loader is running.
-	ready    chan struct{}
-	stop     atomic.Bool // set by drain: stop before the next layer
-	panicVal any         // a recovered loader panic, published by the close
+	// next is the first layer nobody has claimed: a side claims layer i by
+	// moving next from i to i+1, and drain claims every layer left.
+	next atomic.Int32
+	// ready carries one token per layer the loader claimed, in layer
+	// order, sent once that layer is provisioned; the loader closes it on
+	// exit. nil when no loader is running.
+	ready chan struct{}
+	// release holds the loader's normal exit until drain fills it: the
+	// loader then ends on the loop's P, which keeps its goroutine for the
+	// next run's loader to reuse (DESIGN.md §10). One slot, kept with the
+	// shard across pooled runs.
+	release  chan struct{}
+	panicVal any // a recovered loader panic, published by the close
+	// tap is Executor.claimTap, for this run.
+	tap func(loop bool, layer int, next *atomic.Int32)
 }
 
-// startLoader launches the run's weight loader. Only legal in overlap mode
-// (no attacker hook, no injector): it mutates DRAM while layers execute,
-// which is invisible to the architecture (disjoint, pre-reserved lines) but
-// not to a hook that expects "all loads precede phase -1" ordering.
-func (rt *inferRuntime) startLoader(states []layerState, weights []*nn.Weights) {
+// startLoader resets the claim counter and launches the run's weight
+// loader, which claims layers in order, provisions each it wins and sends
+// its token, and, out of layers, waits for drain's release. Only legal in
+// overlap mode (no attacker hook, no injector): it mutates DRAM while
+// layers execute, which is invisible to the architecture (disjoint,
+// pre-reserved lines) but not to a hook that expects "all loads precede
+// phase -1" ordering.
+func (rt *inferRuntime) startLoader(states []layerState, weights []*nn.Weights, tap func(bool, int, *atomic.Int32)) {
 	p := &rt.preload
 	if p.sh == nil {
 		p.sh = rt.sm.Shard()
+		p.release = make(chan struct{}, 1)
 	}
-	// Buffered to the number of sends, so the loader never blocks and
-	// whatever waits for it (drain) cannot deadlock.
+	// Buffered to the number of sends, so the loader never blocks on one
+	// and whatever waits for it (drain) cannot deadlock.
 	ready := make(chan struct{}, len(states))
-	p.ready = ready
+	p.ready, p.tap = ready, tap
+	p.next.Store(0)
 	go func() {
 		defer close(ready)
 		defer func() { p.panicVal = recover() }()
-		for i := range states {
-			if p.stop.Load() {
-				return
+		for {
+			i := p.next.Load()
+			if int(i) >= len(states) {
+				break
 			}
-			st := &states[i]
-			if weights[i] != nil {
-				loadLayerWeights(p.sh, st, weights[i])
+			if tap != nil {
+				tap(false, int(i), &p.next)
 			}
-			// The loop stores to these entries only after it takes this
-			// token, and the loader touches them no more: one writer each.
-			if st.act.vn == 1 {
-				padOutputsAhead(p.sh, st.act)
+			if !p.next.CompareAndSwap(i, i+1) {
+				continue // the loop claimed it: try the next
 			}
+			// The loop stores to this layer's entries only after it takes
+			// this token, and the loader touches them no more: one writer
+			// each.
+			provisionLayer(p.sh, &states[i], weights[i])
 			ready <- struct{}{}
 		}
+		// Normal exit only: a loader that died closes at once, since the
+		// loop may be waiting on its token.
+		<-p.release
 	}()
 }
 
-// awaitLayer blocks until the loader has published the next layer — tokens
-// arrive in layer order, one per call. A closed channel means the loader
+// awaitLayer makes layer i ready to run — its weights stored, its output
+// pads computed: inline, on the loop's shard, when the loop claims the
+// layer, else by taking the token of the loader that claimed it. The loader
+// claims in layer order and sends in claim order, so its tokens reach the
+// loop in the order the loop needs them. A closed channel means the loader
 // died: its panic is re-raised here, on the orchestrator.
-func (rt *inferRuntime) awaitLayer() {
-	if _, ok := <-rt.preload.ready; !ok {
-		panic(rt.preload.panicVal)
+func (rt *inferRuntime) awaitLayer(i int, st *layerState, w *nn.Weights) {
+	p := &rt.preload
+	if p.tap != nil {
+		p.tap(true, i, &p.next)
+	}
+	if p.next.CompareAndSwap(int32(i), int32(i+1)) {
+		provisionLayer(rt.sh, st, w)
+		return
+	}
+	if _, ok := <-p.ready; !ok {
+		panic(p.panicVal)
 	}
 }
 
@@ -113,14 +148,22 @@ func (rt *inferRuntime) awaitLayer() {
 // no goroutine touches the run's DRAM after Run returns or after the state
 // is parked — and only then merges its shard's block and pad tallies: the
 // loader counts writes for the whole run, and Merge is orchestrator-only.
+// It claims every layer left, so the loader stops before the next one
+// (a cancelled or failed run does not finish loading a model nobody will
+// execute), and fills release before it waits, so a loader parked there
+// wakes onto this P and ends on it.
 func (rt *inferRuntime) drain() {
 	p := &rt.preload
 	if p.ready != nil {
-		p.stop.Store(true)
+		p.next.Store(math.MaxInt32)
+		p.release <- struct{}{}
 		for range p.ready {
 		}
-		p.ready, p.panicVal = nil, nil
-		p.stop.Store(false)
+		select {
+		case <-p.release: // a loader that died never took it
+		default:
+		}
+		p.ready, p.panicVal, p.tap = nil, nil, nil
 	}
 	rt.sm.Merge(p.sh)
 }

@@ -27,6 +27,9 @@ type stageRun struct {
 	outputMAC mac.Digest
 	blocks    int
 	regs      []protect.RegisterState // per layer, then the readout epoch
+	counts    protect.BlockCounts
+	pads      protect.Keystreams
+	hashing   protect.Hashing
 }
 
 func runStages(t *testing.T, x *Executor, net workload.Network, in *nn.Tensor, ws []*nn.Weights) stageRun {
@@ -38,6 +41,7 @@ func runStages(t *testing.T, x *Executor, net workload.Network, in *nn.Tensor, w
 		t.Fatal(err)
 	}
 	r.out, r.outputMAC, r.blocks = res.Output, res.OutputMAC, res.Blocks
+	r.counts, r.pads, r.hashing = res.Counts, res.Keystream, res.Hashing
 	return r
 }
 
@@ -51,6 +55,14 @@ func (r stageRun) mustEqual(t *testing.T, base stageRun, tag string) {
 	}
 	if r.blocks != base.blocks {
 		t.Fatalf("%s: %d DRAM lines, want %d", tag, r.blocks, base.blocks)
+	}
+	if r.counts != base.counts || r.hashing != base.hashing {
+		t.Fatalf("%s: counts %+v, hashing %+v; want %+v, %+v", tag, r.counts, r.hashing, base.counts, base.hashing)
+	}
+	// Pads computed ahead are a loader run's own (hooked runs pad none):
+	// the totals must match.
+	if r.pads.Computed != base.pads.Computed || r.pads.Reused != base.pads.Reused {
+		t.Fatalf("%s: pads %+v, want %+v", tag, r.pads, base.pads)
 	}
 	if len(r.regs) != len(base.regs) {
 		t.Fatalf("%s: %d register snapshots, want %d", tag, len(r.regs), len(base.regs))
@@ -202,8 +214,10 @@ func checkProvisionOverlap(t *testing.T) {
 
 // TestProvisionOverlapMatchesInline: the loader changes when the weights are
 // written, never what a run observes — output, OutputMAC, every per-layer
-// register snapshot and the DRAM line count — on two Ps and on one, where
-// the loader runs only when the orchestrator first waits for it.
+// register snapshot, the DRAM line count, Counts, Hashing and the pad
+// totals — on two Ps and on one, where the layer loop, which never waits
+// for a loader that has not claimed its layer, provisions the layers
+// itself (TestOneProcLoopClaimsEveryLayer).
 func TestProvisionOverlapMatchesInline(t *testing.T) {
 	checkProvisionOverlap(t)
 	t.Run("GOMAXPROCS=1", func(t *testing.T) {
@@ -277,8 +291,8 @@ func TestCancelMidRunJoinsLoader(t *testing.T) {
 }
 
 // TestCancelWithPadsAheadLeavesNothing: cancelling a pooled MobileNet/8 run
-// after layer 3, once the loader has stored every layer's weights and padded
-// every later layer's output lines — pads no store took — must leave nothing
+// after layer 3, once the loader has claimed every later layer, stored its
+// weights and padded its output lines — pads no store took — must leave nothing
 // behind in the parked state: the next run on it matches a fresh state's
 // output, OutputMAC, Counts and Keystream. The test finds the state both
 // runs ride by taking it out of the pool and putting it back; the race
@@ -316,15 +330,21 @@ func TestCancelWithPadsAheadLeavesNothing(t *testing.T) {
 			}
 			cancel()
 			// Only the run riding rs set its channel, on this goroutine.
-			ready := rs.rt.preload.ready
+			p := &rs.rt.preload
+			ready := p.ready
 			if rode = ready != nil; !rode {
 				return
 			}
-			// Four tokens taken; wait until the loader has sent the rest.
-			for deadline := time.Now().Add(10 * time.Second); len(ready)+4 < len(net.Layers) && time.Now().Before(deadline); {
+			// The loop, held here, claimed no layer past 3: the loader
+			// claims every later one, and has provisioned them all once the
+			// claim counter is past the last layer and it has sent one token
+			// for each of those layers.
+			n := len(net.Layers)
+			done := func() bool { return int(p.next.Load()) == n && len(ready) == n-4 }
+			for deadline := time.Now().Add(10 * time.Second); !done() && time.Now().Before(deadline); {
 				runtime.Gosched()
 			}
-			padded = len(ready)+4 == len(net.Layers)
+			padded = done()
 		}
 		_, err := x.Run(ctx, net, in, ws)
 		cancel()
