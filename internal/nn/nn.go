@@ -12,7 +12,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"seculator/internal/workload"
 )
@@ -71,13 +70,18 @@ func (t *Tensor) Randomize(seed int64) {
 }
 
 // draw fills data with the values rand.New(rand.NewSource(seed)).Intn(n) − n/2
-// returns, for n a power of two, straight from the source: Intn(n) is then
-// Int31() & (n−1), and Int31 is the top 31 bits of the source's Int63.
+// returns, for n a power of two: Intn(n) is then Int31() & (n−1), and Int31
+// is the top 31 bits of the source's Int63. The values come from source, an
+// exact port of the generator behind rand.NewSource that seeds in closed
+// form and draws in runs, on the caller's stack. math/rand stays the one
+// definition of every model: the port derives its cooked table from it on
+// the first seeding, and TestRandomizeMatchesMathRand,
+// TestRandomWeightsMatchesRandomModel and FuzzDrawMatchesMathRand hold the
+// port to it value for value.
 func draw(data []int32, seed int64, n int32) {
-	src := rand.NewSource(seed)
-	for i := range data {
-		data[i] = int32(src.Int63()>>32)&(n-1) - n/2
-	}
+	var s source
+	s.seed(seed)
+	s.fill(data, n)
 }
 
 // Weights is the filter tensor of one layer: K filters of (C, R, S).

@@ -505,8 +505,8 @@ func TestAccumulateConvMatchesReferenceOnNetworks(t *testing.T) {
 	}
 }
 
-// TestKernelsAllocFree: every layer kernel of Mini and MobileNet/8
-// allocates nothing.
+// TestKernelsAllocFree: every layer kernel of Mini and MobileNet/8, and the
+// draw of each layer's weights, allocates nothing.
 func TestKernelsAllocFree(t *testing.T) {
 	for _, name := range []string{"Mini", "MobileNet/8"} {
 		net, err := workload.ResolveShape(name)
@@ -528,6 +528,11 @@ func TestKernelsAllocFree(t *testing.T) {
 				}
 			}); n != 0 {
 				t.Errorf("%s layer %s: %v allocations per call", name, l.Name, n)
+			}
+			if w := ws[i]; w != nil {
+				if n := testing.AllocsPerRun(10, func() { w.Randomize(int64(i)) }); n != 0 {
+					t.Errorf("%s layer %s: %v allocations per weight draw", name, l.Name, n)
+				}
 			}
 			cur = out
 		}

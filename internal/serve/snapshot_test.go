@@ -130,9 +130,14 @@ func TestSnapshotTamperRejected(t *testing.T) {
 		expectReject(env, "payload bit flip")
 	}
 	// A tampered MAC, a wrong version, and a spliced (foreign-payload)
-	// envelope all fail closed.
+	// envelope all fail closed. The tamper swaps the MAC's first hex digit
+	// for another, so it changes the MAC whatever digit the MAC begins with.
 	env := snap.Snapshot
-	env.MAC = "00" + env.MAC[2:]
+	first := "0"
+	if env.MAC[0] == '0' {
+		first = "1"
+	}
+	env.MAC = first + env.MAC[1:]
 	expectReject(env, "MAC tamper")
 	env = snap.Snapshot
 	env.Version = 2
